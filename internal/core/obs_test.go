@@ -89,7 +89,7 @@ func TestObservabilityPipeline(t *testing.T) {
 		"poem_received_total", "poem_forwarded_total", "poem_dropped_total",
 		"poem_noroute_total", "poem_queue_drops_total", "poem_stamp_clamped_total",
 		"poem_clients", "poem_scheduled", "poem_clock_seconds",
-		"poem_scene_nodes", "poem_scene_view_rebuilds_total",
+		"poem_scene_nodes", "poem_scene_view_rebuilds_total", "poem_scene_rows_republished_total",
 		"poem_record_packets_total", "poem_record_scenes_total",
 		"poem_ingest_ns_p99", "poem_dispatch_ns_bucket", "poem_send_ns_count",
 		"poem_trace_records_total",

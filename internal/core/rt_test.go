@@ -260,18 +260,24 @@ func TestFidelityQueueDropAndRebuildEvents(t *testing.T) {
 	if r.server.Stats().QueueDrops == 0 {
 		t.Fatal("flood produced no queue drops")
 	}
-	// A range change republishes channel 1's dispatch view.
-	r.scene.SetRange(1, 1, 150)
+	// A range change republishes channel 1's dispatch view: one row,
+	// VMN1's, which loses VMN2.
+	rec := r.server.Fidelity().Recorder()
+	var mark uint64
+	for _, ev := range rec.Snapshot() {
+		mark = max(mark, ev.Seq)
+	}
+	r.scene.SetRange(1, 1, 40)
 
 	var haveDrop, haveRebuild bool
-	for _, ev := range r.server.Fidelity().Recorder().Snapshot() {
+	for _, ev := range rec.Snapshot() {
 		switch ev.Kind {
 		case fidelity.EvQueueDrop:
 			if ev.A == 2 { // the wedged VMN
 				haveDrop = true
 			}
 		case fidelity.EvViewRebuild:
-			if ev.A == 1 { // channel 1
+			if ev.Seq > mark && ev.A == 1 && ev.B == 1 { // channel 1, one row
 				haveRebuild = true
 			}
 		}
@@ -280,6 +286,6 @@ func TestFidelityQueueDropAndRebuildEvents(t *testing.T) {
 		t.Error("no queue-drop event for VMN 2 in the flight recorder")
 	}
 	if !haveRebuild {
-		t.Error("no view-rebuild event for channel 1 in the flight recorder")
+		t.Error("no one-row view-rebuild event for channel 1 in the flight recorder")
 	}
 }

@@ -462,11 +462,11 @@ func (s *Server) instrument(cfg ServerConfig) {
 			Window:    cfg.RTWindow,
 		}, reg)
 		// Timeline context for breach dumps: every dispatch-view publish
-		// lands in the flight recorder (a rebuild storm next to a lag
-		// spike is a diagnosis, not a coincidence).
+		// lands in the flight recorder with its size (a rebuild storm next
+		// to a lag spike is a diagnosis, not a coincidence).
 		rec := s.fid.Recorder()
-		cfg.Scene.SetRebuildObserver(func(ch radio.ChannelID) {
-			rec.Record(fidelity.EvViewRebuild, -1, int64(s.cfg.Clock.Now()), int64(ch), 0)
+		cfg.Scene.SetRebuildObserver(func(ch radio.ChannelID, rows int) {
+			rec.Record(fidelity.EvViewRebuild, -1, int64(s.cfg.Clock.Now()), int64(ch), int64(rows))
 		})
 	}
 	for _, sh := range s.shards {

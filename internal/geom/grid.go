@@ -7,37 +7,44 @@ import "math"
 // instead of scanning every node, which keeps scene updates cheap when
 // emulating large MANETs (the §4.2 efficiency claim at scale).
 //
-// Keys are opaque int64 identifiers chosen by the caller (node IDs).
-// Grid is not safe for concurrent use; callers synchronize.
-type Grid struct {
+// Keys are opaque identifiers chosen by the caller: node IDs, or
+// pointers to whatever the caller keeps per node, which a range query
+// then hands straight back. Grid is not safe for concurrent use; callers
+// synchronize.
+type Grid[K comparable] struct {
 	cell  float64
-	cells map[cellKey]map[int64]Vec2
-	pos   map[int64]Vec2
+	cells map[cellKey][]gridItem[K] // unordered; a range query scans whole cells
+	pos   map[K]Vec2
 }
 
 type cellKey struct{ cx, cy int32 }
 
+type gridItem[K comparable] struct {
+	key K
+	p   Vec2
+}
+
 // NewGrid returns a Grid with the given cell size. The cell size should
 // be on the order of the typical radio range; queries then touch O(1)
 // cells. A non-positive cell size panics: it is a programming error.
-func NewGrid(cellSize float64) *Grid {
+func NewGrid[K comparable](cellSize float64) *Grid[K] {
 	if cellSize <= 0 {
 		panic("geom: grid cell size must be positive")
 	}
-	return &Grid{
+	return &Grid[K]{
 		cell:  cellSize,
-		cells: make(map[cellKey]map[int64]Vec2),
-		pos:   make(map[int64]Vec2),
+		cells: make(map[cellKey][]gridItem[K]),
+		pos:   make(map[K]Vec2),
 	}
 }
 
 // CellSize returns the grid's cell edge length.
-func (g *Grid) CellSize() float64 { return g.cell }
+func (g *Grid[K]) CellSize() float64 { return g.cell }
 
 // Len returns the number of keys stored.
-func (g *Grid) Len() int { return len(g.pos) }
+func (g *Grid[K]) Len() int { return len(g.pos) }
 
-func (g *Grid) keyFor(p Vec2) cellKey {
+func (g *Grid[K]) keyFor(p Vec2) cellKey {
 	return cellKey{
 		cx: int32(math.Floor(p.X / g.cell)),
 		cy: int32(math.Floor(p.Y / g.cell)),
@@ -45,29 +52,34 @@ func (g *Grid) keyFor(p Vec2) cellKey {
 }
 
 // Put inserts or moves key to position p.
-func (g *Grid) Put(key int64, p Vec2) {
+func (g *Grid[K]) Put(key K, p Vec2) {
 	if old, ok := g.pos[key]; ok {
 		ok1 := g.keyFor(old)
 		ok2 := g.keyFor(p)
 		if ok1 == ok2 {
-			g.cells[ok1][key] = p
+			c := g.cells[ok1]
+			c[indexOf(c, key)].p = p
 			g.pos[key] = p
 			return
 		}
 		g.removeFromCell(ok1, key)
 	}
 	ck := g.keyFor(p)
-	c := g.cells[ck]
-	if c == nil {
-		c = make(map[int64]Vec2)
-		g.cells[ck] = c
-	}
-	c[key] = p
+	g.cells[ck] = append(g.cells[ck], gridItem[K]{key, p})
 	g.pos[key] = p
 }
 
+func indexOf[K comparable](c []gridItem[K], key K) int {
+	for i := range c {
+		if c[i].key == key {
+			return i
+		}
+	}
+	panic("geom: grid cell lost a key")
+}
+
 // Remove deletes key from the grid. Removing an absent key is a no-op.
-func (g *Grid) Remove(key int64) {
+func (g *Grid[K]) Remove(key K) {
 	p, ok := g.pos[key]
 	if !ok {
 		return
@@ -76,24 +88,27 @@ func (g *Grid) Remove(key int64) {
 	delete(g.pos, key)
 }
 
-func (g *Grid) removeFromCell(ck cellKey, key int64) {
+func (g *Grid[K]) removeFromCell(ck cellKey, key K) {
 	c := g.cells[ck]
-	delete(c, key)
-	if len(c) == 0 {
+	if len(c) == 1 {
 		delete(g.cells, ck)
+		return
 	}
+	last := len(c) - 1
+	c[indexOf(c, key)] = c[last]
+	g.cells[ck] = c[:last]
 }
 
 // Pos returns the stored position for key.
-func (g *Grid) Pos(key int64) (Vec2, bool) {
+func (g *Grid[K]) Pos(key K) (Vec2, bool) {
 	p, ok := g.pos[key]
 	return p, ok
 }
 
 // Within calls fn for every key whose position lies within radius r of
-// center, excluding the key `exclude` (pass a negative value to exclude
-// nothing). Iteration order is unspecified.
-func (g *Grid) Within(center Vec2, r float64, exclude int64, fn func(key int64, p Vec2)) {
+// center, excluding the key `exclude` (pass a key that is not stored to
+// exclude nothing). Iteration order is unspecified.
+func (g *Grid[K]) Within(center Vec2, r float64, exclude K, fn func(key K, p Vec2)) {
 	if r < 0 {
 		return
 	}
@@ -109,12 +124,9 @@ func (g *Grid) Within(center Vec2, r float64, exclude int64, fn func(key int64, 
 			if ck.cx < lo.cx || ck.cx > hi.cx || ck.cy < lo.cy || ck.cy > hi.cy {
 				continue
 			}
-			for key, p := range cell {
-				if key == exclude {
-					continue
-				}
-				if p.DistSq(center) <= r2 {
-					fn(key, p)
+			for _, it := range cell {
+				if it.key != exclude && it.p.DistSq(center) <= r2 {
+					fn(it.key, it.p)
 				}
 			}
 		}
@@ -122,12 +134,9 @@ func (g *Grid) Within(center Vec2, r float64, exclude int64, fn func(key int64, 
 	}
 	for cx := lo.cx; cx <= hi.cx; cx++ {
 		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for key, p := range g.cells[cellKey{cx, cy}] {
-				if key == exclude {
-					continue
-				}
-				if p.DistSq(center) <= r2 {
-					fn(key, p)
+			for _, it := range g.cells[cellKey{cx, cy}] {
+				if it.key != exclude && it.p.DistSq(center) <= r2 {
+					fn(it.key, it.p)
 				}
 			}
 		}
@@ -136,8 +145,8 @@ func (g *Grid) Within(center Vec2, r float64, exclude int64, fn func(key int64, 
 
 // KeysWithin returns the keys within radius r of center, excluding
 // `exclude`. It is a convenience wrapper over Within.
-func (g *Grid) KeysWithin(center Vec2, r float64, exclude int64) []int64 {
-	var out []int64
-	g.Within(center, r, exclude, func(key int64, _ Vec2) { out = append(out, key) })
+func (g *Grid[K]) KeysWithin(center Vec2, r float64, exclude K) []K {
+	var out []K
+	g.Within(center, r, exclude, func(key K, _ Vec2) { out = append(out, key) })
 	return out
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestGridPutPosRemove(t *testing.T) {
-	g := NewGrid(50)
+	g := NewGrid[int64](50)
 	g.Put(1, V(10, 10))
 	g.Put(2, V(60, 60))
 	if g.Len() != 2 {
@@ -37,7 +37,7 @@ func TestGridPutPosRemove(t *testing.T) {
 }
 
 func TestGridNegativeCoordinates(t *testing.T) {
-	g := NewGrid(10)
+	g := NewGrid[int64](10)
 	g.Put(1, V(-5, -5))
 	g.Put(2, V(-15, -25))
 	got := g.KeysWithin(V(-10, -10), 20, -1)
@@ -47,7 +47,7 @@ func TestGridNegativeCoordinates(t *testing.T) {
 }
 
 func TestGridWithinExclude(t *testing.T) {
-	g := NewGrid(25)
+	g := NewGrid[int64](25)
 	g.Put(1, V(0, 0))
 	g.Put(2, V(10, 0))
 	g.Put(3, V(100, 0))
@@ -60,14 +60,14 @@ func TestGridWithinExclude(t *testing.T) {
 func TestGridZeroCellPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewGrid(0) did not panic")
+			t.Error("NewGrid[int64](0) did not panic")
 		}
 	}()
-	NewGrid(0)
+	NewGrid[int64](0)
 }
 
 func TestGridNegativeRadius(t *testing.T) {
-	g := NewGrid(10)
+	g := NewGrid[int64](10)
 	g.Put(1, V(0, 0))
 	if got := g.KeysWithin(V(0, 0), -1, -1); len(got) != 0 {
 		t.Errorf("negative radius returned %v", got)
@@ -78,7 +78,7 @@ func TestGridNegativeRadius(t *testing.T) {
 func TestGridMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		g := NewGrid(30 + rng.Float64()*100)
+		g := NewGrid[int64](30 + rng.Float64()*100)
 		pts := make(map[int64]Vec2)
 		n := 1 + rng.Intn(200)
 		for i := 0; i < n; i++ {
@@ -122,7 +122,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 }
 
 func BenchmarkGridWithin(b *testing.B) {
-	g := NewGrid(200)
+	g := NewGrid[int64](200)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1024; i++ {
 		g.Put(int64(i), V(rng.Float64()*4000, rng.Float64()*4000))

@@ -30,7 +30,8 @@ const (
 	// A = session VMN id, B unused.
 	EvQueueDrop
 	// EvViewRebuild: the scene published a fresh dispatch view.
-	// A = channel id, B unused. Shard is -1 (scene is server-wide).
+	// A = channel id, B = rows republished. Shard is -1 (scene is
+	// server-wide).
 	EvViewRebuild
 	// EvStateTransition: a health state changed. A = from, B = to.
 	// Shard -1 is the server-wide state.

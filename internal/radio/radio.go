@@ -29,7 +29,7 @@ package radio
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -72,16 +72,27 @@ type Node struct {
 // Channels returns the node's channel set CS(A), deduplicated and
 // sorted.
 func (n *Node) Channels() []ChannelID {
-	seen := make(map[ChannelID]bool, len(n.Radios))
-	var out []ChannelID
+	out := make([]ChannelID, 0, len(n.Radios))
 	for _, r := range n.Radios {
-		if !seen[r.Channel] {
-			seen[r.Channel] = true
-			out = append(out, r.Channel)
+		if i, dup := slices.BinarySearch(out, r.Channel); !dup {
+			out = slices.Insert(out, i, r.Channel)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// rangeAt visits CS(A) without building it: for exactly one i per
+// channel the node is on it returns R(A, Radios[i].Channel) and true.
+// A channel whose radios all have non-positive range is not in CS(A)
+// (see RangeOn).
+func (n *Node) rangeAt(i int) (float64, bool) {
+	ch := n.Radios[i].Channel
+	for _, r := range n.Radios[:i] {
+		if r.Channel == ch {
+			return 0, false
+		}
+	}
+	return n.RangeOn(ch)
 }
 
 // RangeOn returns R(A,n): the node's transmission range on channel ch.

@@ -1,8 +1,10 @@
 package radio
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -282,7 +284,12 @@ func TestSymmetryUniformRanges(t *testing.T) {
 }
 
 // randomOps drives both implementations with the same operation stream
-// and checks every query agrees — the strongest equivalence test.
+// and checks every query agrees — the strongest equivalence test. For
+// the indexed table that covers its row representation too: each row is
+// ID-sorted and bit-identical to the unified answer (Dist included);
+// Flush, called at random intervals, reports exactly the rows that
+// changed (a mirror built from its reports alone stays equal to the
+// table); and a row, once reported, is never written again.
 func TestImplementationsEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	idx := NewIndexed(120)
@@ -298,6 +305,31 @@ func TestImplementationsEquivalent(t *testing.T) {
 		return rs
 	}
 	randPos := func() geom.Vec2 { return geom.V(rng.Float64()*600, rng.Float64()*600) }
+
+	type rowKey struct {
+		ch ChannelID
+		id NodeID
+	}
+	type sealed struct{ row, was []Neighbor }
+	mirror := map[rowKey][]Neighbor{}
+	var handedOut []sealed
+	flush := func() {
+		seen := map[rowKey]bool{}
+		idx.Flush(func(ch ChannelID, id NodeID, row []Neighbor, member bool) {
+			k := rowKey{ch, id}
+			if !member {
+				delete(mirror, k)
+				return
+			}
+			if seen[k] {
+				t.Fatalf("Flush reported the row of %v on %v twice", id, ch)
+			}
+			seen[k] = true
+			mirror[k] = row
+			handedOut = append(handedOut, sealed{row, slices.Clone(row)})
+		})
+	}
+
 	for step := 0; step < 600; step++ {
 		op := rng.Intn(4)
 		id := NodeID(rng.Intn(maxNodes))
@@ -322,24 +354,38 @@ func TestImplementationsEquivalent(t *testing.T) {
 			idx.SetRadios(id, append([]Radio(nil), rs...))
 			uni.SetRadios(id, append([]Radio(nil), rs...))
 		}
+		if rng.Intn(3) == 0 {
+			flush()
+		}
 		// Compare all queries every 20 steps (full compare is O(n²·ch)).
 		if step%20 != 19 {
 			continue
 		}
+		flush()
 		if idx.Len() != uni.Len() {
 			t.Fatalf("step %d: Len %d vs %d", step, idx.Len(), uni.Len())
 		}
+		rows := 0
 		for id := range live {
 			for ch := ChannelID(1); ch <= 4; ch++ {
-				a := idx.Neighbors(id, ch)
+				a := idx.Row(id, ch)
 				b := uni.Neighbors(id, ch)
-				if len(a) != len(b) {
+				if !slices.Equal(a, b) {
 					t.Fatalf("step %d: NT(%v,%v): indexed %v vs unified %v", step, id, ch, a, b)
 				}
-				for i := range a {
-					if a[i].ID != b[i].ID {
-						t.Fatalf("step %d: NT(%v,%v) mismatch: %v vs %v", step, id, ch, a, b)
-					}
+				if !slices.IsSortedFunc(a, func(x, y Neighbor) int { return cmp.Compare(x.ID, y.ID) }) {
+					t.Fatalf("step %d: NT(%v,%v) unsorted: %v", step, id, ch, a)
+				}
+				if cp := idx.Neighbors(id, ch); !slices.Equal(cp, a) || (len(a) > 0 && &cp[0] == &a[0]) {
+					t.Fatalf("step %d: Neighbors(%v,%v) = %v is not a copy of %v", step, id, ch, cp, a)
+				}
+				n, _ := idx.Node(id)
+				if m, mirrored := mirror[rowKey{ch, id}]; mirrored != n.HasChannel(ch) || !slices.Equal(m, a) {
+					t.Fatalf("step %d: rows reported by Flush give NT(%v,%v) = %v (member %v), table has %v",
+						step, id, ch, m, mirrored, a)
+				}
+				if n.HasChannel(ch) {
+					rows++
 				}
 				sa := idx.NodeSet(ch)
 				sb := uni.NodeSet(ch)
@@ -347,6 +393,14 @@ func TestImplementationsEquivalent(t *testing.T) {
 					t.Fatalf("step %d: NS(%v): %v vs %v", step, ch, sa, sb)
 				}
 			}
+		}
+		if len(mirror) != rows {
+			t.Fatalf("step %d: Flush has reported %d live rows, the table has %d", step, len(mirror), rows)
+		}
+	}
+	for _, h := range handedOut {
+		if !slices.Equal(h.row, h.was) {
+			t.Fatalf("a row changed after Flush reported it: was %v, now %v", h.was, h.row)
 		}
 	}
 }

@@ -91,7 +91,7 @@ type NodeSnapshot struct {
 type Scene struct {
 	mu        sync.Mutex
 	clk       vclock.Clock
-	tab       radio.NeighborTable
+	tab       *radio.IndexedTables
 	models    map[radio.ChannelID]linkmodel.Model
 	defModel  linkmodel.Model
 	walkers   map[radio.NodeID]mobility.Walker
@@ -105,25 +105,32 @@ type Scene struct {
 	// nil means invalidated (a walker was attached or detached).
 	walkerIDs []radio.NodeID
 
-	// Dispatch-view state (view.go). views is the published epoch;
-	// dirty, rebuilds and allDirty are guarded by mu.
-	views    atomic.Pointer[viewSet]
-	dirty    map[radio.ChannelID]struct{}
-	rebuilds map[radio.ChannelID]uint64
-	allDirty bool
+	// Dispatch-view state (view.go). views is the published epoch; the
+	// rest is guarded by mu. dirty names the channels the next publish
+	// gives a new view (the rows to put in it are the table's to
+	// report), epoch numbers the publishes, rowsBy is publishLocked's
+	// per-channel row count, reused.
+	views           atomic.Pointer[viewSet]
+	dirty           map[radio.ChannelID]struct{}
+	rebuilds        map[radio.ChannelID]uint64
+	allDirty        bool
+	epoch           uint64
+	rowsBy          map[radio.ChannelID]int
+	rowsRepublished uint64
 	// rebuildObs, when set, observes each channel rebuild from inside
 	// publishLocked (see SetRebuildObserver).
-	rebuildObs func(radio.ChannelID)
+	rebuildObs func(ch radio.ChannelID, rows int)
 
 	// tickHist, when instrumented, records the wall cost of each
 	// mobility tick (walker advance + view republish).
 	tickHist *obs.Histogram
 }
 
-// New creates a scene over the given neighbor table (usually
-// radio.NewIndexed). clk supplies event timestamps; seed makes mobility
-// deterministic.
-func New(tab radio.NeighborTable, clk vclock.Clock, seed int64) *Scene {
+// New creates a scene over the given neighbor table, which it takes
+// over: the dispatch views share the table's rows, so nothing else may
+// mutate or Flush it. clk supplies event timestamps; seed makes
+// mobility deterministic.
+func New(tab *radio.IndexedTables, clk vclock.Clock, seed int64) *Scene {
 	s := &Scene{
 		clk:      clk,
 		tab:      tab,
@@ -135,6 +142,7 @@ func New(tab radio.NeighborTable, clk vclock.Clock, seed int64) *Scene {
 		nextSeed: seed,
 		dirty:    make(map[radio.ChannelID]struct{}),
 		rebuilds: make(map[radio.ChannelID]uint64),
+		rowsBy:   make(map[radio.ChannelID]int),
 	}
 	s.views.Store(&viewSet{defModel: s.defModel})
 	return s
@@ -142,8 +150,8 @@ func New(tab radio.NeighborTable, clk vclock.Clock, seed int64) *Scene {
 
 // Instrument registers the scene's metrics on reg: the node-count
 // gauge, the aggregate dispatch-view rebuild counter (per-channel
-// counts stay queryable through ViewRebuilds / ViewRebuildCounts), and
-// the mobility-tick cost histogram.
+// counts stay queryable through ViewRebuilds / ViewRebuildCounts), the
+// rows those rebuilds republished, and the mobility-tick cost histogram.
 func (s *Scene) Instrument(reg *obs.Registry) {
 	reg.Gauge("poem_scene_nodes", "VMNs in the emulated scene", func() float64 {
 		return float64(s.Len())
@@ -158,6 +166,8 @@ func (s *Scene) Instrument(reg *obs.Registry) {
 			}
 			return n
 		})
+	reg.CounterFunc("poem_scene_rows_republished_total",
+		"neighbor rows stored in or dropped from dispatch views", s.RowsRepublished)
 	s.mu.Lock()
 	s.tickHist = reg.Histogram("poem_scene_tick_ns", "wall cost of one mobility tick")
 	s.mu.Unlock()
@@ -181,7 +191,7 @@ func (s *Scene) emitLocked(e Event) {
 func (s *Scene) AddNode(id radio.NodeID, pos geom.Vec2, radios []radio.Radio) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.tab.Node(id); exists {
+	if s.tab.Peek(id) != nil {
 		return fmt.Errorf("scene: node %v already exists", id)
 	}
 	s.tab.AddNode(&radio.Node{ID: id, Pos: pos, Radios: radios})
@@ -200,19 +210,18 @@ type NodeSpec struct {
 }
 
 // AddNodes adds a whole population in one mutation, publishing the
-// dispatch views once at the end. AddNode publishes per call, and a
-// publish rebuilds every dirty channel view in full — O(members ×
-// neighbors) — so building an n-node scene one AddNode at a time costs
-// O(n²·k) view work. Large-population scenarios (the schedule-storm
-// load experiment seats 100k sessions) use AddNodes to pay that rebuild
-// exactly once. Fails atomically per node: the first duplicate id stops
-// the sweep, leaving the already-added prefix published and valid.
+// dispatch views once at the end. Either way a node costs its own row
+// and one entry in each neighbor's; what AddNodes saves over a loop of
+// AddNode is the per-publish overhead and the repeated copying of a row
+// that gains several neighbors — each row is published once instead of
+// once per neighbor. Fails atomically per node: the first duplicate id
+// stops the sweep, leaving the already-added prefix published and valid.
 func (s *Scene) AddNodes(nodes []NodeSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range nodes {
 		n := &nodes[i]
-		if _, exists := s.tab.Node(n.ID); exists {
+		if s.tab.Peek(n.ID) != nil {
 			s.publishLocked()
 			return fmt.Errorf("scene: node %v already exists", n.ID)
 		}
@@ -230,8 +239,8 @@ func (s *Scene) AddNodes(nodes []NodeSpec) error {
 func (s *Scene) RemoveNode(id radio.NodeID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, exists := s.tab.Node(id)
-	if !exists {
+	n := s.tab.Peek(id)
+	if n == nil {
 		return
 	}
 	s.markNodeDirtyLocked(n.Radios)
@@ -250,8 +259,8 @@ func (s *Scene) RemoveNode(id radio.NodeID) {
 func (s *Scene) MoveNode(id radio.NodeID, pos geom.Vec2) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, exists := s.tab.Node(id)
-	if !exists {
+	n := s.tab.Peek(id)
+	if n == nil {
 		return
 	}
 	if _, ok := s.walkers[id]; ok {
@@ -269,8 +278,8 @@ func (s *Scene) MoveNode(id radio.NodeID, pos geom.Vec2) {
 func (s *Scene) SetRadios(id radio.NodeID, radios []radio.Radio) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, exists := s.tab.Node(id)
-	if !exists {
+	n := s.tab.Peek(id)
+	if n == nil {
 		return
 	}
 	// Both the channels left and the channels joined change views.
@@ -285,8 +294,8 @@ func (s *Scene) SetRadios(id radio.NodeID, radios []radio.Radio) {
 // Table 2 step 2 operation ("shrink the radio range of VMN1").
 func (s *Scene) SetRange(id radio.NodeID, ch radio.ChannelID, r float64) {
 	s.mu.Lock()
-	n, exists := s.tab.Node(id)
-	if !exists {
+	n := s.tab.Peek(id)
+	if n == nil {
 		s.mu.Unlock()
 		return
 	}
@@ -315,8 +324,8 @@ func (s *Scene) SetRange(id radio.NodeID, ch radio.ChannelID, r float64) {
 func (s *Scene) SetMobility(id radio.NodeID, m mobility.Model) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, exists := s.tab.Node(id)
-	if !exists {
+	n := s.tab.Peek(id)
+	if n == nil {
 		return
 	}
 	s.nextSeed++
@@ -410,8 +419,8 @@ func (s *Scene) Tick(now vclock.Time) {
 	for _, id := range s.walkerIDs {
 		w := s.walkers[id]
 		pos := w.Pos(now)
-		n, ok := s.tab.Node(id)
-		if !ok || n.Pos == pos {
+		n := s.tab.Peek(id)
+		if n == nil || n.Pos == pos {
 			continue
 		}
 		s.tab.Move(id, pos)

@@ -230,3 +230,102 @@ func TestTickerStopConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// neighborIDs returns the IDs in id's published row on channel 1.
+func neighborIDs(s *Scene, id radio.NodeID) map[radio.NodeID]bool {
+	row, _ := s.Dispatch(id, 1)
+	ids := make(map[radio.NodeID]bool, len(row))
+	for _, nb := range row {
+		ids[nb.ID] = true
+	}
+	return ids
+}
+
+// TestMoveRepublishesOnlyChangedRows pins the row granularity of a
+// publish: one MoveNode republishes the mover's row and the rows of the
+// nodes that reached it before or reach it after — never more, whatever
+// the size of the scene.
+func TestMoveRepublishesOnlyChangedRows(t *testing.T) {
+	for _, side := range []int{16, 48, 128} {
+		s := gridScene(t, side)
+		id := interiorID(side, 3)
+		for _, to := range []geom.Vec2{
+			gridPos(side, id).Add(geom.V(1, 0)),   // a nudge: same neighbors, new distances
+			gridPos(side, id).Add(geom.V(17, 12)), // a drag: some leave, some join
+			gridPos(side, 1),                      // a jump to the far corner
+		} {
+			affected := neighborIDs(s, id)
+			before, rebuilds := s.RowsRepublished(), s.ViewRebuilds(1)
+			s.MoveNode(id, to)
+			for nb := range neighborIDs(s, id) {
+				affected[nb] = true
+			}
+			got := s.RowsRepublished() - before
+			if want := uint64(len(affected) + 1); got > want || got == 0 {
+				t.Errorf("%d nodes: moving %v to %v republished %d rows, want 1..%d", side*side, id, to, got, want)
+			}
+			if n := s.ViewRebuilds(1) - rebuilds; n != 1 {
+				t.Errorf("%d nodes: one move counted %d view rebuilds, want 1", side*side, n)
+			}
+		}
+	}
+}
+
+// TestSingleAddsRepublishPerNeighbor: a scene built one AddNode at a
+// time — the path a federation follower takes, one replicated event per
+// node — republishes each node's row once when it joins and once per
+// neighbor that joins after it: N·(k+1) rows at most for N nodes of at
+// most k neighbors, where a full view rebuild per AddNode was N²/2.
+func TestSingleAddsRepublishPerNeighbor(t *testing.T) {
+	const side, k = 32, 36
+	s := New(radio.NewIndexed(benchRange), vclock.NewManual(0), 1)
+	for i := 0; i < side*side; i++ {
+		id := radio.NodeID(i + 1)
+		if err := s.AddNode(id, gridPos(side, id), oneRadio(1, benchRange)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, bound := s.RowsRepublished(), uint64(side*side*(k+1)); got > bound {
+		t.Errorf("%d single adds republished %d rows, bound %d", side*side, got, bound)
+	}
+	if got := s.ViewRebuilds(1); got != side*side {
+		t.Errorf("%d single adds counted %d view rebuilds", side*side, got)
+	}
+	bulk := gridScene(t, side)
+	if got := bulk.RowsRepublished(); got != side*side {
+		t.Errorf("AddNodes republished %d rows for %d nodes", got, side*side)
+	}
+	for id := radio.NodeID(1); id <= side*side; id++ {
+		a, _ := s.Dispatch(id, 1)
+		b, _ := bulk.Dispatch(id, 1)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("row of %v built singly %v, in bulk %v", id, a, b)
+		}
+	}
+}
+
+// TestIdleTickAllocatesNothing: a tick whose walkers all stay where they
+// are reads each position from the table without copying the node, and
+// publishes nothing.
+func TestIdleTickAllocatesNothing(t *testing.T) {
+	s := newScene(vclock.NewManual(0))
+	for id := radio.NodeID(0); id < 8; id++ {
+		if err := s.AddNode(id, geom.V(float64(id)*10, 0), oneRadio(1, 100)); err != nil {
+			t.Fatal(err)
+		}
+		s.SetMobility(id, mobility.Linear(0, 0, geom.R(0, 0, 400, 400))) // speed 0
+	}
+	now := vclock.Time(0)
+	s.Tick(now)
+	rebuilds := s.ViewRebuilds(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		now += vclock.FromSeconds(0.1)
+		s.Tick(now)
+	})
+	if allocs != 0 {
+		t.Errorf("a tick in which nothing moved allocates %v times, want 0", allocs)
+	}
+	if got := s.ViewRebuilds(1); got != rebuilds {
+		t.Errorf("ticks in which nothing moved rebuilt the view %d times", got-rebuilds)
+	}
+}

@@ -123,3 +123,27 @@ echo "$TRUNK" | awk -v budget="$BUDGET" '
 ' || { echo "trunk alloc gate: FAILED (batch send within ${BUDGET} allocs/op, encode at 0)"; exit 1; }
 
 echo "trunk alloc gate: OK (batch send within ${BUDGET} allocs/op, encode allocation-free)"
+
+# A scene edit publishes a dispatch view that shares every unchanged row
+# with the previous one: an operator's MoveNode on the 16 384-node scene
+# copies the ≈ 37 rows it changed, their buckets and the bucket
+# directory — ≈ 50 KiB. A full view rebuild was ≈ 12 MB per edit; a
+# publish that has stopped sharing rows shows up here long before it
+# shows up as lateness.
+SCENE=$(go test -run='^$' -bench='SceneMoveNode/nodes=16384' -benchmem -benchtime=100x ./internal/scene)
+echo "$SCENE"
+
+echo "$SCENE" | awk '
+	/B\/op/ {
+		seen = 1
+		for (i = 2; i < NF; i++) {
+			if ($(i+1) == "B/op" && $i + 0 > 65536) {
+				printf "FAIL: %s measured %s B/op, budget 65536\n", $1, $i
+				bad = 1
+			}
+		}
+	}
+	END { exit bad || !seen }
+' || { echo "scene publish gate: FAILED (one MoveNode at 16 384 nodes must stay under 64 KiB/op)"; exit 1; }
+
+echo "scene publish gate: OK (one MoveNode at 16 384 nodes under 64 KiB/op)"

@@ -39,6 +39,7 @@ for name in \
 	poem_ingest_ns poem_dispatch_ns poem_enqueue_ns poem_send_ns \
 	poem_deliver_lag_ns \
 	poem_scene_nodes poem_scene_view_rebuilds_total poem_scene_tick_ns \
+	poem_scene_rows_republished_total \
 	poem_record_packets_total poem_record_scenes_total \
 	poem_record_batch_commits_total \
 	poem_trace_records_total poem_trace_dropped_total \
