@@ -217,18 +217,12 @@ func BenchmarkServerForwardPipeline(b *testing.B) {
 func BenchmarkSessionQueueFanout(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchSessionQueueFanout(b, shards, 0)
+			benchSessionQueueFanout(b, shards)
 		})
 	}
-	// Fidelity-monitor ablation (BENCH_rt.json): the same pipeline with
-	// deadline/health monitoring disabled. The default run above carries
-	// the monitor; this pins what it costs.
-	b.Run("shards=1/rt=off", func(b *testing.B) {
-		benchSessionQueueFanout(b, 1, -1)
-	})
 }
 
-func benchSessionQueueFanout(b *testing.B, shards int, rtTol time.Duration) {
+func benchSessionQueueFanout(b *testing.B, shards int) {
 	const receivers = 8
 	clk := vclock.NewSystem(1000)
 	sc := scene.New(radio.NewIndexed(250), clk, 1)
@@ -239,7 +233,7 @@ func benchSessionQueueFanout(b *testing.B, shards int, rtTol time.Duration) {
 	}
 	reg := obs.NewRegistry()
 	srv, err := core.NewServer(core.ServerConfig{
-		Clock: clk, Scene: sc, Obs: reg, Shards: shards, RTTolerance: rtTol,
+		Clock: clk, Scene: sc, Obs: reg, Shards: shards,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -291,8 +285,7 @@ func benchSessionQueueFanout(b *testing.B, shards int, rtTol time.Duration) {
 	}
 }
 
-// BenchmarkScheduleQueue — E8/A1: the default heap under steady load
-// (the per-implementation ablation lives in internal/sched).
+// BenchmarkScheduleQueue — E8: the schedule heap under steady load.
 func BenchmarkScheduleQueue(b *testing.B) {
 	q := sched.NewHeap()
 	rng := rand.New(rand.NewSource(1))

@@ -15,7 +15,7 @@
 //	poem-exp protocols
 //	poem-exp capacity
 //	poem-exp scalability
-//	poem-exp load [-sessions 100000] [-senders 1000] [-packets 4] [-payload 64] [-batch 0] [-shards 0] [-scale 200] [-seed 1] [-rt-tolerance 20ms]
+//	poem-exp load [-sessions 100000] [-senders 1000] [-packets 4] [-payload 64] [-shards 0] [-scale 200] [-seed 1] [-rt-tolerance 20ms]
 //	poem-exp chaos [-seed 1] [-runs 20] [-events 60] [-shards 4]
 //	poem-exp all
 package main
@@ -45,9 +45,8 @@ func main() {
 		senders  = fs.Int("senders", 0, "load: transmitting subset (0 = sessions/100)")
 		packets  = fs.Int("packets", 0, "load: broadcasts per sender (0 = 4)")
 		payload  = fs.Int("payload", 0, "load: broadcast payload bytes (0 = 64)")
-		batch    = fs.Int("batch", 0, "load: scanner fire-batch limit (0 = default, 1 = single-fire ablation)")
 		rtTol    = fs.Duration("rt-tolerance", 0,
-			"chaos/load: fidelity deadline-miss tolerance (0 = default, negative disables monitoring)")
+			"load: fidelity deadline-miss tolerance (0 = default)")
 	)
 	if len(os.Args) < 2 {
 		usage()
@@ -98,7 +97,7 @@ func main() {
 		case "load":
 			_, err := experiment.Load(out, experiment.LoadConfig{
 				Sessions: *sessions, Senders: *senders, Packets: *packets,
-				Payload: *payload, Shards: *shards, ScanBatch: *batch,
+				Payload: *payload, Shards: *shards,
 				Scale: *scale, Seed: *seed, RTTolerance: *rtTol,
 			})
 			return err

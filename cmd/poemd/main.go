@@ -59,13 +59,10 @@ func main() {
 			"time+trace one packet in N per session (0 = default, negative = off)")
 		shards = flag.Int("shards", 0,
 			"pipeline shards the core runs (0 = min(GOMAXPROCS, 8); 1 = single-shard legacy pipeline)")
-		scanBatch = flag.Int("scan-batch", 0,
-			"due deliveries a shard scanner fires per schedule-lock cycle (0 = default; 1 = single-fire ablation)")
 		leakCheck = flag.Bool("mbuf-leakcheck", false,
 			"poison freed packet buffers and verify on shutdown that none leaked (debug aid; costs one memset per free)")
 		rtTolerance = flag.Duration("rt-tolerance", 0,
-			"deadline-miss tolerance of the real-time fidelity monitor, in emulated time "+
-				"(0 = default 20ms; negative disables deadline/health monitoring)")
+			"deadline-miss tolerance of the real-time fidelity monitor, in emulated time (0 = default 20ms)")
 		gatewayMap = flag.String("gateway", "",
 			"port-map file bridging real UDP sockets into the scene (see internal/gateway; empty to disable)")
 		peerList = flag.String("peer", "",
@@ -97,22 +94,20 @@ func main() {
 		Seed: *seed, TickStep: *tick, AutoCreateNodes: *autoCreate,
 		SendQueueDepth: *sendQueue, MaxStampSkew: *maxSkew,
 		Obs: reg, Tracer: tracer, ObsSampleEvery: *sampleEvery,
-		Shards: *shards, ScanBatch: *scanBatch,
-		RTTolerance: *rtTolerance,
+		Shards: *shards, RTTolerance: *rtTolerance,
 		Peers: peers, Self: *peerSelf, ClusterID: *clusterID, Coordinator: *coordinator,
 	})
 	if err != nil {
 		log.Fatalf("poemd: %v", err)
 	}
-	if fid := srv.Fidelity(); fid != nil {
-		// Degrading must be loud: every worsening of the server-wide
-		// health state logs once, with the flight-recorder dump already
-		// captured for /fidelity/dump.
-		fid.SetOnBreach(func(st fidelity.State, d *fidelity.Dump) {
-			log.Printf("poemd: real-time fidelity breach: health=%s (flight recorder: %d events at /fidelity/dump)",
-				st, len(d.Events))
-		})
-	}
+	// Degrading must be loud: every worsening of the server-wide health
+	// state logs once, with the flight-recorder dump already captured for
+	// /fidelity/dump.
+	fid := srv.Fidelity()
+	fid.SetOnBreach(func(st fidelity.State, d *fidelity.Dump) {
+		log.Printf("poemd: real-time fidelity breach: health=%s (flight recorder: %d events at /fidelity/dump)",
+			st, len(d.Events))
+	})
 
 	var wal *record.LogWriter
 	if *walPath != "" {
@@ -201,15 +196,11 @@ func main() {
 	// the store/WAL teardown below.
 	var dbg *obs.DebugServer
 	if *debugAddr != "" {
-		var extras []obs.Endpoint
-		if fid := srv.Fidelity(); fid != nil {
-			extras = append(extras,
-				obs.Endpoint{Pattern: "/healthz", H: fid.HealthHandler()},
-				obs.Endpoint{Pattern: "/fidelity/trace", H: fid.TraceHandler()},
-				obs.Endpoint{Pattern: "/fidelity/dump", H: fid.DumpHandler()},
-			)
-		}
-		dbg, err = obs.ListenDebug(*debugAddr, obs.Handler(reg, tracer, serveDone, extras...))
+		dbg, err = obs.ListenDebug(*debugAddr, obs.Handler(reg, tracer, serveDone,
+			obs.Endpoint{Pattern: "/healthz", H: fid.HealthHandler()},
+			obs.Endpoint{Pattern: "/fidelity/trace", H: fid.TraceHandler()},
+			obs.Endpoint{Pattern: "/fidelity/dump", H: fid.DumpHandler()},
+		))
 		if err != nil {
 			log.Fatalf("poemd: debug: %v", err)
 		}

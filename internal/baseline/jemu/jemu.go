@@ -1,6 +1,5 @@
-// Package jemu configures the PoEm server core as a JEmu-style
-// centralized emulator — the baseline of the paper's §2.1 and the
-// "non-real-time" curve of Figure 10.
+// Package jemu is the JEmu-style centralized emulator the paper's §2.1
+// compares against — the baseline of the Figure 2 stamping-error claim.
 //
 // JEmu's architecture routes all traffic through a central server that
 // is also the only place packets get time-stamped. Because the server
@@ -9,43 +8,64 @@
 // apart (Figure 2). Statistically this turns into loss-rate and delay
 // curves that lag and distort the truth whenever the server saturates.
 //
-// The preset reuses core.Server with three switches flipped: client
-// stamps are discarded (StampAtServer), ingress is serialized
-// (SerialIngress), and a per-packet processing cost models the server's
-// NIC/CPU bottleneck. The forwarding pipeline, scene machinery and
-// transport are identical — precisely so E4 measures the stamping
-// architecture, not incidental implementation differences.
+// The baseline is that interface and nothing else: SerialInterface
+// wraps the listener a stock core.Server serves, so the forwarding
+// pipeline, scene machinery and transport are PoEm's own and E4
+// measures the stamping architecture, not incidental implementation
+// differences. The server's receive instant (record.Packet.At) is the
+// serial stamp; the client's parallel stamp rides in the packet.
 package jemu
 
 import (
+	"sync"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
-// DefaultIngressDelay is the per-packet serial processing cost used by
-// the benchmarks; ~50µs models an early-2000s server NIC+kernel path.
-const DefaultIngressDelay = 50 * time.Microsecond
+// SerialInterface wraps l so that every packet arriving on any accepted
+// connection crosses one shared incoming interface: a Recv that yields
+// a *wire.Data holds a listener-wide mutex for perPacket of wall time
+// (the NIC/CPU cost of one packet) before returning it, so concurrent
+// senders are received one after another. Control messages (Hello,
+// SyncReq, …) pass untouched. A slot is not interruptible: a Close
+// during one lets the Recv finish its perPacket and return the packet,
+// and the next Recv reports the closed connection's error.
+func SerialInterface(l transport.Listener, perPacket time.Duration) transport.Listener {
+	return &serialListener{Listener: l, perPacket: perPacket}
+}
 
-// Configure flips a PoEm ServerConfig into the JEmu-style baseline.
-// The egress side is untouched: the baseline shares PoEm's per-session
-// writer queues (same depth, same drop-oldest policy), so E4 isolates
-// the *stamping* architecture — any QueueDrops difference between the
-// two configurations would be a confound, not a finding.
-func Configure(cfg core.ServerConfig) core.ServerConfig {
-	cfg.StampAtServer = true
-	cfg.SerialIngress = true
-	// The centralized baseline is a single pipeline by definition: its
-	// serial ingress funnels through one global lock, so extra shards
-	// would only blur what E4 attributes to the stamping architecture.
-	cfg.Shards = 1
-	if cfg.IngressDelay == 0 {
-		cfg.IngressDelay = DefaultIngressDelay
+type serialListener struct {
+	transport.Listener
+	perPacket time.Duration
+	mu        sync.Mutex // the single incoming interface
+}
+
+func (l *serialListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.SendQueueDepth == 0 {
-		cfg.SendQueueDepth = core.DefaultSendQueueDepth
+	return &serialConn{Conn: c, l: l}, nil
+}
+
+type serialConn struct {
+	transport.Conn
+	l *serialListener
+}
+
+func (c *serialConn) Recv() (wire.Msg, error) {
+	m, err := c.Conn.Recv()
+	if err != nil {
+		return nil, err
 	}
-	return cfg
+	if _, ok := m.(*wire.Data); ok {
+		c.l.mu.Lock()
+		time.Sleep(c.l.perPacket)
+		c.l.mu.Unlock()
+	}
+	return m, nil
 }
 
 // Features is the Table 1 row for JEmu.

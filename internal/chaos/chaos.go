@@ -74,17 +74,11 @@ type Config struct {
 	// digest names one scenario and the invariants are judged across
 	// shard counts on identical event logs.
 	Shards int
-	// ScanBatch is the scanner's per-lock fire batch limit
-	// (core.ServerConfig.ScanBatch). Like Shards it is an execution
-	// parameter excluded from the digest: batched and single-fire
-	// scanning must execute the identical schedule.
-	ScanBatch int
 	// RTTolerance is the real-time fidelity monitor's deadline-miss
-	// tolerance (core.ServerConfig.RTTolerance; 0 = default, negative
-	// disables monitoring). Like Shards it is an execution parameter
-	// excluded from the digest: observing the pipeline's timeliness must
-	// never perturb the scenario, so one seed hashes identically with
-	// monitoring on or off.
+	// tolerance (core.ServerConfig.RTTolerance; 0 = default). Like
+	// Shards it is an execution parameter excluded from the digest: how
+	// strictly the pipeline's timeliness is judged must never perturb
+	// the scenario, so one seed hashes identically at every tolerance.
 	RTTolerance time.Duration
 	// Peers selects the federation tier: 0 runs the legacy unclustered
 	// server, 1 runs a single-peer cluster — the cluster routing code
@@ -137,9 +131,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.ScanBatch < 0 {
-		c.ScanBatch = 0
 	}
 	if c.Peers < 0 {
 		c.Peers = 0

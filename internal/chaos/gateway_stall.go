@@ -138,7 +138,7 @@ func RunGatewayStall(cfg GatewayStallConfig) GatewayStallReport {
 	}
 	model, err := linkmodel.New(linkmodel.NoLoss{},
 		linkmodel.ConstantBandwidth{Bps: 1e9},
-		linkmodel.ConstantDelay{D: 2 * time.Millisecond})
+		linkmodel.ConstantDelay{D: stallLinkDelay})
 	if err != nil {
 		fail("setup: %v", err)
 		return rep
@@ -164,10 +164,6 @@ func RunGatewayStall(cfg GatewayStallConfig) GatewayStallReport {
 	defer func() { lis.Close(); srv.Close(); <-serveDone }()
 
 	fid := srv.Fidelity()
-	if fid == nil {
-		fail("setup: fidelity monitor missing despite RTTolerance=%v", cfg.RTTolerance)
-		return rep
-	}
 
 	// The egress sink: the real socket the gateway's static peer points
 	// at. A drain goroutine forwards every arriving payload for the
@@ -272,6 +268,10 @@ func RunGatewayStall(cfg GatewayStallConfig) GatewayStallReport {
 
 	// Phase 2 — stall, storm, leap: the monitor degrades and the gate
 	// must shed the next burst drop-newest.
+	if !syncStormSender(clients[0], clk) {
+		fail("setup: sender clock %v behind the server after 64 resyncs", clk.Now().Sub(clients[0].Now()))
+		return rep
+	}
 	clk.Stall()
 	for k := 0; k < cfg.Packets; k++ {
 		if err := clients[0].Broadcast(1, 2, []byte("storm-payload")); err != nil {

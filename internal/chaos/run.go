@@ -223,8 +223,7 @@ func (r *Runner) setup() error {
 	scfg := core.ServerConfig{
 		Clock: r.clk, Scene: r.sc, Store: r.store, Seed: cfg.Seed,
 		SendQueueDepth: cfg.QueueDepth, Obs: r.reg, ObsSampleEvery: 4,
-		Shards: cfg.Shards, ScanBatch: cfg.ScanBatch,
-		RTTolerance: cfg.RTTolerance,
+		Shards: cfg.Shards, RTTolerance: cfg.RTTolerance,
 	}
 	if cfg.Peers > 1 {
 		return fmt.Errorf("chaos: Config.Peers > 1 needs the federated harness (RunFederated)")

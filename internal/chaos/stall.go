@@ -96,6 +96,27 @@ func (c *StallClock) Wait(t vclock.Time, cancel <-chan struct{}) bool {
 	}
 }
 
+// stallLinkDelay is the constant link delay of the stall scenarios. A
+// storm sent behind a frozen clock is only late if its due times —
+// sender stamp plus this delay — land after the frozen instant.
+const stallLinkDelay = 2 * time.Millisecond
+
+// syncStormSender resyncs c until its emulation clock trails clk by
+// less than half the link delay, and reports whether it got there. The
+// scenarios sync in one round, and on a busy host one in-proc round
+// trip can come out asymmetric enough to put the sender tens of
+// emulated milliseconds behind: its storm would then be due before the
+// frozen instant, fire at once, and leave the monitor nothing to count.
+func syncStormSender(c *core.Client, clk vclock.Clock) bool {
+	for try := 0; try < 64; try++ {
+		if c.Now() >= clk.Now().Add(-stallLinkDelay/2) {
+			return true
+		}
+		c.Resync() // a failed round is retried like a skewed one
+	}
+	return false
+}
+
 // StallConfig parameterizes one clock-stall scenario. The zero value
 // plus a seed is a sensible run.
 type StallConfig struct {
@@ -197,7 +218,7 @@ func RunStall(cfg StallConfig) StallReport {
 	}
 	model, err := linkmodel.New(linkmodel.NoLoss{},
 		linkmodel.ConstantBandwidth{Bps: 1e9},
-		linkmodel.ConstantDelay{D: 2 * time.Millisecond})
+		linkmodel.ConstantDelay{D: stallLinkDelay})
 	if err != nil {
 		fail("setup: %v", err)
 		return rep
@@ -238,10 +259,6 @@ func RunStall(cfg StallConfig) StallReport {
 		defer c.Close()
 	}
 	fid := srv.Fidelity()
-	if fid == nil {
-		fail("setup: fidelity monitor missing despite RTTolerance=%v", cfg.RTTolerance)
-		return rep
-	}
 
 	fanout := uint64(cfg.Clients - 1)
 	payload := []byte("clock-stall-payload")
@@ -275,6 +292,10 @@ func RunStall(cfg StallConfig) StallReport {
 	// Phase 2 — freeze the clock, pile up the storm. Ingest commits
 	// (Received counts it) but every delivery's due time sits just past
 	// the frozen now, so the scanners wait.
+	if !syncStormSender(clients[0], clk) {
+		fail("setup: sender clock %v behind the server after 64 resyncs", clk.Now().Sub(clients[0].Now()))
+		return rep
+	}
 	clk.Stall()
 	if !send(cfg.Packets, 2) {
 		clk.Resume()

@@ -140,7 +140,12 @@ func (s *Server) Execute(line string) string {
 }
 
 func (s *Server) execute(line string, w io.Writer) {
-	switch strings.Fields(line)[0] {
+	fields := strings.Fields(line)
+	if len(fields) == 0 {
+		fmt.Fprintln(w, "err: empty command")
+		return
+	}
+	switch fields[0] {
 	case "show":
 		snaps := s.scene.Snapshot()
 		marks := make([]render.Mark, len(snaps))
@@ -164,26 +169,19 @@ func (s *Server) execute(line string, w io.Writer) {
 			return
 		}
 		st := s.emu.Stats()
-		fmt.Fprintf(w, "clients=%d received=%d forwarded=%d dropped=%d noroute=%d scheduled=%d queuedrops=%d stampclamped=%d",
+		fmt.Fprintf(w, "clients=%d received=%d forwarded=%d dropped=%d noroute=%d scheduled=%d queuedrops=%d stampclamped=%d health=%s\n",
 			st.Clients, st.Received, st.Forwarded, st.Dropped, st.NoRoute, st.Scheduled,
-			st.QueueDrops, st.StampClamped)
-		if st.Health != "" {
-			fmt.Fprintf(w, " health=%s", st.Health)
-		}
-		fmt.Fprintln(w)
-		// One line per pipeline shard: where the sessions landed and how
-		// much schedule work each slice is carrying — plus, when the
-		// fidelity monitor runs, whether that slice is keeping real time.
+			st.QueueDrops, st.StampClamped, st.Health)
+		// One line per pipeline shard: where the sessions landed, how
+		// much schedule work each slice is carrying, and whether that
+		// slice is keeping real time.
 		for _, sh := range s.emu.ShardStats() {
 			fmt.Fprintf(w, "  shard %d clients=%d scheduled=%d dispatched=%d entered=%d queuedepth=%d"+
-				" firebatches=%d wakeups=%d spurious=%d kicks=%d elided=%d",
+				" firebatches=%d wakeups=%d spurious=%d kicks=%d elided=%d"+
+				" health=%s misses=%d missrate=%.4f lagp99=%v watermark=%v drift=%v\n",
 				sh.Shard, sh.Clients, sh.Scheduled, sh.Dispatched, sh.Entered, sh.QueueDepth,
-				sh.FireBatches, sh.Wakeups, sh.SpuriousWakes, sh.KicksDelivered, sh.KicksElided)
-			if sh.Health != "" {
-				fmt.Fprintf(w, " health=%s misses=%d missrate=%.4f lagp99=%v watermark=%v drift=%v",
-					sh.Health, sh.DeadlineMisses, sh.MissRate, sh.LagP99, sh.LagWatermark, sh.Drift)
-			}
-			fmt.Fprintln(w)
+				sh.FireBatches, sh.Wakeups, sh.SpuriousWakes, sh.KicksDelivered, sh.KicksElided,
+				sh.Health, sh.DeadlineMisses, sh.MissRate, sh.LagP99, sh.LagWatermark, sh.Drift)
 		}
 		// Federated servers add one cluster summary line and one line per
 		// peer: trunk state, cross-server traffic, and how far behind the

@@ -500,10 +500,7 @@ func (cl *cluster) statusLoop(every time.Duration) {
 			return
 		case <-t.C:
 		}
-		st := fidelity.Healthy
-		if cl.srv.fid != nil {
-			st = cl.srv.fid.State()
-		}
+		st := cl.srv.fid.State()
 		cl.health.Set(cl.self, st)
 		applied := cl.appliedSeq.Load()
 		if cl.self == cl.coordinator {

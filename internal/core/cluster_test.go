@@ -295,8 +295,7 @@ func TestSinglePeerClusterIsLegacy(t *testing.T) {
 	if cs.Peers != 1 || cs.RemoteEntries != 0 || cs.RecvEntries != 0 || cs.TrunkDropped != 0 {
 		t.Errorf("1-peer cluster saw remote traffic: %+v", cs)
 	}
-	st := r.server.Stats()
-	if st.Entered == 0 || st.Forwarded == 0 {
+	if st := r.settle(t, 1, 1); st.Entered == 0 {
 		t.Errorf("local pipeline idle: %+v", st)
 	}
 }

@@ -76,6 +76,24 @@ func newRig(t *testing.T, mutate func(*ServerConfig)) *rig {
 	return r
 }
 
+// settle waits until the server has counted received packets in and
+// forwarded deliveries out, and returns that snapshot. Both counters
+// commit after the packet is on the wire (ingest counts it received
+// last, the writer counts a batch forwarded once sent), so a client can
+// hold a delivery a moment before the server has counted it.
+func (r *rig) settle(t *testing.T, received, forwarded uint64) ServerStats {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := r.server.Stats()
+		if st.Received >= received && st.Forwarded >= forwarded {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never counted %d received + %d forwarded: %+v", received, forwarded, st)
+		}
+	}
+}
+
 // sink collects packets delivered to a client.
 type sink struct {
 	mu   sync.Mutex
@@ -570,9 +588,19 @@ func TestSessionStats(t *testing.T) {
 		c1.SendTo(2, 1, 0, []byte("x"))
 		sk.wait(t, 5*time.Second)
 	}
-	stats := r.server.SessionStats()
-	if len(stats) != 2 {
-		t.Fatalf("sessions: %+v", stats)
+	// The counters commit after the packet is on the wire (ingest counts
+	// a packet received last, the writer counts a batch forwarded once
+	// sent), so the client can hold the third packet a moment before the
+	// server has counted it: wait for the counts rather than sample once.
+	var stats []SessionStat
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		stats = r.server.SessionStats()
+		if len(stats) != 2 {
+			t.Fatalf("sessions: %+v", stats)
+		}
+		if (stats[0].Received == 3 && stats[1].Forwarded == 3) || time.Now().After(deadline) {
+			break
+		}
 	}
 	if stats[0].ID != 1 || stats[0].Received != 3 || stats[0].Forwarded != 0 {
 		t.Errorf("session 1: %+v", stats[0])

@@ -8,7 +8,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/linkmodel"
 	"repro/internal/obs"
 	"repro/internal/radio"
 	"repro/internal/record"
@@ -45,20 +44,6 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			sampled = true
 			obsStart = time.Now()
 		}
-	}
-	if s.cfg.SerialIngress {
-		// The centralized baseline: every packet crosses one interface
-		// and is processed serially before the next can be stamped.
-		s.ingressMu.Lock()
-		if s.cfg.IngressDelay > 0 {
-			time.Sleep(s.cfg.IngressDelay)
-		}
-		if s.cfg.StampAtServer {
-			pkt.Stamp = s.cfg.Clock.Now()
-		}
-		s.ingressMu.Unlock()
-	} else if s.cfg.StampAtServer {
-		pkt.Stamp = s.cfg.Clock.Now()
 	}
 	now := s.cfg.Clock.Now()
 	if pkt.Src != sess.id {
@@ -100,20 +85,12 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	// Step 2: resolve NT(src, ch) and the channel's link model in one
 	// epoch-snapshot read — a single atomic load, no locks, no copies
 	// (scene.Dispatch). The row is shared with the snapshot and strictly
-	// read-only here. LockedDispatch is the ablation that answers the
-	// same questions through the scene mutex, twice.
-	var rows []radio.Neighbor
-	var model linkmodel.Model
-	if s.cfg.LockedDispatch {
-		rows = s.cfg.Scene.Neighbors(pkt.Src, pkt.Channel)
-		model = s.cfg.Scene.ModelFor(pkt.Channel)
-	} else {
-		rows, model = s.cfg.Scene.Dispatch(pkt.Src, pkt.Channel)
-	}
+	// read-only here.
+	rows, model := s.cfg.Scene.Dispatch(pkt.Src, pkt.Channel)
 	// Steps 2–3 fused: filter targets and roll the link-model die in one
 	// pass over the row. t_receipt is the client's parallel stamp
-	// (real-time recording), unless the baseline overrode it above. The
-	// survivors land in the session's reusable scratch buffer.
+	// (real-time recording). The survivors land in the session's
+	// reusable scratch buffer.
 	kept := sess.kept[:0]
 	matched := 0
 	var maxTx time.Duration

@@ -134,7 +134,7 @@ func (s *Server) Stats() ServerStats {
 		clients += sh.clients()
 		scheduled += sh.scanner.Pending()
 	}
-	st := ServerStats{
+	return ServerStats{
 		Received:     s.mReceived.Load(),
 		Forwarded:    s.mForwarded.Load(),
 		Dropped:      s.mDropped.Load(),
@@ -145,11 +145,8 @@ func (s *Server) Stats() ServerStats {
 		Abandoned:    s.mAbandoned.Load(),
 		Clients:      clients,
 		Scheduled:    scheduled,
+		Health:       s.fid.State().String(),
 	}
-	if s.fid != nil {
-		st.Health = s.fid.State().String()
-	}
-	return st
 }
 
 // ShardStat is one shard's slice of the pipeline, as exposed by the
@@ -157,7 +154,7 @@ func (s *Server) Stats() ServerStats {
 type ShardStat struct {
 	Shard      int
 	Clients    int    // sessions registered on this shard
-	Scheduled  int    // this shard's schedule depth (wheel pending)
+	Scheduled  int    // this shard's schedule depth
 	Dispatched uint64 // deliveries fired by this shard's scanner
 	Entered    uint64 // deliveries listed into this shard's schedule
 	QueueDepth int    // summed send-queue depth of this shard's sessions
@@ -178,8 +175,7 @@ type ShardStat struct {
 	FireLocks uint64
 	PushLocks uint64
 
-	// Real-time fidelity (internal/obs/fidelity; zero values with an
-	// empty Health when the monitor is disabled): how many fired
+	// Real-time fidelity (internal/obs/fidelity): how many fired
 	// deliveries missed the rt-tolerance, the miss fraction, batch-fire
 	// lag quantiles and the worst lag ever seen, the EWMA drift, and
 	// the shard's health state name.
@@ -197,6 +193,7 @@ func (s *Server) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(s.shards))
 	for i, sh := range s.shards {
 		st := sh.scanner.Stats()
+		fs := sh.fid.Snapshot()
 		out[i] = ShardStat{
 			Shard:          sh.idx,
 			Clients:        sh.clients(),
@@ -211,16 +208,13 @@ func (s *Server) ShardStats() []ShardStat {
 			KicksElided:    st.KicksElided,
 			FireLocks:      st.FireLocks,
 			PushLocks:      st.PushLocks,
-		}
-		if sh.fid != nil {
-			fs := sh.fid.Snapshot()
-			out[i].DeadlineMisses = fs.Misses
-			out[i].MissRate = fs.MissRate
-			out[i].LagP50 = fs.LagP50
-			out[i].LagP99 = fs.LagP99
-			out[i].LagWatermark = fs.Watermark
-			out[i].Drift = fs.Drift
-			out[i].Health = fs.State
+			DeadlineMisses: fs.Misses,
+			MissRate:       fs.MissRate,
+			LagP50:         fs.LagP50,
+			LagP99:         fs.LagP99,
+			LagWatermark:   fs.Watermark,
+			Drift:          fs.Drift,
+			Health:         fs.State,
 		}
 	}
 	return out
@@ -231,14 +225,10 @@ func (s *Server) Shards() int { return len(s.shards) }
 
 // HealthOf returns the real-time health state governing traffic for
 // node: the worse of its owning shard's state and the server-wide
-// state. With the fidelity monitor disabled it always reads Healthy.
-// The real-traffic gateway's backpressure policy keys off this view —
-// a node's ingress is shed when either its own pipeline shard or the
-// server as a whole has fallen behind real time.
+// state. The real-traffic gateway's backpressure policy keys off this
+// view — a node's ingress is shed when either its own pipeline shard or
+// the server as a whole has fallen behind real time.
 func (s *Server) HealthOf(node radio.NodeID) fidelity.State {
-	if s.fid == nil {
-		return fidelity.Healthy
-	}
 	st := s.fid.State()
 	if sh := s.fid.Shard(ShardIndex(node, len(s.shards))).State(); sh > st {
 		st = sh

@@ -36,10 +36,10 @@ func TestObservabilityPipeline(t *testing.T) {
 		sk.wait(t, 5*time.Second)
 	}
 
+	st := r.settle(t, n, n)
 	if got := reg.Counter("poem_received_total", "").Load(); got != n {
 		t.Errorf("poem_received_total = %d, want %d", got, n)
 	}
-	st := r.server.Stats()
 	if st.Received != n || st.Forwarded != n {
 		t.Errorf("Stats = %+v, want %d received+forwarded", st, n)
 	}
@@ -121,6 +121,7 @@ func TestObsSamplingDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	sk.wait(t, 5*time.Second)
+	r.settle(t, 1, 1)
 	if got := reg.Counter("poem_received_total", "").Load(); got != 1 {
 		t.Errorf("poem_received_total = %d, want 1", got)
 	}

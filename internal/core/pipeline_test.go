@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -54,6 +55,67 @@ func rawSession(t *testing.T, lis *transport.InprocListener, id radio.NodeID) tr
 	return conn
 }
 
+// wedgedConn is the worst-case slow consumer made observable: it
+// completes the Hello handshake and then never takes another message.
+// The first Send after HelloAck closes stuck and blocks until Close, so
+// a test can wait for the session writer to be provably wedged instead
+// of inferring it from a transport buffer that ought to be full by now.
+type wedgedConn struct {
+	hello  chan wire.Msg
+	acked  chan struct{} // closed when HelloAck is sent: the session is registered
+	stuck  chan struct{} // closed when the session writer first blocks in Send
+	closed chan struct{}
+
+	stuckOnce, closeOnce sync.Once
+}
+
+func newWedgedConn(id radio.NodeID) *wedgedConn {
+	c := &wedgedConn{hello: make(chan wire.Msg, 1), acked: make(chan struct{}),
+		stuck: make(chan struct{}), closed: make(chan struct{})}
+	c.hello <- &wire.Hello{Ver: wire.Version, ProposedID: id}
+	return c
+}
+
+func (c *wedgedConn) Recv() (wire.Msg, error) {
+	select {
+	case m := <-c.hello:
+		return m, nil
+	case <-c.closed:
+		return nil, io.EOF
+	}
+}
+
+func (c *wedgedConn) Send(m wire.Msg) error {
+	switch m.(type) {
+	case *wire.HelloAck:
+		close(c.acked)
+		return nil
+	case *wire.Bye: // registration refused: nothing will ever block
+		return nil
+	}
+	c.stuckOnce.Do(func() { close(c.stuck) })
+	<-c.closed
+	wire.ReleaseMsg(m)
+	return transport.ErrClosed
+}
+
+func (c *wedgedConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return nil
+}
+
+func (c *wedgedConn) Label() string { return "wedged" }
+
+// await fails the test unless ch closes within the timeout.
+func await(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
 // Deliveries to one client must arrive in schedule order. With a
 // uniform link delay the schedule order is the send order, so the
 // received Seq sequence must be strictly increasing — the old
@@ -63,12 +125,15 @@ func TestDeliveryOrderMatchesSchedule(t *testing.T) {
 }
 
 func testDeliveryOrderMatchesSchedule(t *testing.T, shards int) {
-	r := newRig(t, func(c *ServerConfig) { c.Shards = shards })
+	const n = 500
+	// The whole burst fits the receiver's send queue: this test asserts
+	// order, and with the default 256-deep queue a receiver descheduled
+	// mid-burst would legitimately lose the head to drop-oldest.
+	r := newRig(t, func(c *ServerConfig) { c.Shards = shards; c.SendQueueDepth = n })
 	r.scene.SetLinkModel(1, uniformModel(time.Millisecond))
 	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
 	r.scene.AddNode(2, geom.V(50, 0), oneRadio(1, 200))
 
-	const n = 500
 	var mu sync.Mutex
 	var got []uint32
 	all := make(chan struct{})
@@ -125,7 +190,15 @@ func testSlowClientDoesNotStallOthers(t *testing.T, shards int) {
 	r.scene.AddNode(2, geom.V(50, 0), oneRadio(1, 200))
 	r.scene.AddNode(3, geom.V(0, 50), oneRadio(1, 200))
 
-	rawSession(t, r.lis, 2) // VMN2 never reads
+	// VMN2 never reads. Its connection says when its writer is stuck: an
+	// in-proc pipe only wedges the writer once 512 messages fill it, and
+	// with an 8-deep queue the scanner can outrun the writer and lose most
+	// of the flood to drop-oldest first, leaving the pipe short of full,
+	// the writer free and the queue drained ("session 2: queue reported
+	// empty while wedged", ≈ 1 run in 3 under -race at 4 shards).
+	wedged := newWedgedConn(2)
+	go r.server.Serve(&oneConnListener{conn: wedged})
+	await(t, wedged.acked, "VMN2 to register")
 	sk := newSink()
 	c3, err := Dial(ClientConfig{ID: 3, Dial: r.lis.Dialer(), LocalClock: r.clk, OnPacket: sk.on})
 	if err != nil {
@@ -134,14 +207,15 @@ func testSlowClientDoesNotStallOthers(t *testing.T, shards int) {
 	defer c3.Close()
 	c1 := r.client(1, nil)
 
-	// Flood the wedged client far past its transport buffer plus queue
-	// depth so the drop-oldest policy must engage.
+	// Flood the wedged client far past its queue depth so the
+	// drop-oldest policy must engage.
 	const flood = 900
 	for i := 1; i <= flood; i++ {
 		if err := c1.Send(wire.Packet{Dst: 2, Channel: 1, Seq: uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	await(t, wedged.stuck, "VMN2's writer to block in Send")
 	deadline := time.Now().Add(10 * time.Second)
 	for r.server.Stats().QueueDrops == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -168,10 +242,9 @@ func testSlowClientDoesNotStallOthers(t *testing.T, shards int) {
 	if rs := c3.Radios(); len(rs) != 1 || rs[0].Channel != 7 {
 		t.Fatalf("healthy client starved of radios event: %v", rs)
 	}
-	// Let the scanner fire the whole flood before sampling: mid-flood
-	// the writer can transiently drain the queue into the transport
-	// buffer, but once every delivery has fired the wedged session's
-	// queue is pinned full (writer blocked, drop-oldest engaged).
+	// Let the scanner fire the whole flood before sampling: once every
+	// delivery has fired the wedged session's queue is pinned full
+	// (writer blocked, drop-oldest engaged).
 	drainDeadline := time.Now().Add(10 * time.Second)
 	for r.server.Stats().Scheduled > 0 && time.Now().Before(drainDeadline) {
 		time.Sleep(time.Millisecond)
@@ -220,13 +293,22 @@ func testGoroutineCountBounded(t *testing.T, shards int) {
 			t.Fatal(err)
 		}
 	}
-	// Wait until the schedule has fired everything at the sessions.
-	deadline := time.Now().Add(10 * time.Second)
-	for r.server.Stats().Scheduled > 0 && time.Now().Before(deadline) {
+	// Wait until the whole flood has been ingested and the schedule has
+	// fired everything at the sessions (an empty schedule alone can also
+	// mean ingest has not caught up with the flood yet).
+	pending := func() bool {
+		if r.server.Stats().Received < flood {
+			return true
+		}
+		// A second snapshot: the depth must be read after ingest was
+		// seen complete, and one Stats call reads it before Received.
+		return r.server.Stats().Scheduled > 0
+	}
+	for deadline := time.Now().Add(10 * time.Second); pending() && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	if sch := r.server.Stats().Scheduled; sch > 0 {
-		t.Fatalf("schedule never drained: %d pending", sch)
+	if pending() {
+		t.Fatalf("flood never drained: %+v", r.server.Stats())
 	}
 	after := runtime.NumGoroutine()
 	// One writer per session plus scanner/ticker noise; the old path

@@ -179,14 +179,12 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 		q:    newSendQueue(s.cfg.SendQueueDepth, s.mQueueDrops, s.mAbandoned, s.tracer),
 		stop: make(chan struct{}),
 	}
-	if s.fid != nil {
-		// Timestamp policy drops into the flight recorder: around an
-		// incident, which sessions were shedding (and when) is exactly
-		// what the breach dump is for.
-		rec, shardIdx := s.fid.Recorder(), int32(ShardIndex(id, len(s.shards)))
-		sess.q.onDrop = func() {
-			rec.Record(fidelity.EvQueueDrop, int(shardIdx), int64(s.cfg.Clock.Now()), int64(id), 0)
-		}
+	// Timestamp policy drops into the flight recorder: around an
+	// incident, which sessions were shedding (and when) is exactly what
+	// the breach dump is for.
+	rec, shardIdx := s.fid.Recorder(), int32(ShardIndex(id, len(s.shards)))
+	sess.q.onDrop = func() {
+		rec.Record(fidelity.EvQueueDrop, int(shardIdx), int64(s.cfg.Clock.Now()), int64(id), 0)
 	}
 	// Insertion nests the shard lock inside Server.mu (the one permitted
 	// nesting, see the ordering note above): the closed check and the

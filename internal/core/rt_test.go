@@ -3,8 +3,8 @@ package core
 // End-to-end tests of the real-time fidelity monitor's core wiring:
 // the fire observer feeding per-shard deadline accounting, the health
 // surface on Stats/ShardStats, flight-recorder events from the queue-
-// drop and view-rebuild paths, deterministic deadline misses under a
-// manual clock, and the disabled (negative-tolerance) ablation.
+// drop and view-rebuild paths, and deterministic deadline misses under
+// a manual clock.
 
 import (
 	"encoding/json"
@@ -50,19 +50,16 @@ func testFidelityWiring(t *testing.T, shards int) {
 	}
 
 	fid := r.server.Fidelity()
-	if fid == nil {
-		t.Fatal("Fidelity() nil with monitoring enabled")
-	}
 	if fid.Tolerance() != fidelity.DefaultTolerance {
 		t.Fatalf("tolerance %v, want default %v", fid.Tolerance(), fidelity.DefaultTolerance)
 	}
 	if h := r.server.Stats().Health; h == "" {
-		t.Fatal("ServerStats.Health empty with monitoring enabled")
+		t.Fatal("ServerStats.Health empty")
 	}
 	var fired uint64
 	for _, sh := range r.server.ShardStats() {
 		if sh.Health == "" {
-			t.Fatalf("shard %d: empty Health with monitoring enabled", sh.Shard)
+			t.Fatalf("shard %d: empty Health", sh.Shard)
 		}
 		fired += r.server.fid.Shard(sh.Shard).Fired()
 	}
@@ -102,7 +99,7 @@ func testFidelityWiring(t *testing.T, shards int) {
 		t.Fatalf("/healthz: %d (state %v)", rec.Code, fid.State())
 	}
 	var health struct {
-		State  string             `json:"state"`
+		State  string              `json:"state"`
 		Shards []fidelity.Snapshot `json:"shards"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
@@ -113,42 +110,20 @@ func testFidelityWiring(t *testing.T, shards int) {
 	}
 }
 
-// TestFidelityDisabled pins the ablation: a negative tolerance turns
-// the whole subsystem off — no monitor, no health strings, no deadline
-// metric families, no fire observer overhead.
+// TestFidelityDisabled pins that the monitor cannot be configured off:
+// the negative tolerance that used to disable it is rejected the way a
+// negative shard count is, and a default server always has a monitor.
 func TestFidelityDisabled(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := newRig(t, func(c *ServerConfig) {
-		c.Obs = reg
-		c.RTTolerance = -1
-	})
-	r.scene.SetLinkModel(1, uniformModel(time.Millisecond))
-	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
-	r.scene.AddNode(2, geom.V(50, 0), oneRadio(1, 200))
-	sk := newSink()
-	r.client(2, sk)
-	c1 := r.client(1, nil)
-	if err := c1.Send(wire.Packet{Dst: 2, Channel: 1, Seq: 1}); err != nil {
+	sc, clk := shardTestScene()
+	if _, err := NewServer(ServerConfig{Clock: clk, Scene: sc, RTTolerance: -1}); err == nil {
+		t.Error("negative RTTolerance accepted")
+	}
+	srv, err := NewServer(ServerConfig{Clock: clk, Scene: sc})
+	if err != nil {
 		t.Fatal(err)
 	}
-	sk.wait(t, 5*time.Second)
-
-	if r.server.Fidelity() != nil {
-		t.Fatal("Fidelity() non-nil with RTTolerance < 0")
-	}
-	if h := r.server.Stats().Health; h != "" {
-		t.Fatalf("ServerStats.Health = %q with monitoring disabled", h)
-	}
-	for _, sh := range r.server.ShardStats() {
-		if sh.Health != "" || sh.DeadlineMisses != 0 {
-			t.Fatalf("shard %d carries fidelity figures while disabled: %+v", sh.Shard, sh)
-		}
-	}
-	names := strings.Join(reg.Names(), "\n")
-	for _, forbidden := range []string{"poem_health", "poem_shard_deadline"} {
-		if strings.Contains(names, forbidden) {
-			t.Errorf("registry holds %q families while disabled:\n%s", forbidden, names)
-		}
+	if srv.Fidelity() == nil {
+		t.Error("Fidelity() is nil on a default server")
 	}
 }
 

@@ -61,21 +61,11 @@ type ServerConfig struct {
 	Scene *scene.Scene
 	// Store receives packet and scene records; nil disables recording.
 	Store *record.Store
-	// Queue is the forwarding schedule; defaults to sched.NewHeap().
-	// One Queue instance backs exactly one shard's scanner, so setting
-	// Queue pins the server to a single shard (Shards left zero) and is
-	// an error with an explicit Shards > 1 — use QueueFactory there.
-	Queue sched.Queue
-	// QueueFactory builds one forwarding schedule per shard. nil means
-	// a fresh sched.NewHeap() per shard.
-	QueueFactory func() sched.Queue
 	// Shards is how many independent pipeline shards the core runs:
 	// each shard owns a slice of the session registry, its own schedule
 	// and scanner, and its own obs instruments (see shard.go). Zero
-	// selects DefaultShards() — min(GOMAXPROCS, 8) — unless Queue is
-	// set, which implies 1. One shard preserves the pre-sharding
-	// behavior exactly and is the ablation baseline. Negative is an
-	// error.
+	// selects DefaultShards() — min(GOMAXPROCS, 8). One shard preserves
+	// the pre-sharding behavior exactly. Negative is an error.
 	Shards int
 	// Seed feeds the link-model dice.
 	Seed int64
@@ -124,39 +114,13 @@ type ServerConfig struct {
 	// atomic load per packet).
 	ObsSampleEvery int
 
-	// --- JEmu-style baseline knobs (internal/baseline/jemu presets) ---
-
-	// StampAtServer discards the clients' parallel timestamps and
-	// stamps packets serially at server receipt — the centralized
-	// baseline whose statistics error Figure 2 explains and Figure 10's
-	// "non-real-time" curve shows.
-	StampAtServer bool
-	// SerialIngress funnels every receive through one mutex, emulating
-	// contention for the single incoming interface of a centralized
-	// server.
-	SerialIngress bool
-	// IngressDelay is per-packet processing time spent while holding
-	// the serial ingress lock (models NIC/CPU cost; wall-clock time).
-	IngressDelay time.Duration
-	// LockedDispatch resolves neighbors and link models through the
-	// scene mutex (the pre-snapshot read path) instead of the lock-free
-	// epoch views. Kept as an ablation knob for BenchmarkDispatchParallel
-	// so the locked/snapshot comparison measures the same pipeline.
-	LockedDispatch bool
-	// ScanBatch caps how many due deliveries a shard's scanner drains
-	// per lock acquisition (sched.Scanner.SetBatchLimit). Zero keeps the
-	// scanner default (sched.DefaultFireBatch); 1 restores the
-	// pre-batching single-fire loop and is the A7 ablation baseline.
-	// Negative is an error.
-	ScanBatch int
+	// --- Real-time fidelity (internal/obs/fidelity) ---
 
 	// RTTolerance is the real-time fidelity monitor's deadline-miss
 	// tolerance, in emulation time: a delivery firing more than this
 	// past its scheduled due time counts as a miss, and sustained misses
 	// degrade the health state (see internal/obs/fidelity). Zero selects
-	// fidelity.DefaultTolerance; negative disables the monitor entirely
-	// (Server.Fidelity() returns nil and the scanner fire path carries
-	// no fidelity closure at all — the chaos ablation baseline).
+	// fidelity.DefaultTolerance; negative is an error.
 	RTTolerance time.Duration
 	// RTWindow is how many fired deliveries close one health-evaluation
 	// window (fidelity.Config.Window). Zero selects the default; tests
@@ -207,12 +171,12 @@ const DefaultObsSampleEvery = 64
 const DefaultMaxStampSkew = time.Second
 
 // MaxDefaultShards caps the automatic shard count: past a handful of
-// shards the pipeline is no longer scanner-bound and more wheels only
+// shards the pipeline is no longer scanner-bound and more scanners only
 // cost goroutines and timers.
 const MaxDefaultShards = 8
 
 // DefaultShards is the shard count used when ServerConfig.Shards is
-// zero and no single-shard Queue is supplied: min(GOMAXPROCS, 8).
+// zero: min(GOMAXPROCS, 8).
 func DefaultShards() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > MaxDefaultShards {
@@ -238,8 +202,7 @@ type Server struct {
 	mu     sync.Mutex
 	closed bool
 
-	ingressMu sync.Mutex // serial-ingress baseline
-	wg        sync.WaitGroup
+	wg sync.WaitGroup
 
 	chanMu   sync.Mutex // guards chanFree (SerializeChannels extension)
 	chanFree map[radio.ChannelID]vclock.Time
@@ -258,7 +221,6 @@ type Server struct {
 
 	// fid is the real-time fidelity monitor: per-shard deadline
 	// accounting, the health state machine, and the flight recorder.
-	// nil when RTTolerance is negative (monitoring disabled).
 	fid *fidelity.Monitor
 
 	// cluster is the federation tier (cluster.go); nil on an
@@ -312,7 +274,7 @@ type ServerStats struct {
 	Clients   int // connected sessions, summed across shards
 	Scheduled int // schedule depth right now, summed across shards
 	// Health is the server-wide real-time fidelity state ("healthy",
-	// "degraded", "overrun"), or "" when the monitor is disabled.
+	// "degraded", "overrun").
 	Health string
 }
 
@@ -327,18 +289,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Shards < 0 {
 		return nil, errors.New("core: ServerConfig.Shards must not be negative")
 	}
-	if cfg.ScanBatch < 0 {
-		return nil, errors.New("core: ServerConfig.ScanBatch must not be negative")
+	if cfg.RTTolerance < 0 {
+		return nil, errors.New("core: ServerConfig.RTTolerance must not be negative")
 	}
 	if cfg.Shards == 0 {
-		if cfg.Queue != nil {
-			cfg.Shards = 1 // a caller-supplied Queue backs exactly one scanner
-		} else {
-			cfg.Shards = DefaultShards()
-		}
-	}
-	if cfg.Shards > 1 && cfg.Queue != nil {
-		return nil, errors.New("core: ServerConfig.Queue is single-shard; use QueueFactory with Shards > 1")
+		cfg.Shards = DefaultShards()
 	}
 	if err := validateCluster(cfg); err != nil {
 		return nil, err
@@ -353,19 +308,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		var q sched.Queue
-		switch {
-		case cfg.Queue != nil:
-			q = cfg.Queue
-		case cfg.QueueFactory != nil:
-			q = cfg.QueueFactory()
-		default:
-			q = sched.NewHeap()
-		}
-		if q == nil {
-			return nil, errors.New("core: ServerConfig.QueueFactory returned a nil queue")
-		}
-		s.shards[i] = newShard(i, s, q)
+		s.shards[i] = newShard(i, s)
 	}
 	s.instrument(cfg)
 	if len(cfg.Peers) > 0 {
@@ -456,19 +399,17 @@ func (s *Server) instrument(cfg ServerConfig) {
 	reg.Gauge("poem_shards", "independent pipeline shards", func() float64 {
 		return float64(len(s.shards))
 	})
-	if cfg.RTTolerance >= 0 {
-		s.fid = fidelity.New(len(s.shards), fidelity.Config{
-			Tolerance: cfg.RTTolerance,
-			Window:    cfg.RTWindow,
-		}, reg)
-		// Timeline context for breach dumps: every dispatch-view publish
-		// lands in the flight recorder with its size (a rebuild storm next
-		// to a lag spike is a diagnosis, not a coincidence).
-		rec := s.fid.Recorder()
-		cfg.Scene.SetRebuildObserver(func(ch radio.ChannelID, rows int) {
-			rec.Record(fidelity.EvViewRebuild, -1, int64(s.cfg.Clock.Now()), int64(ch), int64(rows))
-		})
-	}
+	s.fid = fidelity.New(len(s.shards), fidelity.Config{
+		Tolerance: cfg.RTTolerance,
+		Window:    cfg.RTWindow,
+	}, reg)
+	// Timeline context for breach dumps: every dispatch-view publish
+	// lands in the flight recorder with its size (a rebuild storm next
+	// to a lag spike is a diagnosis, not a coincidence).
+	rec := s.fid.Recorder()
+	cfg.Scene.SetRebuildObserver(func(ch radio.ChannelID, rows int) {
+		rec.Record(fidelity.EvViewRebuild, -1, int64(s.cfg.Clock.Now()), int64(ch), int64(rows))
+	})
 	for _, sh := range s.shards {
 		sh := sh
 		idx := strconv.Itoa(sh.idx)
@@ -492,12 +433,8 @@ func (s *Server) instrument(cfg ServerConfig) {
 			"this shard's schedule depth", func() float64 { return float64(sh.scanner.Pending()) })
 		reg.Gauge(obs.Labeled("poem_shard_clients", "shard", idx),
 			"sessions registered on this shard", func() float64 { return float64(sh.clients()) })
-		if s.fid == nil {
-			sh.scanner.SetBatchObserver(func(n int) { s.hFireBatch.Observe(time.Duration(n)) })
-		} else {
-			sh.fid = s.fid.Shard(sh.idx)
-			sh.scanner.SetFireObserver(s.fireObserver(sh))
-		}
+		sh.fid = s.fid.Shard(sh.idx)
+		sh.scanner.SetFireObserver(s.fireObserver(sh))
 	}
 
 	cfg.Scene.Instrument(reg)
@@ -516,9 +453,8 @@ func (s *Server) instrument(cfg ServerConfig) {
 	}
 }
 
-// fireObserver builds one shard's batch-fire closure: it keeps the
-// fire-batch histogram fed (as SetBatchObserver did) and runs the
-// deadline accounting. The batch is sorted by (Due, seq), so the
+// fireObserver builds one shard's batch-fire closure: it feeds the
+// fire-batch histogram and runs the deadline accounting. The batch is sorted by (Due, seq), so the
 // batch's worst lag is now−batch[0].Due and the missed items are a
 // prefix found by binary search — hand-rolled so the whole observer
 // stays allocation-free (the scanner's zero-alloc fire loop is
@@ -565,6 +501,5 @@ func (s *Server) Obs() *obs.Registry { return s.obs }
 // Tracer returns the server's packet-lifecycle tracer.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// Fidelity returns the real-time fidelity monitor, or nil when
-// ServerConfig.RTTolerance disabled it.
+// Fidelity returns the real-time fidelity monitor; it is never nil.
 func (s *Server) Fidelity() *fidelity.Monitor { return s.fid }

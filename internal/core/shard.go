@@ -2,11 +2,11 @@ package core
 
 // The sharded pipeline: the server core is N independent copies of the
 // §3.2 forwarding machinery — each shard owns a slice of the session
-// registry, its own schedule + scanner (the timing wheel and its clock
-// loop), and its own obs instruments. A session lives on exactly one
+// registry, its own schedule + scanner (the heap and its clock loop),
+// and its own obs instruments. A session lives on exactly one
 // shard, chosen by hashing its VMN id (ShardIndex), and every delivery
 // *to* that session is pushed onto that shard's schedule. Ingest for
-// disjoint node sets therefore never shares a lock or a wheel, and the
+// disjoint node sets therefore never shares a lock or a schedule, and the
 // per-destination FIFO property survives unchanged: all deliveries to
 // one client fire from the one scanner goroutine that owns it, in due
 // order, into the session's FIFO send queue.
@@ -58,18 +58,15 @@ type shard struct {
 	// registered as poem_shard_entries_total{shard="i"}.
 	entered *obs.Counter
 
-	// fid is this shard's deadline accounting (nil when the fidelity
-	// monitor is disabled). Written only by the owning scanner goroutine
-	// through the fire observer; ShardStats reads its atomics.
+	// fid is this shard's deadline accounting. Written only by the
+	// owning scanner goroutine through the fire observer; ShardStats
+	// reads its atomics.
 	fid *fidelity.Shard
 }
 
-func newShard(idx int, srv *Server, q sched.Queue) *shard {
+func newShard(idx int, srv *Server) *shard {
 	sh := &shard{idx: idx, srv: srv, sessions: make(map[radio.NodeID]*session)}
-	sh.scanner = sched.NewScanner(q, srv.cfg.Clock, sh.deliver)
-	if srv.cfg.ScanBatch > 0 {
-		sh.scanner.SetBatchLimit(srv.cfg.ScanBatch)
-	}
+	sh.scanner = sched.NewScanner(srv.cfg.Clock, sh.deliver)
 	return sh
 }
 

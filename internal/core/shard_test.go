@@ -50,44 +50,25 @@ func shardTestScene() (*scene.Scene, vclock.WaitClock) {
 	return scene.New(radio.NewIndexed(16), clk, 1), clk
 }
 
-// Shard-count resolution: negative is an error, a caller-supplied Queue
-// pins one shard (and conflicts with an explicit Shards > 1), a
-// QueueFactory is invoked once per shard, and zero means DefaultShards.
+// Shard-count resolution: negative is an error, an explicit count is
+// honoured, and zero means DefaultShards.
 func TestServerConfigShardResolution(t *testing.T) {
 	sc, clk := shardTestScene()
 	if _, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Shards: -1}); err == nil {
 		t.Error("negative Shards accepted")
 	}
-	if _, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Queue: discardQueue{}, Shards: 2}); err == nil {
-		t.Error("shared Queue across 2 shards accepted; one queue cannot back two scanners")
-	}
-	srv, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Queue: discardQueue{}})
+	srv, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Shards(); got != 1 {
-		t.Errorf("Queue-injected server runs %d shards, want 1", got)
+	if got := srv.Shards(); got != 3 {
+		t.Errorf("Shards: 3 server runs %d shards", got)
 	}
-
-	made := 0
-	srv2, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Shards: 3,
-		QueueFactory: func() sched.Queue { made++; return sched.NewHeap() }})
+	srv2, err := NewServer(ServerConfig{Clock: clk, Scene: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv2.Shards() != 3 || made != 3 {
-		t.Errorf("QueueFactory server: %d shards, factory called %d times, want 3/3", srv2.Shards(), made)
-	}
-	if _, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Shards: 2,
-		QueueFactory: func() sched.Queue { return nil }}); err == nil {
-		t.Error("nil-returning QueueFactory accepted")
-	}
-
-	srv3, err := NewServer(ServerConfig{Clock: clk, Scene: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := srv3.Shards(), DefaultShards(); got != want {
+	if got, want := srv2.Shards(), DefaultShards(); got != want {
 		t.Errorf("default shard count %d, want DefaultShards() = %d", got, want)
 	}
 }

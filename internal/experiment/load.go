@@ -39,9 +39,6 @@ type LoadConfig struct {
 	Payload int
 	// Shards is the server's pipeline shard count; 0 = DefaultShards.
 	Shards int
-	// ScanBatch is the scanner's per-lock fire limit; 0 keeps the
-	// scheduler default, 1 is the single-fire ablation.
-	ScanBatch int
 	// Scale compresses time: the emulation clock runs Scale× wall.
 	// Default 200.
 	Scale float64
@@ -49,8 +46,7 @@ type LoadConfig struct {
 	// deterministic, so it only perturbs placement-independent state).
 	Seed int64
 	// RTTolerance is the fidelity monitor's deadline-miss tolerance
-	// (core.ServerConfig.RTTolerance): 0 = default, negative disables
-	// monitoring — the overhead-ablation baseline for BENCH_rt.json.
+	// (core.ServerConfig.RTTolerance): 0 = default.
 	RTTolerance time.Duration
 }
 
@@ -82,10 +78,9 @@ func (c LoadConfig) withDefaults() LoadConfig {
 // LoadResult is the schedule-storm measurement: the conservation ledger
 // plus the scanner-loop accounting the batch scheduler optimizes.
 type LoadResult struct {
-	Sessions  int
-	Senders   int
-	Shards    int
-	ScanBatch int // 0 = scheduler default
+	Sessions int
+	Senders  int
+	Shards   int
 
 	DialWall    time.Duration // connecting the whole population
 	TrafficWall time.Duration // first send → pipeline quiesced
@@ -114,10 +109,9 @@ type LoadResult struct {
 
 	GoroutinePeak int
 
-	// Real-time fidelity, per shard (empty when RTTolerance < 0): was
-	// the storm absorbed inside the deadline tolerance, and if not, by
-	// how much each slice fell behind.
-	Health  string // server-wide worst state ("" when disabled)
+	// Real-time fidelity, per shard: was the storm absorbed inside the
+	// deadline tolerance, and if not, by how much each slice fell behind.
+	Health  string // server-wide worst state
 	ShardRT []ShardRT
 }
 
@@ -142,15 +136,14 @@ type ShardRT struct {
 // an error otherwise.
 func Load(w io.Writer, cfg LoadConfig) (LoadResult, error) {
 	cfg = cfg.withDefaults()
-	res := LoadResult{Sessions: cfg.Sessions, Senders: cfg.Senders, ScanBatch: cfg.ScanBatch}
+	res := LoadResult{Sessions: cfg.Sessions, Senders: cfg.Senders}
 
 	clk := vclock.NewSystem(cfg.Scale)
 	sc := scene.New(radio.NewIndexed(64), clk, cfg.Seed)
 	reg := obs.NewRegistry()
 	srv, err := core.NewServer(core.ServerConfig{
 		Clock: clk, Scene: sc, Seed: cfg.Seed, Obs: reg,
-		Shards: cfg.Shards, ScanBatch: cfg.ScanBatch,
-		RTTolerance: cfg.RTTolerance,
+		Shards: cfg.Shards, RTTolerance: cfg.RTTolerance,
 		// A storm destination legitimately absorbs every in-range
 		// sender's burst before its writer runs once on a saturated
 		// host; the queue bound should not be what the experiment
@@ -323,14 +316,12 @@ func Load(w io.Writer, cfg LoadConfig) (LoadResult, error) {
 		res.Wakeups += sh.Wakeups
 		res.SpuriousWakes += sh.SpuriousWakes
 		res.KickEliedRate += float64(sh.KicksElided) // numerator, normalized below
-		if sh.Health != "" {
-			res.ShardRT = append(res.ShardRT, ShardRT{
-				Shard: sh.Shard, Health: sh.Health,
-				Misses: sh.DeadlineMisses, MissRate: sh.MissRate,
-				LagP50: sh.LagP50, LagP99: sh.LagP99,
-				Watermark: sh.LagWatermark, Drift: sh.Drift,
-			})
-		}
+		res.ShardRT = append(res.ShardRT, ShardRT{
+			Shard: sh.Shard, Health: sh.Health,
+			Misses: sh.DeadlineMisses, MissRate: sh.MissRate,
+			LagP50: sh.LagP50, LagP99: sh.LagP99,
+			Watermark: sh.LagWatermark, Drift: sh.Drift,
+		})
 	}
 	var kicksDelivered uint64
 	for _, sh := range srv.ShardStats() {
@@ -357,8 +348,8 @@ func Load(w io.Writer, cfg LoadConfig) (LoadResult, error) {
 	}
 
 	if w != nil {
-		fmt.Fprintf(w, "Load: %d sessions (%d shards, scanbatch=%s), %d senders × %d broadcasts, %dB payloads\n",
-			res.Sessions, res.Shards, scanBatchLabel(cfg.ScanBatch), res.Senders, cfg.Packets, cfg.Payload)
+		fmt.Fprintf(w, "Load: %d sessions (%d shards), %d senders × %d broadcasts, %dB payloads\n",
+			res.Sessions, res.Shards, res.Senders, cfg.Packets, cfg.Payload)
 		fmt.Fprintf(w, "  dial %v   storm %v   %.0f deliveries/s   goroutines %d\n",
 			res.DialWall.Round(time.Millisecond), res.TrafficWall.Round(time.Millisecond),
 			res.FiredPerSec, res.GoroutinePeak)
@@ -369,23 +360,14 @@ func Load(w io.Writer, cfg LoadConfig) (LoadResult, error) {
 			res.ItemsPerBatch, res.BatchP50, res.BatchP99)
 		fmt.Fprintf(w, "  wakeups %d (spurious %d)   kick elide rate %.3f\n",
 			res.Wakeups, res.SpuriousWakes, res.KickEliedRate)
-		if res.Health != "" {
-			fmt.Fprintf(w, "  health=%s (rt-tolerance %v)\n", res.Health, rtToleranceLabel(cfg.RTTolerance))
-			for _, rt := range res.ShardRT {
-				fmt.Fprintf(w, "    shard %d health=%s misses=%d missrate=%.4f lag p50 %v p99 %v watermark %v drift %v\n",
-					rt.Shard, rt.Health, rt.Misses, rt.MissRate,
-					rt.LagP50, rt.LagP99, rt.Watermark, rt.Drift)
-			}
+		fmt.Fprintf(w, "  health=%s (rt-tolerance %v)\n", res.Health, rtToleranceLabel(cfg.RTTolerance))
+		for _, rt := range res.ShardRT {
+			fmt.Fprintf(w, "    shard %d health=%s misses=%d missrate=%.4f lag p50 %v p99 %v watermark %v drift %v\n",
+				rt.Shard, rt.Health, rt.Misses, rt.MissRate,
+				rt.LagP50, rt.LagP99, rt.Watermark, rt.Drift)
 		}
 	}
 	return res, nil
-}
-
-func scanBatchLabel(n int) string {
-	if n == 0 {
-		return "default"
-	}
-	return fmt.Sprintf("%d", n)
 }
 
 func rtToleranceLabel(d time.Duration) string {

@@ -348,11 +348,26 @@ func TestGatewayLoopback(t *testing.T) {
 	if !srv.Quiesce(10 * time.Second) {
 		t.Fatalf("pipeline did not quiesce: %+v", srv.Stats())
 	}
+	// The egress writer counts a datagram written after the socket write
+	// returns, so the peer can hold the last pong a moment before the
+	// ledger shows it: wait for the ledgers to close rather than sample.
+	egressOpen := func(st LinkStats) bool {
+		return st.Delivered != st.Written+st.EgressDropped+st.Late+st.NoPeer+st.WriteErr+st.Abandoned
+	}
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		open := false
+		for _, st := range gw.Stats() {
+			open = open || egressOpen(st)
+		}
+		if !open {
+			break
+		}
+	}
 	for i, st := range gw.Stats() {
 		if st.Ingress != st.Accepted+st.Shed+st.BadFrame+st.Oversize+st.SendErr {
 			t.Errorf("link %d ingress ledger open: %+v", i, st)
 		}
-		if st.Delivered != st.Written+st.EgressDropped+st.Late+st.NoPeer+st.WriteErr+st.Abandoned {
+		if egressOpen(st) {
 			t.Errorf("link %d egress ledger open: %+v", i, st)
 		}
 	}

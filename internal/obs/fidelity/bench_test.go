@@ -6,11 +6,11 @@ import (
 )
 
 // BenchmarkShardRecord measures the full per-batch accounting the
-// scanner pays with monitoring on: histogram observe, counters,
+// scanner pays for monitoring: histogram observe, counters,
 // watermark, EWMA drift, flight-recorder event, window bookkeeping.
 // This is the monitor's entire hot-path cost (one call per batch, not
 // per packet) and it must stay allocation-free — check_allocs.sh gates
-// it at 0 allocs/op; BENCH_rt.json records the baseline.
+// it at 0 allocs/op; EXPERIMENTS.md A8 records the baseline.
 func BenchmarkShardRecord(b *testing.B) {
 	m := New(1, Config{}, nil)
 	sh := m.Shard(0)

@@ -154,8 +154,8 @@ func (c Config) withDefaults() Config {
 // Dump is a flight-recorder snapshot taken when the server-wide health
 // state worsened.
 type Dump struct {
-	At     int64   `json:"at"`    // emulation ns of the breach
-	State  State   `json:"-"`     // the state entered
+	At     int64   `json:"at"` // emulation ns of the breach
+	State  State   `json:"-"`  // the state entered
 	Events []Event `json:"events"`
 }
 

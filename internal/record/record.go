@@ -407,11 +407,16 @@ func Load(r io.Reader) (*Store, error) {
 	if np > 1<<32 {
 		return nil, fmt.Errorf("%w: implausible packet count %d", ErrBadSnapshot, np)
 	}
-	s.packets = make([]Packet, np)
-	for i := range s.packets {
-		if err := readPacket(br, &s.packets[i]); err != nil {
+	// The counts come from the file: reserve a bounded amount up front
+	// and let anything larger be backed by records actually read, so a
+	// hostile header cannot make Load allocate gigabytes.
+	s.packets = make([]Packet, 0, min(np, loadPrealloc))
+	for i := uint64(0); i < np; i++ {
+		var p Packet
+		if err := readPacket(br, &p); err != nil {
 			return nil, fmt.Errorf("%w: packet %d: %v", ErrBadSnapshot, i, err)
 		}
+		s.packets = append(s.packets, p)
 	}
 	var ns uint64
 	if err := binary.Read(br, binary.BigEndian, &ns); err != nil {
@@ -420,14 +425,20 @@ func Load(r io.Reader) (*Store, error) {
 	if ns > 1<<32 {
 		return nil, fmt.Errorf("%w: implausible scene count %d", ErrBadSnapshot, ns)
 	}
-	s.scenes = make([]Scene, ns)
-	for i := range s.scenes {
-		if err := readScene(br, &s.scenes[i]); err != nil {
+	s.scenes = make([]Scene, 0, min(ns, loadPrealloc))
+	for i := uint64(0); i < ns; i++ {
+		var sc Scene
+		if err := readScene(br, &sc); err != nil {
 			return nil, fmt.Errorf("%w: scene %d: %v", ErrBadSnapshot, i, err)
 		}
+		s.scenes = append(s.scenes, sc)
 	}
 	return s, nil
 }
+
+// loadPrealloc is how many records Load reserves on the strength of a
+// snapshot's header alone.
+const loadPrealloc = 1 << 16
 
 func writePacket(w io.Writer, p *Packet) error {
 	var buf [40]byte

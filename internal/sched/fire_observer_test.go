@@ -17,7 +17,7 @@ import (
 func TestScannerFireObserver(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
-	s := NewScanner(NewHeap(), clk, col.dispatch)
+	s := NewScanner(clk, col.dispatch)
 
 	type fire struct {
 		now   vclock.Time

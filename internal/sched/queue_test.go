@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -9,13 +10,103 @@ import (
 	"repro/internal/wire"
 )
 
-func queues() map[string]func() Queue {
-	return map[string]func() Queue{
-		"heap":  func() Queue { return NewHeap() },
-		"list":  func() Queue { return NewList() },
-		"wheel": func() Queue { return NewWheel(vclock.FromMillis(10), 64) },
+// queue is what HeapQueue and its oracle have in common, so one table
+// drives both through every property below.
+type queue interface {
+	Push(it Item)
+	PopDue(now vclock.Time) (Item, bool)
+	PopDueBatch(now vclock.Time, buf []Item) int
+	NextDue() (vclock.Time, bool)
+	Len() int
+}
+
+func queues() map[string]func() queue {
+	return map[string]func() queue{
+		"heap": func() queue { return NewHeap() },
+		"list": func() queue { return NewList() },
 	}
 }
+
+// ListQueue is the oracle: items in a slice sorted ascending by
+// (Due, seq), the "queues for schedules" of the paper's preliminary
+// implementation (§5). Its order is correct by construction — a binary
+// search places each push, the due items are always a prefix — so the
+// heap's PopDue/PopDueBatch are checked against it item for item.
+type ListQueue struct {
+	items []Item
+	head  int
+	next  uint64
+}
+
+func NewList() *ListQueue { return &ListQueue{} }
+
+func (q *ListQueue) Push(it Item) {
+	it.seq = q.next
+	q.next++
+	live := q.items[q.head:]
+	i := sort.Search(len(live), func(i int) bool {
+		if live[i].Due != it.Due {
+			return live[i].Due > it.Due
+		}
+		return live[i].seq > it.seq
+	})
+	q.items = append(q.items, Item{})
+	copy(q.items[q.head+i+1:], q.items[q.head+i:])
+	q.items[q.head+i] = it
+}
+
+func (q *ListQueue) PopDue(now vclock.Time) (Item, bool) {
+	if q.head >= len(q.items) || q.items[q.head].Due > now {
+		return Item{}, false
+	}
+	it := q.items[q.head]
+	q.items[q.head] = Item{}
+	q.head++
+	q.maybeCompact()
+	return it, true
+}
+
+// PopDueBatch extracts the due prefix with one binary search and one
+// copy.
+func (q *ListQueue) PopDueBatch(now vclock.Time, buf []Item) int {
+	live := q.items[q.head:]
+	if len(live) == 0 || len(buf) == 0 || live[0].Due > now {
+		return 0
+	}
+	k := sort.Search(len(live), func(i int) bool { return live[i].Due > now })
+	if k > len(buf) {
+		k = len(buf)
+	}
+	copy(buf, live[:k])
+	for i := 0; i < k; i++ {
+		live[i] = Item{}
+	}
+	q.head += k
+	q.maybeCompact()
+	return k
+}
+
+// maybeCompact reclaims the consumed prefix once it dominates the
+// backing array.
+func (q *ListQueue) maybeCompact() {
+	if q.head > 256 && q.head*2 > len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		for i := n; i < len(q.items); i++ {
+			q.items[i] = Item{}
+		}
+		q.items = q.items[:n]
+		q.head = 0
+	}
+}
+
+func (q *ListQueue) NextDue() (vclock.Time, bool) {
+	if q.head >= len(q.items) {
+		return 0, false
+	}
+	return q.items[q.head].Due, true
+}
+
+func (q *ListQueue) Len() int { return len(q.items) - q.head }
 
 func TestQueueEmpty(t *testing.T) {
 	for name, mk := range queues() {
@@ -99,52 +190,47 @@ func TestQueuePopDueRespectsNow(t *testing.T) {
 	}
 }
 
-// Property: any interleaving of pushes and due-pops yields items in
-// non-decreasing Due order, and matches the heap reference.
+// Property: for any interleaving of pushes and due-pops the heap yields
+// exactly the items, in exactly the order, the list oracle does.
 func TestQueueEquivalenceRandomized(t *testing.T) {
-	for name, mk := range queues() {
-		if name == "heap" {
-			continue
-		}
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(31))
-			q := mk()
-			ref := NewHeap()
-			now := vclock.Time(0)
-			for step := 0; step < 5000; step++ {
-				if rng.Intn(3) > 0 { // bias toward pushes, then drain
-					due := now + vclock.FromMillis(int64(rng.Intn(500)))
-					it := Item{Due: due, Pkt: wire.Packet{Seq: uint32(step)}}
-					q.Push(it)
-					ref.Push(it)
-				} else {
-					now += vclock.FromMillis(int64(rng.Intn(50)))
-					for {
-						a, okA := q.PopDue(now)
-						b, okB := ref.PopDue(now)
-						if okA != okB {
-							t.Fatalf("step %d: pop disagreement ok=%v/%v", step, okA, okB)
-						}
-						if !okA {
-							break
-						}
-						if a.Due != b.Due || a.Pkt.Seq != b.Pkt.Seq {
-							t.Fatalf("step %d: pop mismatch (%v,%d) vs (%v,%d)",
-								step, a.Due, a.Pkt.Seq, b.Due, b.Pkt.Seq)
-						}
+	t.Run("list", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		q := NewList()
+		ref := NewHeap()
+		now := vclock.Time(0)
+		for step := 0; step < 5000; step++ {
+			if rng.Intn(3) > 0 { // bias toward pushes, then drain
+				due := now + vclock.FromMillis(int64(rng.Intn(500)))
+				it := Item{Due: due, Pkt: wire.Packet{Seq: uint32(step)}}
+				q.Push(it)
+				ref.Push(it)
+			} else {
+				now += vclock.FromMillis(int64(rng.Intn(50)))
+				for {
+					a, okA := q.PopDue(now)
+					b, okB := ref.PopDue(now)
+					if okA != okB {
+						t.Fatalf("step %d: pop disagreement ok=%v/%v", step, okA, okB)
+					}
+					if !okA {
+						break
+					}
+					if a.Due != b.Due || a.Pkt.Seq != b.Pkt.Seq {
+						t.Fatalf("step %d: pop mismatch (%v,%d) vs (%v,%d)",
+							step, a.Due, a.Pkt.Seq, b.Due, b.Pkt.Seq)
 					}
 				}
-				if q.Len() != ref.Len() {
-					t.Fatalf("step %d: Len %d vs %d", step, q.Len(), ref.Len())
-				}
 			}
-		})
-	}
+			if q.Len() != ref.Len() {
+				t.Fatalf("step %d: Len %d vs %d", step, q.Len(), ref.Len())
+			}
+		}
+	})
 }
 
 // Property: PopDueBatch is observationally identical to repeated PopDue
-// — same items, same (Due, seq) order, same residual queue — across all
-// three implementations, arbitrary interleavings, and arbitrary batch
+// — same items, same (Due, seq) order, same residual queue — for the
+// heap and its oracle, arbitrary interleavings, and arbitrary batch
 // buffer sizes (including buffers smaller than the due run).
 func TestPopDueBatchMatchesPopDue(t *testing.T) {
 	for name, mk := range queues() {
@@ -222,35 +308,6 @@ func TestPopDueBatchEdgeCases(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestWheelOverflow(t *testing.T) {
-	// Horizon = 10ms × 4 slots = 40ms; schedule far beyond it.
-	q := NewWheel(vclock.FromMillis(10), 4)
-	for _, ms := range []int64{5, 500, 50, 5000, 15} {
-		q.Push(Item{Due: vclock.FromMillis(ms)})
-	}
-	var got []int64
-	now := vclock.Time(0)
-	for q.Len() > 0 {
-		now += vclock.FromMillis(1)
-		for {
-			it, ok := q.PopDue(now)
-			if !ok {
-				break
-			}
-			got = append(got, int64(it.Due)/1e6)
-		}
-	}
-	want := []int64{5, 15, 50, 500, 5000}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("overflow order: %v", got)
-		}
 	}
 }
 

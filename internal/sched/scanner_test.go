@@ -45,7 +45,7 @@ func (c *collect) waitN(t *testing.T, n int) {
 func TestScannerFiresInOrder(t *testing.T) {
 	clk := vclock.NewSystem(1000) // 1 ms wall = 1 s emulated
 	col := newCollect(clk)
-	s := NewScanner(NewHeap(), clk, col.dispatch)
+	s := NewScanner(clk, col.dispatch)
 	s.Start()
 	defer s.Stop()
 	base := clk.Now()
@@ -73,7 +73,7 @@ func TestScannerFiresInOrder(t *testing.T) {
 func TestScannerEarlyPushOvertakes(t *testing.T) {
 	clk := vclock.NewSystem(100)
 	col := newCollect(clk)
-	s := NewScanner(NewHeap(), clk, col.dispatch)
+	s := NewScanner(clk, col.dispatch)
 	s.Start()
 	defer s.Stop()
 	base := clk.Now()
@@ -94,7 +94,7 @@ func TestScannerEarlyPushOvertakes(t *testing.T) {
 func TestScannerManualClock(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
-	s := NewScanner(NewHeap(), clk, col.dispatch)
+	s := NewScanner(clk, col.dispatch)
 	s.Start()
 	defer s.Stop()
 	s.Push(Item{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: 1}})
@@ -119,7 +119,7 @@ func TestScannerManualClock(t *testing.T) {
 
 func TestScannerStopIdempotent(t *testing.T) {
 	clk := vclock.NewManual(0)
-	s := NewScanner(NewHeap(), clk, func(Item) {})
+	s := NewScanner(clk, func(Item) {})
 	s.Start()
 	s.Stop()
 	s.Stop() // second stop must not panic or hang
@@ -127,7 +127,7 @@ func TestScannerStopIdempotent(t *testing.T) {
 
 func TestScannerStopWithPending(t *testing.T) {
 	clk := vclock.NewManual(0)
-	s := NewScanner(NewHeap(), clk, func(Item) {})
+	s := NewScanner(clk, func(Item) {})
 	s.Start()
 	for i := 0; i < 10; i++ {
 		s.Push(Item{Due: vclock.FromSeconds(float64(i + 100))})
@@ -150,7 +150,7 @@ func TestScannerStopWithPending(t *testing.T) {
 func TestScannerKickElision(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
-	s := NewScanner(NewHeap(), clk, col.dispatch)
+	s := NewScanner(clk, col.dispatch)
 	s.Start()
 	defer s.Stop()
 
@@ -195,7 +195,7 @@ func TestScannerKickElision(t *testing.T) {
 func TestScannerSleepNoGoroutines(t *testing.T) {
 	clk := vclock.NewSystem(1)
 	base := runtime.NumGoroutine()
-	s := NewScanner(NewHeap(), clk, func(Item) {})
+	s := NewScanner(clk, func(Item) {})
 	s.Start()
 	defer s.Stop()
 	// Park the scanner on a far-future deadline, then let cycles of
@@ -223,7 +223,7 @@ func TestScannerSleepNoGoroutines(t *testing.T) {
 func TestScannerSleepFireAllocFree(t *testing.T) {
 	clk := vclock.NewSystem(10000) // 0.1 ms wall = 1 s emulated
 	fired := make(chan struct{}, 64)
-	s := NewScanner(NewHeap(), clk, func(Item) { fired <- struct{}{} })
+	s := NewScanner(clk, func(Item) { fired <- struct{}{} })
 	s.Start()
 	defer s.Stop()
 	// The bare receive is deliberate: a time.After guard here would be
@@ -239,22 +239,23 @@ func TestScannerSleepFireAllocFree(t *testing.T) {
 	}
 }
 
-// With many items due at once, the scanner must drain them as one batch
-// (one lock cycle), and the observer must see the batch's true size.
+// With many items due at once, the scanner must drain them in batches
+// of DefaultFireBatch (one lock cycle each), and the fire observer must
+// see each batch's true size.
 func TestScannerBatchObserver(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
 	var mu sync.Mutex
 	var sizes []int
-	s := NewScanner(NewHeap(), clk, col.dispatch)
-	s.SetBatchObserver(func(n int) {
+	s := NewScanner(clk, col.dispatch)
+	s.SetFireObserver(func(_ vclock.Time, batch []Item) {
 		mu.Lock()
-		sizes = append(sizes, n)
+		sizes = append(sizes, len(batch))
 		mu.Unlock()
 	})
 	s.Start()
 	defer s.Stop()
-	const n = 10
+	const n = DefaultFireBatch + 10
 	for i := 0; i < n; i++ {
 		s.Push(Item{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: uint32(i)}})
 	}
@@ -262,50 +263,17 @@ func TestScannerBatchObserver(t *testing.T) {
 	col.waitN(t, n)
 	mu.Lock()
 	defer mu.Unlock()
-	total := 0
-	for _, sz := range sizes {
-		total += sz
-	}
-	if total != n {
-		t.Fatalf("observer saw %d items across %v, want %d", total, sizes, n)
-	}
-	if len(sizes) != 1 || sizes[0] != n {
-		t.Errorf("due run split into batches %v, want one batch of %d", sizes, n)
+	if len(sizes) != 2 || sizes[0] != DefaultFireBatch || sizes[1] != 10 {
+		t.Errorf("due run split into batches %v, want [%d 10]", sizes, DefaultFireBatch)
 	}
 	if st := s.Stats(); st.Batches != uint64(len(sizes)) || st.Dispatched != n {
 		t.Errorf("stats %+v disagree with observer %v", st, sizes)
 	}
-}
-
-// SetBatchLimit(1) reproduces single-fire exactly: every batch has size
-// 1 — the A7 ablation baseline must be the old loop, not a variant.
-func TestScannerBatchLimitOne(t *testing.T) {
-	clk := vclock.NewManual(0)
-	col := newCollect(clk)
-	var mu sync.Mutex
-	var sizes []int
-	s := NewScanner(NewHeap(), clk, col.dispatch)
-	s.SetBatchLimit(1)
-	s.SetBatchObserver(func(n int) {
-		mu.Lock()
-		sizes = append(sizes, n)
-		mu.Unlock()
-	})
-	s.Start()
-	defer s.Stop()
-	for i := 0; i < 5; i++ {
-		s.Push(Item{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: uint32(i)}})
-	}
-	clk.Set(vclock.FromSeconds(1))
-	col.waitN(t, 5)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sizes) != 5 {
-		t.Fatalf("batch sizes %v, want five 1s", sizes)
-	}
-	for _, sz := range sizes {
-		if sz != 1 {
-			t.Fatalf("batch sizes %v, want all 1", sizes)
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	for i, it := range col.items {
+		if it.Pkt.Seq != uint32(i) {
+			t.Fatalf("item %d fired with seq %d: the batch boundary broke push order", i, it.Pkt.Seq)
 		}
 	}
 }
@@ -315,7 +283,7 @@ func TestScannerBatchLimitOne(t *testing.T) {
 func TestScannerPushBatchFIFO(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
-	s := NewScanner(NewHeap(), clk, col.dispatch)
+	s := NewScanner(clk, col.dispatch)
 	s.Start()
 	defer s.Stop()
 	s.PushBatch([]Item{
@@ -347,7 +315,7 @@ func TestScannerHighThroughput(t *testing.T) {
 	clk := vclock.NewSystem(10000)
 	var count int64
 	var mu sync.Mutex
-	s := NewScanner(NewHeap(), clk, func(Item) {
+	s := NewScanner(clk, func(Item) {
 		mu.Lock()
 		count++
 		mu.Unlock()

@@ -5,8 +5,7 @@ package sched
 // is the §3.2 hot path under fan-out, where the pre-batching loop paid
 // two mutex cycles per fired packet plus a goroutine per sleep.
 //
-// Baseline numbers live in BENCH_sched.json at the repo root; refresh
-// with:
+// Run with:
 //
 //	go test ./internal/sched -run='^$' -bench='ScannerStorm|ScannerSleepFire' -benchmem
 //
@@ -15,7 +14,6 @@ package sched
 // re-record wall-clock figures on a multi-core machine.
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,60 +26,54 @@ import (
 // scanner and reports the accounting the batching is meant to improve:
 // scanner-side lock acquisitions per fired item (fire-locks/item), total
 // lock cycles per item including the producer side (locks/item), mean
-// fire-batch depth, and wakeups per item. batch=1 is the pre-batching
-// single-fire loop, the A7 ablation baseline.
+// fire-batch depth, and wakeups per item.
 func BenchmarkScannerStorm(b *testing.B) {
-	for _, batch := range []int{1, DefaultFireBatch} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			clk := vclock.NewSystem(1000) // 1 ms wall = 1 s emulated
-			var fired atomic.Int64
-			doneAll := make(chan struct{})
-			var once sync.Once
-			total := int64(b.N)
-			s := NewScanner(NewHeap(), clk, func(Item) {
-				if fired.Add(1) == total {
-					once.Do(func() { close(doneAll) })
-				}
-			})
-			s.SetBatchLimit(batch)
-			s.Start()
-			defer s.Stop()
-			b.ReportAllocs()
-			b.ResetTimer()
-			const pushers = 4
-			var wg sync.WaitGroup
-			for g := 0; g < pushers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					// Deadlines spread over ~64 ms emulated (64 µs wall):
-					// every push lands in a burst that is due by the time
-					// the scanner gets around to it — the storm regime.
-					for i := g; i < b.N; i += pushers {
-						s.Push(Item{Due: clk.Now().Add(time.Duration(i%64) * time.Millisecond)})
-					}
-				}(g)
+	clk := vclock.NewSystem(1000) // 1 ms wall = 1 s emulated
+	var fired atomic.Int64
+	doneAll := make(chan struct{})
+	var once sync.Once
+	total := int64(b.N)
+	s := NewScanner(clk, func(Item) {
+		if fired.Add(1) == total {
+			once.Do(func() { close(doneAll) })
+		}
+	})
+	s.Start()
+	defer s.Stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	const pushers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < pushers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Deadlines spread over ~64 ms emulated (64 µs wall):
+			// every push lands in a burst that is due by the time
+			// the scanner gets around to it — the storm regime.
+			for i := g; i < b.N; i += pushers {
+				s.Push(Item{Due: clk.Now().Add(time.Duration(i%64) * time.Millisecond)})
 			}
-			wg.Wait()
-			<-doneAll
-			b.StopTimer()
-			st := s.Stats()
-			n := float64(st.Dispatched)
-			if n == 0 {
-				return
-			}
-			batches := float64(st.Batches)
-			if batches == 0 {
-				batches = 1
-			}
-			b.ReportMetric(float64(st.FireLocks)/n, "fire-locks/item")
-			b.ReportMetric(float64(st.FireLocks+st.PushLocks)/n, "locks/item")
-			b.ReportMetric(n/batches, "items/batch")
-			b.ReportMetric(float64(st.Wakeups)/n, "wakeups/item")
-			if kicks := st.KicksElided + st.KicksDelivered; kicks > 0 {
-				b.ReportMetric(float64(st.KicksElided)/float64(kicks), "elide-rate")
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	<-doneAll
+	b.StopTimer()
+	st := s.Stats()
+	n := float64(st.Dispatched)
+	if n == 0 {
+		return
+	}
+	batches := float64(st.Batches)
+	if batches == 0 {
+		batches = 1
+	}
+	b.ReportMetric(float64(st.FireLocks)/n, "fire-locks/item")
+	b.ReportMetric(float64(st.FireLocks+st.PushLocks)/n, "locks/item")
+	b.ReportMetric(n/batches, "items/batch")
+	b.ReportMetric(float64(st.Wakeups)/n, "wakeups/item")
+	if kicks := st.KicksElided + st.KicksDelivered; kicks > 0 {
+		b.ReportMetric(float64(st.KicksElided)/float64(kicks), "elide-rate")
 	}
 }
 
@@ -93,7 +85,7 @@ func BenchmarkScannerStorm(b *testing.B) {
 func BenchmarkScannerSleepFire(b *testing.B) {
 	clk := vclock.NewSystem(1000) // 2 ms emulated = 2 µs wall per sleep
 	fired := make(chan struct{}, 1)
-	s := NewScanner(NewHeap(), clk, func(Item) { fired <- struct{}{} })
+	s := NewScanner(clk, func(Item) { fired <- struct{}{} })
 	s.Start()
 	defer s.Stop()
 	s.Push(Item{Due: clk.Now().Add(2 * time.Millisecond)})

@@ -34,7 +34,7 @@ echo "alloc gate: OK (every fan-out bench within ${BUDGET} allocs/op)"
 # The batch-firing scanner's sleep/fire cycle must allocate NOTHING:
 # the reusable clock waiter replaced the goroutine-plus-two-channels
 # per sleep, and any new allocation here is a regression on the hottest
-# idle-to-fire edge (BENCH_sched.json records the baseline).
+# idle-to-fire edge (EXPERIMENTS.md A7 records the baseline).
 SCHED=$(go test -run='^$' -bench='ScannerSleepFire' -benchmem -benchtime=100x ./internal/sched)
 echo "$SCHED"
 
@@ -56,7 +56,7 @@ echo "scanner alloc gate: OK (sleep/fire cycle allocation-free)"
 # The fidelity monitor rides the same fire edge: one Shard.Record per
 # scanner batch plus flight-recorder appends from the cold paths. Both
 # must stay allocation-free in steady state or monitoring stops being
-# "~0% overhead" (BENCH_rt.json records the baseline costs).
+# "~0% overhead" (EXPERIMENTS.md A8 records the baseline costs).
 FID=$(go test -run='^$' -bench='ShardRecord|RecorderRecord' -benchmem -benchtime=10000x ./internal/obs/fidelity)
 echo "$FID"
 

@@ -27,5 +27,6 @@ run ./internal/record FuzzLoad
 run ./internal/routing FuzzDecodeFrame
 run ./internal/routing FuzzProtocolsSurviveGarbage
 run ./internal/gateway FuzzGatewayFrame
+run ./internal/control FuzzControlExecute
 
 echo "fuzz smoke: all targets survived $FUZZTIME"
