@@ -233,17 +233,18 @@ func validateCluster(cfg ServerConfig) error {
 // remote targets leave immediately on their peer's trunk as one
 // TrunkBatch per peer (buffer references travel with the entries — the
 // Conn contract consumes them on success and failure alike), local
-// targets compact to the front of items and are returned for the usual
-// per-shard push. Entered counts at the peer where a delivery enters a
-// schedule, so per-server conservation ledgers stay exact and the
-// cluster-wide ledger is their sum. Runs on the session's reader
-// goroutine; grouping scratch lives on the session.
-func (cl *cluster) routeRemote(sess *session, items []sched.Item) []sched.Item {
-	n := len(items)
+// targets compact to the front of targets and are returned for the usual
+// per-shard push, with the trace handle if it still has a delivery to
+// ride. Entered counts at the peer where a delivery enters a schedule,
+// so per-server conservation ledgers stay exact and the cluster-wide
+// ledger is their sum. Runs on the session's reader goroutine; grouping
+// scratch lives on the session.
+func (cl *cluster) routeRemote(sess *session, pkt wire.Packet, trace uint32, targets []sched.Target) ([]sched.Target, uint32) {
+	n := len(targets)
 	idxs := sess.peerIdx[:0]
 	remote := 0
-	for i := range items {
-		p := int32(PeerIndex(items[i].To, cl.n))
+	for i := range targets {
+		p := int32(PeerIndex(targets[i].To, cl.n))
 		if int(p) != cl.self {
 			remote++
 		}
@@ -251,7 +252,13 @@ func (cl *cluster) routeRemote(sess *session, items []sched.Item) []sched.Item {
 	}
 	sess.peerIdx = idxs
 	if remote == 0 {
-		return items
+		return targets, trace
+	}
+	if trace != 0 && int(idxs[0]) != cl.self {
+		// Trace slots don't cross trunks; a sampled packet whose first
+		// kept target lives remotely gives its slot back.
+		cl.srv.tracer.Release(trace)
+		trace = 0
 	}
 	for i := 0; i < n; i++ {
 		p := idxs[i]
@@ -263,13 +270,7 @@ func (cl *cluster) routeRemote(sess *session, items []sched.Item) []sched.Item {
 			if idxs[j] != p {
 				continue
 			}
-			it := &items[j]
-			if it.Trace != 0 {
-				// Trace slots don't cross trunks; a sampled packet whose
-				// first kept target lives remotely gives its slot back.
-				cl.srv.tracer.Release(it.Trace)
-			}
-			tb.Entries = append(tb.Entries, wire.TrunkEntry{Due: it.Due, To: it.To, Pkt: it.Pkt})
+			tb.Entries = append(tb.Entries, wire.TrunkEntry{Due: targets[j].Due, To: targets[j].To, Pkt: pkt})
 			idxs[j] = -1
 		}
 		cnt := uint64(len(tb.Entries))
@@ -282,14 +283,11 @@ func (cl *cluster) routeRemote(sess *session, items []sched.Item) []sched.Item {
 	w := 0
 	for i := 0; i < n; i++ {
 		if int(idxs[i]) == cl.self {
-			items[w] = items[i]
+			targets[w] = targets[i]
 			w++
 		}
 	}
-	for i := w; i < n; i++ {
-		items[i] = sched.Item{} // moved out; don't pin pooled buffers
-	}
-	return items[:w]
+	return targets[:w], trace
 }
 
 // ---------------------------------------------------------------------------
@@ -331,12 +329,7 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 	}
 	cl.addConn(conn)
 	defer cl.removeConn(conn)
-	// Per-connection scratch, same confinement as a session's.
-	var (
-		items []sched.Item
-		idxs  []int32
-		group []sched.Item
-	)
+	var in trunkIngress // per-connection scratch, same confinement as a session's
 	for {
 		m, err := conn.Recv()
 		if err != nil {
@@ -344,7 +337,7 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 		}
 		switch v := m.(type) {
 		case *wire.TrunkBatch:
-			items = cl.ingestTrunkBatch(v, items, &idxs, &group)
+			cl.ingestTrunkBatch(v, &in)
 		case *wire.TrunkScene:
 			cl.applyScene(v)
 		case *wire.TrunkStatus:
@@ -357,14 +350,23 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 	}
 }
 
+// trunkIngress is one inbound trunk connection's reusable scratch: the
+// items built from a batch, their shard assignments, and the group handed
+// to one shard.
+type trunkIngress struct {
+	items []sched.Item
+	idxs  []int32
+	group []sched.Item
+}
+
 // ingestTrunkBatch schedules one inbound batch: each entry's buffer
 // reference transfers from the wire message into the schedule item, due
 // times are floored at the local clock (they were computed against the
 // sender's), and the per-shard grouped push counts them Entered here —
 // the receiving side of the cluster conservation ledger.
-func (cl *cluster) ingestTrunkBatch(tb *wire.TrunkBatch, items []sched.Item, idxs *[]int32, group *[]sched.Item) []sched.Item {
+func (cl *cluster) ingestTrunkBatch(tb *wire.TrunkBatch, in *trunkIngress) {
 	now := cl.srv.cfg.Clock.Now()
-	items = items[:0]
+	items := in.items[:0]
 	for i := range tb.Entries {
 		e := &tb.Entries[i]
 		due := e.Due
@@ -374,14 +376,52 @@ func (cl *cluster) ingestTrunkBatch(tb *wire.TrunkBatch, items []sched.Item, idx
 		items = append(items, sched.Item{Due: due, To: e.To, Pkt: e.Pkt})
 		e.Pkt = wire.Packet{} // reference moved into the schedule item
 	}
+	in.items = items
 	tb.Entries = tb.Entries[:0]
 	wire.ReleaseTrunkBatch(tb)
 	cl.mRecvEntries.Add(uint64(len(items)))
-	cl.srv.pushGrouped(items, idxs, group)
+	cl.pushTrunkItems(in)
+	// The schedule owns copies now; drop the scratch's packet references
+	// so a pooled buffer freed after delivery is not kept reachable by an
+	// idle connection.
 	for i := range items {
 		items[i] = sched.Item{}
 	}
-	return items
+}
+
+// pushTrunkItems lists a trunk batch's items — each its own packet, so
+// they cannot share a fan — into their destination shards by the rule of
+// Server.pushItems: one pushBatch per distinct shard, groups in order
+// of first appearance, item order kept inside a group.
+func (cl *cluster) pushTrunkItems(in *trunkIngress) {
+	s, items := cl.srv, in.items
+	if len(s.shards) == 1 {
+		s.shards[0].pushBatch(items)
+		return
+	}
+	idxs := in.idxs[:0]
+	for i := range items {
+		idxs = append(idxs, int32(ShardIndex(items[i].To, len(s.shards))))
+	}
+	in.idxs = idxs
+	for i := range items {
+		sh := idxs[i]
+		if sh < 0 {
+			continue
+		}
+		group := append(in.group[:0], items[i])
+		for j := i + 1; j < len(items); j++ {
+			if idxs[j] == sh {
+				group = append(group, items[j])
+				idxs[j] = -1
+			}
+		}
+		in.group = group
+		s.shards[sh].pushBatch(group)
+		for k := range group {
+			group[k] = sched.Item{} // as ingestTrunkBatch does for items
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -93,13 +93,18 @@ const maxFlushBatch = 64
 // returns, and coalescing it collapses n syscalls into one.
 func (s *Server) sessionWriter(sess *session) {
 	defer s.wg.Done()
-	batch := make([]outMsg, 0, maxFlushBatch)
+	defer s.shardOf(sess.id).writerExited(sess)
+	// The batch starts nil and popBatch grows it on the heap: sized here it
+	// does not escape, and 64 × 96 B of frame made every session's writer
+	// copy its stack up at the first pop and keep it for life, though most
+	// sessions of a large scene never flush more than a handful.
+	var batch []outMsg
 	for {
 		var ok bool
 		// Popped entries are "in flight" until their counters are settled
 		// — forwarded on success, abandoned on a failed send — so a drain
 		// check never observes the gap between pop and accounting.
-		batch, ok = sess.q.popBatch(sess.stop, batch)
+		batch, ok = sess.q.popBatch(sess.stop, batch, maxFlushBatch)
 		if !ok {
 			return // session over; the queue accounted anything left
 		}

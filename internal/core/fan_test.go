@@ -1,0 +1,293 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/geom"
+	"repro/internal/linkmodel"
+	"repro/internal/mbuf"
+	"repro/internal/obs"
+	"repro/internal/radio"
+	"repro/internal/scene"
+	"repro/internal/sched"
+	"repro/internal/transport"
+	"repro/internal/vclock"
+	"repro/internal/wire"
+)
+
+// Tests for the schedule's fan entries as the core sees them: a
+// broadcast's receivers share heap entries, and nothing a client, the
+// ledger, the tracer or a buffer pool can observe may tell.
+
+// fanReceivers is how many neighbours hear fanRig's broadcaster.
+const fanReceivers = 12
+
+// fanRig is a server on a parked manual clock with VMN 1 in range of
+// VMNs 2..fanReceivers+1, all connected: every due time is computed
+// from stamp 0 against now 0, so a run is a pure function of the seed,
+// whatever the shard count.
+type fanRig struct {
+	clk   *vclock.Manual
+	srv   *Server
+	pool  *mbuf.Pool
+	src   *Client
+	sinks []*sink
+	stop  func()
+}
+
+func newFanRig(t *testing.T, shards int, model linkmodel.Model, mutate func(*ServerConfig)) *fanRig {
+	t.Helper()
+	clk := vclock.NewManual(0)
+	sc := scene.New(radio.NewIndexed(250), clk, 1)
+	cfg := ServerConfig{
+		Clock: clk, Scene: sc, Seed: 11, Shards: shards,
+		TickStep: time.Hour, // keep mobility ticks off the manual clock
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &fanRig{clk: clk, srv: srv, pool: mbuf.NewPool()}
+	r.pool.SetLeakCheck(true)
+	lis := transport.NewInprocListener()
+	done := make(chan struct{})
+	go func() { defer close(done); srv.Serve(transport.PoolIngress(lis, r.pool)) }()
+	var once sync.Once
+	r.stop = func() { once.Do(func() { lis.Close(); srv.Close(); <-done }) }
+	t.Cleanup(r.stop)
+
+	if err := sc.SetLinkModel(1, model); err != nil {
+		t.Fatal(err)
+	}
+	sc.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
+	dial := func(id radio.NodeID, sk *sink) *Client {
+		cc := ClientConfig{ID: id, Dial: lis.Dialer(), LocalClock: clk, SyncRounds: 1}
+		if sk != nil {
+			cc.OnPacket = sk.on
+		}
+		c, err := Dial(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return c
+	}
+	for i := 0; i < fanReceivers; i++ {
+		id := radio.NodeID(2 + i)
+		sc.AddNode(id, geom.V(float64(5+i), 0), oneRadio(1, 200))
+		sk := newSink()
+		r.sinks = append(r.sinks, sk)
+		dial(id, sk)
+	}
+	r.src = dial(1, nil)
+	return r
+}
+
+// broadcast sends n broadcasts (Seq 1..n) and waits until every one is
+// listed in the schedules; the parked clock fires none of them.
+func (r *fanRig) broadcast(t *testing.T, n int) {
+	t.Helper()
+	for i := 1; i <= n; i++ {
+		if err := r.src.Send(wire.Packet{Dst: radio.Broadcast, Channel: 1, Seq: uint32(i), Payload: []byte("fan")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); r.srv.Stats().Received < uint64(n); time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ingested %d of %d", r.srv.Stats().Received, n)
+		}
+	}
+}
+
+// Per destination, the order packets leave in is the schedule's (due,
+// push order) and nothing else: the same seed must produce the same
+// per-destination sequence on one shard and on four, when a broadcast's
+// receivers share one due time (one entry per shard) and when every
+// receiver has its own (an entry each).
+func TestBroadcastOrderSameAtEveryShardCount(t *testing.T) {
+	const packets = 25
+	models := map[string]linkmodel.Model{
+		"constant": uniformModel(2 * time.Millisecond),
+		"uniform": {
+			Loss:      linkmodel.NoLoss{},
+			Bandwidth: linkmodel.ConstantBandwidth{Bps: 1e9},
+			Delay:     linkmodel.UniformDelay{Min: time.Millisecond, Max: 5 * time.Millisecond},
+		},
+	}
+	for name, model := range models {
+		t.Run(name, func(t *testing.T) {
+			var perShards [][][]uint32
+			for _, shards := range []int{1, 4} {
+				r := newFanRig(t, shards, model, nil)
+				// The hook sees fire order; the sinks see what clients got.
+				var mu sync.Mutex
+				fired := make([][]uint32, fanReceivers)
+				r.srv.SetDeliverHook(func(it sched.Item) {
+					mu.Lock()
+					fired[it.To-2] = append(fired[it.To-2], it.Pkt.Seq)
+					mu.Unlock()
+				})
+				r.broadcast(t, packets)
+				if got := r.srv.Stats().Scheduled; got != packets*fanReceivers {
+					t.Fatalf("shards=%d: Scheduled %d with the clock parked, want %d deliveries", shards, got, packets*fanReceivers)
+				}
+				r.clk.Set(vclock.FromSeconds(1))
+				if !r.srv.Quiesce(5 * time.Second) {
+					t.Fatalf("shards=%d: pipeline did not drain: %+v", shards, r.srv.Stats())
+				}
+				for i, sk := range r.sinks {
+					for deadline := time.Now().Add(5 * time.Second); sk.count() < packets; time.Sleep(200 * time.Microsecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("shards=%d: VMN %d got %d of %d", shards, i+2, sk.count(), packets)
+						}
+					}
+					sk.mu.Lock()
+					for j, p := range sk.pkts {
+						if p.Seq != fired[i][j] {
+							t.Fatalf("shards=%d: VMN %d received seq %d at %d, fired %d", shards, i+2, p.Seq, j, fired[i][j])
+						}
+					}
+					sk.mu.Unlock()
+				}
+				perShards = append(perShards, fired)
+				r.stop()
+			}
+			reordered := false
+			for i := 0; i < fanReceivers; i++ {
+				one, four := perShards[0][i], perShards[1][i]
+				if fmt.Sprint(one) != fmt.Sprint(four) {
+					t.Fatalf("VMN %d: order %v on one shard, %v on four", i+2, one, four)
+				}
+				for j := 1; j < len(one); j++ {
+					if one[j] < one[j-1] {
+						reordered = true
+					}
+				}
+			}
+			// A constant link keeps send order; the uniform one must have
+			// reordered something or the test compared nothing.
+			if want := name == "uniform"; reordered != want {
+				t.Fatalf("per-destination order departs from send order: %v, want %v", reordered, want)
+			}
+		})
+	}
+}
+
+// A sampled broadcast claims one trace slot and commits it once, with
+// the first kept receiver as its relay; the other receivers of the fan
+// neither commit nor release anything.
+func TestSampledBroadcastCommitsOneTraceRecord(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		tr := obs.NewTracer(0, 0)
+		r := newFanRig(t, shards, uniformModel(2*time.Millisecond), func(c *ServerConfig) {
+			c.Obs = obs.NewRegistry()
+			c.Tracer = tr
+			c.ObsSampleEvery = 1
+		})
+		r.broadcast(t, 1)
+		r.clk.Set(vclock.FromSeconds(1))
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(200 * time.Microsecond) {
+			if st := r.srv.Stats(); st.Forwarded == fanReceivers {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("forwarded %d of %d", st.Forwarded, fanReceivers)
+			}
+		}
+		if !r.srv.Quiesce(5 * time.Second) {
+			t.Fatal("pipeline did not drain")
+		}
+		committed, dropped := tr.Totals()
+		if committed != 1 || dropped != 0 {
+			t.Fatalf("tracer committed %d and dropped %d records for one broadcast, want 1 and 0", committed, dropped)
+		}
+		// (Not rec.Complete(): the clock was parked at 0 through ingest.)
+		if rec := tr.Records()[0]; rec.Src != 1 || rec.Relay != 2 || rec.Enqueue == 0 || rec.Send == 0 {
+			t.Fatalf("trace record %+v, want one from VMN 1 that fired and left for VMN 2", rec)
+		}
+	})
+}
+
+// Closing a server whose schedules still hold fans abandons every
+// receiver of every entry: the ledger closes and each delivery's buffer
+// reference goes back to the pool.
+func TestCloseWithFansScheduledClosesLedger(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		r := newFanRig(t, shards, uniformModel(2*time.Millisecond), nil)
+		const packets = 8
+		r.broadcast(t, packets)
+		if live := r.pool.Live(); live != packets {
+			t.Fatalf("%d pooled buffers live with %d packets scheduled", live, packets)
+		}
+		r.stop()
+		st := r.srv.Stats()
+		if st.Entered != packets*fanReceivers || st.Entered != st.Forwarded+st.QueueDrops+st.Abandoned {
+			t.Fatalf("ledger: entered %d != forwarded %d + queueDrops %d + abandoned %d",
+				st.Entered, st.Forwarded, st.QueueDrops, st.Abandoned)
+		}
+		if st.Abandoned != st.Entered || st.Scheduled != 0 {
+			t.Fatalf("abandoned %d of %d with %d still scheduled: the clock never moved", st.Abandoned, st.Entered, st.Scheduled)
+		}
+		if live := r.pool.Live(); live != 0 {
+			t.Fatalf("%d pooled buffers still live after Close", live)
+		}
+	})
+}
+
+// A sampled packet whose first kept target lives on another peer gives
+// its trace slot back exactly once, and the local remainder travels on
+// untraced and in order.
+func TestRouteRemoteReleasesTraceOfRemoteFirstTarget(t *testing.T) {
+	clk := vclock.NewManual(0)
+	sc := scene.New(radio.NewIndexed(16), clk, 1)
+	tr := obs.NewTracer(0, 0)
+	down := func() (transport.Conn, error) { return nil, transport.ErrClosed }
+	srv, err := NewServer(ServerConfig{
+		Clock: clk, Scene: sc, Tracer: tr, Shards: 1,
+		Peers: []PeerSpec{{Addr: "self"}, {Addr: "peer", Dial: down}}, ClusterID: "route-test",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	remoteA := ownedID(t, 1, 2, 1)
+	remoteB := ownedID(t, 1, 2, remoteA+1)
+	localA := ownedID(t, 0, 2, 1)
+	localB := ownedID(t, 0, 2, localA+1)
+	due := vclock.FromMillis(3)
+	targets := []sched.Target{{To: remoteA, Due: due}, {To: localA, Due: due}, {To: remoteB, Due: due + 1}, {To: localB, Due: due + 2}}
+
+	th := tr.Begin(obs.TraceRecord{Src: 9})
+	if th == 0 {
+		t.Fatal("no trace slot")
+	}
+	local, trace := srv.cluster.routeRemote(&session{}, wire.Packet{Seq: 1}, th, targets)
+	if trace != 0 {
+		t.Errorf("trace handle %d survives a remote first target", trace)
+	}
+	if _, dropped := tr.Totals(); dropped != 1 {
+		t.Errorf("trace slot released %d times, want once", dropped)
+	}
+	if len(local) != 2 || local[0] != (sched.Target{To: localA, Due: due}) || local[1] != (sched.Target{To: localB, Due: due + 2}) {
+		t.Errorf("local targets %+v", local)
+	}
+	if cs := srv.Cluster(); cs.RemoteEntries+cs.TrunkDropped != 2 {
+		t.Errorf("remote entries %d + trunk dropped %d, want 2 in all", cs.RemoteEntries, cs.TrunkDropped)
+	}
+
+	// A local first target keeps the handle, remote receivers or not.
+	th = tr.Begin(obs.TraceRecord{Src: 9})
+	targets = []sched.Target{{To: localA, Due: due}, {To: remoteA, Due: due}}
+	if local, trace = srv.cluster.routeRemote(&session{}, wire.Packet{Seq: 2}, th, targets); trace != th || len(local) != 1 {
+		t.Errorf("local first target: trace %d (want %d), local %+v", trace, th, local)
+	}
+	if _, dropped := tr.Totals(); dropped != 1 {
+		t.Errorf("a local first target released the slot: dropped %d", dropped)
+	}
+	tr.Release(th)
+}

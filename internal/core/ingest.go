@@ -164,44 +164,34 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			s.pruneChanFreeLocked(now, pkt.Channel)
 		}
 		s.chanMu.Unlock()
-		items := sess.items[:0]
-		for i, k := range kept {
+		targets := sess.targets[:0]
+		for _, k := range kept {
 			due := txEnd.Add(k.delay)
 			if due < now {
 				due = now
 			}
-			it := sched.Item{Due: due, To: k.to, Pkt: pkt}
-			if i == 0 {
-				it.Trace = th // one target completes the record
-			}
-			items = append(items, it)
+			targets = append(targets, sched.Target{To: k.to, Due: due})
 		}
-		sess.items = items
-		s.pushItems(sess, items)
+		sess.targets = targets
+		s.pushItems(sess, pkt, th, targets)
 		if sampled {
 			s.hIngest.Observe(time.Since(obsStart))
 		}
 		return
 	}
-	items := sess.items[:0]
-	for i, k := range kept {
+	targets := sess.targets[:0]
+	for _, k := range kept {
 		// The paper's base formula: t_forward = t_receipt + delay +
 		// size/bandwidth, per destination, independently.
 		due := pkt.Stamp.Add(k.delay + k.tx)
 		if due < now {
 			due = now // cannot ship into the past
 		}
-		// Step 4: into the destination shard's schedule. A broadcast's
-		// trace handle rides only the first kept target, so exactly one
-		// delivery commits it.
-		it := sched.Item{Due: due, To: k.to, Pkt: pkt}
-		if i == 0 {
-			it.Trace = th
-		}
-		items = append(items, it)
+		targets = append(targets, sched.Target{To: k.to, Due: due})
 	}
-	sess.items = items
-	s.pushItems(sess, items)
+	sess.targets = targets
+	// Step 4: into the destination shards' schedules.
+	s.pushItems(sess, pkt, th, targets)
 	if sampled {
 		s.hIngest.Observe(time.Since(obsStart))
 	}
@@ -211,67 +201,53 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 // destination shards — and, on a federated server, first splits off the
 // deliveries whose target VMN is owned by a remote peer: those leave on
 // the cluster trunks (cluster.routeRemote) and only the locally-owned
-// remainder goes through the shard grouping. Runs on the session's
-// reader goroutine; the grouping scratch lives on the session (same
-// confinement as kept).
-func (s *Server) pushItems(sess *session, items []sched.Item) {
+// remainder is listed here. The trace handle rides targets[0], so
+// exactly one delivery of a broadcast commits it.
+//
+// Targets that share a shard are gathered so each shard's schedule lock
+// is taken — and its scanner kicked — at most once per packet instead of
+// once per target (§3.2 step 4 under fan-out: a broadcast that kept k
+// survivors costs one lock cycle per distinct destination shard). The
+// order within targets is preserved inside every group, so
+// per-destination FIFO is exactly what sequential pushes produced. Runs
+// on the session's reader goroutine; the grouping scratch lives on the
+// session (same confinement as kept).
+func (s *Server) pushItems(sess *session, pkt wire.Packet, trace uint32, targets []sched.Target) {
 	if cl := s.cluster; cl != nil {
-		items = cl.routeRemote(sess, items)
+		targets, trace = cl.routeRemote(sess, pkt, trace, targets)
 	}
-	s.pushGrouped(items, &sess.shardIdx, &sess.group)
-	for i := range items {
-		items[i] = sched.Item{}
-	}
-}
-
-// pushGrouped is the shard-coalescing push: targets that share a shard
-// are gathered so each shard's schedule lock is taken — and its scanner
-// kicked — at most once per call instead of once per target (§3.2 step
-// 4 under fan-out: a broadcast that kept k survivors used to cost k
-// lock cycles; now it costs one per distinct destination shard). The
-// order within items is preserved inside every group, so
-// per-destination FIFO is exactly what sequential pushes produced.
-// idxsp/groupp are the caller's reusable scratch (a session's, or a
-// trunk ingress connection's).
-func (s *Server) pushGrouped(items []sched.Item, idxsp *[]int32, groupp *[]sched.Item) {
-	n := len(items)
+	n := len(targets)
 	switch {
 	case n == 0:
 		return
-	case n == 1:
-		s.shardOf(items[0].To).push(items[0])
-	case len(s.shards) == 1:
-		s.shards[0].pushBatch(items)
+	case n == 1 || len(s.shards) == 1:
+		s.shardOf(targets[0].To).pushFan(pkt, trace, targets)
 	default:
 		// Group by destination shard with a mark-consumed sweep: for each
-		// unclaimed item, gather every later item on the same shard (in
-		// order) and hand the group over in one pushBatch. O(n·shards)
-		// worst case with n bounded by the scene's neighbor count.
-		idxs := (*idxsp)[:0]
-		for i := range items {
-			idxs = append(idxs, int32(ShardIndex(items[i].To, len(s.shards))))
+		// unclaimed target, gather every later target on the same shard (in
+		// order) and hand the group over in one pushFan. O(n·shards) worst
+		// case with n bounded by the scene's neighbor count. The sweep that
+		// does the same for a trunk batch's items is cluster.pushTrunkItems.
+		idxs := sess.shardIdx[:0]
+		for i := range targets {
+			idxs = append(idxs, int32(ShardIndex(targets[i].To, len(s.shards))))
 		}
-		*idxsp = idxs
+		sess.shardIdx = idxs
 		for i := 0; i < n; i++ {
 			sh := idxs[i]
 			if sh < 0 {
 				continue
 			}
-			group := append((*groupp)[:0], items[i])
+			group := append(sess.group[:0], targets[i])
 			for j := i + 1; j < n; j++ {
 				if idxs[j] == sh {
-					group = append(group, items[j])
+					group = append(group, targets[j])
 					idxs[j] = -1
 				}
 			}
-			*groupp = group
-			s.shards[sh].pushBatch(group)
-		}
-		// The schedule owns copies now; drop the group scratch's packet
-		// references so a pooled buffer freed after delivery is not kept
-		// reachable by this caller's idle scratch.
-		for i := range *groupp {
-			(*groupp)[i] = sched.Item{}
+			sess.group = group
+			s.shards[sh].pushFan(pkt, trace, group)
+			trace = 0 // rode targets[0], which the first group contains
 		}
 	}
 }

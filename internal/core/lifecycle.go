@@ -255,8 +255,9 @@ func (s *Server) SetDeliverHook(fn func(sched.Item)) {
 
 // Quiesce blocks until the forwarding pipeline has drained — no items
 // in any shard's schedule (including one mid-dispatch) and no entries
-// in any session's send queue (including one mid-send) — and reports
-// whether that state was reached within timeout. It does not pause
+// in any session's send queue (including one mid-send, and including
+// the last batch of a session that has already disconnected) — and
+// reports whether that state was reached within timeout. It does not pause
 // ingest: callers quiesce after their traffic sources have stopped. The
 // fan-in is a fixpoint poll, one shard at a time: a single pass that
 // sees every shard empty can still race a cross-shard push, but only

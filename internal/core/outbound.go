@@ -235,14 +235,15 @@ func (q *sendQueue) pop(stop <-chan struct{}) (m outMsg, ok bool) {
 	}
 }
 
-// popBatch blocks for at least one entry, then drains up to cap(batch)
-// entries into batch without releasing the lock between them. The
-// entries count as in flight until done(n) settles them. ok is false
-// once the queue is closed or stop closes. Batching is what turns the
-// writer's per-packet syscall into one writev per burst: under fan-out
-// the queue holds several deliveries by the time the writer wakes, and
-// popping them together costs one lock acquisition instead of n.
-func (q *sendQueue) popBatch(stop <-chan struct{}, batch []outMsg) (_ []outMsg, ok bool) {
+// popBatch blocks for at least one entry, then drains up to max entries
+// into batch (reusing its storage, growing it as needed) without
+// releasing the lock between them. The entries count as in flight until
+// done(n) settles them. ok is false once the queue is closed or stop
+// closes. Batching is what turns the writer's per-packet syscall into
+// one writev per burst: under fan-out the queue holds several deliveries
+// by the time the writer wakes, and popping them together costs one lock
+// acquisition instead of n.
+func (q *sendQueue) popBatch(stop <-chan struct{}, batch []outMsg, max int) (_ []outMsg, ok bool) {
 	for {
 		q.mu.Lock()
 		if q.closed {
@@ -251,7 +252,7 @@ func (q *sendQueue) popBatch(stop <-chan struct{}, batch []outMsg) (_ []outMsg, 
 		}
 		if q.n > 0 {
 			batch = batch[:0]
-			for q.n > 0 && len(batch) < cap(batch) {
+			for q.n > 0 && len(batch) < max {
 				batch = append(batch, q.buf[q.head])
 				q.buf[q.head] = outMsg{}
 				q.head = (q.head + 1) % len(q.buf)

@@ -41,18 +41,25 @@ type session struct {
 	stop     chan struct{} // closed when the session ends
 	stopOnce sync.Once
 
+	// writerLive is set before the writer goroutine starts and cleared
+	// when it exits; reaped records that the session left the shard map
+	// while it was set. Both are guarded by the owning shard's mu (see
+	// shard.settling).
+	writerLive bool
+	reaped     bool
+
 	// kept is ingest's scratch buffer for the surviving targets of one
 	// packet, reused across packets so the steady-state forwarding path
 	// performs no per-packet allocation. Only the session's own reader
 	// goroutine touches it.
 	kept []keptTarget
-	// items, group and shardIdx are ingest's scratch for coalescing one
-	// packet's scheduled deliveries into per-destination-shard batches
-	// (pushItems): items collects the built schedule entries, shardIdx
-	// their shard assignments, group the slice handed to one shard.
-	// Same reader-goroutine confinement as kept.
-	items    []sched.Item
-	group    []sched.Item
+	// targets, group and shardIdx are ingest's scratch for coalescing one
+	// packet's scheduled deliveries into per-destination-shard fans
+	// (pushItems): targets collects who hears the packet and when,
+	// shardIdx their shard assignments, group the slice handed to one
+	// shard. Same reader-goroutine confinement as kept.
+	targets  []sched.Target
+	group    []sched.Target
 	shardIdx []int32
 	// wmsgs is the writer's scratch for assembling one flush batch into
 	// wire messages (writeBatch). Only the session's writer goroutine
@@ -68,7 +75,7 @@ type session struct {
 	obsTick uint32
 
 	// peerIdx is the federation routing scratch: one owning-peer index
-	// per item of a packet's delivery list (cluster.routeRemote). Same
+	// per target of a packet's delivery list (cluster.routeRemote). Same
 	// reader-goroutine confinement as kept; unused on unclustered
 	// servers.
 	peerIdx []int32
@@ -225,6 +232,9 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 		return nil, errors.New("core: server closed")
 	}
 	s.wg.Add(1)
+	sh.mu.Lock()
+	sess.writerLive = true
+	sh.mu.Unlock()
 	go s.sessionWriter(sess)
 	s.mu.Unlock()
 	// Tell the client its current radio set, through the queue so a

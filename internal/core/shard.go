@@ -23,6 +23,7 @@ import (
 	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
 	"repro/internal/sched"
+	"repro/internal/wire"
 	"sync"
 )
 
@@ -53,6 +54,11 @@ type shard struct {
 	// aggregators visit shards one lock at a time (see lifecycle.go).
 	mu       sync.RWMutex
 	sessions map[radio.NodeID]*session
+	// settling counts sessions reaped from the map whose writer has not
+	// exited yet: it may still be accounting a batch it popped before the
+	// session ended, and Quiesce must wait for that as it waits for a
+	// registered session's queue. Guarded by mu.
+	settling int
 
 	// entered is this shard's slice of poem_schedule_entries_total,
 	// registered as poem_shard_entries_total{shard="i"}.
@@ -91,33 +97,34 @@ func (sh *shard) clients() int {
 	return n
 }
 
-// push lists one delivery into this shard's schedule, maintaining both
-// the global conservation ledger and the shard's own entry counter.
-func (sh *shard) push(it sched.Item) {
-	sh.entered.Inc()
-	sh.srv.mEntered.Inc()
-	sh.scanner.Push(it)
+// pushFan lists one packet's deliveries to sessions on this shard in one
+// schedule-lock acquisition (and at most one scanner kick), maintaining
+// both the global conservation ledger and the shard's own entry counter,
+// which count deliveries: one per target. Order within targets is
+// preserved, so per-destination FIFO is untouched.
+func (sh *shard) pushFan(pkt wire.Packet, trace uint32, targets []sched.Target) {
+	sh.entered.Add(uint64(len(targets)))
+	sh.srv.mEntered.Add(uint64(len(targets)))
+	sh.scanner.PushFan(pkt, trace, targets)
 }
 
-// pushBatch lists several deliveries for sessions on this shard in one
-// schedule-lock acquisition (and at most one scanner kick) — the fan-out
-// fast path: a broadcast whose survivors share a destination shard costs
-// one lock cycle instead of one per target. Order within items is
-// preserved, so per-destination FIFO is untouched.
+// pushBatch is pushFan for deliveries that are each their own packet:
+// what arrives in a trunk batch.
 func (sh *shard) pushBatch(items []sched.Item) {
-	if len(items) == 0 {
-		return
-	}
 	sh.entered.Add(uint64(len(items)))
 	sh.srv.mEntered.Add(uint64(len(items)))
 	sh.scanner.PushBatch(items)
 }
 
 // queuesDrained reports whether every session on this shard has an
-// empty send queue (including in-flight pops — see sendQueue.depth).
+// empty send queue (including in-flight pops — see sendQueue.depth) and
+// no reaped session's writer is still settling one.
 func (sh *shard) queuesDrained() bool {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	if sh.settling != 0 {
+		return false
+	}
 	for _, sess := range sh.sessions {
 		if sess.q.depth() != 0 {
 			return false
@@ -128,11 +135,27 @@ func (sh *shard) queuesDrained() bool {
 
 // reap removes the session from the registry if the slot is still
 // bound to it — a reconnected successor must never be evicted by its
-// predecessor's cleanup.
+// predecessor's cleanup. A writer still running stays visible to
+// queuesDrained through settling until writerExited clears it.
 func (sh *shard) reap(sess *session) {
 	sh.mu.Lock()
 	if sh.sessions[sess.id] == sess {
 		delete(sh.sessions, sess.id)
+		if sess.writerLive {
+			sess.reaped = true
+			sh.settling++
+		}
+	}
+	sh.mu.Unlock()
+}
+
+// writerExited records that sess's writer has accounted everything it
+// ever popped.
+func (sh *shard) writerExited(sess *session) {
+	sh.mu.Lock()
+	sess.writerLive = false
+	if sess.reaped {
+		sh.settling--
 	}
 	sh.mu.Unlock()
 }

@@ -86,17 +86,21 @@ func TestPushItemsGroupsByShardPreservingOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	due := vclock.FromMillis(5)
-	var items []sched.Item
+	var items []sched.Target
 	for id := radio.NodeID(1); id <= 32; id++ {
-		items = append(items, sched.Item{Due: due, To: id})
+		items = append(items, sched.Target{To: id, Due: due})
 	}
 	sess := &session{}
-	sess.items = append(sess.items, items...)
-	srv.pushItems(sess, sess.items)
+	sess.targets = append(sess.targets, items...)
+	srv.pushItems(sess, wire.Packet{Seq: 7}, 5, sess.targets)
 
 	if got := srv.mEntered.Load(); got != uint64(len(items)) {
 		t.Errorf("mEntered = %d, want %d", got, len(items))
 	}
+	if got := srv.Stats().Scheduled; got != len(items) {
+		t.Errorf("Scheduled = %d, want %d: the schedule depth counts deliveries", got, len(items))
+	}
+	traced := 0
 	for si, sh := range srv.shards {
 		var want []radio.NodeID
 		for _, it := range items {
@@ -105,7 +109,15 @@ func TestPushItemsGroupsByShardPreservingOrder(t *testing.T) {
 			}
 		}
 		var got []radio.NodeID
-		sh.scanner.Drain(func(it sched.Item) { got = append(got, it.To) })
+		sh.scanner.Drain(func(it sched.Item) {
+			got = append(got, it.To)
+			if it.Trace != 0 {
+				traced++
+				if it.Trace != 5 || it.To != items[0].To {
+					t.Errorf("trace %d rides receiver %d, want 5 on %d", it.Trace, it.To, items[0].To)
+				}
+			}
+		})
 		if len(got) != len(want) {
 			t.Fatalf("shard %d drained %v, want %v", si, got, want)
 		}
@@ -121,22 +133,18 @@ func TestPushItemsGroupsByShardPreservingOrder(t *testing.T) {
 			t.Errorf("shard %d took %d push locks for one packet, want 1", si, st.PushLocks)
 		}
 	}
-	// The scratch must not keep packet references once the schedule owns
-	// the copies.
-	for i, it := range sess.items {
-		if it.To != 0 || it.Due != 0 || it.Pkt.Buf != nil {
-			t.Fatalf("scratch item %d not cleared: %+v", i, it)
-		}
+	if traced != 1 {
+		t.Errorf("%d deliveries carried the trace handle, want 1", traced)
 	}
 
 	// The single-target fast path still routes and counts correctly.
-	sess.items = append(sess.items[:0], sched.Item{Due: due, To: 9})
-	srv.pushItems(sess, sess.items)
+	sess.targets = append(sess.targets[:0], sched.Target{To: 9, Due: due})
+	srv.pushItems(sess, wire.Packet{Seq: 8}, 0, sess.targets)
 	sh := srv.shardOf(9)
 	fired := 0
 	sh.scanner.Drain(func(it sched.Item) {
 		fired++
-		if it.To != 9 {
+		if it.To != 9 || it.Pkt.Seq != 8 {
 			t.Errorf("single push routed to wrong item %+v", it)
 		}
 	})

@@ -447,10 +447,13 @@ func (s *Scene) Node(id radio.NodeID) (radio.Node, bool) {
 	return s.tab.Node(id)
 }
 
-// HasNode reports whether id exists.
+// HasNode reports whether id exists. It answers from the id set: Node
+// copies the node and its radios, which every registration paid just to
+// hear yes.
 func (s *Scene) HasNode(id radio.NodeID) bool {
-	_, ok := s.Node(id)
-	return ok
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ids[id]
 }
 
 // ModelFor returns the link model governing channel ch.

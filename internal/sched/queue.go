@@ -5,11 +5,15 @@
 // the emulation clock reaches each departure.
 //
 // The schedule is one binary heap (HeapQueue) delivering items in
-// (Due, push-order) sequence. It won the A1 measurement against an
-// insertion-sorted list and a timing wheel at every schedule depth the
-// benchmark reaches (EXPERIMENTS.md); the list survives in
-// queue_test.go as the oracle the heap's property tests compare
-// against.
+// (Due, push-order) sequence. Its unit is a transmission, not a
+// delivery: a heap entry holds the packet once and the run of receivers
+// that hear it at the same instant, so a broadcast to 36 neighbours is
+// one sift up and one sift down instead of 36 of each, and the pop side
+// turns entries back into one Item per receiver. The heap won the A1
+// measurement against an insertion-sorted list and a timing wheel at
+// every schedule depth the benchmark reaches (EXPERIMENTS.md); the list
+// survives in queue_test.go as the oracle the heap's property tests
+// compare against.
 package sched
 
 import (
@@ -19,7 +23,8 @@ import (
 )
 
 // Item is one scheduled departure: forward packet Pkt to client To at
-// emulation time Due.
+// emulation time Due. It is what goes into Push and what every pop
+// yields, one per receiver.
 type Item struct {
 	Due vclock.Time
 	To  radio.NodeID
@@ -29,31 +34,63 @@ type Item struct {
 	// schedule (0 = untraced). A broadcast attaches it only to the first
 	// scheduled target, so exactly one delivery completes the record.
 	Trace uint32
+}
 
-	seq uint64 // assigned by the queue; stabilizes equal-Due ordering
+// Target is one receiver of a transmission listed with PushFan: who
+// hears the packet, and when.
+type Target struct {
+	To  radio.NodeID
+	Due vclock.Time
+}
+
+// entry is the heap's element: one packet due at one instant for a run
+// of receivers. to is the first receiver; a run longer than one keeps the
+// others behind rest, so a transmission to one receiver is no larger
+// than the packet, its due time and its sequence number.
+type entry struct {
+	due   vclock.Time
+	seq   uint64 // assigned by the queue; stabilizes equal-due ordering
+	pkt   wire.Packet
+	trace uint32 // rides the first receiver only
+	to    radio.NodeID
+	rest  *fanRest
+}
+
+// fanRest is the rest of a fan: the receivers after the first, in fire
+// order, and how many of the fan's receivers have been popped. The
+// cursor lives here, not in the caller, because a pop may stop mid-run
+// (the batch buffer filled) and what is left must wait its turn behind
+// anything earlier that was pushed in between.
+type fanRest struct {
+	to  []radio.NodeID
+	cur int
 }
 
 // HeapQueue is the time-ordered schedule: a binary min-heap on
-// (Due, seq). It is not safe for concurrent use; the Scanner serializes
-// access. The sift loops are hand-rolled over []Item rather than going
+// (due, seq). It is not safe for concurrent use; the Scanner serializes
+// access. The sift loops are hand-rolled over []entry rather than going
 // through container/heap: the standard interface passes elements as
-// interface{} values, which boxes a ~100-byte Item onto the heap on
+// interface{} values, which boxes an 88-byte entry onto the heap on
 // every Push *and* every Pop — two allocations per scheduled packet on
-// the hottest path the server has. The manual version moves Items in
+// the hottest path the server has. The manual version moves entries in
 // place and allocates only when the backing slice grows.
 type HeapQueue struct {
-	h    []Item
+	h    []entry
 	next uint64
+	n    int // receivers not yet popped, over all entries
+	// spare holds the fanRests of exhausted entries for the next fan, so
+	// a steady stream of broadcasts allocates nothing.
+	spare []*fanRest
 }
 
 // NewHeap returns an empty HeapQueue.
 func NewHeap() *HeapQueue { return &HeapQueue{} }
 
-// less orders the heap by (Due, seq): due time first, push order as the
+// less orders the heap by (due, seq): due time first, push order as the
 // tie-break so equal departures fire in FIFO order.
 func (q *HeapQueue) less(i, j int) bool {
-	if q.h[i].Due != q.h[j].Due {
-		return q.h[i].Due < q.h[j].Due
+	if q.h[i].due != q.h[j].due {
+		return q.h[i].due < q.h[j].due
 	}
 	return q.h[i].seq < q.h[j].seq
 }
@@ -87,27 +124,84 @@ func (q *HeapQueue) siftDown(i int) {
 	}
 }
 
-// Push inserts an item.
-func (q *HeapQueue) Push(it Item) {
-	it.seq = q.next
+// add places a transmission of pkt to n receivers — to first, then rest
+// — under the next sequence number. The entry is built in its slot: a
+// by-value helper would copy the packet twice more per push.
+func (q *HeapQueue) add(due vclock.Time, pkt *wire.Packet, trace uint32, to radio.NodeID, rest *fanRest, n int) {
+	q.h = append(q.h, entry{due: due, seq: q.next, pkt: *pkt, trace: trace, to: to, rest: rest})
 	q.next++
-	q.h = append(q.h, it)
+	q.n += n
 	q.siftUp(len(q.h) - 1)
 }
 
-// PopDue removes and returns the earliest item whose Due ≤ now.
-func (q *HeapQueue) PopDue(now vclock.Time) (Item, bool) {
-	if len(q.h) == 0 || q.h[0].Due > now {
-		return Item{}, false
+// Push inserts an item: a transmission with one receiver.
+func (q *HeapQueue) Push(it Item) {
+	q.add(it.Due, &it.Pkt, it.Trace, it.To, nil, 1)
+}
+
+// PushFan lists one packet for every target, indistinguishable from
+// len(targets) Push calls in slice order. Each maximal run of
+// consecutive targets with the same Due becomes one entry; a target
+// whose Due differs from its predecessor's starts the next. Targets are
+// never sorted or regrouped: among equal dues that would change the
+// fire order sequential pushes produce. trace rides targets[0].
+func (q *HeapQueue) PushFan(pkt wire.Packet, trace uint32, targets []Target) {
+	for i := 0; i < len(targets); {
+		due := targets[i].Due
+		j := i + 1
+		for j < len(targets) && targets[j].Due == due {
+			j++
+		}
+		var rest *fanRest
+		if j > i+1 {
+			if k := len(q.spare); k > 0 {
+				rest, q.spare = q.spare[k-1], q.spare[:k-1]
+			} else {
+				rest = new(fanRest)
+			}
+			for _, t := range targets[i+1 : j] {
+				rest.to = append(rest.to, t.To)
+			}
+		}
+		q.add(due, &pkt, trace, targets[i].To, rest, j-i)
+		trace = 0 // rode targets[0]
+		i = j
 	}
-	it := q.h[0]
+}
+
+// popRoot yields the next receiver of the due root entry and retires
+// the entry with its last one.
+func (q *HeapQueue) popRoot(it *Item) {
+	e := &q.h[0]
+	it.Due, it.Pkt, it.To, it.Trace = e.due, e.pkt, e.to, e.trace
+	q.n--
+	if r := e.rest; r != nil {
+		if r.cur > 0 {
+			it.To, it.Trace = r.to[r.cur-1], 0
+		}
+		r.cur++
+		if r.cur <= len(r.to) {
+			return
+		}
+		r.to, r.cur = r.to[:0], 0
+		q.spare = append(q.spare, r)
+	}
 	n := len(q.h) - 1
 	q.h[0] = q.h[n]
-	q.h[n] = Item{} // release payload memory
+	q.h[n] = entry{} // release payload memory
 	q.h = q.h[:n]
 	if n > 0 {
 		q.siftDown(0)
 	}
+}
+
+// PopDue removes and returns the earliest item whose Due ≤ now.
+func (q *HeapQueue) PopDue(now vclock.Time) (Item, bool) {
+	if len(q.h) == 0 || q.h[0].due > now {
+		return Item{}, false
+	}
+	var it Item
+	q.popRoot(&it)
 	return it, true
 }
 
@@ -115,17 +209,13 @@ func (q *HeapQueue) PopDue(now vclock.Time) (Item, bool) {
 // many it wrote. The sequence written is exactly what repeated PopDue
 // calls would have yielded — (Due, seq) order preserved — so the batch
 // scanner drains a burst in one lock acquisition without changing fire
-// order. Each pop is one sift-down; there is no cheaper bulk extraction
-// from a binary heap, so the batch win is purely the caller's — one
-// lock cycle for the whole run of due items.
+// order. A run of receivers that does not fit stays at the root with its
+// cursor advanced; the next call resumes it unless something earlier was
+// pushed meanwhile.
 func (q *HeapQueue) PopDueBatch(now vclock.Time, buf []Item) int {
 	n := 0
-	for n < len(buf) {
-		it, ok := q.PopDue(now)
-		if !ok {
-			break
-		}
-		buf[n] = it
+	for n < len(buf) && len(q.h) > 0 && q.h[0].due <= now {
+		q.popRoot(&buf[n])
 		n++
 	}
 	return n
@@ -136,8 +226,8 @@ func (q *HeapQueue) NextDue() (vclock.Time, bool) {
 	if len(q.h) == 0 {
 		return 0, false
 	}
-	return q.h[0].Due, true
+	return q.h[0].due, true
 }
 
-// Len returns the number of queued items.
-func (q *HeapQueue) Len() int { return len(q.h) }
+// Len returns the number of queued items: deliveries, not entries.
+func (q *HeapQueue) Len() int { return q.n }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/radio"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -31,9 +32,12 @@ func queues() map[string]func() queue {
 // (Due, seq), the "queues for schedules" of the paper's preliminary
 // implementation (§5). Its order is correct by construction — a binary
 // search places each push, the due items are always a prefix — so the
-// heap's PopDue/PopDueBatch are checked against it item for item.
+// heap's PopDue/PopDueBatch are checked against it item for item. It
+// knows nothing of fans: a PushFan is checked against the sequential
+// pushes it must be indistinguishable from.
 type ListQueue struct {
 	items []Item
+	seqs  []uint64 // seqs[i] is items[i]'s push order
 	head  int
 	next  uint64
 }
@@ -41,18 +45,21 @@ type ListQueue struct {
 func NewList() *ListQueue { return &ListQueue{} }
 
 func (q *ListQueue) Push(it Item) {
-	it.seq = q.next
+	seq := q.next
 	q.next++
-	live := q.items[q.head:]
+	live, seqs := q.items[q.head:], q.seqs[q.head:]
 	i := sort.Search(len(live), func(i int) bool {
 		if live[i].Due != it.Due {
 			return live[i].Due > it.Due
 		}
-		return live[i].seq > it.seq
+		return seqs[i] > seq
 	})
 	q.items = append(q.items, Item{})
 	copy(q.items[q.head+i+1:], q.items[q.head+i:])
 	q.items[q.head+i] = it
+	q.seqs = append(q.seqs, 0)
+	copy(q.seqs[q.head+i+1:], q.seqs[q.head+i:])
+	q.seqs[q.head+i] = seq
 }
 
 func (q *ListQueue) PopDue(now vclock.Time) (Item, bool) {
@@ -95,6 +102,7 @@ func (q *ListQueue) maybeCompact() {
 			q.items[i] = Item{}
 		}
 		q.items = q.items[:n]
+		q.seqs = q.seqs[:copy(q.seqs, q.seqs[q.head:])]
 		q.head = 0
 	}
 }
@@ -393,5 +401,269 @@ func TestQueueOrderingInvariantQuick(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// fanTargets draws one PushFan's targets in one of the three due shapes
+// a link model produces: every receiver at one instant (constant delay,
+// a serialized channel), every receiver at its own (distance-dependent
+// delay), or A B A (rate rings). Dues may lie before now, so a push can
+// become the new root under a half-popped fan.
+func fanTargets(rng *rand.Rand, now vclock.Time, to *uint32) []Target {
+	due := func() vclock.Time { return now + vclock.FromMillis(int64(rng.Intn(60)-10)) }
+	n := 1 + rng.Intn(40)
+	shape := rng.Intn(3)
+	a, b := due(), due()
+	targets := make([]Target, n)
+	for i := range targets {
+		*to++
+		targets[i].To = radio.NodeID(*to)
+		switch shape {
+		case 0:
+			targets[i].Due = a
+		case 1:
+			targets[i].Due = a + vclock.Time(i)
+		default:
+			targets[i].Due = a
+			if i >= n/3 && i < 2*n/3 {
+				targets[i].Due = b
+			}
+		}
+	}
+	return targets
+}
+
+func sameItem(a, b Item) bool {
+	return a.Due == b.Due && a.To == b.To && a.Pkt.Seq == b.Pkt.Seq && a.Trace == b.Trace
+}
+
+// Property: whatever mix of Push, PushBatch and PushFan fills the
+// schedule and however the pops are sized, the heap yields the
+// (Due, To, Pkt.Seq, Trace) sequence the oracle yields for the
+// equivalent sequential pushes, and counts the same deliveries at every
+// step. Pops are single calls, not drains, so pushes land between the
+// two halves of a fan the buffer cut.
+func TestPushFanMatchesSequentialPushes(t *testing.T) {
+	for _, seed := range []int64{5, 6, 7} {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScanner(vclock.NewManual(0), func(Item) {}) // never started: s.q is ours
+		ref := NewList()
+		now := vclock.Time(0)
+		var to uint32
+		got, want := make([]Item, 256), make([]Item, 256)
+		sizes := []int{1, 3, 256}
+		item := func(step int) Item {
+			to++
+			return Item{Due: now + vclock.FromMillis(int64(rng.Intn(60)-10)), To: radio.NodeID(to),
+				Pkt: wire.Packet{Seq: uint32(step)}, Trace: uint32(rng.Intn(2) * step)}
+		}
+		for step := 1; step <= 6000; step++ {
+			switch op := rng.Intn(8); {
+			case op == 0:
+				it := item(step)
+				s.Push(it)
+				ref.Push(it)
+			case op == 1:
+				items := make([]Item, 1+rng.Intn(5))
+				for i := range items {
+					items[i] = item(step)
+					ref.Push(items[i])
+				}
+				s.PushBatch(items)
+			case op <= 3:
+				pkt, trace := wire.Packet{Seq: uint32(step)}, uint32(rng.Intn(2)*step)
+				targets := fanTargets(rng, now, &to)
+				s.PushFan(pkt, trace, targets)
+				for i, tg := range targets {
+					it := Item{Due: tg.Due, To: tg.To, Pkt: pkt}
+					if i == 0 {
+						it.Trace = trace
+					}
+					ref.Push(it)
+				}
+			case op == 4:
+				now += vclock.FromMillis(int64(rng.Intn(8)))
+				a, okA := s.q.PopDue(now)
+				b, okB := ref.PopDue(now)
+				if okA != okB || !sameItem(a, b) {
+					t.Fatalf("seed %d step %d: PopDue %+v,%v want %+v,%v", seed, step, a, okA, b, okB)
+				}
+			default:
+				now += vclock.FromMillis(int64(rng.Intn(8)))
+				size := sizes[rng.Intn(len(sizes))]
+				n, m := s.q.PopDueBatch(now, got[:size]), ref.PopDueBatch(now, want[:size])
+				if n != m {
+					t.Fatalf("seed %d step %d: PopDueBatch(%d) wrote %d, want %d", seed, step, size, n, m)
+				}
+				for i := 0; i < n; i++ {
+					if !sameItem(got[i], want[i]) {
+						t.Fatalf("seed %d step %d item %d: %+v want %+v", seed, step, i, got[i], want[i])
+					}
+				}
+			}
+			if s.q.Len() != ref.Len() || s.Pending() != ref.Len() {
+				t.Fatalf("seed %d step %d: Len %d Pending %d, oracle %d", seed, step, s.q.Len(), s.Pending(), ref.Len())
+			}
+			da, okA := s.q.NextDue()
+			db, okB := ref.NextDue()
+			if okA != okB || da != db {
+				t.Fatalf("seed %d step %d: NextDue %v,%v want %v,%v", seed, step, da, okA, db, okB)
+			}
+		}
+		left := ref.Len()
+		if n := s.Drain(func(it Item) {
+			if b, _ := ref.PopDue(vclock.Max); !sameItem(it, b) {
+				t.Fatalf("seed %d drain: %+v want %+v", seed, it, b)
+			}
+		}); n != left || s.q.Len() != 0 || len(s.q.h) != 0 {
+			t.Fatalf("seed %d: drained %d of %d, %d left in %d entries", seed, n, left, s.q.Len(), len(s.q.h))
+		}
+	}
+}
+
+// A fan the batch buffer cut waits at the root with its cursor advanced:
+// a push due earlier overtakes the rest of it, a push due at the same
+// instant queues behind it — what five sequential pushes would have
+// done.
+func TestPushFanCutByBatchBoundary(t *testing.T) {
+	q := NewHeap()
+	due := vclock.FromMillis(10)
+	q.PushFan(wire.Packet{Seq: 1}, 7, []Target{{1, due}, {2, due}, {3, due}, {4, due}, {5, due}})
+	if q.Len() != 5 || len(q.h) != 1 {
+		t.Fatalf("Len %d in %d entries, want 5 in 1", q.Len(), len(q.h))
+	}
+	buf := make([]Item, 3)
+	now := vclock.FromMillis(20)
+	if n := q.PopDueBatch(now, buf); n != 3 || q.Len() != 2 {
+		t.Fatalf("first pop wrote %d, left %d", n, q.Len())
+	}
+	for i, it := range buf {
+		wantTrace := uint32(0)
+		if i == 0 {
+			wantTrace = 7
+		}
+		if it.To != radio.NodeID(i+1) || it.Due != due || it.Pkt.Seq != 1 || it.Trace != wantTrace {
+			t.Fatalf("first pop item %d: %+v", i, it)
+		}
+	}
+	q.Push(Item{Due: due, To: 98, Pkt: wire.Packet{Seq: 2}})
+	q.Push(Item{Due: vclock.FromMillis(5), To: 99, Pkt: wire.Packet{Seq: 3}})
+	if next, _ := q.NextDue(); next != vclock.FromMillis(5) {
+		t.Fatalf("NextDue %v: the earlier push did not become the root", next)
+	}
+	var order []radio.NodeID
+	for {
+		n := q.PopDueBatch(now, buf)
+		if n == 0 {
+			break
+		}
+		for _, it := range buf[:n] {
+			if it.Trace != 0 {
+				t.Errorf("receiver %d carries trace %d again", it.To, it.Trace)
+			}
+			order = append(order, it.To)
+		}
+	}
+	if want := []radio.NodeID{99, 4, 5, 98}; len(order) != len(want) ||
+		order[0] != want[0] || order[1] != want[1] || order[2] != want[2] || order[3] != want[3] {
+		t.Fatalf("fire order %v, want %v", order, want)
+	}
+	if q.Len() != 0 || len(q.h) != 0 {
+		t.Fatalf("Len %d in %d entries after the drain", q.Len(), len(q.h))
+	}
+}
+
+// The trace handle rides targets[0] and nothing else, however many
+// entries the fan's dues split it into.
+func TestPushFanTraceOnFirstReceiverOnly(t *testing.T) {
+	a, b := vclock.FromMillis(10), vclock.FromMillis(5)
+	for name, targets := range map[string][]Target{
+		"one":      {{1, a}},
+		"equal":    {{1, a}, {2, a}, {3, a}},
+		"distinct": {{1, a}, {2, a + 1}, {3, a + 2}},
+		"ABA":      {{1, a}, {2, a}, {3, b}, {4, a}, {5, a}},
+	} {
+		q := NewHeap()
+		q.PushFan(wire.Packet{Seq: 1}, 9, targets)
+		traced := 0
+		for {
+			it, ok := q.PopDue(vclock.Max)
+			if !ok {
+				break
+			}
+			if it.Trace != 0 {
+				traced++
+				if it.Trace != 9 || it.To != targets[0].To {
+					t.Errorf("%s: trace %d on receiver %d", name, it.Trace, it.To)
+				}
+			}
+		}
+		if traced != 1 {
+			t.Errorf("%s: %d items carried the trace, want 1", name, traced)
+		}
+	}
+}
+
+// Drain walks a half-fired fan's cursor: every receiver that did not
+// fire is visited once, none of those that did.
+func TestDrainVisitsUnfiredReceiversOfAFan(t *testing.T) {
+	clk := vclock.NewManual(0)
+	col := newCollect(clk)
+	s := NewScanner(clk, col.dispatch)
+	s.Start()
+	fan := func(first, n int, due vclock.Time) []Target {
+		ts := make([]Target, n)
+		for i := range ts {
+			ts[i] = Target{To: radio.NodeID(first + i), Due: due}
+		}
+		return ts
+	}
+	s.PushFan(wire.Packet{Seq: 1}, 3, fan(1, 10, vclock.FromSeconds(1)))
+	s.PushFan(wire.Packet{Seq: 2}, 4, fan(101, 300, vclock.FromSeconds(2)))
+	clk.Set(vclock.FromSeconds(1))
+	col.waitN(t, 10)
+	if got := s.Pending(); got != 300 {
+		t.Fatalf("Pending %d after the first fan fired, want 300", got)
+	}
+	s.Stop()
+	// The scanner is gone; cut the second fan the way a full batch buffer
+	// would have.
+	buf := make([]Item, 100)
+	if n := s.q.PopDueBatch(vclock.FromSeconds(2), buf); n != 100 || buf[0].Trace != 4 || buf[99].To != 200 {
+		t.Fatalf("cut: wrote %d, first trace %d, last receiver %d", n, buf[0].Trace, buf[99].To)
+	}
+	next := radio.NodeID(201)
+	n := s.Drain(func(it Item) {
+		if it.To != next || it.Pkt.Seq != 2 || it.Trace != 0 {
+			t.Errorf("drained %+v, want receiver %d untraced", it, next)
+		}
+		next++
+	})
+	if n != 200 || s.Pending() != 0 {
+		t.Fatalf("drained %d, %d still pending", n, s.Pending())
+	}
+}
+
+// Once the heap and its spare list have grown, a broadcast allocates
+// nothing: an exhausted entry's receiver slice is the next fan's. The
+// benchmark gate (scripts/check_allocs.sh) counts allocations per fired
+// item and cannot see one per 36; this counts per fan.
+func TestPushFanSteadyStateAllocFree(t *testing.T) {
+	q := NewHeap()
+	targets := make([]Target, 36)
+	buf := make([]Item, DefaultFireBatch)
+	round := func() {
+		for f := 0; f < 64; f++ {
+			for i := range targets {
+				targets[i] = Target{To: radio.NodeID(i + 1), Due: vclock.Time(f % 8)}
+			}
+			q.PushFan(wire.Packet{}, 0, targets)
+		}
+		for q.PopDueBatch(vclock.Max, buf) > 0 {
+		}
+	}
+	round() // grow the heap and fill the spare list
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("%.1f allocations per 64 fans in steady state, want 0", allocs)
 	}
 }

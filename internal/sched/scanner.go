@@ -6,13 +6,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
-// DefaultFireBatch is how many due items the scanner drains from the
-// schedule per lock acquisition. The batch buffer is allocated once at
-// Start (256 × ~100 B ≈ 25 KiB per shard); past a few hundred entries a
-// deeper batch only grows the buffer without amortizing anything
-// further.
+// DefaultFireBatch is how many due items — deliveries, however few heap
+// entries they share — the scanner drains from the schedule per lock
+// acquisition. The batch buffer is allocated once at Start (256 × 80 B =
+// 20 KiB per shard); past a few hundred items a deeper batch only grows
+// the buffer without amortizing anything further.
 const DefaultFireBatch = 256
 
 // scannerAwake is the sleepDue sentinel for "not sleeping": the scanner
@@ -90,7 +91,7 @@ type ScannerStats struct {
 	KicksDelivered uint64 // pushes that woke (or would wake) the scanner
 	KicksElided    uint64 // pushes whose deadline lost to the slept-on one
 	FireLocks      uint64 // scanner-side lock acquisitions (pop + sleep setup)
-	PushLocks      uint64 // producer-side lock acquisitions (Push/PushBatch)
+	PushLocks      uint64 // producer-side lock acquisitions (Push/PushBatch/PushFan)
 }
 
 // NewScanner builds a scanner over an empty schedule. dispatch is
@@ -181,6 +182,26 @@ func (s *Scanner) PushBatch(items []Item) {
 			earliest = items[i].Due
 		}
 	}
+	s.mu.Unlock()
+	s.maybeKick(earliest)
+}
+
+// PushFan schedules one packet for every target under one lock
+// acquisition with at most one wakeup, exactly as len(targets) Push
+// calls in slice order would (HeapQueue.PushFan): the broadcast's push.
+func (s *Scanner) PushFan(pkt wire.Packet, trace uint32, targets []Target) {
+	if len(targets) == 0 {
+		return
+	}
+	earliest := targets[0].Due
+	for _, t := range targets[1:] {
+		if t.Due < earliest {
+			earliest = t.Due
+		}
+	}
+	s.mu.Lock()
+	s.pushLocks.Add(1)
+	s.q.PushFan(pkt, trace, targets)
 	s.mu.Unlock()
 	s.maybeKick(earliest)
 }

@@ -14,28 +14,41 @@ package sched
 // re-record wall-clock figures on a multi-core machine.
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/radio"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 // BenchmarkScannerStorm drives a 4-producer schedule storm through one
 // scanner and reports the accounting the batching is meant to improve:
 // scanner-side lock acquisitions per fired item (fire-locks/item), total
 // lock cycles per item including the producer side (locks/item), mean
-// fire-batch depth, and wakeups per item.
+// fire-batch depth, and wakeups per item. ns/op is per fired item in
+// both legs: fan=1 pushes items one Push at a time, fan=36 pushes
+// broadcasts — one PushFan of 36 equal-due targets, one heap entry — and
+// must allocate nothing once the heap and its spare list have grown
+// (scripts/check_allocs.sh).
 func BenchmarkScannerStorm(b *testing.B) {
+	for _, fan := range []int{1, 36} {
+		b.Run(fmt.Sprintf("fan=%d", fan), func(b *testing.B) { benchScannerStorm(b, fan) })
+	}
+}
+
+func benchScannerStorm(b *testing.B, fan int) {
 	clk := vclock.NewSystem(1000) // 1 ms wall = 1 s emulated
 	var fired atomic.Int64
 	doneAll := make(chan struct{})
-	var once sync.Once
-	total := int64(b.N)
+	pushes := (b.N + fan - 1) / fan
+	total := int64(pushes * fan)
 	s := NewScanner(clk, func(Item) {
 		if fired.Add(1) == total {
-			once.Do(func() { close(doneAll) })
+			close(doneAll)
 		}
 	})
 	s.Start()
@@ -48,11 +61,23 @@ func BenchmarkScannerStorm(b *testing.B) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			targets := make([]Target, fan)
+			for i := range targets {
+				targets[i].To = radio.NodeID(i + 1)
+			}
 			// Deadlines spread over ~64 ms emulated (64 µs wall):
 			// every push lands in a burst that is due by the time
 			// the scanner gets around to it — the storm regime.
-			for i := g; i < b.N; i += pushers {
-				s.Push(Item{Due: clk.Now().Add(time.Duration(i%64) * time.Millisecond)})
+			for i := g; i < pushes; i += pushers {
+				due := clk.Now().Add(time.Duration(i%64) * time.Millisecond)
+				if fan == 1 {
+					s.Push(Item{Due: due})
+					continue
+				}
+				for j := range targets {
+					targets[j].Due = due
+				}
+				s.PushFan(wire.Packet{}, 0, targets)
 			}
 		}(g)
 	}

@@ -251,6 +251,8 @@ func TCPDialer(addr string) Dialer {
 // ---------------------------------------------------------------------------
 // In-process transport
 
+// pipeDepth bounds each direction of an in-process pipe. Ring sizes are
+// powers of two up to it, so slot indices wrap with a mask.
 const pipeDepth = 512
 
 // pipeQueue is one direction of an in-process pipe: a bounded FIFO ring
@@ -260,10 +262,15 @@ const pipeDepth = 512
 // a message slip in after the receiver already drained and reported
 // EOF. That stranded message would read as a leak to the mbuf
 // accounting the chaos harness asserts on.
+//
+// The ring starts empty and doubles on demand up to pipeDepth: most
+// connections of a large scene only ever carry their handshake and clock
+// sync, and two preallocated 512-slot rings were 16 KiB of pointer-typed
+// memory per connection.
 type pipeQueue struct {
 	mu     sync.Mutex
 	cond   sync.Cond
-	ring   [pipeDepth]wire.Msg
+	ring   []wire.Msg
 	head   int // next slot to pop
 	n      int // occupied slots
 	closed bool
@@ -275,8 +282,9 @@ func newPipeQueue() *pipeQueue {
 	return q
 }
 
-// send enqueues m, blocking while the ring is full. It reports false if
-// the pipe closed (before or while blocked); m was not enqueued.
+// send enqueues m, blocking while the ring holds pipeDepth messages. It
+// reports false if the pipe closed (before or while blocked); m was not
+// enqueued.
 func (q *pipeQueue) send(m wire.Msg) bool {
 	q.mu.Lock()
 	for q.n == pipeDepth && !q.closed {
@@ -286,7 +294,18 @@ func (q *pipeQueue) send(m wire.Msg) bool {
 		q.mu.Unlock()
 		return false
 	}
-	q.ring[(q.head+q.n)%pipeDepth] = m
+	if q.n == len(q.ring) {
+		grow := 2 * len(q.ring) // reaches pipeDepth exactly; q.n < pipeDepth here
+		if grow == 0 {
+			grow = 8
+		}
+		ring := make([]wire.Msg, grow)
+		for i := 0; i < q.n; i++ {
+			ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+		}
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = m
 	q.n++
 	q.mu.Unlock()
 	q.cond.Broadcast()
@@ -308,7 +327,7 @@ func (q *pipeQueue) recv() (wire.Msg, bool) {
 	}
 	m := q.ring[q.head]
 	q.ring[q.head] = nil
-	q.head = (q.head + 1) % pipeDepth
+	q.head = (q.head + 1) & (len(q.ring) - 1)
 	q.n--
 	q.mu.Unlock()
 	q.cond.Broadcast()

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -223,6 +225,63 @@ func TestInprocDrainAfterClose(t *testing.T) {
 	if _, err := server.Recv(); err != io.EOF {
 		t.Errorf("after drain: %v, want EOF", err)
 	}
+}
+
+// The pipe's ring grows on demand but its bound does not move: with no
+// reader the sender parks on message pipeDepth+1, and once the reader
+// starts every message arrives in send order — across each doubling,
+// including the ones that copy a wrapped ring.
+func TestInprocPipeBlocksAtDepthAndKeepsOrder(t *testing.T) {
+	client, server := Pipe()
+	defer client.Close()
+	next := int64(0)
+	recv := func() {
+		t.Helper()
+		m, err := server.Recv()
+		if err != nil {
+			t.Fatalf("recv %d: %v", next, err)
+		}
+		if got := int64(m.(*wire.SyncReq).TC1); got != next {
+			t.Fatalf("recv: got TC1=%d, want %d", got, next)
+		}
+		next++
+	}
+	// Move head off slot 0 first, so growth has a wrapped ring to copy.
+	for i := int64(0); i < 10; i++ {
+		client.Send(&wire.SyncReq{TC1: vclock.Time(i)})
+	}
+	for i := 0; i < 7; i++ {
+		recv()
+	}
+	const total = 7 + pipeDepth + 1
+	var sent atomic.Int64
+	sent.Store(10)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(10); i < total; i++ {
+			if err := client.Send(&wire.SyncReq{TC1: vclock.Time(i)}); err != nil {
+				t.Errorf("send %d: %v", i, err)
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for sent.Load() < total-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d sends completed with room in the pipe", sent.Load(), total-1)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if got := sent.Load(); got != total-1 {
+		t.Fatalf("%d sends completed with no reader, want %d: send %d must block", got, total-1, pipeDepth+1)
+	}
+	for next < total {
+		recv()
+	}
+	<-done
 }
 
 func TestListenerCloseUnblocksAccept(t *testing.T) {
