@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -21,6 +22,11 @@ var geomOrigin = geom.V(0, 0)
 // OnPacket and transmits via Send, exactly as it would use a real radio
 // interface — no modification required, which is the whole point of
 // emulation.
+//
+// Send copies the payload before it returns on every transport but the
+// in-process pipe, which hands it over by reference. Over TCP it does
+// not wait for the write (see Client.Send): a dead connection shows up
+// as an error from a later Send, and through OnClose.
 type ClientConfig struct {
 	// ID is the VMN this client embodies. Required.
 	ID radio.NodeID
@@ -69,7 +75,11 @@ type syncedClock interface {
 type Client struct {
 	cfg  ClientConfig
 	conn transport.Conn
-	clk  syncedClock
+	// deferred is conn's deferred-write side, nil when it has none
+	// (in-process pipes, transport.Faulty wrappers). Packets go out
+	// through it; Hello, SyncReq and Bye always use conn.Send.
+	deferred transport.DeferredSender
+	clk      syncedClock
 	// stamp is the packet-stamp clock: the synced clock behind a
 	// monotonic floor. A resync that refines the offset downward makes
 	// the raw synced clock step backwards; stamping through the floor
@@ -77,10 +87,11 @@ type Client struct {
 	// resyncs (the chaos harness pins this as an invariant).
 	stamp *vclock.Monotonic
 
+	seq    atomic.Uint32
+	closed atomic.Bool
+
 	mu      sync.Mutex
 	radios  []radio.Radio
-	seq     uint32
-	closed  bool
 	syncers map[vclock.Time]chan *wire.SyncReply
 
 	wg         sync.WaitGroup
@@ -155,6 +166,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		syncers:    make(map[vclock.Time]chan *wire.SyncReply),
 		stopResync: make(chan struct{}),
 	}
+	c.deferred, _ = conn.(transport.DeferredSender)
 	c.wg.Add(1)
 	go c.recvLoop()
 	// Initial clock synchronization; without it parallel stamping is
@@ -201,27 +213,34 @@ func (c *Client) Channels() []radio.ChannelID {
 // Send stamps and transmits one packet. Src is forced to the client's
 // VMN; Stamp is the synchronized emulation clock ("all traffic ... will
 // be packed, time-stamped and then directed to the server").
+//
+// The stamp is taken here, before the packet travels, so the time it
+// spends on the way cannot distort emulated time (§3.3, Figure 2): the
+// server schedules it for stamp + link latency whenever it arrives.
+// Over TCP Send uses that freedom. It serializes the packet — the
+// payload is copied before Send returns — and leaves the write to the
+// connection's flusher, so a burst of Sends costs one write. A write
+// failure therefore surfaces on a later Send (and through OnClose), not
+// on the call whose bytes were lost; over a reliable stream a nil
+// return never meant "the server has it". Close flushes what is pending.
 func (c *Client) Send(pkt wire.Packet) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return ErrClientClosed
 	}
-	c.mu.Unlock()
 	pkt.Src = c.cfg.ID
 	pkt.Stamp = c.stamp.Now()
 	// A pooled wrapper keeps the steady-state send path allocation-free;
-	// Send consumes it on every path.
-	return c.conn.Send(wire.AcquireData(pkt))
+	// the transport consumes it on every path.
+	m := wire.AcquireData(pkt)
+	if c.deferred != nil {
+		return c.deferred.SendDeferred(m)
+	}
+	return c.conn.Send(m)
 }
 
 // SendTo is a convenience for unicast application payloads.
 func (c *Client) SendTo(dst radio.NodeID, ch radio.ChannelID, flow uint16, payload []byte) error {
-	c.mu.Lock()
-	c.seq++
-	seq := c.seq
-	c.mu.Unlock()
-	return c.Send(wire.Packet{Dst: dst, Channel: ch, Flow: flow, Seq: seq, Payload: payload})
+	return c.Send(wire.Packet{Dst: dst, Channel: ch, Flow: flow, Seq: c.seq.Add(1), Payload: payload})
 }
 
 // Broadcast sends to every current neighbor on the channel.
@@ -243,11 +262,10 @@ func (c *Client) exchange(tc1 vclock.Time) (vclock.Time, vclock.Time, error) {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
 	ch := make(chan *wire.SyncReply, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return 0, 0, ErrClientClosed
 	}
+	c.mu.Lock()
 	c.syncers[tc1] = ch
 	c.mu.Unlock()
 	defer func() {
@@ -348,16 +366,8 @@ func (c *Client) recvLoop() {
 }
 
 func (c *Client) markClosed() {
-	c.mu.Lock()
-	already := c.closed
-	c.closed = true
-	c.mu.Unlock()
-	if !already {
-		select {
-		case <-c.stopResync:
-		default:
-			close(c.stopResync)
-		}
+	if !c.closed.Swap(true) {
+		close(c.stopResync)
 	}
 }
 

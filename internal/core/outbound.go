@@ -207,34 +207,6 @@ func (q *sendQueue) dropHeadLocked() {
 	q.n--
 }
 
-// pop blocks for the next entry. ok is false once the queue is closed
-// (remaining entries are abandoned — the session is over) or stop
-// closes.
-func (q *sendQueue) pop(stop <-chan struct{}) (m outMsg, ok bool) {
-	for {
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return outMsg{}, false
-		}
-		if q.n > 0 {
-			m = q.buf[q.head]
-			q.buf[q.head] = outMsg{}
-			q.head = (q.head + 1) % len(q.buf)
-			q.n--
-			q.inflight++ // cleared by done() once the entry is accounted
-			q.mu.Unlock()
-			return m, true
-		}
-		q.mu.Unlock()
-		select {
-		case <-q.wake:
-		case <-stop:
-			return outMsg{}, false
-		}
-	}
-}
-
 // popBatch blocks for at least one entry, then drains up to max entries
 // into batch (reusing its storage, growing it as needed) without
 // releasing the lock between them. The entries count as in flight until

@@ -297,7 +297,13 @@ func TestManyClientsOverTCP(t *testing.T) {
 			t.Fatalf("heard %d/%d broadcast deliveries", gotCount, want)
 		}
 	}
+	// A writer counts its batch forwarded after the write returns, so the
+	// last client can hear its delivery a moment before the server has
+	// counted it.
 	st := d.srv.Stats()
+	for end := time.Now().Add(5 * time.Second); st.Forwarded < uint64(want) && time.Now().Before(end); st = d.srv.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Received != uint64(n) || st.Forwarded != uint64(want) {
 		t.Errorf("server stats: %+v", st)
 	}

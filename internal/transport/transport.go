@@ -9,8 +9,17 @@
 //     harness where socket overhead would only add noise.
 //
 // A Conn is safe for one concurrent reader plus any number of
-// concurrent senders; Send serializes internally, matching how the
-// server's sending threads share a client connection (§3.2 step 6).
+// concurrent senders, matching how the server's sending threads share a
+// client connection (§3.2 step 6). Over TCP every send serializes its
+// frame into the connection's pending buffer, and one lock — the write
+// order — is held from the moment a writer takes that buffer until its
+// bytes are in the kernel, so frames leave in the order the calls
+// appended them whichever call put them there. Send and SendBatch
+// return only after their bytes were handed to the kernel: the server's
+// "forwarded" is that return. SendDeferred (DeferredSender, the
+// emulation client's packet path) returns once the frame is pending and
+// leaves the write to a flusher goroutine, so a burst of sends costs
+// one write, not one each.
 package transport
 
 import (
@@ -58,6 +67,19 @@ type BatchSender interface {
 	SendBatch(ms []wire.Msg) (int, error)
 }
 
+// DeferredSender is implemented by connections on which a send costs a
+// syscall (TCP). SendDeferred serializes m — the payload is copied
+// before it returns, and a pooled message is consumed on every path,
+// like Send — and returns without waiting for the write: pending frames
+// leave together, in call order, in one write. A write failure
+// therefore surfaces on a later call, after which every call fails.
+// Pending bytes are bounded: at the bound SendDeferred writes on the
+// caller's goroutine and blocks while the peer is slow, as Send does.
+// A following Send or SendBatch flushes everything deferred before it.
+type DeferredSender interface {
+	SendDeferred(m wire.Msg) error
+}
+
 // Listener accepts inbound connections.
 type Listener interface {
 	Accept() (Conn, error)
@@ -76,13 +98,24 @@ type Dialer func() (Conn, error)
 type tcpConn struct {
 	c     net.Conn
 	br    *bufio.Reader
-	bw    *bufio.Writer
 	pool  *mbuf.Pool  // non-nil: frames are read into pooled buffers
 	local *mbuf.Local // reader-owned allocation cache, built lazily
 
-	mu   sync.Mutex // guards bw, the scratch buffers, and write ordering
-	wbuf []byte     // serialization scratch, reused across sends
-	iov  net.Buffers
+	// mu guards what senders append to. Both byte buffers start nil and
+	// grow on demand: an idle connection holds nothing.
+	mu       sync.Mutex
+	pend     []byte         // frames serialized, not yet written
+	flushing bool           // a flusher goroutine is alive
+	werr     error          // first write error, or ErrClosed after Close; sticky
+	flushers sync.WaitGroup // Add under mu while werr is nil, so Close can wait
+
+	// wmu is the write order: held from the moment a writer takes pend
+	// until those bytes are written. Taken before mu, never inside it.
+	wmu     sync.Mutex
+	spare   []byte      // swapped in for pend, so senders append while the kernel copies
+	scratch []byte      // SendBatch's serialization buffer
+	segs    net.Buffers // SendBatch's segments of scratch and in-place payloads
+	wv      net.Buffers // the header net.Buffers.WriteTo consumes
 }
 
 func newTCPConn(c net.Conn, pool *mbuf.Pool) *tcpConn {
@@ -91,26 +124,122 @@ func newTCPConn(c net.Conn, pool *mbuf.Pool) *tcpConn {
 		// Nagle would batch them.
 		t.SetNoDelay(true)
 	}
-	return &tcpConn{
-		c:    c,
-		br:   bufio.NewReaderSize(c, 64<<10),
-		bw:   bufio.NewWriterSize(c, 64<<10),
-		pool: pool,
+	return &tcpConn{c: c, br: bufio.NewReaderSize(c, 64<<10), pool: pool}
+}
+
+// appendLocked serializes m behind whatever is pending and returns the
+// pending byte count. t.mu held.
+func (t *tcpConn) appendLocked(m wire.Msg) (int, error) {
+	if t.werr != nil {
+		return 0, t.werr
 	}
+	b, err := wire.AppendFrame(t.pend, m)
+	t.pend = b
+	return len(b), err
+}
+
+// flushLocked is the one function that writes to the socket: it takes
+// whatever is pending and writes it, followed by tail in the same
+// vectored write if there is one. t.wmu held.
+func (t *tcpConn) flushLocked(tail net.Buffers) error {
+	t.mu.Lock()
+	b, err := t.pend, t.werr
+	t.pend = t.spare[:0]
+	t.mu.Unlock()
+	t.spare = b // nothing appends to it before the next swap, which needs wmu
+	switch {
+	case err != nil:
+		return err
+	case len(tail) == 0 && len(b) == 0:
+		return nil
+	case len(tail) == 0:
+		_, err = t.c.Write(b)
+	default:
+		if len(b) > 0 {
+			// Only when call kinds are mixed on one connection, which
+			// neither the server (never defers) nor the client (never
+			// batches) does: not worth a reusable vector.
+			tail = append(net.Buffers{b}, tail...)
+		}
+		// WriteTo consumes its receiver through a pointer: give it a
+		// header that lives in t, not one that escapes on every call.
+		t.wv = tail
+		_, err = t.wv.WriteTo(t.c)
+		t.wv = nil
+	}
+	if err != nil {
+		t.mu.Lock()
+		if t.werr == nil {
+			t.werr = err
+		}
+		t.mu.Unlock()
+	}
+	return err
+}
+
+func (t *tcpConn) flush() error {
+	t.wmu.Lock()
+	err := t.flushLocked(nil)
+	t.wmu.Unlock()
+	return err
 }
 
 func (t *tcpConn) Send(m wire.Msg) error {
 	t.mu.Lock()
-	b, err := wire.AppendFrame(t.wbuf[:0], m)
-	t.wbuf = b
-	if err == nil {
-		if _, err = t.bw.Write(b); err == nil {
-			err = t.bw.Flush()
-		}
-	}
+	_, err := t.appendLocked(m)
 	t.mu.Unlock()
 	wire.ReleaseMsg(m) // Send consumes pooled messages, success or not
-	return err
+	if err != nil {
+		return err
+	}
+	return t.flush()
+}
+
+// pendFlushAt is the pending byte count (≈ 300 64-byte frames, tens of
+// µs of sending) at which SendDeferred stops deferring and writes on
+// the caller's goroutine. That is the back-pressure a blocking Send
+// gives, and it keeps a connection's send memory under two buffers of
+// this size plus a frame.
+const pendFlushAt = 32 << 10
+
+// SendDeferred implements DeferredSender.
+func (t *tcpConn) SendDeferred(m wire.Msg) error {
+	t.mu.Lock()
+	n, err := t.appendLocked(m)
+	start := err == nil && n < pendFlushAt && !t.flushing
+	if start {
+		t.flushing = true
+		t.flushers.Add(1)
+	}
+	t.mu.Unlock()
+	wire.ReleaseMsg(m)
+	switch {
+	case err != nil:
+		return err
+	case n >= pendFlushAt:
+		return t.flush()
+	case start:
+		go t.flusher()
+	}
+	return nil
+}
+
+// flusher writes until it finds nothing pending, then exits: a
+// connection nobody defers on (every server-side one, every trunk, an
+// idle client) never has one, and there is no channel to wake or stop
+// it — Close fails the write it may be blocked in.
+func (t *tcpConn) flusher() {
+	defer t.flushers.Done()
+	for {
+		err := t.flush()
+		t.mu.Lock()
+		if err != nil || len(t.pend) == 0 {
+			t.flushing = false
+			t.mu.Unlock()
+			return
+		}
+		t.mu.Unlock()
+	}
 }
 
 // directPayloadMin is the payload size above which SendBatch references
@@ -128,15 +257,15 @@ func (t *tcpConn) SendBatch(ms []wire.Msg) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
-	t.mu.Lock()
-	scratch := t.wbuf[:0]
-	iov := t.iov[:0]
+	t.wmu.Lock()
+	scratch := t.scratch[:0]
+	segs := t.segs[:0]
 	seg := 0 // scratch offset where the open coalesce segment starts
 	var err error
 	for _, m := range ms {
 		if d, ok := m.(*wire.Data); ok && len(d.Pkt.Payload) >= directPayloadMin {
 			scratch = wire.AppendDataFrame(scratch, &d.Pkt)
-			iov = append(iov, scratch[seg:len(scratch):len(scratch)], d.Pkt.Payload)
+			segs = append(segs, scratch[seg:len(scratch):len(scratch)], d.Pkt.Payload)
 			seg = len(scratch)
 			continue
 		}
@@ -147,20 +276,17 @@ func (t *tcpConn) SendBatch(ms []wire.Msg) (int, error) {
 	sent := 0
 	if err == nil {
 		if seg < len(scratch) {
-			iov = append(iov, scratch[seg:])
+			segs = append(segs, scratch[seg:])
 		}
-		// bw is empty between sends (Send always flushes); flush anyway
-		// so vectored bytes can never overtake buffered ones.
-		if err = t.bw.Flush(); err == nil {
-			_, err = iov.WriteTo(t.c)
-		}
-		if err == nil {
+		// Frames a Send or SendDeferred left pending go first, in the
+		// same write.
+		if err = t.flushLocked(segs); err == nil {
 			sent = len(ms)
 		}
 	}
-	t.wbuf = scratch
-	t.iov = iov[:0]
-	t.mu.Unlock()
+	t.scratch = scratch
+	t.segs = segs[:0]
+	t.wmu.Unlock()
 	for _, m := range ms {
 		wire.ReleaseMsg(m)
 	}
@@ -195,7 +321,20 @@ func (t *tcpConn) Recv() (wire.Msg, error) {
 	return m, nil
 }
 
-func (t *tcpConn) Close() error  { return t.c.Close() }
+// Close closes the socket — a writer blocked in it returns with an
+// error — and returns once the flusher, if one is alive, has exited.
+// Bytes still pending are dropped, as an unsent kernel buffer is.
+func (t *tcpConn) Close() error {
+	t.mu.Lock()
+	if t.werr == nil {
+		t.werr = ErrClosed
+	}
+	t.mu.Unlock()
+	err := t.c.Close()
+	t.flushers.Wait()
+	return err
+}
+
 func (t *tcpConn) Label() string { return t.c.RemoteAddr().String() }
 
 type tcpListener struct {

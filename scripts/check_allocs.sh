@@ -131,6 +131,30 @@ echo "$TRUNK" | awk -v budget="$BUDGET" '
 
 echo "trunk alloc gate: OK (batch send within ${BUDGET} allocs/op, encode allocation-free)"
 
+# The emulation client's TCP send path defers its writes: a burst of
+# SendDeferred calls appends to the connection's pending buffer and one
+# transient flusher goroutine writes it. Starting that goroutine (one
+# 16-byte closure) is all a burst may allocate. The figure is per
+# 64-message burst behind a write in progress, so anything per message
+# reads 64 or more.
+BURST=$(go test -run='^$' -bench='DeferredBurstAllocs' -benchmem -benchtime=2000x ./internal/transport)
+echo "$BURST"
+
+echo "$BURST" | awk '
+	/allocs\/op/ {
+		seen = 1
+		for (i = 2; i < NF; i++) {
+			if ($(i+1) == "allocs/op" && $i + 0 > 1) {
+				printf "FAIL: %s measured %s allocs/op, budget 1 per 64-message burst\n", $1, $i
+				bad = 1
+			}
+		}
+	}
+	END { exit bad || !seen }
+' || { echo "client burst alloc gate: FAILED (a 64-message deferred burst may allocate its flusher start, nothing per message)"; exit 1; }
+
+echo "client burst alloc gate: OK (a 64-message deferred burst allocates its flusher start and nothing else)"
+
 # A scene edit publishes a dispatch view that shares every unchanged row
 # with the previous one: an operator's MoveNode on the 16 384-node scene
 # copies the ≈ 37 rows it changed, their buckets and the bucket
