@@ -70,9 +70,7 @@ func runSeed(t *testing.T, seed int64, shards int) {
 	if rep.Digest != d1 {
 		t.Fatalf("seed %d: executed schedule digest %s != generated %s", seed, rep.Digest, d1)
 	}
-	if !rep.OK() {
-		t.Fatal(rep.Failure())
-	}
+	requireHeld(t, rep.Outcome, rep.Failure())
 	if rep.Deliveries == 0 {
 		t.Fatalf("seed %d: scenario delivered no packets — invariants held vacuously", seed)
 	}

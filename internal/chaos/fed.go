@@ -1,42 +1,27 @@
 package chaos
 
-// Federated chaos: the multi-server analogue of Run. N in-process
-// servers form one cluster (in-proc trunks, peer 0 coordinating), every
-// VMN's client dials its owning peer, and the harness drives seeded
+// Federated chaos: the multi-server analogue of Run, as a script over a
+// world of N servers (in-proc trunks, peer 0 coordinating). Every VMN's
+// client dials its owning peer, and the script drives seeded
 // cross-server traffic, coordinator scene churn, and a full partition
-// of one peer — then checks the cluster-wide conservation ledger
-// exactly, the same way Run checks the single-server one:
-//
-//   Σ Entered == Σ Forwarded + Σ QueueDrops + Σ Abandoned
-//
-// summed across peers, with trunk transit separately balanced
-// (Σ RemoteEntries == Σ RecvEntries once in-flight batches settle;
-// entries dropped on a down trunk never enter any schedule, so they are
-// ledger-neutral by construction). Scene replication recovery is
-// asserted end to end: mutations issued during the partition reach the
-// healed peer in order, the follower's applied sequence catches the
-// coordinator's, and the staleness/health gauges are live on the obs
-// registry.
+// of one peer, settling the world — every steady-state invariant,
+// cluster-wide, trunk transit included — after each traffic phase. On
+// top of that it asserts scene replication recovery end to end:
+// mutations issued during the partition reach the healed peer in order,
+// the follower's applied sequence catches the coordinator's, and the
+// staleness/health gauges are live on the obs registry.
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/linkmodel"
-	"repro/internal/obs"
 	"repro/internal/radio"
-	"repro/internal/scene"
-	"repro/internal/transport"
 	"repro/internal/vclock"
-	"repro/internal/wire"
 )
 
 // FedConfig parameterizes one federated chaos scenario.
@@ -72,265 +57,96 @@ func (c FedConfig) normalize() FedConfig {
 
 // FedReport is the outcome of one federated chaos run.
 type FedReport struct {
-	Seed         int64
+	Outcome
 	Peers        int
 	Delivered    uint64 // packets client sinks received, all peers
 	CrossPeer    uint64 // deliveries that crossed a trunk
 	TrunkDropped uint64 // deliveries dropped on down trunks (partition phase)
-	Violations   []string
 }
-
-// OK reports whether every invariant held.
-func (r FedReport) OK() bool { return len(r.Violations) == 0 }
 
 // Failure renders a failing run for the test log.
 func (r FedReport) Failure() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "federated chaos seed %d (%d peers) violated %d invariant(s)\n",
-		r.Seed, r.Peers, len(r.Violations))
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "  ✗ %s\n", v)
-	}
-	fmt.Fprintf(&b, "reproduce with:\n  go test ./internal/chaos -run TestChaosFederation -count=1 -chaos.seed=%d\n", r.Seed)
-	return b.String()
+	return r.failure(fmt.Sprintf("federated chaos (%d peers)", r.Peers), "TestChaosFederation")
 }
 
-// gate is a partitionable trunk dialer for one directed peer pair:
-// while down, dials fail, and cutting closes every connection it
-// previously handed out.
-type gate struct {
-	dial transport.Dialer
-
-	mu    sync.Mutex
-	down  bool
-	conns []transport.Conn
-}
-
-func (g *gate) Dial() (transport.Conn, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.down {
-		return nil, fmt.Errorf("fed: partitioned")
-	}
-	c, err := g.dial()
-	if err != nil {
-		return nil, err
-	}
-	g.conns = append(g.conns, c)
-	return c, nil
-}
-
-func (g *gate) cut() {
-	g.mu.Lock()
-	g.down = true
-	conns := g.conns
-	g.conns = nil
-	g.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (g *gate) heal() {
-	g.mu.Lock()
-	g.down = false
-	g.mu.Unlock()
-}
-
-// fedClient is one VMN attached to its owning peer.
-type fedClient struct {
-	id    radio.NodeID
-	owner int
-	c     *core.Client
-	sunk  atomic.Uint64
-}
-
-// fedRunner executes one federated scenario.
+// fedRunner executes one federated scenario over a world of cfg.Peers
+// servers.
 type fedRunner struct {
+	*world
 	cfg FedConfig
 	rng *rand.Rand
-	clk vclock.WaitClock
-
-	scenes  []*scene.Scene
-	regs    []*obs.Registry
-	servers []*core.Server
-	liss    []*transport.InprocListener
-	dones   []chan struct{}
-	gates   [][]*gate // gates[src][dst], nil on the diagonal
-
-	clients []*fedClient
-	sent    atomic.Uint64
-
-	violations []string
-}
-
-func (r *fedRunner) violationf(format string, args ...any) {
-	r.violations = append(r.violations, fmt.Sprintf(format, args...))
 }
 
 // RunFederated generates and executes one federated scenario.
-func RunFederated(cfg FedConfig) FedReport {
+func RunFederated(cfg FedConfig) (rep FedReport) {
 	cfg = cfg.normalize()
-	rep := FedReport{Seed: cfg.Seed, Peers: cfg.Peers}
-	r := &fedRunner{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	base := runtime.NumGoroutine()
+	rep = FedReport{Outcome: Outcome{Seed: cfg.Seed}, Peers: cfg.Peers}
+	w, err := newWorld(cfg.Seed, vclock.NewSystem(cfg.Scale), cfg.Peers, 256, core.ServerConfig{
+		SendQueueDepth: 1024, ObsSampleEvery: 4, ClusterID: "chaos-fed",
+		StatusEvery:     2 * time.Millisecond,
+		TrunkMinBackoff: 500 * time.Microsecond,
+		TrunkMaxBackoff: 4 * time.Millisecond,
+	})
+	if err != nil {
+		rep.Violations = []string{fmt.Sprintf("setup: %v", err)}
+		return rep
+	}
+	defer func() { rep.Outcome = w.close() }()
+	r := &fedRunner{world: w, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	if err := r.setup(); err != nil {
-		rep.Violations = append(r.violations, fmt.Sprintf("setup: %v", err))
+		r.violationf("setup: %v", err)
 		return rep
 	}
 	r.run()
-	rep.Delivered = r.totalSunk()
-	for _, srv := range r.servers {
-		cs := srv.Cluster()
-		rep.CrossPeer += cs.RecvEntries
-		rep.TrunkDropped += cs.TrunkDropped
-	}
-	r.teardown()
-	if !pollUntil(2*time.Second, func() bool { return runtime.NumGoroutine() <= base+3 }) {
-		r.violationf("teardown: goroutine leak: %d now vs %d at start", runtime.NumGoroutine(), base)
-	}
-	rep.Violations = r.violations
+	rep.Delivered = r.sunk()
+	t := r.trunks()
+	rep.CrossPeer, rep.TrunkDropped = t.RecvEntries, t.TrunkDropped
 	return rep
 }
 
 func (r *fedRunner) setup() error {
-	cfg := r.cfg
-	n := cfg.Peers
-	r.clk = vclock.NewSystem(cfg.Scale)
-	r.liss = make([]*transport.InprocListener, n)
-	r.gates = make([][]*gate, n)
-	for i := 0; i < n; i++ {
-		r.liss[i] = transport.NewInprocListener()
-	}
-	for src := 0; src < n; src++ {
-		r.gates[src] = make([]*gate, n)
-		for dst := 0; dst < n; dst++ {
-			if dst != src {
-				r.gates[src][dst] = &gate{dial: r.liss[dst].Dialer()}
-			}
-		}
-	}
-	// Link models are live Go values, not replicated state: every peer
-	// configures its own scene with the same clean model, exactly as N
-	// real poemd processes would share a config file.
-	clean, err := linkmodel.New(linkmodel.NoLoss{},
-		linkmodel.ConstantBandwidth{Bps: 1e9}, linkmodel.ConstantDelay{D: time.Millisecond})
-	if err != nil {
+	n := r.cfg.Peers
+	if err := r.setCleanModel(1, time.Millisecond); err != nil {
 		return err
-	}
-	for i := 0; i < n; i++ {
-		sc := scene.New(radio.NewIndexed(256), r.clk, cfg.Seed)
-		if err := sc.SetLinkModel(1, clean); err != nil {
-			return err
-		}
-		r.scenes = append(r.scenes, sc)
-		reg := obs.NewRegistry()
-		r.regs = append(r.regs, reg)
-		peers := make([]core.PeerSpec, n)
-		for p := 0; p < n; p++ {
-			peers[p] = core.PeerSpec{Addr: fmt.Sprintf("peer%d", p)}
-			if p != i {
-				peers[p].Dial = r.gates[i][p].Dial
-			}
-		}
-		srv, err := core.NewServer(core.ServerConfig{
-			Clock: r.clk, Scene: sc, Seed: cfg.Seed, Obs: reg,
-			SendQueueDepth: 1024, ObsSampleEvery: 4,
-			Peers: peers, Self: i, ClusterID: "chaos-fed",
-			StatusEvery:     2 * time.Millisecond,
-			TrunkMinBackoff: 500 * time.Microsecond,
-			TrunkMaxBackoff: 4 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		r.servers = append(r.servers, srv)
-		done := make(chan struct{})
-		r.dones = append(r.dones, done)
-		go func(lis *transport.InprocListener) {
-			defer close(done)
-			srv.Serve(lis)
-		}(r.liss[i])
 	}
 	// ClientsPerPeer VMNs per peer, ids chosen by ownership scan, placed
 	// within radio range of everyone, all on channel 1. Nodes enter the
 	// scene only through the coordinator — replication must populate the
 	// followers before their clients can register.
+	var ids []radio.NodeID
 	next := radio.NodeID(1)
 	for p := 0; p < n; p++ {
-		for k := 0; k < cfg.ClientsPerPeer; k++ {
+		for k := 0; k < r.cfg.ClientsPerPeer; k++ {
 			for core.PeerIndex(next, n) != p {
 				next++
 			}
 			pos := geom.V(20+r.rng.Float64()*160, 20+r.rng.Float64()*160)
-			if err := r.scenes[0].AddNode(next, pos, []radio.Radio{{Channel: 1, Range: 400}}); err != nil {
+			if err := r.peers[0].sc.AddNode(next, pos, []radio.Radio{{Channel: 1, Range: 400}}); err != nil {
 				return err
 			}
-			r.clients = append(r.clients, &fedClient{id: next, owner: p})
+			ids = append(ids, next)
 			next++
 		}
 	}
-	if !pollUntil(5*time.Second, func() bool {
-		for _, fc := range r.clients {
-			for p := 1; p < n; p++ {
-				if !r.scenes[p].HasNode(fc.id) {
-					return false
-				}
-			}
-		}
-		return true
-	}) {
-		return fmt.Errorf("scene setup never replicated to all peers")
+	if err := r.waitReplicated(); err != nil {
+		return err
 	}
-	for _, fc := range r.clients {
-		fc := fc
-		c, err := core.Dial(core.ClientConfig{
-			ID: fc.id, Dial: r.liss[fc.owner].Dialer(), LocalClock: r.clk,
-			OnPacket: func(p wire.Packet) { fc.sunk.Add(1) },
-		})
-		if err != nil {
-			return fmt.Errorf("dial n%d on peer %d: %w", fc.id, fc.owner, err)
+	for _, id := range ids {
+		if err := r.dial(id, core.ClientConfig{}); err != nil {
+			return err
 		}
-		fc.c = c
 	}
 	return nil
 }
 
-func (r *fedRunner) totalSunk() uint64 {
-	var sum uint64
-	for _, fc := range r.clients {
-		sum += fc.sunk.Load()
-	}
-	return sum
-}
-
-// cluster sums one counter across all peers' Cluster() snapshots.
-func (r *fedRunner) clusterSum(get func(*core.ClusterStat) uint64) uint64 {
-	var sum uint64
-	for _, srv := range r.servers {
-		sum += get(srv.Cluster())
-	}
-	return sum
-}
-
-func (r *fedRunner) statsSum(get func(core.ServerStats) uint64) uint64 {
-	var sum uint64
-	for _, srv := range r.servers {
-		sum += get(srv.Stats())
-	}
-	return sum
-}
-
-// burst sends count unicasts src→dst (flow names the phase) and counts
-// the successful sends into r.sent.
-func (r *fedRunner) burst(src, dst *fedClient, flow uint16, count int) {
+// burst sends count unicasts src→dst (flow names the phase).
+func (r *fedRunner) burst(src, dst *client, flow uint16, count int) {
 	payload := []byte("fed-chaos-payload-64-bytes------fed-chaos-payload-64-bytes------")
 	for i := 0; i < count; i++ {
-		if err := src.c.SendTo(dst.id, 1, flow, payload); err != nil {
+		if err := src.current().c.SendTo(dst.id, 1, flow, payload); err != nil {
 			r.violationf("send n%d→n%d: %v", src.id, dst.id, err)
 			return
 		}
-		r.sent.Add(1)
 		time.Sleep(20 * time.Microsecond)
 	}
 }
@@ -350,56 +166,8 @@ func (r *fedRunner) trafficRound(flow uint16) {
 	}
 }
 
-// settle drains the whole cluster and checks the conservation ledger,
-// cluster-wide and per peer. Every step must land exactly: sends reach
-// a schedule (or die ledger-neutrally on a down trunk), trunk transit
-// balances, schedules drain, and every forwarded packet hits a sink.
-func (r *fedRunner) settle(where string) {
-	sent := r.sent.Load()
-	if !pollUntil(5*time.Second, func() bool {
-		return r.statsSum(func(st core.ServerStats) uint64 { return st.Received }) == sent
-	}) {
-		r.violationf("%s: conservation: received %d != sent %d", where,
-			r.statsSum(func(st core.ServerStats) uint64 { return st.Received }), sent)
-	}
-	// Trunk transit: entries counted as sent on an up trunk must all be
-	// ingested by the receiving peer once the pipes drain (the in-proc
-	// pipe delivers everything queued before a close). Dropped entries
-	// were never counted sent, so this holds through partitions too.
-	if !pollUntil(5*time.Second, func() bool {
-		return r.clusterSum(func(c *core.ClusterStat) uint64 { return c.RemoteEntries }) ==
-			r.clusterSum(func(c *core.ClusterStat) uint64 { return c.RecvEntries })
-	}) {
-		r.violationf("%s: trunk transit: remote-entries %d != recv-entries %d", where,
-			r.clusterSum(func(c *core.ClusterStat) uint64 { return c.RemoteEntries }),
-			r.clusterSum(func(c *core.ClusterStat) uint64 { return c.RecvEntries }))
-	}
-	for i, srv := range r.servers {
-		if !srv.Quiesce(5 * time.Second) {
-			r.violationf("%s: peer %d pipeline did not drain (scheduled=%d)",
-				where, i, srv.Stats().Scheduled)
-		}
-	}
-	if !pollUntil(5*time.Second, func() bool {
-		return r.totalSunk() == r.statsSum(func(st core.ServerStats) uint64 { return st.Forwarded })
-	}) {
-		r.violationf("%s: conservation: sunk %d != forwarded %d", where, r.totalSunk(),
-			r.statsSum(func(st core.ServerStats) uint64 { return st.Forwarded }))
-	}
-	// The ledger closes per peer — items enter the schedule at the peer
-	// that fires them, so no cross-peer netting can hide an imbalance —
-	// and therefore cluster-wide by summation.
-	for i, srv := range r.servers {
-		st := srv.Stats()
-		if st.Entered != st.Forwarded+st.QueueDrops+st.Abandoned {
-			r.violationf("%s: ledger peer %d: entered %d != forwarded %d + queueDrops %d + abandoned %d",
-				where, i, st.Entered, st.Forwarded, st.QueueDrops, st.Abandoned)
-		}
-	}
-}
-
 // coordRep reads the coordinator's replication high-water mark.
-func (r *fedRunner) coordRep() uint64 { return r.servers[0].Cluster().RepSeq }
+func (r *fedRunner) coordRep() uint64 { return r.peers[0].srv.Cluster().RepSeq }
 
 // waitApplied waits for every follower to apply the coordinator's full
 // mutation stream.
@@ -407,14 +175,14 @@ func (r *fedRunner) waitApplied(where string) {
 	rep := r.coordRep()
 	if !pollUntil(5*time.Second, func() bool {
 		for p := 1; p < r.cfg.Peers; p++ {
-			if r.servers[p].Cluster().AppliedSeq < rep {
+			if r.peers[p].srv.Cluster().AppliedSeq < rep {
 				return false
 			}
 		}
 		return true
 	}) {
 		for p := 1; p < r.cfg.Peers; p++ {
-			if got := r.servers[p].Cluster().AppliedSeq; got < rep {
+			if got := r.peers[p].srv.Cluster().AppliedSeq; got < rep {
 				r.violationf("%s: replication: peer %d applied %d < coordinator rep-seq %d",
 					where, p, got, rep)
 			}
@@ -426,31 +194,23 @@ func (r *fedRunner) waitApplied(where string) {
 // coordinator on every node's position — the end-to-end proof that the
 // mutation stream arrived complete and in order.
 func (r *fedRunner) checkPositions(where string) {
-	ok := pollUntil(5*time.Second, func() bool {
-		for _, fc := range r.clients {
-			want, _ := r.scenes[0].Node(fc.id)
+	mismatch := func() string {
+		for _, cl := range r.clients {
+			want, _ := r.peers[0].sc.Node(cl.id)
 			for p := 1; p < r.cfg.Peers; p++ {
-				got, found := r.scenes[p].Node(fc.id)
-				if !found || got.Pos != want.Pos {
-					return false
-				}
-			}
-		}
-		return true
-	})
-	if !ok {
-		for _, fc := range r.clients {
-			want, _ := r.scenes[0].Node(fc.id)
-			for p := 1; p < r.cfg.Peers; p++ {
-				got, found := r.scenes[p].Node(fc.id)
+				got, found := r.peers[p].sc.Node(cl.id)
 				if !found {
-					r.violationf("%s: scene: peer %d missing n%d", where, p, fc.id)
-				} else if got.Pos != want.Pos {
-					r.violationf("%s: scene: peer %d has n%d at %v, coordinator says %v",
-						where, p, fc.id, got.Pos, want.Pos)
+					return fmt.Sprintf("peer %d missing n%d", p, cl.id)
+				}
+				if got.Pos != want.Pos {
+					return fmt.Sprintf("peer %d has n%d at %v, coordinator says %v", p, cl.id, got.Pos, want.Pos)
 				}
 			}
 		}
+		return ""
+	}
+	if !pollUntil(5*time.Second, func() bool { return mismatch() == "" }) {
+		r.violationf("%s: scene: %s", where, mismatch())
 	}
 }
 
@@ -462,28 +222,29 @@ func (r *fedRunner) run() {
 	// crossed a trunk, and nothing may have been dropped.
 	r.trafficRound(1)
 	r.settle("phase A")
-	if got := r.clusterSum(func(c *core.ClusterStat) uint64 { return c.RemoteEntries }); got == 0 {
+	t := r.trunks()
+	if t.RemoteEntries == 0 {
 		r.violationf("phase A: no traffic crossed a trunk (remote-entries = 0)")
 	}
-	if got := r.clusterSum(func(c *core.ClusterStat) uint64 { return c.TrunkDropped }); got != 0 {
-		r.violationf("phase A: %d entries dropped with all trunks up", got)
+	if t.TrunkDropped != 0 {
+		r.violationf("phase A: %d entries dropped with all trunks up", t.TrunkDropped)
 	}
 
 	// Phase B: coordinator scene churn replicates everywhere, and the
 	// staleness/health instruments are live on every follower registry.
-	for _, fc := range r.clients {
-		r.scenes[0].MoveNode(fc.id, geom.V(30+r.rng.Float64()*140, 30+r.rng.Float64()*140))
+	for _, cl := range r.clients {
+		r.peers[0].sc.MoveNode(cl.id, geom.V(30+r.rng.Float64()*140, 30+r.rng.Float64()*140))
 	}
-	r.scenes[0].SetRange(r.clients[0].id, 1, 390)
+	r.peers[0].sc.SetRange(r.clients[0].id, 1, 390)
 	r.waitApplied("phase B")
 	r.checkPositions("phase B")
 	for p := 1; p < n; p++ {
-		cs := r.servers[p].Cluster()
+		cs := r.peers[p].srv.Cluster()
 		if cs.StalenessNs < 0 {
 			r.violationf("phase B: peer %d negative staleness %d", p, cs.StalenessNs)
 		}
 		var buf bytes.Buffer
-		r.regs[p].WritePrometheus(&buf)
+		r.peers[p].reg.WritePrometheus(&buf)
 		for _, name := range []string{"poem_cluster_staleness_last_ns", "poem_cluster_peer_health", "poem_cluster_applied_seq"} {
 			if !strings.Contains(buf.String(), name) {
 				r.violationf("phase B: peer %d registry missing %s", p, name)
@@ -498,17 +259,17 @@ func (r *fedRunner) run() {
 	// partition.
 	for p := 0; p < n; p++ {
 		if p != victim {
-			r.gates[p][victim].cut()
-			r.gates[victim][p].cut()
+			r.peers[p].gates[victim].cut()
+			r.peers[victim].gates[p].cut()
 		}
 	}
-	droppedBefore := r.clusterSum(func(c *core.ClusterStat) uint64 { return c.TrunkDropped })
+	droppedBefore := r.trunks().TrunkDropped
 	r.trafficRound(2)
-	for _, fc := range r.clients {
-		r.scenes[0].MoveNode(fc.id, geom.V(40+r.rng.Float64()*120, 40+r.rng.Float64()*120))
+	for _, cl := range r.clients {
+		r.peers[0].sc.MoveNode(cl.id, geom.V(40+r.rng.Float64()*120, 40+r.rng.Float64()*120))
 	}
 	r.settle("phase C")
-	if got := r.clusterSum(func(c *core.ClusterStat) uint64 { return c.TrunkDropped }); got == droppedBefore {
+	if got := r.trunks().TrunkDropped; got == droppedBefore {
 		r.violationf("phase C: partition dropped nothing (trunk-dropped still %d)", got)
 	}
 
@@ -518,8 +279,8 @@ func (r *fedRunner) run() {
 	// victim's applied sequence recovered.
 	for p := 0; p < n; p++ {
 		if p != victim {
-			r.gates[p][victim].heal()
-			r.gates[victim][p].heal()
+			r.peers[p].gates[victim].heal()
+			r.peers[victim].gates[p].heal()
 		}
 	}
 	r.waitApplied("phase D")
@@ -528,25 +289,12 @@ func (r *fedRunner) run() {
 	r.settle("phase D")
 	rep := r.coordRep()
 	if !pollUntil(5*time.Second, func() bool {
-		return r.servers[0].Cluster().PeerStats[victim].AppliedSeq >= rep
+		return r.peers[0].srv.Cluster().PeerStats[victim].AppliedSeq >= rep
 	}) {
 		r.violationf("phase D: coordinator never heard peer %d catch up (applied %d < rep-seq %d)",
-			victim, r.servers[0].Cluster().PeerStats[victim].AppliedSeq, rep)
+			victim, r.peers[0].srv.Cluster().PeerStats[victim].AppliedSeq, rep)
 	}
-	if errs := r.clusterSum(func(c *core.ClusterStat) uint64 { return c.RepErrors }); errs != 0 {
+	if errs := r.trunks().RepErrors; errs != 0 {
 		r.violationf("run: %d scene replication apply errors", errs)
-	}
-}
-
-func (r *fedRunner) teardown() {
-	for _, fc := range r.clients {
-		if fc.c != nil {
-			fc.c.Close()
-		}
-	}
-	for i, srv := range r.servers {
-		r.liss[i].Close()
-		srv.Close()
-		<-r.dones[i]
 	}
 }

@@ -6,21 +6,17 @@ import (
 
 // TestChaosFederationTwoPeer is the federated acceptance run: two peers,
 // cross-server traffic, coordinator scene churn, a full partition of
-// peer 1, and a healed recovery — with the cluster-wide conservation
-// ledger closing exactly at every settled point.
+// peer 1, and a healed recovery — with every steady-state invariant
+// holding cluster-wide at every settled point. Honors -chaos.seed, and
+// sweeps seeds 0..n-1 under an explicit -chaos.seeds=n.
 func TestChaosFederationTwoPeer(t *testing.T) {
-	seeds := []int64{1, 2}
+	seeds := seedsFor(1, 2)
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	if *flagSeed >= 0 {
-		seeds = []int64{*flagSeed}
-	}
 	for _, seed := range seeds {
 		rep := RunFederated(FedConfig{Seed: seed, Peers: 2})
-		if !rep.OK() {
-			t.Fatal(rep.Failure())
-		}
+		requireHeld(t, rep.Outcome, rep.Failure())
 		if rep.Delivered == 0 {
 			t.Fatalf("seed %d: no deliveries", seed)
 		}
@@ -40,12 +36,12 @@ func TestChaosFederationThreePeer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rep := RunFederated(FedConfig{Seed: 3, Peers: 3})
-	if !rep.OK() {
-		t.Fatal(rep.Failure())
-	}
-	if rep.CrossPeer == 0 {
-		t.Fatal("nothing crossed a trunk")
+	for _, seed := range seedsFor(3) {
+		rep := RunFederated(FedConfig{Seed: seed, Peers: 3})
+		requireHeld(t, rep.Outcome, rep.Failure())
+		if rep.CrossPeer == 0 {
+			t.Fatalf("seed %d: nothing crossed a trunk", seed)
+		}
 	}
 }
 

@@ -30,17 +30,10 @@ func (r *Runner) finalChecks() {
 
 	st := r.srv.Stats()
 	ledger := record.NewMultiset()
-	for i := 1; i <= r.cfg.Clients; i++ {
-		cc := r.clients[radio.NodeID(i)]
-		cc.mu.Lock()
-		for _, ep := range cc.epochs {
-			ep.mu.Lock()
-			for _, k := range ep.recv {
-				ledger.Add(k)
-			}
-			ep.mu.Unlock()
+	for _, cl := range r.clients {
+		for _, k := range receivedOrder(cl) {
+			ledger.Add(k)
 		}
-		cc.mu.Unlock()
 	}
 	if err := r.store.Sync(); err != nil {
 		r.violationf("final: store sync: %v", err)
@@ -129,70 +122,4 @@ func (r *Runner) applySabotage() {
 		}
 		r.fabricateDelivery()
 	}
-}
-
-// swapAdjacentDeliveries swaps two adjacent distinct entries in some
-// epoch's receive order — entries whose keys each fired exactly once,
-// so the swapped order provably cannot be a subsequence of the fire
-// order. Returns false when no such pair exists (a nearly traffic-free
-// run).
-func (r *Runner) swapAdjacentDeliveries() bool {
-	for i := 1; i <= r.cfg.Clients; i++ {
-		cc := r.clients[radio.NodeID(i)]
-		mult := make(map[record.DeliveryKey]int)
-		for _, k := range r.fifo.perDst(cc.id) {
-			mult[k]++
-		}
-		cc.mu.Lock()
-		for _, ep := range cc.epochs {
-			ep.mu.Lock()
-			for j := 0; j+1 < len(ep.recv); j++ {
-				a, b := ep.recv[j], ep.recv[j+1]
-				if a != b && mult[a] == 1 && mult[b] == 1 {
-					ep.recv[j], ep.recv[j+1] = b, a
-					ep.mu.Unlock()
-					cc.mu.Unlock()
-					return true
-				}
-			}
-			ep.mu.Unlock()
-		}
-		cc.mu.Unlock()
-	}
-	return false
-}
-
-// fabricateDelivery appends a delivery that never happened; every
-// downstream comparison must reject it.
-func (r *Runner) fabricateDelivery() {
-	cc := r.clients[radio.NodeID(1)]
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if len(cc.epochs) == 0 {
-		return
-	}
-	ep := cc.epochs[0]
-	ep.mu.Lock()
-	ep.recv = append(ep.recv, record.DeliveryKey{
-		Src: radio.NodeID(2), Relay: cc.id, Flow: 0xFFFF, Seq: 0xFFFFFFFF,
-	})
-	ep.mu.Unlock()
-}
-
-func (r *Runner) firstNonEmptyEpoch() *epoch {
-	for i := 1; i <= r.cfg.Clients; i++ {
-		cc := r.clients[radio.NodeID(i)]
-		cc.mu.Lock()
-		for _, ep := range cc.epochs {
-			ep.mu.Lock()
-			n := len(ep.recv)
-			ep.mu.Unlock()
-			if n > 0 {
-				cc.mu.Unlock()
-				return ep
-			}
-		}
-		cc.mu.Unlock()
-	}
-	return nil
 }

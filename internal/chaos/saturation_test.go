@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/linkmodel"
 	"repro/internal/mbuf"
 	"repro/internal/radio"
 	"repro/internal/scene"
@@ -34,8 +33,7 @@ func TestNotificationSaturationConservation(t *testing.T) {
 			pool.SetLeakCheck(true)
 			clk := vclock.NewSystem(50)
 			sc := scene.New(radio.NewIndexed(250), clk, 1)
-			clean, err := linkmodel.New(linkmodel.NoLoss{},
-				linkmodel.ConstantBandwidth{Bps: 1e9}, linkmodel.ConstantDelay{D: time.Millisecond})
+			clean, err := cleanModel(time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}

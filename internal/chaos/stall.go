@@ -14,19 +14,11 @@ package chaos
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/geom"
-	"repro/internal/linkmodel"
-	"repro/internal/obs"
 	"repro/internal/obs/fidelity"
-	"repro/internal/radio"
-	"repro/internal/scene"
-	"repro/internal/transport"
 	"repro/internal/vclock"
-	"repro/internal/wire"
 )
 
 // StallClock wraps a WaitClock with a freeze switch. While stalled,
@@ -169,26 +161,15 @@ func (c StallConfig) withDefaults() StallConfig {
 
 // StallReport is the outcome of one clock-stall run.
 type StallReport struct {
-	Seed       int64
-	Health     string // server-wide state after the stall drained
-	Breaches   uint64
-	Misses     uint64 // deadline misses summed across shards
-	Dump       *fidelity.Dump
-	Violations []string
+	Outcome
+	Health   string // server-wide state after the stall drained
+	Breaches uint64
+	Misses   uint64 // deadline misses summed across shards
+	Dump     *fidelity.Dump
 }
-
-// OK reports whether the monitor behaved as the scenario demands.
-func (r StallReport) OK() bool { return len(r.Violations) == 0 }
 
 // Failure renders a failing run with its reproduction seed.
-func (r StallReport) Failure() string {
-	out := fmt.Sprintf("clock-stall seed %d violated %d expectation(s):\n", r.Seed, len(r.Violations))
-	for _, v := range r.Violations {
-		out += "  ✗ " + v + "\n"
-	}
-	out += fmt.Sprintf("reproduce with:\n  go test ./internal/chaos -run TestClockStall -count=1 -chaos.seed=%d\n", r.Seed)
-	return out
-}
+func (r StallReport) Failure() string { return r.failure("clock-stall", "TestClockStall") }
 
 // RunStall executes one clock-stall scenario: warm traffic on a running
 // clock (healthy), a freeze with Packets broadcasts piling into the
@@ -196,137 +177,56 @@ func (r StallReport) Failure() string {
 // the misses, escalated the health state, and dumped the flight
 // recorder. Traffic conservation holds throughout: the stall delays
 // deliveries, it never loses them.
-func RunStall(cfg StallConfig) StallReport {
+func RunStall(cfg StallConfig) (rep StallReport) {
 	cfg = cfg.withDefaults()
-	rep := StallReport{Seed: cfg.Seed}
-	fail := func(format string, args ...any) {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
-	}
-
+	rep = StallReport{Outcome: Outcome{Seed: cfg.Seed}}
 	clk := NewStallClock(vclock.NewSystem(cfg.Scale))
-	sc := scene.New(radio.NewIndexed(64), clk, cfg.Seed)
-	reg := obs.NewRegistry()
-	srv, err := core.NewServer(core.ServerConfig{
-		Clock: clk, Scene: sc, Seed: cfg.Seed, Obs: reg,
+	w, err := newWorld(cfg.Seed, clk, 0, 64, core.ServerConfig{
 		Shards: cfg.Shards, RTTolerance: cfg.RTTolerance, RTWindow: cfg.RTWindow,
 		// Mobility is irrelevant here; keep the ticker off the clock.
 		TickStep: 10 * time.Second,
 	})
 	if err != nil {
-		fail("setup: %v", err)
+		rep.Violations = []string{fmt.Sprintf("setup: %v", err)}
 		return rep
 	}
-	model, err := linkmodel.New(linkmodel.NoLoss{},
-		linkmodel.ConstantBandwidth{Bps: 1e9},
-		linkmodel.ConstantDelay{D: stallLinkDelay})
-	if err != nil {
-		fail("setup: %v", err)
+	defer func() { rep.Outcome = w.close() }()
+	if err := w.tightCluster(cfg.Clients, stallLinkDelay); err != nil {
+		w.violationf("setup: %v", err)
 		return rep
 	}
-	if err := sc.SetLinkModel(1, model); err != nil {
-		fail("setup: %v", err)
-		return rep
-	}
-	// A tight cluster, everyone in everyone's range: each broadcast
-	// becomes exactly Clients-1 scheduled deliveries.
-	for i := 1; i <= cfg.Clients; i++ {
-		err := sc.AddNode(radio.NodeID(i), geom.V(float64(i)*5, 0),
-			[]radio.Radio{{Channel: 1, Range: 1000}})
-		if err != nil {
-			fail("setup: add node %d: %v", i, err)
-			return rep
-		}
-	}
-
-	lis := transport.NewInprocListener()
-	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); srv.Serve(lis) }()
-	defer func() { lis.Close(); srv.Close(); <-serveDone }()
-
-	var received atomic.Uint64
-	clients := make([]*core.Client, cfg.Clients)
-	for i := range clients {
-		c, err := core.Dial(core.ClientConfig{
-			ID: radio.NodeID(i + 1), Dial: lis.Dialer(),
-			LocalClock: clk, SyncRounds: 1,
-			OnPacket: func(p wire.Packet) { received.Add(1) },
-		})
-		if err != nil {
-			fail("setup: dial client %d: %v", i+1, err)
-			return rep
-		}
-		clients[i] = c
-		defer c.Close()
-	}
+	srv, sender := w.peers[0].srv, w.clients[0].current().c
 	fid := srv.Fidelity()
-
-	fanout := uint64(cfg.Clients - 1)
-	payload := []byte("clock-stall-payload")
-	send := func(n int, flow uint16) bool {
-		for k := 0; k < n; k++ {
-			if err := clients[0].Broadcast(1, flow, payload); err != nil {
-				fail("broadcast: %v", err)
-				return false
-			}
-		}
-		return true
-	}
-	waitReceived := func(want uint64, what string) bool {
-		if pollUntil(10*time.Second, func() bool { return received.Load() >= want }) {
-			return true
-		}
-		fail("%s: clients received %d of %d deliveries", what, received.Load(), want)
-		return false
-	}
 
 	// Phase 1 — warm traffic on a running clock. Deliveries fire on
 	// schedule; the monitor must still read healthy.
 	const warm = 2
-	if !send(warm, 1) || !waitReceived(warm*fanout, "warmup") {
-		return rep
+	for k := 0; k < warm; k++ {
+		if err := sender.Broadcast(1, 1, []byte("clock-stall-payload")); err != nil {
+			w.violationf("warmup broadcast: %v", err)
+			return rep
+		}
 	}
+	w.settle("warmup")
 	if st := fid.State(); st != fidelity.Healthy {
-		fail("warmup: health %v before any stall, want healthy", st)
+		w.violationf("warmup: health %v before any stall, want healthy", st)
 	}
 
-	// Phase 2 — freeze the clock, pile up the storm. Ingest commits
-	// (Received counts it) but every delivery's due time sits just past
-	// the frozen now, so the scanners wait.
-	if !syncStormSender(clients[0], clk) {
-		fail("setup: sender clock %v behind the server after 64 resyncs", clk.Now().Sub(clients[0].Now()))
+	// Phase 2 — freeze the clock, pile up the storm, leap. Everything
+	// queued behind the freeze fires as one late pile.
+	if !w.stallStorm(clk, sender, cfg.Packets, 2, cfg.Stall) {
 		return rep
 	}
-	clk.Stall()
-	if !send(cfg.Packets, 2) {
-		clk.Resume()
-		return rep
-	}
-	want := uint64(warm+cfg.Packets) * fanout
-	if !pollUntil(10*time.Second, func() bool {
-		return srv.Stats().Received >= uint64(warm+cfg.Packets)
-	}) {
-		fail("stall: server ingested %d of %d packets", srv.Stats().Received, warm+cfg.Packets)
-		clk.Resume()
-		return rep
-	}
-	time.Sleep(cfg.Stall) // the inner clock runs ahead by Scale×Stall
+	w.settle("post-stall")
 
-	// Phase 3 — the leap. Everything queued behind the freeze is now
-	// overdue by ~Scale×Stall emulated time and fires as one late pile.
-	clk.Resume()
-	if !waitReceived(want, "post-stall") {
-		return rep
-	}
-	if !srv.Quiesce(10 * time.Second) {
-		fail("post-stall: pipeline did not quiesce: %+v", srv.Stats())
-		return rep
-	}
-
-	// Verdict: conservation held, misses were counted, health escalated,
-	// and the breach dumped the flight recorder.
+	// Verdict: the stall lost nothing, misses were counted, health
+	// escalated, and the breach dumped the flight recorder.
 	st := srv.Stats()
-	if st.Entered != st.Forwarded || st.QueueDrops != 0 || st.Abandoned != 0 {
-		fail("conservation: %+v", st)
+	if st.QueueDrops != 0 || st.Abandoned != 0 {
+		w.violationf("conservation: the stall lost deliveries: %+v", st)
+	}
+	if want := uint64(warm+cfg.Packets) * uint64(cfg.Clients-1); st.Forwarded != want {
+		w.violationf("conservation: forwarded %d of %d deliveries", st.Forwarded, want)
 	}
 	for _, snap := range fid.Snapshots() {
 		rep.Misses += snap.Misses
@@ -335,33 +235,33 @@ func RunStall(cfg StallConfig) StallReport {
 	rep.Breaches = fid.Breaches()
 	rep.Dump = fid.LastDump()
 	if rep.Misses == 0 {
-		fail("monitor counted no deadline misses across a %v stall at scale %g (tolerance %v)",
+		w.violationf("monitor counted no deadline misses across a %v stall at scale %g (tolerance %v)",
 			cfg.Stall, cfg.Scale, cfg.RTTolerance)
 	}
 	if fid.State() < fidelity.Degraded {
-		fail("health %q after the stall, want at least degraded", rep.Health)
+		w.violationf("health %q after the stall, want at least degraded", rep.Health)
 	}
 	if rep.Breaches == 0 {
-		fail("no health breach recorded")
+		w.violationf("no health breach recorded")
 	}
 	if rep.Dump == nil {
-		fail("no flight-recorder dump captured")
-	} else {
-		var transitions, fires int
-		for _, ev := range rep.Dump.Events {
-			switch ev.Kind {
-			case fidelity.EvStateTransition:
-				transitions++
-			case fidelity.EvBatchFire:
-				fires++
-			}
+		w.violationf("no flight-recorder dump captured")
+		return rep
+	}
+	var transitions, fires int
+	for _, ev := range rep.Dump.Events {
+		switch ev.Kind {
+		case fidelity.EvStateTransition:
+			transitions++
+		case fidelity.EvBatchFire:
+			fires++
 		}
-		if transitions == 0 {
-			fail("dump holds no state-transition events (%d total)", len(rep.Dump.Events))
-		}
-		if fires == 0 {
-			fail("dump holds no batch-fire events (%d total)", len(rep.Dump.Events))
-		}
+	}
+	if transitions == 0 {
+		w.violationf("dump holds no state-transition events (%d total)", len(rep.Dump.Events))
+	}
+	if fires == 0 {
+		w.violationf("dump holds no batch-fire events (%d total)", len(rep.Dump.Events))
 	}
 	return rep
 }

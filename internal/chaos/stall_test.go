@@ -12,30 +12,29 @@ import (
 // least degraded, count the late pile as deadline misses, and capture a
 // flight-recorder dump — with packet conservation untouched (a stall
 // delays traffic, it never loses it). Honors -chaos.seed for
-// reproduction.
+// reproduction, and sweeps seeds 0..n-1 under an explicit
+// -chaos.seeds=n; with TestClockStallMultiShard that covers the
+// shardCounts() matrix.
 func TestClockStall(t *testing.T) {
-	seed := int64(1)
-	if *flagSeed >= 0 {
-		seed = *flagSeed
+	for _, seed := range seedsFor(1) {
+		rep := RunStall(StallConfig{Seed: seed, Shards: shardCounts()[0]})
+		requireHeld(t, rep.Outcome, rep.Failure())
+		if rep.Health != "degraded" && rep.Health != "overrun" {
+			t.Fatalf("health %q, want degraded or overrun", rep.Health)
+		}
+		t.Logf("clock stall: health=%s breaches=%d misses=%d dump=%d events",
+			rep.Health, rep.Breaches, rep.Misses, len(rep.Dump.Events))
 	}
-	rep := RunStall(StallConfig{Seed: seed})
-	if !rep.OK() {
-		t.Fatal(rep.Failure())
-	}
-	if rep.Health != "degraded" && rep.Health != "overrun" {
-		t.Fatalf("health %q, want degraded or overrun", rep.Health)
-	}
-	t.Logf("clock stall: health=%s breaches=%d misses=%d dump=%d events",
-		rep.Health, rep.Breaches, rep.Misses, len(rep.Dump.Events))
 }
 
 // TestClockStallMultiShard repeats the scenario on a sharded pipeline:
 // the stall hits every shard's scanner, and the server-wide state is
 // the worst shard's.
 func TestClockStallMultiShard(t *testing.T) {
-	rep := RunStall(StallConfig{Seed: 2, Shards: 4})
-	if !rep.OK() {
-		t.Fatal(rep.Failure())
+	counts := shardCounts()
+	for _, seed := range seedsFor(2) {
+		rep := RunStall(StallConfig{Seed: seed, Shards: counts[len(counts)-1]})
+		requireHeld(t, rep.Outcome, rep.Failure())
 	}
 }
 

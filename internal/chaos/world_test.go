@@ -1,0 +1,144 @@
+package chaos
+
+import (
+	"flag"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/vclock"
+)
+
+// seedsFor returns the seeds a hand-seeded scenario test covers: the
+// reproduction seed when -chaos.seed is set, 0..n-1 when -chaos.seeds=n
+// was given explicitly (the nightly sweep), else the fixed defaults.
+func seedsFor(defaults ...int64) []int64 {
+	if *flagSeed >= 0 {
+		return []int64{*flagSeed}
+	}
+	sweep := false
+	flag.Visit(func(f *flag.Flag) { sweep = sweep || f.Name == "chaos.seeds" })
+	if !sweep {
+		return defaults
+	}
+	seeds := make([]int64, *flagSeeds)
+	for i := range seeds {
+		seeds[i] = int64(i)
+	}
+	return seeds
+}
+
+// requireHeld fails the test unless the scenario held every invariant
+// and gave the shared checks something to judge.
+func requireHeld(t *testing.T, o Outcome, failure string) {
+	t.Helper()
+	if !o.OK() {
+		t.Fatal(failure)
+	}
+	requireJudged(t, o)
+}
+
+// requireJudged fails the test when a run's pool never allocated or its
+// servers never fired a delivery: settle and close then pass vacuously.
+func requireJudged(t *testing.T, o Outcome) {
+	t.Helper()
+	if o.allocs == 0 || o.fired == 0 {
+		t.Fatalf("seed %d: shared checks passed vacuously: %d pooled allocations, %d fired deliveries",
+			o.Seed, o.allocs, o.fired)
+	}
+}
+
+// TestSettleSelfTest proves the checks every scenario inherits have
+// teeth on every kind of world, not only under Run: after honest
+// traffic settles clean, one deliberate corruption of the harness's own
+// books (never the emulator) must surface as exactly the violation that
+// guards it.
+func TestSettleSelfTest(t *testing.T) {
+	cases := []struct {
+		name     string
+		sabotage func(t *testing.T, w *world)
+		want     string
+	}{
+		{"swap-order", func(t *testing.T, w *world) {
+			if !w.swapAdjacentDeliveries() {
+				t.Fatal("no adjacent pair of deliveries to swap")
+			}
+			w.settle("sabotaged")
+		}, "fifo"},
+		// A delivery nobody fired is in no fire order.
+		{"fabricate", func(t *testing.T, w *world) {
+			w.fabricateDelivery()
+			w.settle("sabotaged")
+		}, "fifo"},
+		{"mbuf-leak", func(t *testing.T, w *world) { w.pool.Alloc(64) }, "mbuf leak"},
+		// Five, because close allows three runtime-internal strays.
+		{"goroutine-leak", func(t *testing.T, w *world) {
+			park := make(chan struct{})
+			t.Cleanup(func() { close(park) })
+			for i := 0; i < 5; i++ {
+				go func() { <-park }()
+			}
+		}, "goroutine leak"},
+	}
+	for _, peers := range []int{0, 2} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("peers=%d/%s", peers, tc.name), func(t *testing.T) {
+				w, err := newWorld(1, vclock.NewSystem(50), peers, 64, core.ServerConfig{ClusterID: "selftest"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.tightCluster(3, time.Millisecond); err != nil {
+					w.close()
+					t.Fatal(err)
+				}
+				for k := 0; k < 4; k++ {
+					if err := w.clients[0].current().c.Broadcast(1, 1, []byte("selftest")); err != nil {
+						t.Error(err)
+					}
+				}
+				w.settle("honest")
+				honest := len(w.violations)
+				tc.sabotage(t, w)
+				o := w.close()
+				if honest != 0 {
+					t.Fatalf("honest traffic violated: %v", o.Violations[:honest])
+				}
+				requireJudged(t, o)
+				if len(o.Violations) != 1 || !strings.Contains(o.Violations[0], tc.want) {
+					t.Fatalf("violations %q, want exactly one mentioning %q", o.Violations, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// TestFederationSetupTeardownSoak hunts the one-in-2000 two-peer set-up
+// hang the benchmark's trunk_tcp workload once hit: build a federation,
+// put one node on each peer through the coordinator, wait for
+// replication, dial both clients, tear everything down — over and over,
+// failing on any violation. The trunks here are in-process pipes, not
+// TCP, so this covers the handshake, replication-wait and teardown
+// suspects and not a socket-level one. A hang is caught by go test's
+// -timeout, whose goroutine dump is the artifact to keep; the nightly
+// job reaches 10 000 iterations with -count=50.
+func TestFederationSetupTeardownSoak(t *testing.T) {
+	n := 200
+	if testing.Short() {
+		n = 20
+	}
+	for i := 0; i < n; i++ {
+		w, err := newWorld(int64(i), vclock.NewSystem(200), 2, 256, core.ServerConfig{ClusterID: "soak"})
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		err = w.tightCluster(2, time.Millisecond)
+		if err == nil && w.clients[0].owner == w.clients[1].owner {
+			err = fmt.Errorf("both nodes landed on peer %d", w.clients[0].owner)
+		}
+		if o := w.close(); err != nil || !o.OK() {
+			t.Fatalf("iteration %d: setup error %v, violations %q", i, err, o.Violations)
+		}
+	}
+}

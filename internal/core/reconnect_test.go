@@ -83,7 +83,15 @@ func testReconnectMidBurstLedgerAndGoroutines(t *testing.T, shards int) {
 		if err != nil {
 			t.Fatalf("cycle %d: dial: %v", cycle, err)
 		}
-		time.Sleep(2 * time.Millisecond) // let the burst hit this epoch
+		// Let the burst hit this epoch: wait on the epoch's own sink, not
+		// on a fixed sleep the sender can sleep through — a window with no
+		// traffic in flight abandons nothing.
+		for deadline := time.Now().Add(2 * time.Second); sk.count() < 8; {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: epoch received %d of 8 packets before the kill", cycle, sk.count())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
 		// Hard kill: cut the transport out from under the client — no Bye,
 		// whatever was in flight is abandoned mid-pipeline.
 		conn.Close()
