@@ -21,22 +21,27 @@
 // intentionally nondeterministic (real goroutines, real races); the
 // invariants must hold on every execution of every schedule.
 //
-// Invariants checked at each quiesce point (see run.go/invariants.go):
+// Invariants checked at each quiesce point:
 //
-//  1. packet conservation — wired == received, and every schedule entry
-//     ends as exactly one of forwarded / queue-dropped / abandoned,
-//     cross-checked against the obs registry counters;
+//  1. packet conservation — wired == received, trunk transit exact, and
+//     every schedule entry ends as exactly one of forwarded /
+//     queue-dropped / abandoned, cross-checked against the obs registry
+//     counters (world.go, settle — every scenario);
 //  2. per-session FIFO — each client's received order is a subsequence
-//     of the scanner's fire order projected onto that client;
+//     of the scanner's fire order projected onto that client (world.go,
+//     settle);
 //  3. view-rebuild isolation — a window that touched channels K never
 //     bumps ViewRebuilds of any channel outside K (a quarantine channel
-//     with no traffic pins the strongest form);
+//     with no traffic pins the strongest form; run.go);
 //  4. emulation-clock monotonicity — a client's stamp clock never runs
-//     backwards across resyncs;
+//     backwards across resyncs (run.go);
 //  5. record/replay consistency — at the end of the run the recording's
 //     delivered-packet multiset equals what the clients actually
 //     received, survives a Save/Load round trip, and replays to the
-//     same totals and final node positions.
+//     same totals and final node positions (invariants.go).
+//
+// Teardown (world.go, close) adds the last two of world's eight: every
+// pooled buffer back in the pool, and no leaked goroutines.
 package chaos
 
 import (

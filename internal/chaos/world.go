@@ -432,6 +432,7 @@ func (w *world) trunks() (sum core.ClusterStat) {
 	for _, p := range w.peers {
 		cs := p.srv.Cluster()
 		sum.RemoteEntries += cs.RemoteEntries
+		sum.PendingEntries += cs.PendingEntries
 		sum.RecvEntries += cs.RecvEntries
 		sum.TrunkDropped += cs.TrunkDropped
 		sum.RepErrors += cs.RepErrors
@@ -505,15 +506,28 @@ func (w *world) settle(where string) {
 	if !pollUntil(settleTimeout, func() bool { return w.stats().Received == w.wired() }) {
 		w.violationf("%s: conservation: received %d != wired %d", where, w.stats().Received, w.wired())
 	}
-	// Trunk transit: entries counted as sent on an up trunk must all be
-	// ingested by the receiving peer once the pipes drain (the in-proc
-	// pipe delivers everything queued before a close). Entries dropped on
-	// a down trunk were never counted sent and never enter any schedule,
-	// so this — and the ledger below — holds through partitions too.
+	// Trunk transit: entries handed to an up trunk — written or still
+	// pending behind a write — must all be ingested by the receiving peer
+	// once the pipes drain (the in-proc pipe delivers everything queued
+	// before a close). Entries dropped on a down trunk or a failed write
+	// leave remote-entries for trunk-dropped and never enter any
+	// schedule, so this — and the ledger below — holds through
+	// partitions too. Once it balances no trunk may still hold an entry
+	// (polled with it: a writer counts its frame after the peer may have
+	// ingested it).
 	if len(w.peers) > 1 {
-		if !pollUntil(settleTimeout, func() bool { t := w.trunks(); return t.RemoteEntries == t.RecvEntries }) {
+		if !pollUntil(settleTimeout, func() bool {
 			t := w.trunks()
-			w.violationf("%s: trunk transit: remote-entries %d != recv-entries %d", where, t.RemoteEntries, t.RecvEntries)
+			return t.RemoteEntries == t.RecvEntries && t.PendingEntries == 0
+		}) {
+			if t := w.trunks(); t.RemoteEntries != t.RecvEntries {
+				w.violationf("%s: trunk transit: remote-entries %d != recv-entries %d", where, t.RemoteEntries, t.RecvEntries)
+			}
+			for i, p := range w.peers {
+				if n := p.srv.Cluster().PendingEntries; n != 0 {
+					w.violationf("%s: trunk transit: peer %d holds %d pending entries", where, i, n)
+				}
+			}
 		}
 	}
 	// Drain: every schedule and every send queue.

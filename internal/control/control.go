@@ -188,9 +188,9 @@ func (s *Server) execute(line string, w io.Writer) {
 		// coordinator's mutation stream each peer last reported itself.
 		if cs := s.emu.Cluster(); cs != nil {
 			fmt.Fprintf(w, "  cluster id=%s self=%d coordinator=%d peers=%d repseq=%d appliedseq=%d"+
-				" remote=%d recvd=%d trunkdropped=%d reperrors=%d staleness=%v\n",
+				" remote=%d pending=%d recvd=%d trunkdropped=%d reperrors=%d staleness=%v\n",
 				cs.ID, cs.Self, cs.Coordinator, cs.Peers, cs.RepSeq, cs.AppliedSeq,
-				cs.RemoteEntries, cs.RecvEntries, cs.TrunkDropped, cs.RepErrors,
+				cs.RemoteEntries, cs.PendingEntries, cs.RecvEntries, cs.TrunkDropped, cs.RepErrors,
 				time.Duration(cs.StalenessNs))
 			for _, ps := range cs.PeerStats {
 				self := ""
@@ -200,8 +200,15 @@ func (s *Server) execute(line string, w io.Writer) {
 				fmt.Fprintf(w, "  peer %d addr=%s%s health=%s applied=%d", ps.Peer, ps.Addr, self,
 					ps.Health, ps.AppliedSeq)
 				if !ps.Self {
-					fmt.Fprintf(w, " trunkup=%v sent=%d dropped=%d reconnects=%d dialfails=%d",
-						ps.TrunkUp, ps.SentEntries, ps.DroppedEntries, ps.Reconnects, ps.DialFailures)
+					// perwrite is the trunk's coalescing ratio: entries per
+					// frame written (heartbeats and scene frames included).
+					perWrite := 0.0
+					if ps.SentMsgs > 0 {
+						perWrite = float64(ps.SentEntries) / float64(ps.SentMsgs)
+					}
+					fmt.Fprintf(w, " trunkup=%v sent=%d writes=%d perwrite=%.1f dropped=%d pending=%d reconnects=%d dialfails=%d",
+						ps.TrunkUp, ps.SentEntries, ps.SentMsgs, perWrite, ps.DroppedEntries, ps.Pending,
+						ps.Reconnects, ps.DialFailures)
 				}
 				fmt.Fprintln(w)
 			}

@@ -113,11 +113,9 @@ type cluster struct {
 
 	health *fidelity.ClusterHealth
 
-	mRemoteEntries *obs.Counter
-	mTrunkDropped  *obs.Counter
-	mRecvEntries   *obs.Counter
-	mRepErrors     *obs.Counter
-	hStale         *obs.Histogram
+	mRecvEntries *obs.Counter
+	mRepErrors   *obs.Counter
+	hStale       *obs.Histogram
 }
 
 // newCluster wires the federation tier onto an assembled server. Called
@@ -139,10 +137,17 @@ func newCluster(s *Server, cfg ServerConfig) *cluster {
 	cl.repCond.L = &cl.repMu
 
 	reg := s.obs
-	cl.mRemoteEntries = reg.Counter("poem_cluster_remote_entries_total",
-		"scheduled deliveries routed to remote peers over trunks")
-	cl.mTrunkDropped = reg.Counter("poem_cluster_trunk_dropped_total",
-		"scheduled deliveries dropped because their peer's trunk was down")
+	// The outbound data-path terms are the trunks' own ledger, read at
+	// scrape time: accepted == written + dropped + pending per trunk.
+	reg.CounterFunc("poem_cluster_remote_entries_total",
+		"scheduled deliveries written to remote peers over trunks",
+		func() uint64 { return cl.trunkTotals().SentEntries })
+	reg.CounterFunc("poem_cluster_trunk_dropped_total",
+		"scheduled deliveries dropped because their peer's trunk was down or failed the write",
+		func() uint64 { return cl.trunkTotals().DroppedBatch })
+	reg.Gauge("poem_cluster_trunk_pending_entries",
+		"scheduled deliveries handed to a trunk and not yet written or dropped",
+		func() float64 { return float64(cl.trunkTotals().Pending) })
 	cl.mRecvEntries = reg.Counter("poem_cluster_recv_entries_total",
 		"scheduled deliveries received over inbound trunks")
 	cl.mRepErrors = reg.Counter("poem_cluster_replication_errors_total",
@@ -230,15 +235,18 @@ func validateCluster(cfg ServerConfig) error {
 // Outbound: remote routing on the ingest path
 
 // routeRemote splits one packet's scheduled deliveries by owning peer:
-// remote targets leave immediately on their peer's trunk as one
-// TrunkBatch per peer (buffer references travel with the entries — the
-// Conn contract consumes them on success and failure alike), local
-// targets compact to the front of targets and are returned for the usual
-// per-shard push, with the trace handle if it still has a delivery to
-// ride. Entered counts at the peer where a delivery enters a schedule,
-// so per-server conservation ledgers stay exact and the cluster-wide
-// ledger is their sum. Runs on the session's reader goroutine; grouping
-// scratch lives on the session.
+// remote targets are handed to their peer's trunk as one TrunkBatch per
+// peer (buffer references travel with the entries, and the trunk
+// consumes them whatever becomes of them), local targets compact to the
+// front of targets and are returned for the usual per-shard push, with
+// the trace handle if it still has a delivery to ride. The trunk write
+// is deferred: an entry carries its absolute Due, so the receiving
+// peer's scanner write is the emulated departure, and time spent queued
+// before the trunk write cannot distort emulated time. The trunk counts
+// every entry written, dropped or pending; Entered counts at the peer
+// where a delivery enters a schedule, so per-server conservation
+// ledgers stay exact and the cluster-wide ledger is their sum. Runs on
+// the session's reader goroutine; grouping scratch lives on the session.
 func (cl *cluster) routeRemote(sess *session, pkt wire.Packet, trace uint32, targets []sched.Target) ([]sched.Target, uint32) {
 	n := len(targets)
 	idxs := sess.peerIdx[:0]
@@ -273,12 +281,7 @@ func (cl *cluster) routeRemote(sess *session, pkt wire.Packet, trace uint32, tar
 			tb.Entries = append(tb.Entries, wire.TrunkEntry{Due: targets[j].Due, To: targets[j].To, Pkt: pkt})
 			idxs[j] = -1
 		}
-		cnt := uint64(len(tb.Entries))
-		if err := cl.trunks[p].Send(tb); err != nil {
-			cl.mTrunkDropped.Add(cnt)
-		} else {
-			cl.mRemoteEntries.Add(cnt)
-		}
+		cl.trunks[p].SendDeferred(tb) // a drop is counted by the trunk
 	}
 	w := 0
 	for i := 0; i < n; i++ {
@@ -619,10 +622,13 @@ type PeerStat struct {
 	// AppliedSeq is the last replicated scene mutation the peer reported
 	// applied (own value for Self).
 	AppliedSeq uint64
-	// Trunk counters for the outbound trunk to this peer (zero for Self).
+	// Trunk counters for the outbound trunk to this peer (zero for Self):
+	// entries written in SentMsgs frames, dropped, and still pending.
 	TrunkUp        bool
+	SentMsgs       uint64
 	SentEntries    uint64
 	DroppedEntries uint64
+	Pending        uint64
 	Reconnects     uint64
 	DialFailures   uint64
 }
@@ -638,16 +644,37 @@ type ClusterStat struct {
 	RepSeq     uint64
 	AppliedSeq uint64
 	// RemoteEntries/TrunkDropped/RecvEntries are the cluster data-path
-	// counters: deliveries shipped to peers, dropped on dead trunks, and
-	// received from peers. RepErrors counts replicated mutations that
-	// failed to apply.
-	RemoteEntries uint64
-	TrunkDropped  uint64
-	RecvEntries   uint64
-	RepErrors     uint64
+	// counters, summed over this peer's trunks and inbound connections.
+	// RemoteEntries is every delivery handed to a live trunk and not
+	// dropped: written (SentEntries) or still pending, of which
+	// PendingEntries is the second term. A pending entry is either
+	// written later or moves to TrunkDropped, the deliveries dropped on
+	// dead trunks or failed writes; so once every ingest has returned,
+	// Σ RemoteEntries == Σ RecvEntries over the cluster is exact at a
+	// settled point. RecvEntries counts deliveries received from peers.
+	// RepErrors counts replicated mutations that failed to apply.
+	RemoteEntries  uint64
+	PendingEntries uint64
+	TrunkDropped   uint64
+	RecvEntries    uint64
+	RepErrors      uint64
 	// StalenessNs is the last measured scene replication staleness.
 	StalenessNs int64
 	PeerStats   []PeerStat
+}
+
+// trunkTotals sums the outbound trunks' ledgers.
+func (cl *cluster) trunkTotals() (sum transport.TrunkStats) {
+	for _, tr := range cl.trunks {
+		if tr == nil {
+			continue
+		}
+		ts := tr.Stats()
+		sum.SentEntries += ts.SentEntries
+		sum.DroppedBatch += ts.DroppedBatch
+		sum.Pending += ts.Pending
+	}
+	return sum
 }
 
 // Cluster snapshots the federation tier, or returns nil on an
@@ -661,17 +688,15 @@ func (s *Server) Cluster() *ClusterStat {
 	repSeq := cl.repSeq
 	cl.repMu.Unlock()
 	st := &ClusterStat{
-		ID:            cl.id,
-		Self:          cl.self,
-		Coordinator:   cl.coordinator,
-		Peers:         cl.n,
-		RepSeq:        repSeq,
-		AppliedSeq:    cl.appliedSeq.Load(),
-		RemoteEntries: cl.mRemoteEntries.Load(),
-		TrunkDropped:  cl.mTrunkDropped.Load(),
-		RecvEntries:   cl.mRecvEntries.Load(),
-		RepErrors:     cl.mRepErrors.Load(),
-		StalenessNs:   cl.lastStale.Load(),
+		ID:          cl.id,
+		Self:        cl.self,
+		Coordinator: cl.coordinator,
+		Peers:       cl.n,
+		RepSeq:      repSeq,
+		AppliedSeq:  cl.appliedSeq.Load(),
+		RecvEntries: cl.mRecvEntries.Load(),
+		RepErrors:   cl.mRepErrors.Load(),
+		StalenessNs: cl.lastStale.Load(),
 	}
 	for p := range cl.peers {
 		ps := PeerStat{
@@ -690,10 +715,15 @@ func (s *Server) Cluster() *ClusterStat {
 		if tr := cl.trunks[p]; tr != nil {
 			ts := tr.Stats()
 			ps.TrunkUp = ts.Up
+			ps.SentMsgs = ts.SentMsgs
 			ps.SentEntries = ts.SentEntries
 			ps.DroppedEntries = ts.DroppedBatch
+			ps.Pending = ts.Pending
 			ps.Reconnects = ts.Reconnects
 			ps.DialFailures = ts.DialFailures
+			st.RemoteEntries += ts.SentEntries + ts.Pending
+			st.PendingEntries += ts.Pending
+			st.TrunkDropped += ts.DroppedBatch
 		}
 		st.PeerStats = append(st.PeerStats, ps)
 	}

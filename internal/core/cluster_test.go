@@ -1,16 +1,22 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/radio"
 	"repro/internal/scene"
+	"repro/internal/sched"
 	"repro/internal/transport"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 // fedRig is an in-process federation: n servers sharing one emulation
@@ -238,6 +244,139 @@ func TestFederationCrossServerDelivery(t *testing.T) {
 		t.Errorf("peer1 Entered/Forwarded = %d/%d, want %d/%d",
 			st1.Entered, st1.Forwarded, sends, sends)
 	}
+}
+
+// heldConn is a trunk connection whose TrunkBatch writes wait for the
+// test: each announces its entry count on calls and takes its verdict
+// from step. Other frames (the handshake) pass at once.
+type heldConn struct {
+	calls  chan int
+	step   chan error
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *heldConn) Send(m wire.Msg) error {
+	defer wire.ReleaseMsg(m)
+	tb, ok := m.(*wire.TrunkBatch)
+	if !ok {
+		return nil
+	}
+	select {
+	case c.calls <- len(tb.Entries):
+	case <-c.closed:
+		return transport.ErrClosed
+	}
+	select {
+	case err := <-c.step:
+		return err
+	case <-c.closed:
+		return transport.ErrClosed
+	}
+}
+
+func (c *heldConn) Recv() (wire.Msg, error) {
+	<-c.closed
+	return nil, io.EOF
+}
+
+func (c *heldConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+func (c *heldConn) Label() string { return "held" }
+
+// metricValue reads one sample from a registry's exposition.
+func metricValue(t *testing.T, srv *Server, name string) string {
+	t.Helper()
+	var b bytes.Buffer
+	srv.Obs().WritePrometheus(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("%s not exported", name)
+	return ""
+}
+
+// The cluster's outbound counters are the trunks' ledger: RemoteEntries
+// includes entries still pending behind a write, an entry whose write
+// fails moves from RemoteEntries to TrunkDropped, and the two always sum
+// to the entries routed.
+func TestClusterStatsReadTheTrunkLedger(t *testing.T) {
+	clk := vclock.NewManual(0)
+	sc := scene.New(radio.NewIndexed(16), clk, 1)
+	held := &heldConn{calls: make(chan int), step: make(chan error), closed: make(chan struct{})}
+	srv, err := NewServer(ServerConfig{
+		Clock: clk, Scene: sc, Shards: 1, ClusterID: "ledger-test",
+		Peers:           []PeerSpec{{Addr: "self"}, {Addr: "peer", Dial: func() (transport.Conn, error) { return held, nil }}},
+		TrunkMinBackoff: time.Hour, TrunkMaxBackoff: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	remoteA := ownedID(t, 1, 2, 1)
+	remoteB := ownedID(t, 1, 2, remoteA+1)
+	routed := 0
+	route := func() {
+		targets := []sched.Target{{To: remoteA, Due: 5}, {To: remoteB, Due: 5}}
+		if local, _ := srv.cluster.routeRemote(&session{}, wire.Packet{Seq: uint32(routed)}, 0, targets); len(local) != 0 {
+			t.Fatalf("local targets %+v", local)
+		}
+		routed += len(targets)
+	}
+	check := func(step string, remote, pending, dropped uint64) {
+		t.Helper()
+		cs := srv.Cluster()
+		if cs.RemoteEntries != remote || cs.PendingEntries != pending || cs.TrunkDropped != dropped {
+			t.Fatalf("%s: remote %d pending %d dropped %d, want %d/%d/%d",
+				step, cs.RemoteEntries, cs.PendingEntries, cs.TrunkDropped, remote, pending, dropped)
+		}
+		if cs.RemoteEntries+cs.TrunkDropped != uint64(routed) {
+			t.Fatalf("%s: remote %d + dropped %d != routed %d", step, cs.RemoteEntries, cs.TrunkDropped, routed)
+		}
+		if ps := cs.PeerStats[1]; ps.Pending != pending || ps.DroppedEntries != dropped {
+			t.Fatalf("%s: peer line pending %d dropped %d", step, ps.Pending, ps.DroppedEntries)
+		}
+		if got, want := metricValue(t, srv, "poem_cluster_trunk_pending_entries"), fmt.Sprint(pending); got != want {
+			t.Fatalf("%s: pending gauge %s, want %s", step, got, want)
+		}
+		if got, want := metricValue(t, srv, "poem_cluster_remote_entries_total"), fmt.Sprint(remote-pending); got != want {
+			t.Fatalf("%s: remote-entries counter %s, want %s written", step, got, want)
+		}
+		if got, want := metricValue(t, srv, "poem_cluster_trunk_dropped_total"), fmt.Sprint(dropped); got != want {
+			t.Fatalf("%s: trunk-dropped counter %s, want %s", step, got, want)
+		}
+	}
+	settled := func(pending uint64) func() bool {
+		return func() bool { return srv.Cluster().PendingEntries == pending }
+	}
+
+	// The first write is held; everything routed behind it is pending,
+	// and all of it counts as remote.
+	route()
+	if n := <-held.calls; n != 2 {
+		t.Fatalf("first write carries %d entries, want 2", n)
+	}
+	route()
+	route()
+	check("held write", 6, 6, 0)
+	// The held write lands; the next one, carrying the other four
+	// entries, fails: they leave RemoteEntries for TrunkDropped.
+	held.step <- nil
+	if n := <-held.calls; n != 4 {
+		t.Fatalf("second write carries %d entries, want 4", n)
+	}
+	check("second write", 6, 4, 0)
+	held.step <- errors.New("held: connection reset")
+	fedWaitFor(t, settled(0), "failed write counted")
+	check("failed write", 2, 0, 4)
+	// Inside the backoff the trunk drops at once.
+	route()
+	check("backoff", 2, 0, 6)
 }
 
 // TestFederationRedirect: registering with the wrong peer is rejected

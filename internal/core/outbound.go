@@ -131,14 +131,17 @@ func (q *sendQueue) push(m outMsg) bool {
 		if !q.dropOldestDataLocked() {
 			// Full of radio notifications (pathological: limit sessions
 			// would need limit scene changes queued). Data yields to
-			// them; a notification displaces the oldest one.
+			// them; a notification displaces the oldest one. Only data
+			// evictions are policy drops: QueueDrops feeds the
+			// conservation ledger (Entered == Forwarded + QueueDrops +
+			// Abandoned), and a displaced notification never entered it.
 			if m.kind == outData {
 				q.countDrop()
 				q.releaseEntry(&m)
 				q.mu.Unlock()
 				return false
 			}
-			q.dropHeadLocked()
+			q.advanceHeadLocked()
 		}
 	}
 	q.appendLocked(m)
@@ -178,6 +181,10 @@ func (q *sendQueue) dropOldestDataLocked() bool {
 		if q.buf[idx].kind != outData {
 			continue
 		}
+		// Settle the victim before the shift below overwrites its slot
+		// with the notification ahead of it.
+		q.countDrop()
+		q.releaseEntry(&q.buf[idx])
 		// Shift the entries before i up by one slot, then advance head:
 		// O(depth) but only on the overflow path.
 		for j := i; j > 0; j-- {
@@ -185,24 +192,16 @@ func (q *sendQueue) dropOldestDataLocked() bool {
 			prev := (q.head + j - 1) % len(q.buf)
 			q.buf[cur] = q.buf[prev]
 		}
-		q.dropHeadLocked()
+		q.advanceHeadLocked()
 		return true
 	}
 	return false
 }
 
-func (q *sendQueue) dropHeadLocked() {
-	head := &q.buf[q.head]
-	// Only data evictions are policy drops: QueueDrops feeds the
-	// conservation ledger (Entered == Forwarded + QueueDrops +
-	// Abandoned), and a displaced radio notification never entered it.
-	// Charging it here would inflate QueueDrops past the packets that
-	// actually died and the ledger would never balance again.
-	if head.kind == outData {
-		q.countDrop()
-	}
-	q.releaseEntry(head)
-	*head = outMsg{}
+// advanceHeadLocked forgets the head slot, already settled (a
+// notification holds no buffer or trace slot).
+func (q *sendQueue) advanceHeadLocked() {
+	q.buf[q.head] = outMsg{}
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
 }

@@ -9,12 +9,14 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/linkmodel"
 	"repro/internal/mbuf"
+	"repro/internal/obs"
 	"repro/internal/radio"
 	"repro/internal/scene"
 	"repro/internal/transport"
@@ -86,6 +88,165 @@ func TestSendQueueSettlesBuffers(t *testing.T) {
 	q.push(mk()) // rejected by the closed queue; must free immediately
 	if live := pool.Live(); live != 0 {
 		t.Fatalf("closed-queue push leaked: %d live buffers, want 0", live)
+	}
+}
+
+// oracleEntry is a sendQueue entry as the slice oracle sees it.
+type oracleEntry struct {
+	data bool
+	id   uint32 // data: the packet's Seq; notification: its radio's channel
+}
+
+func entryOf(m outMsg) oracleEntry {
+	if m.kind == outData {
+		return oracleEntry{true, m.pkt.Seq}
+	}
+	return oracleEntry{false, uint32(m.radios[0].Channel)}
+}
+
+// The sendQueue against a slice oracle, the way ListQueue is the heap's
+// oracle: seeded sequences of data and notification pushes (overflowing
+// the bound), non-blocking popBatch, done and close. After every step
+// the drop and abandon counts, the depth, the pop order and the pooled
+// buffers still live must match. (Regression: dropOldestDataLocked let
+// the shift overwrite a victim that had a notification ahead of it, so
+// the packet was neither counted nor freed.)
+func TestSendQueueMatchesOracle(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pool := mbuf.NewPool()
+		pool.SetLeakCheck(true)
+		reg := obs.NewRegistry()
+		totalDrops, totalAbandoned := reg.Counter("drops", ""), reg.Counter("abandoned", "")
+		limit := 1 + rng.Intn(6)
+		q := newSendQueue(limit, totalDrops, totalAbandoned, nil)
+		stop := make(chan struct{})
+		close(stop) // popBatch on an empty queue returns instead of waiting
+
+		var (
+			queued, inflight []oracleEntry
+			popped           []outMsg // the writer's batch, settled by done
+			drops, abandoned uint64
+			closed           bool
+			next             uint32
+		)
+		live := func() (n int64) {
+			for _, es := range [][]oracleEntry{queued, inflight} {
+				for _, e := range es {
+					if e.data {
+						n++
+					}
+				}
+			}
+			return n
+		}
+		// evict applies the overflow policy to the oracle: the oldest data
+		// entry goes and counts, else the oldest notification goes free.
+		evict := func(incoming bool) (accept bool) {
+			for i, e := range queued {
+				if e.data {
+					queued = append(queued[:i], queued[i+1:]...)
+					drops++
+					return true
+				}
+			}
+			if incoming {
+				drops++ // data yields to a queue full of notifications
+				return false
+			}
+			queued = queued[1:]
+			return true
+		}
+		for step := 0; step < 200; step++ {
+			what := ""
+			switch op := rng.Intn(20); {
+			case op < 9:
+				next++
+				what = fmt.Sprintf("push data %d", next)
+				b := pool.Alloc(16)
+				got := q.push(outMsg{kind: outData, pkt: wire.Packet{Seq: next, Payload: b.Bytes(), Buf: b}})
+				want := !closed && (len(queued) < limit || evict(true))
+				if closed {
+					abandoned++
+				}
+				if want {
+					queued = append(queued, oracleEntry{true, next})
+				}
+				if got != want {
+					t.Fatalf("seed %d step %d %s: accepted %v, oracle %v", seed, step, what, got, want)
+				}
+			case op < 13:
+				next++
+				what = fmt.Sprintf("push notification %d", next)
+				got := q.push(outMsg{kind: outRadios, radios: []radio.Radio{{Channel: radio.ChannelID(next)}}})
+				want := !closed && (len(queued) < limit || evict(false))
+				if want {
+					queued = append(queued, oracleEntry{false, next})
+				}
+				if got != want {
+					t.Fatalf("seed %d step %d %s: accepted %v, oracle %v", seed, step, what, got, want)
+				}
+			case op < 17:
+				max := 1 + rng.Intn(4)
+				what = fmt.Sprintf("popBatch(%d)", max)
+				batch, ok := q.popBatch(stop, nil, max)
+				k := len(queued)
+				if k > max {
+					k = max
+				}
+				if closed {
+					k = 0
+				}
+				if ok != (k > 0) || len(batch) != k {
+					t.Fatalf("seed %d step %d %s: got %d entries ok=%v, oracle %d", seed, step, what, len(batch), ok, k)
+				}
+				for i, m := range batch {
+					if got := entryOf(m); got != queued[i] {
+						t.Fatalf("seed %d step %d %s: entry %d is %+v, oracle %+v", seed, step, what, i, got, queued[i])
+					}
+				}
+				inflight = append(inflight, queued[:k]...)
+				queued = queued[k:]
+				popped = append(popped, batch...)
+			case op < 19:
+				what = fmt.Sprintf("done(%d)", len(popped))
+				for i := range popped {
+					popped[i].pkt.Buf.Free() // the writer's verdict: forwarded
+				}
+				q.done(len(popped))
+				popped, inflight = popped[:0], inflight[:0]
+			default:
+				what = "close"
+				q.close()
+				if !closed {
+					for _, e := range queued {
+						if e.data {
+							abandoned++
+						}
+					}
+					queued, closed = nil, true
+				}
+			}
+			if got := q.drops.Load(); got != drops || totalDrops.Load() != drops {
+				t.Fatalf("seed %d step %d %s: drops %d (server %d), oracle %d", seed, step, what, got, totalDrops.Load(), drops)
+			}
+			if got := totalAbandoned.Load(); got != abandoned {
+				t.Fatalf("seed %d step %d %s: abandoned %d, oracle %d", seed, step, what, got, abandoned)
+			}
+			if got, want := q.depth(), len(queued)+len(inflight); got != want {
+				t.Fatalf("seed %d step %d %s: depth %d, oracle %d", seed, step, what, got, want)
+			}
+			if got, want := pool.Live(), live(); got != want {
+				t.Fatalf("seed %d step %d %s: %d pooled buffers live, oracle %d", seed, step, what, got, want)
+			}
+		}
+		for i := range popped {
+			popped[i].pkt.Buf.Free()
+		}
+		q.close()
+		if n := pool.Live(); n != 0 {
+			t.Fatalf("seed %d: %d pooled buffers live after close", seed, n)
+		}
 	}
 }
 

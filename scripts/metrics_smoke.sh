@@ -1,9 +1,10 @@
 #!/bin/sh
 # metrics_smoke.sh — end-to-end smoke test of the poemd debug endpoint.
 #
-# Starts poemd with -debug, waits for /healthz, scrapes /metrics, and
-# fails if any registered metric family is missing or any value renders
-# as NaN; also checks /trace answers valid JSON. Run from the repo root:
+# Starts a two-peer federation of poemd, the first with -debug, waits
+# for /healthz, scrapes /metrics, and fails if any registered metric
+# family is missing or any value renders as NaN; also checks /trace
+# answers valid JSON. Run from the repo root:
 #
 #	./scripts/metrics_smoke.sh
 set -eu
@@ -11,13 +12,18 @@ set -eu
 LISTEN=127.0.0.1:17000
 CONTROL=127.0.0.1:17001
 DEBUG=127.0.0.1:17002
+PEER_LISTEN=127.0.0.1:17010
+PEER_CONTROL=127.0.0.1:17011
+PEERS=$LISTEN,$PEER_LISTEN
 BIN=$(mktemp -d)/poemd
 
 go build -o "$BIN" ./cmd/poemd
 
-"$BIN" -listen $LISTEN -control $CONTROL -debug $DEBUG &
+"$BIN" -listen $LISTEN -control $CONTROL -debug $DEBUG -peer $PEERS -peer-self 0 &
 PID=$!
-trap 'kill $PID 2>/dev/null; wait $PID 2>/dev/null || true' EXIT
+"$BIN" -listen $PEER_LISTEN -control $PEER_CONTROL -peer $PEERS -peer-self 1 &
+PEER_PID=$!
+trap 'kill $PID $PEER_PID 2>/dev/null; wait $PID $PEER_PID 2>/dev/null || true' EXIT
 
 ok=0
 for _ in $(seq 1 100); do
@@ -47,7 +53,9 @@ for name in \
 	poem_flight_recorder_events_total \
 	poem_shard_health poem_shard_deadline_miss_total \
 	poem_shard_deadline_lag_ns poem_shard_deadline_watermark_ns \
-	poem_shard_deadline_drift_ns; do
+	poem_shard_deadline_drift_ns \
+	poem_cluster_remote_entries_total poem_cluster_trunk_dropped_total \
+	poem_cluster_trunk_pending_entries poem_cluster_recv_entries_total; do
 	if ! printf '%s\n' "$metrics" | grep -q "^$name"; then
 		echo "missing metric: $name"
 		fail=1
