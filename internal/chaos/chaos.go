@@ -14,12 +14,13 @@
 //
 // Design: schedule generation is pure — GenerateSchedule(cfg) derives
 // the whole event sequence (traffic bursts, scene mutations, client
-// kills and reconnects, transport impairment toggles, quiesce points)
-// from cfg.Seed alone, and Schedule.Digest() hashes its textual form.
-// The same seed therefore always produces a byte-identical event log,
-// and a failing run is reproduced by rerunning its seed. Execution is
-// intentionally nondeterministic (real goroutines, real races); the
-// invariants must hold on every execution of every schedule.
+// kills and reconnects, transport impairment toggles, quiesce points,
+// a federation's partitions and heals) from cfg.Seed alone, and
+// Schedule.Digest() hashes its textual form. The same seed therefore
+// always produces a byte-identical event log, and a failing run is
+// reproduced by rerunning its seed. Execution is intentionally
+// nondeterministic (real goroutines, real races); the invariants must
+// hold on every execution of every schedule.
 //
 // Invariants checked at each quiesce point:
 //
@@ -31,14 +32,17 @@
 //     of the scanner's fire order projected onto that client (world.go,
 //     settle);
 //  3. view-rebuild isolation — a window that touched channels K never
-//     bumps ViewRebuilds of any channel outside K (a quarantine channel
-//     with no traffic pins the strongest form; run.go);
+//     bumps ViewRebuilds of any channel outside K on any peer (a quiet
+//     quarantine channel pins the strongest form; run.go);
 //  4. emulation-clock monotonicity — a client's stamp clock never runs
 //     backwards across resyncs (run.go);
 //  5. record/replay consistency — at the end of the run the recording's
-//     delivered-packet multiset equals what the clients actually
-//     received, survives a Save/Load round trip, and replays to the
-//     same totals and final node positions (invariants.go).
+//     delivered-packet multiset (summed over the peers' stores) equals
+//     what the clients actually received, survives a Save/Load round
+//     trip, and replays to the same totals and final node positions
+//     (invariants.go). A federation adds replication: every follower
+//     applies the coordinator's stream by each quiesce and holds its
+//     scene at the end, and no trunk drops an entry while all are up.
 //
 // Teardown (world.go, close) adds the last two of world's eight: every
 // pooled buffer back in the pool, and no leaked goroutines.
@@ -49,9 +53,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/radio"
 )
@@ -88,12 +94,12 @@ type Config struct {
 	// Peers selects the federation tier: 0 runs the legacy unclustered
 	// server, 1 runs a single-peer cluster — the cluster routing code
 	// live on every packet, with no trunks or remote peers to route to.
-	// Like Shards it is an execution parameter EXCLUDED from the digest:
-	// one seed must hash and execute identically either way, which is
-	// the acceptance check that federation hides completely behind the
-	// single-process default. Multi-peer scenarios need real scene
-	// replication and trunked routing and run through the dedicated
-	// federated harness (RunFederated), not this Runner.
+	// Between those two it is an execution parameter EXCLUDED from the
+	// digest: one seed must hash and execute identically either way,
+	// which is the acceptance check that federation hides completely
+	// behind the single-process default. Peers ≥ 2 runs a federation,
+	// peer 0 coordinating, and adds partitions and heals to the schedule
+	// (and the peer count to its config line).
 	Peers int
 	// Sabotage injects a deliberate harness-side corruption so the
 	// invariant checkers can be shown to catch violations (self-test).
@@ -187,6 +193,10 @@ const (
 	EvReconnect
 	// EvQuiesce drains the pipeline and checks every invariant.
 	EvQuiesce
+	// EvPartition cuts both trunk directions between Peer and every
+	// other peer; EvHeal restores them.
+	EvPartition
+	EvHeal
 )
 
 var evNames = map[EventKind]string{
@@ -195,6 +205,7 @@ var evNames = map[EventKind]string{
 	EvClearMobility: "freeze", EvPause: "pause", EvResume: "resume",
 	EvImpair: "impair", EvClearImpair: "clear", EvKill: "kill",
 	EvReconnect: "reconnect", EvQuiesce: "quiesce",
+	EvPartition: "partition", EvHeal: "heal",
 }
 
 // String implements fmt.Stringer.
@@ -221,6 +232,7 @@ type Event struct {
 	Dup     float64
 	Reorder float64
 	Sleep   time.Duration // EvSleep (wall time)
+	Peer    int           // EvPartition, EvHeal: the peer cut off
 	// Touched lists, for EvQuiesce, every channel the window since the
 	// previous quiesce may legitimately have rebuilt (mutation targets
 	// plus the channels of any node that was mobile). Channels outside
@@ -264,6 +276,8 @@ func (e Event) String() string {
 			chs[i] = fmt.Sprintf("ch%d", ch)
 		}
 		return "quiesce touched[" + strings.Join(chs, " ") + "]"
+	case EvPartition, EvHeal:
+		return fmt.Sprintf("%v p%d", e.Kind, e.Peer)
 	default:
 		return e.Kind.String()
 	}
@@ -295,8 +309,12 @@ type Schedule struct {
 // Lines renders the schedule as its canonical event log.
 func (s Schedule) Lines() []string {
 	out := make([]string, 0, len(s.Setup)+len(s.Events)+1)
-	out = append(out, fmt.Sprintf("config seed=%d clients=%d channels=%d events=%d sabotage=%d",
-		s.Cfg.Seed, s.Cfg.Clients, s.Cfg.Channels, s.Cfg.Events, s.Cfg.Sabotage))
+	cfg := fmt.Sprintf("config seed=%d clients=%d channels=%d events=%d sabotage=%d",
+		s.Cfg.Seed, s.Cfg.Clients, s.Cfg.Channels, s.Cfg.Events, s.Cfg.Sabotage)
+	if s.Cfg.Peers >= 2 {
+		cfg += fmt.Sprintf(" peers=%d", s.Cfg.Peers)
+	}
+	out = append(out, cfg)
 	for _, n := range s.Setup {
 		out = append(out, n.String())
 	}
@@ -354,30 +372,16 @@ func (g *genState) takeTouched() []radio.ChannelID {
 	for ch := range g.touched {
 		out = append(out, ch)
 	}
-	// Map order is random; the digest needs a canonical order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out) // map order is random; the digest needs a canonical one
 	g.touched = make(map[radio.ChannelID]struct{})
 	return out
 }
 
-func (g *genState) aliveIDs(cfg Config) []radio.NodeID {
+// ids lists the clients that are alive, or with alive false the dead.
+func (g *genState) ids(cfg Config, alive bool) []radio.NodeID {
 	out := make([]radio.NodeID, 0, cfg.Clients)
 	for i := 1; i <= cfg.Clients; i++ {
-		if g.alive[radio.NodeID(i)] {
-			out = append(out, radio.NodeID(i))
-		}
-	}
-	return out
-}
-
-func (g *genState) deadIDs(cfg Config) []radio.NodeID {
-	out := make([]radio.NodeID, 0, cfg.Clients)
-	for i := 1; i <= cfg.Clients; i++ {
-		if !g.alive[radio.NodeID(i)] {
+		if g.alive[radio.NodeID(i)] == alive {
 			out = append(out, radio.NodeID(i))
 		}
 	}
@@ -426,18 +430,26 @@ func GenerateSchedule(cfg Config) Schedule {
 			Radios: []radio.Radio{{Channel: QuarantineChannel, Range: 100}}},
 	)
 
+	var fed *fedGen
+	if cfg.Peers >= 2 {
+		fed = &fedGen{rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eedfed)), peers: cfg.Peers, cut: -1}
+	}
 	pick := func(ids []radio.NodeID) radio.NodeID { return ids[rng.Intn(len(ids))] }
 	events := make([]Event, 0, cfg.Events+cfg.Events/10+2)
 	untilQuiesce := 8 + rng.Intn(8)
 	for len(events) < cfg.Events {
 		if untilQuiesce == 0 {
+			events = fed.heal(g, events)
 			events = append(events, Event{Kind: EvQuiesce, Touched: g.takeTouched()})
 			untilQuiesce = 8 + rng.Intn(8)
 			continue
 		}
 		untilQuiesce--
-		alive := g.aliveIDs(cfg)
-		dead := g.deadIDs(cfg)
+		if fed != nil && fed.cut < 0 && fed.rng.Intn(12) == 0 {
+			events = fed.open(g, cfg, events)
+		}
+		alive := g.ids(cfg, true)
+		dead := g.ids(cfg, false)
 		roll := rng.Intn(100)
 		var ev Event
 		switch {
@@ -551,6 +563,11 @@ func GenerateSchedule(cfg Config) Schedule {
 				break
 			}
 			n := pick(alive)
+			if fed != nil && fed.cut >= 0 && fed.s == n {
+				// The probe's sender lives until the heal probes again.
+				ev = Event{Kind: EvSleep, Sleep: time.Millisecond}
+				break
+			}
 			g.alive[n] = false
 			g.impaired[n] = false
 			ev = Event{Kind: EvKill, Node: n}
@@ -567,7 +584,7 @@ func GenerateSchedule(cfg Config) Schedule {
 	}
 	// Revive everyone before the final drain so the closing window also
 	// exercises reconnect paths deterministically, then quiesce.
-	for _, n := range g.deadIDs(cfg) {
+	for _, n := range g.ids(cfg, false) {
 		g.alive[n] = true
 		events = append(events, Event{Kind: EvReconnect, Node: n})
 	}
@@ -575,6 +592,83 @@ func GenerateSchedule(cfg Config) Schedule {
 		events = append(events, Event{Kind: EvResume})
 		g.paused = false
 	}
+	if fed != nil && !fed.opened {
+		events = fed.open(g, cfg, events)
+	}
+	events = fed.heal(g, events)
 	events = append(events, Event{Kind: EvQuiesce, Touched: g.takeTouched()})
 	return Schedule{Cfg: cfg, Setup: setup, Events: events}
+}
+
+// fedGen draws a federation's partitions from a stream of its own, so a
+// schedule at Peers ≤ 1 draws exactly what it always did. A partition
+// opens before any event with odds 1 in 12 and heals just before the
+// window's quiesce; every schedule opens at least one.
+type fedGen struct {
+	rng    *rand.Rand
+	peers  int
+	cut    int          // the peer cut off, -1 while none is
+	s, d   radio.NodeID // the probe pair across it
+	opened bool
+}
+
+// open cuts off the peer of s or of d — a live client and one owned by
+// another peer — and probes the cut from s to d: every packet the link
+// keeps must drop on a down trunk. With every client on one peer nothing
+// opens.
+func (f *fedGen) open(g *genState, cfg Config, events []Event) []Event {
+	alive := g.ids(cfg, true)
+	s := alive[f.rng.Intn(len(alive))]
+	var ds []radio.NodeID
+	for d := radio.NodeID(1); int(d) <= cfg.Clients; d++ {
+		if core.PeerIndex(d, f.peers) != core.PeerIndex(s, f.peers) {
+			ds = append(ds, d)
+		}
+	}
+	if len(ds) == 0 {
+		return events
+	}
+	f.s, f.d, f.opened = s, ds[f.rng.Intn(len(ds))], true
+	events, probe := f.probe(g, events)
+	f.cut = core.PeerIndex([]radio.NodeID{f.s, f.d}[f.rng.Intn(2)], f.peers)
+	return append(events, Event{Kind: EvPartition, Peer: f.cut}, probe)
+}
+
+// heal closes the open partition, if any, and probes the healed cut with
+// the same pair: now every packet the link keeps must arrive.
+func (f *fedGen) heal(g *genState, events []Event) []Event {
+	if f == nil || f.cut < 0 {
+		return events
+	}
+	events, probe := f.probe(g, events)
+	events = append(events, Event{Kind: EvHeal, Peer: f.cut}, probe)
+	f.cut = -1
+	return events
+}
+
+// probe readies the scene for a burst from s to d and returns the burst:
+// d is revived and, if the two share no channel, retuned onto one of
+// s's, and s's range there is set past Region's diagonal, so d hears
+// every packet the link keeps. The partition or heal goes in between,
+// where the runner lets replication catch up.
+func (f *fedGen) probe(g *genState, events []Event) ([]Event, Event) {
+	if !g.alive[f.d] {
+		g.alive[f.d] = true
+		events = append(events, Event{Kind: EvReconnect, Node: f.d})
+	}
+	chans, ch := g.chansOf[f.d], g.chansOf[f.s][0]
+	for _, c := range g.chansOf[f.s] {
+		if slices.Contains(chans, c) {
+			ch = c
+		}
+	}
+	if !slices.Contains(chans, ch) {
+		g.touch(chans...) // a full SetRadios, as in the switch draw
+		events = append(events, Event{Kind: EvSwitchChannel, Node: f.d, Channel: chans[0], NewCh: ch})
+		chans[0] = ch
+	}
+	g.touch(ch)
+	g.nextFlow++
+	return append(events, Event{Kind: EvSetRange, Node: f.s, Channel: ch, Range: 300}),
+		Event{Kind: EvBurst, Node: f.s, Dst: f.d, Channel: ch, Flow: g.nextFlow, Count: 8 + f.rng.Intn(8)}
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/radio"
 )
 
 var (
@@ -76,9 +79,75 @@ func runSeed(t *testing.T, seed int64, shards int) {
 	}
 }
 
+// TestChaosFederationTwoPeer runs the seeded schedule on a two-peer
+// federation — every event kind, plus partitions and heals — with every
+// invariant holding cluster-wide. Honors -chaos.seed, and sweeps seeds
+// 0..n-1 under an explicit -chaos.seeds=n; with the three-peer test that
+// covers the shardCounts() matrix.
+func TestChaosFederationTwoPeer(t *testing.T) {
+	seeds := seedsFor(1, 2)
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		runFederated(t, seed, 2, shardCounts()[0])
+	}
+}
+
+// TestChaosFederationThreePeer stretches the same to three peers, where
+// a partitioned victim must not disturb the two healthy peers.
+func TestChaosFederationThreePeer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	counts := shardCounts()
+	for _, seed := range seedsFor(3) {
+		runFederated(t, seed, 3, counts[len(counts)-1])
+	}
+}
+
+// runFederated runs one seed on a federation and requires that traffic
+// was delivered, crossed a trunk, and died on a partitioned one.
+func runFederated(t *testing.T, seed int64, peers, shards int) {
+	t.Helper()
+	rep := Run(Config{Seed: seed, Events: *flagEvents, Peers: peers, Shards: shards})
+	requireHeld(t, rep.Outcome, rep.Failure())
+	if rep.Deliveries == 0 || rep.CrossPeer == 0 || rep.TrunkDropped == 0 {
+		t.Fatalf("seed %d at %d peers: %d deliveries, %d across trunks, %d dropped on cut trunks — want all > 0",
+			seed, peers, rep.Deliveries, rep.CrossPeer, rep.TrunkDropped)
+	}
+}
+
+// TestChaosPeersDigestIdentity pins the federation layer's zero-cost
+// claim at the behavioral level: the full chaos scenario executed on the
+// legacy unclustered server and on a single-peer cluster (routing tier
+// live on every packet, always resolving local) must produce
+// byte-identical schedule digests and both pass every invariant.
+func TestChaosPeersDigestIdentity(t *testing.T) {
+	for seed := int64(0); seed < 2; seed++ {
+		var want string
+		for _, peers := range []int{0, 1} {
+			rep := Run(Config{Seed: seed, Peers: peers})
+			if !rep.OK() {
+				t.Fatalf("peers=%d: %s", peers, rep.Failure())
+			}
+			if rep.Deliveries == 0 {
+				t.Fatalf("seed %d peers=%d: no deliveries", seed, peers)
+			}
+			if want == "" {
+				want = rep.Digest
+			} else if rep.Digest != want {
+				t.Fatalf("seed %d: digest diverged with peers=%d: %s vs %s",
+					seed, peers, rep.Digest, want)
+			}
+		}
+	}
+}
+
 // TestChaosSelfTest proves the harness has teeth: a deliberately
 // corrupted delivery ledger must be detected, reported with the seed,
-// and reproduce on the first retry of that seed.
+// and reproduce on the first retry of that seed — on one server and on
+// a federation.
 func TestChaosSelfTest(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -89,66 +158,114 @@ func TestChaosSelfTest(t *testing.T) {
 		{"swap-order", SabotageSwapOrder, "fifo"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Seed: 7, Sabotage: tc.sab}
-			rep := Run(cfg)
-			if rep.OK() {
-				t.Fatalf("sabotage %v went undetected", tc.sab)
-			}
-			if !strings.Contains(strings.Join(rep.Violations, "\n"), tc.want) {
-				t.Errorf("sabotage %v: violations %v do not mention %q", tc.sab, rep.Violations, tc.want)
-			}
-			failure := rep.Failure()
-			if !strings.Contains(failure, "-chaos.seed=7") {
-				t.Errorf("failure report does not carry the reproduction seed:\n%s", failure)
-			}
-			// First retry must reproduce.
-			if retry := Run(cfg); retry.OK() {
-				t.Fatalf("sabotage %v did not reproduce on retry", tc.sab)
+			for _, peers := range []int{0, 2} {
+				cfg := Config{Seed: 7, Sabotage: tc.sab, Peers: peers}
+				rep := Run(cfg)
+				if rep.OK() {
+					t.Fatalf("peers=%d: sabotage %v went undetected", peers, tc.sab)
+				}
+				if !strings.Contains(strings.Join(rep.Violations, "\n"), tc.want) {
+					t.Errorf("peers=%d: sabotage %v: violations %v do not mention %q", peers, tc.sab, rep.Violations, tc.want)
+				}
+				failure := rep.Failure()
+				if !strings.Contains(failure, "-chaos.seed=7") {
+					t.Errorf("failure report does not carry the reproduction seed:\n%s", failure)
+				}
+				// First retry must reproduce.
+				if retry := Run(cfg); retry.OK() {
+					t.Fatalf("peers=%d: sabotage %v did not reproduce on retry", peers, tc.sab)
+				}
 			}
 		})
 	}
 }
 
+// TestScheduleDigestsPinned pins the generator itself, not only its
+// determinism: the default schedules of seeds 0–3 hash to these values,
+// so a change that redraws them is seen as one.
+func TestScheduleDigestsPinned(t *testing.T) {
+	for seed, want := range []string{
+		"731666d362b867ef34c6ac21e0163434710ef248842047823f5aca2e819a9461",
+		"931e075f31334cfe93364311a7efdb01c7f07c142edda651702ee0cd310e3151",
+		"3b6a0cbe050562fbe213d1c97a84731c9831865147d685245618aec12b3f3dd2",
+		"fe2dcc72c5785ca30f5a184cb5c986f9cd848de504885c6e43134152c65891a1",
+	} {
+		if got := GenerateSchedule(Config{Seed: int64(seed)}).Digest(); got != want {
+			t.Errorf("seed %d: digest %s, pinned %s", seed, got, want)
+		}
+	}
+}
+
 // TestGenerateScheduleShape pins the structural guarantees the runner
 // relies on: a trailing quiesce, everyone alive at the end, and the
-// quarantine channel never listed as touched.
+// quarantine channel never listed as touched; on a federation, at most
+// one partition open at a time, every one healed before the next
+// quiesce, none naming a peer outside the cluster, and at least one
+// crossed by a burst.
 func TestGenerateScheduleShape(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		sch := GenerateSchedule(Config{Seed: seed})
-		if len(sch.Events) == 0 {
-			t.Fatalf("seed %d: empty schedule", seed)
+	for _, peers := range []int{0, 2, 3} {
+		for seed := int64(0); seed < 20; seed++ {
+			checkScheduleShape(t, GenerateSchedule(Config{Seed: seed, Peers: peers}))
 		}
-		last := sch.Events[len(sch.Events)-1]
-		if last.Kind != EvQuiesce {
-			t.Fatalf("seed %d: schedule ends with %v, want quiesce", seed, last.Kind)
-		}
-		alive := make(map[int]bool)
-		for i := 1; i <= sch.Cfg.Clients; i++ {
-			alive[i] = true
-		}
-		for _, ev := range sch.Events {
-			switch ev.Kind {
-			case EvKill:
-				alive[int(ev.Node)] = false
-			case EvReconnect:
-				alive[int(ev.Node)] = true
-			case EvQuiesce:
-				for _, ch := range ev.Touched {
-					if ch == QuarantineChannel {
-						t.Fatalf("seed %d: quarantine channel marked touched", seed)
-					}
-				}
-			case EvSetRange, EvSwitchChannel:
-				if ev.Channel == QuarantineChannel || ev.NewCh == QuarantineChannel {
-					t.Fatalf("seed %d: event targets the quarantine channel", seed)
+	}
+}
+
+func checkScheduleShape(t *testing.T, sch Schedule) {
+	t.Helper()
+	seed, peers := sch.Cfg.Seed, sch.Cfg.Peers
+	if len(sch.Events) == 0 {
+		t.Fatalf("seed %d: empty schedule", seed)
+	}
+	last := sch.Events[len(sch.Events)-1]
+	if last.Kind != EvQuiesce {
+		t.Fatalf("seed %d: schedule ends with %v, want quiesce", seed, last.Kind)
+	}
+	alive := make(map[int]bool)
+	for i := 1; i <= sch.Cfg.Clients; i++ {
+		alive[i] = true
+	}
+	cut, crossed := -1, false
+	for _, ev := range sch.Events {
+		switch ev.Kind {
+		case EvPartition:
+			if cut >= 0 || ev.Peer < 0 || ev.Peer >= peers {
+				t.Fatalf("seed %d peers %d: %v while p%d is cut", seed, peers, ev, cut)
+			}
+			cut = ev.Peer
+		case EvHeal:
+			if ev.Peer != cut {
+				t.Fatalf("seed %d peers %d: %v while p%d is cut", seed, peers, ev, cut)
+			}
+			cut = -1
+		case EvBurst:
+			side := func(n radio.NodeID) bool { return core.PeerIndex(n, peers) == cut }
+			crossed = crossed || (cut >= 0 && ev.Dst != radio.Broadcast && side(ev.Node) != side(ev.Dst))
+		case EvKill:
+			alive[int(ev.Node)] = false
+		case EvReconnect:
+			alive[int(ev.Node)] = true
+		case EvQuiesce:
+			if cut >= 0 {
+				t.Fatalf("seed %d peers %d: quiesce with p%d still cut", seed, peers, cut)
+			}
+			for _, ch := range ev.Touched {
+				if ch == QuarantineChannel {
+					t.Fatalf("seed %d: quarantine channel marked touched", seed)
 				}
 			}
-		}
-		for id, a := range alive {
-			if !a {
-				t.Fatalf("seed %d: client %d left dead at end of schedule", seed, id)
+		case EvSetRange, EvSwitchChannel:
+			if ev.Channel == QuarantineChannel || ev.NewCh == QuarantineChannel {
+				t.Fatalf("seed %d: event targets the quarantine channel", seed)
 			}
 		}
+	}
+	for id, a := range alive {
+		if !a {
+			t.Fatalf("seed %d: client %d left dead at end of schedule", seed, id)
+		}
+	}
+	if peers >= 2 && !crossed {
+		t.Fatalf("seed %d peers %d: no burst crossed a partition", seed, peers)
 	}
 }
 

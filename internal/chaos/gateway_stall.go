@@ -27,25 +27,6 @@ import (
 type GatewayStallConfig struct {
 	// Seed feeds the scene and names the run in failure reports.
 	Seed int64
-	// Clients is the plain broadcast population riding alongside the
-	// gateway's node (default 6).
-	Clients int
-	// Packets is the storm piled behind the frozen clock (default 24).
-	Packets int
-	// Datagrams is the size of each probe burst pushed into the
-	// gateway's real socket (default 8).
-	Datagrams int
-	// Scale is the inner clock's time compression (default 50).
-	Scale float64
-	// Stall is the wall-clock freeze duration (default 40ms).
-	Stall time.Duration
-	// RTTolerance / RTWindow configure the fidelity monitor (defaults
-	// 500ms emulated / 32 deliveries). Unlike StallConfig's tight
-	// tolerance, the default here is loose enough that only the stall's
-	// leap (Scale×Stall ≈ 2s emulated) registers as misses — ordinary
-	// scheduling noise must not trip the gate this scenario asserts on.
-	RTTolerance time.Duration
-	RTWindow    int
 	// DisableBackpressure runs the A9 ablation: the same stall, but the
 	// gateway keeps forwarding while degraded. The scenario then
 	// asserts the opposite shed-probe outcome — every probe datagram is
@@ -53,30 +34,17 @@ type GatewayStallConfig struct {
 	DisableBackpressure bool
 }
 
-func (c GatewayStallConfig) withDefaults() GatewayStallConfig {
-	if c.Clients <= 0 {
-		c.Clients = 6
-	}
-	if c.Packets <= 0 {
-		c.Packets = 24
-	}
-	if c.Datagrams <= 0 {
-		c.Datagrams = 8
-	}
-	if c.Scale <= 0 {
-		c.Scale = 50
-	}
-	if c.Stall <= 0 {
-		c.Stall = 40 * time.Millisecond
-	}
-	if c.RTTolerance == 0 {
-		c.RTTolerance = 500 * time.Millisecond
-	}
-	if c.RTWindow <= 0 {
-		c.RTWindow = 32
-	}
-	return c
-}
+// The gateway scenario's own shape: gwClients plain broadcast clients
+// ride alongside the gateway's node, each probe burst pushes gwDatagrams
+// into its real socket, and the monitor's tolerance is loose enough that
+// only the stall's leap (stallScale×stallHold ≈ 2s emulated) registers
+// as misses — ordinary scheduling noise must not trip the gate this
+// scenario asserts on.
+const (
+	gwClients   = 6
+	gwDatagrams = 8
+	gwTolerance = 500 * time.Millisecond
+)
 
 // GatewayStallReport is the outcome of one gateway-backpressure run.
 type GatewayStallReport struct {
@@ -106,11 +74,10 @@ func (r GatewayStallReport) Failure() string {
 // phase boundary with the gateway's own counts as its in/out terms, and
 // the gateway allocates from the world's leak-checked pool.
 func RunGatewayStall(cfg GatewayStallConfig) (rep GatewayStallReport) {
-	cfg = cfg.withDefaults()
 	rep = GatewayStallReport{Outcome: Outcome{Seed: cfg.Seed}}
-	clk := NewStallClock(vclock.NewSystem(cfg.Scale))
+	clk := NewStallClock(vclock.NewSystem(stallScale))
 	w, err := newWorld(cfg.Seed, clk, 0, 64, core.ServerConfig{
-		Shards: 1, RTTolerance: cfg.RTTolerance, RTWindow: cfg.RTWindow,
+		Shards: 1, RTTolerance: gwTolerance, RTWindow: stallWindow,
 		TickStep: 10 * time.Second,
 	})
 	if err != nil {
@@ -118,14 +85,14 @@ func RunGatewayStall(cfg GatewayStallConfig) (rep GatewayStallReport) {
 		return rep
 	}
 	defer func() { rep.Outcome = w.close() }()
-	// Nodes 1..Clients are plain clients; the gateway's VMN joins the
-	// tight cluster as Clients+1, so every broadcast reaches everyone
+	// Nodes 1..gwClients are plain clients; the gateway's VMN joins the
+	// tight cluster as gwClients+1, so every broadcast reaches everyone
 	// else.
-	if err := w.tightCluster(cfg.Clients, stallLinkDelay); err != nil {
+	if err := w.tightCluster(gwClients, stallLinkDelay); err != nil {
 		w.violationf("setup: %v", err)
 		return rep
 	}
-	gwNode := radio.NodeID(cfg.Clients + 1)
+	gwNode := radio.NodeID(gwClients + 1)
 	err = w.peers[0].sc.AddNode(gwNode, geom.V(float64(gwNode)*5, 0), []radio.Radio{{Channel: 1, Range: 1000}})
 	if err != nil {
 		w.violationf("setup: add gateway node: %v", err)
@@ -188,14 +155,14 @@ func RunGatewayStall(cfg GatewayStallConfig) (rep GatewayStallReport) {
 		return rep
 	}
 	defer probe.Close()
-	D := uint64(cfg.Datagrams)
+	const D = gwDatagrams
 	var pushed uint64
 	// UDP gives no delivery receipt, so every burst is chased by a poll
 	// until the gateway has decided each datagram's fate — decided, not
 	// merely read: Ingress counts a datagram before Accepted or Shed does,
 	// and the verdicts below read those.
 	burst := func(tag string) bool {
-		for k := 0; k < cfg.Datagrams; k++ {
+		for k := 0; k < D; k++ {
 			msg := fmt.Sprintf("%s-%03d", tag, k)
 			if _, err := probe.WriteTo([]byte(msg), gw.Addr(0)); err != nil {
 				w.violationf("%s: probe write %d: %v", tag, k, err)
@@ -213,7 +180,7 @@ func RunGatewayStall(cfg GatewayStallConfig) (rep GatewayStallReport) {
 		}
 		return true
 	}
-	fanout := D * uint64(cfg.Clients) // a probe burst's broadcasts reach every plain client
+	const fanout = D * gwClients // a probe burst's broadcasts reach every plain client
 
 	// Phase 1 — healthy: probe datagrams traverse socket → gateway →
 	// scene → every plain client.
@@ -233,13 +200,13 @@ func RunGatewayStall(cfg GatewayStallConfig) (rep GatewayStallReport) {
 
 	// Phase 2 — stall, storm, leap: the monitor degrades and the gate
 	// must shed the next burst drop-newest.
-	if !w.stallStorm(clk, sender, cfg.Packets, 2, cfg.Stall) {
+	if !w.stallStorm(clk, sender, 2) {
 		return rep
 	}
 	w.settle("post-stall")
 	if !pollUntil(settleTimeout, func() bool { return gw.Gate(0) >= fidelity.Degraded }) {
 		w.violationf("post-stall: gate %v after a %v stall at scale %g (monitor %v)",
-			gw.Gate(0), cfg.Stall, cfg.Scale, fid.State())
+			gw.Gate(0), stallHold, float64(stallScale), fid.State())
 		return rep
 	}
 	rep.PeakHealth = fid.State().String()
@@ -248,7 +215,7 @@ func RunGatewayStall(cfg GatewayStallConfig) (rep GatewayStallReport) {
 		return rep
 	}
 	w.settle("shed probe")
-	accepted, wantForwarded := D, uint64(0) // the ingress ledger after the probe
+	accepted, wantForwarded := uint64(D), uint64(0) // the ingress ledger after the probe
 	if cfg.DisableBackpressure {
 		// The ablation: every probe datagram enters the late scene and
 		// fans out to the plain clients anyway.

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -23,15 +24,22 @@ type Report struct {
 	Outcome
 	Digest     string
 	Schedule   Schedule
-	Stats      core.ServerStats
 	Deliveries int // packets the clients actually received
+	// CrossPeer counts deliveries received over trunks, TrunkDropped those
+	// dropped on trunks a partition took down (zero below two peers).
+	CrossPeer, TrunkDropped uint64
 }
 
 // Failure renders a failing run for the test log: the violations, the
 // reproduction command, and the tail of the event log.
 func (r Report) Failure() string {
+	what, test := "chaos", "TestChaos"
+	if n := r.Schedule.Cfg.Peers; n >= 2 {
+		what = fmt.Sprintf("chaos at %d peers", n)
+		test = "TestChaosFederation" + map[int]string{2: "TwoPeer", 3: "ThreePeer"}[n]
+	}
 	var b strings.Builder
-	b.WriteString(r.failure("chaos (schedule digest "+r.Digest[:16]+")", "TestChaos"))
+	b.WriteString(r.failure(what+" (schedule digest "+r.Digest[:16]+")", test))
 	lines := r.Schedule.Lines()
 	tail := 30
 	if len(lines) < tail {
@@ -45,7 +53,8 @@ func (r Report) Failure() string {
 }
 
 // Runner executes one generated schedule against a live emulation: a
-// world of one server, driven by the schedule's events.
+// world of Config.Peers servers, driven by the schedule's events. Every
+// scene mutation is made on peer 0, the coordinator.
 type Runner struct {
 	*world
 	cfg Config
@@ -53,14 +62,16 @@ type Runner struct {
 
 	sc     *scene.Scene // peers[0]'s
 	srv    *core.Server // peers[0]'s
-	store  *record.Store
 	bursts sync.WaitGroup
 
-	// lastRebuilds is each channel's ViewRebuilds reading at the previous
-	// quiesce point — the baseline the isolation invariant compares
-	// against.
-	lastRebuilds map[radio.ChannelID]uint64
+	// lastRebuilds is each peer's ViewRebuilds reading of each channel at
+	// the previous quiesce point — the baseline the isolation invariant
+	// compares against.
+	lastRebuilds map[rebuildKey]uint64
 	allChannels  []radio.ChannelID
+	// dropped is the trunks' drop count when the last partition healed:
+	// with every trunk up it must not move.
+	dropped uint64
 }
 
 // Run generates the schedule for cfg and executes it, checking every
@@ -70,28 +81,23 @@ func Run(cfg Config) (rep Report) {
 	cfg = cfg.Normalize()
 	sch := GenerateSchedule(cfg)
 	rep = Report{Outcome: Outcome{Seed: cfg.Seed}, Digest: sch.Digest(), Schedule: sch}
-	if cfg.Peers > 1 {
-		rep.Violations = []string{"setup: chaos: Config.Peers > 1 needs the federated harness (RunFederated)"}
-		return rep
-	}
 	// The server subscribes the store to scene events in NewServer, so
 	// it must exist before nodes are added or the "add" records — which
-	// the final position check folds — would be missing.
-	store := record.NewStore()
+	// the final position check folds — would be missing. The trunk and
+	// heartbeat cadences, federation-only, see a heal in milliseconds.
 	w, err := newWorld(cfg.Seed, vclock.NewSystem(cfg.Scale), cfg.Peers, 512, core.ServerConfig{
-		Store: store, SendQueueDepth: cfg.QueueDepth, ObsSampleEvery: 4,
+		Store: record.NewStore(), SendQueueDepth: cfg.QueueDepth, ObsSampleEvery: 4,
 		Shards: cfg.Shards, RTTolerance: cfg.RTTolerance, ClusterID: "chaos",
+		StatusEvery:     2 * time.Millisecond,
+		TrunkMinBackoff: 500 * time.Microsecond,
+		TrunkMaxBackoff: 4 * time.Millisecond,
 	})
 	if err != nil {
 		rep.Violations = []string{fmt.Sprintf("setup: %v", err)}
 		return rep
 	}
 	defer func() { rep.Outcome = w.close() }()
-	r := &Runner{
-		world: w, cfg: cfg, sch: sch, store: store,
-		sc: w.peers[0].sc, srv: w.peers[0].srv,
-		lastRebuilds: make(map[radio.ChannelID]uint64),
-	}
+	r := &Runner{world: w, cfg: cfg, sch: sch, sc: w.peers[0].sc, srv: w.peers[0].srv}
 	defer r.bursts.Wait()
 	if err := r.setup(); err != nil {
 		r.violationf("setup: %v", err)
@@ -104,8 +110,11 @@ func Run(cfg Config) (rep Report) {
 	// safe to freeze the scene and settle the whole-run record/replay
 	// invariants before teardown.
 	r.finalChecks()
-	rep.Stats = r.srv.Stats()
 	rep.Deliveries = int(r.sunk())
+	if len(r.peers) > 1 {
+		t := r.trunks()
+		rep.CrossPeer, rep.TrunkDropped = t.RecvEntries, t.TrunkDropped
+	}
 	return rep
 }
 
@@ -127,7 +136,7 @@ func (r *Runner) setup() error {
 		if err != nil {
 			return err
 		}
-		if err := r.sc.SetLinkModel(radio.ChannelID(ch), m); err != nil {
+		if err := r.setLinkModel(radio.ChannelID(ch), m); err != nil {
 			return err
 		}
 		r.allChannels = append(r.allChannels, radio.ChannelID(ch))
@@ -136,17 +145,19 @@ func (r *Runner) setup() error {
 		return err
 	}
 	r.allChannels = append(r.allChannels, QuarantineChannel)
-
+	if err := r.waitReplicated(); err != nil {
+		return err
+	}
 	for i := 1; i <= cfg.Clients; i++ {
 		if err := r.dial(radio.NodeID(i)); err != nil {
 			return err
 		}
 	}
-	// Rebuild baseline: setup mutations publish eagerly, and nothing is
-	// mobile yet, so the counts are settled here.
-	for _, ch := range r.allChannels {
-		r.lastRebuilds[ch] = r.sc.ViewRebuilds(ch)
-	}
+	// Rebuild baseline: setup mutations publish eagerly, every node has
+	// reached every follower, and nothing is mobile yet, so the counts
+	// are settled here.
+	r.lastRebuilds = make(map[rebuildKey]uint64)
+	r.checkIsolation("setup", r.allChannels)
 	return nil
 }
 
@@ -197,6 +208,11 @@ func (r *Runner) execute(idx int, ev Event) {
 		r.reconnect(ev.Node)
 	case EvQuiesce:
 		r.quiesce(idx, ev)
+	case EvPartition:
+		r.replicated(fmt.Sprintf("partition %d", idx))
+		r.partition(ev.Peer, (*gate).cut)
+	case EvHeal:
+		r.heal(fmt.Sprintf("heal %d", idx), ev.Peer)
 	}
 }
 
@@ -278,30 +294,86 @@ func (r *Runner) kill(id radio.NodeID) {
 	}
 }
 
+// sessionExists asks the peer that owns id.
 func (r *Runner) sessionExists(id radio.NodeID) bool {
-	for _, st := range r.srv.SessionStats() {
-		if st.ID == id {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(r.peers[r.byID[id].owner].srv.SessionStats(),
+		func(st core.SessionStat) bool { return st.ID == id })
 }
 
+// reconnect re-dials a killed client until its old session is gone.
 func (r *Runner) reconnect(id radio.NodeID) {
 	if r.byID[id].current() != nil {
 		return
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		err := r.dial(id)
-		if err == nil {
-			return
+	var err error
+	if !pollUntil(2*time.Second, func() bool { err = r.dial(id); return err == nil }) {
+		r.violationf("reconnect n%d: %v", id, err)
+	}
+}
+
+// heal settles the world while the partition still stands — so every
+// packet sent inside it met the cut — waits for every trunk across the
+// cut to have noticed it (a heartbeat write fails within StatusEvery),
+// reopens the gates, waits for the trunks to redial, and then for the
+// healed peers to apply what the partition held back.
+func (r *Runner) heal(where string, v int) {
+	r.bursts.Wait()
+	r.settle(where)
+	if !pollUntil(settleTimeout, func() bool { return r.trunksUp(v, false) }) {
+		r.violationf("%s: a trunk to peer %d stayed up through the partition", where, v)
+	}
+	r.partition(v, (*gate).heal)
+	if !pollUntil(settleTimeout, func() bool { return r.trunksUp(v, true) }) {
+		r.violationf("%s: the trunks to peer %d never redialled", where, v)
+	}
+	r.dropped = r.trunks().TrunkDropped
+	r.replicated(where)
+}
+
+// replicated checks a federation outside partitions: no trunk dropped
+// an entry since the last heal, and every follower applies the
+// coordinator's mutation stream so far and tells the coordinator so.
+func (r *Runner) replicated(where string) {
+	if len(r.peers) < 2 {
+		return
+	}
+	if d := r.trunks().TrunkDropped; d != r.dropped {
+		r.violationf("%s: trunks dropped %d entries with every trunk up", where, d-r.dropped)
+		r.dropped = d
+	}
+	rep := r.srv.Cluster().RepSeq
+	lag := func() string {
+		for p := 1; p < len(r.peers); p++ {
+			got, heard := r.peers[p].srv.Cluster().AppliedSeq, r.srv.Cluster().PeerStats[p].AppliedSeq
+			if got < rep || heard < rep {
+				return fmt.Sprintf("peer %d applied %d (coordinator heard %d) < rep-seq %d", p, got, heard, rep)
+			}
 		}
-		if time.Now().After(deadline) {
-			r.violationf("reconnect n%d: %v", id, err)
-			return
+		return ""
+	}
+	if !pollUntil(settleTimeout, func() bool { return lag() == "" }) {
+		r.violationf("%s: replication: %s", where, lag())
+	}
+}
+
+type rebuildKey struct {
+	peer int
+	ch   radio.ChannelID
+}
+
+// checkIsolation holds every peer to the window's touched channels: no
+// other channel's view may have been rebuilt since the last reading — a
+// replicated mutation rebuilds what it rebuilt on the coordinator.
+func (r *Runner) checkIsolation(where string, touched []radio.ChannelID) {
+	for p, q := range r.peers {
+		for _, ch := range r.allChannels {
+			k, n := rebuildKey{p, ch}, q.sc.ViewRebuilds(ch)
+			if !slices.Contains(touched, ch) && n != r.lastRebuilds[k] {
+				r.violationf("%s: isolation: peer %d ch%d rebuilt %d→%d but window touched only %v",
+					where, p, ch, r.lastRebuilds[k], n, touched)
+			}
+			r.lastRebuilds[k] = n
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -309,21 +381,10 @@ func (r *Runner) reconnect(id radio.NodeID) {
 // invariants that depend on the schedule.
 func (r *Runner) quiesce(idx int, ev Event) {
 	r.bursts.Wait()
-	r.settle(fmt.Sprintf("quiesce %d", idx))
-	// Rebuild isolation: only the window's touched channels may have new
-	// view rebuilds.
-	touched := make(map[radio.ChannelID]bool, len(ev.Touched))
-	for _, ch := range ev.Touched {
-		touched[ch] = true
-	}
-	for _, ch := range r.allChannels {
-		n := r.sc.ViewRebuilds(ch)
-		if !touched[ch] && n != r.lastRebuilds[ch] {
-			r.violationf("quiesce %d: isolation: ch%d rebuilt %d→%d but window touched only %v",
-				idx, ch, r.lastRebuilds[ch], n, ev.Touched)
-		}
-		r.lastRebuilds[ch] = n
-	}
+	where := fmt.Sprintf("quiesce %d", idx)
+	r.settle(where)
+	r.replicated(where)
+	r.checkIsolation(where, ev.Touched)
 	// Force a resync on every live client and verify its emulation clock
 	// did not step backwards.
 	for _, cl := range r.clients {
@@ -332,7 +393,7 @@ func (r *Runner) quiesce(idx int, ev Event) {
 			continue
 		}
 		if _, err := ep.c.Resync(); err != nil {
-			r.violationf("quiesce %d: resync n%d: %v", idx, ep.relay, err)
+			r.violationf("%s: resync n%d: %v", where, ep.relay, err)
 			continue
 		}
 		r.observeNow(ep)

@@ -88,10 +88,19 @@ func (c *StallClock) Wait(t vclock.Time, cancel <-chan struct{}) bool {
 	}
 }
 
-// stallLinkDelay is the constant link delay of the stall scenarios. A
-// storm sent behind a frozen clock is only late if its due times —
-// sender stamp plus this delay — land after the frozen instant.
-const stallLinkDelay = 2 * time.Millisecond
+// The shape both stall scenarios share. stallPackets broadcasts pile up
+// behind a stallHold wall-clock freeze of a clock running stallScale×
+// wall time, so the pile is late by stallScale×stallHold of emulated
+// time. A storm is only late if its due times — sender stamp plus
+// stallLinkDelay — land after the frozen instant. The fidelity monitor
+// judges stallWindow-delivery windows, small so the pile closes several.
+const (
+	stallPackets   = 24
+	stallHold      = 40 * time.Millisecond
+	stallScale     = 50
+	stallLinkDelay = 2 * time.Millisecond
+	stallWindow    = 32
+)
 
 // syncStormSender resyncs c until its emulation clock trails clk by
 // less than half the link delay, and reports whether it got there. The
@@ -114,50 +123,17 @@ func syncStormSender(c *core.Client, clk vclock.Clock) bool {
 type StallConfig struct {
 	// Seed feeds the scene and names the run in failure reports.
 	Seed int64
-	// Clients is the broadcast population (default 8); every stalled
-	// broadcast fans out to Clients-1 deliveries.
-	Clients int
-	// Packets is how many broadcasts pile up behind the frozen clock
-	// (default 24).
-	Packets int
-	// Scale is the inner clock's time compression (default 50): a wall
-	// stall of Stall reads as Scale×Stall of emulated lag.
-	Scale float64
-	// Stall is the wall-clock freeze duration (default 40ms).
-	Stall time.Duration
-	// RTTolerance / RTWindow configure the fidelity monitor under test
-	// (defaults 5ms emulated / 32 deliveries — small so the stalled pile
-	// closes several evaluation windows).
-	RTTolerance time.Duration
-	RTWindow    int
 	// Shards is the server's pipeline shard count (default 1).
 	Shards int
 }
 
-func (c StallConfig) withDefaults() StallConfig {
-	if c.Clients <= 0 {
-		c.Clients = 8
-	}
-	if c.Packets <= 0 {
-		c.Packets = 24
-	}
-	if c.Scale <= 0 {
-		c.Scale = 50
-	}
-	if c.Stall <= 0 {
-		c.Stall = 40 * time.Millisecond
-	}
-	if c.RTTolerance == 0 {
-		c.RTTolerance = 5 * time.Millisecond
-	}
-	if c.RTWindow <= 0 {
-		c.RTWindow = 32
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	return c
-}
+// The clock-stall scenario's own shape: stallClients broadcasters, so a
+// stalled broadcast fans out to stallClients-1 deliveries, judged
+// against a tolerance tight enough that the whole pile misses.
+const (
+	stallClients   = 8
+	stallTolerance = 5 * time.Millisecond
+)
 
 // StallReport is the outcome of one clock-stall run.
 type StallReport struct {
@@ -172,17 +148,16 @@ type StallReport struct {
 func (r StallReport) Failure() string { return r.failure("clock-stall", "TestClockStall") }
 
 // RunStall executes one clock-stall scenario: warm traffic on a running
-// clock (healthy), a freeze with Packets broadcasts piling into the
+// clock (healthy), a freeze with stallPackets broadcasts piling into the
 // schedule, then the leap — and verifies the fidelity monitor counted
 // the misses, escalated the health state, and dumped the flight
 // recorder. Traffic conservation holds throughout: the stall delays
 // deliveries, it never loses them.
 func RunStall(cfg StallConfig) (rep StallReport) {
-	cfg = cfg.withDefaults()
 	rep = StallReport{Outcome: Outcome{Seed: cfg.Seed}}
-	clk := NewStallClock(vclock.NewSystem(cfg.Scale))
+	clk := NewStallClock(vclock.NewSystem(stallScale))
 	w, err := newWorld(cfg.Seed, clk, 0, 64, core.ServerConfig{
-		Shards: cfg.Shards, RTTolerance: cfg.RTTolerance, RTWindow: cfg.RTWindow,
+		Shards: max(cfg.Shards, 1), RTTolerance: stallTolerance, RTWindow: stallWindow,
 		// Mobility is irrelevant here; keep the ticker off the clock.
 		TickStep: 10 * time.Second,
 	})
@@ -191,7 +166,7 @@ func RunStall(cfg StallConfig) (rep StallReport) {
 		return rep
 	}
 	defer func() { rep.Outcome = w.close() }()
-	if err := w.tightCluster(cfg.Clients, stallLinkDelay); err != nil {
+	if err := w.tightCluster(stallClients, stallLinkDelay); err != nil {
 		w.violationf("setup: %v", err)
 		return rep
 	}
@@ -214,7 +189,7 @@ func RunStall(cfg StallConfig) (rep StallReport) {
 
 	// Phase 2 — freeze the clock, pile up the storm, leap. Everything
 	// queued behind the freeze fires as one late pile.
-	if !w.stallStorm(clk, sender, cfg.Packets, 2, cfg.Stall) {
+	if !w.stallStorm(clk, sender, 2) {
 		return rep
 	}
 	w.settle("post-stall")
@@ -225,7 +200,7 @@ func RunStall(cfg StallConfig) (rep StallReport) {
 	if st.QueueDrops != 0 || st.Abandoned != 0 {
 		w.violationf("conservation: the stall lost deliveries: %+v", st)
 	}
-	if want := uint64(warm+cfg.Packets) * uint64(cfg.Clients-1); st.Forwarded != want {
+	if want := uint64(warm+stallPackets) * (stallClients - 1); st.Forwarded != want {
 		w.violationf("conservation: forwarded %d of %d deliveries", st.Forwarded, want)
 	}
 	for _, snap := range fid.Snapshots() {
@@ -236,7 +211,7 @@ func RunStall(cfg StallConfig) (rep StallReport) {
 	rep.Dump = fid.LastDump()
 	if rep.Misses == 0 {
 		w.violationf("monitor counted no deadline misses across a %v stall at scale %g (tolerance %v)",
-			cfg.Stall, cfg.Scale, cfg.RTTolerance)
+			stallHold, float64(stallScale), stallTolerance)
 	}
 	if fid.State() < fidelity.Degraded {
 		w.violationf("health %q after the stall, want at least degraded", rep.Health)

@@ -1,14 +1,14 @@
 package chaos
 
-// The one chaos apparatus. Every scenario (Run, RunFederated, RunStall,
-// RunGatewayStall) is a script over a world: one clock, one leak-checked
-// buffer pool, N servers each behind a pooled ingress with its own
-// fire-order recorder and obs registry, partitionable trunks between
-// them, and endpoints — Faulty-tapped clients, plus whatever a scenario
-// registers through extraWired/extraSunk — whose own counters are the
-// ground truth the servers' ledgers are judged against. settle drains
-// the world and checks every steady-state invariant; close tears it
-// down and checks buffers and goroutines. A scenario adds traffic,
+// The one chaos apparatus. Every scenario (Run at any peer count,
+// RunStall, RunGatewayStall) is a script over a world: one clock, one
+// leak-checked buffer pool, N servers each behind a pooled ingress with
+// its own fire-order recorder and obs registry, partitionable trunks
+// between them, and endpoints — Faulty-tapped clients, plus whatever a
+// scenario registers through extraWired/extraSunk — whose own counters
+// are the ground truth the servers' ledgers are judged against. settle
+// drains the world and checks every steady-state invariant; close tears
+// it down and checks buffers and goroutines. A scenario adds traffic,
 // faults and its own verdicts, nothing else.
 
 import (
@@ -194,6 +194,7 @@ type peer struct {
 	// gates[dst] is this peer's trunk dialer towards peer dst; nil for
 	// itself and on an unfederated world.
 	gates []*gate
+	store *record.Store // nil unless the world records
 }
 
 type world struct {
@@ -228,7 +229,9 @@ func (w *world) violationf(format string, args ...any) {
 // server, 1 a single-entry cluster (the routing tier live on every
 // packet, always resolving local), ≥ 2 a federation with peer 0
 // coordinating and a gate on every directed trunk. tmpl carries the
-// scenario's own server settings; the world fills in what it owns.
+// scenario's own server settings; the world fills in what it owns. A
+// tmpl.Store records peer 0 and every other peer gets a fresh one: a
+// shared store would interleave the peers' scene records.
 func newWorld(seed int64, clk vclock.WaitClock, n int, cell float64, tmpl core.ServerConfig) (*world, error) {
 	w := &world{
 		seed: seed, clk: clk, pool: mbuf.NewPool(),
@@ -245,6 +248,10 @@ func newWorld(seed int64, clk vclock.WaitClock, n int, cell float64, tmpl core.S
 	for i, p := range w.peers {
 		cfg := tmpl
 		cfg.Clock, cfg.Scene, cfg.Seed, cfg.Obs = clk, p.sc, seed, p.reg
+		if tmpl.Store != nil && i > 0 {
+			cfg.Store = record.NewStore()
+		}
+		p.store = cfg.Store
 		if n > 0 {
 			cfg.Self = i
 			cfg.Peers = make([]core.PeerSpec, n)
@@ -325,14 +332,19 @@ func cleanModel(delay time.Duration) (linkmodel.Model, error) {
 }
 
 // setCleanModel installs cleanModel(delay) on channel ch of every
-// peer's scene. Link models are live Go values, not replicated state:
-// every peer configures its own, exactly as N real poemd processes
-// would share a config file.
+// peer's scene.
 func (w *world) setCleanModel(ch radio.ChannelID, delay time.Duration) error {
 	m, err := cleanModel(delay)
 	if err != nil {
 		return err
 	}
+	return w.setLinkModel(ch, m)
+}
+
+// setLinkModel installs m on channel ch of every peer's scene. Link
+// models are live Go values, not replicated state: every peer configures
+// its own, exactly as N real poemd processes would share a config file.
+func (w *world) setLinkModel(ch radio.ChannelID, m linkmodel.Model) error {
 	for _, p := range w.peers {
 		if err := p.sc.SetLinkModel(ch, m); err != nil {
 			return err
@@ -387,19 +399,20 @@ func (w *world) tightCluster(n int, delay time.Duration) error {
 	return nil
 }
 
-// stallStorm piles n broadcasts from sender behind a frozen clock, holds
-// the freeze for hold of wall time once the servers have ingested them,
-// and releases it: everything queued is then overdue by Scale×hold and
-// fires as one late pile. It reports whether the storm went in.
-func (w *world) stallStorm(clk *StallClock, sender *core.Client, n int, flow uint16, hold time.Duration) bool {
+// stallStorm piles stallPackets broadcasts from sender behind a frozen
+// clock, holds the freeze for stallHold of wall time once the servers
+// have ingested them, and releases it: everything queued is then overdue
+// by stallScale×stallHold and fires as one late pile. It reports whether
+// the storm went in.
+func (w *world) stallStorm(clk *StallClock, sender *core.Client, flow uint16) bool {
 	if !syncStormSender(sender, clk) {
 		w.violationf("stall: sender clock %v behind the server after 64 resyncs", clk.Now().Sub(sender.Now()))
 		return false
 	}
-	want := w.stats().Received + uint64(n)
+	want := w.stats().Received + stallPackets
 	clk.Stall()
 	defer clk.Resume()
-	for k := 0; k < n; k++ {
+	for k := 0; k < stallPackets; k++ {
 		if err := sender.Broadcast(1, flow, []byte("clock-stall-payload")); err != nil {
 			w.violationf("stall: storm broadcast %d: %v", k, err)
 			return false
@@ -411,17 +424,20 @@ func (w *world) stallStorm(clk *StallClock, sender *core.Client, n int, flow uin
 		w.violationf("stall: servers ingested %d of %d packets", w.stats().Received, want)
 		return false
 	}
-	time.Sleep(hold) // the inner clock runs ahead by Scale×hold
+	time.Sleep(stallHold) // the inner clock runs ahead by stallScale×stallHold
 	return true
 }
 
-// stats sums the ingress and egress counters settle balances across the
-// peers; every other field of the result is zero.
+// stats sums the ingress and egress counters settle balances, and the
+// link-model drops a recording replays, across the peers; every other
+// field of the result is zero.
 func (w *world) stats() (sum core.ServerStats) {
 	for _, p := range w.peers {
 		st := p.srv.Stats()
 		sum.Received += st.Received
 		sum.Forwarded += st.Forwarded
+		sum.Dropped += st.Dropped
+		sum.NoRoute += st.NoRoute
 	}
 	return sum
 }
@@ -438,6 +454,28 @@ func (w *world) trunks() (sum core.ClusterStat) {
 		sum.RepErrors += cs.RepErrors
 	}
 	return sum
+}
+
+// partition applies op — (*gate).cut or (*gate).heal — to both trunk
+// directions between peer v and every other peer.
+func (w *world) partition(v int, op func(*gate)) {
+	for p, q := range w.peers {
+		if p != v {
+			op(q.gates[v])
+			op(w.peers[v].gates[p])
+		}
+	}
+}
+
+// trunksUp reports whether every trunk between peer v and the others is
+// up (or, with up false, down).
+func (w *world) trunksUp(v int, up bool) bool {
+	for p, q := range w.peers {
+		if p != v && (q.srv.Cluster().PeerStats[v].TrunkUp != up || w.peers[v].srv.Cluster().PeerStats[p].TrunkUp != up) {
+			return false
+		}
+	}
+	return true
 }
 
 // epochSum adds get over every epoch of every client, plus extra (when

@@ -382,8 +382,11 @@ func (cl *cluster) ingestTrunkBatch(tb *wire.TrunkBatch, in *trunkIngress) {
 	in.items = items
 	tb.Entries = tb.Entries[:0]
 	wire.ReleaseTrunkBatch(tb)
-	cl.mRecvEntries.Add(uint64(len(items)))
 	cl.pushTrunkItems(in)
+	// Counted once scheduled, as a client packet's Received is: a settled
+	// Σ RemoteEntries == Σ RecvEntries then means no entry is still on
+	// its way into a schedule.
+	cl.mRecvEntries.Add(uint64(len(items)))
 	// The schedule owns copies now; drop the scratch's packet references
 	// so a pooled buffer freed after delivery is not kept reachable by an
 	// idle connection.

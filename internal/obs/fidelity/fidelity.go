@@ -87,6 +87,30 @@ const (
 	DefaultRecorderSize = 4096
 )
 
+// The state machine's thresholds and the drift smoothing. They are
+// constants, not Config fields: they belong to the monitor's
+// calibration, not to a deployment.
+const (
+	// degradeMissRate / overrunMissRate are the per-window miss-rate
+	// thresholds that escalate a shard to Degraded / Overrun.
+	degradeMissRate = 0.01
+	overrunMissRate = 0.25
+	// degradeLagFactor / overrunLagFactor escalate on the window's max
+	// observed lag reaching factor×Tolerance, so a single catastrophic
+	// stall trips the state machine even when the miss *rate* is still
+	// low (few deliveries, all of them very late).
+	degradeLagFactor = 8
+	overrunLagFactor = 64
+	// hysteresis scales the thresholds a recovering shard must drop
+	// below before the state steps back down (one level per clean
+	// window): a shard degraded at a 1% miss rate recovers only once a
+	// whole window stays under 0.5%.
+	hysteresis = 0.5
+	// driftAlpha is the EWMA smoothing factor for the drift estimate
+	// (new = old + alpha×(lag−old)), applied once per batch.
+	driftAlpha = 1.0 / 16
+)
+
 // Config tunes the monitor. The zero value selects every default.
 type Config struct {
 	// Tolerance is the per-delivery deadline-miss tolerance, in
@@ -95,29 +119,6 @@ type Config struct {
 	// Window is how many fired deliveries accumulate before the shard's
 	// health state is re-evaluated. Zero selects DefaultWindow.
 	Window int
-	// DegradeMissRate / OverrunMissRate are the per-window miss-rate
-	// thresholds that escalate a shard to Degraded / Overrun. Zero
-	// selects 0.01 / 0.25.
-	DegradeMissRate float64
-	OverrunMissRate float64
-	// DegradeLagFactor / OverrunLagFactor escalate on the window's max
-	// observed lag reaching factor×Tolerance, so a single catastrophic
-	// stall trips the state machine even when the miss *rate* is still
-	// low (few deliveries, all of them very late). Zero selects 8 / 64.
-	DegradeLagFactor int
-	OverrunLagFactor int
-	// Hysteresis scales the thresholds a recovering shard must drop
-	// below before the state steps back down (one level per clean
-	// window). Zero selects 0.5: a shard degraded at a 1% miss rate
-	// recovers only once a whole window stays under 0.5%.
-	Hysteresis float64
-	// RecorderSize is the flight-recorder ring capacity, rounded up to
-	// a power of two. Zero selects DefaultRecorderSize.
-	RecorderSize int
-	// DriftAlpha is the EWMA smoothing factor for the drift estimate
-	// (new = old + alpha×(lag−old)), applied once per batch. Zero
-	// selects 1/16.
-	DriftAlpha float64
 }
 
 func (c Config) withDefaults() Config {
@@ -126,27 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
-	}
-	if c.DegradeMissRate <= 0 {
-		c.DegradeMissRate = 0.01
-	}
-	if c.OverrunMissRate <= 0 {
-		c.OverrunMissRate = 0.25
-	}
-	if c.DegradeLagFactor <= 0 {
-		c.DegradeLagFactor = 8
-	}
-	if c.OverrunLagFactor <= 0 {
-		c.OverrunLagFactor = 64
-	}
-	if c.Hysteresis <= 0 || c.Hysteresis >= 1 {
-		c.Hysteresis = 0.5
-	}
-	if c.RecorderSize <= 0 {
-		c.RecorderSize = DefaultRecorderSize
-	}
-	if c.DriftAlpha <= 0 || c.DriftAlpha > 1 {
-		c.DriftAlpha = 1.0 / 16
 	}
 	return c
 }
@@ -192,9 +172,9 @@ func New(nshards int, cfg Config, reg *obs.Registry) *Monitor {
 	m := &Monitor{
 		cfg:      cfg,
 		tolNs:    int64(cfg.Tolerance),
-		degLagNs: int64(cfg.Tolerance) * int64(cfg.DegradeLagFactor),
-		ovrLagNs: int64(cfg.Tolerance) * int64(cfg.OverrunLagFactor),
-		rec:      NewRecorder(cfg.RecorderSize),
+		degLagNs: int64(cfg.Tolerance) * degradeLagFactor,
+		ovrLagNs: int64(cfg.Tolerance) * overrunLagFactor,
+		rec:      NewRecorder(DefaultRecorderSize),
 	}
 	m.shards = make([]*Shard, nshards)
 	for i := range m.shards {
@@ -377,7 +357,7 @@ func (s *Shard) Record(nowNs, lagNs int64, fired, missed int) (windowClosed bool
 		s.watermark.Store(lagNs)
 	}
 	d := math.Float64frombits(s.drift.Load())
-	d += s.m.cfg.DriftAlpha * (float64(lagNs) - d)
+	d += driftAlpha * (float64(lagNs) - d)
 	s.drift.Store(math.Float64bits(d))
 
 	s.m.rec.Record(EvBatchFire, s.idx, nowNs, lagNs, int64(fired))
@@ -410,23 +390,22 @@ func (s *Shard) Record(nowNs, lagNs int64, fired, missed int) (windowClosed bool
 
 // classify maps one window's (miss rate, max lag) onto the next state.
 // Escalation is immediate; de-escalation requires the window to clear
-// the threshold scaled by Hysteresis and steps down one level at a
+// the threshold scaled by hysteresis and steps down one level at a
 // time, so a shard oscillating around a threshold parks in the worse
 // state instead of flapping.
 func (m *Monitor) classify(cur State, rate float64, maxLag int64) State {
-	h := m.cfg.Hysteresis
-	if rate >= m.cfg.OverrunMissRate || maxLag >= m.ovrLagNs {
+	if rate >= overrunMissRate || maxLag >= m.ovrLagNs {
 		return Overrun
 	}
 	if cur == Overrun &&
-		(rate >= m.cfg.OverrunMissRate*h || maxLag >= int64(float64(m.ovrLagNs)*h)) {
+		(rate >= overrunMissRate*hysteresis || maxLag >= int64(float64(m.ovrLagNs)*hysteresis)) {
 		return Overrun // not clean enough to step down yet
 	}
-	if rate >= m.cfg.DegradeMissRate || maxLag >= m.degLagNs {
+	if rate >= degradeMissRate || maxLag >= m.degLagNs {
 		return Degraded
 	}
 	if cur >= Degraded &&
-		(rate >= m.cfg.DegradeMissRate*h || maxLag >= int64(float64(m.degLagNs)*h)) {
+		(rate >= degradeMissRate*hysteresis || maxLag >= int64(float64(m.degLagNs)*hysteresis)) {
 		return Degraded
 	}
 	if cur == Overrun {

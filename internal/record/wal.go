@@ -130,19 +130,20 @@ func (s *Store) Attach(lw *LogWriter) error {
 }
 
 // LoadLog reads a streamed log into a fresh store. A truncated trailing
-// record (crash artifact) is tolerated; corrupt headers are not.
+// record (crash artifact) is tolerated; corrupt headers and read errors
+// other than end of input are not.
 func LoadLog(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadLog, err)
 	}
 	if m != walMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadLog)
 	}
 	var ver uint16
 	if err := binary.Read(br, binary.BigEndian, &ver); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadLog, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadLog, err)
 	}
 	if ver != walVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadLog, ver)
@@ -150,29 +151,37 @@ func LoadLog(r io.Reader) (*Store, error) {
 	s := NewStore()
 	for {
 		tag, err := br.ReadByte()
-		if err == io.EOF {
-			return s, nil
-		}
 		if err != nil {
-			return s, nil // truncated tail: keep what we have
+			return logEnd(s, err)
 		}
 		switch tag {
 		case 'P':
 			var p Packet
 			if err := readPacket(br, &p); err != nil {
-				return s, nil // truncated record
+				return logEnd(s, err)
 			}
 			s.packets = append(s.packets, p)
 		case 'S':
 			var e Scene
 			if err := readScene(br, &e); err != nil {
-				return s, nil
+				return logEnd(s, err)
 			}
 			s.scenes = append(s.scenes, e)
 		default:
 			return nil, fmt.Errorf("%w: unknown tag %q", ErrBadLog, tag)
 		}
 	}
+}
+
+// logEnd settles a failed read after the header: end of input, clean or
+// mid-record, is the end of the log (a crashed run's torn tail), and s
+// holds every whole record before it. Any other error is the reader's —
+// a disk or pipe failure must not pass for a shorter recording.
+func logEnd(s *Store, err error) (*Store, error) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return s, nil
+	}
+	return nil, fmt.Errorf("record: read log: %w", err)
 }
 
 // LoadAuto detects whether r holds a snapshot (Save) or a streamed log

@@ -59,6 +59,54 @@ func TestWALToleratesTruncation(t *testing.T) {
 	}
 }
 
+// failingReader serves data until k bytes have been read, then fails
+// with errDisk: a disk or pipe error partway through a log.
+type failingReader struct {
+	data []byte
+	k    int
+}
+
+var errDisk = errors.New("disk error")
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if r.k == 0 {
+		return 0, errDisk
+	}
+	n := copy(p, r.data[:min(r.k, len(r.data))])
+	r.data, r.k = r.data[n:], r.k-n
+	return n, nil
+}
+
+// TestLoadLogReportsReadErrors pins that only end of input ends a log:
+// a read error inside the header, inside a packet record or at a record
+// boundary is returned, never taken for a cleanly shorter recording.
+func TestLoadLogReportsReadErrors(t *testing.T) {
+	var buf bytes.Buffer
+	lw, _ := NewLogWriter(&buf)
+	for i := 0; i < 4; i++ {
+		lw.Packet(samplePacket(i))
+	}
+	lw.Flush()
+	const header, record = 6, 1 + 40 // magic + version; tag + packet
+	for _, tc := range []struct {
+		name string
+		k    int
+	}{
+		{"header", 3},
+		{"packet record", header + record + 17},
+		{"record boundary", header + 2*record},
+	} {
+		_, err := LoadLog(&failingReader{data: buf.Bytes(), k: tc.k})
+		if !errors.Is(err, errDisk) {
+			t.Errorf("%s (after %d bytes): got %v, want the read error", tc.name, tc.k, err)
+		}
+	}
+	// The same cuts as end of input are a torn tail: no error.
+	if _, err := LoadLog(bytes.NewReader(buf.Bytes()[:header+record+17])); err != nil {
+		t.Errorf("truncated log: %v", err)
+	}
+}
+
 func TestWALRejectsGarbage(t *testing.T) {
 	if _, err := LoadLog(bytes.NewReader([]byte("nope"))); !errors.Is(err, ErrBadLog) {
 		t.Error("bad magic accepted")

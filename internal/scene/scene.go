@@ -282,9 +282,7 @@ func (s *Scene) SetRadios(id radio.NodeID, radios []radio.Radio) {
 	if n == nil {
 		return
 	}
-	// Both the channels left and the channels joined change views.
-	s.markNodeDirtyLocked(n.Radios)
-	s.markNodeDirtyLocked(radios)
+	s.markRadiosDirtyLocked(n.Radios, radios)
 	s.tab.SetRadios(id, radios)
 	s.emitLocked(Event{Kind: RadiosChanged, Node: id, Radios: append([]radio.Radio(nil), radios...)})
 	s.publishLocked()

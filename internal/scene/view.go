@@ -268,10 +268,29 @@ func (s *Scene) markChannelDirtyLocked(ch radio.ChannelID) {
 
 // markNodeDirtyLocked queues every channel of the node's radio set.
 // Call it with the radio set that is (or was) in effect — for removals
-// and radio swaps that means capturing the old set before mutating.
+// that means capturing the old set before mutating.
 func (s *Scene) markNodeDirtyLocked(radios []radio.Radio) {
 	for _, r := range radios {
 		s.dirty[r.Channel] = struct{}{}
+	}
+}
+
+// markRadiosDirtyLocked queues the channels a radio swap from old to now
+// changes: those the node leaves or joins, and those it stays on at a
+// new range — the channels whose rows the table rewrites. A channel it
+// stays on at the same range keeps its view, so a range change rebuilds
+// one channel whether it is made by SetRange or, replicated to a
+// follower, by SetRadios.
+func (s *Scene) markRadiosDirtyLocked(old, now []radio.Radio) {
+	was, is := radio.Node{Radios: old}, radio.Node{Radios: now}
+	for _, rs := range [][]radio.Radio{old, now} {
+		for _, r := range rs {
+			r0, on0 := was.RangeOn(r.Channel)
+			r1, on1 := is.RangeOn(r.Channel)
+			if r0 != r1 || on0 != on1 {
+				s.dirty[r.Channel] = struct{}{}
+			}
+		}
 	}
 }
 

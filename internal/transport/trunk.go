@@ -2,15 +2,17 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// ErrTrunkDown is returned by Trunk.Send and Trunk.SendDeferred while
-// the trunk is between reconnect attempts: the message was consumed
-// (dropped), and the next attempt is deferred until the backoff expires.
+// ErrTrunkDown is returned by Trunk.Send and Trunk.SendDeferred when a
+// write on the connection fails or while the trunk is between reconnect
+// attempts: the message was consumed (dropped), and the next attempt is
+// deferred until the backoff expires.
 var ErrTrunkDown = errors.New("transport: trunk down, backing off")
 
 // Trunk backoff defaults. The floor keeps a flapping peer from being
@@ -207,6 +209,7 @@ func (t *Trunk) Send(m wire.Msg) error {
 	if err != nil {
 		t.dropped++
 		t.failLocked(conn)
+		err = downErr(err)
 	} else {
 		t.sentMsgs++
 	}
@@ -295,7 +298,7 @@ func (t *Trunk) flushLocked() error {
 			refused++
 			refusedEntries += k
 		default:
-			err = e
+			err = downErr(e)
 		}
 		if last {
 			tb = nil
@@ -400,6 +403,11 @@ func (t *Trunk) armBackoffLocked() {
 	}
 	t.nextTry = time.Now().Add(t.backoff)
 }
+
+// downErr is a failed write on the live connection: the trunk has
+// retired it and is backing off, so the trunk is down — never ErrClosed,
+// which only Close makes it, even when the connection says ErrClosed.
+func downErr(err error) error { return fmt.Errorf("%w: %v", ErrTrunkDown, err) }
 
 // drainConn discards inbound messages until the connection dies.
 func drainConn(c Conn) {

@@ -192,6 +192,35 @@ func TestTrunkClosedSendConsumes(t *testing.T) {
 	}
 }
 
+// TestTrunkDeadConnectionIsDownNotClosed: a write on a connection the
+// peer has closed leaves the trunk down and backing off, not closed, on
+// both Send paths — so it must report ErrTrunkDown, never the
+// connection's ErrClosed. Scene replication retries a trunk that is
+// down and stops on one that is closed: chaos seed 3 at three peers
+// (go test ./internal/chaos -run TestChaosFederationThreePeer
+// -chaos.seed=3) had a partition's cut connection meet a scene mutation
+// before a heartbeat, and the follower never applied another.
+func TestTrunkDeadConnectionIsDownNotClosed(t *testing.T) {
+	lis := NewInprocListener()
+	defer lis.Close()
+	var got, hellos atomic.Uint64
+	go acceptLoop(t, lis, &got, &hellos)
+	d := &flakyDialer{lis: lis}
+	tr := NewTrunk(TrunkConfig{Dial: d.dial, MinBackoff: time.Millisecond, MaxBackoff: time.Millisecond})
+	defer tr.Close()
+	for _, m := range []func() wire.Msg{
+		func() wire.Msg { return &wire.TrunkScene{Seq: 1} },
+		func() wire.Msg { return entries(nil, 0, 2, 1) },
+	} {
+		d.heal()
+		waitFor(t, func() bool { return tr.Send(&wire.TrunkStatus{}) == nil }, "trunk connected")
+		d.cut()
+		if err := tr.Send(m()); !errors.Is(err, ErrTrunkDown) || errors.Is(err, ErrClosed) {
+			t.Fatalf("send %T on a dead connection: got %v, want ErrTrunkDown", m(), err)
+		}
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -55,7 +55,9 @@ for name in \
 	poem_shard_deadline_lag_ns poem_shard_deadline_watermark_ns \
 	poem_shard_deadline_drift_ns \
 	poem_cluster_remote_entries_total poem_cluster_trunk_dropped_total \
-	poem_cluster_trunk_pending_entries poem_cluster_recv_entries_total; do
+	poem_cluster_trunk_pending_entries poem_cluster_recv_entries_total \
+	poem_cluster_staleness_last_ns poem_cluster_peer_health \
+	poem_cluster_applied_seq; do
 	if ! printf '%s\n' "$metrics" | grep -q "^$name"; then
 		echo "missing metric: $name"
 		fail=1
