@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("poem-replay: %v", err)
 	}
-	store, err := record.LoadAuto(f)
+	store, err := record.Load(f)
 	f.Close()
 	if err != nil {
 		log.Fatalf("poem-replay: %v", err)

@@ -42,7 +42,7 @@ func main() {
 	var (
 		listenAddr  = flag.String("listen", "127.0.0.1:7000", "client listen address")
 		controlAddr = flag.String("control", "127.0.0.1:7001", "control listen address (empty to disable)")
-		recordPath  = flag.String("record", "", "write a recording snapshot here on shutdown")
+		recordPath  = flag.String("record", "", "write the recording here on shutdown (the -wal format)")
 		walPath     = flag.String("wal", "", "stream the recording here as it happens (crash-safe)")
 		scenePath   = flag.String("scene", "", "scenario script to load and run")
 		scale       = flag.Float64("scale", 1, "emulation time scale (2 = twice real time)")

@@ -371,8 +371,15 @@ func TestRecordingCapturesEverything(t *testing.T) {
 	for r.store.PacketCount() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	ins := r.store.Packets(record.Filter{Kind: record.PacketIn})
-	outs := r.store.Packets(record.Filter{Kind: record.PacketOut})
+	var ins, outs []record.Packet
+	r.store.ForEachPacket(func(p record.Packet) {
+		switch p.Kind {
+		case record.PacketIn:
+			ins = append(ins, p)
+		case record.PacketOut:
+			outs = append(outs, p)
+		}
+	})
 	if len(ins) != 1 || len(outs) != 1 {
 		t.Fatalf("records: %d in, %d out", len(ins), len(outs))
 	}

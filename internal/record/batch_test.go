@@ -2,8 +2,10 @@ package record
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/radio"
 	"repro/internal/vclock"
@@ -54,8 +56,8 @@ func TestBufferedRecordsVisibleToReaders(t *testing.T) {
 	if got := s.PacketCount(); got != 1 {
 		t.Fatalf("PacketCount = %d, want 1", got)
 	}
-	if got := s.Packets(Filter{}); len(got) != 1 || got[0].Seq != 9 {
-		t.Fatalf("Packets = %+v", got)
+	if got := contents(s).Packets; len(got) != 1 || got[0].Seq != 9 {
+		t.Fatalf("ForEachPacket saw %+v", got)
 	}
 	if from, to := s.Span(); from != 5 || to != 5 {
 		t.Errorf("Span = [%v,%v], want [5,5]", from, to)
@@ -91,11 +93,81 @@ func TestSyncCommitsToAttachedLog(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadLog(bytes.NewReader(buf.Bytes()))
+	got, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.PacketCount() != 10 {
 		t.Errorf("log holds %d records after Sync, want 10", got.PacketCount())
+	}
+}
+
+// TestCommittedRecordsNeverMove: a sealed segment is never copied or
+// rewritten. Concurrent writers append 10⁵ more records while readers
+// iterate; the first segment keeps its backing array and its bytes.
+func TestCommittedRecordsNeverMove(t *testing.T) {
+	s := NewStore()
+	first := segmentSize/packetLen + 1
+	for i := 0; i < first; i++ {
+		s.AddPacket(samplePacket(i))
+	}
+	s.Sync()
+	s.mu.RLock()
+	if len(s.segs) < 2 {
+		s.mu.RUnlock()
+		t.Fatalf("%d records left %d segment(s); the first should have sealed", first, len(s.segs))
+	}
+	addr, sealed := unsafe.SliceData(s.segs[0]), bytes.Clone(s.segs[0])
+	s.mu.RUnlock()
+
+	const writers, each = 4, 25_000
+	var writing, reading sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for i := 0; i < each; i++ {
+				s.AddPacket(Packet{Kind: PacketOut, Src: radio.NodeID(w), Relay: radio.NodeID(i % 7), Seq: uint32(i)})
+				if i%1000 == 0 {
+					s.AddScene(Scene{At: vclock.Time(i), Node: radio.NodeID(w), Op: "move", X: float64(i)})
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := 0
+				s.ForEachPacket(func(Packet) { n++ })
+				if n < first {
+					t.Errorf("reader saw %d packet records, fewer than the %d committed first", n, first)
+					return
+				}
+				s.Scenes(0, math.MaxInt64)
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	reading.Wait()
+
+	if got, want := s.PacketCount(), first+writers*each; got != want {
+		t.Errorf("PacketCount = %d, want %d", got, want)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if unsafe.SliceData(s.segs[0]) != addr {
+		t.Error("the sealed first segment moved")
+	}
+	if !bytes.Equal(s.segs[0], sealed) {
+		t.Error("the sealed first segment's bytes changed")
 	}
 }

@@ -4,18 +4,16 @@
 // varying scene, both writing to a SQL database over ODBC for later
 // statistics and post-emulation replay.
 //
-// This reproduction substitutes an embedded append-only store with
-// in-memory indexes and an optional binary snapshot format — the write
-// path (concurrent recorders) and the read path (statistics queries,
-// replay) are preserved without the external database dependency.
+// This reproduction substitutes an embedded append-only store whose
+// memory is its own recording format (wal.go): each record is encoded
+// once, as it is committed, and the same bytes go to an attached
+// streaming log and to Save. The write path (concurrent recorders) and
+// the read path (statistics queries, replay) are preserved without the
+// external database dependency.
 package record
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,49 +76,60 @@ type Scene struct {
 
 // Store is the append-only recording database. All methods are safe for
 // concurrent use; the server's recording goroutines append while
-// statistics readers iterate snapshots.
+// statistics readers iterate.
+//
+// The records live in fixed-size segments, in the recording format. A
+// record never spans two segments, and only the last segment grows, so
+// a committed record is never copied or moved and a commit costs its
+// own bytes, whatever the length of the log.
 //
 // Packet appends — the recording hot path, one or more per forwarded
-// packet — do not take the store lock. They land in one of several
-// shards, chosen by the record's (Src, Relay) stream key so records of
-// one stream stay in order, and each shard batch-commits to the main
-// slice (and any attached logs) once it fills. Readers drain the shards
-// first, so every record written before a read is visible to it; the
-// batching only defers *where* a record lives, never whether it is
+// packet — do not take the store lock. They are encoded into one of
+// several shards, chosen by the record's (Src, Relay) stream key so
+// records of one stream stay in order, and each shard batch-commits to
+// the segments (and any attached logs) once it fills. Readers drain the
+// shards first, so every record written before a read is visible to it;
+// the batching only defers *where* a record lives, never whether it is
 // seen. On a crash, at most one uncommitted batch per shard is lost to
 // an attached log — the log format already tolerates a truncated tail.
 type Store struct {
 	mu      sync.RWMutex
-	packets []Packet
-	scenes  []Scene
-	sinks   []*LogWriter // attached streaming logs (see wal.go)
+	segs    [][]byte // the committed records; only the last segment grows
+	packets int      // packet records in segs
+	scenes  int      // scene records in segs
+	sinks   []*LogWriter
 
 	shards [packetShards]packetShard
 
 	// Live counters, readable without draining the shards (a /metrics
 	// scrape must not force batch commits or take the store lock).
-	nPackets atomic.Uint64
-	nScenes  atomic.Uint64
-	nCommits atomic.Uint64 // shard batch commits into the main slice
+	nPackets    atomic.Uint64
+	nScenes     atomic.Uint64
+	nCommits    atomic.Uint64 // shard batch commits into the segments
+	nLogDropped atomic.Uint64 // records an attached log failed to take
 }
+
+// segmentSize is the capacity of one segment; maxRecordLen fits an
+// empty one, so every record fits some segment whole.
+const segmentSize = 256 << 10
 
 // packetShards spreads concurrent recorders; a power of two so the
 // stream hash reduces with a mask.
 const packetShards = 16
 
 // packetFlushBatch is how many records a shard buffers before
-// committing them to the main slice and the attached logs in one lock
+// committing them to the segments and the attached logs in one lock
 // acquisition.
 const packetFlushBatch = 256
 
-// packetShard is one striped append buffer.
+// packetShard is one striped append buffer of encoded packet records.
 type packetShard struct {
 	mu    sync.Mutex
-	buf   []Packet
-	spare []Packet // recycled storage for the next buf
+	buf   []byte
+	spare []byte // recycled storage for the next buf
 
 	// commitMu serializes take→commit so batches of this shard enter
-	// the main slice in buffer-prefix order, keeping per-stream FIFO.
+	// the log in buffer-prefix order, keeping per-stream FIFO.
 	commitMu sync.Mutex
 }
 
@@ -141,8 +150,8 @@ func (s *Store) AddPacket(p Packet) {
 	s.nPackets.Add(1)
 	sh := &s.shards[shardOf(&p)]
 	sh.mu.Lock()
-	sh.buf = append(sh.buf, p)
-	full := len(sh.buf) >= packetFlushBatch
+	sh.buf = appendPacket(sh.buf, &p)
+	full := len(sh.buf) >= packetFlushBatch*packetLen
 	sh.mu.Unlock()
 	if full {
 		s.flushShard(sh)
@@ -162,10 +171,7 @@ func (s *Store) flushShard(sh *packetShard) {
 	if len(batch) > 0 {
 		s.nCommits.Add(1)
 		s.mu.Lock()
-		s.packets = append(s.packets, batch...)
-		for _, lw := range s.sinks {
-			lw.packetBatch(batch) // best effort; the store is authoritative
-		}
+		s.commit(batch, packetLen)
 		s.mu.Unlock()
 	}
 	sh.mu.Lock()
@@ -176,40 +182,77 @@ func (s *Store) flushShard(sh *packetShard) {
 	sh.commitMu.Unlock()
 }
 
+// commit appends b — whole records of n bytes each, or one record of
+// n = len(b) — to the segments and to every attached log. The caller
+// holds s.mu or is the store's only user.
+func (s *Store) commit(b []byte, n int) {
+	if b[0] == 'P' {
+		s.packets += len(b) / n
+	} else {
+		s.scenes++
+	}
+	for _, lw := range s.sinks {
+		if k, err := lw.write(b); err != nil {
+			s.nLogDropped.Add(uint64(countRecords(b) - countRecords(b[:k])))
+		}
+	}
+	for len(b) > 0 {
+		i := len(s.segs) - 1
+		if i < 0 || cap(s.segs[i])-len(s.segs[i]) < n {
+			s.segs = append(s.segs, make([]byte, 0, segmentSize))
+			i++
+		}
+		k := min((cap(s.segs[i])-len(s.segs[i]))/n*n, len(b))
+		s.segs[i] = append(s.segs[i], b[:k]...)
+		b = b[k:]
+	}
+}
+
+// each calls fn with every committed record in log order; the caller
+// holds s.mu.
+func (s *Store) each(fn func(r []byte)) {
+	for _, seg := range s.segs {
+		for len(seg) > 0 {
+			n := recordLen(seg)
+			fn(seg[:n])
+			seg = seg[n:]
+		}
+	}
+}
+
 // drain commits every shard's pending records; readers call it so
-// writes that happened before the read are visible in s.packets.
+// writes that happened before the read are visible in the segments.
 func (s *Store) drain() {
 	for i := range s.shards {
 		s.flushShard(&s.shards[i])
 	}
 }
 
-// Sync commits all buffered records and flushes every attached log.
-// Call it before closing a log or handing the store to an external
-// reader; all Store readers drain implicitly.
+// Sync commits all buffered records, to the store and to every attached
+// log, and returns the first write error an attached log met. Call it
+// before closing a log or handing the store to an external reader; all
+// Store readers drain implicitly.
 func (s *Store) Sync() error {
 	s.drain()
 	s.mu.RLock()
-	sinks := append([]*LogWriter(nil), s.sinks...)
-	s.mu.RUnlock()
-	for _, lw := range sinks {
-		if err := lw.Flush(); err != nil {
+	defer s.mu.RUnlock()
+	for _, lw := range s.sinks {
+		if err := lw.failed(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// AddScene appends a scene record.
+// AddScene appends a scene record. It commits at once, under the store
+// lock, so attached logs see scene and packet records in the order they
+// enter the store.
 func (s *Store) AddScene(e Scene) {
 	s.nScenes.Add(1)
+	r := appendScene(nil, &e)
 	s.mu.Lock()
-	s.scenes = append(s.scenes, e)
-	sinks := s.sinks
+	s.commit(r, len(r))
 	s.mu.Unlock()
-	for _, lw := range sinks {
-		lw.Scene(e)
-	}
 }
 
 // Instrument registers the store's recording counters on reg. The
@@ -221,7 +264,10 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("poem_record_scenes_total",
 		"scene-change records appended", s.nScenes.Load)
 	reg.CounterFunc("poem_record_batch_commits_total",
-		"shard batches committed to the main slice", s.nCommits.Load)
+		"shard batches committed to the store's segments", s.nCommits.Load)
+	reg.CounterFunc("poem_record_log_dropped_total",
+		"records an attached streaming log failed to take after a write error (Sync returns the error)",
+		s.nLogDropped.Load)
 }
 
 // PacketCount returns the number of packet records.
@@ -229,40 +275,27 @@ func (s *Store) PacketCount() int {
 	s.drain()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.packets)
+	return s.packets
 }
 
 // SceneCount returns the number of scene records.
 func (s *Store) SceneCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.scenes)
+	return s.scenes
 }
 
-// Packets returns a copy of all packet records matching the filter.
-// A zero Filter matches everything.
-func (s *Store) Packets(f Filter) []Packet {
-	s.drain()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Packet
-	for _, p := range s.packets {
-		if f.match(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// ForEachPacket streams records through fn without copying the slice;
-// fn must not block long (the store lock is held).
+// ForEachPacket streams the packet records through fn in log order; fn
+// must not block long (the store lock is held).
 func (s *Store) ForEachPacket(fn func(Packet)) {
 	s.drain()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, p := range s.packets {
-		fn(p)
-	}
+	s.each(func(r []byte) {
+		if r[0] == 'P' {
+			fn(decodePacket(r))
+		}
+	})
 }
 
 // Scenes returns a copy of all scene records in [from, to].
@@ -270,11 +303,11 @@ func (s *Store) Scenes(from, to vclock.Time) []Scene {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []Scene
-	for _, e := range s.scenes {
-		if e.At >= from && e.At <= to {
-			out = append(out, e)
+	s.each(func(r []byte) {
+		if at := recordAt(r); r[0] == 'S' && at >= from && at <= to {
+			out = append(out, decodeScene(r))
 		}
-	}
+	})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
@@ -285,251 +318,13 @@ func (s *Store) Span() (from, to vclock.Time) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	first := true
-	consider := func(t vclock.Time) {
+	s.each(func(r []byte) {
+		t := recordAt(r)
 		if first {
 			from, to, first = t, t, false
 			return
 		}
-		if t < from {
-			from = t
-		}
-		if t > to {
-			to = t
-		}
-	}
-	for _, p := range s.packets {
-		consider(p.At)
-	}
-	for _, e := range s.scenes {
-		consider(e.At)
-	}
+		from, to = min(from, t), max(to, t)
+	})
 	return from, to
-}
-
-// Filter selects packet records. Zero-valued fields are wildcards,
-// except Kind (0 matches all kinds) and the time bounds (both zero
-// means unbounded).
-type Filter struct {
-	Kind     PacketKind
-	Flow     uint16
-	FlowSet  bool
-	Src, Dst radio.NodeID
-	SrcSet   bool
-	DstSet   bool
-	From, To vclock.Time
-}
-
-func (f Filter) match(p Packet) bool {
-	if f.Kind != 0 && p.Kind != f.Kind {
-		return false
-	}
-	if f.FlowSet && p.Flow != f.Flow {
-		return false
-	}
-	if f.SrcSet && p.Src != f.Src {
-		return false
-	}
-	if f.DstSet && p.Dst != f.Dst {
-		return false
-	}
-	if f.To != 0 || f.From != 0 {
-		if p.At < f.From || p.At > f.To {
-			return false
-		}
-	}
-	return true
-}
-
-// ---------------------------------------------------------------------------
-// Binary snapshot persistence
-
-var (
-	magic = [4]byte{'P', 'o', 'E', 'm'}
-	// ErrBadSnapshot reports a corrupt or foreign snapshot stream.
-	ErrBadSnapshot = errors.New("record: bad snapshot")
-)
-
-const snapshotVersion = 1
-
-// Save writes a binary snapshot of the store.
-func (s *Store) Save(w io.Writer) error {
-	s.drain()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint16(snapshotVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint64(len(s.packets))); err != nil {
-		return err
-	}
-	for i := range s.packets {
-		if err := writePacket(bw, &s.packets[i]); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint64(len(s.scenes))); err != nil {
-		return err
-	}
-	for i := range s.scenes {
-		if err := writeScene(bw, &s.scenes[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Load reads a snapshot previously written by Save into a fresh store.
-func Load(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	var ver uint16
-	if err := binary.Read(br, binary.BigEndian, &ver); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if ver != snapshotVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, ver)
-	}
-	s := NewStore()
-	var np uint64
-	if err := binary.Read(br, binary.BigEndian, &np); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if np > 1<<32 {
-		return nil, fmt.Errorf("%w: implausible packet count %d", ErrBadSnapshot, np)
-	}
-	// The counts come from the file: reserve a bounded amount up front
-	// and let anything larger be backed by records actually read, so a
-	// hostile header cannot make Load allocate gigabytes.
-	s.packets = make([]Packet, 0, min(np, loadPrealloc))
-	for i := uint64(0); i < np; i++ {
-		var p Packet
-		if err := readPacket(br, &p); err != nil {
-			return nil, fmt.Errorf("%w: packet %d: %v", ErrBadSnapshot, i, err)
-		}
-		s.packets = append(s.packets, p)
-	}
-	var ns uint64
-	if err := binary.Read(br, binary.BigEndian, &ns); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if ns > 1<<32 {
-		return nil, fmt.Errorf("%w: implausible scene count %d", ErrBadSnapshot, ns)
-	}
-	s.scenes = make([]Scene, 0, min(ns, loadPrealloc))
-	for i := uint64(0); i < ns; i++ {
-		var sc Scene
-		if err := readScene(br, &sc); err != nil {
-			return nil, fmt.Errorf("%w: scene %d: %v", ErrBadSnapshot, i, err)
-		}
-		s.scenes = append(s.scenes, sc)
-	}
-	return s, nil
-}
-
-// loadPrealloc is how many records Load reserves on the strength of a
-// snapshot's header alone.
-const loadPrealloc = 1 << 16
-
-func writePacket(w io.Writer, p *Packet) error {
-	var buf [40]byte
-	buf[0] = byte(p.Kind)
-	binary.BigEndian.PutUint64(buf[1:], uint64(p.At))
-	binary.BigEndian.PutUint64(buf[9:], uint64(p.Stamp))
-	binary.BigEndian.PutUint32(buf[17:], uint32(p.Src))
-	binary.BigEndian.PutUint32(buf[21:], uint32(p.Dst))
-	binary.BigEndian.PutUint32(buf[25:], uint32(p.Relay))
-	binary.BigEndian.PutUint16(buf[29:], uint16(p.Channel))
-	binary.BigEndian.PutUint16(buf[31:], p.Flow)
-	binary.BigEndian.PutUint32(buf[33:], p.Seq)
-	// buf[37:40] hold the low 3 bytes of Size (16 MiB cap is plenty).
-	buf[37] = byte(p.Size >> 16)
-	buf[38] = byte(p.Size >> 8)
-	buf[39] = byte(p.Size)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func readPacket(r io.Reader, p *Packet) error {
-	var buf [40]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return err
-	}
-	p.Kind = PacketKind(buf[0])
-	p.At = vclock.Time(binary.BigEndian.Uint64(buf[1:]))
-	p.Stamp = vclock.Time(binary.BigEndian.Uint64(buf[9:]))
-	p.Src = radio.NodeID(binary.BigEndian.Uint32(buf[17:]))
-	p.Dst = radio.NodeID(binary.BigEndian.Uint32(buf[21:]))
-	p.Relay = radio.NodeID(binary.BigEndian.Uint32(buf[25:]))
-	p.Channel = radio.ChannelID(binary.BigEndian.Uint16(buf[29:]))
-	p.Flow = binary.BigEndian.Uint16(buf[31:])
-	p.Seq = binary.BigEndian.Uint32(buf[33:])
-	p.Size = uint32(buf[37])<<16 | uint32(buf[38])<<8 | uint32(buf[39])
-	return nil
-}
-
-func writeScene(w io.Writer, e *Scene) error {
-	var buf [28]byte
-	binary.BigEndian.PutUint64(buf[0:], uint64(e.At))
-	binary.BigEndian.PutUint32(buf[8:], uint32(e.Node))
-	binary.BigEndian.PutUint64(buf[12:], uint64(int64(e.X*1000)))
-	binary.BigEndian.PutUint64(buf[20:], uint64(int64(e.Y*1000)))
-	if _, err := w.Write(buf[:]); err != nil {
-		return err
-	}
-	if err := writeString(w, e.Op); err != nil {
-		return err
-	}
-	return writeString(w, e.Detail)
-}
-
-func readScene(r io.Reader, e *Scene) error {
-	var buf [28]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return err
-	}
-	e.At = vclock.Time(binary.BigEndian.Uint64(buf[0:]))
-	e.Node = radio.NodeID(binary.BigEndian.Uint32(buf[8:]))
-	e.X = float64(int64(binary.BigEndian.Uint64(buf[12:]))) / 1000
-	e.Y = float64(int64(binary.BigEndian.Uint64(buf[20:]))) / 1000
-	var err error
-	if e.Op, err = readString(r); err != nil {
-		return err
-	}
-	e.Detail, err = readString(r)
-	return err
-}
-
-func writeString(w io.Writer, s string) error {
-	if len(s) > 1<<16-1 {
-		s = s[:1<<16-1]
-	}
-	var n [2]byte
-	binary.BigEndian.PutUint16(n[:], uint16(len(s)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n [2]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return "", err
-	}
-	b := make([]byte, binary.BigEndian.Uint16(n[:]))
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

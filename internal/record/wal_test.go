@@ -3,59 +3,98 @@ package record
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/radio"
+	"repro/internal/vclock"
 )
 
+// TestWALRoundTrip: a log attached before the first record, read after
+// Sync, loads to the store's records and is byte for byte what Save
+// writes — with packets from concurrent streams and scenes interleaved,
+// which holds only if both reach the log in the order they enter the
+// store.
 func TestWALRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	lw, err := NewLogWriter(&buf)
+	s := NewStore()
+	var stream bytes.Buffer
+	lw, err := NewLogWriter(&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []Packet
-	for i := 0; i < 20; i++ {
-		p := samplePacket(i)
-		want = append(want, p)
-		if err := lw.Packet(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.Scene(Scene{At: 5, Node: 1, Op: "move", Detail: "x", X: 1, Y: 2}); err != nil {
+	if err := s.Attach(lw); err != nil {
 		t.Fatal(err)
 	}
-	if err := lw.Close(); err != nil {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3*packetFlushBatch; i++ {
+				s.AddPacket(Packet{Kind: PacketOut, At: vclock.Time(i), Src: radio.NodeID(g), Relay: 9, Seq: uint32(i)})
+				if i%100 == 0 {
+					s.AddScene(Scene{At: vclock.Time(i), Node: radio.NodeID(g), Op: "move",
+						Detail: fmt.Sprint(i), X: float64(i) / 3, Y: -float64(g) / 7})
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadLog(&buf)
+	got, err := Load(bytes.NewReader(stream.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Packets(Filter{}), want) {
-		t.Error("packets differ after WAL round trip")
+	if a, b := contents(got), contents(s); !reflect.DeepEqual(a, b) {
+		t.Error("streamed log loads to different records than the store holds")
 	}
-	if got.SceneCount() != 1 {
-		t.Errorf("scenes: %d", got.SceneCount())
+	var saved bytes.Buffer
+	if err := s.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), stream.Bytes()) {
+		t.Errorf("Save wrote %d bytes that differ from the %d-byte attached log", saved.Len(), stream.Len())
 	}
 }
 
+// TestWALToleratesTruncation: a recording cut mid-record — Save's output
+// or a streamed log — loads every whole record before the cut.
 func TestWALToleratesTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	lw, _ := NewLogWriter(&buf)
+	s := NewStore()
+	var stream bytes.Buffer
+	lw, _ := NewLogWriter(&stream)
+	s.Attach(lw)
 	for i := 0; i < 10; i++ {
-		lw.Packet(samplePacket(i))
+		s.AddPacket(samplePacket(i))
 	}
-	lw.Flush()
-	full := buf.Bytes()
-	// Cut mid-record: everything before the cut must still load.
-	cut := full[:len(full)-17]
-	got, err := LoadLog(bytes.NewReader(cut))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PacketCount() != 9 {
-		t.Errorf("truncated load kept %d records, want 9", got.PacketCount())
+	s.Sync()
+	scene := Scene{At: 1, Op: "move", Detail: "to the end"}
+	s.AddScene(scene)
+	var saved bytes.Buffer
+	s.Save(&saved)
+	sceneLen := len(appendScene(nil, &scene))
+	for name, full := range map[string][]byte{"save": saved.Bytes(), "stream": stream.Bytes()} {
+		for _, tc := range []struct{ cut, packets, scenes int }{
+			{3, 10, 0},            // inside the scene's Detail
+			{sceneLen + 17, 9, 0}, // inside the last packet
+			{sceneLen + 41, 9, 0}, // at a record boundary
+			{0, 10, 1},            // whole
+		} {
+			got, err := Load(bytes.NewReader(full[:len(full)-tc.cut]))
+			if err != nil {
+				t.Fatalf("%s cut %d: %v", name, tc.cut, err)
+			}
+			if got.PacketCount() != tc.packets || got.SceneCount() != tc.scenes {
+				t.Errorf("%s cut %d: kept %d packets, %d scenes; want %d, %d",
+					name, tc.cut, got.PacketCount(), got.SceneCount(), tc.packets, tc.scenes)
+			}
+		}
 	}
 }
 
@@ -77,50 +116,46 @@ func (r *failingReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestLoadLogReportsReadErrors pins that only end of input ends a log:
-// a read error inside the header, inside a packet record or at a record
+// TestLoadReportsReadErrors pins that only end of input ends a log: a
+// read error inside the header, inside a packet record or at a record
 // boundary is returned, never taken for a cleanly shorter recording.
-func TestLoadLogReportsReadErrors(t *testing.T) {
-	var buf bytes.Buffer
-	lw, _ := NewLogWriter(&buf)
+func TestLoadReportsReadErrors(t *testing.T) {
+	s := NewStore()
 	for i := 0; i < 4; i++ {
-		lw.Packet(samplePacket(i))
+		s.AddPacket(samplePacket(i))
 	}
-	lw.Flush()
-	const header, record = 6, 1 + 40 // magic + version; tag + packet
+	var buf bytes.Buffer
+	s.Save(&buf)
+	const record = packetLen
+	hdr := len(header)
 	for _, tc := range []struct {
 		name string
 		k    int
 	}{
 		{"header", 3},
-		{"packet record", header + record + 17},
-		{"record boundary", header + 2*record},
+		{"packet record", hdr + record + 17},
+		{"record boundary", hdr + 2*record},
 	} {
-		_, err := LoadLog(&failingReader{data: buf.Bytes(), k: tc.k})
+		_, err := Load(&failingReader{data: buf.Bytes(), k: tc.k})
 		if !errors.Is(err, errDisk) {
 			t.Errorf("%s (after %d bytes): got %v, want the read error", tc.name, tc.k, err)
 		}
 	}
 	// The same cuts as end of input are a torn tail: no error.
-	if _, err := LoadLog(bytes.NewReader(buf.Bytes()[:header+record+17])); err != nil {
+	if _, err := Load(bytes.NewReader(buf.Bytes()[:hdr+record+17])); err != nil {
 		t.Errorf("truncated log: %v", err)
 	}
 }
 
 func TestWALRejectsGarbage(t *testing.T) {
-	if _, err := LoadLog(bytes.NewReader([]byte("nope"))); !errors.Is(err, ErrBadLog) {
-		t.Error("bad magic accepted")
-	}
-	if _, err := LoadLog(bytes.NewReader(append([]byte("PoEL"), 0, 99))); !errors.Is(err, ErrBadLog) {
-		t.Error("bad version accepted")
-	}
-	// Unknown tag after a valid header.
+	// An unknown tag after a valid record.
+	s := NewStore()
+	s.AddPacket(samplePacket(1))
 	var buf bytes.Buffer
-	lw, _ := NewLogWriter(&buf)
-	lw.Flush()
+	s.Save(&buf)
 	buf.WriteByte('X')
-	if _, err := LoadLog(&buf); !errors.Is(err, ErrBadLog) {
-		t.Error("unknown tag accepted")
+	if got, err := Load(&buf); !errors.Is(err, ErrBadLog) || got != nil {
+		t.Errorf("unknown tag: store %v, error %v", got, err)
 	}
 }
 
@@ -139,7 +174,7 @@ func TestStoreAttachStreamsLive(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadLog(bytes.NewReader(buf.Bytes()))
+	got, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +199,12 @@ func TestStoreAttachConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// Sync commits the sharded append buffers to the log and flushes it;
-	// a bare lw.Flush() would miss batches still buffered in the shards.
+	// Sync commits the sharded append buffers to the log; records still
+	// buffered in the shards have not reached it before.
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadLog(bytes.NewReader(buf.Bytes()))
+	got, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,29 +213,63 @@ func TestStoreAttachConcurrent(t *testing.T) {
 	}
 }
 
-func TestLoadAutoDetects(t *testing.T) {
+// failingWriter takes k bytes, then fails every write: a disk filling
+// up partway through a run.
+type failingWriter struct {
+	bytes.Buffer
+	k int
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	n := min(len(p), w.k-w.Len())
+	w.Buffer.Write(p[:n])
+	if n < len(p) {
+		return n, errDisk
+	}
+	return n, nil
+}
+
+// TestLogWriteFailureCounted: once an attached log's writer fails, every
+// record the log did not take whole is counted on
+// poem_record_log_dropped_total, Sync returns the writer's first error,
+// and the store itself still holds every record.
+func TestLogWriteFailureCounted(t *testing.T) {
 	s := NewStore()
-	s.AddPacket(samplePacket(3))
-	// Snapshot form.
-	var snap bytes.Buffer
-	if err := s.Save(&snap); err != nil {
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	w := &failingWriter{k: len(header) + 300*packetLen + 17} // mid-record, in the second batch
+	lw, err := NewLogWriter(w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadAuto(bytes.NewReader(snap.Bytes()))
-	if err != nil || got.PacketCount() != 1 {
-		t.Errorf("snapshot auto-load: %v %d", err, got.PacketCount())
+	if err := s.Attach(lw); err != nil {
+		t.Fatal(err)
 	}
-	// Log form.
-	var wal bytes.Buffer
-	lw, _ := NewLogWriter(&wal)
-	lw.Packet(samplePacket(4))
-	lw.Flush()
-	got, err = LoadAuto(bytes.NewReader(wal.Bytes()))
-	if err != nil || got.PacketCount() != 1 {
-		t.Errorf("log auto-load: %v", err)
+	const packets, scenes = 1000, 10
+	for i := 0; i < packets; i++ {
+		s.AddPacket(Packet{Kind: PacketIn, Src: 1, Seq: uint32(i)}) // one stream: 256-record batches
+		if i%(packets/scenes) == 0 {
+			s.AddScene(Scene{At: vclock.Time(i), Op: "tick"})
+		}
 	}
-	// Garbage.
-	if _, err := LoadAuto(bytes.NewReader([]byte("garbage here"))); err == nil {
-		t.Error("garbage auto-loaded")
+	if err := s.Sync(); !errors.Is(err, errDisk) {
+		t.Fatalf("Sync = %v, want the writer's error", err)
+	}
+	if s.PacketCount() != packets || s.SceneCount() != scenes {
+		t.Errorf("store holds %d packets, %d scenes; want %d, %d", s.PacketCount(), s.SceneCount(), packets, scenes)
+	}
+	logged, err := Load(bytes.NewReader(w.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := logged.PacketCount() + logged.SceneCount()
+	dropped := packets + scenes - kept
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("log kept %d records and lost %d: the failure should fall mid-run", kept, dropped)
+	}
+	var m bytes.Buffer
+	reg.WritePrometheus(&m)
+	if want := fmt.Sprintf("\npoem_record_log_dropped_total %d\n", dropped); !strings.Contains(m.String(), want) {
+		t.Errorf("metrics lack %q:\n%s", strings.TrimSpace(want), m.String())
 	}
 }

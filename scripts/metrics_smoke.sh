@@ -47,7 +47,7 @@ for name in \
 	poem_scene_nodes poem_scene_view_rebuilds_total poem_scene_tick_ns \
 	poem_scene_rows_republished_total \
 	poem_record_packets_total poem_record_scenes_total \
-	poem_record_batch_commits_total \
+	poem_record_batch_commits_total poem_record_log_dropped_total \
 	poem_trace_records_total poem_trace_dropped_total \
 	poem_health poem_health_breaches_total \
 	poem_flight_recorder_events_total \
