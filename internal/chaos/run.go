@@ -331,8 +331,9 @@ func (r *Runner) heal(where string, v int) {
 }
 
 // replicated checks a federation outside partitions: no trunk dropped
-// an entry since the last heal, and every follower applies the
-// coordinator's mutation stream so far and tells the coordinator so.
+// an entry since the last heal, every follower applies the
+// coordinator's journal so far and tells the coordinator so, and the
+// coordinator finds no follower's scene digest different from its own.
 func (r *Runner) replicated(where string) {
 	if len(r.peers) < 2 {
 		return
@@ -348,6 +349,9 @@ func (r *Runner) replicated(where string) {
 			if got < rep || heard < rep {
 				return fmt.Sprintf("peer %d applied %d (coordinator heard %d) < rep-seq %d", p, got, heard, rep)
 			}
+		}
+		if n := r.srv.Cluster().Divergence; n != 0 {
+			return fmt.Sprintf("%d follower(s) hold a scene whose digest differs from the coordinator's", n)
 		}
 		return ""
 	}

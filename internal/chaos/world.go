@@ -177,6 +177,13 @@ func (g *gate) cut() {
 	}
 }
 
+// redirect makes later dials reach d.
+func (g *gate) redirect(d transport.Dialer) {
+	g.mu.Lock()
+	g.dial = d
+	g.mu.Unlock()
+}
+
 func (g *gate) heal() {
 	g.mu.Lock()
 	g.down = false
@@ -207,6 +214,10 @@ type world struct {
 	pool  *mbuf.Pool
 	peers []*peer
 	base  int // goroutines before the world existed
+	// fed and tmpl are what newWorld was given to start each server
+	// with: whether the peers federate, and the scenario's settings.
+	fed  bool
+	tmpl core.ServerConfig
 
 	clients []*client // in first-dial order
 	byID    map[radio.NodeID]*client
@@ -234,49 +245,86 @@ func (w *world) violationf(format string, args ...any) {
 // shared store would interleave the peers' scene records.
 func newWorld(seed int64, clk vclock.WaitClock, n int, cell float64, tmpl core.ServerConfig) (*world, error) {
 	w := &world{
-		seed: seed, clk: clk, pool: mbuf.NewPool(),
+		seed: seed, clk: clk, pool: mbuf.NewPool(), fed: n > 0, tmpl: tmpl,
 		base: runtime.NumGoroutine(), byID: make(map[radio.NodeID]*client),
 	}
 	w.pool.SetLeakCheck(true)
 	for i := 0; i < max(n, 1); i++ {
-		w.peers = append(w.peers, &peer{
-			sc:  scene.New(radio.NewIndexed(cell), clk, seed),
-			reg: obs.NewRegistry(),
-			lis: transport.NewInprocListener(), done: make(chan struct{}),
-		})
+		w.peers = append(w.peers, w.newPeer(cell))
 	}
-	for i, p := range w.peers {
-		cfg := tmpl
-		cfg.Clock, cfg.Scene, cfg.Seed, cfg.Obs = clk, p.sc, seed, p.reg
-		if tmpl.Store != nil && i > 0 {
-			cfg.Store = record.NewStore()
-		}
-		p.store = cfg.Store
-		if n > 0 {
-			cfg.Self = i
-			cfg.Peers = make([]core.PeerSpec, n)
-			p.gates = make([]*gate, n)
-			for dst := range cfg.Peers {
-				cfg.Peers[dst].Addr = fmt.Sprintf("peer%d", dst)
-				if dst != i {
-					p.gates[dst] = &gate{dial: w.peers[dst].lis.Dialer()}
-					cfg.Peers[dst].Dial = p.gates[dst].Dial
-				}
-			}
-		}
-		srv, err := core.NewServer(cfg)
-		if err != nil {
+	for i := range w.peers {
+		if err := w.start(i); err != nil {
 			w.close()
 			return nil, err
 		}
-		p.srv = srv
-		srv.SetDeliverHook(p.fifo.hook)
-		go func(p *peer) {
-			defer close(p.done)
-			p.srv.Serve(transport.PoolIngress(p.lis, w.pool))
-		}(p)
 	}
 	return w, nil
+}
+
+// newPeer is a peer with an empty scene and a listener, not yet served.
+func (w *world) newPeer(cell float64) *peer {
+	return &peer{
+		sc:  scene.New(radio.NewIndexed(cell), w.clk, w.seed),
+		reg: obs.NewRegistry(),
+		lis: transport.NewInprocListener(), done: make(chan struct{}),
+	}
+}
+
+// start builds peer i's server and serves it.
+func (w *world) start(i int) error {
+	p := w.peers[i]
+	cfg := w.tmpl
+	cfg.Clock, cfg.Scene, cfg.Seed, cfg.Obs = w.clk, p.sc, w.seed, p.reg
+	if w.tmpl.Store != nil && i > 0 {
+		cfg.Store = record.NewStore()
+	}
+	p.store = cfg.Store
+	if w.fed {
+		n := len(w.peers)
+		cfg.Self = i
+		cfg.Peers = make([]core.PeerSpec, n)
+		p.gates = make([]*gate, n)
+		for dst := range cfg.Peers {
+			cfg.Peers[dst].Addr = fmt.Sprintf("peer%d", dst)
+			if dst != i {
+				p.gates[dst] = &gate{dial: w.peers[dst].lis.Dialer()}
+				cfg.Peers[dst].Dial = p.gates[dst].Dial
+			}
+		}
+	}
+	srv, err := core.NewServer(cfg)
+	if err != nil {
+		return err
+	}
+	p.srv = srv
+	srv.SetDeliverHook(p.fifo.hook)
+	go func() {
+		defer close(p.done)
+		p.srv.Serve(transport.PoolIngress(p.lis, w.pool))
+	}()
+	return nil
+}
+
+// stop closes peer i's listener and server, as a killed poemd.
+func (w *world) stop(i int) {
+	p := w.peers[i]
+	p.srv.SetDeliverHook(nil)
+	p.lis.Close()
+	p.srv.Close()
+	<-p.done
+}
+
+// restart puts a fresh server with an empty scene on a new listener in
+// place of the stopped peer i — a poemd started again, or late — and
+// points the other peers' trunks at it.
+func (w *world) restart(i int, cell float64) error {
+	w.peers[i] = w.newPeer(cell)
+	for _, q := range w.peers {
+		if q.gates != nil && q.gates[i] != nil {
+			q.gates[i].redirect(w.peers[i].lis.Dialer())
+		}
+	}
+	return w.start(i)
 }
 
 // dial opens a fresh epoch for id on its owning peer. Every client of
@@ -668,14 +716,11 @@ func (w *world) close() Outcome {
 			ep.c.Close()
 		}
 	}
-	for _, p := range w.peers {
+	for i, p := range w.peers {
 		if p.srv == nil {
 			continue // newWorld failed before this peer
 		}
-		p.srv.SetDeliverHook(nil)
-		p.lis.Close()
-		p.srv.Close()
-		<-p.done
+		w.stop(i)
 	}
 	if live := w.pool.Live(); live != 0 {
 		w.violationf("teardown: mbuf leak: %d pooled buffers still live", live)

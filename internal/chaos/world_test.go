@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/scene"
 	"repro/internal/vclock"
 )
 
@@ -122,23 +124,47 @@ func TestSettleSelfTest(t *testing.T) {
 // TCP, so this covers the handshake, replication-wait and teardown
 // suspects and not a socket-level one. A hang is caught by go test's
 // -timeout, whose goroutine dump is the artifact to keep; the nightly
-// job reaches 10 000 iterations with -count=50.
+// job reaches 10 000 iterations with -count=50. The follower takes the
+// coordinator's scene as one snapshot at first contact. A tenth as many
+// iterations again are cold joins: the follower's server starts only
+// after the coordinator's journal has wrapped, and it too must catch up
+// through a snapshot (two, when its resend request crosses the
+// coordinator's own).
 func TestFederationSetupTeardownSoak(t *testing.T) {
 	n := 200
 	if testing.Short() {
 		n = 20
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n+n/10; i++ {
 		w, err := newWorld(int64(i), vclock.NewSystem(200), 2, 256, core.ServerConfig{ClusterID: "soak"})
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		err = w.tightCluster(2, time.Millisecond)
+		cold := i >= n
+		if cold {
+			w.stop(1)
+			for k := 0; k <= scene.JournalRecords+1; k++ {
+				w.peers[0].sc.SetPaused(k%2 == 0) // ends unpaused
+			}
+			err = w.restart(1, 256)
+		}
+		if err == nil {
+			err = w.tightCluster(2, time.Millisecond)
+		}
 		if err == nil && w.clients[0].owner == w.clients[1].owner {
 			err = fmt.Errorf("both nodes landed on peer %d", w.clients[0].owner)
 		}
+		// The follower counts a snapshot just after restoring it: poll the
+		// count, do not sample it once.
+		snaps := func() uint64 { return w.peers[1].srv.Cluster().Snapshots }
+		if err == nil && !pollUntil(time.Second, func() bool { return snaps() > 0 }) {
+			err = errors.New("the follower took no snapshot")
+		}
+		if n := snaps(); err == nil && !cold && n != 1 {
+			err = fmt.Errorf("the follower took %d snapshots at first contact", n)
+		}
 		if o := w.close(); err != nil || !o.OK() {
-			t.Fatalf("iteration %d: setup error %v, violations %q", i, err, o.Violations)
+			t.Fatalf("iteration %d (cold join %v): setup error %v, violations %q", i, cold, err, o.Violations)
 		}
 	}
 }

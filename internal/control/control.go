@@ -187,9 +187,9 @@ func (s *Server) execute(line string, w io.Writer) {
 		// peer: trunk state, cross-server traffic, and how far behind the
 		// coordinator's mutation stream each peer last reported itself.
 		if cs := s.emu.Cluster(); cs != nil {
-			fmt.Fprintf(w, "  cluster id=%s self=%d coordinator=%d peers=%d repseq=%d appliedseq=%d"+
+			fmt.Fprintf(w, "  cluster id=%s self=%d coordinator=%d peers=%d repseq=%d appliedseq=%d snapshots=%d"+
 				" remote=%d pending=%d recvd=%d trunkdropped=%d reperrors=%d staleness=%v\n",
-				cs.ID, cs.Self, cs.Coordinator, cs.Peers, cs.RepSeq, cs.AppliedSeq,
+				cs.ID, cs.Self, cs.Coordinator, cs.Peers, cs.RepSeq, cs.AppliedSeq, cs.Snapshots,
 				cs.RemoteEntries, cs.PendingEntries, cs.RecvEntries, cs.TrunkDropped, cs.RepErrors,
 				time.Duration(cs.StalenessNs))
 			for _, ps := range cs.PeerStats {
@@ -199,6 +199,14 @@ func (s *Server) execute(line string, w io.Writer) {
 				}
 				fmt.Fprintf(w, "  peer %d addr=%s%s health=%s applied=%d", ps.Peer, ps.Addr, self,
 					ps.Health, ps.AppliedSeq)
+				if !ps.Self && cs.Self == cs.Coordinator {
+					// The coordinator judges each follower's scene digest.
+					digest := "ok"
+					if ps.Diverged {
+						digest = "diverged"
+					}
+					fmt.Fprintf(w, " digest=%s", digest)
+				}
 				if !ps.Self {
 					// perwrite is the trunk's coalescing ratio: entries per
 					// frame written (heartbeats and scene frames included).

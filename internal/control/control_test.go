@@ -2,6 +2,7 @@ package control
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/radio"
 	"repro/internal/scene"
+	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -133,13 +135,15 @@ func TestStatsWithEmulator(t *testing.T) {
 
 // TestStatsClusterLines verifies a federated server's stats reply
 // includes the cluster summary and per-peer lines (exercised against a
-// single-peer cluster so no trunks need to connect).
+// coordinator whose one follower is unreachable, so no trunks connect).
 func TestStatsClusterLines(t *testing.T) {
 	clk := vclock.NewManual(0)
 	sc := scene.New(radio.NewIndexed(200), clk, 1)
+	unreachable := func() (transport.Conn, error) { return nil, errors.New("unreachable") }
 	emu, err := core.NewServer(core.ServerConfig{
-		Clock: clk, Scene: sc,
-		Peers: []core.PeerSpec{{Addr: "self"}}, ClusterID: "ctl-test",
+		Clock: clk, Scene: sc, ClusterID: "ctl-test",
+		Peers:           []core.PeerSpec{{Addr: "self"}, {Addr: "other", Dial: unreachable}},
+		TrunkMinBackoff: time.Hour, TrunkMaxBackoff: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,11 +151,12 @@ func TestStatsClusterLines(t *testing.T) {
 	defer emu.Close()
 	srv := NewServer(sc, emu, geom.R(0, 0, 500, 500))
 	out := srv.Execute("stats")
-	if !strings.Contains(out, "cluster id=ctl-test self=0 coordinator=0 peers=1") {
+	if !strings.Contains(out, "cluster id=ctl-test self=0 coordinator=0 peers=2 repseq=0 appliedseq=0 snapshots=0") {
 		t.Errorf("stats missing cluster summary line:\n%s", out)
 	}
-	if !strings.Contains(out, "peer 0 addr=self (self)") {
-		t.Errorf("stats missing per-peer line:\n%s", out)
+	if !strings.Contains(out, "peer 0 addr=self (self)") || !strings.Contains(out, "peer 1 addr=other health=") ||
+		!strings.Contains(out, "digest=ok trunkup=false") {
+		t.Errorf("stats missing per-peer lines:\n%s", out)
 	}
 	// Unclustered servers must not print cluster lines.
 	emu2, err := core.NewServer(core.ServerConfig{Clock: clk, Scene: scene.New(radio.NewIndexed(8), clk, 1)})

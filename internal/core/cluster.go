@@ -10,19 +10,28 @@ package core
 // batched TrunkBatch frames — the coalesced-push shape of pushItems
 // stretched across machines, pooled mbuf framing included.
 //
-// Scene state replicates one-way from a coordinator peer: its scene
-// subscription serializes every structural mutation into TrunkScene
-// messages which follower peers apply through scene.Apply, driving the
-// same epoch-snapshot publish as a local mutation. Replication is
-// ordered and retried per trunk; staleness — the follower's emulation
-// clock minus the event's coordinator stamp — lands in per-peer obs
-// gauges and a histogram, making the scene-broadcast lag of the MobiEmu
-// baseline a measured production quantity.
+// Scene state replicates one-way from a coordinator peer, out of the
+// scene's own journal (scene/journal.go): each follower is one cursor
+// into it, and one loop per follower sends whatever is behind its cursor
+// as TrunkScene frames — or the scene's state, first and whenever the
+// cursor has fallen off the journal. The follower's scene.Replica
+// applies them through the scene's ordinary mutators and drops any frame
+// that does not follow what it applied. The coordinator's heartbeat says
+// what it sent; a follower that lacks some of it asks, in its own
+// heartbeat, to be sent again from what it applied — or sent the state,
+// when it holds another journal than the coordinator's (a coordinator or
+// follower restarted). Cold join, a long partition, a restart and a lost
+// frame all take that one path. Heartbeats carry each follower's scene
+// digest, which the coordinator compares at equal seqs. Staleness — the
+// follower's emulation clock minus a record's coordinator stamp — lands
+// in obs gauges and a histogram, making the scene-broadcast lag of the
+// MobiEmu baseline a measured production quantity.
 //
 // Lock order: Server.mu before shard.mu before anything in this file;
-// trunk and replication locks are leaves and never held across calls
-// into Server or scene code (the replication subscriber runs under the
-// scene lock and only appends to a queue).
+// trunk locks are leaves and never held across calls into Server or
+// scene code. The replication subscriber runs under the scene lock and
+// only wakes the peer loops; a Replica's lock is taken before the
+// follower's scene lock.
 //
 // Peers: nil (or a single entry) keeps the exact single-server path:
 // routeRemote never fires, no trunks or goroutines exist, and chaos
@@ -31,12 +40,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
@@ -96,26 +105,47 @@ type cluster struct {
 	connMu sync.Mutex
 	conns  map[transport.Conn]struct{}
 
-	// Coordinator-side replication: one ordered queue per remote peer,
-	// appended under repMu by the scene subscriber (which runs under
-	// the scene lock — append only, nothing slow), drained by one
-	// repLoop goroutine per peer that retries on trunk failure so a
-	// healed partition catches up on every mutation it missed.
-	repMu     sync.Mutex
-	repCond   sync.Cond
-	repClosed bool
-	repSeq    uint64
-	queues    [][]wire.TrunkScene
-
-	appliedSeq  atomic.Uint64 // follower: last TrunkScene applied
-	lastStale   atomic.Int64  // follower: last measured staleness, ns
+	// Replication: on the coordinator, the origin naming its journal and
+	// one cursor per remote peer; on a follower, the replica of the
+	// coordinator's scene and whether the next heartbeat asks for a
+	// resend.
+	origin      uint64
+	cursors     []cursor
+	replica     *scene.Replica
+	resend      atomic.Bool
+	lastStale   atomic.Int64 // follower: last measured staleness, ns
 	peerApplied []atomic.Uint64
 
 	health *fidelity.ClusterHealth
 
 	mRecvEntries *obs.Counter
 	mRepErrors   *obs.Counter
+	mSnapshots   *obs.Counter
 	hStale       *obs.Histogram
+}
+
+// cursor is one follower's place in the coordinator's journal: the next
+// seq to send it, 0 until it was sent a state. Its loop advances it past
+// what it wrote; the follower's resend request moves it back. diverged
+// is whether the follower's digest last differed.
+type cursor struct {
+	next     atomic.Uint64
+	wake     chan struct{}
+	diverged atomic.Bool
+}
+
+func (c *cursor) signal() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// rewind moves the cursor back to seq, never forward, and wakes its loop.
+func (c *cursor) rewind(seq uint64) {
+	for cur := c.next.Load(); seq < cur && !c.next.CompareAndSwap(cur, seq); cur = c.next.Load() {
+	}
+	c.signal()
 }
 
 // newCluster wires the federation tier onto an assembled server. Called
@@ -131,10 +161,14 @@ func newCluster(s *Server, cfg ServerConfig) *cluster {
 		trunks:      make([]*transport.Trunk, len(cfg.Peers)),
 		done:        make(chan struct{}),
 		conns:       make(map[transport.Conn]struct{}),
-		queues:      make([][]wire.TrunkScene, len(cfg.Peers)),
+		origin:      rand.Uint64() | 1, // never 0, a replica's "none"
+		cursors:     make([]cursor, len(cfg.Peers)),
+		replica:     scene.NewReplica(cfg.Scene),
 		peerApplied: make([]atomic.Uint64, len(cfg.Peers)),
 	}
-	cl.repCond.L = &cl.repMu
+	for p := range cl.cursors {
+		cl.cursors[p].wake = make(chan struct{}, 1)
+	}
 
 	reg := s.obs
 	// The outbound data-path terms are the trunks' own ledger, read at
@@ -151,15 +185,20 @@ func newCluster(s *Server, cfg ServerConfig) *cluster {
 	cl.mRecvEntries = reg.Counter("poem_cluster_recv_entries_total",
 		"scheduled deliveries received over inbound trunks")
 	cl.mRepErrors = reg.Counter("poem_cluster_replication_errors_total",
-		"replicated scene events that failed to apply")
+		"scene frames refused (malformed, or not from the coordinator) and replicated records that failed to apply")
+	cl.mSnapshots = reg.Counter("poem_cluster_scene_snapshots_total",
+		"scene snapshots sent whole (coordinator) or restored (follower)")
+	reg.Gauge("poem_cluster_scene_divergence",
+		"peers whose scene digest differed from the coordinator's at the same seq (coordinator only)",
+		func() float64 { return float64(cl.divergence()) })
 	cl.hStale = reg.Histogram("poem_cluster_staleness_ns",
 		"scene replication staleness at apply: follower clock minus coordinator event stamp")
 	reg.Gauge("poem_cluster_peers", "peers in the federated cluster",
 		func() float64 { return float64(cl.n) })
 	reg.Gauge("poem_cluster_staleness_last_ns", "last measured scene replication staleness",
 		func() float64 { return float64(cl.lastStale.Load()) })
-	reg.Gauge("poem_cluster_applied_seq", "last replicated scene mutation applied by this peer",
-		func() float64 { return float64(cl.appliedSeq.Load()) })
+	reg.Gauge("poem_cluster_applied_seq", "scene journal seq this peer applied (the coordinator's own seq)",
+		func() float64 { return float64(cl.appliedSeq()) })
 	for p := range cl.peers {
 		p := p
 		reg.Gauge(obs.Labeled("poem_cluster_peer_applied_seq", "peer", strconv.Itoa(p)),
@@ -168,11 +207,8 @@ func newCluster(s *Server, cfg ServerConfig) *cluster {
 		reg.Gauge(obs.Labeled("poem_cluster_peer_lag_events", "peer", strconv.Itoa(p)),
 			"scene mutations replicated but not yet reported applied by this peer",
 			func() float64 {
-				cl.repMu.Lock()
-				seq := cl.repSeq
-				cl.repMu.Unlock()
-				applied := cl.peerApplied[p].Load()
-				if p == cl.self || applied >= seq {
+				seq, applied := cl.appliedSeq(), cl.peerApplied[p].Load()
+				if p == cl.self || cl.self != cl.coordinator || applied >= seq {
 					return 0
 				}
 				return float64(seq - applied)
@@ -190,14 +226,16 @@ func newCluster(s *Server, cfg ServerConfig) *cluster {
 				dial = transport.TCPDialer(cl.peers[p].Addr)
 			}
 			cl.trunks[p] = transport.NewTrunk(transport.TrunkConfig{
-				Dial:       dial,
-				Hello:      &wire.TrunkHello{Ver: wire.Version, From: uint32(cl.self), Cluster: cl.id},
+				Dial: dial,
+				Hello: &wire.TrunkHello{Ver: wire.Version, From: uint32(cl.self),
+					Coordinator: uint32(cl.coordinator), Cluster: cl.id},
 				MinBackoff: cfg.TrunkMinBackoff,
 				MaxBackoff: cfg.TrunkMaxBackoff,
 				Name:       "peer" + strconv.Itoa(p),
 			})
 		}
 		if cl.self == cl.coordinator {
+			cfg.Scene.KeepJournal()
 			cfg.Scene.Subscribe(cl.replicate)
 			for p := range cl.peers {
 				if p == cl.self {
@@ -321,13 +359,19 @@ func (cl *cluster) removeConn(c transport.Conn) {
 }
 
 // serveTrunk runs one inbound trunk connection after its TrunkHello:
-// batched remote deliveries land in the local shards' schedules,
-// replicated scene mutations apply, heartbeats update the peer roll-up.
-// Runs on the connection's handler goroutine (under Server.wg).
+// batched remote deliveries land in the local shards' schedules, scene
+// frames go to the replica, heartbeats update the peer roll-up. A hello
+// from another cluster or version, from this peer's own index, or from a
+// peer that takes another peer for the coordinator is refused with a Bye
+// naming both sides. Runs on the connection's handler goroutine (under
+// Server.wg).
 func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
-	if hello.Ver != wire.Version || hello.Cluster != cl.id || int(hello.From) >= cl.n {
-		conn.Send(&wire.Bye{Reason: fmt.Sprintf(
-			"core: trunk rejected: cluster %q version %d peer %d", hello.Cluster, hello.Ver, hello.From)})
+	from := int(hello.From)
+	if hello.Ver != wire.Version || hello.Cluster != cl.id || from >= cl.n || from == cl.self ||
+		int(hello.Coordinator) != cl.coordinator {
+		conn.Send(&wire.Bye{Reason: fmt.Sprintf("core: trunk rejected: hello from cluster %q version %d peer %d "+
+			"coordinator %d; this is cluster %q version %d peer %d coordinator %d", hello.Cluster, hello.Ver,
+			hello.From, hello.Coordinator, cl.id, wire.Version, cl.self, cl.coordinator)})
 		return
 	}
 	cl.addConn(conn)
@@ -342,9 +386,9 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 		case *wire.TrunkBatch:
 			cl.ingestTrunkBatch(v, &in)
 		case *wire.TrunkScene:
-			cl.applyScene(v)
+			cl.applyScene(from, v)
 		case *wire.TrunkStatus:
-			cl.noteStatus(v)
+			cl.noteStatus(from, v)
 		case *wire.Bye:
 			return
 		default:
@@ -433,109 +477,131 @@ func (cl *cluster) pushTrunkItems(in *trunkIngress) {
 // ---------------------------------------------------------------------------
 // Scene replication
 
-// replicate is the coordinator's scene subscriber: every structural
-// mutation is sequenced and queued for each remote peer. Runs under the
-// scene lock — append and signal only.
-func (cl *cluster) replicate(e scene.Event) {
-	switch e.Kind {
-	case scene.LinkModelChanged, scene.MobilityChanged:
-		return // not replicable (scene.ErrNotReplicable); NodeMoved carries mobility's effect
+// replicate is the coordinator's scene subscriber. It runs under the
+// scene lock, which has journaled the event already: it only wakes the
+// peer loops.
+func (cl *cluster) replicate(scene.Event) {
+	for p := range cl.cursors {
+		cl.cursors[p].signal()
 	}
-	ts := wire.TrunkScene{
-		At:   e.At,
-		Kind: uint8(e.Kind),
-		Node: e.Node,
-		X:    e.Pos.X,
-		Y:    e.Pos.Y,
-	}
-	if len(e.Radios) > 0 {
-		ts.Radios = append([]radio.Radio(nil), e.Radios...)
-	}
-	if e.Kind == scene.PausedChanged && e.Detail == "true" {
-		ts.Arg = 1
-	}
-	cl.repMu.Lock()
-	cl.repSeq++
-	ts.Seq = cl.repSeq
-	for p := range cl.queues {
-		if p != cl.self {
-			cl.queues[p] = append(cl.queues[p], ts)
-		}
-	}
-	cl.repMu.Unlock()
-	cl.repCond.Broadcast()
 }
 
-// repLoop drains one peer's replication queue in order. Unlike the
-// data path (drop while down), mutations are retried until they send:
-// a peer that heals from a partition catches up on every scene change
-// it missed, with the catch-up visible as a staleness spike on its
-// gauges.
+// sceneFrameMax bounds a TrunkScene's scene bytes so that the frame
+// stays within the trunk's frame bound.
+const sceneFrameMax = transport.TrunkFrameMax - 64
+
+// repLoop is peer p's sender. It sends everything behind p's cursor,
+// then waits for the next event or resend request — or, when the trunk
+// failed, for the trunk's own backoff to end.
 func (cl *cluster) repLoop(p int) {
 	defer cl.wg.Done()
+	c, tr := &cl.cursors[p], cl.trunks[p]
 	for {
-		cl.repMu.Lock()
-		for len(cl.queues[p]) == 0 && !cl.repClosed {
-			cl.repCond.Wait()
-		}
-		if cl.repClosed {
-			cl.repMu.Unlock()
+		err := cl.sendScene(c, tr)
+		if errors.Is(err, transport.ErrClosed) {
 			return
 		}
-		ev := cl.queues[p][0]
-		cl.repMu.Unlock()
-		if err := cl.trunks[p].Send(&ev); err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				return
-			}
-			select {
-			case <-cl.done:
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-			continue // retry the same event
+		wake, retry := c.wake, (<-chan time.Time)(nil)
+		if err != nil {
+			wake, retry = nil, time.NewTimer(time.Until(tr.RetryAt())).C
 		}
-		cl.repMu.Lock()
-		cl.queues[p] = cl.queues[p][1:]
-		cl.repMu.Unlock()
+		select {
+		case <-cl.done:
+			return
+		case <-wake:
+		case <-retry:
+		}
 	}
 }
 
-// applyScene is the follower side: perform the mutation, record the
-// replication point, and measure staleness against the coordinator's
-// event stamp (both clocks track the same emulation timebase).
-func (cl *cluster) applyScene(ts *wire.TrunkScene) {
-	e := scene.Event{
-		Kind:   scene.EventKind(ts.Kind),
-		Node:   ts.Node,
-		Pos:    geom.Vec2{X: ts.X, Y: ts.Y},
-		Radios: ts.Radios,
-	}
-	if e.Kind == scene.PausedChanged {
-		if ts.Arg != 0 {
-			e.Detail = "true"
-		} else {
-			e.Detail = "false"
+// sendScene sends c everything behind it, one frame per write: whole
+// journal records or, when c was sent nothing yet or has fallen off the
+// journal, the scene's state at the journal's seq, in parts split at
+// node boundaries. The cursor moves past each frame written unless a
+// resend request moved it meanwhile.
+func (cl *cluster) sendScene(c *cursor, tr *transport.Trunk) error {
+	sc := cl.srv.cfg.Scene
+	for {
+		from := c.next.Load()
+		recs, n, ok := sc.ReadJournal(from, sceneFrameMax)
+		if !ok {
+			seq, parts := sc.EncodeState(sceneFrameMax)
+			for _, part := range parts {
+				if err := tr.Send(&wire.TrunkScene{Origin: cl.origin, Seq: seq, Snapshot: true, Data: part}); err != nil {
+					return err
+				}
+			}
+			cl.mSnapshots.Inc()
+			c.next.CompareAndSwap(from, seq+1)
+			continue
 		}
+		if n == 0 {
+			return nil
+		}
+		if err := tr.Send(&wire.TrunkScene{Origin: cl.origin, Seq: from, Data: recs}); err != nil {
+			return err
+		}
+		c.next.CompareAndSwap(from, from+uint64(n))
 	}
-	if err := cl.srv.cfg.Scene.Apply(e); err != nil {
+}
+
+// applyScene is the follower side. Only the coordinator's trunk carries
+// scene frames; the replica drops a frame that does not follow what it
+// applied, which the coordinator's next heartbeat reveals (noteStatus).
+// Staleness is this peer's clock minus the last record's coordinator
+// stamp (both clocks track the same emulation timebase).
+func (cl *cluster) applyScene(from int, ts *wire.TrunkScene) {
+	if from != cl.coordinator {
+		cl.mRepErrors.Inc()
+		return
+	}
+	at, restored, err := cl.replica.Apply(ts.Origin, ts.Seq, ts.Snapshot, ts.Data)
+	switch {
+	case errors.Is(err, scene.ErrOutOfSequence):
+		return
+	case err != nil:
 		cl.mRepErrors.Inc()
 	}
-	cl.appliedSeq.Store(ts.Seq)
-	stale := int64(cl.srv.cfg.Clock.Now() - ts.At)
-	if stale < 0 {
-		stale = 0
+	if restored {
+		cl.mSnapshots.Inc()
 	}
+	if ts.Snapshot {
+		return
+	}
+	stale := max(int64(cl.srv.cfg.Clock.Now()-at), 0)
 	cl.lastStale.Store(stale)
 	cl.hStale.Observe(time.Duration(stale))
+}
+
+// appliedSeq is this peer's replication point: the coordinator's journal
+// seq, or the seq a follower's replica applied.
+func (cl *cluster) appliedSeq() uint64 {
+	if cl.self == cl.coordinator {
+		_, last := cl.srv.cfg.Scene.JournalSpan()
+		return last
+	}
+	_, applied := cl.replica.Applied()
+	return applied
+}
+
+// divergence counts the peers whose digest last differed.
+func (cl *cluster) divergence() (n int) {
+	for p := range cl.cursors {
+		if cl.cursors[p].diverged.Load() {
+			n++
+		}
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------------
 // Heartbeats
 
 // statusLoop broadcasts this peer's health and replication point over
-// every trunk at a fixed wall cadence, and refreshes its own slot in
-// the cluster roll-up.
+// every trunk at a fixed wall cadence, and refreshes its own slot in the
+// cluster roll-up. A follower's heartbeat carries its scene digest and,
+// to the coordinator, its resend request; the coordinator's to a peer
+// carries what it sent that peer.
 func (cl *cluster) statusLoop(every time.Duration) {
 	defer cl.wg.Done()
 	t := time.NewTicker(every)
@@ -548,36 +614,63 @@ func (cl *cluster) statusLoop(every time.Duration) {
 		}
 		st := cl.srv.fid.State()
 		cl.health.Set(cl.self, st)
-		applied := cl.appliedSeq.Load()
-		if cl.self == cl.coordinator {
-			cl.repMu.Lock()
-			applied = cl.repSeq
-			cl.repMu.Unlock()
+		origin, applied, digest := cl.origin, cl.appliedSeq(), uint64(0)
+		if cl.self != cl.coordinator {
+			origin, applied, digest = cl.replica.State()
 		}
+		resend := cl.resend.Swap(false)
 		// Own row of the per-peer applied gauge: every peer publishes its
 		// own value too, so the family is complete on any one registry.
 		cl.peerApplied[cl.self].Store(applied)
 		now := cl.srv.cfg.Clock.Now()
-		for _, tr := range cl.trunks {
+		for p, tr := range cl.trunks {
 			if tr == nil {
 				continue
 			}
-			tr.Send(&wire.TrunkStatus{
-				From: uint32(cl.self), Health: uint8(st),
-				AppliedSeq: applied, Now: now,
-			})
+			hb := &wire.TrunkStatus{From: uint32(cl.self), Health: uint8(st), Resend: resend && p == cl.coordinator,
+				Origin: origin, AppliedSeq: applied, Digest: digest, Now: now}
+			if cl.self == cl.coordinator {
+				sent := cl.cursors[p].next.Load()
+				if hb.AppliedSeq = max(sent, 1) - 1; sent == 0 {
+					hb.Origin = 0 // nothing sent yet
+				}
+			}
+			if tr.Send(hb) != nil && hb.Resend {
+				cl.resend.Store(true)
+			}
 		}
 	}
 }
 
-// noteStatus records a peer heartbeat.
-func (cl *cluster) noteStatus(st *wire.TrunkStatus) {
-	p := int(st.From)
-	if p < 0 || p >= cl.n || p == cl.self {
-		return
-	}
+// noteStatus records peer p's heartbeat. The coordinator moves p's
+// cursor back when p asks for a resend — to the state, when p holds
+// another journal — and judges p's digest when p applied exactly the
+// coordinator's seq. A follower that hears the coordinator sent it more
+// than it applied, or sent it another journal, lost frames with a
+// connection or was restarted, and asks for a resend.
+func (cl *cluster) noteStatus(p int, st *wire.TrunkStatus) {
 	cl.health.Set(p, fidelity.State(st.Health))
 	cl.peerApplied[p].Store(st.AppliedSeq)
+	switch {
+	case cl.self == cl.coordinator:
+		c, ours := &cl.cursors[p], st.Origin == cl.origin
+		if st.Resend && ours {
+			c.rewind(st.AppliedSeq + 1)
+		} else if st.Resend {
+			c.rewind(0)
+		}
+		if !ours || cl.appliedSeq() != st.AppliedSeq {
+			return // hash the scene only when the verdict can be had
+		}
+		if seq, digest := cl.srv.cfg.Scene.Digest(); seq == st.AppliedSeq {
+			c.diverged.Store(digest != st.Digest)
+		}
+	case p == cl.coordinator:
+		origin, applied := cl.replica.Applied()
+		if st.Origin != 0 && (st.Origin != origin || st.AppliedSeq > applied) {
+			cl.resend.Store(true)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -589,10 +682,6 @@ func (cl *cluster) noteStatus(st *wire.TrunkStatus) {
 func (cl *cluster) close() {
 	cl.closeOnce.Do(func() {
 		close(cl.done)
-		cl.repMu.Lock()
-		cl.repClosed = true
-		cl.repMu.Unlock()
-		cl.repCond.Broadcast()
 		for _, tr := range cl.trunks {
 			if tr != nil {
 				tr.Close()
@@ -622,9 +711,12 @@ type PeerStat struct {
 	Self   bool
 	Addr   string
 	Health string // last known real-time health state
-	// AppliedSeq is the last replicated scene mutation the peer reported
-	// applied (own value for Self).
+	// AppliedSeq is the scene journal seq the peer last reported applied
+	// (own value for Self; the coordinator reports what it wrote this
+	// peer). Diverged: the peer's digest differed from the coordinator's
+	// at the same seq (coordinator only).
 	AppliedSeq uint64
+	Diverged   bool
 	// Trunk counters for the outbound trunk to this peer (zero for Self):
 	// entries written in SentMsgs frames, dropped, and still pending.
 	TrunkUp        bool
@@ -642,10 +734,14 @@ type ClusterStat struct {
 	Self        int
 	Coordinator int
 	Peers       int
-	// RepSeq is the coordinator's mutation sequence (zero elsewhere);
-	// AppliedSeq this peer's replication point.
+	// RepSeq is the coordinator's journal seq (zero elsewhere);
+	// AppliedSeq this peer's replication point. Snapshots counts scene
+	// snapshots sent whole (coordinator) or restored (follower);
+	// Divergence the peers whose digest differed (coordinator only).
 	RepSeq     uint64
 	AppliedSeq uint64
+	Snapshots  uint64
+	Divergence int
 	// RemoteEntries/TrunkDropped/RecvEntries are the cluster data-path
 	// counters, summed over this peer's trunks and inbound connections.
 	// RemoteEntries is every delivery handed to a live trunk and not
@@ -655,7 +751,8 @@ type ClusterStat struct {
 	// dead trunks or failed writes; so once every ingest has returned,
 	// Σ RemoteEntries == Σ RecvEntries over the cluster is exact at a
 	// settled point. RecvEntries counts deliveries received from peers.
-	// RepErrors counts replicated mutations that failed to apply.
+	// RepErrors counts scene frames refused and replicated records that
+	// failed to apply.
 	RemoteEntries  uint64
 	PendingEntries uint64
 	TrunkDropped   uint64
@@ -687,19 +784,21 @@ func (s *Server) Cluster() *ClusterStat {
 	if cl == nil {
 		return nil
 	}
-	cl.repMu.Lock()
-	repSeq := cl.repSeq
-	cl.repMu.Unlock()
+	applied := cl.appliedSeq()
 	st := &ClusterStat{
 		ID:          cl.id,
 		Self:        cl.self,
 		Coordinator: cl.coordinator,
 		Peers:       cl.n,
-		RepSeq:      repSeq,
-		AppliedSeq:  cl.appliedSeq.Load(),
+		AppliedSeq:  applied,
+		Snapshots:   cl.mSnapshots.Load(),
+		Divergence:  cl.divergence(),
 		RecvEntries: cl.mRecvEntries.Load(),
 		RepErrors:   cl.mRepErrors.Load(),
 		StalenessNs: cl.lastStale.Load(),
+	}
+	if cl.self == cl.coordinator {
+		st.RepSeq = applied
 	}
 	for p := range cl.peers {
 		ps := PeerStat{
@@ -708,12 +807,10 @@ func (s *Server) Cluster() *ClusterStat {
 			Addr:       cl.peers[p].Addr,
 			Health:     cl.health.Peer(p).String(),
 			AppliedSeq: cl.peerApplied[p].Load(),
+			Diverged:   cl.cursors[p].diverged.Load(),
 		}
 		if p == cl.self {
-			ps.AppliedSeq = cl.appliedSeq.Load()
-			if cl.self == cl.coordinator {
-				ps.AppliedSeq = repSeq
-			}
+			ps.AppliedSeq = applied
 		}
 		if tr := cl.trunks[p]; tr != nil {
 			ts := tr.Stats()

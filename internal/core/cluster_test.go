@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -20,57 +21,86 @@ import (
 )
 
 // fedRig is an in-process federation: n servers sharing one emulation
-// timebase, trunked over in-proc listeners, peer 0 coordinating.
+// timebase, trunked over in-proc listeners, peer 0 coordinating. Peers
+// dial each other through the rig, so a restarted peer is reachable at
+// its new listener.
 type fedRig struct {
 	t       *testing.T
 	clk     vclock.WaitClock
+	peers   []PeerSpec
+	mutate  func(i int, cfg *ServerConfig)
 	scenes  []*scene.Scene
 	servers []*Server
-	liss    []*transport.InprocListener
 	dialers []transport.Dialer
+
+	mu   sync.Mutex
+	liss []*transport.InprocListener
 }
 
 func newFedRig(t *testing.T, n int, mutate func(i int, cfg *ServerConfig)) *fedRig {
 	t.Helper()
-	clk := vclock.NewSystem(50)
-	r := &fedRig{t: t, clk: clk}
-	peers := make([]PeerSpec, n)
+	r := &fedRig{t: t, clk: vclock.NewSystem(50), mutate: mutate,
+		scenes: make([]*scene.Scene, n), servers: make([]*Server, n)}
 	for i := 0; i < n; i++ {
-		lis := transport.NewInprocListener()
-		r.liss = append(r.liss, lis)
-		r.dialers = append(r.dialers, lis.Dialer())
-		peers[i] = PeerSpec{Addr: fmt.Sprintf("peer%d", i), Dial: lis.Dialer()}
+		i := i
+		dial := func() (transport.Conn, error) { return r.listener(i).Dial() }
+		r.liss = append(r.liss, transport.NewInprocListener())
+		r.dialers = append(r.dialers, dial)
+		r.peers = append(r.peers, PeerSpec{Addr: fmt.Sprintf("peer%d", i), Dial: dial})
 	}
 	for i := 0; i < n; i++ {
-		sc := scene.New(radio.NewIndexed(250), clk, 1)
-		r.scenes = append(r.scenes, sc)
-		cfg := ServerConfig{
-			Clock: clk, Scene: sc, Seed: 7, Shards: *flagShards,
-			Peers: peers, Self: i, ClusterID: "fed-test",
-			StatusEvery:     2 * time.Millisecond,
-			TrunkMinBackoff: time.Millisecond,
-			TrunkMaxBackoff: 8 * time.Millisecond,
-		}
-		if mutate != nil {
-			mutate(i, &cfg)
-		}
-		srv, err := NewServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.servers = append(r.servers, srv)
-		lis, done := r.liss[i], make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.Serve(lis)
-		}()
-		t.Cleanup(func() {
-			lis.Close()
-			srv.Close()
-			<-done
-		})
+		r.start(i)
 	}
 	return r
+}
+
+func (r *fedRig) listener(i int) *transport.InprocListener {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.liss[i]
+}
+
+// start builds and serves peer i with an empty scene.
+func (r *fedRig) start(i int) {
+	r.t.Helper()
+	sc := scene.New(radio.NewIndexed(250), r.clk, 1)
+	cfg := ServerConfig{
+		Clock: r.clk, Scene: sc, Seed: 7, Shards: *flagShards,
+		Peers: append([]PeerSpec(nil), r.peers...), Self: i, ClusterID: "fed-test",
+		StatusEvery:     2 * time.Millisecond,
+		TrunkMinBackoff: time.Millisecond,
+		TrunkMaxBackoff: 8 * time.Millisecond,
+	}
+	if r.mutate != nil {
+		r.mutate(i, &cfg)
+	}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.scenes[i], r.servers[i] = sc, srv
+	lis, done := r.listener(i), make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(lis)
+	}()
+	r.t.Cleanup(func() {
+		lis.Close()
+		srv.Close()
+		<-done
+	})
+}
+
+// restart replaces peer i with a fresh server holding an empty scene, on
+// a new listener — a poemd killed and started again.
+func (r *fedRig) restart(i int) {
+	r.mu.Lock()
+	lis := r.liss[i]
+	r.liss[i] = transport.NewInprocListener()
+	r.mu.Unlock()
+	lis.Close()
+	r.servers[i].Close()
+	r.start(i)
 }
 
 // coord is the coordinator's scene — the authoritative one mutations go
@@ -496,5 +526,325 @@ func TestFederationConfigValidation(t *testing.T) {
 	}
 	if _, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Peers: peers, Coordinator: -1}); err == nil {
 		t.Error("negative Coordinator accepted")
+	}
+}
+
+// unreachable dials nothing; a peer configured with it never connects.
+func unreachable() (transport.Conn, error) { return nil, errors.New("unreachable") }
+
+// TestTrunkRefusesMisconfiguredPeers: a trunk hello from this peer's own
+// index or from a peer that takes another peer for the coordinator is
+// refused with a Bye naming both configurations, and a scene frame is
+// applied only from the coordinator's trunk — anything else is counted
+// as a replication error and changes nothing.
+func TestTrunkRefusesMisconfiguredPeers(t *testing.T) {
+	src := scene.New(radio.NewIndexed(16), vclock.NewManual(0), 1)
+	if err := src.AddNode(5, geom.V(0, 0), oneRadio(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	seq, parts := src.EncodeState(1 << 10)
+	hello := func(from, coord uint32) *wire.TrunkHello {
+		return &wire.TrunkHello{Ver: wire.Version, From: from, Coordinator: coord, Cluster: "misconf"}
+	}
+	this := func(self int) string {
+		return fmt.Sprintf("this is cluster %q version %d peer %d coordinator 0", "misconf", wire.Version, self)
+	}
+	for _, tc := range []struct {
+		name    string
+		self    int
+		hello   *wire.TrunkHello
+		bye     []string // what the refusal must name; nil when accepted
+		applied bool
+	}{
+		{"frame from the coordinator", 1, hello(0, 0), nil, true},
+		{"hello from itself", 1, hello(1, 0), []string{"peer 1 coordinator 0;", this(1)}, false},
+		{"hello naming another coordinator", 1, hello(2, 2), []string{"peer 2 coordinator 2;", this(1)}, false},
+		{"frame from a follower", 1, hello(2, 0), nil, false},
+		{"frame sent to the coordinator", 0, hello(1, 0), nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := scene.New(radio.NewIndexed(16), vclock.NewManual(0), 1)
+			srv, err := NewServer(ServerConfig{
+				Clock: vclock.NewManual(0), Scene: sc, Shards: 1, ClusterID: "misconf", Self: tc.self,
+				Peers:           []PeerSpec{{Dial: unreachable}, {Dial: unreachable}, {Dial: unreachable}},
+				TrunkMinBackoff: time.Hour, TrunkMaxBackoff: time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			conn := &scriptConn{recvs: []wire.Msg{tc.hello, &wire.TrunkScene{Origin: 1, Seq: seq, Snapshot: true, Data: parts[0]}}}
+			srv.handle(conn)
+			var bye string
+			for _, m := range conn.sent {
+				if b, ok := m.(*wire.Bye); ok {
+					bye = b.Reason
+				}
+			}
+			if tc.bye == nil && bye != "" {
+				t.Fatalf("refused: %s", bye)
+			}
+			for _, want := range tc.bye {
+				if !strings.Contains(bye, want) {
+					t.Fatalf("refusal %q does not name %q", bye, want)
+				}
+			}
+			if got := sc.HasNode(5); got != tc.applied {
+				t.Fatalf("scene frame applied: %v, want %v", got, tc.applied)
+			}
+			wantErrs := uint64(0)
+			if tc.bye == nil && !tc.applied {
+				wantErrs = 1
+			}
+			if got := srv.Cluster().RepErrors; got != wantErrs {
+				t.Fatalf("RepErrors %d, want %d", got, wantErrs)
+			}
+		})
+	}
+}
+
+// gatedDial is a trunk dialer that can be cut: while cut, dials fail and
+// the connections it handed out are closed.
+type gatedDial struct {
+	dial  transport.Dialer
+	mu    sync.Mutex
+	cut   bool
+	conns []transport.Conn
+}
+
+func (g *gatedDial) Dial() (transport.Conn, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.cut {
+		return nil, errors.New("gated: cut")
+	}
+	c, err := g.dial()
+	if err == nil {
+		g.conns = append(g.conns, c)
+	}
+	return c, err
+}
+
+func (g *gatedDial) set(cut bool) {
+	g.mu.Lock()
+	g.cut = cut
+	conns := g.conns
+	g.conns = nil
+	g.mu.Unlock()
+	if cut {
+		for _, c := range conns {
+			c.Close()
+		}
+	}
+}
+
+// waitConverged waits until follower p restored a snapshot (a replica
+// follows no journal before one), applied the coordinator's journal seq,
+// told the coordinator so, and the coordinator found its digest equal;
+// then it checks the two scenes' digests directly.
+func (r *fedRig) waitConverged(p int) {
+	r.t.Helper()
+	fedWaitFor(r.t, func() bool {
+		c, f := r.servers[0].Cluster(), r.servers[p].Cluster()
+		return f.Snapshots > 0 && f.AppliedSeq == c.RepSeq && c.PeerStats[p].AppliedSeq == c.RepSeq && c.Divergence == 0
+	}, "the follower to converge")
+	_, want := r.coord().Digest()
+	if _, got := r.scenes[p].Digest(); got != want {
+		r.t.Fatalf("follower digest %x, coordinator %x", got, want)
+	}
+}
+
+// TestReplicationOutlivesJournal: a follower cut off while the
+// coordinator journals ten rings' worth of mutations costs the
+// coordinator no memory beyond the ring and its cursor, and after the
+// heal it converges through exactly one snapshot.
+func TestReplicationOutlivesJournal(t *testing.T) {
+	var gate *gatedDial
+	r := newFedRig(t, 2, func(i int, cfg *ServerConfig) {
+		if i == 0 {
+			gate = &gatedDial{dial: cfg.Peers[1].Dial}
+			cfg.Peers[1].Dial = gate.Dial
+		}
+	})
+	a, b := ownedID(t, 0, 2, 1), ownedID(t, 1, 2, 1)
+	r.coord().AddNode(a, geom.V(0, 0), oneRadio(1, 200))
+	r.coord().AddNode(b, geom.V(50, 0), oneRadio(2, 200))
+	r.waitConverged(1)
+	// Each side counts a snapshot just after handling it; the first
+	// contact is one.
+	snaps := func() (sent, restored uint64) {
+		return r.servers[0].Cluster().Snapshots, r.servers[1].Cluster().Snapshots
+	}
+	fedWaitFor(t, func() bool { s, d := snaps(); return s == 1 && d == 1 }, "the first contact's snapshot")
+
+	gate.set(true)
+	fedWaitFor(t, func() bool { return !r.servers[0].Cluster().PeerStats[1].TrunkUp }, "the cut trunk to go down")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10*scene.JournalRecords; i++ {
+		r.coord().MoveNode(a, geom.V(float64(i%1000), float64(i%7)))
+	}
+	r.coord().SetRadios(b, oneRadio(3, 120))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if first, last := r.coord().JournalSpan(); last-first+1 > scene.JournalRecords {
+		t.Fatalf("journal holds %d records, bound %d", last-first+1, scene.JournalRecords)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 4<<20 {
+		t.Fatalf("coordinator heap grew %d KiB while a follower was cut off", grew>>10)
+	}
+	gate.set(false)
+	r.waitConverged(1)
+	fedWaitFor(t, func() bool { s, d := snaps(); return s > 1 && d > 1 }, "both sides to count the catch-up snapshot")
+	for p, srv := range r.servers {
+		cs := srv.Cluster()
+		if cs.Snapshots != 2 || cs.RepErrors != 0 {
+			t.Errorf("peer %d: %d snapshots after the first contact's, %d replication errors; want 1 and 0",
+				p, cs.Snapshots-1, cs.RepErrors)
+		}
+	}
+	if got := metricValue(t, r.servers[1], "poem_cluster_scene_snapshots_total"); got != "2" {
+		t.Errorf("follower poem_cluster_scene_snapshots_total = %s, want 2", got)
+	}
+}
+
+// TestFollowerRestartResynchronizes: a follower restarted with an empty
+// scene after the coordinator mutated asks for what it lacks and gets
+// it, with no further mutation to reveal the gap.
+func TestFollowerRestartResynchronizes(t *testing.T) {
+	r := newFedRig(t, 2, nil)
+	a, b := ownedID(t, 0, 2, 1), ownedID(t, 1, 2, 1)
+	r.coord().AddNode(a, geom.V(0, 0), oneRadio(1, 200))
+	r.coord().AddNode(b, geom.V(50, 0), oneRadio(1, 200))
+	r.coord().MoveNode(a, geom.V(10, 10))
+	r.waitConverged(1)
+	r.restart(1)
+	r.waitConverged(1)
+	if n, ok := r.scenes[1].Node(a); !ok || n.Pos != geom.V(10, 10) || !r.scenes[1].HasNode(b) {
+		t.Fatalf("restarted follower holds %v", r.scenes[1].Snapshot())
+	}
+	r.client(b, nil) // the restarted peer owns b and registers it again
+}
+
+// swallowConn is a trunk connection that passes writes on until the
+// first scene frame take selects, which it takes and never delivers;
+// then it fails every write — a frame the kernel accepted on a
+// connection the peer never read again. It wraps the first connection
+// its dialer makes.
+type swallowConn struct {
+	transport.Conn
+	take      func(*wire.TrunkScene) bool
+	mu        sync.Mutex
+	swallowed bool
+}
+
+func (c *swallowConn) dialer(real transport.Dialer) transport.Dialer {
+	return func() (transport.Conn, error) {
+		conn, err := real()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if err != nil || c.Conn != nil {
+			return conn, err
+		}
+		c.Conn = conn
+		return c, nil
+	}
+}
+
+func (c *swallowConn) Send(m wire.Msg) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.swallowed {
+		wire.ReleaseMsg(m)
+		c.Conn.Close()
+		return errors.New("swallow: connection reset")
+	}
+	if ts, ok := m.(*wire.TrunkScene); ok && c.take(ts) {
+		c.swallowed = true
+		wire.ReleaseMsg(m)
+		return nil
+	}
+	return c.Conn.Send(m)
+}
+
+func (c *swallowConn) wasSwallowed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.swallowed
+}
+
+// TestUnreadSceneFrameIsResent: a journal frame lost with its connection
+// is sent again, as journal, once the follower hears the coordinator
+// wrote it.
+func TestUnreadSceneFrameIsResent(t *testing.T) {
+	sw := &swallowConn{take: func(ts *wire.TrunkScene) bool { return !ts.Snapshot }}
+	r := newFedRig(t, 2, func(i int, cfg *ServerConfig) {
+		if i == 0 {
+			cfg.Peers[1].Dial = sw.dialer(cfg.Peers[1].Dial)
+		}
+	})
+	r.waitConverged(1)
+	a := ownedID(t, 0, 2, 1)
+	r.coord().AddNode(a, geom.V(0, 0), oneRadio(1, 200))
+	fedWaitFor(t, sw.wasSwallowed, "the frame to be swallowed")
+	r.waitConverged(1)
+	if !r.scenes[1].HasNode(a) {
+		t.Fatal("the swallowed node never reached the follower")
+	}
+	if got := r.servers[1].Cluster().Snapshots; got != 1 {
+		t.Fatalf("follower restored %d snapshots, want only the first contact's", got)
+	}
+}
+
+// TestCoordinatorRestartResynchronizes: a coordinator restarted with an
+// empty scene starts a new journal, whose seqs begin again below the
+// follower's. The follower must take the new coordinator's scene — its
+// old nodes gone — and not drop the new records as already applied,
+// even when the new coordinator's first snapshot is lost with its
+// connection.
+func TestCoordinatorRestartResynchronizes(t *testing.T) {
+	sw, starts := &swallowConn{take: func(ts *wire.TrunkScene) bool { return ts.Snapshot }}, 0
+	r := newFedRig(t, 2, func(i int, cfg *ServerConfig) {
+		if i != 0 {
+			return
+		}
+		if starts++; starts == 2 { // the restarted coordinator
+			cfg.Peers[1].Dial = sw.dialer(cfg.Peers[1].Dial)
+		}
+	})
+	a, b := ownedID(t, 0, 2, 1), ownedID(t, 1, 2, 1)
+	r.coord().AddNode(a, geom.V(0, 0), oneRadio(1, 200))
+	r.coord().AddNode(b, geom.V(50, 0), oneRadio(1, 200))
+	r.coord().MoveNode(a, geom.V(10, 10))
+	r.waitConverged(1)
+	r.restart(0)
+	fedWaitFor(t, sw.wasSwallowed, "the new coordinator's first snapshot to be lost")
+	c := ownedID(t, 0, 2, a+1)
+	r.coord().AddNode(c, geom.V(5, 5), oneRadio(2, 100)) // seq 1, under the follower's 3
+	r.waitConverged(1)
+	if r.scenes[1].HasNode(a) || r.scenes[1].HasNode(b) || !r.scenes[1].HasNode(c) {
+		t.Fatalf("follower holds %v after the coordinator restarted", r.scenes[1].Snapshot())
+	}
+	if got := r.servers[1].Cluster().RepErrors; got != 0 {
+		t.Fatalf("%d replication errors", got)
+	}
+}
+
+// TestFollowerDivergenceIsReported: a follower scene changed behind
+// replication's back reads as diverged on the coordinator within a few
+// heartbeats — in the stats, the gauge and the control line.
+func TestFollowerDivergenceIsReported(t *testing.T) {
+	r := newFedRig(t, 2, nil)
+	a := ownedID(t, 0, 2, 1)
+	r.coord().AddNode(a, geom.V(0, 0), oneRadio(1, 200))
+	r.waitConverged(1)
+	r.scenes[1].MoveNode(a, geom.V(99, 0))
+	fedWaitFor(t, func() bool { return r.servers[0].Cluster().Divergence == 1 }, "the coordinator to see the divergence")
+	if !r.servers[0].Cluster().PeerStats[1].Diverged {
+		t.Error("peer 1 not marked diverged")
+	}
+	if got := metricValue(t, r.servers[0], "poem_cluster_scene_divergence"); got != "1" {
+		t.Errorf("poem_cluster_scene_divergence = %s", got)
 	}
 }

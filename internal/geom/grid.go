@@ -117,9 +117,13 @@ func (g *Grid[K]) Within(center Vec2, r float64, exclude K, fn func(key K, p Vec
 	hi := g.keyFor(Vec2{center.X + r, center.Y + r})
 	// A radius much larger than the occupied area would walk millions
 	// of empty cells; when the cell window exceeds the number of
-	// occupied cells, scanning those directly is strictly cheaper.
-	window := (int64(hi.cx-lo.cx) + 1) * (int64(hi.cy-lo.cy) + 1)
-	if window > int64(len(g.cells)) {
+	// occupied cells, scanning those directly is strictly cheaper. The
+	// window's sides are taken in int64 (a side of an int32 range
+	// overflows int32) and compared one at a time (their product can
+	// overflow int64).
+	occupied := int64(len(g.cells))
+	w, h := int64(hi.cx)-int64(lo.cx)+1, int64(hi.cy)-int64(lo.cy)+1
+	if w > occupied || h > occupied || w*h > occupied {
 		for ck, cell := range g.cells {
 			if ck.cx < lo.cx || ck.cx > hi.cx || ck.cy < lo.cy || ck.cy > hi.cy {
 				continue
@@ -132,9 +136,9 @@ func (g *Grid[K]) Within(center Vec2, r float64, exclude K, fn func(key K, p Vec
 		}
 		return
 	}
-	for cx := lo.cx; cx <= hi.cx; cx++ {
-		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for _, it := range g.cells[cellKey{cx, cy}] {
+	for cx := int64(lo.cx); cx <= int64(hi.cx); cx++ {
+		for cy := int64(lo.cy); cy <= int64(hi.cy); cy++ {
+			for _, it := range g.cells[cellKey{int32(cx), int32(cy)}] {
 				if it.key != exclude && it.p.DistSq(center) <= r2 {
 					fn(it.key, it.p)
 				}

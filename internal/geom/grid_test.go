@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 func TestGridPutPosRemove(t *testing.T) {
@@ -71,6 +72,27 @@ func TestGridNegativeRadius(t *testing.T) {
 	g.Put(1, V(0, 0))
 	if got := g.KeysWithin(V(0, 0), -1, -1); len(got) != 0 {
 		t.Errorf("negative radius returned %v", got)
+	}
+}
+
+// TestGridHugeRadius: a radius whose cell window is wider than int32
+// can count scans the occupied cells. Here the window's x side (2.4·10⁹
+// cells) overflowed int32 and its y side, far out where both of its ends
+// saturate, counted one cell: the window read negative, and the query
+// walked 2.4·10⁹ cells — the hang a fuzzed replicated radio range found.
+func TestGridHugeRadius(t *testing.T) {
+	g := NewGrid[int64](200)
+	g.Put(1, V(0, 1e15))
+	g.Put(2, V(1e6, 1e15))
+	done := make(chan []int64)
+	go func() { done <- g.KeysWithin(V(0, 1e15), 2.4e11, -1) }()
+	select {
+	case got := <-done:
+		if len(got) != 2 {
+			t.Errorf("KeysWithin huge radius: %v", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("KeysWithin with a 2.4e11 radius did not return")
 	}
 }
 

@@ -8,6 +8,8 @@
 //
 // The scene emits an Event for every change; the recorder persists them
 // for post-emulation replay and the server notifies affected clients.
+// The replicable ones also go to the scene's journal (journal.go), which
+// federated followers read.
 package scene
 
 import (
@@ -124,6 +126,9 @@ type Scene struct {
 	// tickHist, when instrumented, records the wall cost of each
 	// mobility tick (walker advance + view republish).
 	tickHist *obs.Histogram
+
+	// j is the replication journal (journal.go).
+	j journal
 }
 
 // New creates a scene over the given neighbor table, which it takes
@@ -143,6 +148,7 @@ func New(tab *radio.IndexedTables, clk vclock.Clock, seed int64) *Scene {
 		dirty:    make(map[radio.ChannelID]struct{}),
 		rebuilds: make(map[radio.ChannelID]uint64),
 		rowsBy:   make(map[radio.ChannelID]int),
+		j:        journal{first: 1},
 	}
 	s.views.Store(&viewSet{defModel: s.defModel})
 	return s
@@ -182,6 +188,7 @@ func (s *Scene) Subscribe(l Listener) {
 
 func (s *Scene) emitLocked(e Event) {
 	e.At = s.clk.Now()
+	s.journalLocked(&e)
 	for _, l := range s.listeners {
 		l(e)
 	}

@@ -148,45 +148,52 @@ func TestViewRebuildIsolation(t *testing.T) {
 }
 
 // TestReplicatedRangeChangeRebuildsOneChannel: a follower applies a
-// coordinator's SetRange as the RadiosChanged event it emitted, i.e. as
-// SetRadios; on a two-radio node that must rebuild the one channel whose
-// range changed, as SetRange did, and not the node's other channel.
+// coordinator's SetRange as the RadiosChanged record it journaled, i.e.
+// as SetRadios — or, having fallen behind, restores the coordinator's
+// state; either way, on a two-radio node, it must rebuild the one channel
+// whose range changed, as SetRange did, and not the node's other channel.
 // Chaos seed 3 at three peers (go test ./internal/chaos -run
 // TestChaosFederationThreePeer -chaos.seed=3) caught a follower
 // rebuilding both.
 func TestReplicatedRangeChangeRebuildsOneChannel(t *testing.T) {
-	coord, follower := newScene(vclock.NewManual(0)), newScene(vclock.NewManual(0))
-	var changed []Event
-	coord.Subscribe(func(e Event) {
-		if e.Kind == RadiosChanged {
-			changed = append(changed, e)
-		}
-	})
+	coord := coordScene()
+	viaJournal, viaState := NewReplica(newScene(vclock.NewManual(0))), NewReplica(newScene(vclock.NewManual(0)))
+	restoreFrom(t, coord, viaJournal, 1<<10)
 	two := []radio.Radio{{Channel: 1, Range: 100}, {Channel: 2, Range: 100}}
-	for _, s := range []*Scene{coord, follower} {
-		if err := s.AddNode(1, geom.V(0, 0), two); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AddNode(2, geom.V(10, 0), two); err != nil {
-			t.Fatal(err)
-		}
-	}
-	coord.SetRange(1, 2, 50)
-	if len(changed) != 1 {
-		t.Fatalf("SetRange emitted %d RadiosChanged events, want 1", len(changed))
-	}
-	before1, before2 := follower.ViewRebuilds(1), follower.ViewRebuilds(2)
-	if err := follower.Apply(changed[0]); err != nil {
+	if err := coord.AddNode(1, geom.V(0, 0), two); err != nil {
 		t.Fatal(err)
 	}
-	if got := follower.ViewRebuilds(1); got != before1 {
-		t.Errorf("channel 1 rebuilt %d times by a range change on channel 2", got-before1)
+	if err := coord.AddNode(2, geom.V(10, 0), two); err != nil {
+		t.Fatal(err)
 	}
-	if got := follower.ViewRebuilds(2); got != before2+1 {
-		t.Errorf("channel 2 rebuilt %d times, want 1", got-before2)
-	}
-	if got, want := follower.Neighbors(1, 2), coord.Neighbors(1, 2); !reflect.DeepEqual(got, want) {
-		t.Errorf("follower NT(1, ch2) = %v, coordinator %v", got, want)
+	catchUp(t, coord, viaJournal, 1<<10)
+	restoreFrom(t, coord, viaState, 1<<10)
+	coord.SetRange(1, 2, 50)
+	for _, f := range []struct {
+		name  string
+		r     *Replica
+		apply func()
+	}{
+		{"journal", viaJournal, func() { catchUp(t, coord, viaJournal, 1<<10) }},
+		{"restore", viaState, func() { restoreFrom(t, coord, viaState, 1<<10) }},
+	} {
+		follower := f.r.sc
+		before1, before2 := follower.ViewRebuilds(1), follower.ViewRebuilds(2)
+		var events []Event
+		follower.Subscribe(func(e Event) { events = append(events, e) })
+		f.apply()
+		if len(events) != 1 || events[0].Kind != RadiosChanged || events[0].Node != 1 {
+			t.Errorf("%s: follower emitted %v, want node 1's radios only", f.name, events)
+		}
+		if got := follower.ViewRebuilds(1); got != before1 {
+			t.Errorf("%s: channel 1 rebuilt %d times by a range change on channel 2", f.name, got-before1)
+		}
+		if got := follower.ViewRebuilds(2); got != before2+1 {
+			t.Errorf("%s: channel 2 rebuilt %d times, want 1", f.name, got-before2)
+		}
+		if got, want := follower.Neighbors(1, 2), coord.Neighbors(1, 2); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: follower NT(1, ch2) = %v, coordinator %v", f.name, got, want)
+		}
 	}
 }
 

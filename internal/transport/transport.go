@@ -622,10 +622,21 @@ func (l *InprocListener) Accept() (Conn, error) {
 	}
 }
 
-// Close implements Listener.
+// Close implements Listener. Connections dialed but not yet accepted are
+// closed, as a TCP connection in a closed listener's backlog is reset:
+// their dialers' writes fail instead of queueing for no reader.
 func (l *InprocListener) Close() error {
 	l.inner.once.Do(func() { close(l.inner.done) })
-	return nil
+	l.inner.mu.Lock()
+	defer l.inner.mu.Unlock()
+	for {
+		select {
+		case c := <-l.inner.accept:
+			c.Close()
+		default:
+			return nil
+		}
+	}
 }
 
 // Addr implements Listener.
@@ -633,6 +644,8 @@ func (l *InprocListener) Addr() string { return "inproc" }
 
 // Dial opens a new client connection to this listener.
 func (l *InprocListener) Dial() (Conn, error) {
+	l.inner.mu.Lock() // Close drains the queue after any Dial in progress
+	defer l.inner.mu.Unlock()
 	select {
 	case <-l.inner.done:
 		return nil, ErrClosed

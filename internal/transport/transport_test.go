@@ -306,6 +306,27 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 	}
 }
 
+// TestListenerCloseResetsQueuedConns: a connection dialed and never
+// accepted is closed with its listener, as TCP resets a closed
+// listener's backlog. Before, its writes queued for no reader until the
+// pipe filled and then blocked for good — a federation peer stopped
+// right after a trunk dialed it kept the trunk "up" on that connection,
+// and every scene frame went nowhere.
+func TestListenerCloseResetsQueuedConns(t *testing.T) {
+	l := NewInprocListener()
+	c, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if err := c.Send(&wire.Bye{Reason: "anyone?"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send on a connection the closed listener never accepted: %v", err)
+	}
+	if _, err := c.Recv(); err == nil {
+		t.Fatal("recv on a connection the closed listener never accepted returned a message")
+	}
+}
+
 func TestTCPListenerAddr(t *testing.T) {
 	l, err := ListenTCP("127.0.0.1:0")
 	if err != nil {

@@ -43,10 +43,11 @@ const (
 // the flusher, off the ingesting reader, more often.
 const trunkPendFlushAt = 8 << 10
 
-// trunkFrameMax bounds the encoded size of one TrunkBatch frame, well
-// under wire.MaxFrame: the receiving peer reads a frame into one pooled
-// buffer that lives until its last entry fires.
-const trunkFrameMax = wire.MaxFrame / 4
+// TrunkFrameMax bounds the encoded size of one trunk frame, well under
+// wire.MaxFrame: the receiving peer reads a TrunkBatch frame into one
+// pooled buffer that lives until its last entry fires. Scene frames keep
+// to it too.
+const TrunkFrameMax = wire.MaxFrame / 4
 
 // trunkFrameFixed and trunkEntryFixed are the encoded sizes of an empty
 // TrunkBatch frame and of one entry less its payload, taken from the
@@ -93,11 +94,11 @@ type TrunkStats struct {
 // Dropping is the correct federation behavior for scheduled deliveries
 // (the trunk's ledger counts them, exactly like queue drops), while
 // callers needing reliability (scene replication) retry at their own
-// layer on the returned error.
+// layer on the returned error, once RetryAt has passed.
 //
 // Entries wait in one pending TrunkBatch and leave together: a burst of
 // SendDeferred calls costs one write, split only where a frame would
-// pass wire.MaxTrunkEntries or trunkFrameMax. Send writes on the
+// pass wire.MaxTrunkEntries or TrunkFrameMax. Send writes on the
 // caller's goroutine, after everything pending. Both consume pooled
 // messages whether they succeed or not, matching the Conn contract.
 // Safe for concurrent senders.
@@ -219,7 +220,8 @@ func (t *Trunk) Send(m wire.Msg) error {
 
 // readyLocked makes sure a connection is up: ErrClosed after Close,
 // ErrTrunkDown inside the backoff, else a redial if there is no
-// connection. t.mu held.
+// connection — whose failure is ErrTrunkDown too, even when the dialer
+// says ErrClosed (a peer's closed listener). t.mu held.
 func (t *Trunk) readyLocked() error {
 	switch {
 	case t.closed:
@@ -229,7 +231,10 @@ func (t *Trunk) readyLocked() error {
 	case !t.nextTry.IsZero() && time.Now().Before(t.nextTry):
 		return ErrTrunkDown
 	}
-	return t.redialLocked()
+	if err := t.redialLocked(); err != nil {
+		return downErr(err)
+	}
+	return nil
 }
 
 // acceptLocked moves tb's entries into the pending batch and returns the
@@ -258,7 +263,7 @@ func (t *Trunk) acceptLocked(tb *wire.TrunkBatch) (int, error) {
 
 // flushLocked is the one write path: it takes the pending batch, writes
 // it as frames of at most wire.MaxTrunkEntries entries and
-// trunkFrameMax bytes, and counts the outcome. A write error closes the
+// TrunkFrameMax bytes, and counts the outcome. A write error closes the
 // connection, arms the backoff and drops what was not written; a frame
 // the codec refuses is dropped alone and the connection kept. t.wmu
 // held.
@@ -324,13 +329,13 @@ func (t *Trunk) flushLocked() error {
 }
 
 // frameEntries is how many of es, from the front, fit one frame: at least
-// one, at most wire.MaxTrunkEntries, and no more than trunkFrameMax
+// one, at most wire.MaxTrunkEntries, and no more than TrunkFrameMax
 // bytes unless the first alone is larger.
 func frameEntries(es []wire.TrunkEntry) int {
 	size := trunkFrameFixed
 	for k := range es {
 		size += trunkEntryFixed + len(es[k].Pkt.Payload)
-		if k == wire.MaxTrunkEntries || (k > 0 && size > trunkFrameMax) {
+		if k == wire.MaxTrunkEntries || (k > 0 && size > TrunkFrameMax) {
 			return k
 		}
 	}
@@ -418,6 +423,15 @@ func drainConn(c Conn) {
 		}
 		wire.ReleaseMsg(m)
 	}
+}
+
+// RetryAt is when a trunk that is down may dial again: the end of its
+// backoff (zero when none is armed). A caller that must get a message
+// through waits for it instead of retrying on a timer of its own.
+func (t *Trunk) RetryAt() time.Time {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.nextTry
 }
 
 // Connected reports whether a live connection is currently established.

@@ -221,6 +221,24 @@ func TestTrunkDeadConnectionIsDownNotClosed(t *testing.T) {
 	}
 }
 
+// TestTrunkFailedDialIsDownNotClosed: a dial refused by the peer's closed
+// listener (ErrClosed) leaves the trunk down, not closed. Scene
+// replication stops only on a closed trunk, so a follower whose server
+// was stopped and started again would never have heard from the
+// coordinator again.
+func TestTrunkFailedDialIsDownNotClosed(t *testing.T) {
+	lis := NewInprocListener()
+	lis.Close()
+	tr := NewTrunk(TrunkConfig{Dial: lis.Dial, MinBackoff: time.Millisecond, MaxBackoff: time.Millisecond})
+	defer tr.Close()
+	for _, m := range []wire.Msg{&wire.TrunkScene{Seq: 1}, entries(nil, 0, 2, 1)} {
+		time.Sleep(2 * time.Millisecond) // past the backoff: the send dials
+		if err := tr.Send(m); !errors.Is(err, ErrTrunkDown) || errors.Is(err, ErrClosed) {
+			t.Fatalf("send %T to a closed listener: got %v, want ErrTrunkDown", m, err)
+		}
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -6,10 +6,10 @@
 // listener serves both; the first frame decides which protocol the
 // connection is), with four extra message types:
 //
-//	TrunkHello   peer handshake: protocol version, peer index, cluster id
+//	TrunkHello   peer handshake: protocol version, peer and coordinator index, cluster id
 //	TrunkBatch   a batch of already-scheduled deliveries for remote nodes
-//	TrunkScene   one replicated scene mutation from the coordinator
-//	TrunkStatus  periodic peer status: health state, applied scene seq
+//	TrunkScene   scene journal records, or a part of a scene snapshot, from the coordinator
+//	TrunkStatus  periodic peer status: health, replication point, scene digest, resend request
 //
 // TrunkBatch is the hot path. It carries deliveries after ingest has
 // resolved neighbors and link models at the sending peer, so the
@@ -20,7 +20,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"math"
 	"sync"
 
 	"repro/internal/radio"
@@ -31,21 +30,23 @@ import (
 const (
 	TypeTrunkHello  Type = iota + 8 // peer → peer: trunk handshake
 	TypeTrunkBatch                  // peer → peer: batched remote deliveries
-	TypeTrunkScene                  // coordinator → peer: scene mutation
-	TypeTrunkStatus                 // peer → peer: health + applied seq
+	TypeTrunkScene                  // coordinator → peer: journal records or a snapshot part
+	TypeTrunkStatus                 // peer → peer: health, applied seq, digest
 )
 
 // MaxTrunkEntries bounds the deliveries one TrunkBatch may carry; the
 // decoder rejects larger counts as corrupt before allocating.
 const MaxTrunkEntries = 4096
 
-// TrunkHello opens a trunk: the dialing peer identifies itself and the
-// cluster it believes it belongs to. A receiver that disagrees about
-// Cluster (or Ver) answers Bye and closes.
+// TrunkHello opens a trunk: the dialing peer identifies itself, the
+// cluster it believes it belongs to and the peer it takes for the
+// coordinator. A receiver that disagrees about any of them (or Ver)
+// answers Bye and closes.
 type TrunkHello struct {
-	Ver     uint16
-	From    uint32 // dialing peer's index in the cluster peer list
-	Cluster string // cluster identity; must match on both ends
+	Ver         uint16
+	From        uint32 // dialing peer's index in the cluster peer list
+	Coordinator uint32 // the coordinator's index, as the dialing peer is configured
+	Cluster     string // cluster identity; must match on both ends
 }
 
 // Type implements Msg.
@@ -54,16 +55,18 @@ func (TrunkHello) Type() Type { return TypeTrunkHello }
 func (m TrunkHello) appendBody(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, m.Ver)
 	b = binary.BigEndian.AppendUint32(b, m.From)
+	b = binary.BigEndian.AppendUint32(b, m.Coordinator)
 	return append(b, m.Cluster...)
 }
 
 func (m *TrunkHello) readBody(b []byte) error {
-	if len(b) < 6 {
+	if len(b) < 10 {
 		return ErrShortBody
 	}
 	m.Ver = binary.BigEndian.Uint16(b)
 	m.From = binary.BigEndian.Uint32(b[2:])
-	m.Cluster = string(b[6:])
+	m.Coordinator = binary.BigEndian.Uint32(b[6:])
+	m.Cluster = string(b[10:])
 	return nil
 }
 
@@ -174,76 +177,51 @@ func (m *TrunkBatch) readBody(b []byte) error {
 	return nil
 }
 
-// TrunkScene replicates one scene mutation from the coordinator. Seq is
-// the coordinator's replication sequence number (dense, starting at 1);
-// At is the coordinator's emulation clock when the mutation happened,
-// which the applying peer compares against its own clock to measure
-// replication staleness. Kind carries scene.EventKind values; the
-// generic Arg encodes PausedChanged's boolean (0/1).
+// TrunkScene carries scene state from the coordinator's journal, in
+// bytes only package scene encodes and decodes: whole journal records
+// from seq Seq on, or (Snapshot) one part of the scene's state taken at
+// journal seq Seq. Origin names the coordinator's journal: a restarted
+// coordinator draws a new one.
 type TrunkScene struct {
-	Seq    uint64
-	At     vclock.Time
-	Kind   uint8
-	Node   radio.NodeID
-	X, Y   float64
-	Arg    int64
-	Radios []radio.Radio
+	Origin   uint64
+	Seq      uint64
+	Snapshot bool
+	Data     []byte
 }
 
 // Type implements Msg.
 func (TrunkScene) Type() Type { return TypeTrunkScene }
 
 func (m TrunkScene) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, m.Seq)
-	b = binary.BigEndian.AppendUint64(b, uint64(m.At))
-	b = append(b, m.Kind)
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Node))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(m.X))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(m.Y))
-	b = binary.BigEndian.AppendUint64(b, uint64(m.Arg))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Radios)))
-	for _, r := range m.Radios {
-		b = binary.BigEndian.AppendUint16(b, uint16(r.Channel))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.Range))
-	}
-	return b
+	b = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(b, m.Origin), m.Seq)
+	return append(append(b, boolByte(m.Snapshot)), m.Data...)
 }
 
-// trunkSceneFixed is the encoded size of TrunkScene's fixed fields.
-const trunkSceneFixed = 8 + 8 + 1 + 4 + 8 + 8 + 8 + 2
-
 func (m *TrunkScene) readBody(b []byte) error {
-	if len(b) < trunkSceneFixed {
+	if len(b) < 17 || b[16] > 1 {
 		return ErrShortBody
 	}
-	m.Seq = binary.BigEndian.Uint64(b)
-	m.At = vclock.Time(binary.BigEndian.Uint64(b[8:]))
-	m.Kind = b[16]
-	m.Node = radio.NodeID(binary.BigEndian.Uint32(b[17:]))
-	m.X = math.Float64frombits(binary.BigEndian.Uint64(b[21:]))
-	m.Y = math.Float64frombits(binary.BigEndian.Uint64(b[29:]))
-	m.Arg = int64(binary.BigEndian.Uint64(b[37:]))
-	n := int(binary.BigEndian.Uint16(b[45:]))
-	if len(b) != trunkSceneFixed+n*10 {
-		return ErrShortBody
-	}
-	m.Radios = make([]radio.Radio, n)
-	for i := 0; i < n; i++ {
-		off := trunkSceneFixed + i*10
-		m.Radios[i].Channel = radio.ChannelID(binary.BigEndian.Uint16(b[off:]))
-		m.Radios[i].Range = math.Float64frombits(binary.BigEndian.Uint64(b[off+2:]))
-	}
+	m.Origin, m.Seq = binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:])
+	m.Snapshot = b[16] == 1
+	m.Data = append([]byte(nil), b[17:]...)
 	return nil
 }
 
 // TrunkStatus is the periodic peer heartbeat: health state (a
-// fidelity.State value), the last replicated scene seq applied, and the
-// sender's emulation clock at send — letting the receiver gauge both
-// replication lag (in mutations) and clock agreement.
+// fidelity.State value), the sender's replication point and scene digest
+// there, and its emulation clock at send. A follower's replication point
+// is the journal it follows (Origin) and the seq it applied there, and
+// Resend asks the coordinator to send again from the next seq — or a
+// snapshot, when Origin is not the coordinator's. The coordinator's is
+// its journal and the last seq it sent the receiving peer (Origin 0:
+// nothing yet).
 type TrunkStatus struct {
 	From       uint32
 	Health     uint8
+	Resend     bool
+	Origin     uint64
 	AppliedSeq uint64
+	Digest     uint64
 	Now        vclock.Time
 }
 
@@ -251,21 +229,31 @@ type TrunkStatus struct {
 func (TrunkStatus) Type() Type { return TypeTrunkStatus }
 
 func (m TrunkStatus) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, m.From)
-	b = append(b, m.Health)
+	b = append(binary.BigEndian.AppendUint32(b, m.From), m.Health, boolByte(m.Resend))
+	b = binary.BigEndian.AppendUint64(b, m.Origin)
 	b = binary.BigEndian.AppendUint64(b, m.AppliedSeq)
+	b = binary.BigEndian.AppendUint64(b, m.Digest)
 	return binary.BigEndian.AppendUint64(b, uint64(m.Now))
 }
 
 func (m *TrunkStatus) readBody(b []byte) error {
-	if len(b) != 21 {
+	if len(b) != 38 || b[5] > 1 {
 		return ErrShortBody
 	}
 	m.From = binary.BigEndian.Uint32(b)
-	m.Health = b[4]
-	m.AppliedSeq = binary.BigEndian.Uint64(b[5:])
-	m.Now = vclock.Time(binary.BigEndian.Uint64(b[13:]))
+	m.Health, m.Resend = b[4], b[5] == 1
+	m.Origin = binary.BigEndian.Uint64(b[6:])
+	m.AppliedSeq = binary.BigEndian.Uint64(b[14:])
+	m.Digest = binary.BigEndian.Uint64(b[22:])
+	m.Now = vclock.Time(binary.BigEndian.Uint64(b[30:]))
 	return nil
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // ---------------------------------------------------------------------------

@@ -5,18 +5,37 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/mbuf"
 	"repro/internal/radio"
+	"repro/internal/scene"
+	"repro/internal/vclock"
 )
+
+// sceneBytes returns real scene journal records — an add, a move, a
+// pause — and a snapshot part, the opaque bytes a TrunkScene carries.
+func sceneBytes() (add, move, pause, part []byte) {
+	sc := scene.New(radio.NewIndexed(100), vclock.NewManual(777), 1)
+	sc.KeepJournal()
+	sc.AddNode(12, geom.V(10.5, -3.25), []radio.Radio{{Channel: 1, Range: 120}, {Channel: 2, Range: 30}})
+	sc.MoveNode(12, geom.V(99, 1))
+	sc.SetPaused(true)
+	add, _, _ = sc.ReadJournal(1, 1)
+	move, _, _ = sc.ReadJournal(2, 1)
+	pause, _, _ = sc.ReadJournal(3, 1)
+	_, parts := sc.EncodeState(1 << 10)
+	return add, move, pause, parts[0]
+}
 
 // TestTrunkRoundTrip pins the trunk codec: every trunk message must
 // survive WriteMsg→ReadMsg unchanged.
 func TestTrunkRoundTrip(t *testing.T) {
+	add, move, pause, part := sceneBytes()
 	cases := []struct {
 		name string
 		msg  Msg
 	}{
-		{"hello", TrunkHello{Ver: Version, From: 3, Cluster: "scene-42"}},
+		{"hello", TrunkHello{Ver: Version, From: 3, Coordinator: 1, Cluster: "scene-42"}},
 		{"hello empty cluster", TrunkHello{Ver: Version, From: 0}},
 		{"batch empty", TrunkBatch{}},
 		{"batch one", TrunkBatch{Entries: []TrunkEntry{
@@ -27,11 +46,14 @@ func TestTrunkRoundTrip(t *testing.T) {
 			{Due: 20, To: 2, Pkt: Packet{Src: 2, Dst: radio.Broadcast, Channel: 1, Seq: 2, Stamp: 6}},
 			{Due: 30, To: 3, Pkt: Packet{Src: 3, Dst: 3, Channel: 2, Flow: 1, Seq: 3, Stamp: 7, Payload: bytes.Repeat([]byte("x"), 1500)}},
 		}}},
-		{"scene add", TrunkScene{Seq: 1, At: 777, Kind: 1, Node: 12, X: 10.5, Y: -3.25,
-			Radios: []radio.Radio{{Channel: 1, Range: 120}, {Channel: 2, Range: 30}}}},
-		{"scene move", TrunkScene{Seq: 9, At: 888, Kind: 3, Node: 12, X: 99, Y: 1}},
-		{"scene pause", TrunkScene{Seq: 10, At: 999, Kind: 7, Arg: 1}},
-		{"status", TrunkStatus{From: 2, Health: 1, AppliedSeq: 41, Now: 123456}},
+		{"scene add", TrunkScene{Origin: 0x5eed, Seq: 1, Data: add}},
+		{"scene move", TrunkScene{Seq: 2, Data: move}},
+		{"scene pause", TrunkScene{Seq: 3, Data: pause}},
+		{"scene records", TrunkScene{Seq: 1, Data: append(append(append([]byte(nil), add...), move...), pause...)}},
+		{"scene empty", TrunkScene{Seq: 9}},
+		{"scene snapshot part", TrunkScene{Origin: 1 << 63, Seq: 3, Snapshot: true, Data: part}},
+		{"status", TrunkStatus{From: 2, Health: 1, Origin: 0x5eed, AppliedSeq: 41, Digest: 0xfeedface, Now: 123456}},
+		{"status resend", TrunkStatus{From: 1, Resend: true, Origin: 3, AppliedSeq: 7}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,8 +92,8 @@ func normalizeTrunk(t *testing.T, m interface{}) {
 			}
 		}
 	case *TrunkScene:
-		if len(v.Radios) == 0 {
-			v.Radios = nil
+		if len(v.Data) == 0 {
+			v.Data = nil
 		}
 	}
 }
@@ -193,14 +215,16 @@ func TestTrunkBatchPooledReadEmpty(t *testing.T) {
 // (FuzzReadMsg covers the client frames; this target aims the corpus at
 // the trunk codec's nested entry parsing.)
 func FuzzTrunkFrame(f *testing.F) {
+	add, move, _, part := sceneBytes()
 	seeds := []Msg{
-		TrunkHello{Ver: Version, From: 1, Cluster: "c"},
+		TrunkHello{Ver: Version, From: 1, Coordinator: 0, Cluster: "c"},
 		TrunkBatch{Entries: []TrunkEntry{
 			{Due: 10, To: 1, Pkt: Packet{Src: 2, Dst: 1, Channel: 1, Seq: 1, Stamp: 5, Payload: []byte("a")}},
 			{Due: 20, To: 2, Pkt: Packet{Src: 2, Dst: 2, Channel: 1, Seq: 2, Stamp: 6, Payload: []byte("bb")}},
 		}},
-		TrunkScene{Seq: 1, At: 2, Kind: 1, Node: 3, X: 4, Y: 5, Radios: []radio.Radio{{Channel: 1, Range: 100}}},
-		TrunkStatus{From: 1, Health: 2, AppliedSeq: 3, Now: 4},
+		TrunkScene{Origin: 9, Seq: 1, Data: append(append([]byte(nil), add...), move...)},
+		TrunkScene{Origin: 9, Seq: 3, Snapshot: true, Data: part},
+		TrunkStatus{From: 1, Health: 2, Resend: true, Origin: 9, AppliedSeq: 3, Digest: 5, Now: 4},
 	}
 	for _, m := range seeds {
 		var buf bytes.Buffer

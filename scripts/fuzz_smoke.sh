@@ -13,15 +13,20 @@ set -eu
 
 FUZZTIME=${1:-20s}
 
+# Extra arguments go to go test. FuzzSceneJournal bounds the minimizing
+# of each new corpus entry: every input builds a scene, so a minimization
+# run to the default 60 s stalls a short pass.
 run() {
 	pkg=$1
 	target=$2
+	shift 2
 	echo "==> fuzz $pkg $target ($FUZZTIME)"
-	go test "$pkg" -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME"
+	go test "$pkg" -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" "$@"
 }
 
 run ./internal/wire FuzzReadMsg
 run ./internal/wire FuzzTrunkFrame
+run ./internal/scene FuzzSceneJournal -fuzzminimizetime=200x
 run ./internal/script FuzzParse
 run ./internal/record FuzzLoad
 run ./internal/routing FuzzDecodeFrame

@@ -57,7 +57,8 @@ for name in \
 	poem_cluster_remote_entries_total poem_cluster_trunk_dropped_total \
 	poem_cluster_trunk_pending_entries poem_cluster_recv_entries_total \
 	poem_cluster_staleness_last_ns poem_cluster_peer_health \
-	poem_cluster_applied_seq; do
+	poem_cluster_applied_seq poem_cluster_scene_snapshots_total \
+	poem_cluster_scene_divergence; do
 	if ! printf '%s\n' "$metrics" | grep -q "^$name"; then
 		echo "missing metric: $name"
 		fail=1
