@@ -47,7 +47,7 @@ func main() {
 		scenePath   = flag.String("scene", "", "scenario script to load and run")
 		scale       = flag.Float64("scale", 1, "emulation time scale (2 = twice real time)")
 		tick        = flag.Duration("tick", 100*time.Millisecond, "mobility tick (emulated time)")
-		seed        = flag.Int64("seed", 1, "link-model random seed")
+		seed        = flag.Int64("seed", 1, "link-model dice and mobility seed (every peer of a federation must use the same)")
 		autoCreate  = flag.Bool("autocreate", false, "auto-create VMNs for unknown client ids")
 		sendQueue   = flag.Int("sendqueue", core.DefaultSendQueueDepth,
 			"per-client outbound queue depth before drop-oldest engages")

@@ -54,12 +54,13 @@ func drainSchedules(srv *Server) {
 }
 
 func benchSession(id radio.NodeID, srv *Server) *session {
-	return &session{
+	sess := &session{
 		id:   id,
-		rng:  rand.New(rand.NewSource(int64(id) + 1)),
 		q:    newSendQueue(0, srv.mQueueDrops, srv.mAbandoned, srv.tracer),
 		stop: make(chan struct{}),
 	}
+	sess.rng = rand.New(&sess.dice)
+	return sess
 }
 
 func BenchmarkDispatchParallel(b *testing.B) {

@@ -8,6 +8,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/linkmodel"
 	"repro/internal/obs"
 	"repro/internal/radio"
 	"repro/internal/record"
@@ -87,6 +88,10 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	// (scene.Dispatch). The row is shared with the snapshot and strictly
 	// read-only here.
 	rows, model := s.cfg.Scene.Dispatch(pkt.Src, pkt.Channel)
+	// Each verdict draws from dice keyed by (Seed, packet, receiver), so
+	// it is a pure function of the packet as recorded — the clamped
+	// stamp, not the client's — and of who hears it (linkmodel.Dice).
+	pktKey := linkmodel.PacketKey(s.cfg.Seed, uint32(pkt.Src), pkt.Seq, int64(pkt.Stamp))
 	// Steps 2–3 fused: filter targets and roll the link-model die in one
 	// pass over the row. t_receipt is the client's parallel stamp
 	// (real-time recording). The survivors land in the session's
@@ -99,6 +104,7 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			continue
 		}
 		matched++
+		sess.dice.Key(pktKey, uint32(nb.ID))
 		dec := model.Evaluate(nb.Dist, pkt.Size(), sess.rng)
 		if dec.Drop {
 			s.mDropped.Inc()

@@ -153,13 +153,12 @@ func (q *sendQueue) push(m outMsg) bool {
 	return true
 }
 
-// appendLocked stores m at the tail, growing the ring toward limit.
+// appendLocked stores m at the tail, growing the ring toward limit. The
+// ring starts at one slot and doubles: most sessions of a large scene
+// only ever queue their initial radios notification.
 func (q *sendQueue) appendLocked(m outMsg) {
 	if q.n == len(q.buf) {
-		grow := len(q.buf) * 2
-		if grow == 0 {
-			grow = 16
-		}
+		grow := max(len(q.buf)*2, 1)
 		if grow > q.limit {
 			grow = q.limit
 		}

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/linkmodel"
 	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
 	"repro/internal/sched"
@@ -35,7 +36,11 @@ import (
 type session struct {
 	id   radio.NodeID
 	conn transport.Conn
-	rng  *rand.Rand // scheduling-thread die, per session
+	// dice is the link-model die: ingest keys it per (packet, receiver)
+	// before each verdict and rng draws from it (linkmodel.Dice). Only
+	// the session's own reader goroutine touches either.
+	dice linkmodel.Dice
+	rng  *rand.Rand
 
 	q        *sendQueue    // bounded outbound queue, FIFO
 	stop     chan struct{} // closed when the session ends
@@ -182,10 +187,10 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 	sess := &session{
 		id:   id,
 		conn: conn,
-		rng:  rand.New(rand.NewSource(s.cfg.Seed ^ int64(id)<<17 ^ 0x9e3779b9)),
 		q:    newSendQueue(s.cfg.SendQueueDepth, s.mQueueDrops, s.mAbandoned, s.tracer),
 		stop: make(chan struct{}),
 	}
+	sess.rng = rand.New(&sess.dice)
 	// Timestamp policy drops into the flight recorder: around an
 	// incident, which sessions were shedding (and when) is exactly what
 	// the breach dump is for.

@@ -67,7 +67,12 @@ type ServerConfig struct {
 	// selects DefaultShards() — min(GOMAXPROCS, 8). One shard preserves
 	// the pre-sharding behavior exactly. Negative is an error.
 	Shards int
-	// Seed feeds the link-model dice.
+	// Seed keys the link-model dice. Every loss and delay verdict is a
+	// pure function of (Seed, packet, receiver) — the packet's source,
+	// sequence number and clamped stamp, as its records carry them — so
+	// a recorded drop can be re-derived from its record and the Seed
+	// (linkmodel.Dice). The peers of a federation must share one Seed:
+	// the ingesting peer rolls for every receiver, local or remote.
 	Seed int64
 	// TickStep is the mobility tick cadence; default 100 ms emulated.
 	TickStep time.Duration

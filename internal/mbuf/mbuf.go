@@ -46,10 +46,20 @@ var classSizes = [...]int{
 
 const numClasses = len(classSizes)
 
-// maxCachedPerClass bounds each class's global free list; beyond it a
-// freed buffer is surrendered to the GC, so a one-off burst does not
-// pin its high-water memory forever.
-const maxCachedPerClass = 256
+// classBudget bounds the bytes each class's global free list may hold;
+// beyond it a freed buffer is surrendered to the GC, so a one-off burst
+// does not pin its high-water memory forever. A byte budget, not a
+// count: 4 096 buffers of 128 B cover a loopback flow's in-flight
+// working set (≈ 1 900), while the 1 MiB class keeps one buffer.
+const classBudget = 512 << 10
+
+// classCaps is classBudget in buffers per class, never below one.
+var classCaps = func() (caps [numClasses]int) {
+	for i, s := range classSizes {
+		caps[i] = max(classBudget/s, 1)
+	}
+	return caps
+}()
 
 // classFor returns the smallest class holding n bytes, or -1 when n
 // exceeds the largest class (the buffer is then heap-allocated exactly
@@ -194,7 +204,7 @@ func (p *Pool) put(b *Buf) {
 	}
 	cl := &p.classes[b.cls]
 	cl.mu.Lock()
-	if len(cl.free) < maxCachedPerClass {
+	if len(cl.free) < classCaps[b.cls] {
 		cl.free = append(cl.free, b)
 	}
 	cl.mu.Unlock()
@@ -305,7 +315,7 @@ func (l *Local) Close() {
 		cl := &l.pool.classes[cls]
 		cl.mu.Lock()
 		for _, b := range l.free[cls] {
-			if len(cl.free) < maxCachedPerClass {
+			if len(cl.free) < classCaps[cls] {
 				cl.free = append(cl.free, b)
 			}
 		}

@@ -175,3 +175,58 @@ func TestAllocStaysAllocationFree(t *testing.T) {
 		t.Fatalf("steady-state Alloc/Free costs %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// A loopback flow keeps about two thousand small buffers in flight; a
+// free list shorter than that working set sends part of every cycle to
+// the heap. Once one cycle has populated the lists, cycling the same
+// working set through a Local must be served from them entirely.
+func TestWorkingSetServedFromFreeList(t *testing.T) {
+	const working = 1000
+	p := NewPool()
+	l := p.NewLocal()
+	bufs := make([]*Buf, working)
+	cycle := func() {
+		for i := range bufs {
+			bufs[i] = l.Alloc(100)
+		}
+		for _, b := range bufs {
+			b.Free()
+		}
+	}
+	cycle()
+	before := p.Stats()
+	for c := 0; c < 3; c++ {
+		cycle()
+	}
+	st := p.Stats()
+	if allocs, hits := st.Allocs-before.Allocs, st.Hits-before.Hits; hits != allocs {
+		t.Fatalf("%d of %d allocs after the first cycle missed the free list", allocs-hits, allocs)
+	}
+	l.Close()
+	if p.Live() != 0 {
+		t.Fatalf("live = %d, want 0", p.Live())
+	}
+}
+
+// The free lists are bounded in bytes: the largest class keeps a single
+// buffer however large the burst that freed it, and every class keeps
+// at least one.
+func TestFreeListByteBudget(t *testing.T) {
+	for cls, n := range classCaps {
+		if n < 1 || (n > 1 && n*classSizes[cls] > classBudget) {
+			t.Errorf("class %d (%d B) caches %d buffers, budget %d B", cls, classSizes[cls], n, classBudget)
+		}
+	}
+	p := NewPool()
+	burst := make([]*Buf, 3)
+	for i := range burst {
+		burst[i] = p.Alloc(1 << 20)
+	}
+	for _, b := range burst {
+		b.Free()
+	}
+	cl := &p.classes[numClasses-1]
+	if got := len(cl.free); got != 1 {
+		t.Fatalf("a 3 MiB burst left %d buffers of the 1 MiB class cached, want 1", got)
+	}
+}

@@ -181,3 +181,29 @@ echo "$SCENE" | awk '
 ' || { echo "scene publish gate: FAILED (one MoveNode at 16 384 nodes must stay under 64 KiB/op)"; exit 1; }
 
 echo "scene publish gate: OK (one MoveNode at 16 384 nodes under 64 KiB/op)"
+
+# A session costs what it uses: one in-process registration — session,
+# send queue, link-model dice, HelloAck and the initial radios
+# notification — measured on the server side. The parent of the
+# counter-based dice read 8 978 B/op and 19 allocs/op (a 4.9 KiB
+# math/rand source and a 16-slot queue ring per session); 1 906 B/op
+# and 18 allocs/op after. The budget is that figure rounded up to the
+# next KiB, so per-session state cannot creep back. Fresh process, one
+# count: later counts reuse exited goroutines and read ≈ 480 B lower.
+REG=$(go test -run='^$' -bench='RegisterInprocSession' -benchmem -benchtime=2000x ./internal/core)
+echo "$REG"
+
+echo "$REG" | awk '
+	/B\/op/ {
+		seen = 1
+		for (i = 2; i < NF; i++) {
+			if ($(i+1) == "B/op" && $i + 0 > 2048) {
+				printf "FAIL: %s measured %s B/op, budget 2048\n", $1, $i
+				bad = 1
+			}
+		}
+	}
+	END { exit bad || !seen }
+' || { echo "session footprint gate: FAILED (one in-proc registration must stay within 2 KiB/op)"; exit 1; }
+
+echo "session footprint gate: OK (one in-proc registration within 2 KiB/op)"
