@@ -90,7 +90,7 @@ func main() {
 
 	var dbg *obs.DebugServer
 	if *debugAddr != "" {
-		dbg, err = obs.ListenDebug(*debugAddr, obs.Handler(reg, nil, nil))
+		dbg, err = obs.ListenDebug(*debugAddr, obs.Handler(reg, nil))
 		if err != nil {
 			log.Fatalf("poem-gateway: debug: %v", err)
 		}

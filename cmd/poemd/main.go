@@ -56,7 +56,7 @@ func main() {
 		debugAddr = flag.String("debug", "",
 			"HTTP debug listen address serving /metrics, /trace and /debug/pprof (empty to disable)")
 		sampleEvery = flag.Int("obs-sample", 0,
-			"time+trace one packet in N per session (0 = default, negative = off)")
+			"time+trace about one packet in N, chosen by a hash of the packet (0 = default, negative = off)")
 		shards = flag.Int("shards", 0,
 			"pipeline shards the core runs (0 = min(GOMAXPROCS, 8); 1 = single-shard legacy pipeline)")
 		leakCheck = flag.Bool("mbuf-leakcheck", false,
@@ -88,12 +88,11 @@ func main() {
 	sc := scene.New(radio.NewIndexed(250), clk, *seed)
 	store := record.NewStore()
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(0, 0)
 	srv, err := core.NewServer(core.ServerConfig{
 		Clock: clk, Scene: sc, Store: store,
 		Seed: *seed, TickStep: *tick, AutoCreateNodes: *autoCreate,
 		SendQueueDepth: *sendQueue, MaxStampSkew: *maxSkew,
-		Obs: reg, Tracer: tracer, ObsSampleEvery: *sampleEvery,
+		Obs: reg, ObsSampleEvery: *sampleEvery,
 		Shards: *shards, RTTolerance: *rtTolerance,
 		Peers: peers, Self: *peerSelf, ClusterID: *clusterID, Coordinator: *coordinator,
 	})
@@ -191,13 +190,14 @@ func main() {
 		log.Printf("poemd: gateway bridging %d real sockets (map %s)", len(bindings), *gatewayMap)
 	}
 
-	// The debug endpoint's scrape handlers read the registry and tracer;
-	// serveDone gates them so a late scrape answers 503 instead of racing
+	// The debug endpoint's scrape handlers read the registry and the
+	// flight recorder; serveDone gates them so a late scrape answers 503 instead of racing
 	// the store/WAL teardown below.
 	var dbg *obs.DebugServer
 	if *debugAddr != "" {
-		dbg, err = obs.ListenDebug(*debugAddr, obs.Handler(reg, tracer, serveDone,
+		dbg, err = obs.ListenDebug(*debugAddr, obs.Handler(reg, serveDone,
 			obs.Endpoint{Pattern: "/healthz", H: fid.HealthHandler()},
+			obs.Endpoint{Pattern: "/trace", H: fid.PacketsHandler()},
 			obs.Endpoint{Pattern: "/fidelity/trace", H: fid.TraceHandler()},
 			obs.Endpoint{Pattern: "/fidelity/dump", H: fid.DumpHandler()},
 		))

@@ -276,16 +276,16 @@ func validateCluster(cfg ServerConfig) error {
 // remote targets are handed to their peer's trunk as one TrunkBatch per
 // peer (buffer references travel with the entries, and the trunk
 // consumes them whatever becomes of them), local targets compact to the
-// front of targets and are returned for the usual per-shard push, with
-// the trace handle if it still has a delivery to ride. The trunk write
-// is deferred: an entry carries its absolute Due, so the receiving
-// peer's scanner write is the emulated departure, and time spent queued
-// before the trunk write cannot distort emulated time. The trunk counts
-// every entry written, dropped or pending; Entered counts at the peer
-// where a delivery enters a schedule, so per-server conservation
-// ledgers stay exact and the cluster-wide ledger is their sum. Runs on
-// the session's reader goroutine; grouping scratch lives on the session.
-func (cl *cluster) routeRemote(sess *session, pkt wire.Packet, trace uint32, targets []sched.Target) ([]sched.Target, uint32) {
+// front of targets and are returned for the usual per-shard push. The
+// trunk write is deferred: an entry carries its absolute Due, so the
+// receiving peer's scanner write is the emulated departure, and time
+// spent queued before the trunk write cannot distort emulated time. The
+// trunk counts every entry written, dropped or pending; Entered counts
+// at the peer where a delivery enters a schedule, so per-server
+// conservation ledgers stay exact and the cluster-wide ledger is their
+// sum. Runs on the session's reader goroutine; grouping scratch lives on
+// the session.
+func (cl *cluster) routeRemote(sess *session, pkt wire.Packet, targets []sched.Target) []sched.Target {
 	n := len(targets)
 	idxs := sess.peerIdx[:0]
 	remote := 0
@@ -298,13 +298,7 @@ func (cl *cluster) routeRemote(sess *session, pkt wire.Packet, trace uint32, tar
 	}
 	sess.peerIdx = idxs
 	if remote == 0 {
-		return targets, trace
-	}
-	if trace != 0 && int(idxs[0]) != cl.self {
-		// Trace slots don't cross trunks; a sampled packet whose first
-		// kept target lives remotely gives its slot back.
-		cl.srv.tracer.Release(trace)
-		trace = 0
+		return targets
 	}
 	for i := 0; i < n; i++ {
 		p := idxs[i]
@@ -328,7 +322,7 @@ func (cl *cluster) routeRemote(sess *session, pkt wire.Packet, trace uint32, tar
 			w++
 		}
 	}
-	return targets[:w], trace
+	return targets[:w]
 }
 
 // ---------------------------------------------------------------------------

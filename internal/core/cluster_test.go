@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
 	"repro/internal/scene"
 	"repro/internal/sched"
@@ -276,6 +277,69 @@ func TestFederationCrossServerDelivery(t *testing.T) {
 	}
 }
 
+// A sampled packet crossing the trunk is traced on both peers under the
+// same key, with nothing carried in the trunk entry: the ingesting peer
+// records its ingest and resolve stages, the receiving peer — which
+// samples the same packets — the receiver's enqueue and send stages and
+// its stage histograms.
+func TestFederationTracesCrossPeerPacket(t *testing.T) {
+	r := newFedRig(t, 2, func(_ int, cfg *ServerConfig) { cfg.ObsSampleEvery = 1 })
+	a := ownedID(t, 0, 2, 1)
+	b := ownedID(t, 1, 2, a+1)
+	if err := r.coord().AddNode(a, geom.V(0, 0), oneRadio(1, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.coord().AddNode(b, geom.V(100, 0), oneRadio(1, 200)); err != nil {
+		t.Fatal(err)
+	}
+	fedWaitFor(t, func() bool { return r.scenes[1].HasNode(a) && r.scenes[1].HasNode(b) }, "scene replicated")
+	ca := r.client(a, nil)
+	skb := newSink()
+	r.client(b, skb)
+	const sends = 5
+	for i := 0; i < sends; i++ {
+		if err := ca.SendTo(b, 1, 0, []byte("traced")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fedWaitFor(t, func() bool { return skb.count() == sends }, "cross-server deliveries")
+
+	lifecycles := func(p int) []fidelity.Lifecycle {
+		return fidelity.Lifecycles(r.servers[p].Fidelity().Recorder().Snapshot())
+	}
+	var remote []fidelity.Lifecycle
+	fedWaitFor(t, func() bool { // the send stage races the sink callback
+		remote = lifecycles(1)
+		sent := 0
+		for _, l := range remote {
+			if len(l.Legs) == 1 && l.Legs[0].Send != 0 {
+				sent++
+			}
+		}
+		return sent == sends
+	}, "send stages on the receiving peer")
+	local := lifecycles(0)
+	if len(local) != sends || len(remote) != sends {
+		t.Fatalf("%d lifecycles on the ingesting peer and %d on the receiving one, want %d each", len(local), len(remote), sends)
+	}
+	for i := range local {
+		l, g := local[i], remote[i]
+		if l.Src != uint32(a) || l.Ingest == 0 || l.Resolve == 0 || l.Kept != 1 || len(l.Legs) != 0 {
+			t.Errorf("ingesting peer's half %+v: want ingest and resolve only", l)
+		}
+		if g.Src != l.Src || g.Seq != l.Seq || g.Ingest != 0 || g.Legs[0].To != uint32(b) ||
+			g.Legs[0].Enqueue < l.Resolve || g.Legs[0].Send < g.Legs[0].Enqueue {
+			t.Errorf("receiving peer's half %+v does not continue %+v", g, l)
+		}
+	}
+	if h := r.servers[1].Obs().FindHistogram("poem_enqueue_ns"); h.Count() != sends {
+		t.Errorf("receiving peer's poem_enqueue_ns timed %d deliveries, want %d", h.Count(), sends)
+	}
+	if h := r.servers[1].Obs().FindHistogram("poem_send_ns"); h.Count() == 0 {
+		t.Error("receiving peer's poem_send_ns timed no flush")
+	}
+}
+
 // heldConn is a trunk connection whose TrunkBatch writes wait for the
 // test: each announces its entry count on calls and takes its verdict
 // from step. Other frames (the handshake) pass at once.
@@ -353,7 +417,7 @@ func TestClusterStatsReadTheTrunkLedger(t *testing.T) {
 	routed := 0
 	route := func() {
 		targets := []sched.Target{{To: remoteA, Due: 5}, {To: remoteB, Due: 5}}
-		if local, _ := srv.cluster.routeRemote(&session{}, wire.Packet{Seq: uint32(routed)}, 0, targets); len(local) != 0 {
+		if local := srv.cluster.routeRemote(&session{}, wire.Packet{Seq: uint32(routed)}, targets); len(local) != 0 {
 			t.Fatalf("local targets %+v", local)
 		}
 		routed += len(targets)

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/obs/fidelity"
 	"repro/internal/record"
 	"repro/internal/sched"
 	"repro/internal/transport"
@@ -28,7 +29,7 @@ import (
 // There is deliberately no server-closed check here: Close shuts the
 // sessions down before stopping the shard scanners, and a delivery
 // into a closed (or missing) session accounts itself abandoned — the
-// closed sendQueue rejects the push and settles the trace slot and the
+// closed sendQueue rejects the push and settles the buffer and the
 // abandoned counter itself. Keeping the front's mutex off this path is
 // what lets N scanners run without sharing a lock.
 func (sh *shard) deliver(it sched.Item) {
@@ -38,9 +39,6 @@ func (sh *shard) deliver(it sched.Item) {
 	}
 	sess := sh.lookup(it.To)
 	if sess == nil {
-		if it.Trace != 0 {
-			s.tracer.Release(it.Trace)
-		}
 		it.Pkt.Buf.Free() // this delivery's buffer reference dies with it
 		s.mAbandoned.Inc()
 		return // the client left between scheduling and departure
@@ -54,13 +52,16 @@ func (sh *shard) deliver(it sched.Item) {
 		// drop-oldest engages as intended.
 		runtime.Gosched()
 	}
-	// A traced item marks a sampled packet: time the enqueue stage and
-	// record how far past its due time the departure fired. If push
-	// rejects the entry, the queue releases the trace slot itself.
+	// A sampled packet (the hash ingest used): leave the receiver's
+	// enqueue event on the flight recorder, time the enqueue stage and
+	// record how far past its due time the departure fired.
+	sampled := s.sampled(&it.Pkt)
 	var t0 time.Time
-	if it.Trace != 0 {
-		t0 = time.Now()
+	if sampled {
 		nowEmu := s.cfg.Clock.Now()
+		s.fid.Recorder().Record(fidelity.EvPktEnqueue, sh.idx, int64(nowEmu),
+			fidelity.PacketID(uint32(it.Pkt.Src), it.Pkt.Seq), int64(it.To))
+		t0 = time.Now()
 		// The scanner can fire an item marginally before Due (scaled-clock
 		// rounding in vclock.System.Wait); lag is defined as how *late* a
 		// departure fired, so clamp at zero rather than feeding a negative
@@ -70,12 +71,17 @@ func (sh *shard) deliver(it sched.Item) {
 			lag = 0
 		}
 		s.hDeliverLag.Observe(lag)
-		s.tracer.Rec(it.Trace).Enqueue = int64(nowEmu)
 	}
-	sess.q.push(outMsg{kind: outData, pkt: it.Pkt, trace: it.Trace})
-	if it.Trace != 0 {
+	sess.q.push(outMsg{kind: outData, pkt: it.Pkt})
+	if sampled {
 		s.hEnqueue.Observe(time.Since(t0))
 	}
+}
+
+// sampled reports whether p is one of the packets the stage timing and
+// lifecycle tracing follow (ServerConfig.ObsSampleEvery).
+func (s *Server) sampled(p *wire.Packet) bool {
+	return s.sample.Sampled(uint32(p.Src), p.Seq, int64(p.Stamp))
 }
 
 // maxFlushBatch bounds how many queue entries the session writer drains
@@ -144,7 +150,7 @@ func (s *Server) writeBatch(sess *session, batch []outMsg) error {
 	var t0 time.Time
 	traced := false
 	for i := range batch {
-		if batch[i].trace != 0 {
+		if batch[i].kind == outData && s.sampled(&batch[i].pkt) {
 			traced = true
 			break
 		}
@@ -171,8 +177,13 @@ func (s *Server) writeBatch(sess *session, batch []outMsg) error {
 	sess.wmsgs = msgs[:0]
 	s.hFlushBatch.Observe(time.Duration(len(batch)))
 
+	// One write sent the whole batch: its sampled entries share the
+	// send instant.
+	var sentAt int64
+	var shard int
 	if traced && sent > 0 {
 		s.hSend.Observe(time.Since(t0))
+		sentAt, shard = int64(s.cfg.Clock.Now()), s.shardOf(sess.id).idx
 	}
 	for i := range batch {
 		m := &batch[i]
@@ -182,19 +193,13 @@ func (s *Server) writeBatch(sess *session, batch []outMsg) error {
 		if i >= sent {
 			// Died between pop and wire: the transport already released
 			// the buffer, the ledger still needs the loss recorded.
-			if m.trace != 0 {
-				s.tracer.Release(m.trace)
-			}
 			s.mAbandoned.Inc()
 			continue
 		}
-		if m.trace != 0 {
-			// Final stage: the packet is on the wire. Stamp it, name
-			// the concrete receiver, and commit the record.
-			rec := s.tracer.Rec(m.trace)
-			rec.Send = int64(s.cfg.Clock.Now())
-			rec.Relay = uint32(sess.id)
-			s.tracer.Commit(m.trace)
+		if traced && s.sampled(&m.pkt) {
+			// Final stage: the packet is on the wire to this receiver.
+			s.fid.Recorder().Record(fidelity.EvPktSend, shard, sentAt,
+				fidelity.PacketID(uint32(m.pkt.Src), m.pkt.Seq), int64(sess.id))
 		}
 		s.mForwarded.Inc()
 		sess.forwarded.Add(1)

@@ -56,7 +56,7 @@ func drainSchedules(srv *Server) {
 func benchSession(id radio.NodeID, srv *Server) *session {
 	sess := &session{
 		id:   id,
-		q:    newSendQueue(0, srv.mQueueDrops, srv.mAbandoned, srv.tracer),
+		q:    newSendQueue(0, srv.mQueueDrops, srv.mAbandoned),
 		stop: make(chan struct{}),
 	}
 	sess.rng = rand.New(&sess.dice)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/linkmodel"
 	"repro/internal/mbuf"
 	"repro/internal/obs"
+	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
 	"repro/internal/scene"
 	"repro/internal/sched"
@@ -20,7 +21,7 @@ import (
 
 // Tests for the schedule's fan entries as the core sees them: a
 // broadcast's receivers share heap entries, and nothing a client, the
-// ledger, the tracer or a buffer pool can observe may tell.
+// ledger, the flight recorder or a buffer pool can observe may tell.
 
 // fanReceivers is how many neighbours hear fanRig's broadcaster.
 const fanReceivers = 12
@@ -35,6 +36,7 @@ type fanRig struct {
 	pool  *mbuf.Pool
 	src   *Client
 	sinks []*sink
+	lis   *transport.InprocListener
 	stop  func()
 }
 
@@ -53,9 +55,9 @@ func newFanRig(t *testing.T, shards int, model linkmodel.Model, mutate func(*Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &fanRig{clk: clk, srv: srv, pool: mbuf.NewPool()}
-	r.pool.SetLeakCheck(true)
 	lis := transport.NewInprocListener()
+	r := &fanRig{clk: clk, srv: srv, pool: mbuf.NewPool(), lis: lis}
+	r.pool.SetLeakCheck(true)
 	done := make(chan struct{})
 	go func() { defer close(done); srv.Serve(transport.PoolIngress(lis, r.pool)) }()
 	var once sync.Once
@@ -179,15 +181,14 @@ func TestBroadcastOrderSameAtEveryShardCount(t *testing.T) {
 	}
 }
 
-// A sampled broadcast claims one trace slot and commits it once, with
-// the first kept receiver as its relay; the other receivers of the fan
-// neither commit nor release anything.
+// A sampled broadcast leaves one lifecycle on the flight recorder: its
+// ingest and resolve stages once, and one leg per receiver with its
+// enqueue and send stages — keyed by the packet, with nothing carried
+// through the schedule or the send queues.
 func TestSampledBroadcastCommitsOneTraceRecord(t *testing.T) {
 	forEachShardCount(t, func(t *testing.T, shards int) {
-		tr := obs.NewTracer(0, 0)
 		r := newFanRig(t, shards, uniformModel(2*time.Millisecond), func(c *ServerConfig) {
 			c.Obs = obs.NewRegistry()
-			c.Tracer = tr
 			c.ObsSampleEvery = 1
 		})
 		r.broadcast(t, 1)
@@ -202,15 +203,82 @@ func TestSampledBroadcastCommitsOneTraceRecord(t *testing.T) {
 		if !r.srv.Quiesce(5 * time.Second) {
 			t.Fatal("pipeline did not drain")
 		}
-		committed, dropped := tr.Totals()
-		if committed != 1 || dropped != 0 {
-			t.Fatalf("tracer committed %d and dropped %d records for one broadcast, want 1 and 0", committed, dropped)
+		ls := fidelity.Lifecycles(r.srv.Fidelity().Recorder().Snapshot())
+		if len(ls) != 1 {
+			t.Fatalf("%d lifecycles for one broadcast, want 1: %+v", len(ls), ls)
 		}
-		// (Not rec.Complete(): the clock was parked at 0 through ingest.)
-		if rec := tr.Records()[0]; rec.Src != 1 || rec.Relay != 2 || rec.Enqueue == 0 || rec.Send == 0 {
-			t.Fatalf("trace record %+v, want one from VMN 1 that fired and left for VMN 2", rec)
+		// (Ingest and Resolve read 0: the clock was parked at 0 through
+		// ingest.)
+		l := ls[0]
+		if l.Src != 1 || l.Seq != 1 || l.Matched != fanReceivers || l.Kept != fanReceivers || len(l.Legs) != fanReceivers {
+			t.Fatalf("lifecycle %+v, want one from VMN 1 seq 1 kept by all %d receivers", l, fanReceivers)
+		}
+		for i, g := range l.Legs {
+			if g.To < 2 || g.To > fanReceivers+1 || g.Enqueue == 0 || g.Send < g.Enqueue {
+				t.Fatalf("leg %d %+v: want a receiver in 2..%d that was enqueued and then sent", i, g, fanReceivers+1)
+			}
 		}
 	})
+}
+
+// Every stage decides from the packet as the schedule carries it — the
+// clamped stamp — so at one packet in four, ingest, the scanner and the
+// writer sample exactly the same packets: the ring holds one whole
+// lifecycle for each packet the sampler picks, and nothing else.
+func TestSampledStagesAgreeOnClampedStamps(t *testing.T) {
+	const every, packets = 4, 64
+	r := newFanRig(t, 1, uniformModel(2*time.Millisecond), func(c *ServerConfig) { c.ObsSampleEvery = every })
+	now := vclock.FromSeconds(1)
+	r.clk.Set(now)
+	const sender = radio.NodeID(100)
+	if err := r.srv.cfg.Scene.AddNode(sender, geom.V(0, 5), oneRadio(1, 200)); err != nil {
+		t.Fatal(err)
+	}
+	local := vclock.NewManual(now)
+	c, err := Dial(ClientConfig{ID: sender, Dial: r.lis.Dialer(), LocalClock: local, SyncRounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	local.Set(now.Add(time.Hour)) // every stamp is clamped to now + DefaultMaxStampSkew
+	for seq := uint32(1); seq <= packets; seq++ {
+		if err := c.Send(wire.Packet{Dst: 2, Channel: 1, Seq: seq, Payload: []byte("clamped")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); r.srv.Stats().Received < packets; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ingested %d of %d", r.srv.Stats().Received, packets)
+		}
+	}
+	if st := r.srv.Stats(); st.StampClamped != packets {
+		t.Fatalf("%d of %d stamps clamped", st.StampClamped, packets)
+	}
+	r.clk.Set(now.Add(2 * time.Second))
+	for deadline := time.Now().Add(5 * time.Second); r.srv.Stats().Forwarded < packets; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("forwarded %d of %d", r.srv.Stats().Forwarded, packets)
+		}
+	}
+	if !r.srv.Quiesce(5 * time.Second) {
+		t.Fatal("pipeline did not drain")
+	}
+	clamped := int64(now.Add(DefaultMaxStampSkew))
+	want := map[uint32]bool{}
+	for seq := uint32(1); seq <= packets; seq++ {
+		if fidelity.NewSampler(every).Sampled(uint32(sender), seq, clamped) {
+			want[seq] = true
+		}
+	}
+	ls := fidelity.Lifecycles(r.srv.Fidelity().Recorder().Snapshot())
+	if len(want) == 0 || len(ls) != len(want) {
+		t.Fatalf("%d lifecycles in the ring, want %d", len(ls), len(want))
+	}
+	for _, l := range ls {
+		if !want[l.Seq] || l.Src != uint32(sender) || l.Stamp != clamped || !l.Complete() {
+			t.Errorf("lifecycle %+v: want a whole record of a packet the sampler picks", l)
+		}
+	}
 }
 
 // Closing a server whose schedules still hold fans abandons every
@@ -239,16 +307,14 @@ func TestCloseWithFansScheduledClosesLedger(t *testing.T) {
 	})
 }
 
-// A sampled packet whose first kept target lives on another peer gives
-// its trace slot back exactly once, and the local remainder travels on
-// untraced and in order.
-func TestRouteRemoteReleasesTraceOfRemoteFirstTarget(t *testing.T) {
+// Remote targets leave on the trunk; the local remainder comes back in
+// order for the per-shard push.
+func TestRouteRemoteKeepsLocalTargetsInOrder(t *testing.T) {
 	clk := vclock.NewManual(0)
 	sc := scene.New(radio.NewIndexed(16), clk, 1)
-	tr := obs.NewTracer(0, 0)
 	down := func() (transport.Conn, error) { return nil, transport.ErrClosed }
 	srv, err := NewServer(ServerConfig{
-		Clock: clk, Scene: sc, Tracer: tr, Shards: 1,
+		Clock: clk, Scene: sc, Shards: 1,
 		Peers: []PeerSpec{{Addr: "self"}, {Addr: "peer", Dial: down}}, ClusterID: "route-test",
 	})
 	if err != nil {
@@ -262,32 +328,11 @@ func TestRouteRemoteReleasesTraceOfRemoteFirstTarget(t *testing.T) {
 	due := vclock.FromMillis(3)
 	targets := []sched.Target{{To: remoteA, Due: due}, {To: localA, Due: due}, {To: remoteB, Due: due + 1}, {To: localB, Due: due + 2}}
 
-	th := tr.Begin(obs.TraceRecord{Src: 9})
-	if th == 0 {
-		t.Fatal("no trace slot")
-	}
-	local, trace := srv.cluster.routeRemote(&session{}, wire.Packet{Seq: 1}, th, targets)
-	if trace != 0 {
-		t.Errorf("trace handle %d survives a remote first target", trace)
-	}
-	if _, dropped := tr.Totals(); dropped != 1 {
-		t.Errorf("trace slot released %d times, want once", dropped)
-	}
+	local := srv.cluster.routeRemote(&session{}, wire.Packet{Seq: 1}, targets)
 	if len(local) != 2 || local[0] != (sched.Target{To: localA, Due: due}) || local[1] != (sched.Target{To: localB, Due: due + 2}) {
 		t.Errorf("local targets %+v", local)
 	}
 	if cs := srv.Cluster(); cs.RemoteEntries+cs.TrunkDropped != 2 {
 		t.Errorf("remote entries %d + trunk dropped %d, want 2 in all", cs.RemoteEntries, cs.TrunkDropped)
 	}
-
-	// A local first target keeps the handle, remote receivers or not.
-	th = tr.Begin(obs.TraceRecord{Src: 9})
-	targets = []sched.Target{{To: localA, Due: due}, {To: remoteA, Due: due}}
-	if local, trace = srv.cluster.routeRemote(&session{}, wire.Packet{Seq: 2}, th, targets); trace != th || len(local) != 1 {
-		t.Errorf("local first target: trace %d (want %d), local %+v", trace, th, local)
-	}
-	if _, dropped := tr.Totals(); dropped != 1 {
-		t.Errorf("a local first target released the slot: dropped %d", dropped)
-	}
-	tr.Release(th)
 }

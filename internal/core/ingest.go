@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/linkmodel"
-	"repro/internal/obs"
+	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
 	"repro/internal/record"
 	"repro/internal/sched"
@@ -32,20 +32,6 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 		s.mReceived.Inc()
 		sess.received.Add(1)
 	}()
-	// Sampling gate: one atomic load; the countdown itself is confined
-	// to this session's reader goroutine. Sampled packets pay the
-	// time.Now reads, histogram adds and a tracer slot; everything else
-	// skips the entire instrumentation below.
-	sampled := false
-	var obsStart time.Time
-	if se := s.sampleEvery.Load(); se != 0 {
-		sess.obsTick++
-		if sess.obsTick >= se {
-			sess.obsTick = 0
-			sampled = true
-			obsStart = time.Now()
-		}
-	}
 	now := s.cfg.Clock.Now()
 	if pkt.Src != sess.id {
 		pkt.Src = sess.id // a VMN cannot spoof another's traffic
@@ -64,23 +50,24 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			s.mStampClamped.Inc()
 		}
 	}
+	// Sampling gate, on the packet as the schedule will carry it (the
+	// clamped stamp), so the later stages — scanner, writer, a remote
+	// peer — pick the same packets. Sampled packets pay the time.Now
+	// reads, histogram adds and stage events; everything else skips the
+	// instrumentation below.
+	sampled := s.sampled(&pkt)
+	var obsStart time.Time
+	var pktID int64
+	if sampled {
+		pktID = fidelity.PacketID(uint32(pkt.Src), pkt.Seq)
+		s.fid.Recorder().Record(fidelity.EvPktIngest, -1, int64(now), pktID, int64(pkt.Stamp))
+		obsStart = time.Now()
+	}
 	if s.cfg.Store != nil {
 		s.cfg.Store.AddPacket(record.Packet{
 			Kind: record.PacketIn, At: now, Stamp: pkt.Stamp,
 			Src: pkt.Src, Dst: pkt.Dst, Channel: pkt.Channel,
 			Flow: pkt.Flow, Seq: pkt.Seq, Size: uint32(pkt.Size()),
-		})
-	}
-	// Lifecycle trace: claim a slot for the sampled packet and seed the
-	// stages known here (the client's parallel stamp and our ingest
-	// time, both emulation ns). Later stages write through the handle.
-	var th uint32
-	if sampled {
-		th = s.tracer.Begin(obs.TraceRecord{
-			Src: uint32(pkt.Src), Dst: uint32(pkt.Dst),
-			Channel: uint16(pkt.Channel), Flow: pkt.Flow,
-			Seq: pkt.Seq, Size: uint32(pkt.Size()),
-			Stamp: int64(pkt.Stamp), Ingest: int64(now),
 		})
 	}
 	// Step 2: resolve NT(src, ch) and the channel's link model in one
@@ -124,13 +111,12 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	}
 	sess.kept = kept
 	// Resolve stage done: dispatch view read, targets filtered, dice
-	// rolled. The histogram gets the wall cost, the trace the emulation
-	// timestamp.
+	// rolled. The histogram gets the wall cost, the stage event the
+	// emulation timestamp and how many receivers the link model kept.
 	if sampled {
 		s.hResolve.Observe(time.Since(obsStart))
-		if th != 0 {
-			s.tracer.Rec(th).Resolve = int64(s.cfg.Clock.Now())
-		}
+		s.fid.Recorder().Record(fidelity.EvPktResolve, -1, int64(s.cfg.Clock.Now()), pktID,
+			int64(len(kept))<<32|int64(matched))
 	}
 	if matched == 0 {
 		s.mNoRoute.Inc()
@@ -141,11 +127,11 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 				Flow: pkt.Flow, Seq: pkt.Seq, Size: uint32(pkt.Size()),
 			})
 		}
-		s.finishIngest(sampled, obsStart, th)
+		s.finishIngest(sampled, obsStart)
 		return
 	}
 	if len(kept) == 0 {
-		s.finishIngest(sampled, obsStart, th)
+		s.finishIngest(sampled, obsStart)
 		return
 	}
 	// Each scheduled delivery owns one reference on the packet's pooled
@@ -179,7 +165,7 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 			targets = append(targets, sched.Target{To: k.to, Due: due})
 		}
 		sess.targets = targets
-		s.pushItems(sess, pkt, th, targets)
+		s.pushItems(sess, pkt, targets)
 		if sampled {
 			s.hIngest.Observe(time.Since(obsStart))
 		}
@@ -197,7 +183,7 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	}
 	sess.targets = targets
 	// Step 4: into the destination shards' schedules.
-	s.pushItems(sess, pkt, th, targets)
+	s.pushItems(sess, pkt, targets)
 	if sampled {
 		s.hIngest.Observe(time.Since(obsStart))
 	}
@@ -207,8 +193,7 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 // destination shards — and, on a federated server, first splits off the
 // deliveries whose target VMN is owned by a remote peer: those leave on
 // the cluster trunks (cluster.routeRemote) and only the locally-owned
-// remainder is listed here. The trace handle rides targets[0], so
-// exactly one delivery of a broadcast commits it.
+// remainder is listed here.
 //
 // Targets that share a shard are gathered so each shard's schedule lock
 // is taken — and its scanner kicked — at most once per packet instead of
@@ -218,16 +203,16 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 // per-destination FIFO is exactly what sequential pushes produced. Runs
 // on the session's reader goroutine; the grouping scratch lives on the
 // session (same confinement as kept).
-func (s *Server) pushItems(sess *session, pkt wire.Packet, trace uint32, targets []sched.Target) {
+func (s *Server) pushItems(sess *session, pkt wire.Packet, targets []sched.Target) {
 	if cl := s.cluster; cl != nil {
-		targets, trace = cl.routeRemote(sess, pkt, trace, targets)
+		targets = cl.routeRemote(sess, pkt, targets)
 	}
 	n := len(targets)
 	switch {
 	case n == 0:
 		return
 	case n == 1 || len(s.shards) == 1:
-		s.shardOf(targets[0].To).pushFan(pkt, trace, targets)
+		s.shardOf(targets[0].To).pushFan(pkt, targets)
 	default:
 		// Group by destination shard with a mark-consumed sweep: for each
 		// unclaimed target, gather every later target on the same shard (in
@@ -252,8 +237,7 @@ func (s *Server) pushItems(sess *session, pkt wire.Packet, trace uint32, targets
 				}
 			}
 			sess.group = group
-			s.shards[sh].pushFan(pkt, trace, group)
-			trace = 0 // rode targets[0], which the first group contains
+			s.shards[sh].pushFan(pkt, group)
 		}
 	}
 }
@@ -286,14 +270,10 @@ func (s *Server) pruneChanFreeLocked(now vclock.Time, keep radio.ChannelID) {
 
 // finishIngest closes out a sampled packet that left the pipeline at
 // ingest (no route, or every target lost the link-model roll): the
-// total-ingest histogram still gets its observation and the trace slot
-// is released. No-op for unsampled packets.
-func (s *Server) finishIngest(sampled bool, obsStart time.Time, th uint32) {
-	if !sampled {
-		return
-	}
-	s.hIngest.Observe(time.Since(obsStart))
-	if th != 0 {
-		s.tracer.Release(th)
+// total-ingest histogram still gets its observation. No-op for
+// unsampled packets.
+func (s *Server) finishIngest(sampled bool, obsStart time.Time) {
+	if sampled {
+		s.hIngest.Observe(time.Since(obsStart))
 	}
 }

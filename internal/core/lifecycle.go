@@ -110,15 +110,11 @@ func (s *Server) Close() {
 		ticker.Stop()
 	}
 	// Settle whatever the emulation never got to send: every item still
-	// in a schedule carries a pooled-buffer reference (and possibly a
-	// trace slot), and those deliveries died with the server — account
-	// them abandoned so the conservation ledger closes and the leak check
-	// reads zero. Runs whether or not the scanners ever started.
+	// in a schedule carries a pooled-buffer reference, and those
+	// deliveries died with the server — account them abandoned so the
+	// conservation ledger closes and the leak check reads zero. Runs whether or not the scanners ever started.
 	for _, sh := range s.shards {
 		sh.scanner.Drain(func(it sched.Item) {
-			if it.Trace != 0 {
-				s.tracer.Release(it.Trace)
-			}
 			it.Pkt.Buf.Free()
 			s.mAbandoned.Inc()
 		})

@@ -7,18 +7,17 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/obs/fidelity"
 )
 
 // TestObservabilityPipeline drives real traffic with every packet
 // sampled and checks the full observability surface: registry counters
-// match Stats, every stage histogram saw observations, and the tracer
-// holds at least one complete five-stage lifecycle record.
+// match Stats, every stage histogram saw observations, and the flight
+// recorder holds at least one complete five-stage packet lifecycle.
 func TestObservabilityPipeline(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(0, 0)
 	r := newRig(t, func(cfg *ServerConfig) {
 		cfg.Obs = reg
-		cfg.Tracer = tr
 		cfg.ObsSampleEvery = 1
 	})
 	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
@@ -53,29 +52,29 @@ func TestObservabilityPipeline(t *testing.T) {
 		}
 	}
 
-	// The writer commits the record after the socket send, which races
-	// the sink callback — poll briefly.
+	// The writer records the send stage after the socket send, which
+	// races the sink callback — poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var complete int
-		for _, rec := range tr.Records() {
-			if rec.Complete() {
+		ls := fidelity.Lifecycles(r.server.Fidelity().Recorder().Snapshot())
+		for _, l := range ls {
+			if l.Complete() {
 				complete++
-				if rec.Src != 1 || rec.Relay != 2 {
-					t.Fatalf("trace record misattributed: %+v", rec)
+				if l.Src != 1 || len(l.Legs) != 1 || l.Legs[0].To != 2 || l.Kept != 1 {
+					t.Fatalf("lifecycle misattributed: %+v", l)
 				}
-				if rec.Ingest < rec.Stamp || rec.Resolve < rec.Ingest ||
-					rec.Enqueue < rec.Resolve || rec.Send < rec.Enqueue {
-					t.Fatalf("trace stages out of order: %+v", rec)
+				if g := l.Legs[0]; l.Ingest < l.Stamp || l.Resolve < l.Ingest ||
+					g.Enqueue < l.Resolve || g.Send < g.Enqueue {
+					t.Fatalf("lifecycle stages out of order: %+v", l)
 				}
 			}
 		}
-		if complete > 0 {
+		if complete == n {
 			break
 		}
 		if time.Now().After(deadline) {
-			c, d := tr.Totals()
-			t.Fatalf("no complete trace record (committed=%d dropped=%d)", c, d)
+			t.Fatalf("%d complete lifecycles of %d sampled packets: %+v", complete, n, ls)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -92,7 +91,7 @@ func TestObservabilityPipeline(t *testing.T) {
 		"poem_scene_nodes", "poem_scene_view_rebuilds_total", "poem_scene_rows_republished_total",
 		"poem_record_packets_total", "poem_record_scenes_total",
 		"poem_ingest_ns_p99", "poem_dispatch_ns_bucket", "poem_send_ns_count",
-		"poem_trace_records_total",
+		"poem_flight_recorder_events_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics output missing %q", want)
@@ -104,8 +103,8 @@ func TestObservabilityPipeline(t *testing.T) {
 }
 
 // TestObsSamplingDisabled pins the negative setting: ObsSampleEvery < 0
-// turns stage timing and tracing off entirely while counters keep
-// running.
+// turns stage timing and lifecycle tracing off entirely while counters
+// keep running.
 func TestObsSamplingDisabled(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := newRig(t, func(cfg *ServerConfig) {
@@ -128,7 +127,7 @@ func TestObsSamplingDisabled(t *testing.T) {
 	if h := reg.FindHistogram("poem_ingest_ns"); h.Count() != 0 {
 		t.Errorf("ingest histogram observed %d with sampling disabled", h.Count())
 	}
-	if c, _ := r.server.Tracer().Totals(); c != 0 {
-		t.Errorf("tracer committed %d records with sampling disabled", c)
+	if ls := fidelity.Lifecycles(r.server.Fidelity().Recorder().Snapshot()); len(ls) != 0 {
+		t.Errorf("%d packet lifecycles recorded with sampling disabled", len(ls))
 	}
 }

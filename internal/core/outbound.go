@@ -28,7 +28,6 @@ type outMsg struct {
 	kind   outKind
 	pkt    wire.Packet   // outData: the packet due now
 	radios []radio.Radio // outRadios: the VMN's new radio set
-	trace  uint32        // outData: obs trace-slot handle (0 = untraced)
 }
 
 // sendQueue is the bounded per-session outbound queue of the §3.2
@@ -57,7 +56,6 @@ type sendQueue struct {
 	drops          atomic.Uint64 // entries discarded by the slow-client policy
 	totalDrops     *obs.Counter  // server-wide aggregate, shared by all sessions
 	totalAbandoned *obs.Counter  // data entries that died with the session
-	tracer         *obs.Tracer   // releases trace slots of evicted entries
 
 	// onDrop, when set (before the session starts), observes each policy
 	// discard — the fidelity flight recorder timestamps drops into its
@@ -65,12 +63,12 @@ type sendQueue struct {
 	onDrop func()
 }
 
-func newSendQueue(limit int, totalDrops, totalAbandoned *obs.Counter, tracer *obs.Tracer) *sendQueue {
+func newSendQueue(limit int, totalDrops, totalAbandoned *obs.Counter) *sendQueue {
 	if limit <= 0 {
 		limit = DefaultSendQueueDepth
 	}
 	return &sendQueue{limit: limit, wake: make(chan struct{}, 1),
-		totalDrops: totalDrops, totalAbandoned: totalAbandoned, tracer: tracer}
+		totalDrops: totalDrops, totalAbandoned: totalAbandoned}
 }
 
 // countDrop charges one policy discard to the session and the server.
@@ -82,21 +80,6 @@ func (q *sendQueue) countDrop() {
 	if q.onDrop != nil {
 		q.onDrop()
 	}
-}
-
-// releaseTrace abandons an evicted entry's trace slot, if it has one.
-func (q *sendQueue) releaseTrace(m *outMsg) {
-	if m.trace != 0 && q.tracer != nil {
-		q.tracer.Release(m.trace)
-	}
-}
-
-// releaseEntry settles an entry that will never reach the wire: its
-// trace slot goes back to the tracer and its packet buffer reference is
-// freed (nil-safe — radio notifications carry no buffer).
-func (q *sendQueue) releaseEntry(m *outMsg) {
-	q.releaseTrace(m)
-	m.pkt.Buf.Free()
 }
 
 // countAbandoned charges one data delivery that died with its session
@@ -116,11 +99,11 @@ func (q *sendQueue) countAbandoned() {
 func (q *sendQueue) push(m outMsg) bool {
 	q.mu.Lock()
 	if q.closed {
-		// The session is over; the delivery dies here. Its trace slot
-		// and buffer must still be released and — for data — the loss
-		// accounted, or the conservation ledger would leak one packet
-		// per kill race.
-		q.releaseEntry(&m)
+		// The session is over; the delivery dies here. Its buffer must
+		// still be released (nil-safe — radio notifications carry none)
+		// and — for data — the loss accounted, or the conservation
+		// ledger would leak one packet per kill race.
+		m.pkt.Buf.Free()
 		if m.kind == outData {
 			q.countAbandoned()
 		}
@@ -137,7 +120,7 @@ func (q *sendQueue) push(m outMsg) bool {
 			// Abandoned), and a displaced notification never entered it.
 			if m.kind == outData {
 				q.countDrop()
-				q.releaseEntry(&m)
+				m.pkt.Buf.Free()
 				q.mu.Unlock()
 				return false
 			}
@@ -183,7 +166,7 @@ func (q *sendQueue) dropOldestDataLocked() bool {
 		// Settle the victim before the shift below overwrites its slot
 		// with the notification ahead of it.
 		q.countDrop()
-		q.releaseEntry(&q.buf[idx])
+		q.buf[idx].pkt.Buf.Free()
 		// Shift the entries before i up by one slot, then advance head:
 		// O(depth) but only on the overflow path.
 		for j := i; j > 0; j-- {
@@ -198,7 +181,7 @@ func (q *sendQueue) dropOldestDataLocked() bool {
 }
 
 // advanceHeadLocked forgets the head slot, already settled (a
-// notification holds no buffer or trace slot).
+// notification holds no buffer).
 func (q *sendQueue) advanceHeadLocked() {
 	q.buf[q.head] = outMsg{}
 	q.head = (q.head + 1) % len(q.buf)
@@ -261,7 +244,7 @@ func (q *sendQueue) close() {
 	q.closed = true
 	for i := 0; i < q.n; i++ {
 		m := &q.buf[(q.head+i)%len(q.buf)]
-		q.releaseEntry(m)
+		m.pkt.Buf.Free()
 		if m.kind == outData {
 			q.countAbandoned()
 		}

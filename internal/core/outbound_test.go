@@ -30,7 +30,7 @@ import (
 // filled with scene notifications inflated QueueDrops and broke
 // Entered == Forwarded + QueueDrops + Abandoned.)
 func TestSendQueueNotificationEvictionNotCountedAsDrop(t *testing.T) {
-	q := newSendQueue(2, nil, nil, nil)
+	q := newSendQueue(2, nil, nil)
 	note := outMsg{kind: outRadios, radios: []radio.Radio{{Channel: 1}}}
 	for i := 0; i < 2; i++ {
 		if !q.push(note) {
@@ -55,7 +55,7 @@ func TestSendQueueNotificationEvictionNotCountedAsDrop(t *testing.T) {
 
 // Data evicting data is the normal slow-client policy and still counts.
 func TestSendQueueDataEvictionCountsDrop(t *testing.T) {
-	q := newSendQueue(1, nil, nil, nil)
+	q := newSendQueue(1, nil, nil)
 	q.push(outMsg{kind: outData})
 	if !q.push(outMsg{kind: outData}) {
 		t.Fatal("second data push should evict and be accepted")
@@ -74,7 +74,7 @@ func TestSendQueueSettlesBuffers(t *testing.T) {
 		b := pool.Alloc(16)
 		return outMsg{kind: outData, pkt: wire.Packet{Payload: b.Bytes(), Buf: b}}
 	}
-	q := newSendQueue(1, nil, nil, nil)
+	q := newSendQueue(1, nil, nil)
 	q.push(mk())
 	q.push(mk()) // evicts the first
 	q.push(mk()) // evicts the second
@@ -119,7 +119,7 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 		reg := obs.NewRegistry()
 		totalDrops, totalAbandoned := reg.Counter("drops", ""), reg.Counter("abandoned", "")
 		limit := 1 + rng.Intn(6)
-		q := newSendQueue(limit, totalDrops, totalAbandoned, nil)
+		q := newSendQueue(limit, totalDrops, totalAbandoned)
 		stop := make(chan struct{})
 		close(stop) // popBatch on an empty queue returns instead of waiting
 

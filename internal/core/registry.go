@@ -74,11 +74,6 @@ type session struct {
 	received  atomic.Uint64 // packets this client sent us
 	forwarded atomic.Uint64 // packets we delivered to this client
 
-	// obsTick is the sampling countdown for stage timing/tracing. Only
-	// the session's own reader goroutine touches it (same confinement as
-	// kept), so the gate costs no contended atomic on the hot path.
-	obsTick uint32
-
 	// peerIdx is the federation routing scratch: one owning-peer index
 	// per target of a packet's delivery list (cluster.routeRemote). Same
 	// reader-goroutine confinement as kept; unused on unclustered
@@ -187,7 +182,7 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 	sess := &session{
 		id:   id,
 		conn: conn,
-		q:    newSendQueue(s.cfg.SendQueueDepth, s.mQueueDrops, s.mAbandoned, s.tracer),
+		q:    newSendQueue(s.cfg.SendQueueDepth, s.mQueueDrops, s.mAbandoned),
 		stop: make(chan struct{}),
 	}
 	sess.rng = rand.New(&sess.dice)

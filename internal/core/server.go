@@ -108,15 +108,13 @@ type ServerConfig struct {
 	// Server.Obs() returns whichever is in effect. Sharing one registry
 	// across servers shares the counters (registration is idempotent).
 	Obs *obs.Registry
-	// Tracer records sampled packet lifecycles for the /trace debug
-	// endpoint. nil creates one with default dimensions; Server.Tracer()
-	// returns it.
-	Tracer *obs.Tracer
-	// ObsSampleEvery gates the per-packet timing and tracing: one packet
-	// in every ObsSampleEvery per session is stage-timed and traced.
-	// Counters always run. 0 selects DefaultObsSampleEvery; negative
-	// disables sampling entirely (the steady-state cost drops to one
-	// atomic load per packet).
+	// ObsSampleEvery gates the per-packet stage timing and lifecycle
+	// tracing: about one packet in every ObsSampleEvery is stage-timed
+	// and leaves its stage events on the flight recorder (/trace). Which
+	// packets is a hash of (source, sequence number, stamp)
+	// (fidelity.Sampler), so every stage — and every peer of a
+	// federation configured alike — picks the same ones. Counters always
+	// run. 0 selects DefaultObsSampleEvery; negative disables sampling.
 	ObsSampleEvery int
 
 	// --- Real-time fidelity (internal/obs/fidelity) ---
@@ -159,12 +157,12 @@ type ServerConfig struct {
 	TrunkMinBackoff, TrunkMaxBackoff time.Duration
 }
 
-// DefaultObsSampleEvery is the per-session sampling period for stage
-// timing and lifecycle tracing when ServerConfig.ObsSampleEvery is
-// zero. At 1-in-64 the sampled path's timing cost (a few time.Now
-// reads plus histogram adds, ~100–200 ns) amortizes to a low single-
-// digit nanosecond overhead per packet — inside the forwarding path's
-// performance budget — while a steady flow still yields several
+// DefaultObsSampleEvery is the sampling period for stage timing and
+// lifecycle tracing when ServerConfig.ObsSampleEvery is zero. At 1-in-64
+// the sampled path's cost (a few time.Now reads, histogram adds and
+// flight-recorder stores per stage, ~100–200 ns) amortizes to a low
+// single-digit nanosecond overhead per delivery — inside the forwarding
+// path's performance budget — while a steady flow still yields several
 // samples per second.
 const DefaultObsSampleEvery = 64
 
@@ -217,12 +215,11 @@ type Server struct {
 	chanFreeSweep int
 
 	// Observability. The counters live on the registry (exported through
-	// Stats and /metrics); the histograms and tracer record only sampled
-	// packets, gated by sampleEvery (one atomic load on the unsampled
-	// path — see ingest).
-	obs         *obs.Registry
-	tracer      *obs.Tracer
-	sampleEvery atomic.Uint32 // 0 = sampling disabled
+	// Stats and /metrics); the stage histograms and the packet stage
+	// events on the flight recorder cover only the packets sample picks
+	// (a hash of the packet, so each stage decides on its own).
+	obs    *obs.Registry
+	sample fidelity.Sampler
 
 	// fid is the real-time fidelity monitor: per-shard deadline
 	// accounting, the health state machine, and the flight recorder.
@@ -350,8 +347,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// instrument wires the server onto its metrics registry and tracer
-// (creating private ones when the config supplies none) and registers
+// instrument wires the server onto its metrics registry (creating a
+// private one when the config supplies none) and registers
 // every counter, gauge and stage histogram — including one instrument
 // set per shard, named with an embedded shard label (obs.Labeled).
 // Gauge callbacks run at scrape time only; the cross-shard aggregates
@@ -361,11 +358,7 @@ func (s *Server) instrument(cfg ServerConfig) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = obs.NewTracer(0, 0)
-	}
-	s.obs, s.tracer = reg, tr
+	s.obs = reg
 
 	s.mReceived = reg.Counter("poem_received_total", "packets received from clients")
 	s.mForwarded = reg.Counter("poem_forwarded_total", "packet deliveries sent to clients")
@@ -446,16 +439,12 @@ func (s *Server) instrument(cfg ServerConfig) {
 	if cfg.Store != nil {
 		cfg.Store.Instrument(reg)
 	}
-	tr.Instrument(reg)
 
-	switch {
-	case cfg.ObsSampleEvery < 0:
-		s.sampleEvery.Store(0)
-	case cfg.ObsSampleEvery == 0:
-		s.sampleEvery.Store(DefaultObsSampleEvery)
-	default:
-		s.sampleEvery.Store(uint32(cfg.ObsSampleEvery))
+	every := cfg.ObsSampleEvery
+	if every == 0 {
+		every = DefaultObsSampleEvery
 	}
+	s.sample = fidelity.NewSampler(every)
 }
 
 // fireObserver builds one shard's batch-fire closure: it feeds the
@@ -502,9 +491,6 @@ func (s *Server) fireObserver(sh *shard) func(vclock.Time, []sched.Item) {
 
 // Obs returns the server's metrics registry.
 func (s *Server) Obs() *obs.Registry { return s.obs }
-
-// Tracer returns the server's packet-lifecycle tracer.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Fidelity returns the real-time fidelity monitor; it is never nil.
 func (s *Server) Fidelity() *fidelity.Monitor { return s.fid }

@@ -102,10 +102,10 @@ func (sh *shard) clients() int {
 // both the global conservation ledger and the shard's own entry counter,
 // which count deliveries: one per target. Order within targets is
 // preserved, so per-destination FIFO is untouched.
-func (sh *shard) pushFan(pkt wire.Packet, trace uint32, targets []sched.Target) {
+func (sh *shard) pushFan(pkt wire.Packet, targets []sched.Target) {
 	sh.entered.Add(uint64(len(targets)))
 	sh.srv.mEntered.Add(uint64(len(targets)))
-	sh.scanner.PushFan(pkt, trace, targets)
+	sh.scanner.PushFan(pkt, targets)
 }
 
 // pushBatch is pushFan for deliveries that are each their own packet:

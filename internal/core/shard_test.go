@@ -92,7 +92,7 @@ func TestPushItemsGroupsByShardPreservingOrder(t *testing.T) {
 	}
 	sess := &session{}
 	sess.targets = append(sess.targets, items...)
-	srv.pushItems(sess, wire.Packet{Seq: 7}, 5, sess.targets)
+	srv.pushItems(sess, wire.Packet{Seq: 7}, sess.targets)
 
 	if got := srv.mEntered.Load(); got != uint64(len(items)) {
 		t.Errorf("mEntered = %d, want %d", got, len(items))
@@ -100,7 +100,6 @@ func TestPushItemsGroupsByShardPreservingOrder(t *testing.T) {
 	if got := srv.Stats().Scheduled; got != len(items) {
 		t.Errorf("Scheduled = %d, want %d: the schedule depth counts deliveries", got, len(items))
 	}
-	traced := 0
 	for si, sh := range srv.shards {
 		var want []radio.NodeID
 		for _, it := range items {
@@ -111,12 +110,6 @@ func TestPushItemsGroupsByShardPreservingOrder(t *testing.T) {
 		var got []radio.NodeID
 		sh.scanner.Drain(func(it sched.Item) {
 			got = append(got, it.To)
-			if it.Trace != 0 {
-				traced++
-				if it.Trace != 5 || it.To != items[0].To {
-					t.Errorf("trace %d rides receiver %d, want 5 on %d", it.Trace, it.To, items[0].To)
-				}
-			}
 		})
 		if len(got) != len(want) {
 			t.Fatalf("shard %d drained %v, want %v", si, got, want)
@@ -133,13 +126,9 @@ func TestPushItemsGroupsByShardPreservingOrder(t *testing.T) {
 			t.Errorf("shard %d took %d push locks for one packet, want 1", si, st.PushLocks)
 		}
 	}
-	if traced != 1 {
-		t.Errorf("%d deliveries carried the trace handle, want 1", traced)
-	}
-
 	// The single-target fast path still routes and counts correctly.
 	sess.targets = append(sess.targets[:0], sched.Target{To: 9, Due: due})
-	srv.pushItems(sess, wire.Packet{Seq: 8}, 0, sess.targets)
+	srv.pushItems(sess, wire.Packet{Seq: 8}, sess.targets)
 	sh := srv.shardOf(9)
 	fired := 0
 	sh.scanner.Drain(func(it sched.Item) {

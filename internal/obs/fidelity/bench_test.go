@@ -37,8 +37,9 @@ func BenchmarkShardRecord(b *testing.B) {
 }
 
 // BenchmarkRecorderRecord measures one flight-recorder append — the
-// cost cold paths (queue drops, view rebuilds) pay to drop an event in
-// the ring. Five atomic stores, no allocation.
+// cost cold paths (queue drops, view rebuilds) and each stage of a
+// sampled packet pay to drop an event in the ring. Five atomic stores,
+// no allocation.
 func BenchmarkRecorderRecord(b *testing.B) {
 	r := NewRecorder(DefaultRecorderSize)
 	b.ReportAllocs()

@@ -4,6 +4,7 @@ package fidelity
 // /metrics (see obs.Handler's extra-endpoint hook).
 //
 //	/healthz         JSON health report; 503 while any shard is overrun
+//	/trace           sampled packet lifecycles in the live ring, as JSON
 //	/fidelity/trace  live flight-recorder ring as chrome://tracing JSON
 //	/fidelity/dump   the ring captured at the last health breach
 
@@ -41,8 +42,8 @@ func (m *Monitor) HealthHandler() http.Handler {
 }
 
 // TraceHandler exports the live flight-recorder ring as chrome://tracing
-// JSON — a timeline of recent batch fires (with lag), drops, rebuilds
-// and state transitions, without waiting for a breach.
+// JSON — a timeline of recent batch fires (with lag), drops, rebuilds,
+// state transitions and sampled packets, without waiting for a breach.
 func (m *Monitor) TraceHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -63,5 +64,16 @@ func (m *Monitor) DumpHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Poem-Breach-State", d.State.String())
 		WriteTrace(w, d.Events)
+	})
+}
+
+// PacketsHandler serves the sampled packet lifecycles in the live ring
+// as a JSON array (Lifecycles).
+func (m *Monitor) PacketsHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(Lifecycles(m.rec.Snapshot()))
 	})
 }

@@ -101,13 +101,7 @@ func TestRecorderConcurrent(t *testing.T) {
 // sequence, so concurrent readers can verify slot integrity.
 func (r *Recorder) recordSelfStamped(kind EventKind, shard int) {
 	seq := r.next.Add(1)
-	s := &r.slots[seq&r.mask]
-	s.seq.Store(0)
-	s.kindShard.Store(uint64(kind)<<32 | uint64(uint32(int32(shard))))
-	s.at.Store(int64(seq))
-	s.a.Store(int64(seq))
-	s.b.Store(0)
-	s.seq.Store(seq)
+	r.publish(seq, uint64(kind)<<32|uint64(uint32(int32(shard))), int64(seq), int64(seq), 0)
 }
 
 // TestWriteTrace pins the chrome://tracing export: valid JSON, one
@@ -162,6 +156,8 @@ func TestEventKindString(t *testing.T) {
 		EvBatchFire: "batch_fire", EvDeadlineMiss: "deadline_miss",
 		EvQueueDrop: "queue_drop", EvViewRebuild: "view_rebuild",
 		EvStateTransition: "state_transition", EvScannerWindow: "scanner_window",
+		EvPktIngest: "pkt_ingest", EvPktResolve: "pkt_resolve",
+		EvPktEnqueue: "pkt_enqueue", EvPktSend: "pkt_send",
 		EventKind(0): "unknown", EventKind(99): "unknown",
 	} {
 		if got := k.String(); got != want {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -10,14 +9,14 @@ import (
 // HTTP debug surface: poemd serves this on its -debug listener.
 //
 //	/metrics        Prometheus text exposition of the registry
-//	/trace          JSON dump of the packet-lifecycle trace ring
 //	/healthz        liveness probe
 //	/debug/pprof/*  the standard Go profiling endpoints
 //
-// The gate channel ties the endpoint's lifetime to the emulation
-// server: once the gate closes (the server finished and the store is
-// about to be torn down), /metrics and /trace answer 503 instead of
-// racing the teardown — a late scrape must not touch a store whose WAL
+// plus the extra endpoints a caller mounts (poemd adds the fidelity
+// monitor's /trace, /healthz and /fidelity/*). The gate channel ties
+// the endpoint's lifetime to the emulation server: once the gate closes
+// (the server finished and the store is about to be torn down),
+// /metrics and the extras answer 503 instead of racing the teardown — a late scrape must not touch a store whose WAL
 // is mid-close.
 
 // Endpoint is an extra debug route mounted by Handler. An extra whose
@@ -28,12 +27,11 @@ type Endpoint struct {
 	H       http.Handler
 }
 
-// Handler builds the debug mux. reg supplies /metrics; tr (may be nil)
-// supplies /trace; gate (may be nil) disables the scrape endpoints once
-// closed. extras are mounted on the same mux, behind the same gate —
+// Handler builds the debug mux. reg supplies /metrics; gate (may be
+// nil) disables the scrape endpoints once closed. extras are mounted on the same mux, behind the same gate —
 // except /healthz overrides, which stay ungated (a liveness probe must
 // answer during shutdown too).
-func Handler(reg *Registry, tr *Tracer, gate <-chan struct{}, extras ...Endpoint) http.Handler {
+func Handler(reg *Registry, gate <-chan struct{}, extras ...Endpoint) http.Handler {
 	gated := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if gate != nil {
@@ -61,21 +59,6 @@ func Handler(reg *Registry, tr *Tracer, gate <-chan struct{}, extras ...Endpoint
 		mux.HandleFunc("/metrics", gated(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			reg.WritePrometheus(w)
-		}))
-	}
-	if !overridden["/trace"] {
-		mux.HandleFunc("/trace", gated(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			var recs []TraceRecord
-			if tr != nil {
-				recs = tr.Records()
-			}
-			if recs == nil {
-				recs = []TraceRecord{}
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(recs)
 		}))
 	}
 	if !overridden["/healthz"] {

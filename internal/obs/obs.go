@@ -1,7 +1,8 @@
 // Package obs is PoEm's unified observability layer: a dependency-free
 // metrics registry (atomic counters, callback gauges, lock-free
-// log₂-bucketed latency histograms) plus a sampled packet-lifecycle
-// tracer (trace.go) and an HTTP debug surface (http.go).
+// log₂-bucketed latency histograms) and an HTTP debug surface
+// (http.go). Events — sampled packet lifecycles among them — go to the
+// fidelity monitor's flight recorder (internal/obs/fidelity).
 //
 // The paper's second claim — accurate real-time traffic recording even
 // when the server ingress is the bottleneck — is only testable if the
@@ -16,12 +17,11 @@
 //  1. The steady-state forwarding path must stay zero-alloc and within
 //     a few ns of uninstrumented: counters are plain atomic adds,
 //     histogram buckets are preallocated arrays (no interface boxing),
-//     and every timed/traced operation hides behind a sampling gate
-//     that costs one atomic load on the unsampled path.
+//     and every timed operation hides behind a sampling gate.
 //  2. No dependencies: obs imports only the standard library, so every
 //     package (vclock included) can register metrics without cycles.
 //  3. Scrapes never block recorders: readers snapshot atomics; the only
-//     mutex guards registration and the trace ring, both cold.
+//     mutex guards registration, which is cold.
 package obs
 
 import (

@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -134,14 +134,12 @@ func TestWritePrometheusLabeledFamilies(t *testing.T) {
 func TestDebugHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("poem_handler_total", "").Inc()
-	tr := NewTracer(4, 8)
-	h := tr.Begin(TraceRecord{Src: 1, Seq: 5, Stamp: 10, Ingest: 11})
-	rec := tr.Rec(h)
-	rec.Resolve, rec.Enqueue, rec.Send = 12, 13, 14
-	tr.Commit(h)
+	extra := Endpoint{Pattern: "/extra", H: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("[]\n"))
+	})}
 
 	gate := make(chan struct{})
-	srv := httptest.NewServer(Handler(reg, tr, gate))
+	srv := httptest.NewServer(Handler(reg, gate, extra))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -156,16 +154,8 @@ func TestDebugHandler(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "poem_handler_total 1") {
 		t.Errorf("/metrics: %d %q", code, body)
 	}
-	code, body := get("/trace")
-	if code != 200 {
-		t.Fatalf("/trace: %d", code)
-	}
-	var recs []TraceRecord
-	if err := json.Unmarshal([]byte(body), &recs); err != nil {
-		t.Fatalf("/trace JSON: %v\n%s", err, body)
-	}
-	if len(recs) != 1 || !recs[0].Complete() || recs[0].Seq != 5 {
-		t.Errorf("/trace records: %+v", recs)
+	if code, body := get("/extra"); code != 200 || body != "[]\n" {
+		t.Errorf("/extra: %d %q", code, body)
 	}
 	if code, _ := get("/healthz"); code != 200 {
 		t.Errorf("/healthz: %d", code)
@@ -176,8 +166,8 @@ func TestDebugHandler(t *testing.T) {
 	if code, _ := get("/metrics"); code != 503 {
 		t.Errorf("/metrics after gate close: %d, want 503", code)
 	}
-	if code, _ := get("/trace"); code != 503 {
-		t.Errorf("/trace after gate close: %d, want 503", code)
+	if code, _ := get("/extra"); code != 503 {
+		t.Errorf("/extra after gate close: %d, want 503", code)
 	}
 	if code, _ := get("/healthz"); code != 200 {
 		t.Errorf("/healthz after gate close: %d, want 200", code)

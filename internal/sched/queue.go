@@ -29,11 +29,6 @@ type Item struct {
 	Due vclock.Time
 	To  radio.NodeID
 	Pkt wire.Packet
-
-	// Trace carries the packet's obs trace-slot handle through the
-	// schedule (0 = untraced). A broadcast attaches it only to the first
-	// scheduled target, so exactly one delivery completes the record.
-	Trace uint32
 }
 
 // Target is one receiver of a transmission listed with PushFan: who
@@ -48,12 +43,11 @@ type Target struct {
 // others behind rest, so a transmission to one receiver is no larger
 // than the packet, its due time and its sequence number.
 type entry struct {
-	due   vclock.Time
-	seq   uint64 // assigned by the queue; stabilizes equal-due ordering
-	pkt   wire.Packet
-	trace uint32 // rides the first receiver only
-	to    radio.NodeID
-	rest  *fanRest
+	due  vclock.Time
+	seq  uint64 // assigned by the queue; stabilizes equal-due ordering
+	pkt  wire.Packet
+	to   radio.NodeID
+	rest *fanRest
 }
 
 // fanRest is the rest of a fan: the receivers after the first, in fire
@@ -127,8 +121,8 @@ func (q *HeapQueue) siftDown(i int) {
 // add places a transmission of pkt to n receivers — to first, then rest
 // — under the next sequence number. The entry is built in its slot: a
 // by-value helper would copy the packet twice more per push.
-func (q *HeapQueue) add(due vclock.Time, pkt *wire.Packet, trace uint32, to radio.NodeID, rest *fanRest, n int) {
-	q.h = append(q.h, entry{due: due, seq: q.next, pkt: *pkt, trace: trace, to: to, rest: rest})
+func (q *HeapQueue) add(due vclock.Time, pkt *wire.Packet, to radio.NodeID, rest *fanRest, n int) {
+	q.h = append(q.h, entry{due: due, seq: q.next, pkt: *pkt, to: to, rest: rest})
 	q.next++
 	q.n += n
 	q.siftUp(len(q.h) - 1)
@@ -136,7 +130,7 @@ func (q *HeapQueue) add(due vclock.Time, pkt *wire.Packet, trace uint32, to radi
 
 // Push inserts an item: a transmission with one receiver.
 func (q *HeapQueue) Push(it Item) {
-	q.add(it.Due, &it.Pkt, it.Trace, it.To, nil, 1)
+	q.add(it.Due, &it.Pkt, it.To, nil, 1)
 }
 
 // PushFan lists one packet for every target, indistinguishable from
@@ -144,8 +138,8 @@ func (q *HeapQueue) Push(it Item) {
 // consecutive targets with the same Due becomes one entry; a target
 // whose Due differs from its predecessor's starts the next. Targets are
 // never sorted or regrouped: among equal dues that would change the
-// fire order sequential pushes produce. trace rides targets[0].
-func (q *HeapQueue) PushFan(pkt wire.Packet, trace uint32, targets []Target) {
+// fire order sequential pushes produce.
+func (q *HeapQueue) PushFan(pkt wire.Packet, targets []Target) {
 	for i := 0; i < len(targets); {
 		due := targets[i].Due
 		j := i + 1
@@ -163,8 +157,7 @@ func (q *HeapQueue) PushFan(pkt wire.Packet, trace uint32, targets []Target) {
 				rest.to = append(rest.to, t.To)
 			}
 		}
-		q.add(due, &pkt, trace, targets[i].To, rest, j-i)
-		trace = 0 // rode targets[0]
+		q.add(due, &pkt, targets[i].To, rest, j-i)
 		i = j
 	}
 }
@@ -173,11 +166,11 @@ func (q *HeapQueue) PushFan(pkt wire.Packet, trace uint32, targets []Target) {
 // the entry with its last one.
 func (q *HeapQueue) popRoot(it *Item) {
 	e := &q.h[0]
-	it.Due, it.Pkt, it.To, it.Trace = e.due, e.pkt, e.to, e.trace
+	it.Due, it.Pkt, it.To = e.due, e.pkt, e.to
 	q.n--
 	if r := e.rest; r != nil {
 		if r.cur > 0 {
-			it.To, it.Trace = r.to[r.cur-1], 0
+			it.To = r.to[r.cur-1]
 		}
 		r.cur++
 		if r.cur <= len(r.to) {

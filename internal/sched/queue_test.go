@@ -434,12 +434,12 @@ func fanTargets(rng *rand.Rand, now vclock.Time, to *uint32) []Target {
 }
 
 func sameItem(a, b Item) bool {
-	return a.Due == b.Due && a.To == b.To && a.Pkt.Seq == b.Pkt.Seq && a.Trace == b.Trace
+	return a.Due == b.Due && a.To == b.To && a.Pkt.Seq == b.Pkt.Seq
 }
 
 // Property: whatever mix of Push, PushBatch and PushFan fills the
 // schedule and however the pops are sized, the heap yields the
-// (Due, To, Pkt.Seq, Trace) sequence the oracle yields for the
+// (Due, To, Pkt.Seq) sequence the oracle yields for the
 // equivalent sequential pushes, and counts the same deliveries at every
 // step. Pops are single calls, not drains, so pushes land between the
 // two halves of a fan the buffer cut.
@@ -455,7 +455,7 @@ func TestPushFanMatchesSequentialPushes(t *testing.T) {
 		item := func(step int) Item {
 			to++
 			return Item{Due: now + vclock.FromMillis(int64(rng.Intn(60)-10)), To: radio.NodeID(to),
-				Pkt: wire.Packet{Seq: uint32(step)}, Trace: uint32(rng.Intn(2) * step)}
+				Pkt: wire.Packet{Seq: uint32(step)}}
 		}
 		for step := 1; step <= 6000; step++ {
 			switch op := rng.Intn(8); {
@@ -471,15 +471,11 @@ func TestPushFanMatchesSequentialPushes(t *testing.T) {
 				}
 				s.PushBatch(items)
 			case op <= 3:
-				pkt, trace := wire.Packet{Seq: uint32(step)}, uint32(rng.Intn(2)*step)
+				pkt := wire.Packet{Seq: uint32(step)}
 				targets := fanTargets(rng, now, &to)
-				s.PushFan(pkt, trace, targets)
-				for i, tg := range targets {
-					it := Item{Due: tg.Due, To: tg.To, Pkt: pkt}
-					if i == 0 {
-						it.Trace = trace
-					}
-					ref.Push(it)
+				s.PushFan(pkt, targets)
+				for _, tg := range targets {
+					ref.Push(Item{Due: tg.Due, To: tg.To, Pkt: pkt})
 				}
 			case op == 4:
 				now += vclock.FromMillis(int64(rng.Intn(8)))
@@ -528,7 +524,7 @@ func TestPushFanMatchesSequentialPushes(t *testing.T) {
 func TestPushFanCutByBatchBoundary(t *testing.T) {
 	q := NewHeap()
 	due := vclock.FromMillis(10)
-	q.PushFan(wire.Packet{Seq: 1}, 7, []Target{{1, due}, {2, due}, {3, due}, {4, due}, {5, due}})
+	q.PushFan(wire.Packet{Seq: 1}, []Target{{1, due}, {2, due}, {3, due}, {4, due}, {5, due}})
 	if q.Len() != 5 || len(q.h) != 1 {
 		t.Fatalf("Len %d in %d entries, want 5 in 1", q.Len(), len(q.h))
 	}
@@ -538,11 +534,7 @@ func TestPushFanCutByBatchBoundary(t *testing.T) {
 		t.Fatalf("first pop wrote %d, left %d", n, q.Len())
 	}
 	for i, it := range buf {
-		wantTrace := uint32(0)
-		if i == 0 {
-			wantTrace = 7
-		}
-		if it.To != radio.NodeID(i+1) || it.Due != due || it.Pkt.Seq != 1 || it.Trace != wantTrace {
+		if it.To != radio.NodeID(i+1) || it.Due != due || it.Pkt.Seq != 1 {
 			t.Fatalf("first pop item %d: %+v", i, it)
 		}
 	}
@@ -558,9 +550,6 @@ func TestPushFanCutByBatchBoundary(t *testing.T) {
 			break
 		}
 		for _, it := range buf[:n] {
-			if it.Trace != 0 {
-				t.Errorf("receiver %d carries trace %d again", it.To, it.Trace)
-			}
 			order = append(order, it.To)
 		}
 	}
@@ -570,37 +559,6 @@ func TestPushFanCutByBatchBoundary(t *testing.T) {
 	}
 	if q.Len() != 0 || len(q.h) != 0 {
 		t.Fatalf("Len %d in %d entries after the drain", q.Len(), len(q.h))
-	}
-}
-
-// The trace handle rides targets[0] and nothing else, however many
-// entries the fan's dues split it into.
-func TestPushFanTraceOnFirstReceiverOnly(t *testing.T) {
-	a, b := vclock.FromMillis(10), vclock.FromMillis(5)
-	for name, targets := range map[string][]Target{
-		"one":      {{1, a}},
-		"equal":    {{1, a}, {2, a}, {3, a}},
-		"distinct": {{1, a}, {2, a + 1}, {3, a + 2}},
-		"ABA":      {{1, a}, {2, a}, {3, b}, {4, a}, {5, a}},
-	} {
-		q := NewHeap()
-		q.PushFan(wire.Packet{Seq: 1}, 9, targets)
-		traced := 0
-		for {
-			it, ok := q.PopDue(vclock.Max)
-			if !ok {
-				break
-			}
-			if it.Trace != 0 {
-				traced++
-				if it.Trace != 9 || it.To != targets[0].To {
-					t.Errorf("%s: trace %d on receiver %d", name, it.Trace, it.To)
-				}
-			}
-		}
-		if traced != 1 {
-			t.Errorf("%s: %d items carried the trace, want 1", name, traced)
-		}
 	}
 }
 
@@ -618,8 +576,8 @@ func TestDrainVisitsUnfiredReceiversOfAFan(t *testing.T) {
 		}
 		return ts
 	}
-	s.PushFan(wire.Packet{Seq: 1}, 3, fan(1, 10, vclock.FromSeconds(1)))
-	s.PushFan(wire.Packet{Seq: 2}, 4, fan(101, 300, vclock.FromSeconds(2)))
+	s.PushFan(wire.Packet{Seq: 1}, fan(1, 10, vclock.FromSeconds(1)))
+	s.PushFan(wire.Packet{Seq: 2}, fan(101, 300, vclock.FromSeconds(2)))
 	clk.Set(vclock.FromSeconds(1))
 	col.waitN(t, 10)
 	if got := s.Pending(); got != 300 {
@@ -629,13 +587,13 @@ func TestDrainVisitsUnfiredReceiversOfAFan(t *testing.T) {
 	// The scanner is gone; cut the second fan the way a full batch buffer
 	// would have.
 	buf := make([]Item, 100)
-	if n := s.q.PopDueBatch(vclock.FromSeconds(2), buf); n != 100 || buf[0].Trace != 4 || buf[99].To != 200 {
-		t.Fatalf("cut: wrote %d, first trace %d, last receiver %d", n, buf[0].Trace, buf[99].To)
+	if n := s.q.PopDueBatch(vclock.FromSeconds(2), buf); n != 100 || buf[0].To != 101 || buf[99].To != 200 {
+		t.Fatalf("cut: wrote %d, receivers %d to %d", n, buf[0].To, buf[99].To)
 	}
 	next := radio.NodeID(201)
 	n := s.Drain(func(it Item) {
-		if it.To != next || it.Pkt.Seq != 2 || it.Trace != 0 {
-			t.Errorf("drained %+v, want receiver %d untraced", it, next)
+		if it.To != next || it.Pkt.Seq != 2 {
+			t.Errorf("drained %+v, want receiver %d", it, next)
 		}
 		next++
 	})
@@ -657,7 +615,7 @@ func TestPushFanSteadyStateAllocFree(t *testing.T) {
 			for i := range targets {
 				targets[i] = Target{To: radio.NodeID(i + 1), Due: vclock.Time(f % 8)}
 			}
-			q.PushFan(wire.Packet{}, 0, targets)
+			q.PushFan(wire.Packet{}, targets)
 		}
 		for q.PopDueBatch(vclock.Max, buf) > 0 {
 		}

@@ -137,8 +137,8 @@ func (s *Scanner) Stop() {
 
 // Drain removes every item still queued, invoking fn on each, and
 // returns how many were drained. Call it only after Stop (or before
-// Start): abandoned items can carry pooled packet buffers and trace
-// slots, and something must settle them or a clean shutdown would leak
+// Start): abandoned items can carry pooled packet buffers, and
+// something must settle them or a clean shutdown would leak
 // what the emulation never got to send.
 func (s *Scanner) Drain(fn func(Item)) int {
 	s.mu.Lock()
@@ -189,7 +189,7 @@ func (s *Scanner) PushBatch(items []Item) {
 // PushFan schedules one packet for every target under one lock
 // acquisition with at most one wakeup, exactly as len(targets) Push
 // calls in slice order would (HeapQueue.PushFan): the broadcast's push.
-func (s *Scanner) PushFan(pkt wire.Packet, trace uint32, targets []Target) {
+func (s *Scanner) PushFan(pkt wire.Packet, targets []Target) {
 	if len(targets) == 0 {
 		return
 	}
@@ -201,7 +201,7 @@ func (s *Scanner) PushFan(pkt wire.Packet, trace uint32, targets []Target) {
 	}
 	s.mu.Lock()
 	s.pushLocks.Add(1)
-	s.q.PushFan(pkt, trace, targets)
+	s.q.PushFan(pkt, targets)
 	s.mu.Unlock()
 	s.maybeKick(earliest)
 }

@@ -77,7 +77,7 @@ func benchScannerStorm(b *testing.B, fan int) {
 				for j := range targets {
 					targets[j].Due = due
 				}
-				s.PushFan(wire.Packet{}, 0, targets)
+				s.PushFan(wire.Packet{}, targets)
 			}
 		}(g)
 	}

@@ -3,8 +3,8 @@
 #
 # Starts a two-peer federation of poemd, the first with -debug, waits
 # for /healthz, scrapes /metrics, and fails if any registered metric
-# family is missing or any value renders as NaN; also checks /trace
-# answers valid JSON. Run from the repo root:
+# family is missing or any value renders as NaN; also checks that /trace
+# (the sampled packet lifecycles) answers a JSON array. Run from the repo root:
 #
 #	./scripts/metrics_smoke.sh
 set -eu
@@ -48,7 +48,6 @@ for name in \
 	poem_scene_rows_republished_total \
 	poem_record_packets_total poem_record_scenes_total \
 	poem_record_batch_commits_total poem_record_log_dropped_total \
-	poem_trace_records_total poem_trace_dropped_total \
 	poem_health poem_health_breaches_total \
 	poem_flight_recorder_events_total \
 	poem_shard_health poem_shard_deadline_miss_total \
