@@ -45,7 +45,11 @@ func main() {
 	got := make(chan wire.Packet, 1)
 	c2, err := core.Dial(core.ClientConfig{
 		ID: 2, Dial: lis.Dialer(), LocalClock: clk,
-		OnPacket: func(p wire.Packet) { got <- p },
+		OnPacket: func(p wire.Packet) {
+			// The payload is valid only during the callback: keep a copy.
+			p.Payload = append([]byte(nil), p.Payload...)
+			got <- p
+		},
 	})
 	must(err)
 	defer c2.Close()

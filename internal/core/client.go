@@ -52,10 +52,13 @@ type ClientConfig struct {
 	// Most useful together with ResyncEvery.
 	DriftCompensation bool
 	// OnPacket receives every packet forwarded to this VMN. Called on
-	// the receive goroutine; hand off heavy work. The payload is valid
-	// only for the duration of the callback when the transport delivers
-	// pooled buffers (in-process transport under a pooled server) — copy
-	// it to retain it.
+	// the receive goroutine; hand off heavy work. On every transport the
+	// payload is valid only until the callback returns: the client then
+	// releases the message, and its bytes may belong to a recycled
+	// buffer (over TCP the connection's read buffer, in process the
+	// server's pooled one). Copy it to retain it. The packet's Buf is
+	// nil — the message keeps its reference — so the callback may pass
+	// the packet to Send, which over TCP copies it before returning.
 	OnPacket func(wire.Packet)
 	// OnRadios is told the VMN's current radio set (at connect and on
 	// live scene changes).
@@ -325,10 +328,13 @@ func (c *Client) recvLoop() {
 		switch msg := m.(type) {
 		case *wire.Data:
 			if c.cfg.OnPacket != nil {
-				c.cfg.OnPacket(msg.Pkt)
+				pkt := msg.Pkt
+				pkt.Buf = nil // Send would consume it
+				c.cfg.OnPacket(pkt)
 			}
-			// Retire the wrapper (and, on a pooled in-process path, the
-			// packet's buffer) now that the callback is done with it.
+			// Retire the wrapper and the packet's buffer reference — over
+			// TCP one on the read buffer the payload aliases — now that
+			// the callback is done with it.
 			wire.ReleaseData(msg)
 		case *wire.SyncReply:
 			c.mu.Lock()

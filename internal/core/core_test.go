@@ -104,6 +104,7 @@ type sink struct {
 func newSink() *sink { return &sink{ch: make(chan wire.Packet, 1024)} }
 
 func (s *sink) on(p wire.Packet) {
+	p.Payload = append([]byte(nil), p.Payload...) // valid only during the callback
 	s.mu.Lock()
 	s.pkts = append(s.pkts, p)
 	s.mu.Unlock()

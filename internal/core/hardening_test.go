@@ -200,7 +200,10 @@ func testServerIsolatesSessionFailure(t *testing.T, shards int) {
 	got := make(chan wire.Packet, 64)
 	c3, err := Dial(ClientConfig{
 		ID: 3, Dial: transport.TCPDialer(addr), LocalClock: clk,
-		OnPacket: func(p wire.Packet) { got <- p },
+		OnPacket: func(p wire.Packet) {
+			p.Payload = append([]byte(nil), p.Payload...) // valid only during the callback
+			got <- p
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -127,7 +127,7 @@ func (t *tcpConn) pending() (n int, flushing bool) {
 // leave in the next write.
 func TestDeferredBurstLeavesInTwoWrites(t *testing.T) {
 	sc := newScriptConn()
-	c := newTCPConn(sc, nil)
+	c := newTCPConn(sc, nil, true)
 	defer c.Close()
 	payload := make([]byte, 64)
 	if err := c.SendDeferred(data(0, payload)); err != nil {
@@ -163,7 +163,7 @@ func TestDeferredBurstLeavesInTwoWrites(t *testing.T) {
 // payload at once, even while the bytes wait behind a write in progress.
 func TestDeferredCopiesPayloadBeforeReturning(t *testing.T) {
 	sc := newScriptConn()
-	c := newTCPConn(sc, nil)
+	c := newTCPConn(sc, nil, true)
 	defer c.Close()
 	c.SendDeferred(data(0, nil))
 	<-sc.calls
@@ -188,7 +188,7 @@ func TestDeferredCopiesPayloadBeforeReturning(t *testing.T) {
 // write happens inside the sender's own call — that is what blocks it.
 func TestDeferredBoundedAndBlocking(t *testing.T) {
 	sc := newScriptConn()
-	c := newTCPConn(sc, nil)
+	c := newTCPConn(sc, nil, true)
 	payload := make([]byte, 100)
 	frame := frameLen(len(payload))
 	total := 4 * pendFlushAt / frame // four bounds' worth
@@ -281,7 +281,7 @@ func TestSynchronousSendsReturnAfterTheWrite(t *testing.T) {
 		for _, behindFlusher := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/behindFlusher=%v", tc.name, behindFlusher), func(t *testing.T) {
 				sc := newScriptConn()
-				c := newTCPConn(sc, nil)
+				c := newTCPConn(sc, nil, true)
 				defer c.Close()
 				want := tc.bytes
 				if behindFlusher {
@@ -443,7 +443,7 @@ func TestWriteErrorSticksAndNothingLeaks(t *testing.T) {
 func TestCloseWaitsForFlusher(t *testing.T) {
 	base := runtime.NumGoroutine()
 	sc := newScriptConn()
-	c := newTCPConn(sc, nil)
+	c := newTCPConn(sc, nil, true)
 	c.SendDeferred(data(0, nil))
 	<-sc.calls
 	c.SendDeferred(data(1, nil))
@@ -508,7 +508,7 @@ func BenchmarkTCPClientBurst(b *testing.B) {
 				b.Fatal(err)
 			}
 			cc := &countingConn{Conn: raw}
-			c := newTCPConn(cc, nil)
+			c := newTCPConn(cc, nil, true)
 			pkt := wire.Packet{Src: 1, Dst: 2, Channel: 1, Payload: make([]byte, 64)}
 			send := c.Send
 			if mode == "deferred" {
@@ -555,7 +555,7 @@ func (c *heldDiscard) Close() error { return nil }
 // (scripts/check_allocs.sh holds it there).
 func BenchmarkDeferredBurstAllocs(b *testing.B) {
 	hd := &heldDiscard{}
-	c := newTCPConn(hd, nil)
+	c := newTCPConn(hd, nil, true)
 	pkt := wire.Packet{Src: 1, Dst: 2, Channel: 1, Payload: make([]byte, 64)}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -23,7 +23,6 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -48,9 +47,12 @@ type Conn interface {
 	// Plain message literals are unaffected.
 	Send(m wire.Msg) error
 	// Recv blocks for the next message. io.EOF signals an orderly end.
-	// Only one goroutine may call Recv. On a pooled connection the
-	// received message may be pooled; the consumer retires it with
-	// wire.ReleaseMsg once processed.
+	// Only one goroutine may call Recv. The received message may be
+	// pooled; the consumer retires it with wire.ReleaseMsg once
+	// processed. On every transport a Data payload is valid until then:
+	// a dialed TCP connection decodes it in place in its read buffer, an
+	// accepted pooled one in a buffer of its own, and the in-process
+	// pipe hands over the sender's. Copy a payload to keep it longer.
 	Recv() (wire.Msg, error)
 	// Close tears the connection down, unblocking Recv on both ends.
 	Close() error
@@ -96,10 +98,15 @@ type Dialer func() (Conn, error)
 // TCP transport
 
 type tcpConn struct {
-	c     net.Conn
-	br    *bufio.Reader
-	pool  *mbuf.Pool  // non-nil: frames are read into pooled buffers
-	local *mbuf.Local // reader-owned allocation cache, built lazily
+	c net.Conn
+
+	// rmu is held by Recv, and by Close to return the buffer of a
+	// reader that stopped calling Recv mid-frame.
+	rmu   sync.Mutex
+	rd    frameReader
+	alias bool        // dialed: Data payloads alias rd's buffer
+	pool  *mbuf.Pool  // accepted, pooled: each frame is copied into its own buffer
+	local *mbuf.Local // reader-owned allocation cache over pool, built lazily
 
 	// mu guards what senders append to. Both byte buffers start nil and
 	// grow on demand: an idle connection holds nothing.
@@ -118,13 +125,27 @@ type tcpConn struct {
 	wv      net.Buffers // the header net.Buffers.WriteTo consumes
 }
 
-func newTCPConn(c net.Conn, pool *mbuf.Pool) *tcpConn {
+// newTCPConn wraps c. Its read buffers come from pool (readBufs when
+// nil). A dialed connection decodes Data frames in place, its payloads
+// aliasing the read buffer; an accepted one copies every frame, into a
+// buffer of its own from pool when there is one, so a packet waiting in
+// the schedule never pins a 64 KiB read buffer.
+func newTCPConn(c net.Conn, pool *mbuf.Pool, dialed bool) *tcpConn {
 	if t, ok := c.(*net.TCPConn); ok {
 		// The emulator forwards small frames under latency pressure;
 		// Nagle would batch them.
 		t.SetNoDelay(true)
 	}
-	return &tcpConn{c: c, br: bufio.NewReaderSize(c, 64<<10), pool: pool}
+	t := &tcpConn{c: c, alias: dialed}
+	bufs := pool
+	if bufs == nil {
+		bufs = readBufs
+	}
+	if !dialed {
+		t.pool = pool
+	}
+	t.rd.init(c, bufs)
+	return t
 }
 
 // appendLocked serializes m behind whatever is pending and returns the
@@ -294,21 +315,15 @@ func (t *tcpConn) SendBatch(ms []wire.Msg) (int, error) {
 }
 
 func (t *tcpConn) Recv() (wire.Msg, error) {
-	var (
-		m   wire.Msg
-		err error
-	)
-	if t.pool != nil {
-		// local is confined to the reader goroutine (Recv's single-
-		// caller contract), so the cache needs no lock.
-		if t.local == nil {
-			t.local = t.pool.NewLocal()
-		}
-		m, err = wire.ReadMsgPooled(t.br, t.local)
-	} else {
-		m, err = wire.ReadMsg(t.br)
+	t.rmu.Lock()
+	defer t.rmu.Unlock()
+	frame, err := t.rd.next()
+	var m wire.Msg
+	if err == nil {
+		m, err = t.decode(frame)
 	}
 	if err != nil {
+		t.rd.stop(err) // a frame that does not decode ends the stream too
 		if t.local != nil {
 			t.local.Close() // the reader is done; spill the cache back
 			t.local = nil
@@ -319,6 +334,24 @@ func (t *tcpConn) Recv() (wire.Msg, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+func (t *tcpConn) decode(frame []byte) (wire.Msg, error) {
+	switch {
+	case t.alias && wire.Type(frame[0]) == wire.TypeData:
+		t.rd.buf.Retain(1) // the message's, dropped by wire.ReleaseData
+		return wire.DecodeFrameRef(frame, t.rd.buf)
+	case t.pool != nil:
+		// local is confined to the reader (rmu), so the cache needs no
+		// lock of its own.
+		if t.local == nil {
+			t.local = t.pool.NewLocal()
+		}
+		b := mbuf.AllocCopy(t.local, frame)
+		return wire.DecodeFrameRef(b.Bytes(), b)
+	default:
+		return wire.DecodeFrame(frame)
+	}
 }
 
 // Close closes the socket — a writer blocked in it returns with an
@@ -332,6 +365,13 @@ func (t *tcpConn) Close() error {
 	t.mu.Unlock()
 	err := t.c.Close()
 	t.flushers.Wait()
+	t.rmu.Lock() // a blocked Recv has returned: the socket is closed
+	t.rd.stop(net.ErrClosed)
+	if t.local != nil {
+		t.local.Close()
+		t.local = nil
+	}
+	t.rmu.Unlock()
 	return err
 }
 
@@ -348,12 +388,14 @@ func ListenTCP(addr string) (Listener, error) {
 	return ListenTCPWithPool(addr, nil)
 }
 
-// ListenTCPWithPool is ListenTCP with pooled frame reads: every frame
-// an accepted connection receives lands in a buffer from p, and Data
-// payloads alias that buffer instead of being copied (zero-copy
-// ingress). Receivers retire messages with wire.ReleaseMsg; the server
-// core does, so this is the deployment configuration — clients keep
-// copying reads because application callbacks may retain payloads.
+// ListenTCPWithPool is ListenTCP with pooled frame reads: accepted
+// connections borrow their read buffers from p, and every frame they
+// receive is copied into a buffer of its own from p, which Data
+// payloads alias (one copy, out of the read buffer, so a packet waiting
+// in the schedule pins only its own bytes). Receivers retire messages
+// with wire.ReleaseMsg; the server core does, so this is the deployment
+// configuration, and p's Live and leak-check mode cover the read
+// buffers too.
 func ListenTCPWithPool(addr string, p *mbuf.Pool) (Listener, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -367,19 +409,21 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c, t.pool), nil
+	return newTCPConn(c, t.pool, false), nil
 }
 
 func (t *tcpListener) Close() error { return t.l.Close() }
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
-// DialTCP connects to a PoEm server at addr.
+// DialTCP connects to a PoEm server at addr. The connection decodes Data
+// frames in place: a received payload aliases the read buffer until the
+// message is released (see Conn.Recv).
 func DialTCP(addr string) (Conn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return newTCPConn(c, nil), nil
+	return newTCPConn(c, nil, true), nil
 }
 
 // TCPDialer returns a Dialer for addr.

@@ -254,7 +254,7 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 // (scriptConn), with dials counted.
 func scriptedTrunk(minBackoff time.Duration) (*Trunk, *scriptConn, *atomic.Int64) {
 	sc := newScriptConn()
-	c := newTCPConn(sc, nil)
+	c := newTCPConn(sc, nil, true)
 	var dials atomic.Int64
 	tr := NewTrunk(TrunkConfig{
 		Dial:       func() (Conn, error) { dials.Add(1); return c, nil },

@@ -284,8 +284,8 @@ func (m *Data) readBody(b []byte) error {
 }
 
 // readBodyRef is readBody without the payload copy: Payload aliases b.
-// Only the pooled read path uses it, where b is pool memory owned by
-// the resulting message.
+// Only DecodeFrameRef uses it, where b is pool memory the resulting
+// message holds a reference on.
 func (m *Data) readBodyRef(b []byte) error {
 	payload, err := m.parseBody(b)
 	if err != nil {
@@ -405,7 +405,17 @@ func ReadMsg(r io.Reader) (Msg, error) {
 		}
 		return nil, err
 	}
-	return decodeBody(Type(buf[0]), buf[1:])
+	return DecodeFrame(buf)
+}
+
+// DecodeFrame decodes one frame already in memory: the type byte and
+// body that follow the length prefix. Every decoded field is copied out
+// of frame, so the caller may reuse it at once.
+func DecodeFrame(frame []byte) (Msg, error) {
+	if len(frame) == 0 {
+		return nil, ErrShortBody
+	}
+	return decodeBody(Type(frame[0]), frame[1:])
 }
 
 // decodeBody decodes one message body of the given type. Every decoded
@@ -465,9 +475,9 @@ func decodeBody(t Type, body []byte) (Msg, error) {
 // mbuf). Three pieces make the codec cooperate: pooled *Data wrappers
 // (AcquireData/ReleaseData) so the per-send `&Data{}` disappears,
 // AppendFrame so a frame serializes into a caller-owned scratch buffer
-// instead of WriteMsg's per-call body slice, and ReadMsgPooled so an
-// inbound frame lands in a pooled buffer whose payload the Data message
-// aliases instead of copying.
+// instead of WriteMsg's per-call body slice, and DecodeFrameRef (with
+// ReadMsgPooled over it) so an inbound frame in a pooled buffer becomes
+// a Data message whose payload aliases that buffer instead of copying.
 //
 // Ownership contract: a pooled *Data is consumed by transport.Conn.Send
 // (the TCP transport releases it after serializing; the in-process
@@ -552,12 +562,8 @@ type Alloc interface {
 	Alloc(n int) *mbuf.Buf
 }
 
-// ReadMsgPooled is ReadMsg with the frame read into a pooled buffer.
-// For Data messages the payload aliases the buffer — no copy — and the
-// returned message is pooled: Pkt.Buf holds the buffer's single
-// reference and the receiver retires the message with ReleaseData (or
-// consumes it via a transport Send). All other message types decode as
-// usual and their frame buffer is freed before returning.
+// ReadMsgPooled is ReadMsg with the frame read into a pooled buffer
+// from a and decoded in place by DecodeFrameRef.
 func ReadMsgPooled(r io.Reader, a Alloc) (Msg, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -579,6 +585,22 @@ func ReadMsgPooled(r io.Reader, a Alloc) (Msg, error) {
 		}
 		return nil, err
 	}
+	return DecodeFrameRef(frame, buf)
+}
+
+// DecodeFrameRef is DecodeFrame for a frame lying in buf's memory, and
+// it consumes one reference on buf, on every path. A Data payload
+// aliases frame — no copy — and the returned message is pooled: Pkt.Buf
+// holds that reference and the receiver retires the message with
+// ReleaseData (or consumes it via a transport Send). A TrunkBatch's
+// entries alias it too, each owning one reference (the rest are added
+// here). Every other type decodes by copy and the reference is freed
+// before returning.
+func DecodeFrameRef(frame []byte, buf *mbuf.Buf) (Msg, error) {
+	if len(frame) == 0 {
+		buf.Free()
+		return nil, ErrShortBody
+	}
 	if Type(frame[0]) == TypeData {
 		d := dataPool.Get().(*Data)
 		if err := d.readBodyRef(frame[1:]); err != nil {
@@ -599,9 +621,8 @@ func ReadMsgPooled(r io.Reader, a Alloc) (Msg, error) {
 			return nil, err
 		}
 		// Every entry aliases the one frame buffer and owns one of its
-		// references: the Alloc supplied the first, the rest are added
-		// here so entries can retire independently as the receiver
-		// schedules (or abandons) them.
+		// references, so entries can retire independently as the
+		// receiver schedules (or abandons) them.
 		if n := len(tb.Entries); n == 0 {
 			buf.Free()
 		} else {
@@ -615,7 +636,7 @@ func ReadMsgPooled(r io.Reader, a Alloc) (Msg, error) {
 		tb.pooled = true
 		return tb, nil
 	}
-	m, err := decodeBody(Type(frame[0]), frame[1:])
+	m, err := DecodeFrame(frame)
 	buf.Free() // non-Data bodies copy what they keep
 	return m, err
 }

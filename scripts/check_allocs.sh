@@ -158,6 +158,30 @@ echo "$BURST" | awk '
 
 echo "client burst alloc gate: OK (a 64-message deferred burst allocates its flusher start and nothing else)"
 
+# The emulation client's TCP receive path decodes each Data frame in
+# place: the payload aliases the connection's borrowed read buffer and
+# the wrapper comes from the Data pool, so a received packet allocates
+# nothing — where a frame buffer, a Data and a payload copy each were
+# one allocation (EXPERIMENTS.md A19). Many iterations, so the first
+# borrowed buffer and the pool's first wrappers amortize out.
+RECV=$(go test -run='^$' -bench='TCPClientRecv' -benchmem -benchtime=20000x ./internal/transport)
+echo "$RECV"
+
+echo "$RECV" | awk '
+	/allocs\/op/ {
+		seen = 1
+		for (i = 2; i < NF; i++) {
+			if ($(i+1) == "allocs/op" && $i + 0 > 0) {
+				printf "FAIL: %s measured %s allocs/op, budget 0\n", $1, $i
+				bad = 1
+			}
+		}
+	}
+	END { exit bad || !seen }
+' || { echo "client receive alloc gate: FAILED (a received Data frame must decode in place, allocation-free)"; exit 1; }
+
+echo "client receive alloc gate: OK (received Data frames decode in place, allocation-free)"
+
 # A scene edit publishes a dispatch view that shares every unchanged row
 # with the previous one: an operator's MoveNode on the 16 384-node scene
 # copies the ≈ 37 rows it changed, their buckets and the bucket

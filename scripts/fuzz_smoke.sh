@@ -13,9 +13,10 @@ set -eu
 
 FUZZTIME=${1:-20s}
 
-# Extra arguments go to go test. FuzzSceneJournal bounds the minimizing
-# of each new corpus entry: every input builds a scene, so a minimization
-# run to the default 60 s stalls a short pass.
+# Extra arguments go to go test. FuzzSceneJournal and FuzzFrameReader
+# bound the minimizing of each new corpus entry: every input builds a
+# scene, or reads a stream up to a MaxFrame-sized frame four ways, so a
+# minimization run to the default 60 s stalls a short pass.
 run() {
 	pkg=$1
 	target=$2
@@ -26,6 +27,7 @@ run() {
 
 run ./internal/wire FuzzReadMsg
 run ./internal/wire FuzzTrunkFrame
+run ./internal/transport FuzzFrameReader -fuzzminimizetime=200x
 run ./internal/scene FuzzSceneJournal -fuzzminimizetime=200x
 run ./internal/script FuzzParse
 run ./internal/record FuzzLoad
