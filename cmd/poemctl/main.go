@@ -7,7 +7,8 @@
 //	poemctl -server 127.0.0.1:7001 add 1 pos 100,100 radio ch=1 range=200
 //	poemctl -server 127.0.0.1:7001 show
 //
-// Continuous counters (polls `stats` and prints per-second rates):
+// Continuous counters (polls `stats`, the server's metrics, and prints
+// per-second rates):
 //
 //	poemctl -server 127.0.0.1:7001 watch
 //
@@ -20,12 +21,15 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/obs/fidelity"
 )
 
 func main() {
@@ -95,11 +99,11 @@ func main() {
 	}
 }
 
-// watch polls the stats verb and renders per-second counter deltas plus
-// the sampled stage-latency quantiles, one line per poll — `top` for a
+// watch polls the stats verb — the server's metrics registry in the
+// Prometheus text format — and prints one report per poll: `top` for a
 // running emulation.
 func watch(exec func(string) ([]string, bool), interval time.Duration) {
-	var prev map[string]int64
+	var prev map[string]float64
 	var prevAt time.Time
 	for {
 		lines, ok := exec("stats")
@@ -107,37 +111,11 @@ func watch(exec func(string) ([]string, bool), interval time.Duration) {
 			fmt.Println(lines[0])
 			return
 		}
-		if len(lines) > 0 {
-			cur := parseCounters(lines[0])
-			now := time.Now()
-			if prev != nil {
-				dt := now.Sub(prevAt).Seconds()
-				rate := func(k string) float64 {
-					return float64(cur[k]-prev[k]) / dt
-				}
-				health := parseField(lines[0], "health")
-				if health != "" {
-					health = " health=" + health
-				}
-				fmt.Printf("%s clients=%d sched=%d recv/s=%.0f fwd/s=%.0f drop/s=%.0f noroute/s=%.0f qdrop/s=%.0f clamp/s=%.0f%s\n",
-					now.Format("15:04:05"), cur["clients"], cur["scheduled"],
-					rate("received"), rate("forwarded"), rate("dropped"),
-					rate("noroute"), rate("queuedrops"), rate("stampclamped"), health)
-				for _, l := range lines[1:] {
-					t := strings.TrimSpace(l)
-					switch {
-					case strings.Contains(t, "samples="):
-						fmt.Printf("         %s\n", t)
-					case strings.HasPrefix(t, "shard ") && strings.Contains(t, "health=") &&
-						parseField(t, "health") != "healthy":
-						// Live fidelity alerting: a shard that is not keeping
-						// real time surfaces in the watch stream immediately.
-						fmt.Printf("         %s\n", t)
-					}
-				}
-			}
-			prev, prevAt = cur, now
+		cur, now := parseSamples(lines), time.Now()
+		if prev != nil {
+			report(os.Stdout, now, now.Sub(prevAt).Seconds(), prev, cur)
 		}
+		prev, prevAt = cur, now
 		if !ok {
 			return
 		}
@@ -145,28 +123,51 @@ func watch(exec func(string) ([]string, bool), interval time.Duration) {
 	}
 }
 
-// parseField extracts one "k=v" string field from a stats line ("" when
-// absent) — for the non-integer fields parseCounters skips.
-func parseField(line, key string) string {
-	for _, f := range strings.Fields(line) {
-		if k, v, found := strings.Cut(f, "="); found && k == key {
-			return v
-		}
-	}
-	return ""
-}
-
-// parseCounters splits a "k=v k=v ..." stats line into integers.
-func parseCounters(line string) map[string]int64 {
-	out := make(map[string]int64)
-	for _, f := range strings.Fields(line) {
-		k, v, found := strings.Cut(f, "=")
-		if !found {
+// parseSamples maps each sample line of an exposition to its value,
+// keyed by the series name with its labels; comments are skipped.
+func parseSamples(lines []string) map[string]float64 {
+	out := make(map[string]float64)
+	for _, l := range lines {
+		i := strings.LastIndexByte(l, ' ')
+		if i < 0 || strings.HasPrefix(l, "#") {
 			continue
 		}
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			out[k] = n
+		if v, err := strconv.ParseFloat(l[i+1:], 64); err == nil {
+			out[l[:i]] = v
 		}
 	}
 	return out
+}
+
+// report writes one poll: the session and schedule gauges, the rates
+// of six counters over dt seconds and the server's health; then each
+// stage histogram that has samples, with its quantile gauges; then every
+// shard that is not keeping real time.
+func report(w io.Writer, now time.Time, dt float64, prev, cur map[string]float64) {
+	fmt.Fprintf(w, "%s clients=%.0f sched=%.0f", now.Format("15:04:05"), cur["poem_clients"], cur["poem_scheduled"])
+	for _, c := range [...]struct{ label, name string }{
+		{"recv", "poem_received_total"}, {"fwd", "poem_forwarded_total"}, {"drop", "poem_dropped_total"},
+		{"noroute", "poem_noroute_total"}, {"qdrop", "poem_queue_drops_total"}, {"clamp", "poem_stamp_clamped_total"},
+	} {
+		fmt.Fprintf(w, " %s/s=%.0f", c.label, (cur[c.name]-prev[c.name])/dt)
+	}
+	fmt.Fprintf(w, " health=%v\n", fidelity.State(cur["poem_health"]))
+	for _, h := range [...]struct{ label, name string }{
+		{"ingest", "poem_ingest_ns"}, {"dispatch", "poem_dispatch_ns"}, {"enqueue", "poem_enqueue_ns"},
+		{"send", "poem_send_ns"}, {"deliverlag", "poem_deliver_lag_ns"},
+	} {
+		if n := cur[h.name+"_count"]; n > 0 {
+			fmt.Fprintf(w, "         %s samples=%.0f p50=%v p95=%v p99=%v\n", h.label, n, time.Duration(cur[h.name+"_p50"]),
+				time.Duration(cur[h.name+"_p95"]), time.Duration(cur[h.name+"_p99"]))
+		}
+	}
+	for i := 0; ; i++ {
+		st, ok := cur[`poem_shard_health{shard="`+strconv.Itoa(i)+`"}`]
+		if !ok {
+			return
+		}
+		if st != 0 {
+			fmt.Fprintf(w, "         shard %d health=%v\n", i, fidelity.State(st))
+		}
+	}
 }

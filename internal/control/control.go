@@ -20,7 +20,8 @@
 //	show             render the scene as ASCII
 //	nodes            list node states
 //	dump             export the scene as a scenario script
-//	stats            server counters
+//	stats            the server's metrics registry, as /metrics renders it
+//	sessions         per-session traffic and send-queue state
 //	quit
 package control
 
@@ -29,14 +30,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/radio"
 	"repro/internal/render"
 	"repro/internal/scene"
 	"repro/internal/script"
@@ -163,94 +161,19 @@ func (s *Server) execute(line string, w io.Writer) {
 		}
 	case "dump":
 		fmt.Fprint(w, script.Export(s.scene, s.region))
-	case "stats":
+	case "stats", "sessions":
 		if s.emu == nil {
 			fmt.Fprintln(w, "err: no emulation server attached")
 			return
 		}
-		st := s.emu.Stats()
-		fmt.Fprintf(w, "clients=%d received=%d forwarded=%d dropped=%d noroute=%d scheduled=%d queuedrops=%d stampclamped=%d health=%s\n",
-			st.Clients, st.Received, st.Forwarded, st.Dropped, st.NoRoute, st.Scheduled,
-			st.QueueDrops, st.StampClamped, st.Health)
-		// One line per pipeline shard: where the sessions landed, how
-		// much schedule work each slice is carrying, and whether that
-		// slice is keeping real time.
-		for _, sh := range s.emu.ShardStats() {
-			fmt.Fprintf(w, "  shard %d clients=%d scheduled=%d dispatched=%d entered=%d queuedepth=%d"+
-				" firebatches=%d wakeups=%d spurious=%d kicks=%d elided=%d"+
-				" health=%s misses=%d missrate=%.4f lagp99=%v watermark=%v drift=%v\n",
-				sh.Shard, sh.Clients, sh.Scheduled, sh.Dispatched, sh.Entered, sh.QueueDepth,
-				sh.FireBatches, sh.Wakeups, sh.SpuriousWakes, sh.KicksDelivered, sh.KicksElided,
-				sh.Health, sh.DeadlineMisses, sh.MissRate, sh.LagP99, sh.LagWatermark, sh.Drift)
-		}
-		// Federated servers add one cluster summary line and one line per
-		// peer: trunk state, cross-server traffic, and how far behind the
-		// coordinator's mutation stream each peer last reported itself.
-		if cs := s.emu.Cluster(); cs != nil {
-			fmt.Fprintf(w, "  cluster id=%s self=%d coordinator=%d peers=%d repseq=%d appliedseq=%d snapshots=%d"+
-				" remote=%d pending=%d recvd=%d trunkdropped=%d reperrors=%d staleness=%v\n",
-				cs.ID, cs.Self, cs.Coordinator, cs.Peers, cs.RepSeq, cs.AppliedSeq, cs.Snapshots,
-				cs.RemoteEntries, cs.PendingEntries, cs.RecvEntries, cs.TrunkDropped, cs.RepErrors,
-				time.Duration(cs.StalenessNs))
-			for _, ps := range cs.PeerStats {
-				self := ""
-				if ps.Self {
-					self = " (self)"
-				}
-				fmt.Fprintf(w, "  peer %d addr=%s%s health=%s applied=%d", ps.Peer, ps.Addr, self,
-					ps.Health, ps.AppliedSeq)
-				if !ps.Self && cs.Self == cs.Coordinator {
-					// The coordinator judges each follower's scene digest.
-					digest := "ok"
-					if ps.Diverged {
-						digest = "diverged"
-					}
-					fmt.Fprintf(w, " digest=%s", digest)
-				}
-				if !ps.Self {
-					// perwrite is the trunk's coalescing ratio: entries per
-					// frame written (heartbeats and scene frames included).
-					perWrite := 0.0
-					if ps.SentMsgs > 0 {
-						perWrite = float64(ps.SentEntries) / float64(ps.SentMsgs)
-					}
-					fmt.Fprintf(w, " trunkup=%v sent=%d writes=%d perwrite=%.1f dropped=%d pending=%d reconnects=%d dialfails=%d",
-						ps.TrunkUp, ps.SentEntries, ps.SentMsgs, perWrite, ps.DroppedEntries, ps.Pending,
-						ps.Reconnects, ps.DialFailures)
-				}
-				fmt.Fprintln(w)
-			}
-		}
-		// One line per channel: how often its dispatch view was rebuilt
-		// (the §4.2 channel-indexed update cost, live).
-		rebuilds := s.scene.ViewRebuildCounts()
-		chans := make([]radio.ChannelID, 0, len(rebuilds))
-		for ch := range rebuilds {
-			chans = append(chans, ch)
-		}
-		sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
-		for _, ch := range chans {
-			fmt.Fprintf(w, "  %v viewrebuilds=%d\n", ch, rebuilds[ch])
+		if fields[0] == "stats" {
+			s.emu.Obs().WritePrometheus(w)
+			return
 		}
 		// One line per session: its traffic and slow-client queue state.
 		for _, ss := range s.emu.SessionStats() {
 			fmt.Fprintf(w, "  %v received=%d forwarded=%d queuedrops=%d queuedepth=%d\n",
 				ss.ID, ss.Received, ss.Forwarded, ss.QueueDrops, ss.QueueDepth)
-		}
-		// Sampled per-stage latency quantiles from the metrics registry.
-		reg := s.emu.Obs()
-		for _, hd := range [...]struct{ label, name string }{
-			{"ingest", "poem_ingest_ns"}, {"dispatch", "poem_dispatch_ns"},
-			{"enqueue", "poem_enqueue_ns"}, {"send", "poem_send_ns"},
-			{"deliverlag", "poem_deliver_lag_ns"},
-		} {
-			h := reg.FindHistogram(hd.name)
-			if h == nil || h.Count() == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "  %s samples=%d p50=%v p95=%v p99=%v\n", hd.label, h.Count(),
-				time.Duration(h.Quantile(0.5)), time.Duration(h.Quantile(0.95)),
-				time.Duration(h.Quantile(0.99)))
 		}
 	default:
 		// Everything else is a scene mutation: reuse the script parser

@@ -195,6 +195,12 @@ func newCluster(s *Server, cfg ServerConfig) *cluster {
 		"scene replication staleness at apply: follower clock minus coordinator event stamp")
 	reg.Gauge("poem_cluster_peers", "peers in the federated cluster",
 		func() float64 { return float64(cl.n) })
+	reg.Gauge(obs.Labeled("poem_cluster_info", "cluster", cl.id), "always 1; the label names the cluster",
+		func() float64 { return 1 })
+	reg.Gauge("poem_cluster_self", "this peer's index in the cluster peer list",
+		func() float64 { return float64(cl.self) })
+	reg.Gauge("poem_cluster_coordinator", "the coordinator's index in the cluster peer list",
+		func() float64 { return float64(cl.coordinator) })
 	reg.Gauge("poem_cluster_staleness_last_ns", "last measured scene replication staleness",
 		func() float64 { return float64(cl.lastStale.Load()) })
 	reg.Gauge("poem_cluster_applied_seq", "scene journal seq this peer applied (the coordinator's own seq)",
@@ -214,7 +220,7 @@ func newCluster(s *Server, cfg ServerConfig) *cluster {
 				return float64(seq - applied)
 			})
 	}
-	cl.health = fidelity.NewClusterHealth(cl.n, cl.self, reg)
+	cl.health = fidelity.NewClusterHealth(cl.n, reg)
 
 	if cl.n > 1 {
 		for p := range cl.peers {
@@ -228,11 +234,12 @@ func newCluster(s *Server, cfg ServerConfig) *cluster {
 			cl.trunks[p] = transport.NewTrunk(transport.TrunkConfig{
 				Dial: dial,
 				Hello: &wire.TrunkHello{Ver: wire.Version, From: uint32(cl.self),
-					Coordinator: uint32(cl.coordinator), Cluster: cl.id},
+					Coordinator: uint32(cl.coordinator), Seed: cfg.Seed, Cluster: cl.id},
 				MinBackoff: cfg.TrunkMinBackoff,
 				MaxBackoff: cfg.TrunkMaxBackoff,
 				Name:       "peer" + strconv.Itoa(p),
 			})
+			cl.instrumentTrunk(reg, p)
 		}
 		if cl.self == cl.coordinator {
 			cfg.Scene.KeepJournal()
@@ -253,6 +260,46 @@ func newCluster(s *Server, cfg ServerConfig) *cluster {
 		go cl.statusLoop(every)
 	}
 	return cl
+}
+
+// instrumentTrunk registers the outbound trunk to peer p: whether it is
+// connected, its ledger (written, dropped, pending), the frames that
+// carried the written entries, its dial history, and — on the
+// coordinator — whether p's scene digest last differed.
+func (cl *cluster) instrumentTrunk(reg *obs.Registry, p int) {
+	tr, c := cl.trunks[p], &cl.cursors[p]
+	name := func(family string) string { return obs.Labeled(family, "peer", strconv.Itoa(p)) }
+	flag := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	reg.Gauge(name("poem_cluster_peer_trunk_up"), "1 while the trunk to this peer is connected",
+		func() float64 { return flag(tr.Stats().Up) })
+	reg.Gauge(name("poem_cluster_peer_trunk_pending_entries"),
+		"scheduled deliveries handed to this peer's trunk and not yet written or dropped",
+		func() float64 { return float64(tr.Stats().Pending) })
+	reg.Gauge(name("poem_cluster_peer_digest_diverged"),
+		"1 while this peer's scene digest differs from the coordinator's at the same seq (coordinator only)",
+		func() float64 { return flag(c.diverged.Load()) })
+	for _, f := range [...]struct {
+		family, help string
+		v            func(transport.TrunkStats) uint64
+	}{
+		{"poem_cluster_peer_trunk_entries_total", "scheduled deliveries written to this peer's trunk",
+			func(ts transport.TrunkStats) uint64 { return ts.SentEntries }},
+		{"poem_cluster_peer_trunk_frames_total", "frames written to this peer's trunk, heartbeats and scene frames included",
+			func(ts transport.TrunkStats) uint64 { return ts.SentMsgs }},
+		{"poem_cluster_peer_trunk_dropped_total", "scheduled deliveries dropped because this peer's trunk was down or failed the write",
+			func(ts transport.TrunkStats) uint64 { return ts.DroppedBatch }},
+		{"poem_cluster_peer_trunk_reconnects_total", "successful (re)connections of the trunk to this peer",
+			func(ts transport.TrunkStats) uint64 { return ts.Reconnects }},
+		{"poem_cluster_peer_trunk_dial_failures_total", "failed dials of the trunk to this peer",
+			func(ts transport.TrunkStats) uint64 { return ts.DialFailures }},
+	} {
+		reg.CounterFunc(name(f.family), f.help, func() uint64 { return f.v(tr.Stats()) })
+	}
 }
 
 // validateCluster checks the federation fields of a ServerConfig.
@@ -355,17 +402,20 @@ func (cl *cluster) removeConn(c transport.Conn) {
 // serveTrunk runs one inbound trunk connection after its TrunkHello:
 // batched remote deliveries land in the local shards' schedules, scene
 // frames go to the replica, heartbeats update the peer roll-up. A hello
-// from another cluster or version, from this peer's own index, or from a
-// peer that takes another peer for the coordinator is refused with a Bye
-// naming both sides. Runs on the connection's handler goroutine (under
-// Server.wg).
+// from another cluster or version, from this peer's own index, from a
+// peer that takes another peer for the coordinator, or from one whose
+// link-model seed differs (it would drop other packets of the same flow)
+// is refused with a Bye naming both sides. Runs on the connection's
+// handler goroutine (under Server.wg).
 func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 	from := int(hello.From)
+	seed := cl.srv.cfg.Seed
 	if hello.Ver != wire.Version || hello.Cluster != cl.id || from >= cl.n || from == cl.self ||
-		int(hello.Coordinator) != cl.coordinator {
+		int(hello.Coordinator) != cl.coordinator || hello.Seed != seed {
 		conn.Send(&wire.Bye{Reason: fmt.Sprintf("core: trunk rejected: hello from cluster %q version %d peer %d "+
-			"coordinator %d; this is cluster %q version %d peer %d coordinator %d", hello.Cluster, hello.Ver,
-			hello.From, hello.Coordinator, cl.id, wire.Version, cl.self, cl.coordinator)})
+			"coordinator %d; this is cluster %q version %d peer %d coordinator %d; the hello's seed is %d, this peer's %d",
+			hello.Cluster, hello.Ver, hello.From, hello.Coordinator, cl.id, wire.Version, cl.self, cl.coordinator,
+			hello.Seed, seed)})
 		return
 	}
 	cl.addConn(conn)
@@ -699,35 +749,26 @@ func (cl *cluster) closeInbound() {
 	}
 }
 
-// PeerStat is one cluster peer as seen from this server.
+// PeerStat is one cluster peer as seen from this server; ClusterStat
+// lists them by peer index.
 type PeerStat struct {
-	Peer   int
-	Self   bool
-	Addr   string
-	Health string // last known real-time health state
 	// AppliedSeq is the scene journal seq the peer last reported applied
 	// (own value for Self; the coordinator reports what it wrote this
 	// peer). Diverged: the peer's digest differed from the coordinator's
 	// at the same seq (coordinator only).
 	AppliedSeq uint64
 	Diverged   bool
-	// Trunk counters for the outbound trunk to this peer (zero for Self):
-	// entries written in SentMsgs frames, dropped, and still pending.
+	// The ledger of the outbound trunk to this peer (zero for this peer
+	// itself): entries written, dropped, and still pending.
 	TrunkUp        bool
-	SentMsgs       uint64
 	SentEntries    uint64
 	DroppedEntries uint64
 	Pending        uint64
-	Reconnects     uint64
-	DialFailures   uint64
 }
 
 // ClusterStat is a snapshot of the federation tier.
 type ClusterStat struct {
-	ID          string
-	Self        int
-	Coordinator int
-	Peers       int
+	Peers int
 	// RepSeq is the coordinator's journal seq (zero elsewhere);
 	// AppliedSeq this peer's replication point. Snapshots counts scene
 	// snapshots sent whole (coordinator) or restored (follower);
@@ -780,9 +821,6 @@ func (s *Server) Cluster() *ClusterStat {
 	}
 	applied := cl.appliedSeq()
 	st := &ClusterStat{
-		ID:          cl.id,
-		Self:        cl.self,
-		Coordinator: cl.coordinator,
 		Peers:       cl.n,
 		AppliedSeq:  applied,
 		Snapshots:   cl.mSnapshots.Load(),
@@ -796,10 +834,6 @@ func (s *Server) Cluster() *ClusterStat {
 	}
 	for p := range cl.peers {
 		ps := PeerStat{
-			Peer:       p,
-			Self:       p == cl.self,
-			Addr:       cl.peers[p].Addr,
-			Health:     cl.health.Peer(p).String(),
 			AppliedSeq: cl.peerApplied[p].Load(),
 			Diverged:   cl.cursors[p].diverged.Load(),
 		}
@@ -809,12 +843,9 @@ func (s *Server) Cluster() *ClusterStat {
 		if tr := cl.trunks[p]; tr != nil {
 			ts := tr.Stats()
 			ps.TrunkUp = ts.Up
-			ps.SentMsgs = ts.SentMsgs
 			ps.SentEntries = ts.SentEntries
 			ps.DroppedEntries = ts.DroppedBatch
 			ps.Pending = ts.Pending
-			ps.Reconnects = ts.Reconnects
-			ps.DialFailures = ts.DialFailures
 			st.RemoteEntries += ts.SentEntries + ts.Pending
 			st.PendingEntries += ts.Pending
 			st.TrunkDropped += ts.DroppedBatch

@@ -433,7 +433,7 @@ func TestClusterStatsReadTheTrunkLedger(t *testing.T) {
 			t.Fatalf("%s: remote %d + dropped %d != routed %d", step, cs.RemoteEntries, cs.TrunkDropped, routed)
 		}
 		if ps := cs.PeerStats[1]; ps.Pending != pending || ps.DroppedEntries != dropped {
-			t.Fatalf("%s: peer line pending %d dropped %d", step, ps.Pending, ps.DroppedEntries)
+			t.Fatalf("%s: PeerStats[1] pending %d dropped %d", step, ps.Pending, ps.DroppedEntries)
 		}
 		if got, want := metricValue(t, srv, "poem_cluster_trunk_pending_entries"), fmt.Sprint(pending); got != want {
 			t.Fatalf("%s: pending gauge %s, want %s", step, got, want)
@@ -608,8 +608,10 @@ func TestTrunkRefusesMisconfiguredPeers(t *testing.T) {
 	}
 	seq, parts := src.EncodeState(1 << 10)
 	hello := func(from, coord uint32) *wire.TrunkHello {
-		return &wire.TrunkHello{Ver: wire.Version, From: from, Coordinator: coord, Cluster: "misconf"}
+		return &wire.TrunkHello{Ver: wire.Version, From: from, Coordinator: coord, Seed: 7, Cluster: "misconf"}
 	}
+	reseeded := hello(0, 0)
+	reseeded.Seed = 8
 	this := func(self int) string {
 		return fmt.Sprintf("this is cluster %q version %d peer %d coordinator 0", "misconf", wire.Version, self)
 	}
@@ -623,13 +625,14 @@ func TestTrunkRefusesMisconfiguredPeers(t *testing.T) {
 		{"frame from the coordinator", 1, hello(0, 0), nil, true},
 		{"hello from itself", 1, hello(1, 0), []string{"peer 1 coordinator 0;", this(1)}, false},
 		{"hello naming another coordinator", 1, hello(2, 2), []string{"peer 2 coordinator 2;", this(1)}, false},
+		{"hello with another seed", 1, reseeded, []string{"the hello's seed is 8, this peer's 7", this(1)}, false},
 		{"frame from a follower", 1, hello(2, 0), nil, false},
 		{"frame sent to the coordinator", 0, hello(1, 0), nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := scene.New(radio.NewIndexed(16), vclock.NewManual(0), 1)
 			srv, err := NewServer(ServerConfig{
-				Clock: vclock.NewManual(0), Scene: sc, Shards: 1, ClusterID: "misconf", Self: tc.self,
+				Clock: vclock.NewManual(0), Scene: sc, Shards: 1, Seed: 7, ClusterID: "misconf", Self: tc.self,
 				Peers:           []PeerSpec{{Dial: unreachable}, {Dial: unreachable}, {Dial: unreachable}},
 				TrunkMinBackoff: time.Hour, TrunkMaxBackoff: time.Hour,
 			})

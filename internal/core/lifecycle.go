@@ -145,8 +145,8 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// ShardStat is one shard's slice of the pipeline, as exposed by the
-// control-plane stats verb and the per-shard obs instruments.
+// ShardStat is one shard's slice of the pipeline: the figures its
+// per-shard obs instruments export, as one typed snapshot.
 type ShardStat struct {
 	Shard      int
 	Clients    int    // sessions registered on this shard

@@ -204,7 +204,7 @@ func TestFidelityDeadlineMissManualClock(t *testing.T) {
 	if st := srv.Stats(); st.Health != fid.State().String() {
 		t.Fatalf("Stats.Health %q != monitor state %q", st.Health, fid.State())
 	}
-	// The stats verb surfaces per-shard figures.
+	// The typed shard snapshot carries the per-shard figures.
 	shs := srv.ShardStats()
 	if shs[0].DeadlineMisses == 0 || shs[0].LagWatermark < 9*time.Second || shs[0].Health == "healthy" {
 		t.Fatalf("ShardStats fidelity figures: %+v", shs[0])

@@ -431,6 +431,11 @@ func (s *Server) instrument(cfg ServerConfig) {
 			"this shard's schedule depth", func() float64 { return float64(sh.scanner.Pending()) })
 		reg.Gauge(obs.Labeled("poem_shard_clients", "shard", idx),
 			"sessions registered on this shard", func() float64 { return float64(sh.clients()) })
+		reg.Gauge(obs.Labeled("poem_shard_queue_depth", "shard", idx),
+			"summed send-queue depth of this shard's sessions", func() float64 { return float64(sh.queueDepth()) })
+		reg.CounterFunc(obs.Labeled("poem_shard_fire_batches_total", "shard", idx),
+			"batches this shard's scanner fired, one schedule-lock cycle each",
+			func() uint64 { return sh.scanner.Stats().Batches })
 		sh.fid = s.fid.Shard(sh.idx)
 		sh.scanner.SetFireObserver(s.fireObserver(sh))
 	}

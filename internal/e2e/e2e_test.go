@@ -164,8 +164,11 @@ func TestFullStackOverTCP(t *testing.T) {
 	if show := ctrl.Execute("show"); !strings.Contains(show, "1 @") {
 		t.Errorf("show:\n%s", show)
 	}
-	if st := ctrl.Execute("stats"); !strings.Contains(st, "received=") {
+	if st := ctrl.Execute("stats"); !strings.Contains(st, "\npoem_received_total ") {
 		t.Errorf("stats: %q", st)
+	}
+	if sess := ctrl.Execute("sessions"); strings.Count(sess, " received=") != 4 {
+		t.Errorf("sessions: %q", sess)
 	}
 
 	// 7. Persistence round trip: save → load → analyze → replay.

@@ -1,6 +1,7 @@
 package fidelity
 
 import (
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -14,7 +15,6 @@ import (
 // whatever they last were while a peer is silent — a dead peer's slot
 // freezes, and the trunk-connectivity stats (not this type) say why.
 type ClusterHealth struct {
-	self   int
 	states []atomic.Uint32
 }
 
@@ -24,14 +24,14 @@ type ClusterHealth struct {
 //
 //	poem_cluster_peer_health{peer="i"}  0 healthy, 1 degraded, 2 overrun
 //	poem_cluster_health                 worst state across peers
-func NewClusterHealth(npeers, self int, reg *obs.Registry) *ClusterHealth {
-	c := &ClusterHealth{self: self, states: make([]atomic.Uint32, npeers)}
+func NewClusterHealth(npeers int, reg *obs.Registry) *ClusterHealth {
+	c := &ClusterHealth{states: make([]atomic.Uint32, npeers)}
 	if reg == nil {
 		return c
 	}
 	for i := range c.states {
 		i := i
-		reg.Gauge(obs.Labeled("poem_cluster_peer_health", "peer", itoa(i)),
+		reg.Gauge(obs.Labeled("poem_cluster_peer_health", "peer", strconv.Itoa(i)),
 			"last known real-time health state of this cluster peer",
 			func() float64 { return float64(c.states[i].Load()) })
 	}
@@ -48,14 +48,6 @@ func (c *ClusterHealth) Set(peer int, st State) {
 	c.states[peer].Store(uint32(st))
 }
 
-// Peer returns the last recorded state of peer.
-func (c *ClusterHealth) Peer(peer int) State {
-	if peer < 0 || peer >= len(c.states) {
-		return Healthy
-	}
-	return State(c.states[peer].Load())
-}
-
 // Worst returns the worst state across all peers — the cluster-wide
 // analogue of Monitor.State's max-over-shards.
 func (c *ClusterHealth) Worst() State {
@@ -67,6 +59,3 @@ func (c *ClusterHealth) Worst() State {
 	}
 	return worst
 }
-
-// Peers returns how many peer slots the roll-up tracks.
-func (c *ClusterHealth) Peers() int { return len(c.states) }

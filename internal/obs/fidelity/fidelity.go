@@ -33,6 +33,7 @@ package fidelity
 
 import (
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,7 +59,7 @@ const (
 )
 
 // String returns the state's lower-case name (the spelling used in
-// /healthz, the stats verb, and the poem_health gauge docs).
+// /healthz, poemctl watch, and the poem_health gauge docs).
 func (s State) String() string {
 	switch s {
 	case Healthy:
@@ -259,7 +260,7 @@ func (m *Monitor) instrument(reg *obs.Registry) {
 		func() uint64 { return m.rec.Recorded() })
 	for _, sh := range m.shards {
 		sh := sh
-		idx := itoa(sh.idx)
+		idx := strconv.Itoa(sh.idx)
 		sh.missed = reg.Counter(obs.Labeled("poem_shard_deadline_miss_total", "shard", idx),
 			"deliveries fired more than the rt-tolerance past their due time")
 		sh.lag = reg.Histogram(obs.Labeled("poem_shard_deadline_lag_ns", "shard", idx),
@@ -274,18 +275,6 @@ func (m *Monitor) instrument(reg *obs.Registry) {
 			"shard real-time health state (0=healthy 1=degraded 2=overrun)",
 			func() float64 { return float64(sh.state.Load()) })
 	}
-}
-
-// itoa avoids importing strconv for two-digit shard indices on a path
-// that also runs in tests with large shard counts.
-func itoa(i int) string {
-	if i < 0 {
-		return "-" + itoa(-i)
-	}
-	if i < 10 {
-		return string(rune('0' + i))
-	}
-	return itoa(i/10) + string(rune('0'+i%10))
 }
 
 // refreshServer recomputes the server-wide state after a shard

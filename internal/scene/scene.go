@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,8 +125,10 @@ type Scene struct {
 	rebuildObs func(ch radio.ChannelID, rows int)
 
 	// tickHist, when instrumented, records the wall cost of each
-	// mobility tick (walker advance + view republish).
+	// mobility tick (walker advance + view republish); reg is the
+	// registry each channel's rebuild counter joins at its first view.
 	tickHist *obs.Histogram
+	reg      *obs.Registry
 
 	// j is the replication journal (journal.go).
 	j journal
@@ -155,9 +158,9 @@ func New(tab *radio.IndexedTables, clk vclock.Clock, seed int64) *Scene {
 }
 
 // Instrument registers the scene's metrics on reg: the node-count
-// gauge, the aggregate dispatch-view rebuild counter (per-channel
-// counts stay queryable through ViewRebuilds / ViewRebuildCounts), the
-// rows those rebuilds republished, and the mobility-tick cost histogram.
+// gauge, the dispatch-view rebuild counters (the aggregate, and one per
+// channel from the channel's first view on), the rows those rebuilds
+// republished, and the mobility-tick cost histogram.
 func (s *Scene) Instrument(reg *obs.Registry) {
 	reg.Gauge("poem_scene_nodes", "VMNs in the emulated scene", func() float64 {
 		return float64(s.Len())
@@ -176,7 +179,19 @@ func (s *Scene) Instrument(reg *obs.Registry) {
 		"neighbor rows stored in or dropped from dispatch views", s.RowsRepublished)
 	s.mu.Lock()
 	s.tickHist = reg.Histogram("poem_scene_tick_ns", "wall cost of one mobility tick")
+	s.reg = reg
+	for ch := range s.rebuilds {
+		s.instrumentChannelLocked(ch)
+	}
 	s.mu.Unlock()
+}
+
+// instrumentChannelLocked registers ch's view rebuild counter. Called
+// with mu held; the callback takes mu at scrape time, outside the
+// registry's lock.
+func (s *Scene) instrumentChannelLocked(ch radio.ChannelID) {
+	s.reg.CounterFunc(obs.Labeled("poem_scene_channel_view_rebuilds_total", "channel", strconv.Itoa(int(ch))),
+		"dispatch-view rebuilds of this channel", func() uint64 { return s.ViewRebuilds(ch) })
 }
 
 // Subscribe registers a listener for all subsequent events.

@@ -239,8 +239,8 @@ func (s *Scene) ViewRebuilds(ch radio.ChannelID) uint64 {
 	return s.rebuilds[ch]
 }
 
-// ViewRebuildCounts returns every channel's rebuild count, for the
-// control protocol's per-channel stats lines. The map is a copy.
+// ViewRebuildCounts returns every channel's rebuild count. The map is a
+// copy.
 func (s *Scene) ViewRebuildCounts() map[radio.ChannelID]uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -349,7 +349,9 @@ func (s *Scene) publishLocked() {
 			model = s.defModel
 		}
 		v.model = model
-		s.rebuilds[ch]++
+		if s.rebuilds[ch]++; s.rebuilds[ch] == 1 && s.reg != nil {
+			s.instrumentChannelLocked(ch)
+		}
 		if s.rebuildObs != nil {
 			s.rebuildObs(ch, s.rowsBy[ch])
 		}

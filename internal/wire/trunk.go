@@ -6,7 +6,7 @@
 // listener serves both; the first frame decides which protocol the
 // connection is), with four extra message types:
 //
-//	TrunkHello   peer handshake: protocol version, peer and coordinator index, cluster id
+//	TrunkHello   peer handshake: protocol version, peer and coordinator index, seed, cluster id
 //	TrunkBatch   a batch of already-scheduled deliveries for remote nodes
 //	TrunkScene   scene journal records, or a part of a scene snapshot, from the coordinator
 //	TrunkStatus  periodic peer status: health, replication point, scene digest, resend request
@@ -39,13 +39,14 @@ const (
 const MaxTrunkEntries = 4096
 
 // TrunkHello opens a trunk: the dialing peer identifies itself, the
-// cluster it believes it belongs to and the peer it takes for the
-// coordinator. A receiver that disagrees about any of them (or Ver)
-// answers Bye and closes.
+// cluster it believes it belongs to, the peer it takes for the
+// coordinator and its link-model seed. A receiver that disagrees about
+// any of them (or Ver) answers Bye and closes.
 type TrunkHello struct {
 	Ver         uint16
 	From        uint32 // dialing peer's index in the cluster peer list
 	Coordinator uint32 // the coordinator's index, as the dialing peer is configured
+	Seed        int64  // the dialing peer's link-model seed; must match on both ends
 	Cluster     string // cluster identity; must match on both ends
 }
 
@@ -56,17 +57,26 @@ func (m TrunkHello) appendBody(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, m.Ver)
 	b = binary.BigEndian.AppendUint32(b, m.From)
 	b = binary.BigEndian.AppendUint32(b, m.Coordinator)
+	b = binary.BigEndian.AppendUint64(b, uint64(m.Seed))
 	return append(b, m.Cluster...)
 }
 
+// readBody decodes only Ver from another version's hello, whose layout
+// may differ, so that the receiver can still refuse it by name.
 func (m *TrunkHello) readBody(b []byte) error {
-	if len(b) < 10 {
+	if len(b) < 2 {
 		return ErrShortBody
 	}
-	m.Ver = binary.BigEndian.Uint16(b)
+	if m.Ver = binary.BigEndian.Uint16(b); m.Ver != Version {
+		return nil
+	}
+	if len(b) < 18 {
+		return ErrShortBody
+	}
 	m.From = binary.BigEndian.Uint32(b[2:])
 	m.Coordinator = binary.BigEndian.Uint32(b[6:])
-	m.Cluster = string(b[10:])
+	m.Seed = int64(binary.BigEndian.Uint64(b[10:]))
+	m.Cluster = string(b[18:])
 	return nil
 }
 

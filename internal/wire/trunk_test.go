@@ -35,8 +35,10 @@ func TestTrunkRoundTrip(t *testing.T) {
 		name string
 		msg  Msg
 	}{
-		{"hello", TrunkHello{Ver: Version, From: 3, Coordinator: 1, Cluster: "scene-42"}},
+		{"hello", TrunkHello{Ver: Version, From: 3, Coordinator: 1, Seed: 7, Cluster: "scene-42"}},
 		{"hello empty cluster", TrunkHello{Ver: Version, From: 0}},
+		{"hello negative seed", TrunkHello{Ver: Version, From: 2, Seed: -1 << 62, Cluster: "c"}},
+		{"hello of another version", TrunkHello{Ver: Version + 1}},
 		{"batch empty", TrunkBatch{}},
 		{"batch one", TrunkBatch{Entries: []TrunkEntry{
 			{Due: 1000, To: 7, Pkt: Packet{Src: 1, Dst: 7, Channel: 2, Flow: 9, Seq: 4, Stamp: 900, Payload: []byte("hi")}},
@@ -217,7 +219,8 @@ func TestTrunkBatchPooledReadEmpty(t *testing.T) {
 func FuzzTrunkFrame(f *testing.F) {
 	add, move, _, part := sceneBytes()
 	seeds := []Msg{
-		TrunkHello{Ver: Version, From: 1, Coordinator: 0, Cluster: "c"},
+		TrunkHello{Ver: Version, From: 1, Coordinator: 0, Seed: 42, Cluster: "c"},
+		TrunkHello{Ver: Version - 1, From: 1, Cluster: "poem"},
 		TrunkBatch{Entries: []TrunkEntry{
 			{Due: 10, To: 1, Pkt: Packet{Src: 2, Dst: 1, Channel: 1, Seq: 1, Stamp: 5, Payload: []byte("a")}},
 			{Due: 20, To: 2, Pkt: Packet{Src: 2, Dst: 2, Channel: 1, Seq: 2, Stamp: 6, Payload: []byte("bb")}},

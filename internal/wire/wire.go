@@ -32,8 +32,9 @@ import (
 // Version is the protocol version carried in Hello and TrunkHello frames;
 // a peer or client of another version is refused at the hello. Version
 // 2 carries scene replication as journal bytes and snapshots, with the
-// coordinator's index in TrunkHello and digests in TrunkStatus.
-const Version uint16 = 2
+// coordinator's index in TrunkHello and digests in TrunkStatus; version
+// 3 adds the link-model seed to TrunkHello.
+const Version uint16 = 3
 
 // MaxFrame bounds a frame body; larger frames are rejected as corrupt.
 const MaxFrame = 1 << 20
