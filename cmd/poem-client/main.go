@@ -77,7 +77,7 @@ func main() {
 	defer client.Close()
 	p.Start(client)
 	defer p.Stop()
-	ticker := routing.StartTicker(p, clk, *beacon)
+	ticker := vclock.Every(clk, *beacon, func(vclock.Time) { p.Tick() })
 	defer ticker.Stop()
 
 	log.Printf("poem-client: VMN%d running %s against %s (clock offset %v)",

@@ -57,7 +57,7 @@ func main() {
 		defer c.Close()
 		p.Start(c)
 		defer p.Stop()
-		tk := routing.StartTicker(p, clk, beacon)
+		tk := vclock.Every(clk, beacon, func(vclock.Time) { p.Tick() })
 		defer tk.Stop()
 		protos[id] = p
 	}

@@ -5,7 +5,7 @@ package chaos
 // has lost real time; this scenario proves the real-traffic gateway
 // (internal/gateway) *acts* on it — shedding ingress drop-newest while
 // its shard is degraded or worse, and resuming cleanly once the
-// hysteresis steps the health back down. The clock is a StallClock, so
+// hysteresis steps the health back down. The clock is a vclock.StallClock, so
 // the whole degrade → shed → recover arc is deterministic and seeded.
 
 import (
@@ -75,7 +75,7 @@ func (r GatewayStallReport) Failure() string {
 // the gateway allocates from the world's leak-checked pool.
 func RunGatewayStall(cfg GatewayStallConfig) (rep GatewayStallReport) {
 	rep = GatewayStallReport{Outcome: Outcome{Seed: cfg.Seed}}
-	clk := NewStallClock(vclock.NewSystem(stallScale))
+	clk := vclock.NewStallClock(vclock.NewSystem(stallScale))
 	w, err := newWorld(cfg.Seed, clk, 0, 64, core.ServerConfig{
 		Shards: 1, RTTolerance: gwTolerance, RTWindow: stallWindow,
 		TickStep: 10 * time.Second,

@@ -1,9 +1,9 @@
 package chaos
 
 // Clock-stall scenario: the adversarial input the real-time fidelity
-// monitor (internal/obs/fidelity) exists to catch. A StallClock freezes
-// the server's emulation clock while traffic keeps arriving, then
-// releases it — emulated time leaps forward by the whole stall, every
+// monitor (internal/obs/fidelity) exists to catch. A vclock.StallClock
+// freezes the server's emulation clock while traffic keeps arriving,
+// then releases it — emulated time leaps forward by the whole stall, every
 // delivery scheduled during the freeze fires hopelessly late in one
 // pile, and the monitor must (a) count the misses, (b) escalate the
 // health state machine, and (c) capture a flight-recorder dump of the
@@ -13,80 +13,12 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs/fidelity"
 	"repro/internal/vclock"
 )
-
-// StallClock wraps a WaitClock with a freeze switch. While stalled,
-// Now() returns the instant the stall began; on Resume the reading
-// snaps back to the (still-running) inner clock, so emulated time leaps
-// forward by the whole stall at once — exactly the signature a host
-// stall leaves on a wall-clock-backed emulation. Wait degrades to a
-// poll so a waiter frozen mid-stall observes the leap promptly.
-type StallClock struct {
-	inner vclock.WaitClock
-
-	mu      sync.Mutex
-	stalled bool
-	at      vclock.Time
-}
-
-// NewStallClock wraps inner, initially running.
-func NewStallClock(inner vclock.WaitClock) *StallClock {
-	return &StallClock{inner: inner}
-}
-
-// Stall freezes the clock at its current reading. Idempotent.
-func (c *StallClock) Stall() {
-	c.mu.Lock()
-	if !c.stalled {
-		c.stalled = true
-		c.at = c.inner.Now()
-	}
-	c.mu.Unlock()
-}
-
-// Resume releases the freeze; the next Now() leaps to the inner
-// clock's reading. Idempotent.
-func (c *StallClock) Resume() {
-	c.mu.Lock()
-	c.stalled = false
-	c.mu.Unlock()
-}
-
-// Now returns the frozen instant while stalled, the inner reading
-// otherwise.
-func (c *StallClock) Now() vclock.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stalled {
-		return c.at
-	}
-	return c.inner.Now()
-}
-
-// Wait blocks until Now() reaches t or cancel fires. It polls rather
-// than delegating to the inner clock: during a stall the target is
-// unreachable until Resume, and after the leap the poll notices within
-// one interval.
-func (c *StallClock) Wait(t vclock.Time, cancel <-chan struct{}) bool {
-	for {
-		if c.Now() >= t {
-			return true
-		}
-		timer := time.NewTimer(200 * time.Microsecond)
-		select {
-		case <-timer.C:
-		case <-cancel:
-			timer.Stop()
-			return false
-		}
-	}
-}
 
 // The shape both stall scenarios share. stallPackets broadcasts pile up
 // behind a stallHold wall-clock freeze of a clock running stallScale×
@@ -155,7 +87,7 @@ func (r StallReport) Failure() string { return r.failure("clock-stall", "TestClo
 // deliveries, it never loses them.
 func RunStall(cfg StallConfig) (rep StallReport) {
 	rep = StallReport{Outcome: Outcome{Seed: cfg.Seed}}
-	clk := NewStallClock(vclock.NewSystem(stallScale))
+	clk := vclock.NewStallClock(vclock.NewSystem(stallScale))
 	w, err := newWorld(cfg.Seed, clk, 0, 64, core.ServerConfig{
 		Shards: max(cfg.Shards, 1), RTTolerance: stallTolerance, RTWindow: stallWindow,
 		// Mobility is irrelevant here; keep the ticker off the clock.

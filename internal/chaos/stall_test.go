@@ -38,63 +38,73 @@ func TestClockStallMultiShard(t *testing.T) {
 	}
 }
 
-// TestStallClock pins the clock wrapper itself: frozen reads are
-// constant while the inner clock runs on, the post-resume reading leaps
-// to the inner clock, and a waiter parked behind the freeze is released
-// by the leap.
+// TestStallClock pins the stall clock on the production wall waiter
+// the scenarios' scanners sleep on: a frozen clock reads constant while
+// the inner clock runs on and parks the waiter, Resume releases it at
+// the leap, and a Wake releases a stalled waiter with false.
 func TestStallClock(t *testing.T) {
 	inner := vclock.NewSystem(1000) // compress so the test stays fast
-	clk := NewStallClock(inner)
-	if clk.Now() < 0 {
-		t.Fatal("negative reading")
+	clk := vclock.NewStallClock(inner)
+	w := vclock.NewWaiter(clk)
+	wait := func(target vclock.Time) <-chan bool {
+		done := make(chan bool, 1)
+		go func() { done <- w.Wait(target) }()
+		return done
 	}
-	clk.Stall()
-	frozen := clk.Now()
-	time.Sleep(2 * time.Millisecond)
-	if got := clk.Now(); got != frozen {
-		t.Fatalf("stalled clock advanced: %v -> %v", frozen, got)
-	}
-	if inner.Now() <= frozen {
-		t.Fatal("inner clock did not run during the stall")
+	result := func(done <-chan bool, what string) bool {
+		select {
+		case ok := <-done:
+			return ok
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: Wait never returned", what)
+			return false
+		}
 	}
 
-	// A waiter behind the freeze parks until Resume, then observes the
-	// leap and returns.
-	target := frozen.Add(time.Millisecond)
-	done := make(chan bool, 1)
-	go func() { done <- clk.Wait(target, nil) }()
-	select {
-	case <-done:
-		t.Fatal("Wait returned while the clock was stalled")
-	case <-time.After(2 * time.Millisecond):
-	}
-	clk.Resume()
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("Wait reported cancelled")
+	t.Run("frozen clock parks the waiter", func(t *testing.T) {
+		clk.Stall()
+		frozen := clk.Now()
+		done := wait(frozen.Add(time.Millisecond))
+		time.Sleep(2 * time.Millisecond)
+		if got := clk.Now(); got != frozen {
+			t.Fatalf("stalled clock advanced: %v -> %v", frozen, got)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Wait never observed the post-resume leap")
-	}
-	if got := clk.Now(); got < target {
-		t.Fatalf("post-resume reading %v below wait target %v", got, target)
-	}
+		if inner.Now() <= frozen.Add(time.Millisecond) {
+			t.Fatal("inner clock did not run past the target during the stall")
+		}
+		select {
+		case <-done:
+			t.Fatal("Wait returned while the clock was stalled")
+		default:
+		}
+		w.Wake()
+		result(done, "parked waiter")
+		clk.Resume()
+	})
 
-	// Cancellation releases a stalled waiter without reaching the target.
-	clk.Stall()
-	cancel := make(chan struct{})
-	go func() { done <- clk.Wait(clk.Now().Add(time.Hour), cancel) }()
-	close(cancel)
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("cancelled Wait reported target reached")
+	t.Run("Resume releases the waiter at the leap", func(t *testing.T) {
+		clk.Stall()
+		target := clk.Now().Add(time.Millisecond)
+		done := wait(target)
+		time.Sleep(2 * time.Millisecond)
+		clk.Resume()
+		if !result(done, "resumed waiter") {
+			t.Fatal("Wait reported woken, not the leap")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled Wait never returned")
-	}
-	clk.Resume()
+		if got := clk.Now(); got < target {
+			t.Fatalf("post-resume reading %v below wait target %v", got, target)
+		}
+	})
+
+	t.Run("Wake releases a stalled waiter with false", func(t *testing.T) {
+		clk.Stall()
+		defer clk.Resume()
+		done := wait(clk.Now().Add(time.Hour))
+		w.Wake()
+		if result(done, "woken waiter") {
+			t.Fatal("woken Wait reported target reached")
+		}
+	})
 }
 
 // TestChaosDigestUnaffectedByMonitoring pins RTTolerance as a pure

@@ -14,6 +14,7 @@ package chaos
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -452,7 +453,7 @@ func (w *world) tightCluster(n int, delay time.Duration) error {
 // have ingested them, and releases it: everything queued is then overdue
 // by stallScale×stallHold and fires as one late pile. It reports whether
 // the storm went in.
-func (w *world) stallStorm(clk *StallClock, sender *core.Client, flow uint16) bool {
+func (w *world) stallStorm(clk *vclock.StallClock, sender *core.Client, flow uint16) bool {
 	if !syncStormSender(sender, clk) {
 		w.violationf("stall: sender clock %v behind the server after 64 resyncs", clk.Now().Sub(sender.Now()))
 		return false
@@ -641,10 +642,30 @@ func (w *world) settle(where string) {
 	w.checkFIFO(where)
 }
 
-// checkObsCounters cross-checks one peer's stats against its metrics
-// registry: the observability layer must agree with the pipeline it
-// observes.
+// checkObsCounters cross-checks one peer's stats against the text its
+// metrics registry renders — what /metrics and `stats` serve: the
+// observability layer must agree with the pipeline it observes.
 func (w *world) checkObsCounters(where string, i int, st core.ServerStats) {
+	var text strings.Builder
+	if err := w.peers[i].reg.WritePrometheus(&text); err != nil {
+		w.violationf("%s: obs peer %d: render: %v", where, i, err)
+		return
+	}
+	for _, v := range exposedCounterMismatches(text.String(), st) {
+		w.violationf("%s: obs peer %d: %s", where, i, v)
+	}
+}
+
+// exposedCounterMismatches returns one line per pipeline counter whose
+// sample in the Prometheus text is missing or disagrees with st.
+func exposedCounterMismatches(text string, st core.ServerStats) []string {
+	exposed := make(map[string]string)
+	for _, line := range strings.Split(text, "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			exposed[name] = value
+		}
+	}
+	var out []string
 	for _, c := range []struct {
 		name string
 		want uint64
@@ -657,10 +678,11 @@ func (w *world) checkObsCounters(where string, i int, st core.ServerStats) {
 		{"poem_schedule_entries_total", st.Entered},
 		{"poem_abandoned_total", st.Abandoned},
 	} {
-		if got := w.peers[i].reg.Counter(c.name, "").Load(); got != c.want {
-			w.violationf("%s: obs peer %d: %s = %d, stats say %d", where, i, c.name, got, c.want)
+		if got, want := exposed[c.name], strconv.FormatUint(c.want, 10); got != want {
+			out = append(out, fmt.Sprintf("%s exposes %q, stats say %s", c.name, got, want))
 		}
 	}
+	return out
 }
 
 // checkFIFO verifies each client's received order is a subsequence of

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
-	"repro/internal/scene"
 	"repro/internal/sched"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -31,7 +30,7 @@ func (s *Server) Start() {
 	for _, sh := range s.shards {
 		sh.scanner.Start()
 	}
-	s.ticker = scene.StartTicker(s.cfg.Scene, s.cfg.Clock, s.cfg.TickStep)
+	s.ticker = vclock.Every(s.cfg.Clock, s.cfg.TickStep, s.cfg.Scene.Tick)
 }
 
 // Serve accepts connections until the listener closes. It always

@@ -197,7 +197,7 @@ func DefaultShards() int {
 type Server struct {
 	cfg    ServerConfig
 	shards []*shard
-	ticker *scene.Ticker
+	ticker *vclock.Ticker
 
 	// mu guards closed, ticker, and the wg.Add-vs-Wait ordering (see
 	// register and Close). It is a front-door lock only: the packet hot

@@ -96,7 +96,7 @@ func TestFullStackOverTCP(t *testing.T) {
 		t.Cleanup(c.Close)
 		p.Start(c)
 		t.Cleanup(p.Stop)
-		tk := routing.StartTicker(p, d.clk, beacon)
+		tk := vclock.Every(d.clk, beacon, func(vclock.Time) { p.Tick() })
 		t.Cleanup(tk.Stop)
 		protos[id] = p
 	}

@@ -85,7 +85,7 @@ func Table1(w io.Writer) {
 type Node struct {
 	Client *core.Client
 	Proto  routing.Protocol
-	ticker *routing.Ticker
+	ticker *vclock.Ticker
 }
 
 // StartNode dials the server and binds the protocol to the client.
@@ -106,7 +106,7 @@ func StartNode(id radio.NodeID, dial transport.Dialer, clk vclock.Clock,
 	p.Start(c)
 	n := &Node{Client: c, Proto: p}
 	if tickEvery > 0 && tickClk != nil {
-		n.ticker = routing.StartTicker(p, tickClk, tickEvery)
+		n.ticker = vclock.Every(tickClk, tickEvery, func(vclock.Time) { p.Tick() })
 	}
 	return n, nil
 }

@@ -211,10 +211,9 @@ func protocolOnce(name string, cfg ProtocolsConfig) (ProtocolRow, error) {
 	sent := 0
 	sendTimes := make(map[uint32]vclock.Time) // (flow<<16|seq) → send time
 	seq := uint32(0)
+	pace := vclock.NewWaiter(clk) // never woken: every Wait reaches its deadline
 	for now := start; now < end; now = now.Add(cfg.PacketGap) {
-		if !waitEmu(clk, now) {
-			break
-		}
+		pace.Wait(now)
 		for _, f := range flows {
 			seq++
 			sendTimes[uint32(f.flow)<<16|seq&0xFFFF] = clk.Now()
@@ -261,10 +260,4 @@ func protocolOnce(name string, cfg ProtocolsConfig) (ProtocolRow, error) {
 		row.OverheadRatio = float64(row.CtrlPackets) / float64(row.DataPackets)
 	}
 	return row, nil
-}
-
-// waitEmu sleeps until emulation time t; false if the clock cannot
-// advance (never happens with System clocks, kept for symmetry).
-func waitEmu(clk vclock.WaitClock, t vclock.Time) bool {
-	return clk.Wait(t, nil)
 }

@@ -16,7 +16,6 @@ package routing
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/radio"
 	"repro/internal/vclock"
@@ -121,38 +120,4 @@ func (c Config) withDefaults() Config {
 		c.TTL = 16
 	}
 	return c
-}
-
-// Ticker drives a protocol's Tick on a wall/emulation cadence. It is a
-// convenience for examples and cmd binaries; tests call Tick directly.
-type Ticker struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartTicker calls p.Tick every `every` of clk's time.
-func StartTicker(p Protocol, clk vclock.WaitClock, every time.Duration) *Ticker {
-	t := &Ticker{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(t.done)
-		next := clk.Now().Add(every)
-		for {
-			if !clk.Wait(next, t.stop) {
-				return
-			}
-			p.Tick()
-			next = next.Add(every)
-		}
-	}()
-	return t
-}
-
-// Stop halts the ticker.
-func (t *Ticker) Stop() {
-	select {
-	case <-t.stop:
-	default:
-		close(t.stop)
-	}
-	<-t.done
 }

@@ -516,40 +516,3 @@ func (s *Scene) Len() int {
 	defer s.mu.Unlock()
 	return s.tab.Len()
 }
-
-// ---------------------------------------------------------------------------
-// Ticker
-
-// Ticker drives Scene.Tick on a fixed emulation-time cadence in its own
-// goroutine.
-type Ticker struct {
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-// StartTicker begins ticking sc every step of emulation time.
-func StartTicker(sc *Scene, clk vclock.WaitClock, step time.Duration) *Ticker {
-	t := &Ticker{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(t.done)
-		next := clk.Now().Add(step)
-		for {
-			if !clk.Wait(next, t.stop) {
-				return
-			}
-			sc.Tick(clk.Now())
-			next = next.Add(step)
-		}
-	}()
-	return t
-}
-
-// Stop halts the ticker and waits for its goroutine. Safe to call from
-// several goroutines: the close runs once (two concurrent Stops could
-// previously both pass a select-based check and panic on the second
-// close).
-func (t *Ticker) Stop() {
-	t.once.Do(func() { close(t.stop) })
-	<-t.done
-}

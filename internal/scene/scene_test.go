@@ -252,7 +252,7 @@ func TestTickerDrivesMobility(t *testing.T) {
 	s := newScene(clk)
 	s.AddNode(1, geom.V(0, 500), oneRadio(1, 100))
 	s.SetMobility(1, mobility.Linear(0, 10, geom.R(0, 0, 10000, 10000)))
-	tk := StartTicker(s, clk, 100*time.Millisecond)
+	tk := vclock.Every(clk, 100*time.Millisecond, s.Tick)
 	defer tk.Stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -270,7 +270,7 @@ func TestTickerDrivesMobility(t *testing.T) {
 func TestTickerStopIdempotent(t *testing.T) {
 	clk := vclock.NewSystem(100)
 	s := newScene(clk)
-	tk := StartTicker(s, clk, time.Second)
+	tk := vclock.Every(clk, time.Second, s.Tick)
 	tk.Stop()
 	tk.Stop()
 }

@@ -263,13 +263,12 @@ func TestDispatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTickerStopConcurrent: Stop from several goroutines must not
-// double-close (the old select-based guard let two Stops race past the
-// check and panic).
+// TestTickerStopConcurrent: Stop from several goroutines on the scene's
+// ticker must neither panic nor hang.
 func TestTickerStopConcurrent(t *testing.T) {
 	clk := vclock.NewManual(0)
 	s := newScene(clk)
-	tk := StartTicker(s, clk, 100*time.Millisecond)
+	tk := vclock.Every(clk, 100*time.Millisecond, s.Tick)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

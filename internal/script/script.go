@@ -492,15 +492,28 @@ func buildLinkModel(m map[string]string) (linkmodel.Model, error) {
 // Run executes the script against a scene, pacing steps with the
 // clock. It returns after the `end` time or on stop/step error.
 func (sp *Script) Run(sc *scene.Scene, clk vclock.WaitClock, stop <-chan struct{}) error {
+	w := vclock.NewWaiter(clk)
+	if stop != nil {
+		done, exited := make(chan struct{}), make(chan struct{})
+		defer func() { close(done); <-exited }()
+		go func() { // turns stop into a Wake
+			defer close(exited)
+			select {
+			case <-stop:
+				w.Wake()
+			case <-done:
+			}
+		}()
+	}
 	for _, st := range sp.Steps {
-		if !clk.Wait(st.At, stop) {
+		if !w.Wait(st.At) {
 			return fmt.Errorf("script: stopped before step at line %d", st.Line)
 		}
 		if err := st.Do(sc); err != nil {
 			return fmt.Errorf("script: line %d (%s): %w", st.Line, st.Desc, err)
 		}
 	}
-	if !clk.Wait(sp.End, stop) {
+	if !w.Wait(sp.End) {
 		return fmt.Errorf("script: stopped before end")
 	}
 	return nil

@@ -64,39 +64,39 @@ func TestRunDemoAgainstScene(t *testing.T) {
 	sc, clk := newScene()
 	done := make(chan error, 1)
 	go func() { done <- sp.Run(sc, clk, nil) }()
-	// March the manual clock through the scenario.
-	step := func(s float64) {
+	// March the manual clock through the scenario, waiting at each stop
+	// for the steps due by then to show in the scene.
+	at := func(s float64, what string, done func() bool) {
+		t.Helper()
 		clk.Set(vclock.FromSeconds(s))
-		time.Sleep(2 * time.Millisecond) // let steps execute
+		deadline := time.Now().Add(2 * time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("t=%v: %s", s, what)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
-	step(0.5)
-	if sc.Len() != 3 {
-		t.Fatalf("t=0.5: %d nodes", sc.Len())
+	range1 := func() float64 {
+		n1, _ := sc.Node(1)
+		r, _ := n1.RangeOn(1)
+		return r
 	}
-	n1, _ := sc.Node(1)
-	if r, _ := n1.RangeOn(1); r != 200 {
+	at(0.5, "nodes never added", func() bool { return sc.Len() == 3 })
+	if r := range1(); r != 200 {
 		t.Errorf("initial range: %v", r)
 	}
-	step(3)
-	n1, _ = sc.Node(1)
-	if r, _ := n1.RangeOn(1); r != 120 {
-		t.Errorf("t=3 range: %v", r)
-	}
-	step(4.5)
-	n1, _ = sc.Node(1)
-	if !n1.HasChannel(3) || n1.HasChannel(1) {
-		t.Errorf("t=4.5 radios: %+v", n1.Radios)
-	}
-	step(5.5)
-	n3, _ := sc.Node(3)
-	if n3.Pos != geom.V(400, 400) {
-		t.Errorf("t=5.5 node3: %v", n3.Pos)
-	}
-	step(9)
-	if sc.HasNode(3) {
-		t.Error("node 3 not removed")
-	}
-	step(10)
+	at(3, "range never shrunk to 120", func() bool { return range1() == 120 })
+	at(4.5, "radios never switched to channel 3", func() bool {
+		n1, _ := sc.Node(1)
+		return n1.HasChannel(3) && !n1.HasChannel(1)
+	})
+	at(5.5, "node 3 never moved to 400,400", func() bool {
+		n3, _ := sc.Node(3)
+		return n3.Pos == geom.V(400, 400)
+	})
+	at(9, "node 3 never removed", func() bool { return !sc.HasNode(3) })
+	clk.Set(vclock.FromSeconds(10))
 	select {
 	case err := <-done:
 		if err != nil {

@@ -8,6 +8,7 @@ package traffic
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/vclock"
@@ -95,14 +96,13 @@ var ErrStopped = errors.New("traffic: pump stopped")
 // Pump paces packets from a Pattern onto a SendFunc against the
 // emulation clock.
 type Pump struct {
-	clk     vclock.WaitClock
+	clk     vclock.Clock
+	w       vclock.Waiter // woken only by Stop
+	stopped atomic.Bool
 	pattern Pattern
 	size    int
 	send    SendFunc
 	rng     *rand.Rand
-	stop    chan struct{}
-
-	sent uint32
 }
 
 // NewPump builds a pump. size is the payload size per packet.
@@ -112,11 +112,11 @@ func NewPump(clk vclock.WaitClock, pattern Pattern, size int, send SendFunc, see
 	}
 	return &Pump{
 		clk:     clk,
+		w:       vclock.NewWaiter(clk),
 		pattern: pattern,
 		size:    size,
 		send:    send,
 		rng:     rand.New(rand.NewSource(seed)),
-		stop:    make(chan struct{}),
 	}
 }
 
@@ -125,33 +125,27 @@ func NewPump(clk vclock.WaitClock, pattern Pattern, size int, send SendFunc, see
 func (p *Pump) Run(until vclock.Time) (int, error) {
 	payload := make([]byte, p.size)
 	next := p.clk.Now()
-	for {
+	for sent := 0; ; {
 		gap := p.pattern.NextGap(p.rng)
 		if gap < 0 {
 			gap = 0
 		}
 		next = next.Add(gap)
 		if next > until {
-			return int(p.sent), nil
+			return sent, nil
 		}
-		if !p.clk.Wait(next, p.stop) {
-			return int(p.sent), ErrStopped
+		if p.stopped.Load() || !p.w.Wait(next) {
+			return sent, ErrStopped
 		}
-		p.sent++
-		if err := p.send(p.sent, payload); err != nil {
-			return int(p.sent), err
+		sent++
+		if err := p.send(uint32(sent), payload); err != nil {
+			return sent, err
 		}
 	}
 }
 
-// Stop aborts a running pump.
+// Stop aborts a running pump. Idempotent.
 func (p *Pump) Stop() {
-	select {
-	case <-p.stop:
-	default:
-		close(p.stop)
-	}
+	p.stopped.Store(true)
+	p.w.Wake()
 }
-
-// Sent returns how many packets have been sent so far.
-func (p *Pump) Sent() int { return int(p.sent) }

@@ -25,14 +25,20 @@ func ExampleSynchronize() {
 	// estimated offset 3s over a 10ms round trip
 }
 
-// A Manual clock drives deterministic tests; waiters wake exactly when
-// the clock is advanced past their deadline.
+// A Manual clock drives deterministic tests. A Waiter is the one way
+// to sleep on emulation time: it wakes exactly when the clock is
+// advanced past its deadline, and a Wake cancels the sleep.
 func ExampleManual() {
 	clk := vclock.NewManual(0)
+	w := vclock.NewWaiter(clk)
 	done := make(chan bool)
-	go func() { done <- clk.Wait(vclock.FromSeconds(5), nil) }()
+	go func() { done <- w.Wait(vclock.FromSeconds(5)) }()
 	clk.Advance(10 * time.Second)
 	fmt.Println("woke:", <-done, "at", clk.Now())
+
+	w.Wake()
+	fmt.Println("woken early:", !w.Wait(vclock.FromSeconds(60)))
 	// Output:
 	// woke: true at 10.000s
+	// woken early: true
 }

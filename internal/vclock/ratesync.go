@@ -1,12 +1,6 @@
 package vclock
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
-)
+import "sync"
 
 // RateSynced extends the Figure 5 scheme with drift compensation. The
 // paper leaves the resynchronization frequency to the user because a
@@ -20,8 +14,7 @@ import (
 // estimate error is O(ε/T); two well-separated samples already beat a
 // pure offset under drift ≥ ε/T per unit time.
 type RateSynced struct {
-	local   Clock
-	resyncs atomic.Uint64 // successful Resync exchanges
+	local Clock
 
 	mu      sync.Mutex
 	samples []ratePair
@@ -122,20 +115,6 @@ func (c *RateSynced) Now() Time {
 	return Time(c.base + c.rate*float64(local-c.origin))
 }
 
-// Rate returns the estimated local-to-server rate (1.0 = no drift).
-func (c *RateSynced) Rate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rate
-}
-
-// SampleCount returns how many samples the current fit uses.
-func (c *RateSynced) SampleCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.samples)
-}
-
 // Resync runs one Figure 5 exchange through ex and folds the result
 // into the fit.
 func (c *RateSynced) Resync(ex Exchanger, rounds int) (Sample, error) {
@@ -144,29 +123,5 @@ func (c *RateSynced) Resync(ex Exchanger, rounds int) (Sample, error) {
 		return Sample{}, err
 	}
 	c.AddSample(sample)
-	c.resyncs.Add(1)
 	return sample, nil
-}
-
-// Instrument registers the drift-fit metrics on reg: the estimated
-// local-to-server rate, the fit's sample count, and the successful-
-// resync counter (shared name with Synced.Instrument — a process runs
-// one client clock flavor).
-func (c *RateSynced) Instrument(reg *obs.Registry) {
-	reg.Gauge("poem_clock_rate", "estimated local-to-server clock rate (1 = no drift)", c.Rate)
-	reg.Gauge("poem_clock_fit_samples", "samples in the current drift fit",
-		func() float64 { return float64(c.SampleCount()) })
-	reg.CounterFunc("poem_clock_resyncs_total", "successful Figure 5 resynchronizations",
-		c.resyncs.Load)
-}
-
-// holdFor estimates how long the clock can free-run before its error
-// exceeds budget, given the residual rate error `ppm` (parts per
-// million). Exposed as a helper for choosing the paper's user-set
-// resynchronization frequency.
-func HoldFor(budget time.Duration, ppm float64) time.Duration {
-	if ppm <= 0 {
-		return time.Duration(1<<62 - 1)
-	}
-	return time.Duration(float64(budget) / (ppm / 1e6))
 }

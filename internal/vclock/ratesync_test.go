@@ -11,7 +11,7 @@ func TestRateSyncedNoSamplesPassesThrough(t *testing.T) {
 	if c.Now() != FromSeconds(7) {
 		t.Errorf("unfitted Now = %v", c.Now())
 	}
-	if c.SampleCount() != 0 || c.Rate() != 1 {
+	if len(c.samples) != 0 || c.rate != 1 {
 		t.Error("zero state wrong")
 	}
 }
@@ -41,7 +41,7 @@ func TestRateSyncedCompensatesDrift(t *testing.T) {
 	sampleAt := func() {
 		// A perfect exchange: the estimated server time equals truth.
 		c.addPoint(local.Now(), world.Now())
-		plain.SetOffset(time.Duration(world.Now() - local.Now()))
+		plain.offset.Store(int64(time.Duration(world.Now() - local.Now())))
 	}
 	sampleAt()
 	world.Advance(10 * time.Second)
@@ -60,7 +60,7 @@ func TestRateSyncedCompensatesDrift(t *testing.T) {
 		t.Errorf("rate-synced error %v, want ≈0 (plain was %v)", rateErr, plainErr)
 	}
 	wantRate := 1 / 1.0005
-	if got := c.Rate(); got < wantRate-0.0001 || got > wantRate+0.0001 {
+	if got := c.rate; got < wantRate-0.0001 || got > wantRate+0.0001 {
 		t.Errorf("Rate = %v, want ≈%v", got, wantRate)
 	}
 }
@@ -72,8 +72,8 @@ func TestRateSyncedWindowSlides(t *testing.T) {
 		c.addPoint(FromSeconds(float64(i)), FromSeconds(float64(i)))
 		base.Set(FromSeconds(float64(i)))
 	}
-	if c.SampleCount() != 3 {
-		t.Errorf("window = %d", c.SampleCount())
+	if len(c.samples) != 3 {
+		t.Errorf("window = %d", len(c.samples))
 	}
 }
 
@@ -83,7 +83,7 @@ func TestRateSyncedClampsInsaneRates(t *testing.T) {
 	// Corrupt samples implying the server runs 2× as fast.
 	c.addPoint(0, 0)
 	c.addPoint(FromSeconds(1), FromSeconds(2))
-	if r := c.Rate(); r > 1.01 {
+	if r := c.rate; r > 1.01 {
 		t.Errorf("rate %v not clamped", r)
 	}
 }
@@ -126,14 +126,4 @@ func exchangerOn(l *fakeLink, world *Manual, local Clock) Exchanger {
 	return ExchangerFunc(func(tc1 Time) (Time, Time, error) {
 		return l.Exchange(tc1)
 	})
-}
-
-func TestHoldFor(t *testing.T) {
-	// 100 ppm drift, 1 ms budget → 10 s of free-running.
-	if got := HoldFor(time.Millisecond, 100); got != 10*time.Second {
-		t.Errorf("HoldFor = %v", got)
-	}
-	if HoldFor(time.Second, 0) < time.Hour {
-		t.Error("zero drift should hold ~forever")
-	}
 }

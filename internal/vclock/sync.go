@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // This file implements the lightweight emulation-clock synchronization
@@ -107,9 +105,8 @@ func Synchronize(local Clock, ex Exchanger, rounds int) (time.Duration, Sample, 
 // background resynchronization goroutine, so it is stored atomically.
 // The zero offset means "trust the local clock".
 type Synced struct {
-	local   Clock
-	offset  atomic.Int64  // time.Duration
-	resyncs atomic.Uint64 // successful Resync exchanges
+	local  Clock
+	offset atomic.Int64 // time.Duration
 }
 
 // NewSynced returns a Synced clock over the given local clock.
@@ -121,62 +118,12 @@ func (c *Synced) Now() Time {
 	return c.local.Now().Add(time.Duration(c.offset.Load()))
 }
 
-// SetOffset installs a new offset estimate.
-func (c *Synced) SetOffset(d time.Duration) { c.offset.Store(int64(d)) }
-
-// CurrentOffset returns the installed offset.
-func (c *Synced) CurrentOffset() time.Duration { return time.Duration(c.offset.Load()) }
-
 // Resync runs one synchronization and installs the resulting offset.
 func (c *Synced) Resync(ex Exchanger, rounds int) (Sample, error) {
 	off, sample, err := Synchronize(c.local, ex, rounds)
 	if err != nil {
 		return Sample{}, err
 	}
-	c.SetOffset(off)
-	c.resyncs.Add(1)
+	c.offset.Store(int64(off))
 	return sample, nil
-}
-
-// Resyncs returns how many Resync calls have succeeded.
-func (c *Synced) Resyncs() uint64 { return c.resyncs.Load() }
-
-// SkewReport is a point-in-time reading of a Synced clock against its
-// local source, for operators debugging cross-peer clock disagreement
-// (a federated cluster schedules deliveries on emulation stamps from
-// every peer, so skew between peers shows up as delivery jitter).
-type SkewReport struct {
-	Local   Time          // raw local clock reading
-	Now     Time          // corrected emulation reading (Local + Offset)
-	Offset  time.Duration // installed correction at the time of reading
-	Resyncs uint64        // successful resynchronizations so far
-}
-
-// Skew returns how far the corrected clock stands from the local one —
-// by construction the installed offset.
-func (r SkewReport) Skew() time.Duration { return time.Duration(r.Now - r.Local) }
-
-// NowSkew reads the clock and reports where it stands relative to its
-// local source. The local reading, offset and corrected reading form
-// one consistent snapshot (the offset is loaded once).
-func (c *Synced) NowSkew() SkewReport {
-	local := c.local.Now()
-	off := time.Duration(c.offset.Load())
-	return SkewReport{
-		Local:   local,
-		Now:     local.Add(off),
-		Offset:  off,
-		Resyncs: c.resyncs.Load(),
-	}
-}
-
-// Instrument registers the clock's sync metrics on reg: the installed
-// offset and the successful-resync count (§4.1 leaves the resync
-// frequency to the user; these expose whether the chosen cadence holds
-// the offset steady).
-func (c *Synced) Instrument(reg *obs.Registry) {
-	reg.Gauge("poem_clock_offset_ns", "installed client-to-server clock offset",
-		func() float64 { return float64(c.offset.Load()) })
-	reg.CounterFunc("poem_clock_resyncs_total", "successful Figure 5 resynchronizations",
-		c.resyncs.Load)
 }

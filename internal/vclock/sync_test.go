@@ -211,8 +211,8 @@ func TestSyncedClock(t *testing.T) {
 	if !sample.Valid() {
 		t.Error("sample invalid")
 	}
-	if c.CurrentOffset() != trueOff {
-		t.Errorf("offset %v, want %v", c.CurrentOffset(), trueOff)
+	if time.Duration(c.offset.Load()) != trueOff {
+		t.Errorf("offset %v, want %v", time.Duration(c.offset.Load()), trueOff)
 	}
 	if c.Now() != base.Now().Add(trueOff) {
 		t.Errorf("Synced.Now mismatch")

@@ -16,12 +16,14 @@
 //     10 ms of wall time, compressing long scenarios for tests).
 //   - Manual: an explicitly advanced clock for deterministic tests.
 //
-// Both support cancellable waiting, which the forward scheduler's
-// scanner thread uses to sleep until the next packet's departure time.
+// Anything that sleeps on emulation time — the forward scheduler's
+// scanner waiting for the next packet's departure time, a Ticker, a
+// traffic pump — does so through a Waiter built by NewWaiter.
 package vclock
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -60,12 +62,13 @@ type Clock interface {
 	Now() Time
 }
 
-// WaitClock is a Clock that can also block until a target instant,
-// waking early when cancel fires. Wait reports whether the target time
-// was reached (false means cancelled first).
+// WaitClock is a Clock that emulation-time sleepers can block on,
+// through the Waiter NewWaiter builds for it. It is sealed: System,
+// StallClock (both slept on by the wall waiter) and Manual (the manual
+// waiter) are its only implementations.
 type WaitClock interface {
 	Clock
-	Wait(t Time, cancel <-chan struct{}) bool
+	newWaiter() Waiter
 }
 
 // System is a wall-clock-backed emulation clock. Emulation time is
@@ -93,53 +96,29 @@ func (s *System) Now() Time {
 	return Time(float64(time.Since(s.start)) * s.scale)
 }
 
-// Wait blocks until emulation time t or cancel, whichever first.
-func (s *System) Wait(t Time, cancel <-chan struct{}) bool {
-	for {
-		now := s.Now()
-		if now >= t {
-			return true
-		}
-		wall := time.Duration(float64(t-now) / s.scale)
-		if wall < time.Microsecond {
-			wall = time.Microsecond
-		}
-		timer := time.NewTimer(wall)
-		select {
-		case <-timer.C:
-			// Loop: scaling rounding may leave us slightly short.
-		case <-cancel:
-			timer.Stop()
-			return false
-		}
+func (s *System) newWaiter() Waiter { return newWallWaiter(s) }
+
+// sleepFor returns the wall time left until the clock reads t, at least
+// a microsecond, or 0 once it does.
+func (s *System) sleepFor(t Time) time.Duration {
+	now := s.Now()
+	if now >= t {
+		return 0
 	}
+	rem := float64(t-now) / s.scale
+	if rem >= float64(math.MaxInt64) {
+		return math.MaxInt64 // Wait(Max): park ~forever
+	}
+	return max(time.Duration(rem), time.Microsecond)
 }
 
-// Manual is a deterministic clock advanced explicitly by tests and the
-// virtual-time experiment harness. The zero value is ready to use and
-// reads 0 until advanced. Manual is safe for concurrent use.
+// Manual is a deterministic clock advanced explicitly by tests. The
+// zero value is ready to use and reads 0 until advanced. Manual is safe
+// for concurrent use.
 type Manual struct {
 	mu      sync.Mutex
 	now     Time
-	waiters []*manualWaiter
-}
-
-// manualWaiter is one registered deadline. ch is 1-buffered and fired
-// by a non-blocking send (not a close), so a waiter can be re-registered
-// across sleeps — the reusable Waiter in waiter.go depends on it.
-type manualWaiter struct {
-	deadline Time
-	ch       chan struct{}
-}
-
-// fire wakes the waiter. Non-blocking: if a token is already buffered
-// (a racing Wake), the receiver wakes regardless and resolves which
-// event happened by checking its registration.
-func (w *manualWaiter) fire() {
-	select {
-	case w.ch <- struct{}{}:
-	default:
-	}
+	waiters []*manualWaiter // registered sleeps, fired by Set
 }
 
 // NewManual returns a Manual clock set to start.
@@ -152,8 +131,9 @@ func (m *Manual) Now() Time {
 	return m.now
 }
 
-// Set moves the clock to t. Moving backwards panics: emulation time is
-// monotonic by construction and a reversal indicates a harness bug.
+// Set moves the clock to t and wakes every waiter whose deadline it
+// reaches. Moving backwards panics: emulation time is monotonic by
+// construction and a reversal indicates a harness bug.
 func (m *Manual) Set(t Time) {
 	m.mu.Lock()
 	if t < m.now {
@@ -161,71 +141,27 @@ func (m *Manual) Set(t Time) {
 		panic("vclock: manual clock moved backwards")
 	}
 	m.now = t
-	fired := m.collectDueLocked()
-	m.mu.Unlock()
-	for _, w := range fired {
-		w.fire()
-	}
-}
-
-// Advance moves the clock forward by d.
-func (m *Manual) Advance(d time.Duration) { m.Set(m.Now().Add(d)) }
-
-// NextDeadline returns the earliest pending waiter deadline, if any.
-// The virtual-time harness uses it to jump straight to the next event.
-func (m *Manual) NextDeadline() (Time, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var best Time
-	found := false
-	for _, w := range m.waiters {
-		if !found || w.deadline < best {
-			best, found = w.deadline, true
-		}
-	}
-	return best, found
-}
-
-func (m *Manual) collectDueLocked() []*manualWaiter {
 	var fired []*manualWaiter
 	rest := m.waiters[:0]
 	for _, w := range m.waiters {
-		if w.deadline <= m.now {
+		if w.deadline <= t {
 			fired = append(fired, w)
 		} else {
 			rest = append(rest, w)
 		}
 	}
 	m.waiters = rest
-	return fired
+	m.mu.Unlock()
+	for _, w := range fired {
+		w.Wake()
+	}
 }
 
-// Wait blocks until the manual clock reaches t or cancel fires.
-func (m *Manual) Wait(t Time, cancel <-chan struct{}) bool {
-	m.mu.Lock()
-	if m.now >= t {
-		m.mu.Unlock()
-		return true
-	}
-	// 1-buffered: fire() is a non-blocking send, so the buffer is what
-	// guarantees a wakeup issued before this goroutine parks is kept.
-	w := &manualWaiter{deadline: t, ch: make(chan struct{}, 1)}
-	m.waiters = append(m.waiters, w)
-	m.mu.Unlock()
-	select {
-	case <-w.ch:
-		return true
-	case <-cancel:
-		m.mu.Lock()
-		for i, x := range m.waiters {
-			if x == w {
-				m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
-				break
-			}
-		}
-		m.mu.Unlock()
-		return false
-	}
+// Advance moves the clock forward by d.
+func (m *Manual) Advance(d time.Duration) { m.Set(m.Now().Add(d)) }
+
+func (m *Manual) newWaiter() Waiter {
+	return &manualWaiter{m: m, wake: make(wake, 1)}
 }
 
 // Offset is a clock derived from a base clock plus a fixed shift. The
@@ -258,4 +194,71 @@ func NewDrifting(base Clock, rate float64) *Drifting {
 func (d *Drifting) Now() Time {
 	elapsed := d.base.Now() - d.origin
 	return d.origin + Time(float64(elapsed)*d.rate)
+}
+
+// StallClock wraps a System clock with a freeze switch, for fault
+// injection. While stalled, Now returns the instant the stall began; on
+// Resume the reading snaps back to the still-running inner clock, so
+// emulated time leaps forward by the whole stall at once — the
+// signature a host stall (GC pause, CPU starvation) leaves on a
+// wall-clock-backed emulation. A waiter parked behind the freeze polls
+// every stallPoll, so it observes the leap promptly.
+type StallClock struct {
+	inner *System
+
+	mu      sync.Mutex
+	stalled bool
+	at      Time
+}
+
+// stallPoll is how often a waiter re-checks a stalled clock.
+const stallPoll = 200 * time.Microsecond
+
+// NewStallClock wraps inner, initially running.
+func NewStallClock(inner *System) *StallClock { return &StallClock{inner: inner} }
+
+// Stall freezes the clock at its current reading. Idempotent.
+func (c *StallClock) Stall() {
+	c.mu.Lock()
+	if !c.stalled {
+		c.stalled = true
+		c.at = c.inner.Now()
+	}
+	c.mu.Unlock()
+}
+
+// Resume releases the freeze; the next Now leaps to the inner clock's
+// reading. Idempotent.
+func (c *StallClock) Resume() {
+	c.mu.Lock()
+	c.stalled = false
+	c.mu.Unlock()
+}
+
+// Now returns the frozen instant while stalled, the inner reading
+// otherwise.
+func (c *StallClock) Now() Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stalled {
+		return c.at
+	}
+	return c.inner.Now()
+}
+
+func (c *StallClock) newWaiter() Waiter { return newWallWaiter(c) }
+
+// sleepFor is the inner clock's while running. While stalled the target
+// is unreachable until Resume, so the waiter polls.
+func (c *StallClock) sleepFor(t Time) time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case !c.stalled:
+		return c.inner.sleepFor(t)
+	case c.at >= t:
+		return 0
+	default:
+		return stallPoll
+	}
 }

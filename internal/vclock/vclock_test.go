@@ -52,23 +52,32 @@ func TestSystemClockScale(t *testing.T) {
 	}
 }
 
+// A reached deadline wins over a pending Wake: Wait returns true at
+// once and leaves the token for the next sleep.
 func TestSystemWaitReachesTarget(t *testing.T) {
 	c := NewSystem(1000) // 1ms wall = 1s emulated
-	target := c.Now().Add(200 * time.Millisecond)
-	if !c.Wait(target, nil) {
-		t.Fatal("Wait returned false")
+	w := NewWaiter(c)
+	w.Wake()
+	if !w.Wait(c.Now()) {
+		t.Fatal("Wait on a reached deadline returned false")
 	}
-	if c.Now() < target {
-		t.Errorf("Wait returned before target: now %v target %v", c.Now(), target)
+	if w.Wait(c.Now().Add(time.Hour)) {
+		t.Fatal("the pending Wake was lost")
 	}
 }
 
+// A Wake cancels one sleep only: the same waiter then sleeps to its
+// next deadline.
 func TestSystemWaitCancel(t *testing.T) {
-	c := NewSystem(1)
-	cancel := make(chan struct{})
-	close(cancel)
-	if c.Wait(c.Now().Add(10*time.Second), cancel) {
+	c := NewSystem(1000)
+	w := NewWaiter(c)
+	w.Wake()
+	if w.Wait(c.Now().Add(10 * time.Second)) {
 		t.Error("cancelled Wait returned true")
+	}
+	target := c.Now().Add(100 * time.Millisecond)
+	if !w.Wait(target) || c.Now() < target {
+		t.Errorf("Wait after a cancel returned before target %v", target)
 	}
 }
 
@@ -108,8 +117,9 @@ func TestManualBackwardsPanics(t *testing.T) {
 
 func TestManualWaitWakesOnAdvance(t *testing.T) {
 	m := NewManual(0)
+	w := NewWaiter(m)
 	done := make(chan bool, 1)
-	go func() { done <- m.Wait(FromSeconds(2), nil) }()
+	go func() { done <- w.Wait(FromSeconds(2)) }()
 	// Give the waiter a moment to register, then advance in two hops.
 	time.Sleep(time.Millisecond)
 	m.Set(FromSeconds(1))
@@ -131,18 +141,21 @@ func TestManualWaitWakesOnAdvance(t *testing.T) {
 
 func TestManualWaitPastDeadline(t *testing.T) {
 	m := NewManual(FromSeconds(10))
-	if !m.Wait(FromSeconds(5), nil) {
+	if !NewWaiter(m).Wait(FromSeconds(5)) {
 		t.Error("Wait on past deadline should return immediately true")
+	}
+	if n := registered(m); n != 0 {
+		t.Errorf("a past deadline left %d registrations", n)
 	}
 }
 
 func TestManualWaitCancel(t *testing.T) {
 	m := NewManual(0)
-	cancel := make(chan struct{})
+	w := NewWaiter(m)
 	done := make(chan bool, 1)
-	go func() { done <- m.Wait(FromSeconds(1), cancel) }()
+	go func() { done <- w.Wait(FromSeconds(1)) }()
 	time.Sleep(time.Millisecond)
-	close(cancel)
+	w.Wake()
 	select {
 	case ok := <-done:
 		if ok {
@@ -152,43 +165,9 @@ func TestManualWaitCancel(t *testing.T) {
 		t.Fatal("cancelled Wait never returned")
 	}
 	// The cancelled waiter must be deregistered.
-	if _, found := m.NextDeadline(); found {
-		t.Error("cancelled waiter still registered")
+	if n := registered(m); n != 0 {
+		t.Errorf("cancelled waiter still registered (%d)", n)
 	}
-}
-
-func TestManualNextDeadline(t *testing.T) {
-	m := NewManual(0)
-	if _, found := m.NextDeadline(); found {
-		t.Error("empty clock has a deadline")
-	}
-	var wg sync.WaitGroup
-	for _, d := range []Time{FromSeconds(3), FromSeconds(1), FromSeconds(2)} {
-		wg.Add(1)
-		go func(d Time) {
-			defer wg.Done()
-			m.Wait(d, nil)
-		}(d)
-	}
-	// Wait for all three waiters to register.
-	deadline := time.Now().Add(time.Second)
-	for {
-		m.mu.Lock()
-		n := len(m.waiters)
-		m.mu.Unlock()
-		if n == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("waiters never registered")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if next, found := m.NextDeadline(); !found || next != FromSeconds(1) {
-		t.Errorf("NextDeadline = %v,%v", next, found)
-	}
-	m.Set(FromSeconds(3))
-	wg.Wait()
 }
 
 func TestManualConcurrentWaiters(t *testing.T) {
@@ -199,7 +178,7 @@ func TestManualConcurrentWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if !m.Wait(FromMillis(int64(i)), nil) {
+			if !NewWaiter(m).Wait(FromMillis(int64(i))) {
 				t.Error("waiter cancelled unexpectedly")
 			}
 		}(i)
@@ -216,6 +195,13 @@ func TestManualConcurrentWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiters deadlocked")
 	}
+}
+
+// registered counts m's pending waiter registrations.
+func registered(m *Manual) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.waiters)
 }
 
 func TestOffsetClock(t *testing.T) {

@@ -1,16 +1,10 @@
 package vclock
 
-import (
-	"math"
-	"sync"
-	"time"
-)
+import "time"
 
-// Waiter is a reusable, cancelable alarm bound to one clock — the
-// allocation-free replacement for spawning a goroutine around
-// WaitClock.Wait on every sleep. One Waiter serves one sleeping
-// goroutine (the schedule scanner); Wake may be called from any number
-// of goroutines.
+// Waiter is the one way to sleep on emulation time: a reusable,
+// cancelable alarm bound to one clock. One Waiter serves one sleeping
+// goroutine; Wake may be called from any number of goroutines.
 //
 // Semantics mirror a 1-buffered kick channel: Wake wakes the Wait in
 // progress, or — when none is — the next one (extra Wakes coalesce into
@@ -18,11 +12,10 @@ import (
 // deadline unreached; callers must treat a false return as "re-check
 // your state", not "the deadline moved".
 //
-// For the two in-repo clocks (System, Manual) a Wait performs no heap
-// allocation and spawns no goroutine: the System waiter reuses one
-// time.Timer across sleeps, the Manual waiter reuses one registration.
-// Unknown WaitClock implementations fall back to a generic waiter with
-// the old goroutine-per-sleep shape, so the interface stays total.
+// There are two implementations and a Wait in either performs no heap
+// allocation and spawns no goroutine: the wall waiter (System and
+// StallClock) reuses one time.Timer across sleeps, the manual waiter
+// (Manual) reuses one registration.
 type Waiter interface {
 	// Wait blocks until the clock reaches t (returns true) or a Wake
 	// token arrives (returns false). Wait must not be called
@@ -33,52 +26,51 @@ type Waiter interface {
 	Wake()
 }
 
-// NewWaiter builds the tightest Waiter available for clk.
-func NewWaiter(clk WaitClock) Waiter {
-	switch c := clk.(type) {
-	case *System:
-		return newSystemWaiter(c)
-	case *Manual:
-		return newManualHandle(c)
+// NewWaiter builds clk's Waiter.
+func NewWaiter(clk WaitClock) Waiter { return clk.newWaiter() }
+
+// wake is the 1-buffered kick both waiters share.
+type wake chan struct{}
+
+func (w wake) Wake() {
+	select {
+	case w <- struct{}{}:
 	default:
-		return &genericWaiter{clk: clk, wake: make(chan struct{}, 1)}
 	}
 }
 
 // ---------------------------------------------------------------------------
-// System-clock waiter: one reusable timer, zero allocs per Wait.
+// Wall waiter: one reusable timer, zero allocs per Wait.
 
-type systemWaiter struct {
-	clk   *System
+// wallClock is a clock read off the host's wall clock: sleepFor returns
+// how long to sleep before re-checking whether it reads t, or 0 once it
+// does.
+type wallClock interface {
+	sleepFor(t Time) time.Duration
+}
+
+type wallWaiter struct {
+	clk   wallClock
 	timer *time.Timer
-	wake  chan struct{}
+	wake
 }
 
-func newSystemWaiter(clk *System) *systemWaiter {
+func newWallWaiter(clk wallClock) *wallWaiter {
 	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return &systemWaiter{clk: clk, timer: t, wake: make(chan struct{}, 1)}
+	t.Stop()
+	return &wallWaiter{clk: clk, timer: t, wake: make(wake, 1)}
 }
 
-// Wait sleeps on the reused timer. The loop tolerates both time-scale
-// rounding (a fire marginally short of t re-arms) and a stale timer
-// value left in the channel by an earlier cancel — a stale fire only
-// costs one extra iteration, never a wrong result.
-func (w *systemWaiter) Wait(t Time) bool {
+// Wait sleeps on the reused timer. The loop tolerates time-scale
+// rounding (a fire marginally short of t re-arms), a stalled clock (it
+// re-arms at the poll interval) and a stale timer value left in the
+// channel by an earlier cancel — a stale fire only costs one extra
+// iteration, never a wrong result.
+func (w *wallWaiter) Wait(t Time) bool {
 	for {
-		now := w.clk.Now()
-		if now >= t {
+		d := w.clk.sleepFor(t)
+		if d <= 0 {
 			return true
-		}
-		rem := float64(t-now) / w.clk.scale
-		wall := time.Duration(math.MaxInt64) // Wait(Max): park ~forever
-		if rem < float64(math.MaxInt64) {
-			wall = time.Duration(rem)
-		}
-		if wall < time.Microsecond {
-			wall = time.Microsecond
 		}
 		if !w.timer.Stop() {
 			select { // drain a stale fire so Reset arms cleanly
@@ -86,10 +78,9 @@ func (w *systemWaiter) Wait(t Time) bool {
 			default:
 			}
 		}
-		w.timer.Reset(wall)
+		w.timer.Reset(d)
 		select {
 		case <-w.timer.C:
-			// Re-check: scale rounding may leave us slightly short.
 		case <-w.wake:
 			w.timer.Stop()
 			return false
@@ -97,38 +88,28 @@ func (w *systemWaiter) Wait(t Time) bool {
 	}
 }
 
-func (w *systemWaiter) Wake() {
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Manual-clock waiter: one reusable registration, zero allocs per Wait.
+// Manual waiter: one reusable registration, zero allocs per Wait.
 
-type manualHandle struct {
-	m *Manual
-	w manualWaiter // reused registration; ch doubles as the wake channel
+// manualWaiter is one sleeper on a Manual clock. Its wake channel
+// doubles as the fire channel: the clock fires it by Waking after
+// deregistering (see Manual.Set), a caller's Wake does not deregister,
+// so on wakeup "still registered" distinguishes a cancel from the
+// deadline.
+type manualWaiter struct {
+	m        *Manual
+	deadline Time
+	wake
 }
 
-func newManualHandle(m *Manual) *manualHandle {
-	h := &manualHandle{m: m}
-	h.w.ch = make(chan struct{}, 1)
-	return h
-}
-
-// Wait registers the reused waiter and blocks on its channel. The clock
-// fires it by sending after deregistering (see Manual.Set), Wake sends
-// without deregistering, so on wakeup "still registered" distinguishes
-// a cancel from the deadline: registered means Wake won, and Wait
-// deregisters itself before returning false.
-func (h *manualHandle) Wait(t Time) bool {
-	m := h.m
+// Wait registers the waiter and blocks on its channel; registered on
+// wakeup means Wake won, and Wait deregisters itself before returning
+// false.
+func (w *manualWaiter) Wait(t Time) bool {
+	m := w.m
 	if t == Max {
-		// Unreachable deadline: don't pollute the clock's waiter list
-		// (NextDeadline would report Max); only a Wake can end this.
-		<-h.w.ch
+		// Unreachable deadline: don't register; only a Wake can end this.
+		<-w.wake
 		return false
 	}
 	m.mu.Lock()
@@ -136,58 +117,17 @@ func (h *manualHandle) Wait(t Time) bool {
 		m.mu.Unlock()
 		return true
 	}
-	h.w.deadline = t
-	m.waiters = append(m.waiters, &h.w)
+	w.deadline = t
+	m.waiters = append(m.waiters, w)
 	m.mu.Unlock()
-	<-h.w.ch
+	<-w.wake
 	m.mu.Lock()
-	registered := false
+	defer m.mu.Unlock()
 	for i, x := range m.waiters {
-		if x == &h.w {
+		if x == w {
 			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
-			registered = true
-			break
+			return false
 		}
 	}
-	m.mu.Unlock()
-	return !registered
-}
-
-func (h *manualHandle) Wake() {
-	select {
-	case h.w.ch <- struct{}{}:
-	default:
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Generic fallback for WaitClock implementations outside this package.
-
-type genericWaiter struct {
-	clk  WaitClock
-	wake chan struct{}
-	mu   sync.Mutex // serializes Wait against itself defensively
-}
-
-func (w *genericWaiter) Wait(t Time) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	cancel := make(chan struct{})
-	done := make(chan bool, 1)
-	go func() { done <- w.clk.Wait(t, cancel) }()
-	select {
-	case reached := <-done:
-		return reached
-	case <-w.wake:
-		close(cancel)
-		<-done
-		return false
-	}
-}
-
-func (w *genericWaiter) Wake() {
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
+	return true
 }

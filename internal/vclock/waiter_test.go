@@ -50,7 +50,7 @@ func TestWaiterWakeBeforeWait(t *testing.T) {
 }
 
 // Waiter reuse across many sleeps must not allocate or leak goroutines —
-// the whole point of replacing the goroutine-per-sleep shape.
+// the point of a reusable alarm.
 func TestSystemWaiterReuseAllocFree(t *testing.T) {
 	clk := NewSystem(100000) // 10 µs wall = 1 s emulated
 	w := NewWaiter(clk)
@@ -64,6 +64,39 @@ func TestSystemWaiterReuseAllocFree(t *testing.T) {
 	}
 	if extra := runtime.NumGoroutine() - base; extra > 0 {
 		t.Errorf("system waiter leaked %d goroutines across 100 Waits", extra)
+	}
+}
+
+// A StallClock sleeps on the same wall waiter, so its sleeps are as
+// cheap: no allocation and no goroutine per Wait, running or stalled
+// (where the waiter re-arms its timer at the poll interval).
+func TestStallWaiterAllocFree(t *testing.T) {
+	clk := NewStallClock(NewSystem(100000))
+	w := NewWaiter(clk)
+	if _, ok := w.(*wallWaiter); !ok {
+		t.Fatalf("stall clock got %T, want the wall waiter", w)
+	}
+	w.Wait(clk.Now().Add(time.Second)) // warm
+	base := runtime.NumGoroutine()
+	allocs := testing.AllocsPerRun(100, func() {
+		w.Wait(clk.Now().Add(time.Second))
+	})
+	if allocs != 0 {
+		t.Errorf("running stall clock: waiter allocates %v per Wait, want 0", allocs)
+	}
+	clk.Stall()
+	defer clk.Resume()
+	allocs = testing.AllocsPerRun(100, func() {
+		w.Wake()
+		if w.Wait(clk.Now().Add(time.Second)) {
+			t.Fatal("stalled clock reached a deadline past the freeze")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("stalled clock: waiter allocates %v per Wait, want 0", allocs)
+	}
+	if extra := runtime.NumGoroutine() - base; extra > 0 {
+		t.Errorf("stall-clock waiter leaked %d goroutines across 200 Waits", extra)
 	}
 }
 
@@ -123,24 +156,24 @@ func TestManualWaiterWakeDeregisters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wake did not unblock Wait")
 	}
-	// The cancelled registration must be gone, or NextDeadline (and the
-	// virtual-time harness on top of it) would see a ghost deadline.
-	if due, ok := clk.NextDeadline(); ok {
-		t.Fatalf("ghost registration at %v after cancelled Wait", due)
+	// The cancelled registration must be gone, or a later Set would
+	// fire a ghost token into the next sleep.
+	if n := registered(clk); n != 0 {
+		t.Fatalf("%d ghost registrations after cancelled Wait", n)
 	}
 }
 
 // An idle scanner parks on Wait(Max). That sleep must not register with
-// the Manual clock: NextDeadline drives virtual-time runs, and a Max
-// entry would stall the "jump to next event" logic forever.
+// the Manual clock: no Set can reach it, so the entry would only be
+// scanned on every Set.
 func TestManualWaiterMaxDoesNotRegister(t *testing.T) {
 	clk := NewManual(0)
 	w := NewWaiter(clk)
 	done := make(chan bool, 1)
 	go func() { done <- w.Wait(Max) }()
 	time.Sleep(2 * time.Millisecond)
-	if due, ok := clk.NextDeadline(); ok {
-		t.Fatalf("Wait(Max) registered a deadline at %v", due)
+	if n := registered(clk); n != 0 {
+		t.Fatalf("Wait(Max) registered %d deadlines", n)
 	}
 	w.Wake()
 	select {
@@ -174,41 +207,5 @@ func TestManualWaiterReuseAcrossSleeps(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("sleep %d never woke", i)
 		}
-	}
-}
-
-// fixedClock is a WaitClock outside this package's concrete types, to
-// pin the generic fallback path.
-type fixedClock struct{ now Time }
-
-func (f *fixedClock) Now() Time { return f.now }
-func (f *fixedClock) Wait(t Time, cancel <-chan struct{}) bool {
-	if f.now >= t {
-		return true
-	}
-	<-cancel
-	return false
-}
-
-func TestGenericWaiterFallback(t *testing.T) {
-	clk := &fixedClock{now: FromSeconds(10)}
-	w := NewWaiter(clk)
-	if _, ok := w.(*genericWaiter); !ok {
-		t.Fatalf("foreign WaitClock got %T, want the generic fallback", w)
-	}
-	if !w.Wait(FromSeconds(5)) {
-		t.Fatal("past deadline not reported reached")
-	}
-	done := make(chan bool, 1)
-	go func() { done <- w.Wait(FromSeconds(20)) }()
-	time.Sleep(2 * time.Millisecond)
-	w.Wake()
-	select {
-	case reached := <-done:
-		if reached {
-			t.Fatal("woken Wait claimed the deadline was reached")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Wake did not unblock the generic waiter")
 	}
 }
