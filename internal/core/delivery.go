@@ -1,30 +1,78 @@
 package core
 
-// Delivery: §3.2 steps 5–6. Each shard's scanner fires due items into
-// the addressee's bounded send queue (deliver); one dedicated writer
-// goroutine per session drains that queue and performs the socket
-// writes (sessionWriter/writeOut).
+// Delivery: §3.2 steps 5–6. Each shard's scanner fires batches of due
+// items into the addressees' bounded send queues (fire, deliver); one
+// dedicated writer goroutine per session drains that queue and performs
+// the socket writes (sessionWriter/writeBatch).
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/obs/fidelity"
 	"repro/internal/record"
 	"repro/internal/sched"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
-// deliver is §3.2 step 6: at the scheduled time the packet is handed
-// to the addressee's outbound queue. It runs on this shard's scanner
-// goroutine and never blocks — the session's dedicated writer performs
-// the socket write, so the scanner cannot be stalled by a slow client
-// and the goroutine count stays O(connected clients + shards) rather
-// than O(in-flight packets). Because the scanner fires items in due
-// order and the queue is FIFO, deliveries to a client leave in
-// schedule order; ingest routes every item for this destination to
-// this one shard, so no other scanner can interleave.
+// fire is this shard's scanner callback, called once per batch of due
+// items with the clock reading that popped them. It runs the deadline
+// accounting, then delivers the batch. The batch is sorted by (Due,
+// seq), so its worst lag is now−batch[0].Due and the missed items are a
+// prefix found by binary search — hand-rolled so the whole hand-off
+// stays allocation-free (the scanner's zero-alloc fire loop is
+// CI-gated).
+func (sh *shard) fire(now vclock.Time, batch []sched.Item) {
+	s := sh.srv
+	n := len(batch)
+	s.hFireBatch.Observe(time.Duration(n))
+	lag := int64(now - batch[0].Due)
+	if lag < 0 {
+		lag = 0
+	}
+	missed := 0
+	if tol := vclock.Time(s.fid.Tolerance()); lag > int64(tol) {
+		cut := now - tol // the batch prefix with Due < cut missed
+		lo, hi := 0, n
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if batch[mid].Due < cut {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		missed = lo
+	}
+	if sh.fid.Record(int64(now), lag, n, missed) {
+		// Window closed: summarize the scanner's sleep/kick machinery
+		// into the flight recorder so a dump shows how the loop behaved
+		// around an incident.
+		st := sh.scanner.Stats()
+		s.fid.Recorder().Record(fidelity.EvScannerWindow, sh.idx, int64(now),
+			int64(st.KicksElided), int64(st.Wakeups))
+	}
+	sh.deliver(batch)
+}
+
+// deliver is §3.2 step 6: at the scheduled time each packet of a fired
+// batch is handed to its addressee's outbound queue. It runs on this
+// shard's scanner goroutine and never blocks — the session's dedicated
+// writer performs the socket write, so the scanner cannot be stalled by
+// a slow client and the goroutine count stays O(connected clients +
+// shards) rather than O(in-flight packets). Because the scanner fires
+// items in due order and the queue is FIFO, deliveries to a client
+// leave in schedule order; ingest routes every item for this
+// destination to this one shard, so no other scanner can interleave.
+//
+// The batch costs one shard read lock, which resolves every receiver
+// into the shard's session scratch, and one send-queue lock per
+// delivery. A receiver reaped after the lookup is still pushed: its
+// closed queue abandons the delivery, as it does for one reaped before.
+// Sampling is decided once per run of items that share a packet — a
+// broadcast's receivers fire together — and rides the queue entry to the
+// writer.
 //
 // There is deliberately no server-closed check here: Close shuts the
 // sessions down before stopping the shard scanners, and a delivery
@@ -32,50 +80,58 @@ import (
 // closed sendQueue rejects the push and settles the buffer and the
 // abandoned counter itself. Keeping the front's mutex off this path is
 // what lets N scanners run without sharing a lock.
-func (sh *shard) deliver(it sched.Item) {
+func (sh *shard) deliver(batch []sched.Item) {
 	s := sh.srv
-	if h := s.deliverHook.Load(); h != nil {
-		(*h)(it)
+	sessions := sh.fired[:0]
+	sh.mu.RLock()
+	for i := range batch {
+		sessions = append(sessions, sh.sessions[batch[i].To])
 	}
-	sess := sh.lookup(it.To)
-	if sess == nil {
-		it.Pkt.Buf.Free() // this delivery's buffer reference dies with it
-		s.mAbandoned.Inc()
-		return // the client left between scheduling and departure
-	}
-	if sess.q.full() {
-		// Distinguish "the writer has not been scheduled yet" (a burst
-		// outran it — common on few cores) from "the client is wedged"
-		// (its writer is parked in conn.Send and not runnable). Yielding
-		// lets a healthy writer drain before we resort to dropping;
-		// against a wedged one the queue is still full afterwards and
-		// drop-oldest engages as intended.
-		runtime.Gosched()
-	}
-	// A sampled packet (the hash ingest used): leave the receiver's
-	// enqueue event on the flight recorder, time the enqueue stage and
-	// record how far past its due time the departure fired.
-	sampled := s.sampled(&it.Pkt)
-	var t0 time.Time
-	if sampled {
+	sh.mu.RUnlock()
+
+	hook := s.deliverHook.Load()
+	sampled := false
+	for i := range batch {
+		it := &batch[i]
+		if hook != nil {
+			(*hook)(*it)
+		}
+		if i == 0 || !samePacket(&batch[i-1].Pkt, &it.Pkt) {
+			sampled = s.sampled(&it.Pkt)
+		}
+		sess := sessions[i]
+		if sess == nil {
+			it.Pkt.Buf.Free() // this delivery's buffer reference dies with it
+			s.mAbandoned.Inc()
+			continue // the client left between scheduling and departure
+		}
+		if !sampled {
+			sess.q.push(outMsg{kind: outData, pkt: it.Pkt})
+			continue
+		}
+		// A sampled packet (the hash ingest used): leave the receiver's
+		// enqueue event on the flight recorder, time the enqueue stage and
+		// record how far past its due time the departure fired.
 		nowEmu := s.cfg.Clock.Now()
 		s.fid.Recorder().Record(fidelity.EvPktEnqueue, sh.idx, int64(nowEmu),
 			fidelity.PacketID(uint32(it.Pkt.Src), it.Pkt.Seq), int64(it.To))
-		t0 = time.Now()
-		// The scanner can fire an item marginally before Due (scaled-clock
-		// rounding in vclock.System.Wait); lag is defined as how *late* a
-		// departure fired, so clamp at zero rather than feeding a negative
-		// duration into the histogram.
-		lag := time.Duration(nowEmu - it.Due)
-		if lag < 0 {
-			lag = 0
-		}
-		s.hDeliverLag.Observe(lag)
-	}
-	sess.q.push(outMsg{kind: outData, pkt: it.Pkt})
-	if sampled {
+		t0 := time.Now()
+		// Lag is how *late* a departure fired. The scanner popped the
+		// item against an earlier read of this clock, so a monotone clock
+		// cannot read before Due here; the clamp keeps a clock that steps
+		// back from feeding a negative duration into the histogram.
+		s.hDeliverLag.Observe(max(time.Duration(nowEmu-it.Due), 0))
+		sess.q.push(outMsg{kind: outData, pkt: it.Pkt, sampled: true})
 		s.hEnqueue.Observe(time.Since(t0))
 	}
+	clear(sessions) // hold no reaped session past the batch
+	sh.fired = sessions
+}
+
+// samePacket reports whether a and b carry the same sampling key (src,
+// seq, stamp): the receivers of one broadcast.
+func samePacket(a, b *wire.Packet) bool {
+	return a.Src == b.Src && a.Seq == b.Seq && a.Stamp == b.Stamp
 }
 
 // sampled reports whether p is one of the packets the stage timing and
@@ -150,13 +206,11 @@ func (s *Server) writeBatch(sess *session, batch []outMsg) error {
 	var t0 time.Time
 	traced := false
 	for i := range batch {
-		if batch[i].kind == outData && s.sampled(&batch[i].pkt) {
+		if batch[i].sampled {
 			traced = true
+			t0 = time.Now()
 			break
 		}
-	}
-	if traced {
-		t0 = time.Now()
 	}
 	msgs := sess.wmsgs[:0]
 	for i := range batch {
@@ -196,7 +250,7 @@ func (s *Server) writeBatch(sess *session, batch []outMsg) error {
 			s.mAbandoned.Inc()
 			continue
 		}
-		if traced && s.sampled(&m.pkt) {
+		if m.sampled {
 			// Final stage: the packet is on the wire to this receiver.
 			s.fid.Recorder().Record(fidelity.EvPktSend, shard, sentAt,
 				fidelity.PacketID(uint32(m.pkt.Src), m.pkt.Seq), int64(sess.id))

@@ -14,6 +14,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -120,4 +122,68 @@ func TestIngestSteadyStateAllocFree(t *testing.T) {
 	if srv.Stats().Received == 0 {
 		t.Fatal("ingest did not run")
 	}
+}
+
+// BenchmarkDeliverFiredBatch measures the scanner's hand-off of one
+// fired broadcast: a 36-receiver batch — storm_inproc's fan — through
+// the shard's fire callback into 36 sessions whose writers drain as
+// fast as they can. One shard read lock resolves the batch, and each
+// delivery takes its session's queue lock once. ns/op and allocs/op are
+// per batch; scripts/check_allocs.sh gates allocs/op at 0, so the
+// session scratch and the queue rings must stop growing once warm:
+//
+//	go test ./internal/core -run='^$' -bench=DeliverFiredBatch -benchmem
+func BenchmarkDeliverFiredBatch(b *testing.B) {
+	const fan = 36
+	srv := newDispatchBench(b, 1, 1)
+	sh := srv.shards[0]
+	now := srv.cfg.Clock.Now() // the batch fires on time: a healthy shard
+	batch := make([]sched.Item, fan)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := range batch {
+		id := radio.NodeID(100 + i)
+		sess := benchSession(id, srv)
+		sh.sessions[id] = sess
+		batch[i] = sched.Item{Due: now, To: id, Pkt: wire.Packet{Src: 1, Channel: 1}}
+		// Grow the ring to its bound before the writer starts draining
+		// it, so no later burst can allocate a larger one.
+		for j := 0; j < DefaultSendQueueDepth; j++ {
+			sess.q.push(outMsg{kind: outData})
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var popped []outMsg
+			for {
+				var ok bool
+				if popped, ok = sess.q.popBatch(stop, popped, maxFlushBatch); !ok {
+					return
+				}
+				sess.q.done(len(popped))
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+	seq := uint32(0)
+	fire := func() {
+		seq++ // one broadcast per batch: a new packet, so sampling varies
+		for i := range batch {
+			batch[i].Pkt.Seq = seq
+		}
+		sh.fire(now, batch)
+	}
+	fire() // warm the flight recorder and histograms
+	for _, sess := range sh.sessions {
+		for sess.q.depth() != 0 { // the writers' pop slices reach full size
+			runtime.Gosched()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fire()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fan), "ns/delivery")
 }

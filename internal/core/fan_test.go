@@ -184,7 +184,7 @@ func TestBroadcastOrderSameAtEveryShardCount(t *testing.T) {
 // A sampled broadcast leaves one lifecycle on the flight recorder: its
 // ingest and resolve stages once, and one leg per receiver with its
 // enqueue and send stages — keyed by the packet, with nothing carried
-// through the schedule or the send queues.
+// through the schedule.
 func TestSampledBroadcastCommitsOneTraceRecord(t *testing.T) {
 	forEachShardCount(t, func(t *testing.T, shards int) {
 		r := newFanRig(t, shards, uniformModel(2*time.Millisecond), func(c *ServerConfig) {
@@ -303,6 +303,94 @@ func TestCloseWithFansScheduledClosesLedger(t *testing.T) {
 		}
 		if live := r.pool.Live(); live != 0 {
 			t.Fatalf("%d pooled buffers still live after Close", live)
+		}
+	})
+}
+
+// A fired batch resolves its receivers' sessions under one shard read
+// lock and pushes after releasing it, so a receiver can be reaped on
+// either side of the lookup. Either way that one delivery is abandoned —
+// by the missing session or by its closed queue — the rest of the batch
+// is forwarded, and the ledger closes.
+func TestDeliverBatchAcrossReapedSession(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		for _, when := range []string{"before lookup", "after lookup"} {
+			t.Run(when, func(t *testing.T) {
+				r := newFanRig(t, shards, uniformModel(2*time.Millisecond), nil)
+				// The victim is the middle receiver of the fullest shard's
+				// batch, which lists its receivers in ascending id.
+				byShard := make([][]radio.NodeID, shards)
+				for id := radio.NodeID(2); id <= fanReceivers+1; id++ {
+					i := ShardIndex(id, shards)
+					byShard[i] = append(byShard[i], id)
+				}
+				own := 0
+				for i := range byShard {
+					if len(byShard[i]) > len(byShard[own]) {
+						own = i
+					}
+				}
+				victim := byShard[own][len(byShard[own])/2]
+				sh := r.srv.shards[own]
+				reap := func() { // what the session's handler does when its client leaves
+					sess := sh.lookup(victim)
+					sess.conn.Close()
+					sess.shutdown()
+					sh.reap(sess)
+				}
+				var mu sync.Mutex
+				var order []radio.NodeID // the owning shard's fire order
+				r.srv.SetDeliverHook(func(it sched.Item) {
+					if ShardIndex(it.To, shards) != own {
+						return
+					}
+					mu.Lock()
+					order = append(order, it.To)
+					mu.Unlock()
+					if it.To == victim && when == "after lookup" {
+						reap() // on the scanner, between the lookup and the push
+					}
+				})
+				r.broadcast(t, 1)
+				if when == "before lookup" {
+					reap()
+				}
+				r.clk.Set(vclock.FromSeconds(1))
+				if !r.srv.Quiesce(5 * time.Second) {
+					t.Fatalf("pipeline did not drain: %+v", r.srv.Stats())
+				}
+				mu.Lock()
+				if len(order) != len(byShard[own]) || order[0] == victim || order[len(order)-1] == victim {
+					t.Fatalf("shard %d fired %v: want VMN %d inside one batch of %d", own, order, victim, len(byShard[own]))
+				}
+				mu.Unlock()
+				if st := r.srv.ShardStats()[own]; st.FireBatches != 1 {
+					t.Fatalf("shard %d fired its receivers in %d batches, want 1", own, st.FireBatches)
+				}
+				for i, sk := range r.sinks {
+					id, want := radio.NodeID(2+i), 1
+					if id == victim {
+						want = 0
+					}
+					for deadline := time.Now().Add(5 * time.Second); sk.count() < want; time.Sleep(200 * time.Microsecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("VMN %d got no packet", id)
+						}
+					}
+					if got := sk.count(); got != want {
+						t.Fatalf("VMN %d got %d packets, want %d", id, got, want)
+					}
+				}
+				st := r.srv.Stats()
+				if st.Entered != fanReceivers || st.Forwarded != fanReceivers-1 || st.Abandoned != 1 || st.QueueDrops != 0 {
+					t.Fatalf("entered %d forwarded %d abandoned %d queueDrops %d, want %d, %d, 1, 0",
+						st.Entered, st.Forwarded, st.Abandoned, st.QueueDrops, fanReceivers, fanReceivers-1)
+				}
+				r.stop()
+				if live := r.pool.Live(); live != 0 {
+					t.Fatalf("%d pooled buffers still live after Close", live)
+				}
+			})
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -25,13 +26,17 @@ const (
 
 // outMsg is one entry in a session's outbound queue.
 type outMsg struct {
-	kind   outKind
-	pkt    wire.Packet   // outData: the packet due now
-	radios []radio.Radio // outRadios: the VMN's new radio set
+	kind outKind
+	// sampled marks an outData packet the lifecycle tracing follows, as
+	// deliver decided it: the writer times and records its send stage
+	// without hashing the packet again.
+	sampled bool
+	pkt     wire.Packet   // outData: the packet due now
+	radios  []radio.Radio // outRadios: the VMN's new radio set
 }
 
 // sendQueue is the bounded per-session outbound queue of the §3.2
-// sending stage. Producers (the scanner's dispatch and the scene event
+// sending stage. Producers (the scanner's deliver and the scene event
 // subscription) never block: when the queue is full the oldest *data*
 // entry is discarded — late packets are the least valuable, while radio
 // notifications must survive so the client's channel view stays
@@ -44,6 +49,11 @@ type sendQueue struct {
 	n      int      // live entries
 	limit  int      // hard bound on n
 	closed bool
+	// parked records that the writer found the queue empty and is about
+	// to block on wake. Only then does a push signal wake, and it clears
+	// the flag as it does, so a burst into an awake writer's queue costs
+	// no channel operation. close signals regardless.
+	parked bool
 	wake   chan struct{} // 1-buffered writer wakeup
 
 	// inflight counts entries the writer has popped but not finished
@@ -98,6 +108,17 @@ func (q *sendQueue) countAbandoned() {
 // nothing but radio notifications).
 func (q *sendQueue) push(m outMsg) bool {
 	q.mu.Lock()
+	if q.n == q.limit && !q.closed {
+		// Distinguish "the writer has not been scheduled yet" (a burst
+		// outran it — common on few cores) from "the client is wedged"
+		// (its writer is parked in conn.Send and not runnable). Yielding
+		// lets a healthy writer drain before we resort to dropping;
+		// against a wedged one the queue is still full afterwards and
+		// drop-oldest engages as intended.
+		q.mu.Unlock()
+		runtime.Gosched()
+		q.mu.Lock()
+	}
 	if q.closed {
 		// The session is over; the delivery dies here. Its buffer must
 		// still be released (nil-safe — radio notifications carry none)
@@ -128,10 +149,14 @@ func (q *sendQueue) push(m outMsg) bool {
 		}
 	}
 	q.appendLocked(m)
+	signal := q.parked
+	q.parked = false
 	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
+	if signal {
+		select {
+		case q.wake <- struct{}{}:
+		default:
+		}
 	}
 	return true
 }
@@ -215,6 +240,7 @@ func (q *sendQueue) popBatch(stop <-chan struct{}, batch []outMsg, max int) (_ [
 			q.mu.Unlock()
 			return batch, true
 		}
+		q.parked = true // the next push signals wake
 		q.mu.Unlock()
 		select {
 		case <-q.wake:
@@ -264,11 +290,4 @@ func (q *sendQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.n + q.inflight
-}
-
-// full reports whether the next push would evict.
-func (q *sendQueue) full() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n == q.limit
 }

@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -246,6 +247,74 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 		q.close()
 		if n := pool.Live(); n != 0 {
 			t.Fatalf("seed %d: %d pooled buffers live after close", seed, n)
+		}
+	}
+}
+
+// A push signals the writer only when the writer recorded that it is
+// about to park, so a push that skips the signal must never leave an
+// entry behind a parked writer. Bursts with random gaps run against a
+// live writer — some gaps wait until it has drained, so it parks between
+// bursts — and every entry must be popped, in order, with the depth back
+// at 0. Run under -race; a writer that never records its park (or a push
+// that never signals) stalls here.
+func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
+	const bursts, maxBurst = 400, 40
+	rng := rand.New(rand.NewSource(1))
+	q := newSendQueue(bursts*maxBurst, nil, nil) // no drop-oldest: every push is popped
+	stop := make(chan struct{})
+	popped := make(chan uint32, bursts*maxBurst)
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		var batch []outMsg
+		for {
+			var ok bool
+			if batch, ok = q.popBatch(stop, batch, maxFlushBatch); !ok {
+				return
+			}
+			for _, m := range batch {
+				popped <- m.pkt.Seq
+			}
+			q.done(len(batch))
+		}
+	}()
+	defer func() { close(stop); <-writerDone }()
+
+	pushed := uint32(0)
+	for b := 0; b < bursts; b++ {
+		for n := 1 + rng.Intn(maxBurst); n > 0; n-- {
+			pushed++
+			if !q.push(outMsg{kind: outData, pkt: wire.Packet{Seq: pushed}}) {
+				t.Fatalf("push %d rejected", pushed)
+			}
+		}
+		switch rng.Intn(3) {
+		case 0: // straight into the next burst
+		case 1: // let the writer drain and park
+			for deadline := time.Now().Add(5 * time.Second); q.depth() != 0; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatalf("burst %d: depth stuck at %d with the writer parked", b, q.depth())
+				}
+			}
+		default:
+			time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
+		}
+	}
+	for want := uint32(1); want <= pushed; want++ {
+		select {
+		case got := <-popped:
+			if got != want {
+				t.Fatalf("popped seq %d, want %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("popped %d of %d entries: a push was left behind a parked writer (depth %d)",
+				want-1, pushed, q.depth())
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); q.depth() != 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("depth %d after every entry was popped, want 0", q.depth())
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 // End-to-end tests of the real-time fidelity monitor's core wiring:
-// the fire observer feeding per-shard deadline accounting, the health
+// the fire callback feeding per-shard deadline accounting, the health
 // surface on Stats/ShardStats, flight-recorder events from the queue-
 // drop and view-rebuild paths, and deterministic deadline misses under
 // a manual clock.

@@ -437,7 +437,6 @@ func (s *Server) instrument(cfg ServerConfig) {
 			"batches this shard's scanner fired, one schedule-lock cycle each",
 			func() uint64 { return sh.scanner.Stats().Batches })
 		sh.fid = s.fid.Shard(sh.idx)
-		sh.scanner.SetFireObserver(s.fireObserver(sh))
 	}
 
 	cfg.Scene.Instrument(reg)
@@ -450,48 +449,6 @@ func (s *Server) instrument(cfg ServerConfig) {
 		every = DefaultObsSampleEvery
 	}
 	s.sample = fidelity.NewSampler(every)
-}
-
-// fireObserver builds one shard's batch-fire closure: it feeds the
-// fire-batch histogram and runs the deadline accounting. The batch is sorted by (Due, seq), so the
-// batch's worst lag is now−batch[0].Due and the missed items are a
-// prefix found by binary search — hand-rolled so the whole observer
-// stays allocation-free (the scanner's zero-alloc fire loop is
-// CI-gated).
-func (s *Server) fireObserver(sh *shard) func(vclock.Time, []sched.Item) {
-	fm := sh.fid
-	rec := s.fid.Recorder()
-	tol := vclock.Time(s.fid.Tolerance())
-	return func(now vclock.Time, batch []sched.Item) {
-		n := len(batch)
-		s.hFireBatch.Observe(time.Duration(n))
-		lag := int64(now - batch[0].Due)
-		if lag < 0 {
-			lag = 0
-		}
-		missed := 0
-		if lag > int64(tol) {
-			cut := now - tol // the batch prefix with Due < cut missed
-			lo, hi := 0, n
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if batch[mid].Due < cut {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			missed = lo
-		}
-		if fm.Record(int64(now), lag, n, missed) {
-			// Window closed: summarize the scanner's sleep/kick machinery
-			// into the flight recorder so a dump shows how the loop behaved
-			// around an incident.
-			st := sh.scanner.Stats()
-			rec.Record(fidelity.EvScannerWindow, sh.idx, int64(now),
-				int64(st.KicksElided), int64(st.Wakeups))
-		}
-	}
 }
 
 // Obs returns the server's metrics registry.

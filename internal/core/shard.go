@@ -65,14 +65,20 @@ type shard struct {
 	entered *obs.Counter
 
 	// fid is this shard's deadline accounting. Written only by the
-	// owning scanner goroutine through the fire observer; ShardStats
-	// reads its atomics.
+	// owning scanner goroutine, in the fire callback; ShardStats reads
+	// its atomics.
 	fid *fidelity.Shard
+
+	// fired is deliver's scratch: the session of each item of the batch
+	// being fired, resolved under one read of mu. Sized for a full batch
+	// once, so it never grows; only the scanner goroutine touches it.
+	fired []*session
 }
 
 func newShard(idx int, srv *Server) *shard {
-	sh := &shard{idx: idx, srv: srv, sessions: make(map[radio.NodeID]*session)}
-	sh.scanner = sched.NewScanner(srv.cfg.Clock, sh.deliver)
+	sh := &shard{idx: idx, srv: srv, sessions: make(map[radio.NodeID]*session),
+		fired: make([]*session, 0, sched.DefaultFireBatch)}
+	sh.scanner = sched.NewScanner(srv.cfg.Clock, sh.fire)
 	return sh
 }
 

@@ -446,7 +446,7 @@ func sameItem(a, b Item) bool {
 func TestPushFanMatchesSequentialPushes(t *testing.T) {
 	for _, seed := range []int64{5, 6, 7} {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewScanner(vclock.NewManual(0), func(Item) {}) // never started: s.q is ours
+		s := NewScanner(vclock.NewManual(0), func(vclock.Time, []Item) {}) // never started: s.q is ours
 		ref := NewList()
 		now := vclock.Time(0)
 		var to uint32
@@ -567,7 +567,7 @@ func TestPushFanCutByBatchBoundary(t *testing.T) {
 func TestDrainVisitsUnfiredReceiversOfAFan(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
-	s := NewScanner(clk, col.dispatch)
+	s := NewScanner(clk, col.fire)
 	s.Start()
 	fan := func(first, n int, due vclock.Time) []Target {
 		ts := make([]Target, n)
@@ -580,9 +580,7 @@ func TestDrainVisitsUnfiredReceiversOfAFan(t *testing.T) {
 	s.PushFan(wire.Packet{Seq: 2}, fan(101, 300, vclock.FromSeconds(2)))
 	clk.Set(vclock.FromSeconds(1))
 	col.waitN(t, 10)
-	if got := s.Pending(); got != 300 {
-		t.Fatalf("Pending %d after the first fan fired, want 300", got)
-	}
+	waitPending(t, s, 300) // the fired batch leaves Pending when its fire call returns
 	s.Stop()
 	// The scanner is gone; cut the second fan the way a full batch buffer
 	// would have.

@@ -23,27 +23,27 @@ const scannerAwake = math.MinInt64
 
 // Scanner is the paper's "scanning thread" (§3.2 step 5): it watches
 // the schedule and, as the emulation clock reaches each departure time,
-// hands items to the dispatch function (which runs the send on the
-// session's writer, step 6). Push may be called from any number of
+// hands the due items to the fire function (which queues the sends for
+// the sessions' writers, step 6). Push may be called from any number of
 // scheduling goroutines; an early-deadline push wakes the scanner so a
 // newly scheduled packet can overtake a sleeping later one.
 //
 // The hot loop is batch-shaped: one lock acquisition drains every due
-// item into a reusable buffer (HeapQueue.PopDueBatch) and dispatch runs
-// outside the lock, so a storm of n due departures costs ~n/batch lock
-// cycles instead of 2n. Sleeping allocates nothing and spawns no
-// goroutine (vclock.Waiter), and a Push whose deadline does not beat
-// the one the scanner is already sleeping toward elides its wakeup
-// entirely (kick elision — see maybeKick).
+// item into a reusable buffer (HeapQueue.PopDueBatch) and one fire call
+// takes the whole batch outside the lock, so a storm of n due departures
+// costs ~n/batch lock cycles instead of 2n, and the receiving side can
+// amortize its own per-call costs over the batch too. Sleeping allocates
+// nothing and spawns no goroutine (vclock.Waiter), and a Push whose
+// deadline does not beat the one the scanner is already sleeping toward
+// elides its wakeup entirely (kick elision — see maybeKick).
 type Scanner struct {
-	clk      vclock.WaitClock
-	dispatch func(Item)
-	waiter   vclock.Waiter
-	// onFire observes each non-empty batch with the clock reading that
-	// popped it, before dispatch — the real-time fidelity monitor reads
-	// batch[0].Due against now here, reusing the fire loop's own clock
-	// read so deadline accounting costs zero extra Now calls.
-	onFire func(now vclock.Time, batch []Item)
+	clk vclock.WaitClock
+	// fire takes each non-empty batch with the clock reading that popped
+	// it — the real-time fidelity monitor reads batch[0].Due against now,
+	// reusing the fire loop's own clock read so deadline accounting costs
+	// zero extra Now calls.
+	fire   func(now vclock.Time, batch []Item)
+	waiter vclock.Waiter
 
 	mu sync.Mutex
 	// q is held by value, next to the lock that guards it: its header is
@@ -61,7 +61,7 @@ type Scanner struct {
 	// what the scanner saw — the invariant kick elision rests on.
 	sleepDue atomic.Int64
 
-	// inFlight counts items popped from the schedule whose dispatch has
+	// inFlight counts items popped from the schedule whose fire call has
 	// not returned yet. Pending adds it to the queue depth, so
 	// "Pending()==0" still means every fired item has fully left the
 	// scanner — without it a drain check could observe an empty queue
@@ -94,28 +94,24 @@ type ScannerStats struct {
 	PushLocks      uint64 // producer-side lock acquisitions (Push/PushBatch/PushFan)
 }
 
-// NewScanner builds a scanner over an empty schedule. dispatch is
-// invoked on the scanner goroutine; it must hand long work off (the
-// server gives each session a dedicated writer, per the paper).
-func NewScanner(clk vclock.WaitClock, dispatch func(Item)) *Scanner {
+// NewScanner builds a scanner over an empty schedule. fire is invoked
+// on the scanner goroutine once per non-empty batch of due items, with
+// the emulation-clock reading that popped them. The batch is the
+// scanner's reusable buffer, sorted by (Due, seq): fire must not retain
+// it, and it must hand long work off (the server gives each session a
+// dedicated writer, per the paper) — anything slow delays every
+// delivery behind it.
+func NewScanner(clk vclock.WaitClock, fire func(now vclock.Time, batch []Item)) *Scanner {
 	s := &Scanner{
-		clk:      clk,
-		dispatch: dispatch,
-		waiter:   vclock.NewWaiter(clk),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		clk:    clk,
+		fire:   fire,
+		waiter: vclock.NewWaiter(clk),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	s.sleepDue.Store(scannerAwake)
 	return s
 }
-
-// SetFireObserver installs fn to observe each non-empty fire batch on
-// the scanner goroutine, with the emulation-clock reading that popped
-// it. The slice is the scanner's reusable buffer, still sorted by
-// (Due, seq): fn must not retain it, and it runs before dispatch — the
-// entries are intact, and anything slow here delays every delivery in
-// the batch. Call before Start.
-func (s *Scanner) SetFireObserver(fn func(now vclock.Time, batch []Item)) { s.onFire = fn }
 
 // Start launches the scanning goroutine.
 func (s *Scanner) Start() {
@@ -223,8 +219,8 @@ func (s *Scanner) maybeKick(due vclock.Time) {
 	s.waiter.Wake()
 }
 
-// Pending returns the current schedule depth, counting items the
-// scanner has popped but not yet finished dispatching.
+// Pending returns the current schedule depth, counting the items of a
+// popped batch until its fire call returns.
 func (s *Scanner) Pending() int {
 	s.mu.Lock()
 	n := s.q.Len() + int(s.inFlight.Load())
@@ -277,14 +273,9 @@ func (s *Scanner) run() {
 			}
 			first = false
 			s.batches.Add(1)
-			if s.onFire != nil {
-				s.onFire(now, batch[:n])
-			}
-			for i := 0; i < n; i++ {
-				s.dispatch(batch[i])
-				batch[i] = Item{} // release payload memory
-				s.inFlight.Add(-1)
-			}
+			s.fire(now, batch[:n])
+			clear(batch[:n]) // release payload memory
+			s.inFlight.Add(-int64(n))
 		}
 		select {
 		case <-s.stop:

@@ -10,7 +10,7 @@ import (
 	"repro/internal/wire"
 )
 
-// collect gathers dispatched items with their dispatch times.
+// collect gathers fired items with their fire times.
 type collect struct {
 	mu    sync.Mutex
 	clk   vclock.Clock
@@ -23,12 +23,14 @@ func newCollect(clk vclock.Clock) *collect {
 	return &collect{clk: clk, ch: make(chan struct{}, 1024)}
 }
 
-func (c *collect) dispatch(it Item) {
-	c.mu.Lock()
-	c.items = append(c.items, it)
-	c.times = append(c.times, c.clk.Now())
-	c.mu.Unlock()
-	c.ch <- struct{}{}
+func (c *collect) fire(_ vclock.Time, batch []Item) {
+	for _, it := range batch {
+		c.mu.Lock()
+		c.items = append(c.items, it)
+		c.times = append(c.times, c.clk.Now())
+		c.mu.Unlock()
+		c.ch <- struct{}{}
+	}
 }
 
 func (c *collect) waitN(t *testing.T, n int) {
@@ -42,10 +44,22 @@ func (c *collect) waitN(t *testing.T, n int) {
 	}
 }
 
+// waitPending polls until the scanner's Pending reads want.
+func waitPending(t *testing.T, s *Scanner, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Pending() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("Pending %d, want %d", s.Pending(), want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestScannerFiresInOrder(t *testing.T) {
 	clk := vclock.NewSystem(1000) // 1 ms wall = 1 s emulated
 	col := newCollect(clk)
-	s := NewScanner(clk, col.dispatch)
+	s := NewScanner(clk, col.fire)
 	s.Start()
 	defer s.Stop()
 	base := clk.Now()
@@ -73,7 +87,7 @@ func TestScannerFiresInOrder(t *testing.T) {
 func TestScannerEarlyPushOvertakes(t *testing.T) {
 	clk := vclock.NewSystem(100)
 	col := newCollect(clk)
-	s := NewScanner(clk, col.dispatch)
+	s := NewScanner(clk, col.fire)
 	s.Start()
 	defer s.Stop()
 	base := clk.Now()
@@ -94,7 +108,7 @@ func TestScannerEarlyPushOvertakes(t *testing.T) {
 func TestScannerManualClock(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
-	s := NewScanner(clk, col.dispatch)
+	s := NewScanner(clk, col.fire)
 	s.Start()
 	defer s.Stop()
 	s.Push(Item{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: 1}})
@@ -119,7 +133,7 @@ func TestScannerManualClock(t *testing.T) {
 
 func TestScannerStopIdempotent(t *testing.T) {
 	clk := vclock.NewManual(0)
-	s := NewScanner(clk, func(Item) {})
+	s := NewScanner(clk, func(vclock.Time, []Item) {})
 	s.Start()
 	s.Stop()
 	s.Stop() // second stop must not panic or hang
@@ -127,7 +141,7 @@ func TestScannerStopIdempotent(t *testing.T) {
 
 func TestScannerStopWithPending(t *testing.T) {
 	clk := vclock.NewManual(0)
-	s := NewScanner(clk, func(Item) {})
+	s := NewScanner(clk, func(vclock.Time, []Item) {})
 	s.Start()
 	for i := 0; i < 10; i++ {
 		s.Push(Item{Due: vclock.FromSeconds(float64(i + 100))})
@@ -150,7 +164,7 @@ func TestScannerStopWithPending(t *testing.T) {
 func TestScannerKickElision(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
-	s := NewScanner(clk, col.dispatch)
+	s := NewScanner(clk, col.fire)
 	s.Start()
 	defer s.Stop()
 
@@ -195,7 +209,7 @@ func TestScannerKickElision(t *testing.T) {
 func TestScannerSleepNoGoroutines(t *testing.T) {
 	clk := vclock.NewSystem(1)
 	base := runtime.NumGoroutine()
-	s := NewScanner(clk, func(Item) {})
+	s := NewScanner(clk, func(vclock.Time, []Item) {})
 	s.Start()
 	defer s.Stop()
 	// Park the scanner on a far-future deadline, then let cycles of
@@ -223,7 +237,7 @@ func TestScannerSleepNoGoroutines(t *testing.T) {
 func TestScannerSleepFireAllocFree(t *testing.T) {
 	clk := vclock.NewSystem(10000) // 0.1 ms wall = 1 s emulated
 	fired := make(chan struct{}, 64)
-	s := NewScanner(clk, func(Item) { fired <- struct{}{} })
+	s := NewScanner(clk, func(vclock.Time, []Item) { fired <- struct{}{} })
 	s.Start()
 	defer s.Stop()
 	// The bare receive is deliberate: a time.After guard here would be
@@ -240,18 +254,25 @@ func TestScannerSleepFireAllocFree(t *testing.T) {
 }
 
 // With many items due at once, the scanner must drain them in batches
-// of DefaultFireBatch (one lock cycle each), and the fire observer must
-// see each batch's true size.
+// of DefaultFireBatch (one lock cycle each), handing each whole batch to
+// one fire call in push order with the clock reading that popped it.
+// Pending counts a fired batch until that call returns.
 func TestScannerBatchObserver(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
+	type fire struct {
+		now     vclock.Time
+		size    int
+		pending int
+	}
 	var mu sync.Mutex
-	var sizes []int
-	s := NewScanner(clk, col.dispatch)
-	s.SetFireObserver(func(_ vclock.Time, batch []Item) {
+	var fires []fire
+	var s *Scanner
+	s = NewScanner(clk, func(now vclock.Time, batch []Item) {
 		mu.Lock()
-		sizes = append(sizes, len(batch))
+		fires = append(fires, fire{now: now, size: len(batch), pending: s.Pending()})
 		mu.Unlock()
+		col.fire(now, batch)
 	})
 	s.Start()
 	defer s.Stop()
@@ -261,13 +282,24 @@ func TestScannerBatchObserver(t *testing.T) {
 	}
 	clk.Set(vclock.FromSeconds(1))
 	col.waitN(t, n)
+	waitPending(t, s, 0)
 	mu.Lock()
 	defer mu.Unlock()
-	if len(sizes) != 2 || sizes[0] != DefaultFireBatch || sizes[1] != 10 {
-		t.Errorf("due run split into batches %v, want [%d 10]", sizes, DefaultFireBatch)
+	if len(fires) != 2 || fires[0].size != DefaultFireBatch || fires[1].size != 10 {
+		t.Fatalf("due run split into batches %+v, want sizes [%d 10]", fires, DefaultFireBatch)
 	}
-	if st := s.Stats(); st.Batches != uint64(len(sizes)) || st.Dispatched != n {
-		t.Errorf("stats %+v disagree with observer %v", st, sizes)
+	for i, f := range fires {
+		if f.now != vclock.FromSeconds(1) {
+			t.Errorf("batch %d fired with now %v, want the popping read 1s", i, f.now)
+		}
+	}
+	// The first call still has the second batch queued behind it.
+	if fires[0].pending != n || fires[1].pending != 10 {
+		t.Errorf("Pending inside the fire calls read %d and %d, want %d and 10",
+			fires[0].pending, fires[1].pending, n)
+	}
+	if st := s.Stats(); st.Batches != 2 || st.Dispatched != n {
+		t.Errorf("stats %+v disagree with the fire calls %+v", st, fires)
 	}
 	col.mu.Lock()
 	defer col.mu.Unlock()
@@ -283,7 +315,7 @@ func TestScannerBatchObserver(t *testing.T) {
 func TestScannerPushBatchFIFO(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
-	s := NewScanner(clk, col.dispatch)
+	s := NewScanner(clk, col.fire)
 	s.Start()
 	defer s.Stop()
 	s.PushBatch([]Item{
@@ -315,9 +347,9 @@ func TestScannerHighThroughput(t *testing.T) {
 	clk := vclock.NewSystem(10000)
 	var count int64
 	var mu sync.Mutex
-	s := NewScanner(clk, func(Item) {
+	s := NewScanner(clk, func(_ vclock.Time, batch []Item) {
 		mu.Lock()
-		count++
+		count += int64(len(batch))
 		mu.Unlock()
 	})
 	s.Start()

@@ -46,8 +46,8 @@ func benchScannerStorm(b *testing.B, fan int) {
 	doneAll := make(chan struct{})
 	pushes := (b.N + fan - 1) / fan
 	total := int64(pushes * fan)
-	s := NewScanner(clk, func(Item) {
-		if fired.Add(1) == total {
+	s := NewScanner(clk, func(_ vclock.Time, batch []Item) {
+		if fired.Add(int64(len(batch))) == total {
 			close(doneAll)
 		}
 	})
@@ -110,7 +110,7 @@ func benchScannerStorm(b *testing.B, fan int) {
 func BenchmarkScannerSleepFire(b *testing.B) {
 	clk := vclock.NewSystem(1000) // 2 ms emulated = 2 µs wall per sleep
 	fired := make(chan struct{}, 1)
-	s := NewScanner(clk, func(Item) { fired <- struct{}{} })
+	s := NewScanner(clk, func(vclock.Time, []Item) { fired <- struct{}{} })
 	s.Start()
 	defer s.Stop()
 	s.Push(Item{Due: clk.Now().Add(2 * time.Millisecond)})

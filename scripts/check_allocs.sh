@@ -60,6 +60,28 @@ echo "$SCHED" | awk '
 
 echo "scanner alloc gate: OK (sleep/fire cycle and fan=36 storm allocation-free)"
 
+# The shard's hand-off of a fired batch must allocate nothing either:
+# one 36-receiver broadcast resolves its sessions into a scratch slice
+# sized for a full batch once, and pushes into queue rings grown to
+# their bound. A scratch or ring that keeps growing shows up here.
+FIRE=$(go test -run='^$' -bench='DeliverFiredBatch' -benchmem -benchtime=2000x ./internal/core)
+echo "$FIRE"
+
+echo "$FIRE" | awk '
+	/allocs\/op/ {
+		seen = 1
+		for (i = 2; i < NF; i++) {
+			if ($(i+1) == "allocs/op" && $i + 0 > 0) {
+				printf "FAIL: %s measured %s allocs/op, budget 0\n", $1, $i
+				bad = 1
+			}
+		}
+	}
+	END { exit bad || !seen }
+' || { echo "fired-batch alloc gate: FAILED (delivering a fired batch must be allocation-free)"; exit 1; }
+
+echo "fired-batch alloc gate: OK (a fired 36-receiver batch delivered allocation-free)"
+
 # The fidelity monitor rides the same fire edge: one Shard.Record per
 # scanner batch plus flight-recorder appends from the cold paths. Both
 # must stay allocation-free in steady state or monitoring stops being
