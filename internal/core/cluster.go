@@ -7,7 +7,7 @@ package core
 // see register), and a packet's scheduled deliveries split at ingest:
 // targets owned locally take the usual per-shard push, targets owned
 // remotely ride persistent trunks (transport.Trunk) to their peer as
-// batched TrunkBatch frames — the coalesced-push shape of pushItems
+// batched TrunkBatch frames — the coalesced-push shape of pushLocal
 // stretched across machines, pooled mbuf framing included.
 //
 // Scene state replicates one-way from a coordinator peer, out of the
@@ -38,6 +38,7 @@ package core
 // digests are byte-identical with the legacy configuration.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -420,7 +421,7 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 	}
 	cl.addConn(conn)
 	defer cl.removeConn(conn)
-	var in trunkIngress // per-connection scratch, same confinement as a session's
+	var sc pushScratch // per-connection scratch, same confinement as a session's
 	for {
 		m, err := conn.Recv()
 		if err != nil {
@@ -428,7 +429,7 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 		}
 		switch v := m.(type) {
 		case *wire.TrunkBatch:
-			cl.ingestTrunkBatch(v, &in)
+			cl.ingestTrunkBatch(v, &sc)
 		case *wire.TrunkScene:
 			cl.applyScene(from, v)
 		case *wire.TrunkStatus:
@@ -441,81 +442,43 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 	}
 }
 
-// trunkIngress is one inbound trunk connection's reusable scratch: the
-// items built from a batch, their shard assignments, and the group handed
-// to one shard.
-type trunkIngress struct {
-	items []sched.Item
-	idxs  []int32
-	group []sched.Item
-}
-
-// ingestTrunkBatch schedules one inbound batch: each entry's buffer
-// reference transfers from the wire message into the schedule item, due
-// times are floored at the local clock (they were computed against the
-// sender's), and the per-shard grouped push counts them Entered here —
-// the receiving side of the cluster conservation ledger.
-func (cl *cluster) ingestTrunkBatch(tb *wire.TrunkBatch, in *trunkIngress) {
-	now := cl.srv.cfg.Clock.Now()
-	items := in.items[:0]
-	for i := range tb.Entries {
-		e := &tb.Entries[i]
-		due := e.Due
-		if due < now {
-			due = now
+// ingestTrunkBatch schedules one inbound batch. Consecutive entries of
+// one packet on one buffer — a remote broadcast's receivers on this peer
+// — are one fan: their buffer references transfer from the wire message
+// into the schedule, their due times are floored at the local clock
+// (they were computed against the sender's), and they enter the local
+// shards by the same push as a client packet, which counts them Entered
+// here — the receiving side of the cluster conservation ledger.
+func (cl *cluster) ingestTrunkBatch(tb *wire.TrunkBatch, sc *pushScratch) {
+	s := cl.srv
+	now := s.cfg.Clock.Now()
+	entries := tb.Entries
+	for i := 0; i < len(entries); {
+		pkt := entries[i].Pkt
+		targets := sc.targets[:0]
+		for ; i < len(entries) && sameFan(&entries[i].Pkt, &pkt); i++ {
+			targets = append(targets, sched.Target{To: entries[i].To, Due: entries[i].Due})
+			entries[i].Pkt = wire.Packet{} // reference moved into the fan
 		}
-		items = append(items, sched.Item{Due: due, To: e.To, Pkt: e.Pkt})
-		e.Pkt = wire.Packet{} // reference moved into the schedule item
+		sc.targets = targets
+		floorDues(targets, 0, now)
+		s.pushLocal(sc, pkt, targets)
 	}
-	in.items = items
-	tb.Entries = tb.Entries[:0]
-	wire.ReleaseTrunkBatch(tb)
-	cl.pushTrunkItems(in)
 	// Counted once scheduled, as a client packet's Received is: a settled
 	// Σ RemoteEntries == Σ RecvEntries then means no entry is still on
 	// its way into a schedule.
-	cl.mRecvEntries.Add(uint64(len(items)))
-	// The schedule owns copies now; drop the scratch's packet references
-	// so a pooled buffer freed after delivery is not kept reachable by an
-	// idle connection.
-	for i := range items {
-		items[i] = sched.Item{}
-	}
+	cl.mRecvEntries.Add(uint64(len(entries)))
+	tb.Entries = entries[:0]
+	wire.ReleaseTrunkBatch(tb)
 }
 
-// pushTrunkItems lists a trunk batch's items — each its own packet, so
-// they cannot share a fan — into their destination shards by the rule of
-// Server.pushItems: one pushBatch per distinct shard, groups in order
-// of first appearance, item order kept inside a group.
-func (cl *cluster) pushTrunkItems(in *trunkIngress) {
-	s, items := cl.srv, in.items
-	if len(s.shards) == 1 {
-		s.shards[0].pushBatch(items)
-		return
-	}
-	idxs := in.idxs[:0]
-	for i := range items {
-		idxs = append(idxs, int32(ShardIndex(items[i].To, len(s.shards))))
-	}
-	in.idxs = idxs
-	for i := range items {
-		sh := idxs[i]
-		if sh < 0 {
-			continue
-		}
-		group := append(in.group[:0], items[i])
-		for j := i + 1; j < len(items); j++ {
-			if idxs[j] == sh {
-				group = append(group, items[j])
-				idxs[j] = -1
-			}
-		}
-		in.group = group
-		s.shards[sh].pushBatch(group)
-		for k := range group {
-			group[k] = sched.Item{} // as ingestTrunkBatch does for items
-		}
-	}
+// sameFan reports whether trunk entries carrying a and b can share one
+// fan: the same packet (the sampling key, its addressing and payload) on
+// the same buffer, so the fan's buffer references all sit on the buffer
+// it carries.
+func sameFan(a, b *wire.Packet) bool {
+	return samePacket(a, b) && a.Buf == b.Buf && a.Dst == b.Dst && a.Channel == b.Channel &&
+		a.Flow == b.Flow && bytes.Equal(a.Payload, b.Payload)
 }
 
 // ---------------------------------------------------------------------------

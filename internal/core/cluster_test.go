@@ -496,7 +496,7 @@ func TestTrunkIngestCountsAfterScheduling(t *testing.T) {
 	defer srv.Close()
 	// Hold the schedule's lock: Drain runs its callback under it.
 	sh := srv.shards[0]
-	sh.pushBatch([]sched.Item{{Due: vclock.Max}})
+	sh.pushFan(wire.Packet{}, []sched.Target{{Due: vclock.Max}})
 	held, release := make(chan struct{}), make(chan struct{})
 	go sh.scanner.Drain(func(sched.Item) { close(held); <-release })
 	<-held
@@ -505,10 +505,10 @@ func TestTrunkIngestCountsAfterScheduling(t *testing.T) {
 	tb.Entries = append(tb.Entries, wire.TrunkEntry{Due: 5, To: local}, wire.TrunkEntry{Due: 5, To: local})
 	done := make(chan struct{})
 	go func() {
-		srv.cluster.ingestTrunkBatch(tb, &trunkIngress{})
+		srv.cluster.ingestTrunkBatch(tb, &pushScratch{})
 		close(done)
 	}()
-	fedWaitFor(t, func() bool { return srv.mEntered.Load() == 3 }, "the batch to wait on the schedule's lock")
+	fedWaitFor(t, func() bool { return srv.entered() == 3 }, "the batch to wait on the schedule's lock")
 	early := srv.Cluster().RecvEntries
 	close(release)
 	<-done

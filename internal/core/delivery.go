@@ -258,11 +258,7 @@ func (s *Server) writeBatch(sess *session, batch []outMsg) error {
 		s.mForwarded.Inc()
 		sess.forwarded.Add(1)
 		if s.cfg.Store != nil {
-			s.cfg.Store.AddPacket(record.Packet{
-				Kind: record.PacketOut, At: s.cfg.Clock.Now(), Stamp: m.pkt.Stamp,
-				Src: m.pkt.Src, Dst: m.pkt.Dst, Relay: sess.id, Channel: m.pkt.Channel,
-				Flow: m.pkt.Flow, Seq: m.pkt.Seq, Size: uint32(m.pkt.Size()),
-			})
+			s.cfg.Store.AddPacket(packetRecord(record.PacketOut, s.cfg.Clock.Now(), &m.pkt, sess.id))
 		}
 	}
 	return err

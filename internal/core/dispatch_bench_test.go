@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/radio"
@@ -28,8 +29,8 @@ import (
 
 // newDispatchBench builds an unstarted server over a populated scene:
 // `nodes` VMNs in a row on channel 1, spaced so each hears a handful of
-// neighbors.
-func newDispatchBench(tb testing.TB, nodes, shards int) *Server {
+// neighbors. mutate, if given, edits the config first.
+func newDispatchBench(tb testing.TB, nodes, shards int, mutate ...func(*ServerConfig)) *Server {
 	tb.Helper()
 	clk := vclock.NewManual(vclock.FromSeconds(100))
 	sc := scene.New(radio.NewIndexed(120), clk, 1)
@@ -40,7 +41,11 @@ func newDispatchBench(tb testing.TB, nodes, shards int) *Server {
 			tb.Fatal(err)
 		}
 	}
-	srv, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Seed: 1, Shards: shards})
+	cfg := ServerConfig{Clock: clk, Scene: sc, Seed: 1, Shards: shards}
+	for _, m := range mutate {
+		m(&cfg)
+	}
+	srv, err := NewServer(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -100,27 +105,55 @@ func BenchmarkDispatchParallel(b *testing.B) {
 }
 
 // TestIngestSteadyStateAllocFree pins the acceptance criterion: on the
-// steady-state forwarding path (recording off, schedule warm) ingest
-// performs zero heap allocations for the neighbor/model lookup, target
-// selection and the push into the shard's heap.
+// steady-state forwarding path (recording off, schedule warm) a packet
+// enters the schedule with zero heap allocations — at ingest, with the
+// neighbor/model lookup, target selection and the push into the shard's
+// heap, in the base model and under SerializeChannels; and at trunk
+// arrival, 16 packets × 4 receivers over 4 shards.
 func TestIngestSteadyStateAllocFree(t *testing.T) {
-	srv := newDispatchBench(t, 16, 1)
-	sess := benchSession(3, srv)
 	pkt := wire.Packet{
 		Src: 3, Dst: radio.Broadcast, Channel: 1,
 		Stamp: vclock.FromSeconds(100), Payload: make([]byte, 64),
 	}
-	srv.ingest(sess, pkt) // warm the scratch buffer and the heap's backing array
-	drainSchedules(srv)
-	allocs := testing.AllocsPerRun(500, func() {
-		srv.ingest(sess, pkt)
+	for _, serialize := range []bool{false, true} {
+		srv := newDispatchBench(t, 16, 1, func(cfg *ServerConfig) { cfg.SerializeChannels = serialize })
+		sess := benchSession(3, srv)
+		srv.ingest(sess, pkt) // warm the scratch buffer and the heap's backing array
 		drainSchedules(srv)
-	})
-	if allocs != 0 {
-		t.Errorf("ingest allocates %v per packet on the steady state, want 0", allocs)
+		allocs := testing.AllocsPerRun(500, func() {
+			srv.ingest(sess, pkt)
+			drainSchedules(srv)
+		})
+		if allocs != 0 {
+			t.Errorf("ingest (SerializeChannels %v) allocates %v per packet on the steady state, want 0", serialize, allocs)
+		}
+		if srv.Stats().Received == 0 {
+			t.Fatal("ingest did not run")
+		}
 	}
-	if srv.Stats().Received == 0 {
-		t.Fatal("ingest did not run")
+
+	srv := newDispatchBench(t, 1, 4, func(cfg *ServerConfig) {
+		cfg.Peers, cfg.ClusterID = []PeerSpec{{Addr: "self"}}, "alloc-test"
+	})
+	receivers := crossShardIDs(t, 4)
+	tb := &wire.TrunkBatch{} // unpooled: ReleaseTrunkBatch leaves it to us
+	var sc pushScratch
+	arrive := func() {
+		for p := uint32(0); p < 16; p++ {
+			pkt.Seq = p
+			for _, to := range receivers {
+				tb.Entries = append(tb.Entries, wire.TrunkEntry{Due: pkt.Stamp.Add(time.Millisecond), To: to, Pkt: pkt})
+			}
+		}
+		srv.cluster.ingestTrunkBatch(tb, &sc)
+		drainSchedules(srv)
+	}
+	arrive() // warm the scratch, the entries and the heaps
+	if allocs := testing.AllocsPerRun(500, arrive); allocs != 0 {
+		t.Errorf("trunk arrival allocates %v per batch on the steady state, want 0", allocs)
+	}
+	if got, per := srv.Cluster().RecvEntries, uint64(16*len(receivers)); got < 500*per || got%per != 0 {
+		t.Fatalf("RecvEntries %d: not every batch entered whole (%d entries each)", got, per)
 	}
 }
 

@@ -85,6 +85,14 @@ func (c *scriptConn) Close() error {
 
 func (c *scriptConn) Label() string { return "script" }
 
+// sentMsgs copies what was sent so far: the session writer may still be
+// sending (the radios event follows the HelloAck) after handle returns.
+func (c *scriptConn) sentMsgs() []wire.Msg {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]wire.Msg(nil), c.sent...)
+}
+
 func (c *scriptConn) wasClosed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -186,11 +194,12 @@ func testRegisterThenImmediateDisconnect(t *testing.T, shards int) {
 		t.Fatalf("Clients = %d after disconnect", got)
 	}
 	// The handshake did complete before the disconnect.
-	if len(conn.sent) == 0 {
+	sent := conn.sentMsgs()
+	if len(sent) == 0 {
 		t.Fatal("no HelloAck sent")
 	}
-	if _, ok := conn.sent[0].(*wire.HelloAck); !ok {
-		t.Fatalf("first reply %v, want HelloAck", conn.sent[0].Type())
+	if _, ok := sent[0].(*wire.HelloAck); !ok {
+		t.Fatalf("first reply %v, want HelloAck", sent[0].Type())
 	}
 	r.client(1, nil)
 	if got := r.server.Stats().Clients; got != 1 {

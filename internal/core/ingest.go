@@ -19,7 +19,7 @@ import (
 
 // ingest is §3.2 steps 1–4 for one received packet. Each surviving
 // target is listed into the schedule of the shard that owns the
-// *destination* (shardOf(k.to)): all deliveries to one client fire from
+// *destination* (shardOf(to)): all deliveries to one client fire from
 // one scanner, which is what keeps per-destination FIFO true at every
 // shard count.
 func (s *Server) ingest(sess *session, pkt wire.Packet) {
@@ -39,7 +39,7 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	// Parallel stamps are trusted for accuracy (§4.1), not unboundedly:
 	// a client clock running ahead of every honest sync error would
 	// otherwise list its packets arbitrarily deep into the schedule's
-	// future. Late stamps need no clamp — the `due < now` floor below
+	// future. Late stamps need no clamp — the floor below (floorDues)
 	// already keeps them from shipping into the past.
 	if maxSkew := s.cfg.MaxStampSkew; maxSkew >= 0 {
 		if maxSkew == 0 {
@@ -64,11 +64,7 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 		obsStart = time.Now()
 	}
 	if s.cfg.Store != nil {
-		s.cfg.Store.AddPacket(record.Packet{
-			Kind: record.PacketIn, At: now, Stamp: pkt.Stamp,
-			Src: pkt.Src, Dst: pkt.Dst, Channel: pkt.Channel,
-			Flow: pkt.Flow, Seq: pkt.Seq, Size: uint32(pkt.Size()),
-		})
+		s.cfg.Store.AddPacket(packetRecord(record.PacketIn, now, &pkt, 0))
 	}
 	// Step 2: resolve NT(src, ch) and the channel's link model in one
 	// epoch-snapshot read — a single atomic load, no locks, no copies
@@ -79,11 +75,14 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	// it is a pure function of the packet as recorded — the clamped
 	// stamp, not the client's — and of who hears it (linkmodel.Dice).
 	pktKey := linkmodel.PacketKey(s.cfg.Seed, uint32(pkt.Src), pkt.Seq, int64(pkt.Stamp))
-	// Steps 2–3 fused: filter targets and roll the link-model die in one
-	// pass over the row. t_receipt is the client's parallel stamp
-	// (real-time recording). The survivors land in the session's
-	// reusable scratch buffer.
-	kept := sess.kept[:0]
+	// Steps 2–3 fused: filter targets, roll the link-model die and write
+	// each survivor's due in one pass over the row. The due is the
+	// paper's base formula, t_forward = t_receipt + delay + size/bandwidth
+	// per receiver, with t_receipt the client's parallel stamp (real-time
+	// recording). Under SerializeChannels the size/bandwidth term is left
+	// out: the transmission's airtime replaces it (reserveAirtime). The
+	// survivors land in the session's reusable scratch buffer.
+	targets := sess.push.targets[:0]
 	matched := 0
 	var maxTx time.Duration
 	for _, nb := range rows {
@@ -96,104 +95,105 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 		if dec.Drop {
 			s.mDropped.Inc()
 			if s.cfg.Store != nil {
-				s.cfg.Store.AddPacket(record.Packet{
-					Kind: record.PacketDrop, At: now, Stamp: pkt.Stamp,
-					Src: pkt.Src, Dst: pkt.Dst, Relay: nb.ID, Channel: pkt.Channel,
-					Flow: pkt.Flow, Seq: pkt.Seq, Size: uint32(pkt.Size()),
-				})
+				s.cfg.Store.AddPacket(packetRecord(record.PacketDrop, now, &pkt, nb.ID))
 			}
 			continue
 		}
-		kept = append(kept, keptTarget{to: nb.ID, delay: dec.Delay, tx: dec.TxTime})
-		if dec.TxTime > maxTx {
-			maxTx = dec.TxTime
+		tx := dec.TxTime
+		if s.cfg.SerializeChannels {
+			maxTx, tx = max(maxTx, tx), 0
 		}
+		targets = append(targets, sched.Target{To: nb.ID, Due: pkt.Stamp.Add(dec.Delay + tx)})
 	}
-	sess.kept = kept
+	sess.push.targets = targets
 	// Resolve stage done: dispatch view read, targets filtered, dice
 	// rolled. The histogram gets the wall cost, the stage event the
 	// emulation timestamp and how many receivers the link model kept.
 	if sampled {
 		s.hResolve.Observe(time.Since(obsStart))
 		s.fid.Recorder().Record(fidelity.EvPktResolve, -1, int64(s.cfg.Clock.Now()), pktID,
-			int64(len(kept))<<32|int64(matched))
+			int64(len(targets))<<32|int64(matched))
 	}
-	if matched == 0 {
+	switch {
+	case matched == 0:
 		s.mNoRoute.Inc()
 		if s.cfg.Store != nil {
-			s.cfg.Store.AddPacket(record.Packet{
-				Kind: record.PacketDrop, At: now, Stamp: pkt.Stamp,
-				Src: pkt.Src, Dst: pkt.Dst, Relay: pkt.Dst, Channel: pkt.Channel,
-				Flow: pkt.Flow, Seq: pkt.Seq, Size: uint32(pkt.Size()),
-			})
+			s.cfg.Store.AddPacket(packetRecord(record.PacketDrop, now, &pkt, pkt.Dst))
 		}
-		s.finishIngest(sampled, obsStart)
-		return
+	case len(targets) > 0:
+		// Each scheduled delivery owns one reference on the packet's
+		// pooled buffer (nil-safe for unpooled ingress); the reader's own
+		// reference is released by the session handler once ingest
+		// returns, so the buffer lives exactly as long as its slowest
+		// delivery.
+		pkt.Buf.Retain(len(targets))
+		var shift time.Duration
+		if s.cfg.SerializeChannels {
+			shift = s.reserveAirtime(pkt.Channel, pkt.Stamp, maxTx, now)
+		}
+		floorDues(targets, shift, now)
+		// Step 4: the deliveries to VMNs a remote peer owns leave on the
+		// cluster trunks; the rest go into the destination shards'
+		// schedules.
+		if cl := s.cluster; cl != nil {
+			targets = cl.routeRemote(sess, pkt, targets)
+		}
+		s.pushLocal(&sess.push, pkt, targets)
 	}
-	if len(kept) == 0 {
-		s.finishIngest(sampled, obsStart)
-		return
-	}
-	// Each scheduled delivery owns one reference on the packet's pooled
-	// buffer (nil-safe for unpooled ingress); the reader's own reference
-	// is released by the session handler once ingest returns, so the
-	// buffer lives exactly as long as its slowest delivery.
-	pkt.Buf.Retain(len(kept))
-	if s.cfg.SerializeChannels {
-		// §7 MAC extension: one transmission at a time per channel. The
-		// broadcast occupies the medium once, sized for its slowest
-		// receiver; everyone hears it when the airtime ends. The airtime
-		// map is deliberately server-global: a channel is one shared
-		// medium regardless of which shards its listeners live on.
-		s.chanMu.Lock()
-		txStart := pkt.Stamp
-		if free := s.chanFree[pkt.Channel]; free > txStart {
-			txStart = free
-		}
-		txEnd := txStart.Add(maxTx)
-		s.chanFree[pkt.Channel] = txEnd
-		if len(s.chanFree) > s.chanFreeSweep {
-			s.pruneChanFreeLocked(now, pkt.Channel)
-		}
-		s.chanMu.Unlock()
-		targets := sess.targets[:0]
-		for _, k := range kept {
-			due := txEnd.Add(k.delay)
-			if due < now {
-				due = now
-			}
-			targets = append(targets, sched.Target{To: k.to, Due: due})
-		}
-		sess.targets = targets
-		s.pushItems(sess, pkt, targets)
-		if sampled {
-			s.hIngest.Observe(time.Since(obsStart))
-		}
-		return
-	}
-	targets := sess.targets[:0]
-	for _, k := range kept {
-		// The paper's base formula: t_forward = t_receipt + delay +
-		// size/bandwidth, per destination, independently.
-		due := pkt.Stamp.Add(k.delay + k.tx)
-		if due < now {
-			due = now // cannot ship into the past
-		}
-		targets = append(targets, sched.Target{To: k.to, Due: due})
-	}
-	sess.targets = targets
-	// Step 4: into the destination shards' schedules.
-	s.pushItems(sess, pkt, targets)
 	if sampled {
 		s.hIngest.Observe(time.Since(obsStart))
 	}
 }
 
-// pushItems lists one packet's scheduled deliveries into their
-// destination shards — and, on a federated server, first splits off the
-// deliveries whose target VMN is owned by a remote peer: those leave on
-// the cluster trunks (cluster.routeRemote) and only the locally-owned
-// remainder is listed here.
+// floorDues is the one rule that finishes a packet's due times before
+// they enter a schedule, for client ingest and trunk arrival alike: each
+// due moves by shift, and a due already past fires now — a delivery
+// cannot ship into the past.
+func floorDues(targets []sched.Target, shift time.Duration, now vclock.Time) {
+	for i := range targets {
+		due := targets[i].Due.Add(shift)
+		if due < now {
+			due = now
+		}
+		targets[i].Due = due
+	}
+}
+
+// reserveAirtime is the §7 MAC extension (SerializeChannels): one
+// transmission at a time per channel. The transmission occupies the
+// medium once, for its slowest receiver's airtime, starting at its stamp
+// or when the channel's previous transmission ends, whichever is later;
+// every receiver hears it when the airtime ends. It returns how far that
+// end lies past the stamp: the shift that takes each receiver's stamp +
+// delay to end + delay. The airtime map is deliberately server-global: a
+// channel is one shared medium regardless of which shards its listeners
+// live on.
+func (s *Server) reserveAirtime(ch radio.ChannelID, stamp vclock.Time, airtime time.Duration, now vclock.Time) time.Duration {
+	s.chanMu.Lock()
+	end := max(stamp, s.chanFree[ch]).Add(airtime)
+	s.chanFree[ch] = end
+	if len(s.chanFree) > s.chanFreeSweep {
+		s.pruneChanFreeLocked(now, ch)
+	}
+	s.chanMu.Unlock()
+	return end.Sub(stamp)
+}
+
+// pushScratch is one reader goroutine's reusable scratch for listing
+// packets into the shard schedules: targets collects who hears a packet
+// and when, shardIdx their shard assignments, and group the slice handed
+// to one shard (pushLocal). A session's reader and each inbound trunk
+// connection own one, so the steady-state path allocates nothing.
+type pushScratch struct {
+	targets  []sched.Target
+	group    []sched.Target
+	shardIdx []int32
+}
+
+// pushLocal lists one packet's locally owned deliveries into their
+// destination shards: the one path by which a packet enters the
+// schedules, for a client packet at ingest and for a trunk arrival
+// alike.
 //
 // Targets that share a shard are gathered so each shard's schedule lock
 // is taken — and its scanner kicked — at most once per packet instead of
@@ -201,12 +201,8 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 // survivors costs one lock cycle per distinct destination shard). The
 // order within targets is preserved inside every group, so
 // per-destination FIFO is exactly what sequential pushes produced. Runs
-// on the session's reader goroutine; the grouping scratch lives on the
-// session (same confinement as kept).
-func (s *Server) pushItems(sess *session, pkt wire.Packet, targets []sched.Target) {
-	if cl := s.cluster; cl != nil {
-		targets = cl.routeRemote(sess, pkt, targets)
-	}
+// on the goroutine that owns sc.
+func (s *Server) pushLocal(sc *pushScratch, pkt wire.Packet, targets []sched.Target) {
 	n := len(targets)
 	switch {
 	case n == 0:
@@ -217,28 +213,38 @@ func (s *Server) pushItems(sess *session, pkt wire.Packet, targets []sched.Targe
 		// Group by destination shard with a mark-consumed sweep: for each
 		// unclaimed target, gather every later target on the same shard (in
 		// order) and hand the group over in one pushFan. O(n·shards) worst
-		// case with n bounded by the scene's neighbor count. The sweep that
-		// does the same for a trunk batch's items is cluster.pushTrunkItems.
-		idxs := sess.shardIdx[:0]
+		// case with n bounded by the scene's neighbor count.
+		idxs := sc.shardIdx[:0]
 		for i := range targets {
 			idxs = append(idxs, int32(ShardIndex(targets[i].To, len(s.shards))))
 		}
-		sess.shardIdx = idxs
+		sc.shardIdx = idxs
 		for i := 0; i < n; i++ {
 			sh := idxs[i]
 			if sh < 0 {
 				continue
 			}
-			group := append(sess.group[:0], targets[i])
+			group := append(sc.group[:0], targets[i])
 			for j := i + 1; j < n; j++ {
 				if idxs[j] == sh {
 					group = append(group, targets[j])
 					idxs[j] = -1
 				}
 			}
-			sess.group = group
+			sc.group = group
 			s.shards[sh].pushFan(pkt, group)
 		}
+	}
+}
+
+// packetRecord is the recording's row for one packet event: kind at
+// server time at, with relay the concrete receiver of an Out or Drop
+// record (0 for In).
+func packetRecord(kind record.PacketKind, at vclock.Time, p *wire.Packet, relay radio.NodeID) record.Packet {
+	return record.Packet{
+		Kind: kind, At: at, Stamp: p.Stamp,
+		Src: p.Src, Dst: p.Dst, Relay: relay, Channel: p.Channel,
+		Flow: p.Flow, Seq: p.Seq, Size: uint32(p.Size()),
 	}
 }
 
@@ -265,15 +271,5 @@ func (s *Server) pruneChanFreeLocked(now vclock.Time, keep radio.ChannelID) {
 	s.chanFreeSweep = 2 * len(s.chanFree)
 	if s.chanFreeSweep < chanFreeMinSweep {
 		s.chanFreeSweep = chanFreeMinSweep
-	}
-}
-
-// finishIngest closes out a sampled packet that left the pipeline at
-// ingest (no route, or every target lost the link-model roll): the
-// total-ingest histogram still gets its observation. No-op for
-// unsampled packets.
-func (s *Server) finishIngest(sampled bool, obsStart time.Time) {
-	if sampled {
-		s.hIngest.Observe(time.Since(obsStart))
 	}
 }

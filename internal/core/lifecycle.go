@@ -120,6 +120,17 @@ func (s *Server) Close() {
 	}
 }
 
+// entered is poem_schedule_entries_total: the deliveries listed into
+// every shard's schedule, summed over the shards' own counters one shard
+// at a time, as a push counts them.
+func (s *Server) entered() uint64 {
+	n := uint64(0)
+	for _, sh := range s.shards {
+		n += sh.entered.Load()
+	}
+	return n
+}
+
 // Stats returns a snapshot of the server counters. Clients and
 // Scheduled aggregate across shards one shard at a time, so a stats
 // scrape never freezes the whole registry.
@@ -136,7 +147,7 @@ func (s *Server) Stats() ServerStats {
 		NoRoute:      s.mNoRoute.Load(),
 		QueueDrops:   s.mQueueDrops.Load(),
 		StampClamped: s.mStampClamped.Load(),
-		Entered:      s.mEntered.Load(),
+		Entered:      s.entered(),
 		Abandoned:    s.mAbandoned.Load(),
 		Clients:      clients,
 		Scheduled:    scheduled,

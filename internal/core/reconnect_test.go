@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -130,8 +131,8 @@ func testReconnectMidBurstLedgerAndGoroutines(t *testing.T, shards int) {
 		{"poem_schedule_entries_total", st.Entered},
 		{"poem_abandoned_total", st.Abandoned},
 	} {
-		if got := r.server.Obs().Counter(c.name, "").Load(); got != c.want {
-			t.Errorf("obs %s = %d, stats say %d", c.name, got, c.want)
+		if got := metricValue(t, r.server, c.name); got != fmt.Sprint(c.want) {
+			t.Errorf("obs %s = %s, stats say %d", c.name, got, c.want)
 		}
 	}
 

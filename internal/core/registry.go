@@ -19,12 +19,10 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/linkmodel"
 	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
-	"repro/internal/sched"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -53,19 +51,11 @@ type session struct {
 	writerLive bool
 	reaped     bool
 
-	// kept is ingest's scratch buffer for the surviving targets of one
-	// packet, reused across packets so the steady-state forwarding path
-	// performs no per-packet allocation. Only the session's own reader
-	// goroutine touches it.
-	kept []keptTarget
-	// targets, group and shardIdx are ingest's scratch for coalescing one
-	// packet's scheduled deliveries into per-destination-shard fans
-	// (pushItems): targets collects who hears the packet and when,
-	// shardIdx their shard assignments, group the slice handed to one
-	// shard. Same reader-goroutine confinement as kept.
-	targets  []sched.Target
-	group    []sched.Target
-	shardIdx []int32
+	// push is ingest's scratch for listing each packet's deliveries into
+	// the shard schedules (pushLocal), reused across packets so the
+	// steady-state forwarding path performs no per-packet allocation.
+	// Only the session's own reader goroutine touches it.
+	push pushScratch
 	// wmsgs is the writer's scratch for assembling one flush batch into
 	// wire messages (writeBatch). Only the session's writer goroutine
 	// touches it.
@@ -76,17 +66,9 @@ type session struct {
 
 	// peerIdx is the federation routing scratch: one owning-peer index
 	// per target of a packet's delivery list (cluster.routeRemote). Same
-	// reader-goroutine confinement as kept; unused on unclustered
+	// reader-goroutine confinement as push; unused on unclustered
 	// servers.
 	peerIdx []int32
-}
-
-// keptTarget is one link-model survivor of a dispatch: the receiver and
-// its latency components (§3.2 step 3).
-type keptTarget struct {
-	to    radio.NodeID
-	delay time.Duration
-	tx    time.Duration
 }
 
 // shutdown ends the session's writer. Safe to call more than once.

@@ -235,7 +235,6 @@ type Server struct {
 	mNoRoute      *obs.Counter
 	mQueueDrops   *obs.Counter // includes drops from departed sessions
 	mStampClamped *obs.Counter
-	mEntered      *obs.Counter // per-target deliveries listed into the schedule
 	mAbandoned    *obs.Counter // scheduled deliveries that died with their session
 
 	// deliverHook, when set, observes every schedule departure on the
@@ -366,7 +365,7 @@ func (s *Server) instrument(cfg ServerConfig) {
 	s.mNoRoute = reg.Counter("poem_noroute_total", "packets with no reachable destination")
 	s.mQueueDrops = reg.Counter("poem_queue_drops_total", "deliveries discarded by the slow-client drop-oldest policy")
 	s.mStampClamped = reg.Counter("poem_stamp_clamped_total", "client timestamps clamped by the MaxStampSkew horizon")
-	s.mEntered = reg.Counter("poem_schedule_entries_total", "per-target deliveries listed into the forwarding schedule")
+	reg.CounterFunc("poem_schedule_entries_total", "per-target deliveries listed into the forwarding schedule", s.entered)
 	s.mAbandoned = reg.Counter("poem_abandoned_total", "scheduled deliveries that died with their session before sending")
 
 	s.hIngest = reg.Histogram("poem_ingest_ns", "wall time from ingest entry to the packet being scheduled (sampled)")
@@ -414,7 +413,8 @@ func (s *Server) instrument(cfg ServerConfig) {
 		sh.entered = reg.Counter(obs.Labeled("poem_shard_entries_total", "shard", idx),
 			"deliveries listed into this shard's schedule")
 		reg.CounterFunc(obs.Labeled("poem_shard_dispatched_total", "shard", idx),
-			"deliveries fired by this shard's scanner", sh.scanner.Dispatched)
+			"deliveries fired by this shard's scanner",
+			func() uint64 { return sh.scanner.Stats().Dispatched })
 		reg.CounterFunc(obs.Labeled("poem_shard_wakeups_total", "shard", idx),
 			"times this shard's scanner woke from its clock wait",
 			func() uint64 { return sh.scanner.Stats().Wakeups })

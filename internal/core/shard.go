@@ -104,22 +104,13 @@ func (sh *shard) clients() int {
 }
 
 // pushFan lists one packet's deliveries to sessions on this shard in one
-// schedule-lock acquisition (and at most one scanner kick), maintaining
-// both the global conservation ledger and the shard's own entry counter,
-// which count deliveries: one per target. Order within targets is
-// preserved, so per-destination FIFO is untouched.
+// schedule-lock acquisition (and at most one scanner kick), counting them
+// in the shard's entry counter first: one per target, the shard's term of
+// the conservation ledger (Server.entered sums them). Order within
+// targets is preserved, so per-destination FIFO is untouched.
 func (sh *shard) pushFan(pkt wire.Packet, targets []sched.Target) {
 	sh.entered.Add(uint64(len(targets)))
-	sh.srv.mEntered.Add(uint64(len(targets)))
 	sh.scanner.PushFan(pkt, targets)
-}
-
-// pushBatch is pushFan for deliveries that are each their own packet:
-// what arrives in a trunk batch.
-func (sh *shard) pushBatch(items []sched.Item) {
-	sh.entered.Add(uint64(len(items)))
-	sh.srv.mEntered.Add(uint64(len(items)))
-	sh.scanner.PushBatch(items)
 }
 
 // queuesDrained reports whether every session on this shard has an

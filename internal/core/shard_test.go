@@ -73,73 +73,123 @@ func TestServerConfigShardResolution(t *testing.T) {
 	}
 }
 
-// pushItems must land every delivery on the shard owning its
+// pushLocal must land every delivery on the shard owning its
 // destination, preserve the original relative order inside each shard
 // (the per-destination FIFO carrier), count every entry into the
 // conservation ledger, and take each hit shard's schedule lock exactly
-// once for the whole packet.
+// once per packet — for a client packet's targets and for the runs of
+// one packet in a trunk batch alike.
 func TestPushItemsGroupsByShardPreservingOrder(t *testing.T) {
 	const shards = 4
 	sc, clk := shardTestScene()
-	srv, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Shards: shards})
+	srv, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Shards: shards,
+		Peers: []PeerSpec{{Addr: "self"}}, ClusterID: "push-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	due := vclock.FromMillis(5)
-	var items []sched.Target
-	for id := radio.NodeID(1); id <= 32; id++ {
-		items = append(items, sched.Target{To: id, Due: due})
+	defer srv.Close()
+	pushLocks := make([]uint64, shards)
+	// drain empties every shard and checks what it held against want,
+	// the deliveries in push order, and its push locks against one per
+	// listed packet with a delivery on that shard.
+	drain := func(step string, want []sched.Item, packets [][]radio.NodeID) {
+		t.Helper()
+		for si, sh := range srv.shards {
+			var wantHere []sched.Item
+			for _, it := range want {
+				if ShardIndex(it.To, shards) == si {
+					wantHere = append(wantHere, it)
+				}
+			}
+			var got []sched.Item
+			sh.scanner.Drain(func(it sched.Item) { got = append(got, it) })
+			if len(got) != len(wantHere) {
+				t.Fatalf("%s: shard %d drained %d deliveries, want %d", step, si, len(got), len(wantHere))
+			}
+			for k := range wantHere {
+				g, w := got[k], wantHere[k]
+				if g.To != w.To || g.Pkt.Seq != w.Pkt.Seq || string(g.Pkt.Payload) != string(w.Pkt.Payload) {
+					t.Fatalf("%s: shard %d delivery %d is %v of seq %d %q, want %v of seq %d %q (batching broke FIFO)",
+						step, si, k, g.To, g.Pkt.Seq, g.Pkt.Payload, w.To, w.Pkt.Seq, w.Pkt.Payload)
+				}
+			}
+			locks := uint64(0)
+			for _, ids := range packets {
+				for _, id := range ids {
+					if ShardIndex(id, shards) == si {
+						locks++
+						break
+					}
+				}
+			}
+			if got := sh.scanner.Stats().PushLocks - pushLocks[si]; got != locks {
+				t.Errorf("%s: shard %d took %d push locks, want %d: one per packet it hears", step, si, got, locks)
+			}
+			pushLocks[si] = sh.scanner.Stats().PushLocks
+		}
 	}
-	sess := &session{}
-	sess.targets = append(sess.targets, items...)
-	srv.pushItems(sess, wire.Packet{Seq: 7}, sess.targets)
 
-	if got := srv.mEntered.Load(); got != uint64(len(items)) {
-		t.Errorf("mEntered = %d, want %d", got, len(items))
+	due := vclock.FromMillis(5)
+	var ids []radio.NodeID
+	var want []sched.Item
+	var scratch pushScratch
+	for id := radio.NodeID(1); id <= 32; id++ {
+		ids = append(ids, id)
+		want = append(want, sched.Item{To: id, Pkt: wire.Packet{Seq: 7}})
+		scratch.targets = append(scratch.targets, sched.Target{To: id, Due: due})
 	}
-	if got := srv.Stats().Scheduled; got != len(items) {
-		t.Errorf("Scheduled = %d, want %d: the schedule depth counts deliveries", got, len(items))
+	srv.pushLocal(&scratch, wire.Packet{Seq: 7}, scratch.targets)
+	if got := srv.entered(); got != uint64(len(want)) {
+		t.Errorf("entered %d, want %d", got, len(want))
+	}
+	if got := srv.Stats().Scheduled; got != len(want) {
+		t.Errorf("Scheduled = %d, want %d: the schedule depth counts deliveries", got, len(want))
 	}
 	for si, sh := range srv.shards {
-		var want []radio.NodeID
-		for _, it := range items {
-			if ShardIndex(it.To, shards) == si {
-				want = append(want, it.To)
+		w := 0
+		for _, id := range ids {
+			if ShardIndex(id, shards) == si {
+				w++
 			}
 		}
-		var got []radio.NodeID
-		sh.scanner.Drain(func(it sched.Item) {
-			got = append(got, it.To)
-		})
-		if len(got) != len(want) {
-			t.Fatalf("shard %d drained %v, want %v", si, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shard %d order %v, want %v (batching broke FIFO)", si, got, want)
-			}
-		}
-		if n := sh.entered.Load(); n != uint64(len(want)) {
-			t.Errorf("shard %d entered %d, want %d", si, n, len(want))
-		}
-		if st := sh.scanner.Stats(); len(want) > 0 && st.PushLocks != 1 {
-			t.Errorf("shard %d took %d push locks for one packet, want 1", si, st.PushLocks)
+		if n := sh.entered.Load(); n != uint64(w) {
+			t.Errorf("shard %d entered %d, want %d", si, n, w)
 		}
 	}
+	drain("client packet", want, [][]radio.NodeID{ids})
+
 	// The single-target fast path still routes and counts correctly.
-	sess.targets = append(sess.targets[:0], sched.Target{To: 9, Due: due})
-	srv.pushItems(sess, wire.Packet{Seq: 8}, sess.targets)
-	sh := srv.shardOf(9)
-	fired := 0
-	sh.scanner.Drain(func(it sched.Item) {
-		fired++
-		if it.To != 9 || it.Pkt.Seq != 8 {
-			t.Errorf("single push routed to wrong item %+v", it)
+	scratch.targets = append(scratch.targets[:0], sched.Target{To: 9, Due: due})
+	srv.pushLocal(&scratch, wire.Packet{Seq: 8}, scratch.targets)
+	drain("single target", []sched.Item{{To: 9, Pkt: wire.Packet{Seq: 8}}}, [][]radio.NodeID{{9}})
+
+	// A trunk batch holding packet A's entries, then B's, then A's
+	// again: each run of one packet is one fan, so A's second run is a
+	// fan of its own, and every shard keeps the batch's order. The last
+	// run reuses A's (src, seq, stamp) for other bytes, which nothing
+	// stops a client from sending: it is a fan of its own too, carrying
+	// its own payload.
+	runs := [][]radio.NodeID{{1, 2, 3, 4, 5, 6, 7, 8}, {9, 10, 11, 12, 13, 14}, {15, 16, 17, 18, 19, 20}, {21, 22, 23, 24}}
+	seqs := []uint32{1, 2, 1, 1}
+	payloads := []string{"a", "b", "a", "not a"}
+	entered := srv.entered()
+	tb := &wire.TrunkBatch{}
+	want = want[:0]
+	for r, run := range runs {
+		pkt := wire.Packet{Src: 40, Seq: seqs[r], Stamp: due, Payload: []byte(payloads[r])}
+		for _, id := range run {
+			tb.Entries = append(tb.Entries, wire.TrunkEntry{Due: vclock.FromSeconds(3600), To: id, Pkt: pkt})
+			want = append(want, sched.Item{To: id, Pkt: pkt})
 		}
-	})
-	if fired != 1 {
-		t.Errorf("single push fired %d items, want 1", fired)
 	}
+	srv.cluster.ingestTrunkBatch(tb, &pushScratch{})
+	if got := srv.entered() - entered; got != uint64(len(want)) {
+		t.Errorf("trunk batch entered %d deliveries, want %d", got, len(want))
+	}
+	if got := srv.Cluster().RecvEntries; got != uint64(len(want)) {
+		t.Errorf("RecvEntries %d, want %d", got, len(want))
+	}
+	drain("trunk batch", want, runs)
 }
 
 // crossShardIDs picks one VMN id per shard at the given count, so every

@@ -40,7 +40,7 @@ func TestScannerFireObserver(t *testing.T) {
 	defer s.Stop()
 
 	for _, sec := range []float64{3, 1, 2} {
-		s.Push(Item{Due: vclock.FromSeconds(sec), Pkt: wire.Packet{Seq: uint32(sec)}})
+		push(s, Item{Due: vclock.FromSeconds(sec), Pkt: wire.Packet{Seq: uint32(sec)}})
 	}
 	time.Sleep(2 * time.Millisecond)
 	mu.Lock()
@@ -71,8 +71,8 @@ func TestScannerFireObserver(t *testing.T) {
 			}
 		}
 	}
-	if total != 3 || uint64(total) != s.Dispatched() {
-		t.Errorf("fire calls saw %d items, scanner dispatched %d", total, s.Dispatched())
+	if total != 3 || uint64(total) != s.Stats().Dispatched {
+		t.Errorf("fire calls saw %d items, scanner dispatched %d", total, s.Stats().Dispatched)
 	}
 	if fires[0].dues[0] != vclock.FromSeconds(1) {
 		t.Errorf("earliest due %v, want 1s", fires[0].dues[0])

@@ -437,7 +437,7 @@ func sameItem(a, b Item) bool {
 	return a.Due == b.Due && a.To == b.To && a.Pkt.Seq == b.Pkt.Seq
 }
 
-// Property: whatever mix of Push, PushBatch and PushFan fills the
+// Property: whatever mix of single-receiver pushes and fans fills the
 // schedule and however the pops are sized, the heap yields the
 // (Due, To, Pkt.Seq) sequence the oracle yields for the
 // equivalent sequential pushes, and counts the same deliveries at every
@@ -459,17 +459,10 @@ func TestPushFanMatchesSequentialPushes(t *testing.T) {
 		}
 		for step := 1; step <= 6000; step++ {
 			switch op := rng.Intn(8); {
-			case op == 0:
+			case op <= 1:
 				it := item(step)
-				s.Push(it)
+				push(s, it)
 				ref.Push(it)
-			case op == 1:
-				items := make([]Item, 1+rng.Intn(5))
-				for i := range items {
-					items[i] = item(step)
-					ref.Push(items[i])
-				}
-				s.PushBatch(items)
 			case op <= 3:
 				pkt := wire.Packet{Seq: uint32(step)}
 				targets := fanTargets(rng, now, &to)

@@ -18,13 +18,13 @@ const DefaultFireBatch = 256
 
 // scannerAwake is the sleepDue sentinel for "not sleeping": the scanner
 // is in its fire loop and will re-read the schedule before parking, so
-// a racing Push must deliver its kick.
+// a racing PushFan must deliver its kick.
 const scannerAwake = math.MinInt64
 
 // Scanner is the paper's "scanning thread" (§3.2 step 5): it watches
 // the schedule and, as the emulation clock reaches each departure time,
 // hands the due items to the fire function (which queues the sends for
-// the sessions' writers, step 6). Push may be called from any number of
+// the sessions' writers, step 6). PushFan may be called from any number of
 // scheduling goroutines; an early-deadline push wakes the scanner so a
 // newly scheduled packet can overtake a sleeping later one.
 //
@@ -33,7 +33,7 @@ const scannerAwake = math.MinInt64
 // takes the whole batch outside the lock, so a storm of n due departures
 // costs ~n/batch lock cycles instead of 2n, and the receiving side can
 // amortize its own per-call costs over the batch too. Sleeping allocates
-// nothing and spawns no goroutine (vclock.Waiter), and a Push whose
+// nothing and spawns no goroutine (vclock.Waiter), and a PushFan whose
 // deadline does not beat the one the scanner is already sleeping toward
 // elides its wakeup entirely (kick elision — see maybeKick).
 type Scanner struct {
@@ -57,7 +57,7 @@ type Scanner struct {
 	// sleepDue publishes the deadline the scanner is currently sleeping
 	// toward (vclock.Max while idle, scannerAwake while firing). It is
 	// stored inside the same critical section that read NextDue, so a
-	// Push serialized after that section reads a value consistent with
+	// PushFan serialized after that section reads a value consistent with
 	// what the scanner saw — the invariant kick elision rests on.
 	sleepDue atomic.Int64
 
@@ -91,7 +91,7 @@ type ScannerStats struct {
 	KicksDelivered uint64 // pushes that woke (or would wake) the scanner
 	KicksElided    uint64 // pushes whose deadline lost to the slept-on one
 	FireLocks      uint64 // scanner-side lock acquisitions (pop + sleep setup)
-	PushLocks      uint64 // producer-side lock acquisitions (Push/PushBatch/PushFan)
+	PushLocks      uint64 // producer-side lock acquisitions (PushFan)
 }
 
 // NewScanner builds a scanner over an empty schedule. fire is invoked
@@ -151,40 +151,10 @@ func (s *Scanner) Drain(fn func(Item)) int {
 	return n
 }
 
-// Push schedules an item and wakes the scanner if its deadline requires
-// it.
-func (s *Scanner) Push(it Item) {
-	s.mu.Lock()
-	s.pushLocks.Add(1)
-	s.q.Push(it)
-	s.mu.Unlock()
-	s.maybeKick(it.Due)
-}
-
-// PushBatch schedules a group of items under one lock acquisition with
-// at most one wakeup — the producer-side half of the batching bargain.
-// Items are pushed in slice order, so relative (Due, seq) FIFO between
-// them matches len(items) sequential Push calls exactly.
-func (s *Scanner) PushBatch(items []Item) {
-	if len(items) == 0 {
-		return
-	}
-	earliest := items[0].Due
-	s.mu.Lock()
-	s.pushLocks.Add(1)
-	for i := range items {
-		s.q.Push(items[i])
-		if items[i].Due < earliest {
-			earliest = items[i].Due
-		}
-	}
-	s.mu.Unlock()
-	s.maybeKick(earliest)
-}
-
 // PushFan schedules one packet for every target under one lock
-// acquisition with at most one wakeup, exactly as len(targets) Push
-// calls in slice order would (HeapQueue.PushFan): the broadcast's push.
+// acquisition with at most one wakeup, exactly as len(targets)
+// single-receiver pushes in slice order would (HeapQueue.PushFan). It is
+// the scanner's one push: a unicast is a fan of one.
 func (s *Scanner) PushFan(pkt wire.Packet, targets []Target) {
 	if len(targets) == 0 {
 		return
@@ -228,10 +198,6 @@ func (s *Scanner) Pending() int {
 	return n
 }
 
-// Dispatched returns how many items have been fired so far. Lock-free:
-// stats polling never contends with the fire loop.
-func (s *Scanner) Dispatched() uint64 { return s.dispatched.Load() }
-
 // Stats snapshots the scanner's hot-loop counters. Lock-free.
 func (s *Scanner) Stats() ScannerStats {
 	return ScannerStats{
@@ -253,7 +219,7 @@ func (s *Scanner) run() {
 	for {
 		// Fire everything due, one batch per lock cycle. inFlight and
 		// dispatched commit inside the critical section that popped the
-		// items, so Pending/Dispatched readers never observe the gap.
+		// items, so Pending and Stats readers never observe the gap.
 		first := true
 		for {
 			now := s.clk.Now()

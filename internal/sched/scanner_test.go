@@ -6,9 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/radio"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
+
+// push lists one item through the scanner's one push, as a fan of one.
+func push(s *Scanner, it Item) {
+	s.PushFan(it.Pkt, []Target{{To: it.To, Due: it.Due}})
+}
 
 // collect gathers fired items with their fire times.
 type collect struct {
@@ -65,7 +71,7 @@ func TestScannerFiresInOrder(t *testing.T) {
 	base := clk.Now()
 	// Push out of order.
 	for _, d := range []time.Duration{300, 100, 200} {
-		s.Push(Item{Due: base.Add(d * time.Millisecond * 1000), Pkt: wire.Packet{Seq: uint32(d)}})
+		push(s, Item{Due: base.Add(d * time.Millisecond * 1000), Pkt: wire.Packet{Seq: uint32(d)}})
 	}
 	col.waitN(t, 3)
 	col.mu.Lock()
@@ -79,8 +85,8 @@ func TestScannerFiresInOrder(t *testing.T) {
 			t.Errorf("item %d fired at %v before due %v", i, at, col.items[i].Due)
 		}
 	}
-	if s.Dispatched() != 3 {
-		t.Errorf("Dispatched = %d", s.Dispatched())
+	if s.Stats().Dispatched != 3 {
+		t.Errorf("Dispatched = %d", s.Stats().Dispatched)
 	}
 }
 
@@ -92,10 +98,10 @@ func TestScannerEarlyPushOvertakes(t *testing.T) {
 	defer s.Stop()
 	base := clk.Now()
 	// A far-future item first; the scanner goes to sleep on it.
-	s.Push(Item{Due: base.Add(5 * time.Second), Pkt: wire.Packet{Seq: 2}})
+	push(s, Item{Due: base.Add(5 * time.Second), Pkt: wire.Packet{Seq: 2}})
 	time.Sleep(2 * time.Millisecond)
 	// Then a near item: it must fire first, well before 5s emulated.
-	s.Push(Item{Due: base.Add(50 * time.Millisecond), Pkt: wire.Packet{Seq: 1}})
+	push(s, Item{Due: base.Add(50 * time.Millisecond), Pkt: wire.Packet{Seq: 1}})
 	col.waitN(t, 1)
 	col.mu.Lock()
 	first := col.items[0].Pkt.Seq
@@ -111,8 +117,8 @@ func TestScannerManualClock(t *testing.T) {
 	s := NewScanner(clk, col.fire)
 	s.Start()
 	defer s.Stop()
-	s.Push(Item{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: 1}})
-	s.Push(Item{Due: vclock.FromSeconds(2), Pkt: wire.Packet{Seq: 2}})
+	push(s, Item{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: 1}})
+	push(s, Item{Due: vclock.FromSeconds(2), Pkt: wire.Packet{Seq: 2}})
 	time.Sleep(2 * time.Millisecond)
 	col.mu.Lock()
 	n := len(col.items)
@@ -144,7 +150,7 @@ func TestScannerStopWithPending(t *testing.T) {
 	s := NewScanner(clk, func(vclock.Time, []Item) {})
 	s.Start()
 	for i := 0; i < 10; i++ {
-		s.Push(Item{Due: vclock.FromSeconds(float64(i + 100))})
+		push(s, Item{Due: vclock.FromSeconds(float64(i + 100))})
 	}
 	if s.Pending() != 10 {
 		t.Errorf("Pending = %d", s.Pending())
@@ -169,7 +175,7 @@ func TestScannerKickElision(t *testing.T) {
 	defer s.Stop()
 
 	// Anchor: the scanner ends up sleeping toward 1s.
-	s.Push(Item{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: 100}})
+	push(s, Item{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: 100}})
 
 	// Probe with later-due pushes until one observes the parked scanner
 	// and elides. Early probes may race the scanner still settling in
@@ -182,14 +188,14 @@ func TestScannerKickElision(t *testing.T) {
 			t.Fatalf("no kick elided after %d later-due probes: %+v", probes, s.Stats())
 		}
 		probes++
-		s.Push(Item{Due: vclock.FromSeconds(2), Pkt: wire.Packet{Seq: 200 + probes}})
+		push(s, Item{Due: vclock.FromSeconds(2), Pkt: wire.Packet{Seq: 200 + probes}})
 		time.Sleep(100 * time.Microsecond)
 	}
 
 	// An earlier-due push must NOT elide: its kick re-arms the sleep so
 	// the 0.5s item can fire before the slept-on 1s deadline.
 	before := s.Stats().KicksDelivered
-	s.Push(Item{Due: vclock.FromSeconds(0.5), Pkt: wire.Packet{Seq: 1}})
+	push(s, Item{Due: vclock.FromSeconds(0.5), Pkt: wire.Packet{Seq: 1}})
 	if got := s.Stats().KicksDelivered; got != before+1 {
 		t.Fatalf("earlier-due push delivered %d kicks, want 1", got-before)
 	}
@@ -214,9 +220,9 @@ func TestScannerSleepNoGoroutines(t *testing.T) {
 	defer s.Stop()
 	// Park the scanner on a far-future deadline, then let cycles of
 	// kicked re-sleeps churn; the goroutine count must stay at base+1.
-	s.Push(Item{Due: clk.Now().Add(time.Hour)})
+	push(s, Item{Due: clk.Now().Add(time.Hour)})
 	for i := 0; i < 50; i++ {
-		s.Push(Item{Due: clk.Now().Add(time.Hour + time.Duration(i))})
+		push(s, Item{Due: clk.Now().Add(time.Hour + time.Duration(i))})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -244,7 +250,7 @@ func TestScannerSleepFireAllocFree(t *testing.T) {
 	// charged to the measurement (it allocates a timer per call). A hung
 	// scanner fails via the package test timeout instead.
 	cycle := func() {
-		s.Push(Item{Due: clk.Now().Add(50 * time.Millisecond)})
+		push(s, Item{Due: clk.Now().Add(50 * time.Millisecond)})
 		<-fired
 	}
 	cycle() // warm the heap's backing array
@@ -278,7 +284,7 @@ func TestScannerBatchObserver(t *testing.T) {
 	defer s.Stop()
 	const n = DefaultFireBatch + 10
 	for i := 0; i < n; i++ {
-		s.Push(Item{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: uint32(i)}})
+		push(s, Item{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: uint32(i)}})
 	}
 	clk.Set(vclock.FromSeconds(1))
 	col.waitN(t, n)
@@ -310,36 +316,38 @@ func TestScannerBatchObserver(t *testing.T) {
 	}
 }
 
-// PushBatch preserves (Due, push-order) FIFO exactly as sequential Push
-// calls would, with one lock cycle and at most one kick for the group.
-func TestScannerPushBatchFIFO(t *testing.T) {
+// PushFan preserves (Due, push-order) FIFO exactly as sequential
+// single-receiver pushes would, with one lock cycle and at most one kick
+// for the whole fan; an empty fan takes neither.
+func TestScannerPushFanFIFO(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
 	s := NewScanner(clk, col.fire)
 	s.Start()
 	defer s.Stop()
-	s.PushBatch([]Item{
-		{Due: vclock.FromSeconds(3), Pkt: wire.Packet{Seq: 30}},
-		{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: 10}},
-		{Due: vclock.FromSeconds(2), Pkt: wire.Packet{Seq: 20}},
-		{Due: vclock.FromSeconds(1), Pkt: wire.Packet{Seq: 11}},
+	s.PushFan(wire.Packet{Seq: 1}, []Target{
+		{To: 30, Due: vclock.FromSeconds(3)},
+		{To: 10, Due: vclock.FromSeconds(1)},
+		{To: 20, Due: vclock.FromSeconds(2)},
+		{To: 11, Due: vclock.FromSeconds(1)},
 	})
 	if st := s.Stats(); st.PushLocks != 1 {
-		t.Errorf("PushBatch took %d lock cycles, want 1", st.PushLocks)
+		t.Errorf("PushFan took %d lock cycles, want 1", st.PushLocks)
 	}
 	clk.Set(vclock.FromSeconds(5))
 	col.waitN(t, 4)
 	col.mu.Lock()
 	defer col.mu.Unlock()
-	want := []uint32{10, 11, 20, 30}
+	want := []radio.NodeID{10, 11, 20, 30}
 	for i, w := range want {
-		if col.items[i].Pkt.Seq != w {
-			t.Fatalf("dispatch order %+v, want seqs %v", col.items, want)
+		if col.items[i].To != w {
+			t.Fatalf("dispatch order %+v, want receivers %v", col.items, want)
 		}
 	}
-	s.PushBatch(nil) // no-op, must not kick or lock
-	if st := s.Stats(); st.PushLocks != 1 {
-		t.Errorf("empty PushBatch took a lock cycle")
+	kicks := s.Stats().KicksDelivered + s.Stats().KicksElided
+	s.PushFan(wire.Packet{}, nil) // no-op, must not kick or lock
+	if st := s.Stats(); st.PushLocks != 1 || st.KicksDelivered+st.KicksElided != kicks {
+		t.Errorf("empty PushFan took a lock cycle or a kick: %+v", st)
 	}
 }
 
@@ -362,7 +370,7 @@ func TestScannerHighThroughput(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < n/8; i++ {
-				s.Push(Item{Due: base.Add(time.Duration(i%100) * time.Millisecond)})
+				push(s, Item{Due: base.Add(time.Duration(i%100) * time.Millisecond)})
 			}
 		}(g)
 	}

@@ -70,10 +70,6 @@ func benchScannerStorm(b *testing.B, fan int) {
 			// the scanner gets around to it — the storm regime.
 			for i := g; i < pushes; i += pushers {
 				due := clk.Now().Add(time.Duration(i%64) * time.Millisecond)
-				if fan == 1 {
-					s.Push(Item{Due: due})
-					continue
-				}
 				for j := range targets {
 					targets[j].Due = due
 				}
@@ -113,12 +109,12 @@ func BenchmarkScannerSleepFire(b *testing.B) {
 	s := NewScanner(clk, func(vclock.Time, []Item) { fired <- struct{}{} })
 	s.Start()
 	defer s.Stop()
-	s.Push(Item{Due: clk.Now().Add(2 * time.Millisecond)})
+	push(s, Item{Due: clk.Now().Add(2 * time.Millisecond)})
 	<-fired // warm the schedule's backing array
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Push(Item{Due: clk.Now().Add(2 * time.Millisecond)})
+		push(s, Item{Due: clk.Now().Add(2 * time.Millisecond)})
 		<-fired
 	}
 }
