@@ -48,10 +48,14 @@ go test ./internal/obs/fidelity -count=10 -race
 go test ./internal/core -count=10 -race -run 'TestSampledBroadcastCommitsOneTraceRecord|TestSampledStagesAgreeOnClampedStamps|TestFederationTracesCrossPeerPacket|TestObservabilityPipeline'
 
 # Emulation-clock sleepers: one Waiter per clock, the wall and manual
-# waiters, the stall clock on the wall waiter, vclock.Every tickers
-# driving scene mobility and routing beacons, traffic pumps and scene
-# scripts.
+# waiters, the wall waiter's alarm keeping sub-millisecond deadlines
+# (vclock's TestWallWaiterSubMillisecondDeadline,
+# TestKickedWaitDisarmsAlarm and TestDroppedWaitersReleaseAlarms run
+# with the package), the stall
+# clock on the wall waiter, vclock.Every tickers driving scene mobility
+# and routing beacons, traffic pumps and scene scripts.
 go test ./internal/vclock ./internal/traffic ./internal/script -race -count=10
+go test ./internal/sched -race -count=10 -run 'TestScannerWakesForSubMillisecondDue'
 go test ./internal/scene -race -count=10 -run 'Ticker'
 go test ./internal/e2e -race -count=10 -run 'TestFullStackOverTCP|TestScriptedRunOverTCP'
 go test ./internal/chaos -race -count=10 -run 'TestStallClock|TestClockStall'
