@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/transport"
@@ -180,7 +181,8 @@ func testRegisterHelloAckFailureReleasesSlot(t *testing.T, shards int) {
 }
 
 // Hello → HelloAck → immediate EOF: the session registers fully, then
-// the reader loop sees the disconnect and the slot is reaped.
+// the reader loop — on its own goroutine once handle has returned — sees
+// the disconnect and the slot is reaped.
 func TestRegisterThenImmediateDisconnect(t *testing.T) {
 	forEachShardCount(t, testRegisterThenImmediateDisconnect)
 }
@@ -189,9 +191,14 @@ func testRegisterThenImmediateDisconnect(t *testing.T, shards int) {
 	r := newRig(t, func(c *ServerConfig) { c.Shards = shards })
 	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 100))
 	conn := &scriptConn{recvs: []wire.Msg{&wire.Hello{Ver: wire.Version, ProposedID: 1}}}
-	r.server.handle(conn) // synchronous: returns only after the reap
-	if got := r.server.Stats().Clients; got != 0 {
-		t.Fatalf("Clients = %d after disconnect", got)
+	r.server.handle(conn)
+	for deadline := time.Now().Add(5 * time.Second); r.server.Stats().Clients != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Clients = %d after disconnect", r.server.Stats().Clients)
+		}
+	}
+	if !conn.wasClosed() {
+		t.Error("disconnected session's connection left open")
 	}
 	// The handshake did complete before the disconnect.
 	sent := conn.sentMsgs()

@@ -78,12 +78,18 @@ func (sess *session) shutdown() {
 }
 
 // handle runs one inbound connection: a client session from Hello to
-// disconnect, or — when the first message is a trunk handshake on a
-// federated server — a peer trunk for its whole lifetime.
+// registration, or — when the first message is a trunk handshake on a
+// federated server — a peer trunk for its whole lifetime. A registered
+// session's receive loop (serve) runs on a goroutine of its own: the
+// handshake's deepest call (pipeConn.Send down into the runtime's lock
+// profiler) doubles the stack of the goroutine that makes it, and a
+// steady-state server allocates nothing, so no collection would ever
+// shrink that stack back for the session's lifetime. handle runs under
+// s.wg (Serve's Add), so the Add for serve cannot race Close's Wait.
 func (s *Server) handle(conn transport.Conn) {
-	defer conn.Close()
 	first, err := conn.Recv()
 	if err != nil {
+		conn.Close()
 		return
 	}
 	if th, ok := asTrunkHello(first); ok {
@@ -92,16 +98,30 @@ func (s *Server) handle(conn transport.Conn) {
 		} else {
 			conn.Send(&wire.Bye{Reason: "core: not a federated server"})
 		}
+		conn.Close()
 		return
 	}
 	sess, err := s.register(conn, first)
 	if err != nil {
 		conn.Send(&wire.Bye{Reason: err.Error()})
+		conn.Close()
 		return
 	}
+	s.wg.Add(1)
+	go s.serve(sess)
+}
+
+// serve is a registered session's receive loop, from the HelloAck to
+// the client's disconnect: clock-sync replies and packet ingest. When
+// the client goes it ends the session's writer, releases the VMN slot
+// and closes the connection.
+func (s *Server) serve(sess *session) {
+	conn := sess.conn
 	defer func() {
 		sess.shutdown()
 		s.shardOf(sess.id).reap(sess)
+		conn.Close()
+		s.wg.Done()
 	}()
 	for {
 		m, err := conn.Recv()

@@ -4,16 +4,28 @@
 // scanning goroutine watches the schedule and fires a sender the moment
 // the emulation clock reaches each departure.
 //
-// The schedule is one binary heap (HeapQueue) delivering items in
-// (Due, push-order) sequence. Its unit is a transmission, not a
-// delivery: a heap entry holds the packet once and the run of receivers
-// that hear it at the same instant, so a broadcast to 36 neighbours is
-// one sift up and one sift down instead of 36 of each, and the pop side
-// turns entries back into one Item per receiver. The heap won the A1
-// measurement against an insertion-sorted list and a timing wheel at
-// every schedule depth the benchmark reaches (EXPERIMENTS.md); the list
-// survives in queue_test.go as the oracle the heap's property tests
-// compare against.
+// The schedule is a binary heap (HeapQueue) beside an in-order run,
+// delivering items in (Due, push-order) sequence. Its unit is a
+// transmission, not a delivery: an entry holds the packet once and the
+// run of receivers that hear it at the same instant, so a broadcast to
+// 36 neighbours is one sift up and one sift down instead of 36 of each,
+// and the pop side turns entries back into one Item per receiver. The
+// heap won the A1 measurement against an insertion-sorted list and a
+// timing wheel at every schedule depth the benchmark reaches
+// (EXPERIMENTS.md); the list survives in queue_test.go as the oracle
+// the heap's property tests compare against.
+//
+// The in-order run is what the list was good at without what sank it.
+// Under a constant-delay, constant-bandwidth link every flow's dues
+// arrive non-decreasing, so a push is often no earlier than the latest
+// one queued (two in three on the benchmark's unicast_tcp, where two
+// such flows interleave). Such a push is appended to a FIFO ring in
+// O(1), and a pop takes the run's head in O(1) where the heap would sift
+// its newest entry down all log₂ n levels under the scanner's lock. The
+// list lost A1 because a push in the middle moved every later item; the
+// run takes only pushes at its tail and sends every other push to the
+// heap, so it never moves an entry and its worst case is the heap's plus
+// one compare per pop (EXPERIMENTS.md A23).
 package sched
 
 import (
@@ -38,7 +50,7 @@ type Target struct {
 	Due vclock.Time
 }
 
-// entry is the heap's element: one packet due at one instant for a run
+// entry is the schedule's element: one packet due at one instant for a run
 // of receivers. to is the first receiver; a run longer than one keeps the
 // others behind rest, so a transmission to one receiver is no larger
 // than the packet, its due time and its sequence number.
@@ -61,15 +73,27 @@ type fanRest struct {
 }
 
 // HeapQueue is the time-ordered schedule: a binary min-heap on
-// (due, seq). It is not safe for concurrent use; the Scanner serializes
-// access. The sift loops are hand-rolled over []entry rather than going
-// through container/heap: the standard interface passes elements as
-// interface{} values, which boxes an 88-byte entry onto the heap on
-// every Push *and* every Pop — two allocations per scheduled packet on
-// the hottest path the server has. The manual version moves entries in
-// place and allocates only when the backing slice grows.
+// (due, seq) and an in-order run beside it. It is not safe for
+// concurrent use; the Scanner serializes access. The sift loops are
+// hand-rolled over []entry rather than going through container/heap:
+// the standard interface passes elements as interface{} values, which
+// boxes an 88-byte entry onto the heap on every Push *and* every Pop —
+// two allocations per scheduled packet on the hottest path the server
+// has. The manual version moves entries in place and allocates only when
+// a backing slice grows.
+//
+// Every entry lives in exactly one of the two structures for its whole
+// life, and both hand out sequence numbers from the one next counter, so
+// taking the smaller head by (due, seq) fires exactly the order one heap
+// would.
 type HeapQueue struct {
-	h    []entry
+	h []entry
+	// run is the in-order run: a power-of-two ring of entries, sorted by
+	// (due, seq) from its head at run[rh] through rn entries. A push no
+	// earlier than the tail joins it; every other push goes to h.
+	run  []entry
+	rh   int
+	rn   int
 	next uint64
 	n    int // receivers not yet popped, over all entries
 	// spare holds the fanRests of exhausted entries for the next fan, so
@@ -119,13 +143,37 @@ func (q *HeapQueue) siftDown(i int) {
 }
 
 // add places a transmission of pkt to n receivers — to first, then rest
-// — under the next sequence number. The entry is built in its slot: a
-// by-value helper would copy the packet twice more per push.
+// — under the next sequence number: at the tail of the run if its due is
+// no earlier than the tail's (or the run is empty), in the heap
+// otherwise. The entry is built in its slot: a by-value helper would
+// copy the packet twice more per push.
 func (q *HeapQueue) add(due vclock.Time, pkt *wire.Packet, to radio.NodeID, rest *fanRest, n int) {
-	q.h = append(q.h, entry{due: due, seq: q.next, pkt: *pkt, to: to, rest: rest})
+	seq := q.next
 	q.next++
 	q.n += n
+	if q.rn == 0 || due >= q.run[(q.rh+q.rn-1)&(len(q.run)-1)].due {
+		if q.rn == len(q.run) {
+			q.growRun()
+		}
+		q.run[(q.rh+q.rn)&(len(q.run)-1)] = entry{due: due, seq: seq, pkt: *pkt, to: to, rest: rest}
+		q.rn++
+		return
+	}
+	q.h = append(q.h, entry{due: due, seq: seq, pkt: *pkt, to: to, rest: rest})
 	q.siftUp(len(q.h) - 1)
+}
+
+// growRun doubles the run's ring, unrolling it to start at slot 0.
+func (q *HeapQueue) growRun() {
+	grow := 2 * len(q.run)
+	if grow == 0 {
+		grow = 8
+	}
+	run := make([]entry, grow)
+	for i := 0; i < q.rn; i++ {
+		run[i] = q.run[(q.rh+i)&(len(q.run)-1)]
+	}
+	q.run, q.rh = run, 0
 }
 
 // Push inserts an item: a transmission with one receiver.
@@ -162,10 +210,26 @@ func (q *HeapQueue) PushFan(pkt wire.Packet, targets []Target) {
 	}
 }
 
-// popRoot yields the next receiver of the due root entry and retires
-// the entry with its last one.
-func (q *HeapQueue) popRoot(it *Item) {
-	e := &q.h[0]
+// head returns the entry that fires next — the run's head or the heap's
+// root, whichever is earlier by (due, seq) — and whether it is the
+// run's; nil if the schedule is empty. A due tie goes to the run: an
+// entry joins the heap only while the run holds a later tail, and the
+// tail pops only after everything due before it, so the heap is empty
+// whenever the run is and every run entry due at the heap root's
+// instant was pushed before it.
+func (q *HeapQueue) head() (e *entry, inRun bool) {
+	if q.rn > 0 {
+		e, inRun = &q.run[q.rh], true
+	}
+	if len(q.h) > 0 && (e == nil || q.h[0].due < e.due) {
+		return &q.h[0], false
+	}
+	return e, inRun
+}
+
+// pop yields the next receiver of e, the head entry, and retires the
+// entry with its last one.
+func (q *HeapQueue) pop(e *entry, inRun bool, it *Item) {
 	it.Due, it.Pkt, it.To = e.due, e.pkt, e.to
 	q.n--
 	if r := e.rest; r != nil {
@@ -179,6 +243,12 @@ func (q *HeapQueue) popRoot(it *Item) {
 		r.to, r.cur = r.to[:0], 0
 		q.spare = append(q.spare, r)
 	}
+	if inRun {
+		*e = entry{} // release payload memory
+		q.rh = (q.rh + 1) & (len(q.run) - 1)
+		q.rn--
+		return
+	}
 	n := len(q.h) - 1
 	q.h[0] = q.h[n]
 	q.h[n] = entry{} // release payload memory
@@ -190,11 +260,12 @@ func (q *HeapQueue) popRoot(it *Item) {
 
 // PopDue removes and returns the earliest item whose Due ≤ now.
 func (q *HeapQueue) PopDue(now vclock.Time) (Item, bool) {
-	if len(q.h) == 0 || q.h[0].due > now {
+	e, inRun := q.head()
+	if e == nil || e.due > now {
 		return Item{}, false
 	}
 	var it Item
-	q.popRoot(&it)
+	q.pop(e, inRun, &it)
 	return it, true
 }
 
@@ -202,13 +273,17 @@ func (q *HeapQueue) PopDue(now vclock.Time) (Item, bool) {
 // many it wrote. The sequence written is exactly what repeated PopDue
 // calls would have yielded — (Due, seq) order preserved — so the batch
 // scanner drains a burst in one lock acquisition without changing fire
-// order. A run of receivers that does not fit stays at the root with its
-// cursor advanced; the next call resumes it unless something earlier was
-// pushed meanwhile.
+// order. A run of receivers that does not fit stays at the head, of the
+// heap or of the in-order run, with its cursor advanced; the next call
+// resumes it unless something earlier was pushed meanwhile.
 func (q *HeapQueue) PopDueBatch(now vclock.Time, buf []Item) int {
 	n := 0
-	for n < len(buf) && len(q.h) > 0 && q.h[0].due <= now {
-		q.popRoot(&buf[n])
+	for n < len(buf) {
+		e, inRun := q.head()
+		if e == nil || e.due > now {
+			break
+		}
+		q.pop(e, inRun, &buf[n])
 		n++
 	}
 	return n
@@ -216,10 +291,11 @@ func (q *HeapQueue) PopDueBatch(now vclock.Time, buf []Item) int {
 
 // NextDue reports the earliest departure time, if any.
 func (q *HeapQueue) NextDue() (vclock.Time, bool) {
-	if len(q.h) == 0 {
+	e, _ := q.head()
+	if e == nil {
 		return 0, false
 	}
-	return q.h[0].due, true
+	return e.due, true
 }
 
 // Len returns the number of queued items: deliveries, not entries.

@@ -337,13 +337,20 @@ func TestListCompaction(t *testing.T) {
 	}
 }
 
+// BenchmarkScheduleQueueImpls runs the heap and its oracle at a steady
+// depth of ≈ 1 000 items in two due shapes. "random" draws every due
+// uniformly from the next 100 ms; an op is one 1 ms step, popping what
+// came due and pushing one item per pop. "in-order" is two constant-delay
+// flows interleaved in bursts of 27, flow 1 lagging flow 0 by 20 µs (the
+// shape ingest pushes); an op is one burst pushed and the due items
+// popped in batches. scripts/check_allocs.sh gates the heap's in-order
+// leg at 0 allocs/op.
 func BenchmarkScheduleQueueImpls(b *testing.B) {
 	for name, mk := range queues() {
-		b.Run(name, func(b *testing.B) {
+		b.Run("random/"+name, func(b *testing.B) {
 			q := mk()
 			rng := rand.New(rand.NewSource(1))
 			now := vclock.Time(0)
-			// Steady state: keep ~1024 items in flight.
 			for i := 0; i < 1024; i++ {
 				q.Push(Item{Due: now + vclock.FromMillis(int64(rng.Intn(100)))})
 			}
@@ -356,6 +363,31 @@ func BenchmarkScheduleQueueImpls(b *testing.B) {
 					}
 					q.Push(Item{Due: now + vclock.FromMillis(int64(rng.Intn(100)))})
 				}
+			}
+		})
+		b.Run("in-order/"+name, func(b *testing.B) {
+			q := mk()
+			f := &flowDues{rng: rand.New(rand.NewSource(1)), burst: 27, delay: vclock.FromMillis(2), lag: micros(20)}
+			buf := make([]Item, DefaultFireBatch)
+			// Each flow's stamps advance 2 µs per push on average; popping
+			// what is due 1 ms of stamps behind the slower flow keeps
+			// ≈ 1 250 items in flight.
+			burst := func() {
+				for i := 0; i < 27; i++ {
+					due, _ := f.next()
+					q.Push(Item{Due: due})
+				}
+				now := min(f.stamp[0], f.stamp[1]) + f.delay - micros(1000)
+				for q.PopDueBatch(now, buf) > 0 {
+				}
+			}
+			for i := 0; i < 256; i++ { // reach the steady depth: the ring and heap stop growing
+				burst()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				burst()
 			}
 		})
 	}
@@ -493,6 +525,7 @@ func TestPushFanMatchesSequentialPushes(t *testing.T) {
 			if s.q.Len() != ref.Len() || s.Pending() != ref.Len() {
 				t.Fatalf("seed %d step %d: Len %d Pending %d, oracle %d", seed, step, s.q.Len(), s.Pending(), ref.Len())
 			}
+			checkRunBound(t, &s.q)
 			da, okA := s.q.NextDue()
 			db, okB := ref.NextDue()
 			if okA != okB || da != db {
@@ -504,54 +537,294 @@ func TestPushFanMatchesSequentialPushes(t *testing.T) {
 			if b, _ := ref.PopDue(vclock.Max); !sameItem(it, b) {
 				t.Fatalf("seed %d drain: %+v want %+v", seed, it, b)
 			}
-		}); n != left || s.q.Len() != 0 || len(s.q.h) != 0 {
-			t.Fatalf("seed %d: drained %d of %d, %d left in %d entries", seed, n, left, s.q.Len(), len(s.q.h))
+		}); n != left || s.q.Len() != 0 || entries(&s.q) != 0 {
+			t.Fatalf("seed %d: drained %d of %d, %d left in %d entries", seed, n, left, s.q.Len(), entries(&s.q))
 		}
 	}
 }
 
-// A fan the batch buffer cut waits at the root with its cursor advanced:
+// entries counts a queue's entries — transmissions, not deliveries — in
+// the heap and the in-order run together.
+func entries(q *HeapQueue) int { return len(q.h) + q.rn }
+
+// A fan the batch buffer cut waits at the head with its cursor advanced:
 // a push due earlier overtakes the rest of it, a push due at the same
 // instant queues behind it — what five sequential pushes would have
-// done.
+// done. The fan is cut once at the head of the in-order run (an empty
+// schedule sends it there) and once at the heap's root (a later entry
+// already at the run's tail sends it there).
 func TestPushFanCutByBatchBoundary(t *testing.T) {
+	later := vclock.FromMillis(50)
+	for _, tc := range []struct {
+		name      string
+		first     []Item // pushed before the fan
+		inRun     bool   // where the fan lands
+		leftAfter int    // entries the final drain leaves
+	}{
+		{"run", nil, true, 0},
+		{"heap", []Item{{Due: later, To: 97, Pkt: wire.Packet{Seq: 9}}}, false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewHeap()
+			for _, it := range tc.first {
+				q.Push(it)
+			}
+			due := vclock.FromMillis(10)
+			q.PushFan(wire.Packet{Seq: 1}, []Target{{1, due}, {2, due}, {3, due}, {4, due}, {5, due}})
+			if e, inRun := q.head(); e == nil || e.due != due || inRun != tc.inRun {
+				t.Fatalf("fan at the head: in the run %v, want %v", inRun, tc.inRun)
+			}
+			if want := len(tc.first) + 5; q.Len() != want || entries(q) != len(tc.first)+1 {
+				t.Fatalf("Len %d in %d entries, want %d in %d", q.Len(), entries(q), want, len(tc.first)+1)
+			}
+			buf := make([]Item, 3)
+			now := vclock.FromMillis(20)
+			if n := q.PopDueBatch(now, buf); n != 3 || q.Len() != len(tc.first)+2 {
+				t.Fatalf("first pop wrote %d, left %d", n, q.Len())
+			}
+			for i, it := range buf {
+				if it.To != radio.NodeID(i+1) || it.Due != due || it.Pkt.Seq != 1 {
+					t.Fatalf("first pop item %d: %+v", i, it)
+				}
+			}
+			q.Push(Item{Due: due, To: 98, Pkt: wire.Packet{Seq: 2}})
+			q.Push(Item{Due: vclock.FromMillis(5), To: 99, Pkt: wire.Packet{Seq: 3}})
+			if next, _ := q.NextDue(); next != vclock.FromMillis(5) {
+				t.Fatalf("NextDue %v: the earlier push did not become the head", next)
+			}
+			var order []radio.NodeID
+			for {
+				n := q.PopDueBatch(now, buf)
+				if n == 0 {
+					break
+				}
+				for _, it := range buf[:n] {
+					order = append(order, it.To)
+				}
+			}
+			if want := []radio.NodeID{99, 4, 5, 98}; len(order) != len(want) ||
+				order[0] != want[0] || order[1] != want[1] || order[2] != want[2] || order[3] != want[3] {
+				t.Fatalf("fire order %v, want %v", order, want)
+			}
+			if q.Len() != len(tc.first) || entries(q) != tc.leftAfter {
+				t.Fatalf("Len %d in %d entries after the drain", q.Len(), entries(q))
+			}
+		})
+	}
+}
+
+// Equal dues split across the two structures fire in push order: a push
+// at the run's tail instant joins the run, an earlier one goes to the
+// heap, and when the heap's root and the run's head are due together
+// the run's head, the earlier push, fires first.
+func TestInOrderRunEqualDuesFireInPushOrder(t *testing.T) {
 	q := NewHeap()
-	due := vclock.FromMillis(10)
-	q.PushFan(wire.Packet{Seq: 1}, []Target{{1, due}, {2, due}, {3, due}, {4, due}, {5, due}})
-	if q.Len() != 5 || len(q.h) != 1 {
-		t.Fatalf("Len %d in %d entries, want 5 in 1", q.Len(), len(q.h))
+	ms := vclock.FromMillis
+	for i, due := range []vclock.Time{ms(10), ms(20), ms(20), ms(10), ms(20), ms(15), ms(10)} {
+		q.Push(Item{Due: due, To: radio.NodeID(i)})
 	}
-	buf := make([]Item, 3)
-	now := vclock.FromMillis(20)
-	if n := q.PopDueBatch(now, buf); n != 3 || q.Len() != 2 {
-		t.Fatalf("first pop wrote %d, left %d", n, q.Len())
+	// Run: 10/0, 20/1, 20/2, 20/4. Heap: 10/3, 15/5, 10/6.
+	if q.rn != 4 || len(q.h) != 3 {
+		t.Fatalf("%d entries in the run, %d in the heap; want 4 and 3", q.rn, len(q.h))
 	}
-	for i, it := range buf {
-		if it.To != radio.NodeID(i+1) || it.Due != due || it.Pkt.Seq != 1 {
-			t.Fatalf("first pop item %d: %+v", i, it)
-		}
-	}
-	q.Push(Item{Due: due, To: 98, Pkt: wire.Packet{Seq: 2}})
-	q.Push(Item{Due: vclock.FromMillis(5), To: 99, Pkt: wire.Packet{Seq: 3}})
-	if next, _ := q.NextDue(); next != vclock.FromMillis(5) {
-		t.Fatalf("NextDue %v: the earlier push did not become the root", next)
-	}
-	var order []radio.NodeID
+	var got []radio.NodeID
+	buf := make([]Item, 2)
 	for {
-		n := q.PopDueBatch(now, buf)
+		n := q.PopDueBatch(vclock.Max, buf)
 		if n == 0 {
 			break
 		}
 		for _, it := range buf[:n] {
-			order = append(order, it.To)
+			got = append(got, it.To)
 		}
 	}
-	if want := []radio.NodeID{99, 4, 5, 98}; len(order) != len(want) ||
-		order[0] != want[0] || order[1] != want[1] || order[2] != want[2] || order[3] != want[3] {
-		t.Fatalf("fire order %v, want %v", order, want)
+	want := []radio.NodeID{0, 3, 6, 5, 1, 2, 4}
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			t.Fatalf("fire order %v, want %v", got, want)
+		}
 	}
-	if q.Len() != 0 || len(q.h) != 0 {
-		t.Fatalf("Len %d in %d entries after the drain", q.Len(), len(q.h))
+	if entries(q) != 0 {
+		t.Fatalf("%d entries after the drain", entries(q))
+	}
+}
+
+// A far-future entry at the run's tail sends every later, earlier-due
+// push to the heap until it fires; order is still the oracle's, and the
+// run takes pushes again once the tail has gone.
+func TestInOrderRunFarFutureTail(t *testing.T) {
+	q, ref := NewHeap(), NewList()
+	pushBoth := func(it Item) { q.Push(it); ref.Push(it) }
+	far := vclock.FromSeconds(3600)
+	pushBoth(Item{Due: far, To: 1})
+	for i := 0; i < 300; i++ {
+		pushBoth(Item{Due: vclock.FromMillis(int64(i)), To: radio.NodeID(i + 2)})
+	}
+	if q.rn != 1 || len(q.h) != 300 {
+		t.Fatalf("%d entries in the run, %d in the heap; want 1 and 300", q.rn, len(q.h))
+	}
+	buf := make([]Item, 64)
+	drain := func(now vclock.Time) {
+		for {
+			n, m := q.PopDueBatch(now, buf), ref.PopDueBatch(now, make([]Item, len(buf)))
+			if n != m {
+				t.Fatalf("PopDueBatch wrote %d, oracle %d", n, m)
+			}
+			if n == 0 {
+				return
+			}
+		}
+	}
+	drain(vclock.FromMillis(299))
+	if q.rn != 1 || len(q.h) != 0 || q.Len() != ref.Len() {
+		t.Fatalf("run %d, heap %d, Len %d (oracle %d) with only the tail left", q.rn, len(q.h), q.Len(), ref.Len())
+	}
+	drain(far)
+	for i := 0; i < 10; i++ {
+		pushBoth(Item{Due: far + vclock.Time(i), To: radio.NodeID(i)})
+	}
+	if q.rn != 10 || len(q.h) != 0 {
+		t.Fatalf("%d entries in the run, %d in the heap after the tail fired; want 10 and 0", q.rn, len(q.h))
+	}
+}
+
+// checkRunBound checks the invariant head's tie rule rests on: every
+// heap entry is due strictly before the run's tail, so the heap is
+// empty whenever the run is.
+func checkRunBound(t *testing.T, q *HeapQueue) {
+	t.Helper()
+	if len(q.h) == 0 {
+		return
+	}
+	if q.rn == 0 {
+		t.Fatalf("%d heap entries beside an empty run", len(q.h))
+	}
+	tail := q.run[(q.rh+q.rn-1)&(len(q.run)-1)].due
+	for _, e := range q.h {
+		if e.due >= tail {
+			t.Fatalf("heap entry due %v, not before the run's tail %v", e.due, tail)
+		}
+	}
+}
+
+// flowDues yields the dues of two flows interleaved in bursts, the
+// shape ingest pushes: each flow's stamps advance monotonically, its
+// dues are stamp + delay (+ jitter), and flow 1 runs lag µs behind
+// flow 0, so its bursts start before flow 0's tail.
+type flowDues struct {
+	rng         *rand.Rand
+	burst       int
+	delay, lag  vclock.Time
+	jitter      int64 // µs; 0 for a constant-delay link
+	stamp       [2]vclock.Time
+	flow, inRun int
+}
+
+func micros(n int64) vclock.Time { return vclock.Time(n * 1000) }
+
+func (f *flowDues) next() (due vclock.Time, flow int) {
+	if f.inRun == f.burst {
+		f.flow, f.inRun = 1-f.flow, 0
+	}
+	f.inRun++
+	f.stamp[f.flow] += micros(int64(1 + f.rng.Intn(3)))
+	due = f.stamp[f.flow] + f.delay
+	if f.flow == 1 {
+		due -= f.lag
+	}
+	if f.jitter > 0 {
+		due += micros(f.rng.Int63n(f.jitter))
+	}
+	return due, f.flow
+}
+
+// Property: for the traffic shapes the run exists for — two interleaved
+// monotone flows, with and without jitter, single pushes and fans — the
+// queue pops exactly the oracle's sequence at every batch size, keeps
+// the oracle's Len and NextDue, and drains across both structures in
+// the oracle's order. Every shape puts entries in both structures.
+func TestInOrderRunMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		jitter int64
+		fan    int
+	}{
+		{"monotone", 0, 1},
+		{"jitter", 40, 1},
+		{"monotone-fans", 0, 4},
+		{"jitter-fans", 40, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41))
+			s := NewScanner(vclock.NewManual(0), func(vclock.Time, []Item) {}) // never started: s.q is ours
+			ref := NewList()
+			f := &flowDues{rng: rng, burst: 27, delay: vclock.FromMillis(2), lag: micros(20), jitter: tc.jitter}
+			got, want := make([]Item, 256), make([]Item, 256)
+			sizes := []int{1, 3, 27, 256}
+			var now vclock.Time
+			var to uint32
+			maxRun, maxHeap := 0, 0
+			pushNext := func(step int) {
+				due, flow := f.next()
+				pkt := wire.Packet{Seq: uint32(step), Src: radio.NodeID(flow)}
+				targets := make([]Target, tc.fan)
+				for i := range targets {
+					to++
+					targets[i] = Target{To: radio.NodeID(to), Due: due}
+				}
+				s.PushFan(pkt, targets)
+				for _, tg := range targets {
+					ref.Push(Item{Due: tg.Due, To: tg.To, Pkt: pkt})
+				}
+			}
+			step := 1
+			for ; step <= 20000; step++ {
+				if rng.Intn(4) > 0 {
+					pushNext(step)
+				} else {
+					now = f.stamp[rng.Intn(2)] + micros(int64(rng.Intn(2500)))
+					size := sizes[rng.Intn(len(sizes))]
+					n, m := s.q.PopDueBatch(now, got[:size]), ref.PopDueBatch(now, want[:size])
+					if n != m {
+						t.Fatalf("step %d: PopDueBatch(%d) wrote %d, want %d", step, size, n, m)
+					}
+					for i := 0; i < n; i++ {
+						if !sameItem(got[i], want[i]) {
+							t.Fatalf("step %d item %d: %+v want %+v", step, i, got[i], want[i])
+						}
+					}
+				}
+				maxRun, maxHeap = max(maxRun, s.q.rn), max(maxHeap, len(s.q.h))
+				checkRunBound(t, &s.q)
+				if s.q.Len() != ref.Len() {
+					t.Fatalf("step %d: Len %d, oracle %d", step, s.q.Len(), ref.Len())
+				}
+				da, okA := s.q.NextDue()
+				db, okB := ref.NextDue()
+				if okA != okB || da != db {
+					t.Fatalf("step %d: NextDue %v,%v want %v,%v", step, da, okA, db, okB)
+				}
+			}
+			if maxRun < 2 || maxHeap < 2 {
+				t.Fatalf("the shape reached %d entries in the run and %d in the heap; it must use both", maxRun, maxHeap)
+			}
+			// Push on until the drain has entries in both structures: flow
+			// 1's next burst starts before flow 0's tail.
+			for ; len(s.q.h) == 0 && step <= 21000; step++ {
+				pushNext(step)
+			}
+			if s.q.rn == 0 || len(s.q.h) == 0 {
+				t.Fatalf("drain starts with %d entries in the run and %d in the heap; want both", s.q.rn, len(s.q.h))
+			}
+			left := ref.Len()
+			if n := s.Drain(func(it Item) {
+				if b, _ := ref.PopDue(vclock.Max); !sameItem(it, b) {
+					t.Fatalf("drain: %+v want %+v", it, b)
+				}
+			}); n != left || s.q.Len() != 0 || entries(&s.q) != 0 {
+				t.Fatalf("drained %d of %d, %d left in %d entries", n, left, s.q.Len(), entries(&s.q))
+			}
+		})
 	}
 }
 
@@ -593,26 +866,41 @@ func TestDrainVisitsUnfiredReceiversOfAFan(t *testing.T) {
 	}
 }
 
-// Once the heap and its spare list have grown, a broadcast allocates
-// nothing: an exhausted entry's receiver slice is the next fan's. The
-// benchmark gate (scripts/check_allocs.sh) counts allocations per fired
-// item and cannot see one per 36; this counts per fan.
+// Once the heap, the run's ring and the spare list have grown, a
+// broadcast allocates nothing: an exhausted entry's receiver slice is the
+// next fan's. The benchmark gate (scripts/check_allocs.sh) counts
+// allocations per fired item and cannot see one per 36; this counts per
+// fan. "mixed" repeats eight dues, so fans land in both structures;
+// "in-order" pushes non-decreasing dues, so every fan joins the run.
 func TestPushFanSteadyStateAllocFree(t *testing.T) {
-	q := NewHeap()
-	targets := make([]Target, 36)
-	buf := make([]Item, DefaultFireBatch)
-	round := func() {
-		for f := 0; f < 64; f++ {
-			for i := range targets {
-				targets[i] = Target{To: radio.NodeID(i + 1), Due: vclock.Time(f % 8)}
+	for _, tc := range []struct {
+		name string
+		due  func(f int) vclock.Time
+	}{
+		{"mixed", func(f int) vclock.Time { return vclock.Time(f % 8) }},
+		{"in-order", func(f int) vclock.Time { return vclock.Time(f / 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewHeap()
+			targets := make([]Target, 36)
+			buf := make([]Item, DefaultFireBatch)
+			round := func() {
+				for f := 0; f < 64; f++ {
+					for i := range targets {
+						targets[i] = Target{To: radio.NodeID(i + 1), Due: tc.due(f)}
+					}
+					q.PushFan(wire.Packet{}, targets)
+				}
+				for q.PopDueBatch(vclock.Max, buf) > 0 {
+				}
 			}
-			q.PushFan(wire.Packet{}, targets)
-		}
-		for q.PopDueBatch(vclock.Max, buf) > 0 {
-		}
-	}
-	round() // grow the heap and fill the spare list
-	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-		t.Fatalf("%.1f allocations per 64 fans in steady state, want 0", allocs)
+			round() // grow the heap, the ring and the spare list
+			if tc.name == "in-order" && len(q.h) != 0 {
+				t.Fatalf("%d in-order fans went to the heap", len(q.h))
+			}
+			if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+				t.Fatalf("%.1f allocations per 64 fans in steady state, want 0", allocs)
+			}
+		})
 	}
 }

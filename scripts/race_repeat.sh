@@ -72,6 +72,8 @@ go test ./internal/core -race -count=10 -shards=4 -run 'TestSendQueueParkedWrite
 # One way into the schedule: the due rule (stamp + delay + tx, the
 # airtime shift, the floor at ingest and trunk arrival), one push per
 # shard per packet for client packets and trunk runs alike, trunk
-# receipts counted once scheduled, PushFan as the scanner's one push.
+# receipts counted once scheduled, PushFan as the scanner's one push,
+# the schedule's in-order run beside its heap (equal dues split across
+# the two, a fan cut at either head, a far-future tail, Drain over both).
 go test ./internal/core -race -count=10 -run 'TestScheduledDueRule|TestPushItemsGroupsByShardPreservingOrder|TestTrunkIngestCountsAfterScheduling|TestFederationCrossServerDelivery'
-go test ./internal/sched -race -count=10 -run 'TestScannerPushFanFIFO|TestPushFanMatchesSequentialPushes'
+go test ./internal/sched -race -count=10 -run 'TestScannerPushFanFIFO|TestPushFanMatchesSequentialPushes|TestInOrderRun|TestPushFanCutByBatchBoundary'
