@@ -56,9 +56,11 @@ type ClientConfig struct {
 	// payload is valid only until the callback returns: the client then
 	// releases the message, and its bytes may belong to a recycled
 	// buffer (over TCP the connection's read buffer, in process the
-	// server's pooled one). Copy it to retain it. The packet's Buf is
-	// nil — the message keeps its reference — so the callback may pass
-	// the packet to Send, which over TCP copies it before returning.
+	// server's pooled one). Copy it to retain it. The payload is
+	// read-only: in process the other receivers of the same broadcast
+	// read the very same bytes. The packet's Buf is nil — the message
+	// keeps its reference — so the callback may pass the packet to Send,
+	// which over TCP copies it before returning.
 	OnPacket func(wire.Packet)
 	// OnRadios is told the VMN's current radio set (at connect and on
 	// live scene changes).

@@ -70,18 +70,17 @@ func (sh *shard) fire(now vclock.Time, batch []sched.Item) {
 // into the shard's session scratch, and one send-queue lock per
 // delivery. A receiver reaped after the lookup is still pushed: its
 // closed queue abandons the delivery, as it does for one reaped before.
-// Sampling is decided once per run of items that share a packet — a
-// broadcast's receivers fire together — and rides the queue entry to the
-// writer.
+//
+// Each run of items that carry one scheduled packet — a broadcast's
+// receivers fire together — is delivered as one message (deliverFan).
 //
 // There is deliberately no server-closed check here: Close shuts the
 // sessions down before stopping the shard scanners, and a delivery
 // into a closed (or missing) session accounts itself abandoned — the
-// closed sendQueue rejects the push and settles the buffer and the
+// closed sendQueue rejects the push and settles the holder and the
 // abandoned counter itself. Keeping the front's mutex off this path is
 // what lets N scanners run without sharing a lock.
 func (sh *shard) deliver(batch []sched.Item) {
-	s := sh.srv
 	sessions := sh.fired[:0]
 	sh.mu.RLock()
 	for i := range batch {
@@ -89,24 +88,57 @@ func (sh *shard) deliver(batch []sched.Item) {
 	}
 	sh.mu.RUnlock()
 
-	hook := s.deliverHook.Load()
-	sampled := false
-	for i := range batch {
-		it := &batch[i]
+	hook := sh.srv.deliverHook.Load()
+	for i := 0; i < len(batch); {
+		j := i + 1
+		for j < len(batch) && oneFan(&batch[i].Pkt, &batch[j].Pkt) {
+			j++
+		}
+		sh.deliverFan(batch[i:j], sessions[i:j], hook)
+		i = j
+	}
+	clear(sessions) // hold no reaped session past the batch
+	sh.fired = sessions
+}
+
+// deliverFan delivers one run of a fired batch: items that carry the
+// same scheduled packet, each holding one reference on its buffer, with
+// the receivers' sessions (nil for one that left between scheduling and
+// departure). The live receivers share one pooled wire.Data, a holder
+// each; the wrapper keeps one buffer reference and the run's others
+// drop in one step. Sampling is decided once for the run and rides the
+// queue entry to the writer.
+func (sh *shard) deliverFan(run []sched.Item, sessions []*session, hook *func(sched.Item)) {
+	s := sh.srv
+	live := 0
+	for _, sess := range sessions {
+		if sess != nil {
+			live++
+		}
+	}
+	pkt := &run[0].Pkt
+	pkt.Buf.Drop(len(run) - 1)
+	var d *wire.Data
+	if live > 0 {
+		d = wire.AcquireShared(*pkt, live)
+	} else {
+		pkt.Buf.Free()
+	}
+	// From the last push on, d may be retired by its receivers: only the
+	// run's items are read below.
+	sampled := s.sampled(pkt)
+	for i := range run {
+		it := &run[i]
 		if hook != nil {
 			(*hook)(*it)
 		}
-		if i == 0 || !samePacket(&batch[i-1].Pkt, &it.Pkt) {
-			sampled = s.sampled(&it.Pkt)
-		}
 		sess := sessions[i]
 		if sess == nil {
-			it.Pkt.Buf.Free() // this delivery's buffer reference dies with it
-			s.mAbandoned.Inc()
-			continue // the client left between scheduling and departure
+			s.mAbandoned.Inc() // the client left between scheduling and departure
+			continue
 		}
 		if !sampled {
-			sess.q.push(outMsg{kind: outData, pkt: it.Pkt})
+			sess.q.push(outMsg{kind: outData, data: d})
 			continue
 		}
 		// A sampled packet (the hash ingest used): leave the receiver's
@@ -121,15 +153,24 @@ func (sh *shard) deliver(batch []sched.Item) {
 		// cannot read before Due here; the clamp keeps a clock that steps
 		// back from feeding a negative duration into the histogram.
 		s.hDeliverLag.Observe(max(time.Duration(nowEmu-it.Due), 0))
-		sess.q.push(outMsg{kind: outData, pkt: it.Pkt, sampled: true})
+		sess.q.push(outMsg{kind: outData, data: d, sampled: true})
 		s.hEnqueue.Observe(time.Since(t0))
 	}
-	clear(sessions) // hold no reaped session past the batch
-	sh.fired = sessions
+}
+
+// oneFan reports whether a and b are one scheduled packet: equal in
+// every field, with the payload the same bytes in memory (data pointer
+// and length), not merely equal ones. Two packets of one trunk frame
+// share a buffer but not an offset, and a client may reuse a seq and
+// stamp for other bytes; neither may share a wrapper.
+func oneFan(a, b *wire.Packet) bool {
+	return samePacket(a, b) && a.Dst == b.Dst && a.Channel == b.Channel && a.Flow == b.Flow &&
+		a.Buf == b.Buf && len(a.Payload) == len(b.Payload) &&
+		(len(a.Payload) == 0 || &a.Payload[0] == &b.Payload[0])
 }
 
 // samePacket reports whether a and b carry the same sampling key (src,
-// seq, stamp): the receivers of one broadcast.
+// seq, stamp).
 func samePacket(a, b *wire.Packet) bool {
 	return a.Src == b.Src && a.Seq == b.Seq && a.Stamp == b.Stamp
 }
@@ -157,10 +198,12 @@ func (s *Server) sessionWriter(sess *session) {
 	defer s.wg.Done()
 	defer s.shardOf(sess.id).writerExited(sess)
 	// The batch starts nil and popBatch grows it on the heap: sized here it
-	// does not escape, and 64 × 96 B of frame made every session's writer
-	// copy its stack up at the first pop and keep it for life, though most
-	// sessions of a large scene never flush more than a handful.
+	// does not escape, and 64 entries made every session's writer copy its
+	// stack up at the first pop and keep it for life, though most sessions
+	// of a large scene never flush more than a handful. The same holds for
+	// rows, which only recording or tracing fills.
 	var batch []outMsg
+	var rows []record.Packet
 	for {
 		var ok bool
 		// Popped entries are "in flight" until their counters are settled
@@ -170,7 +213,8 @@ func (s *Server) sessionWriter(sess *session) {
 		if !ok {
 			return // session over; the queue accounted anything left
 		}
-		err := s.writeBatch(sess, batch)
+		var err error
+		rows, err = s.writeBatch(sess, batch, rows)
 		sess.q.done(len(batch))
 		if err != nil {
 			return
@@ -201,8 +245,10 @@ func sendAll(conn transport.Conn, msgs []wire.Msg) (int, error) {
 // writeBatch ships a popped batch to the session's client and settles
 // each entry's accounting: forwarded for entries that reached the wire,
 // abandoned for data entries behind a send error (the session is dying —
-// the caller exits the writer).
-func (s *Server) writeBatch(sess *session, batch []outMsg) error {
+// the caller exits the writer). rows is the writer's scratch for the
+// packet fields recorded after the send, returned for reuse.
+func (s *Server) writeBatch(sess *session, batch []outMsg, rows []record.Packet) ([]record.Packet, error) {
+	store := s.cfg.Store
 	var t0 time.Time
 	traced := false
 	for i := range batch {
@@ -213,15 +259,20 @@ func (s *Server) writeBatch(sess *session, batch []outMsg) error {
 		}
 	}
 	msgs := sess.wmsgs[:0]
+	rows = rows[:0]
 	for i := range batch {
 		m := &batch[i]
 		switch m.kind {
 		case outRadios:
 			msgs = append(msgs, &wire.Event{Kind: wire.EventRadios, Radios: m.radios})
 		case outData:
-			// The queue's buffer reference rides the pooled wrapper from
-			// here on; Send consumes it whether or not the write succeeds.
-			msgs = append(msgs, wire.AcquireData(m.pkt))
+			// The send consumes this entry's holder, after which the
+			// wrapper may be retired by the fan's other receivers: what
+			// the accounting below records about the packet is read now.
+			if m.sampled || store != nil {
+				rows = append(rows, packetRecord(record.PacketOut, 0, &m.data.Pkt, sess.id))
+			}
+			msgs = append(msgs, m.data)
 		}
 	}
 	sent, err := sendAll(sess.conn, msgs)
@@ -239,27 +290,34 @@ func (s *Server) writeBatch(sess *session, batch []outMsg) error {
 		s.hSend.Observe(time.Since(t0))
 		sentAt, shard = int64(s.cfg.Clock.Now()), s.shardOf(sess.id).idx
 	}
+	r := 0
 	for i := range batch {
 		m := &batch[i]
 		if m.kind != outData {
 			continue
 		}
+		var row *record.Packet
+		if m.sampled || store != nil {
+			row = &rows[r]
+			r++
+		}
 		if i >= sent {
 			// Died between pop and wire: the transport already released
-			// the buffer, the ledger still needs the loss recorded.
+			// the holder, the ledger still needs the loss recorded.
 			s.mAbandoned.Inc()
 			continue
 		}
 		if m.sampled {
 			// Final stage: the packet is on the wire to this receiver.
 			s.fid.Recorder().Record(fidelity.EvPktSend, shard, sentAt,
-				fidelity.PacketID(uint32(m.pkt.Src), m.pkt.Seq), int64(sess.id))
+				fidelity.PacketID(uint32(row.Src), row.Seq), int64(sess.id))
 		}
 		s.mForwarded.Inc()
 		sess.forwarded.Add(1)
-		if s.cfg.Store != nil {
-			s.cfg.Store.AddPacket(packetRecord(record.PacketOut, s.cfg.Clock.Now(), &m.pkt, sess.id))
+		if store != nil {
+			row.At = s.cfg.Clock.Now()
+			store.AddPacket(*row)
 		}
 	}
-	return err
+	return rows, err
 }

@@ -160,10 +160,12 @@ func TestIngestSteadyStateAllocFree(t *testing.T) {
 // BenchmarkDeliverFiredBatch measures the scanner's hand-off of one
 // fired broadcast: a 36-receiver batch — storm_inproc's fan — through
 // the shard's fire callback into 36 sessions whose writers drain as
-// fast as they can. One shard read lock resolves the batch, and each
-// delivery takes its session's queue lock once. ns/op and allocs/op are
-// per batch; scripts/check_allocs.sh gates allocs/op at 0, so the
-// session scratch and the queue rings must stop growing once warm:
+// fast as they can, releasing each popped holder of the fan's one
+// shared wrapper as a send would. One shard read lock resolves the
+// batch, and each delivery takes its session's queue lock once. ns/op
+// and allocs/op are per batch; scripts/check_allocs.sh gates allocs/op
+// at 0, so the session scratch, the queue rings and the wrapper pool
+// must stop growing once warm:
 //
 //	go test ./internal/core -run='^$' -bench=DeliverFiredBatch -benchmem
 func BenchmarkDeliverFiredBatch(b *testing.B) {
@@ -192,6 +194,9 @@ func BenchmarkDeliverFiredBatch(b *testing.B) {
 				var ok bool
 				if popped, ok = sess.q.popBatch(stop, popped, maxFlushBatch); !ok {
 					return
+				}
+				for _, m := range popped {
+					wire.ReleaseData(m.data) // as the writer's send does
 				}
 				sess.q.done(len(popped))
 			}

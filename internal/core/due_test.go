@@ -128,3 +128,110 @@ func TestScheduledDueRule(t *testing.T) {
 		})
 	}
 }
+
+// linearNeighbor is the scan neighborOf replaced: every row entry whose
+// ID is id.
+func linearNeighbor(row []radio.Neighbor, id radio.NodeID) []radio.Neighbor {
+	var out []radio.Neighbor
+	for _, nb := range row {
+		if nb.ID == id {
+			out = append(out, nb)
+		}
+	}
+	return out
+}
+
+// neighborOf against the linear scan on seeded ID-sorted rows: empty,
+// one entry, gapped, and with the addressee below, inside, between and
+// past the row's IDs.
+func TestNeighborOfMatchesLinearScan(t *testing.T) {
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var row []radio.Neighbor
+		for id := radio.NodeID(1 + rng.Intn(3)); len(row) < rng.Intn(40); id += radio.NodeID(1 + rng.Intn(4)) {
+			row = append(row, radio.Neighbor{ID: id, Dist: rng.Float64() * 200})
+		}
+		for probe := 0; probe < 20; probe++ {
+			id := radio.NodeID(rng.Intn(170))
+			if len(row) > 0 && probe%2 == 0 {
+				id = row[rng.Intn(len(row))].ID
+			}
+			got, want := neighborOf(row, id), linearNeighbor(row, id)
+			if len(got) != len(want) || (len(got) == 1 && got[0] != want[0]) {
+				t.Fatalf("seed %d: neighborOf(%v) = %v, linear scan %v (row %v)", seed, id, got, want, row)
+			}
+		}
+	}
+}
+
+// A unicast is heard by its addressee alone, found by binary search in
+// the dispatch row: seeded unicasts to neighbours, to nodes out of range
+// and to IDs nobody holds, under a lossy link, must list exactly the
+// deliveries the linear scan over the same row gives — the same
+// receiver, dice key, verdict and due — and count the same drops and
+// no-routes.
+func TestUnicastIngestMatchesLinearScan(t *testing.T) {
+	now := vclock.FromSeconds(100)
+	model := linkmodel.Model{
+		Loss:      linkmodel.ConstantLoss{P: 0.3},
+		Bandwidth: linkmodel.ConstantBandwidth{Bps: 1e7},
+		Delay:     linkmodel.UniformDelay{Min: time.Millisecond, Max: 9 * time.Millisecond},
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clk := vclock.NewManual(now)
+		sc := scene.New(radio.NewIndexed(200), clk, 1)
+		sc.SetLinkModel(1, model)
+		sc.AddNode(1, geom.V(0, 0), oneRadio(1, 200))
+		for id := radio.NodeID(2); id < 50; id++ { // about two in three in range
+			sc.AddNode(id, geom.V(rng.Float64()*300, rng.Float64()*100), oneRadio(1, 200))
+		}
+		srv, err := NewServer(ServerConfig{Clock: clk, Scene: sc, Seed: seed, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, _ := sc.Dispatch(1, 1)
+		type delivery struct {
+			seq uint32
+			to  radio.NodeID
+		}
+		want := map[delivery]vclock.Time{}
+		var drops, noRoute uint64
+		sess := benchSession(1, srv)
+		for seq := uint32(1); seq <= 400; seq++ {
+			pkt := wire.Packet{Src: 1, Dst: radio.NodeID(rng.Intn(60)), Channel: 1, Seq: seq, Stamp: now,
+				Payload: make([]byte, rng.Intn(200))}
+			heard := linearNeighbor(row, pkt.Dst)
+			if len(heard) == 0 {
+				noRoute++
+			}
+			for _, nb := range heard {
+				var d linkmodel.Dice
+				d.Key(linkmodel.PacketKey(seed, uint32(pkt.Src), pkt.Seq, int64(pkt.Stamp)), uint32(nb.ID))
+				dec := model.Evaluate(nb.Dist, pkt.Size(), rand.New(&d))
+				if dec.Drop {
+					drops++
+					continue
+				}
+				want[delivery{seq, nb.ID}] = pkt.Stamp.Add(dec.Delay + dec.TxTime)
+			}
+			srv.ingest(sess, pkt)
+		}
+		got := map[delivery]vclock.Time{}
+		srv.shards[0].scanner.Drain(func(it sched.Item) { got[delivery{it.Pkt.Seq, it.To}] = it.Due })
+		st := srv.Stats()
+		srv.Close()
+		if st.Dropped != drops || st.NoRoute != noRoute || len(got) != len(want) {
+			t.Fatalf("seed %d: dropped %d, no-route %d, scheduled %d; linear scan %d, %d, %d",
+				seed, st.Dropped, st.NoRoute, len(got), drops, noRoute, len(want))
+		}
+		if drops == 0 || noRoute == 0 || len(want) == 0 {
+			t.Fatalf("seed %d: %d drops, %d no-routes, %d deliveries: a case went untested", seed, drops, noRoute, len(want))
+		}
+		for d, due := range want {
+			if got[d] != due {
+				t.Errorf("seed %d: seq %d to %v due %v, linear scan %v", seed, d.seq, d.to, got[d], due)
+			}
+		}
+	}
+}

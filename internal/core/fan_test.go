@@ -283,27 +283,68 @@ func TestSampledStagesAgreeOnClampedStamps(t *testing.T) {
 
 // Closing a server whose schedules still hold fans abandons every
 // receiver of every entry: the ledger closes and each delivery's buffer
-// reference goes back to the pool.
+// reference goes back to the pool. So does closing one whose fans have
+// fired into a wedged receiver's queue, where each entry is one holder
+// of a wrapper the fan's other receivers shared and already released.
 func TestCloseWithFansScheduledClosesLedger(t *testing.T) {
 	forEachShardCount(t, func(t *testing.T, shards int) {
-		r := newFanRig(t, shards, uniformModel(2*time.Millisecond), nil)
 		const packets = 8
-		r.broadcast(t, packets)
-		if live := r.pool.Live(); live != packets {
-			t.Fatalf("%d pooled buffers live with %d packets scheduled", live, packets)
-		}
-		r.stop()
-		st := r.srv.Stats()
-		if st.Entered != packets*fanReceivers || st.Entered != st.Forwarded+st.QueueDrops+st.Abandoned {
-			t.Fatalf("ledger: entered %d != forwarded %d + queueDrops %d + abandoned %d",
-				st.Entered, st.Forwarded, st.QueueDrops, st.Abandoned)
-		}
-		if st.Abandoned != st.Entered || st.Scheduled != 0 {
-			t.Fatalf("abandoned %d of %d with %d still scheduled: the clock never moved", st.Abandoned, st.Entered, st.Scheduled)
-		}
-		if live := r.pool.Live(); live != 0 {
-			t.Fatalf("%d pooled buffers still live after Close", live)
-		}
+		t.Run("scheduled", func(t *testing.T) {
+			r := newFanRig(t, shards, uniformModel(2*time.Millisecond), nil)
+			r.broadcast(t, packets)
+			if live := r.pool.Live(); live != packets {
+				t.Fatalf("%d pooled buffers live with %d packets scheduled", live, packets)
+			}
+			r.stop()
+			st := r.srv.Stats()
+			if st.Entered != packets*fanReceivers || st.Entered != st.Forwarded+st.QueueDrops+st.Abandoned {
+				t.Fatalf("ledger: entered %d != forwarded %d + queueDrops %d + abandoned %d",
+					st.Entered, st.Forwarded, st.QueueDrops, st.Abandoned)
+			}
+			if st.Abandoned != st.Entered || st.Scheduled != 0 {
+				t.Fatalf("abandoned %d of %d with %d still scheduled: the clock never moved", st.Abandoned, st.Entered, st.Scheduled)
+			}
+			if live := r.pool.Live(); live != 0 {
+				t.Fatalf("%d pooled buffers still live after Close", live)
+			}
+		})
+		t.Run("queued", func(t *testing.T) {
+			r := newFanRig(t, shards, uniformModel(2*time.Millisecond), nil)
+			const slow = radio.NodeID(100)
+			r.srv.cfg.Scene.AddNode(slow, geom.V(0, 1), oneRadio(1, 200))
+			wedged := newWedgedConn(slow)
+			go r.srv.Serve(&oneConnListener{conn: wedged})
+			await(t, wedged.acked, "the wedged receiver to register")
+			r.broadcast(t, packets)
+			r.clk.Set(vclock.FromSeconds(1))
+			await(t, wedged.stuck, "the wedged receiver's writer to block in Send")
+			for deadline := time.Now().Add(5 * time.Second); r.srv.Stats().Forwarded < packets*fanReceivers; time.Sleep(200 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("forwarded %d of %d", r.srv.Stats().Forwarded, packets*fanReceivers)
+				}
+			}
+			// Every healthy receiver released its holder; the wedged one's
+			// keep every packet's wrapper, and so its buffer, alive.
+			if live := r.pool.Live(); live != packets {
+				t.Fatalf("%d pooled buffers live with %d packets queued to a wedged receiver", live, packets)
+			}
+			r.stop()
+			st := r.srv.Stats()
+			if st.Entered != packets*(fanReceivers+1) || st.Entered != st.Forwarded+st.QueueDrops+st.Abandoned {
+				t.Fatalf("ledger: entered %d != forwarded %d + queueDrops %d + abandoned %d",
+					st.Entered, st.Forwarded, st.QueueDrops, st.Abandoned)
+			}
+			if st.Abandoned != packets || st.QueueDrops != 0 {
+				t.Fatalf("abandoned %d, queue drops %d: want the wedged receiver's %d abandoned", st.Abandoned, st.QueueDrops, packets)
+			}
+			// A healthy client may still be reading its last packets out
+			// of its closed pipe: each holds a holder until it has.
+			for deadline := time.Now().Add(5 * time.Second); r.pool.Live() != 0; time.Sleep(200 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d pooled buffers still live after Close", r.pool.Live())
+				}
+			}
+		})
 	})
 }
 

@@ -82,13 +82,13 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	// recording). Under SerializeChannels the size/bandwidth term is left
 	// out: the transmission's airtime replaces it (reserveAirtime). The
 	// survivors land in the session's reusable scratch buffer.
+	if pkt.Dst != radio.Broadcast {
+		rows = neighborOf(rows, pkt.Dst) // a unicast is heard by its addressee only
+	}
 	targets := sess.push.targets[:0]
 	matched := 0
 	var maxTx time.Duration
 	for _, nb := range rows {
-		if pkt.Dst != radio.Broadcast && pkt.Dst != nb.ID {
-			continue
-		}
 		matched++
 		sess.dice.Key(pktKey, uint32(nb.ID))
 		dec := model.Evaluate(nb.Dist, pkt.Size(), sess.rng)
@@ -143,6 +143,24 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	if sampled {
 		s.hIngest.Observe(time.Since(obsStart))
 	}
+}
+
+// neighborOf returns the entry of row — ID-sorted, as every dispatch row
+// is — for id as a one-element slice, or an empty one when id is not a
+// neighbour. The search is spelled out, as the radio table's is.
+func neighborOf(row []radio.Neighbor, id radio.NodeID) []radio.Neighbor {
+	i, end := 0, len(row)
+	for i < end {
+		if mid := int(uint(i+end) >> 1); row[mid].ID < id {
+			i = mid + 1
+		} else {
+			end = mid
+		}
+	}
+	if i < len(row) && row[i].ID == id {
+		return row[i : i+1]
+	}
+	return nil
 }
 
 // floorDues is the one rule that finishes a packet's due times before

@@ -31,8 +31,12 @@ type outMsg struct {
 	// deliver decided it: the writer times and records its send stage
 	// without hashing the packet again.
 	sampled bool
-	pkt     wire.Packet   // outData: the packet due now
-	radios  []radio.Radio // outRadios: the VMN's new radio set
+	// data is the outData packet due now: one holder of a pooled
+	// wrapper that every receiver of the fan it fired in shares. Each
+	// way out of the queue — sent, evicted, rejected, abandoned at close
+	// — releases that holder once.
+	data   *wire.Data
+	radios []radio.Radio // outRadios: the VMN's new radio set
 }
 
 // sendQueue is the bounded per-session outbound queue of the §3.2
@@ -120,11 +124,11 @@ func (q *sendQueue) push(m outMsg) bool {
 		q.mu.Lock()
 	}
 	if q.closed {
-		// The session is over; the delivery dies here. Its buffer must
+		// The session is over; the delivery dies here. Its holder must
 		// still be released (nil-safe — radio notifications carry none)
 		// and — for data — the loss accounted, or the conservation
 		// ledger would leak one packet per kill race.
-		m.pkt.Buf.Free()
+		wire.ReleaseData(m.data)
 		if m.kind == outData {
 			q.countAbandoned()
 		}
@@ -141,7 +145,7 @@ func (q *sendQueue) push(m outMsg) bool {
 			// Abandoned), and a displaced notification never entered it.
 			if m.kind == outData {
 				q.countDrop()
-				m.pkt.Buf.Free()
+				wire.ReleaseData(m.data)
 				q.mu.Unlock()
 				return false
 			}
@@ -191,7 +195,7 @@ func (q *sendQueue) dropOldestDataLocked() bool {
 		// Settle the victim before the shift below overwrites its slot
 		// with the notification ahead of it.
 		q.countDrop()
-		q.buf[idx].pkt.Buf.Free()
+		wire.ReleaseData(q.buf[idx].data)
 		// Shift the entries before i up by one slot, then advance head:
 		// O(depth) but only on the overflow path.
 		for j := i; j > 0; j-- {
@@ -270,7 +274,7 @@ func (q *sendQueue) close() {
 	q.closed = true
 	for i := 0; i < q.n; i++ {
 		m := &q.buf[(q.head+i)%len(q.buf)]
-		m.pkt.Buf.Free()
+		wire.ReleaseData(m.data)
 		if m.kind == outData {
 			q.countAbandoned()
 		}

@@ -73,7 +73,7 @@ func TestSendQueueSettlesBuffers(t *testing.T) {
 	pool.SetLeakCheck(true)
 	mk := func() outMsg {
 		b := pool.Alloc(16)
-		return outMsg{kind: outData, pkt: wire.Packet{Payload: b.Bytes(), Buf: b}}
+		return outMsg{kind: outData, data: wire.AcquireData(wire.Packet{Payload: b.Bytes(), Buf: b})}
 	}
 	q := newSendQueue(1, nil, nil)
 	q.push(mk())
@@ -100,7 +100,7 @@ type oracleEntry struct {
 
 func entryOf(m outMsg) oracleEntry {
 	if m.kind == outData {
-		return oracleEntry{true, m.pkt.Seq}
+		return oracleEntry{true, m.data.Pkt.Seq}
 	}
 	return oracleEntry{false, uint32(m.radios[0].Channel)}
 }
@@ -165,7 +165,7 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 				next++
 				what = fmt.Sprintf("push data %d", next)
 				b := pool.Alloc(16)
-				got := q.push(outMsg{kind: outData, pkt: wire.Packet{Seq: next, Payload: b.Bytes(), Buf: b}})
+				got := q.push(outMsg{kind: outData, data: wire.AcquireData(wire.Packet{Seq: next, Payload: b.Bytes(), Buf: b})})
 				want := !closed && (len(queued) < limit || evict(true))
 				if closed {
 					abandoned++
@@ -212,7 +212,7 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 			case op < 19:
 				what = fmt.Sprintf("done(%d)", len(popped))
 				for i := range popped {
-					popped[i].pkt.Buf.Free() // the writer's verdict: forwarded
+					wire.ReleaseData(popped[i].data) // the writer's verdict: forwarded
 				}
 				q.done(len(popped))
 				popped, inflight = popped[:0], inflight[:0]
@@ -242,7 +242,7 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 			}
 		}
 		for i := range popped {
-			popped[i].pkt.Buf.Free()
+			wire.ReleaseData(popped[i].data)
 		}
 		q.close()
 		if n := pool.Live(); n != 0 {
@@ -274,7 +274,8 @@ func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
 				return
 			}
 			for _, m := range batch {
-				popped <- m.pkt.Seq
+				popped <- m.data.Pkt.Seq
+				wire.ReleaseData(m.data)
 			}
 			q.done(len(batch))
 		}
@@ -285,7 +286,7 @@ func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
 	for b := 0; b < bursts; b++ {
 		for n := 1 + rng.Intn(maxBurst); n > 0; n-- {
 			pushed++
-			if !q.push(outMsg{kind: outData, pkt: wire.Packet{Seq: pushed}}) {
+			if !q.push(outMsg{kind: outData, data: wire.AcquireData(wire.Packet{Seq: pushed})}) {
 				t.Fatalf("push %d rejected", pushed)
 			}
 		}

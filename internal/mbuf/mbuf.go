@@ -14,7 +14,8 @@
 //
 //   - Alloc returns a buffer with one reference, owned by the caller.
 //   - Retain(k) adds k references before a buffer fans out (one per
-//     scheduled delivery of a broadcast).
+//     scheduled delivery of a broadcast); Drop(k) gives k of them back
+//     in one step when the deliveries of a fired fan share one owner.
 //   - Every pipeline exit — forwarded, queue-dropped, abandoned,
 //     no-route, session close — frees exactly one reference.
 //   - The final Free returns the buffer to its class; freeing past
@@ -99,6 +100,19 @@ func (b *Buf) Retain(k int) {
 		return
 	}
 	b.refs.Add(int32(k))
+}
+
+// Drop removes k references in one step, none of them the last: the
+// receivers of a fan that share one wrapper give back all but the
+// wrapper's reference at once. Dropping the last reference is Free's
+// job, so a Drop that would reach zero panics. Safe on nil.
+func (b *Buf) Drop(k int) {
+	if b == nil || k == 0 {
+		return
+	}
+	if b.refs.Add(-int32(k)) <= 0 {
+		panic("mbuf: Drop of the last reference")
+	}
 }
 
 // Free drops one reference; the last one returns the buffer to its

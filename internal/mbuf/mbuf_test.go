@@ -83,9 +83,34 @@ func TestDoubleFreePanics(t *testing.T) {
 	b.Free()
 }
 
+// Drop gives back references that are not the last in one step; the
+// last stays Free's, so a Drop that would reach zero panics.
+func TestDropGivesBackAllButTheLast(t *testing.T) {
+	p := NewPool()
+	b := p.Alloc(32)
+	b.Retain(4) // five owners, as a five-receiver fan
+	b.Drop(4)
+	if p.Live() != 1 {
+		t.Fatalf("live = %d after dropping four of five references, want 1", p.Live())
+	}
+	b.Free()
+	if p.Live() != 0 {
+		t.Fatalf("live = %d after final free, want 0", p.Live())
+	}
+	c := p.Alloc(32)
+	c.Retain(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Drop of every reference did not panic")
+		}
+	}()
+	c.Drop(2)
+}
+
 func TestNilBufIsNoOp(t *testing.T) {
 	var b *Buf
 	b.Retain(3)
+	b.Drop(2)
 	b.Free() // must not panic
 }
 

@@ -49,10 +49,14 @@ type Conn interface {
 	// Recv blocks for the next message. io.EOF signals an orderly end.
 	// Only one goroutine may call Recv. The received message may be
 	// pooled; the consumer retires it with wire.ReleaseMsg once
-	// processed. On every transport a Data payload is valid until then:
-	// a dialed TCP connection decodes it in place in its read buffer, an
-	// accepted pooled one in a buffer of its own, and the in-process
-	// pipe hands over the sender's. Copy a payload to keep it longer.
+	// processed, exactly once. On every transport a Data payload is valid
+	// until then: a dialed TCP connection decodes it in place in its read
+	// buffer, an accepted pooled one in a buffer of its own, and the
+	// in-process pipe hands over the sender's. Copy a payload to keep it
+	// longer. A received *wire.Data may be shared with other receivers
+	// (the server hands every receiver of a fired broadcast one wrapper),
+	// so it is read-only: neither its Pkt nor its payload bytes may be
+	// written.
 	Recv() (wire.Msg, error)
 	// Close tears the connection down, unblocking Recv on both ends.
 	Close() error

@@ -15,7 +15,7 @@ func FuzzReadMsg(f *testing.F) {
 		HelloAck{Assigned: 2, ServerNow: 3},
 		SyncReq{TC1: 4},
 		SyncReply{TC1: 1, TS2: 2, TS3: 3},
-		Data{Pkt: Packet{Src: 1, Dst: 2, Channel: 3, Payload: []byte("x")}},
+		&Data{Pkt: Packet{Src: 1, Dst: 2, Channel: 3, Payload: []byte("x")}},
 		Event{Kind: EventRadios},
 		Bye{Reason: "seed"},
 	}

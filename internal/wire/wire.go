@@ -23,6 +23,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mbuf"
 	"repro/internal/radio"
@@ -96,7 +97,8 @@ var (
 )
 
 // Msg is any protocol message. Value and pointer forms both satisfy
-// it; ReadMsg always returns pointers.
+// it, except for Data, which only a pointer does; ReadMsg always
+// returns pointers.
 type Msg interface {
 	Type() Type
 	// appendBody serializes the message body onto b.
@@ -227,16 +229,22 @@ const packetHeaderSize = 28
 type Data struct {
 	Pkt Packet
 
-	// pooled marks a wrapper obtained from AcquireData (or a pooled
-	// read); ReleaseData recycles only those, so plain &Data{} literals
-	// keep working everywhere without ownership obligations.
+	// pooled marks a wrapper obtained from AcquireData, AcquireShared or
+	// a pooled read; ReleaseData recycles only those, so plain &Data{}
+	// literals keep working everywhere without ownership obligations. A
+	// retired wrapper stays marked, so a release past its last holder
+	// panics.
 	pooled bool
+	// holders counts the owners still to release a pooled wrapper: one,
+	// or every receiver of a fired fan (AcquireShared).
+	holders atomic.Int32
 }
 
-// Type implements Msg.
-func (Data) Type() Type { return TypeData }
+// Type implements Msg. Data's methods take a pointer: a value copy
+// would read the holder count that other holders update.
+func (*Data) Type() Type { return TypeData }
 
-func (m Data) appendBody(b []byte) []byte {
+func (m *Data) appendBody(b []byte) []byte {
 	p := &m.Pkt
 	b = binary.BigEndian.AppendUint32(b, uint32(p.Src))
 	b = binary.BigEndian.AppendUint32(b, uint32(p.Dst))
@@ -485,33 +493,55 @@ func decodeBody(t Type, body []byte) (Msg, error) {
 // transport transfers it to the receiver, who releases it after
 // processing). ReleaseData frees the packet's Buf reference along with
 // the wrapper, and is a no-op for plain &Data{} literals.
+//
+// A pooled *Data has holders, each of which releases it exactly once:
+// AcquireData and DecodeFrameRef make one, and AcquireShared makes one
+// per receiver of a fired fan, which all get the same pointer. A
+// received *Data may therefore be shared with other receivers, so it is
+// read-only to every one of them. The wrapper and its one buffer
+// reference retire at the last release.
 
 // dataPool recycles Data wrappers across the whole process — the
 // server's writers put wrappers in, transport readers and handlers take
 // them out, so in-process transports recycle end to end.
 var dataPool = sync.Pool{New: func() interface{} { return new(Data) }}
 
-// AcquireData returns a pooled Data wrapper carrying p. Sending it on a
-// transport.Conn consumes it; otherwise balance with ReleaseData.
-func AcquireData(p Packet) *Data {
+// AcquireData returns a pooled Data wrapper carrying p, with one holder.
+// Sending it on a transport.Conn consumes it; otherwise balance with
+// ReleaseData.
+func AcquireData(p Packet) *Data { return AcquireShared(p, 1) }
+
+// AcquireShared returns a pooled Data wrapper carrying p for holders
+// owners, each of which sends or releases it once. The wrapper owns one
+// reference of p.Buf, whoever releases last. A shared wrapper is
+// read-only: every holder sees the same Pkt.
+func AcquireShared(p Packet, holders int) *Data {
 	d := dataPool.Get().(*Data)
 	d.Pkt = p
 	d.pooled = true
+	d.holders.Store(int32(holders))
 	return d
 }
 
-// ReleaseData retires a pooled Data: one reference of the packet's Buf
-// is freed and the wrapper returns to the pool. No-op for nil or
-// unpooled wrappers, so every receive path can call it unconditionally.
-// The message must not be touched afterwards.
+// ReleaseData drops one holder of a pooled Data. The last one retires
+// it: one reference of the packet's Buf is freed and the wrapper returns
+// to the pool. Releasing a retired wrapper panics, as an mbuf double
+// free does. No-op for nil or unpooled wrappers, so every receive path
+// can call it unconditionally. The caller must not touch the message
+// afterwards.
 func ReleaseData(m *Data) {
 	if m == nil || !m.pooled {
 		return
 	}
-	m.pooled = false
-	m.Pkt.Buf.Free()
-	m.Pkt = Packet{}
-	dataPool.Put(m)
+	switch h := m.holders.Add(-1); {
+	case h > 0:
+	case h == 0:
+		m.Pkt.Buf.Free()
+		m.Pkt = Packet{}
+		dataPool.Put(m)
+	default:
+		panic("wire: Data released past its last holder")
+	}
 }
 
 // ReleaseMsg retires pooled messages behind a type switch, for call
@@ -591,8 +621,9 @@ func ReadMsgPooled(r io.Reader, a Alloc) (Msg, error) {
 
 // DecodeFrameRef is DecodeFrame for a frame lying in buf's memory, and
 // it consumes one reference on buf, on every path. A Data payload
-// aliases frame — no copy — and the returned message is pooled: Pkt.Buf
-// holds that reference and the receiver retires the message with
+// aliases frame — no copy — and the returned message is pooled, with
+// one holder: Pkt.Buf holds that reference and the receiver retires the
+// message with
 // ReleaseData (or consumes it via a transport Send). A TrunkBatch's
 // entries alias it too, each owning one reference (the rest are added
 // here). Every other type decodes by copy and the reference is freed
@@ -612,6 +643,7 @@ func DecodeFrameRef(frame []byte, buf *mbuf.Buf) (Msg, error) {
 		}
 		d.Pkt.Buf = buf
 		d.pooled = true
+		d.holders.Store(1)
 		return d, nil
 	}
 	if Type(frame[0]) == TypeTrunkBatch {

@@ -7,9 +7,11 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/mbuf"
 	"repro/internal/radio"
 	"repro/internal/vclock"
 )
@@ -82,7 +84,7 @@ func TestMultipleFramesOnStream(t *testing.T) {
 	var buf bytes.Buffer
 	in := []Msg{
 		SyncReq{TC1: 1},
-		Data{Pkt: Packet{Src: 1, Dst: 2, Seq: 10, Payload: []byte("x")}},
+		&Data{Pkt: Packet{Src: 1, Dst: 2, Seq: 10, Payload: []byte("x")}},
 		Bye{Reason: "done"},
 	}
 	for _, m := range in {
@@ -169,7 +171,7 @@ func TestCorruptBodiesRejected(t *testing.T) {
 func TestDataPayloadLengthLies(t *testing.T) {
 	// A Data frame whose declared payload length disagrees with the
 	// actual body must be rejected.
-	good := Data{Pkt: Packet{Payload: []byte("abcdef")}}
+	good := &Data{Pkt: Packet{Payload: []byte("abcdef")}}
 	var buf bytes.Buffer
 	if err := WriteMsg(&buf, good); err != nil {
 		t.Fatal(err)
@@ -193,7 +195,7 @@ func TestDataRoundTripProperty(t *testing.T) {
 		if len(payload) > MaxPayload {
 			payload = payload[:MaxPayload]
 		}
-		in := Data{Pkt: Packet{
+		in := &Data{Pkt: Packet{
 			Src: radio.NodeID(src), Dst: radio.NodeID(dst),
 			Channel: radio.ChannelID(ch), Flow: flow, Seq: seq,
 			Stamp: vclock.Time(stamp), Payload: payload,
@@ -215,7 +217,7 @@ func TestDataRoundTripProperty(t *testing.T) {
 				d.Pkt.Src == in.Pkt.Src && d.Pkt.Dst == in.Pkt.Dst &&
 				d.Pkt.Stamp == in.Pkt.Stamp && d.Pkt.Seq == in.Pkt.Seq
 		}
-		return reflect.DeepEqual(*d, in)
+		return reflect.DeepEqual(d, in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -246,7 +248,7 @@ func TestWriteOversizeMessage(t *testing.T) {
 
 func TestPayloadCopiedNotAliased(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMsg(&buf, Data{Pkt: Packet{Payload: []byte("abc")}}); err != nil {
+	if err := WriteMsg(&buf, &Data{Pkt: Packet{Payload: []byte("abc")}}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -264,7 +266,7 @@ func TestPayloadCopiedNotAliased(t *testing.T) {
 func BenchmarkWireCodecData(b *testing.B) {
 	for _, size := range []int{64, 1024, 16384} {
 		b.Run(byteCount(size), func(b *testing.B) {
-			m := Data{Pkt: Packet{Src: 1, Dst: 2, Channel: 1, Payload: make([]byte, size)}}
+			m := &Data{Pkt: Packet{Src: 1, Dst: 2, Channel: 1, Payload: make([]byte, size)}}
 			var buf bytes.Buffer
 			b.SetBytes(int64(size))
 			b.ResetTimer()
@@ -287,5 +289,85 @@ func byteCount(n int) string {
 		return string(rune('0'+n/1024/10%10)) + string(rune('0'+n/1024%10)) + "KiB"
 	default:
 		return string(rune('0'+n/10%10)) + string(rune('0'+n%10)) + "B"
+	}
+}
+
+// A wrapper shared by k holders retires once, at the k-th release: its
+// packet stays intact until then, its one buffer reference is freed
+// exactly once, and a release past the last holder panics.
+func TestSharedDataRetiresAtLastHolder(t *testing.T) {
+	pool := mbuf.NewPool()
+	pool.SetLeakCheck(true)
+	const k = 5
+	buf := mbuf.AllocCopy(pool, []byte("shared"))
+	buf.Retain(1) // the test's own, to see the wrapper free exactly one
+	d := AcquireShared(Packet{Seq: 9, Payload: buf.Bytes(), Buf: buf}, k)
+	for i := 1; i < k; i++ {
+		ReleaseData(d)
+		if d.Pkt.Buf != buf || string(d.Pkt.Payload) != "shared" {
+			t.Fatalf("wrapper retired after %d of %d releases", i, k)
+		}
+	}
+	ReleaseData(d)
+	if d.Pkt.Buf != nil {
+		t.Fatal("wrapper not retired at its last holder")
+	}
+	if live := pool.Live(); live != 1 {
+		t.Fatalf("%d buffers live after the wrapper retired, want the test's 1", live)
+	}
+	buf.Free() // panics had the wrapper freed its reference twice
+	if live := pool.Live(); live != 0 {
+		t.Fatalf("%d buffers live at the end, want 0", live)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a release past the last holder did not panic")
+		}
+	}()
+	ReleaseData(d)
+}
+
+// A pooled read (DecodeFrameRef) has one holder, as AcquireData's does.
+func TestDecodedDataHasOneHolder(t *testing.T) {
+	pool := mbuf.NewPool()
+	frame, err := AppendFrame(nil, &Data{Pkt: Packet{Seq: 3, Payload: []byte("one")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := mbuf.AllocCopy(pool, frame[4:])
+	m, err := DecodeFrameRef(buf.Bytes(), buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ReleaseData(m.(*Data))
+	if live := pool.Live(); live != 0 {
+		t.Fatalf("%d buffers live after the one release, want 0", live)
+	}
+}
+
+// Holders on different goroutines read the shared packet and release
+// it; run under -race, the last release must not race the others' reads.
+func TestSharedDataConcurrentRelease(t *testing.T) {
+	pool := mbuf.NewPool()
+	pool.SetLeakCheck(true)
+	const k, rounds = 8, 200
+	for r := 0; r < rounds; r++ {
+		buf := mbuf.AllocCopy(pool, []byte("fan"))
+		d := AcquireShared(Packet{Seq: uint32(r), Payload: buf.Bytes(), Buf: buf}, k)
+		var wg sync.WaitGroup
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if string(d.Pkt.Payload) != "fan" || d.Pkt.Seq != uint32(r) {
+					t.Errorf("round %d: a holder read %+v", r, d.Pkt)
+				}
+				ReleaseData(d)
+			}()
+		}
+		wg.Wait()
+	}
+	if live := pool.Live(); live != 0 {
+		t.Fatalf("%d buffers live after every holder released, want 0", live)
 	}
 }

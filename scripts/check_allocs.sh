@@ -65,8 +65,10 @@ echo "scanner alloc gate: OK (sleep/fire cycle, fan=36 storm and in-order pushes
 
 # The shard's hand-off of a fired batch must allocate nothing either:
 # one 36-receiver broadcast resolves its sessions into a scratch slice
-# sized for a full batch once, and pushes into queue rings grown to
-# their bound. A scratch or ring that keeps growing shows up here.
+# sized for a full batch once, wraps the fan in one pooled wire.Data
+# that the drains release as the writers' sends do, and pushes into
+# queue rings grown to their bound. A scratch or ring that keeps growing,
+# or a wrapper that never goes back to its pool, shows up here.
 FIRE=$(go test -run='^$' -bench='DeliverFiredBatch' -benchmem -benchtime=2000x ./internal/core)
 echo "$FIRE"
 

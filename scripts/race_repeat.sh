@@ -64,9 +64,14 @@ go test ./internal/chaos -race -count=10 -run 'TestStallClock|TestClockStall'
 # popping clock reading, Pending covering the batch until it returns, a
 # writer that parks between bursts woken by the push that finds it
 # parked, a receiver reaped on either side of the batch's one session
-# lookup.
+# lookup. A fired fan's receivers share one pooled wire.Data, a holder
+# each: one wrapper per fire batch, never one for two packets, released
+# once on every exit (forwarded, drop-oldest, abandoned, queue close),
+# the last holder racing none of the others' reads.
 go test ./internal/sched -race -count=10 -run 'TestScannerFireObserver|TestScannerBatchObserver|TestDrainVisitsUnfiredReceiversOfAFan'
 go test ./internal/core -race -count=10 -run 'TestSendQueueParkedWriterSeesEveryPush|TestDeliverBatchAcrossReapedSession|TestSendQueueMatchesOracle|TestBroadcastOrderSameAtEveryShardCount'
+go test ./internal/core -race -count=10 -run 'TestFiredFanSharesOneWrapper|TestFanCutByBatchBoundaryGetsOneWrapperPerBatch|TestDistinctPacketsNeverShareAWrapper|TestDropOldestEvictsSharedWrapper|TestCloseWithFansScheduledClosesLedger'
+go test ./internal/wire -race -count=10 -run 'TestSharedDataConcurrentRelease|TestSharedDataRetiresAtLastHolder'
 go test ./internal/core -race -count=10 -shards=4 -run 'TestSendQueueParkedWriterSeesEveryPush|TestDeliverBatchAcrossReapedSession|TestDeliveryOrderMatchesSchedule|TestSlowClientDoesNotStallOthers|TestBroadcastFanout|TestClientDisconnectMidFlight'
 
 # One way into the schedule: the due rule (stamp + delay + tx, the
