@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/radio"
+	"repro/internal/ring"
 	"repro/internal/wire"
 )
 
@@ -47,11 +48,11 @@ type outMsg struct {
 // current. One writer goroutine drains the queue in FIFO order, which
 // is what guarantees per-client deliveries leave in schedule order.
 type sendQueue struct {
-	mu     sync.Mutex
-	buf    []outMsg // ring storage, grown on demand up to cap
-	head   int      // index of the oldest entry
-	n      int      // live entries
-	limit  int      // hard bound on n
+	mu sync.Mutex
+	// ring grows on use: most sessions of a large scene only ever queue
+	// their initial radios notification.
+	ring   ring.Ring[outMsg]
+	limit  int // hard bound on ring.Len()
 	closed bool
 	// parked records that the writer found the queue empty and is about
 	// to block on wake. Only then does a push signal wake, and it clears
@@ -112,7 +113,7 @@ func (q *sendQueue) countAbandoned() {
 // nothing but radio notifications).
 func (q *sendQueue) push(m outMsg) bool {
 	q.mu.Lock()
-	if q.n == q.limit && !q.closed {
+	if q.ring.Len() == q.limit && !q.closed {
 		// Distinguish "the writer has not been scheduled yet" (a burst
 		// outran it — common on few cores) from "the client is wedged"
 		// (its writer is parked in conn.Send and not runnable). Yielding
@@ -135,7 +136,7 @@ func (q *sendQueue) push(m outMsg) bool {
 		q.mu.Unlock()
 		return false
 	}
-	if q.n == q.limit {
+	if q.ring.Len() == q.limit {
 		if !q.dropOldestDataLocked() {
 			// Full of radio notifications (pathological: limit sessions
 			// would need limit scene changes queued). Data yields to
@@ -149,10 +150,10 @@ func (q *sendQueue) push(m outMsg) bool {
 				q.mu.Unlock()
 				return false
 			}
-			q.advanceHeadLocked()
+			q.ring.Drop() // a notification holds no buffer
 		}
 	}
-	q.appendLocked(m)
+	*q.ring.Push() = m
 	signal := q.parked
 	q.parked = false
 	q.mu.Unlock()
@@ -165,56 +166,26 @@ func (q *sendQueue) push(m outMsg) bool {
 	return true
 }
 
-// appendLocked stores m at the tail, growing the ring toward limit. The
-// ring starts at one slot and doubles: most sessions of a large scene
-// only ever queue their initial radios notification.
-func (q *sendQueue) appendLocked(m outMsg) {
-	if q.n == len(q.buf) {
-		grow := max(len(q.buf)*2, 1)
-		if grow > q.limit {
-			grow = q.limit
-		}
-		nb := make([]outMsg, grow)
-		for i := 0; i < q.n; i++ {
-			nb[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf, q.head = nb, 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = m
-	q.n++
-}
-
 // dropOldestDataLocked discards the oldest data entry, reporting false
 // when the queue holds none.
 func (q *sendQueue) dropOldestDataLocked() bool {
-	for i := 0; i < q.n; i++ {
-		idx := (q.head + i) % len(q.buf)
-		if q.buf[idx].kind != outData {
+	for i := 0; i < q.ring.Len(); i++ {
+		if q.ring.At(i).kind != outData {
 			continue
 		}
 		// Settle the victim before the shift below overwrites its slot
 		// with the notification ahead of it.
 		q.countDrop()
-		wire.ReleaseData(q.buf[idx].data)
-		// Shift the entries before i up by one slot, then advance head:
-		// O(depth) but only on the overflow path.
+		wire.ReleaseData(q.ring.At(i).data)
+		// Shift the entries before i up by one slot, then drop the
+		// front: O(depth) but only on the overflow path.
 		for j := i; j > 0; j-- {
-			cur := (q.head + j) % len(q.buf)
-			prev := (q.head + j - 1) % len(q.buf)
-			q.buf[cur] = q.buf[prev]
+			*q.ring.At(j) = *q.ring.At(j - 1)
 		}
-		q.advanceHeadLocked()
+		q.ring.Drop()
 		return true
 	}
 	return false
-}
-
-// advanceHeadLocked forgets the head slot, already settled (a
-// notification holds no buffer).
-func (q *sendQueue) advanceHeadLocked() {
-	q.buf[q.head] = outMsg{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
 }
 
 // popBatch blocks for at least one entry, then drains up to max entries
@@ -232,13 +203,11 @@ func (q *sendQueue) popBatch(stop <-chan struct{}, batch []outMsg, max int) (_ [
 			q.mu.Unlock()
 			return batch[:0], false
 		}
-		if q.n > 0 {
+		if q.ring.Len() > 0 {
 			batch = batch[:0]
-			for q.n > 0 && len(batch) < max {
-				batch = append(batch, q.buf[q.head])
-				q.buf[q.head] = outMsg{}
-				q.head = (q.head + 1) % len(q.buf)
-				q.n--
+			for q.ring.Len() > 0 && len(batch) < max {
+				batch = append(batch, *q.ring.At(0))
+				q.ring.Drop()
 			}
 			q.inflight += len(batch) // cleared by done() once accounted
 			q.mu.Unlock()
@@ -272,15 +241,14 @@ func (q *sendQueue) close() {
 		return
 	}
 	q.closed = true
-	for i := 0; i < q.n; i++ {
-		m := &q.buf[(q.head+i)%len(q.buf)]
+	for q.ring.Len() > 0 {
+		m := q.ring.At(0)
 		wire.ReleaseData(m.data)
 		if m.kind == outData {
 			q.countAbandoned()
 		}
-		*m = outMsg{}
+		q.ring.Drop()
 	}
-	q.head, q.n = 0, 0
 	q.mu.Unlock()
 	select {
 	case q.wake <- struct{}{}:
@@ -293,5 +261,5 @@ func (q *sendQueue) close() {
 func (q *sendQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.n + q.inflight
+	return q.ring.Len() + q.inflight
 }

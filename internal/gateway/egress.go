@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/mbuf"
+	"repro/internal/ring"
 )
 
 // egressEntry is one datagram waiting to leave through the real socket.
@@ -24,14 +25,13 @@ type egressEntry struct {
 type egressQueue struct {
 	mu     sync.Mutex
 	nonEmp sync.Cond
-	ring   []egressEntry
-	head   int
-	n      int
+	ring   ring.Ring[egressEntry]
+	limit  int // hard bound on ring.Len()
 	closed bool
 }
 
 func newEgressQueue(depth int) *egressQueue {
-	q := &egressQueue{ring: make([]egressEntry, depth)}
+	q := &egressQueue{limit: depth}
 	q.nonEmp.L = &q.mu
 	return q
 }
@@ -46,14 +46,11 @@ func (q *egressQueue) push(e egressEntry) (evicted *mbuf.Buf, ok bool) {
 		q.mu.Unlock()
 		return nil, false
 	}
-	if q.n == len(q.ring) {
-		evicted = q.ring[q.head].buf
-		q.ring[q.head] = egressEntry{}
-		q.head = (q.head + 1) % len(q.ring)
-		q.n--
+	if q.ring.Len() == q.limit {
+		evicted = q.ring.At(0).buf
+		q.ring.Drop()
 	}
-	q.ring[(q.head+q.n)%len(q.ring)] = e
-	q.n++
+	*q.ring.Push() = e
 	q.nonEmp.Signal()
 	q.mu.Unlock()
 	return evicted, true
@@ -64,17 +61,15 @@ func (q *egressQueue) push(e egressEntry) (evicted *mbuf.Buf, ok bool) {
 // exit condition.
 func (q *egressQueue) pop() (egressEntry, bool) {
 	q.mu.Lock()
-	for q.n == 0 && !q.closed {
+	for q.ring.Len() == 0 && !q.closed {
 		q.nonEmp.Wait()
 	}
-	if q.n == 0 {
+	if q.ring.Len() == 0 {
 		q.mu.Unlock()
 		return egressEntry{}, false
 	}
-	e := q.ring[q.head]
-	q.ring[q.head] = egressEntry{}
-	q.head = (q.head + 1) % len(q.ring)
-	q.n--
+	e := *q.ring.At(0)
+	q.ring.Drop()
 	q.mu.Unlock()
 	return e, true
 }
@@ -85,11 +80,9 @@ func (q *egressQueue) close() []egressEntry {
 	q.mu.Lock()
 	q.closed = true
 	var left []egressEntry
-	for q.n > 0 {
-		left = append(left, q.ring[q.head])
-		q.ring[q.head] = egressEntry{}
-		q.head = (q.head + 1) % len(q.ring)
-		q.n--
+	for q.ring.Len() > 0 {
+		left = append(left, *q.ring.At(0))
+		q.ring.Drop()
 	}
 	q.nonEmp.Broadcast()
 	q.mu.Unlock()
@@ -99,5 +92,5 @@ func (q *egressQueue) close() []egressEntry {
 func (q *egressQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.n
+	return q.ring.Len()
 }

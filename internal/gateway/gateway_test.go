@@ -89,41 +89,51 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEgressQueueDropOldest fills a link's egress queue to its depth and
+// pushes once more: the oldest entry is evicted. Depth 3 is not a power
+// of two, so the ring's storage rounds up to 4 slots; the queue must
+// still evict at its third entry.
 func TestEgressQueueDropOldest(t *testing.T) {
-	g := newGateway(Config{Bindings: []Binding{{Listen: "x", Node: 1, Channel: 1}}, EgressDepth: 2})
-	q := g.links[0].out
-	mk := func(tag byte) egressEntry {
-		b := g.pool.Alloc(1)
-		b.Bytes()[0] = tag
-		return egressEntry{buf: b, at: time.Now()}
-	}
-	for tag := byte(1); tag <= 2; tag++ {
-		if ev, ok := q.push(mk(tag)); !ok || ev != nil {
-			t.Fatalf("push %d: ok=%v evicted=%v", tag, ok, ev)
+	for _, depth := range []int{2, 3} {
+		g := newGateway(Config{Bindings: []Binding{{Listen: "x", Node: 1, Channel: 1}}, EgressDepth: depth})
+		q := g.links[0].out
+		mk := func(tag byte) egressEntry {
+			b := g.pool.Alloc(1)
+			b.Bytes()[0] = tag
+			return egressEntry{buf: b, at: time.Now()}
 		}
-	}
-	ev, ok := q.push(mk(3))
-	if !ok || ev == nil || ev.Bytes()[0] != 1 {
-		t.Fatalf("overflow push: ok=%v evicted=%v", ok, ev)
-	}
-	ev.Free()
-	for want := byte(2); want <= 3; want++ {
-		e, ok := q.pop()
-		if !ok || e.buf.Bytes()[0] != want {
-			t.Fatalf("pop: ok=%v got=%v want=%d", ok, e.buf, want)
+		last := byte(depth + 1)
+		for tag := byte(1); tag < last; tag++ {
+			if ev, ok := q.push(mk(tag)); !ok || ev != nil {
+				t.Fatalf("depth %d: push %d: ok=%v evicted=%v", depth, tag, ok, ev)
+			}
 		}
-		e.buf.Free()
-	}
-	if left := q.close(); len(left) != 0 {
-		t.Fatalf("close returned %d entries from an empty queue", len(left))
-	}
-	if _, ok := q.push(mk(9)); ok {
-		t.Error("push accepted after close")
-	} else {
-		// ownership stays with the caller on a refused push
-	}
-	if live := g.pool.Live(); live != 1 { // the refused push's buffer
-		t.Errorf("pool live %d", live)
+		ev, ok := q.push(mk(last))
+		if !ok || ev == nil || ev.Bytes()[0] != 1 {
+			t.Fatalf("depth %d: overflow push: ok=%v evicted=%v", depth, ok, ev)
+		}
+		ev.Free()
+		if n := q.depth(); n != depth {
+			t.Fatalf("depth %d: %d entries queued after the overflow push", depth, n)
+		}
+		for want := byte(2); want <= last; want++ {
+			e, ok := q.pop()
+			if !ok || e.buf.Bytes()[0] != want {
+				t.Fatalf("depth %d: pop: ok=%v got=%v want=%d", depth, ok, e.buf, want)
+			}
+			e.buf.Free()
+		}
+		if left := q.close(); len(left) != 0 {
+			t.Fatalf("depth %d: close returned %d entries from an empty queue", depth, len(left))
+		}
+		if _, ok := q.push(mk(9)); ok {
+			t.Errorf("depth %d: push accepted after close", depth)
+		} else {
+			// ownership stays with the caller on a refused push
+		}
+		if live := g.pool.Live(); live != 1 { // the refused push's buffer
+			t.Errorf("depth %d: pool live %d", depth, live)
+		}
 	}
 }
 

@@ -30,6 +30,7 @@ package sched
 
 import (
 	"repro/internal/radio"
+	"repro/internal/ring"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -88,12 +89,10 @@ type fanRest struct {
 // would.
 type HeapQueue struct {
 	h []entry
-	// run is the in-order run: a power-of-two ring of entries, sorted by
-	// (due, seq) from its head at run[rh] through rn entries. A push no
-	// earlier than the tail joins it; every other push goes to h.
-	run  []entry
-	rh   int
-	rn   int
+	// run is the in-order run: entries sorted by (due, seq) from head to
+	// tail. A push no earlier than the tail joins it; every other push
+	// goes to h.
+	run  ring.Ring[entry]
 	next uint64
 	n    int // receivers not yet popped, over all entries
 	// spare holds the fanRests of exhausted entries for the next fan, so
@@ -151,29 +150,12 @@ func (q *HeapQueue) add(due vclock.Time, pkt *wire.Packet, to radio.NodeID, rest
 	seq := q.next
 	q.next++
 	q.n += n
-	if q.rn == 0 || due >= q.run[(q.rh+q.rn-1)&(len(q.run)-1)].due {
-		if q.rn == len(q.run) {
-			q.growRun()
-		}
-		q.run[(q.rh+q.rn)&(len(q.run)-1)] = entry{due: due, seq: seq, pkt: *pkt, to: to, rest: rest}
-		q.rn++
+	if q.run.Len() == 0 || due >= q.run.At(q.run.Len()-1).due {
+		*q.run.Push() = entry{due: due, seq: seq, pkt: *pkt, to: to, rest: rest}
 		return
 	}
 	q.h = append(q.h, entry{due: due, seq: seq, pkt: *pkt, to: to, rest: rest})
 	q.siftUp(len(q.h) - 1)
-}
-
-// growRun doubles the run's ring, unrolling it to start at slot 0.
-func (q *HeapQueue) growRun() {
-	grow := 2 * len(q.run)
-	if grow == 0 {
-		grow = 8
-	}
-	run := make([]entry, grow)
-	for i := 0; i < q.rn; i++ {
-		run[i] = q.run[(q.rh+i)&(len(q.run)-1)]
-	}
-	q.run, q.rh = run, 0
 }
 
 // Push inserts an item: a transmission with one receiver.
@@ -218,8 +200,8 @@ func (q *HeapQueue) PushFan(pkt wire.Packet, targets []Target) {
 // whenever the run is and every run entry due at the heap root's
 // instant was pushed before it.
 func (q *HeapQueue) head() (e *entry, inRun bool) {
-	if q.rn > 0 {
-		e, inRun = &q.run[q.rh], true
+	if q.run.Len() > 0 {
+		e, inRun = q.run.At(0), true
 	}
 	if len(q.h) > 0 && (e == nil || q.h[0].due < e.due) {
 		return &q.h[0], false
@@ -244,9 +226,7 @@ func (q *HeapQueue) pop(e *entry, inRun bool, it *Item) {
 		q.spare = append(q.spare, r)
 	}
 	if inRun {
-		*e = entry{} // release payload memory
-		q.rh = (q.rh + 1) & (len(q.run) - 1)
-		q.rn--
+		q.run.Drop() // zeroes the slot: releases payload memory
 		return
 	}
 	n := len(q.h) - 1

@@ -545,7 +545,7 @@ func TestPushFanMatchesSequentialPushes(t *testing.T) {
 
 // entries counts a queue's entries — transmissions, not deliveries — in
 // the heap and the in-order run together.
-func entries(q *HeapQueue) int { return len(q.h) + q.rn }
+func entries(q *HeapQueue) int { return len(q.h) + q.run.Len() }
 
 // A fan the batch buffer cut waits at the head with its cursor advanced:
 // a push due earlier overtakes the rest of it, a push due at the same
@@ -624,8 +624,8 @@ func TestInOrderRunEqualDuesFireInPushOrder(t *testing.T) {
 		q.Push(Item{Due: due, To: radio.NodeID(i)})
 	}
 	// Run: 10/0, 20/1, 20/2, 20/4. Heap: 10/3, 15/5, 10/6.
-	if q.rn != 4 || len(q.h) != 3 {
-		t.Fatalf("%d entries in the run, %d in the heap; want 4 and 3", q.rn, len(q.h))
+	if q.run.Len() != 4 || len(q.h) != 3 {
+		t.Fatalf("%d entries in the run, %d in the heap; want 4 and 3", q.run.Len(), len(q.h))
 	}
 	var got []radio.NodeID
 	buf := make([]Item, 2)
@@ -660,8 +660,8 @@ func TestInOrderRunFarFutureTail(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		pushBoth(Item{Due: vclock.FromMillis(int64(i)), To: radio.NodeID(i + 2)})
 	}
-	if q.rn != 1 || len(q.h) != 300 {
-		t.Fatalf("%d entries in the run, %d in the heap; want 1 and 300", q.rn, len(q.h))
+	if q.run.Len() != 1 || len(q.h) != 300 {
+		t.Fatalf("%d entries in the run, %d in the heap; want 1 and 300", q.run.Len(), len(q.h))
 	}
 	buf := make([]Item, 64)
 	drain := func(now vclock.Time) {
@@ -676,15 +676,15 @@ func TestInOrderRunFarFutureTail(t *testing.T) {
 		}
 	}
 	drain(vclock.FromMillis(299))
-	if q.rn != 1 || len(q.h) != 0 || q.Len() != ref.Len() {
-		t.Fatalf("run %d, heap %d, Len %d (oracle %d) with only the tail left", q.rn, len(q.h), q.Len(), ref.Len())
+	if q.run.Len() != 1 || len(q.h) != 0 || q.Len() != ref.Len() {
+		t.Fatalf("run %d, heap %d, Len %d (oracle %d) with only the tail left", q.run.Len(), len(q.h), q.Len(), ref.Len())
 	}
 	drain(far)
 	for i := 0; i < 10; i++ {
 		pushBoth(Item{Due: far + vclock.Time(i), To: radio.NodeID(i)})
 	}
-	if q.rn != 10 || len(q.h) != 0 {
-		t.Fatalf("%d entries in the run, %d in the heap after the tail fired; want 10 and 0", q.rn, len(q.h))
+	if q.run.Len() != 10 || len(q.h) != 0 {
+		t.Fatalf("%d entries in the run, %d in the heap after the tail fired; want 10 and 0", q.run.Len(), len(q.h))
 	}
 }
 
@@ -696,10 +696,10 @@ func checkRunBound(t *testing.T, q *HeapQueue) {
 	if len(q.h) == 0 {
 		return
 	}
-	if q.rn == 0 {
+	if q.run.Len() == 0 {
 		t.Fatalf("%d heap entries beside an empty run", len(q.h))
 	}
-	tail := q.run[(q.rh+q.rn-1)&(len(q.run)-1)].due
+	tail := q.run.At(q.run.Len() - 1).due
 	for _, e := range q.h {
 		if e.due >= tail {
 			t.Fatalf("heap entry due %v, not before the run's tail %v", e.due, tail)
@@ -794,7 +794,7 @@ func TestInOrderRunMatchesOracle(t *testing.T) {
 						}
 					}
 				}
-				maxRun, maxHeap = max(maxRun, s.q.rn), max(maxHeap, len(s.q.h))
+				maxRun, maxHeap = max(maxRun, s.q.run.Len()), max(maxHeap, len(s.q.h))
 				checkRunBound(t, &s.q)
 				if s.q.Len() != ref.Len() {
 					t.Fatalf("step %d: Len %d, oracle %d", step, s.q.Len(), ref.Len())
@@ -813,8 +813,8 @@ func TestInOrderRunMatchesOracle(t *testing.T) {
 			for ; len(s.q.h) == 0 && step <= 21000; step++ {
 				pushNext(step)
 			}
-			if s.q.rn == 0 || len(s.q.h) == 0 {
-				t.Fatalf("drain starts with %d entries in the run and %d in the heap; want both", s.q.rn, len(s.q.h))
+			if s.q.run.Len() == 0 || len(s.q.h) == 0 {
+				t.Fatalf("drain starts with %d entries in the run and %d in the heap; want both", s.q.run.Len(), len(s.q.h))
 			}
 			left := ref.Len()
 			if n := s.Drain(func(it Item) {

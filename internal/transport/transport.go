@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"repro/internal/mbuf"
+	"repro/internal/ring"
 	"repro/internal/wire"
 )
 
@@ -438,8 +439,7 @@ func TCPDialer(addr string) Dialer {
 // ---------------------------------------------------------------------------
 // In-process transport
 
-// pipeDepth bounds each direction of an in-process pipe. Ring sizes are
-// powers of two up to it, so slot indices wrap with a mask.
+// pipeDepth bounds each direction of an in-process pipe.
 const pipeDepth = 512
 
 // pipeQueue is one direction of an in-process pipe: a bounded FIFO ring
@@ -450,16 +450,13 @@ const pipeDepth = 512
 // EOF. That stranded message would read as a leak to the mbuf
 // accounting the chaos harness asserts on.
 //
-// The ring starts empty and doubles on demand up to pipeDepth: most
-// connections of a large scene only ever carry their handshake and clock
-// sync, and two preallocated 512-slot rings were 16 KiB of pointer-typed
-// memory per connection.
+// The ring grows on use: most connections of a large scene only ever
+// carry their handshake and clock sync, and two preallocated 512-slot
+// rings were 16 KiB of pointer-typed memory per connection.
 type pipeQueue struct {
 	mu     sync.Mutex
 	cond   sync.Cond
-	ring   []wire.Msg
-	head   int // next slot to pop
-	n      int // occupied slots
+	ring   ring.Ring[wire.Msg]
 	closed bool
 }
 
@@ -474,26 +471,14 @@ func newPipeQueue() *pipeQueue {
 // enqueued.
 func (q *pipeQueue) send(m wire.Msg) bool {
 	q.mu.Lock()
-	for q.n == pipeDepth && !q.closed {
+	for q.ring.Len() == pipeDepth && !q.closed {
 		q.cond.Wait()
 	}
 	if q.closed {
 		q.mu.Unlock()
 		return false
 	}
-	if q.n == len(q.ring) {
-		grow := 2 * len(q.ring) // reaches pipeDepth exactly; q.n < pipeDepth here
-		if grow == 0 {
-			grow = 8
-		}
-		ring := make([]wire.Msg, grow)
-		for i := 0; i < q.n; i++ {
-			ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
-		}
-		q.ring, q.head = ring, 0
-	}
-	q.ring[(q.head+q.n)&(len(q.ring)-1)] = m
-	q.n++
+	*q.ring.Push() = m
 	q.mu.Unlock()
 	q.cond.Broadcast()
 	return true
@@ -505,17 +490,15 @@ func (q *pipeQueue) send(m wire.Msg) bool {
 // drained.
 func (q *pipeQueue) recv() (wire.Msg, bool) {
 	q.mu.Lock()
-	for q.n == 0 && !q.closed {
+	for q.ring.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if q.n == 0 {
+	if q.ring.Len() == 0 {
 		q.mu.Unlock()
 		return nil, false
 	}
-	m := q.ring[q.head]
-	q.ring[q.head] = nil
-	q.head = (q.head + 1) & (len(q.ring) - 1)
-	q.n--
+	m := *q.ring.At(0)
+	q.ring.Drop()
 	q.mu.Unlock()
 	q.cond.Broadcast()
 	return m, true

@@ -41,8 +41,8 @@ echo "alloc gate: OK (every fan-out bench within ${BUDGET} allocs/op)"
 # the heap and that spare list reach steady state; allocs/op there is
 # per fired item, so sched's TestPushFanSteadyStateAllocFree is what
 # counts per fan. Nor may in-order traffic: two constant-delay flows
-# interleaved in bursts fill the schedule's in-order run, whose ring
-# stops growing once it holds the steady depth.
+# interleaved in bursts fill the schedule's in-order run, whose
+# ring.Ring stops growing once it holds the steady depth.
 SCHED=$(go test -run='^$' -bench='ScannerSleepFire' -benchmem -benchtime=100x ./internal/sched
 	go test -run='^$' -bench='ScannerStorm/fan=36' -benchmem -benchtime=200000x ./internal/sched
 	go test -run='^$' -bench='ScheduleQueueImpls/in-order/heap' -benchmem -benchtime=2000x ./internal/sched)
@@ -67,7 +67,7 @@ echo "scanner alloc gate: OK (sleep/fire cycle, fan=36 storm and in-order pushes
 # one 36-receiver broadcast resolves its sessions into a scratch slice
 # sized for a full batch once, wraps the fan in one pooled wire.Data
 # that the drains release as the writers' sends do, and pushes into
-# queue rings grown to their bound. A scratch or ring that keeps growing,
+# send queues whose ring.Ring has grown to hold their bound. A scratch or ring that keeps growing,
 # or a wrapper that never goes back to its pool, shows up here.
 FIRE=$(go test -run='^$' -bench='DeliverFiredBatch' -benchmem -benchtime=2000x ./internal/core)
 echo "$FIRE"
@@ -239,7 +239,10 @@ echo "scene publish gate: OK (one MoveNode at 16 384 nodes under 64 KiB/op)"
 # counter-based dice read 8 978 B/op and 19 allocs/op (a 4.9 KiB
 # math/rand source and a 16-slot queue ring per session); 1 906 B/op
 # and 18 allocs/op after. The budget is that figure rounded up to the
-# next KiB, so per-session state cannot creep back. Fresh process, one
+# next KiB, so per-session state cannot creep back. Since the queues
+# store their entries in ring.Ring, which starts at one slot where the
+# in-process pipe's ring started at eight, it reads 1 681–1 682 B/op and 19
+# allocs/op (1 762 and 18 before). Fresh process, one
 # count: later counts reuse exited goroutines and read ≈ 480 B lower.
 REG=$(go test -run='^$' -bench='RegisterInprocSession' -benchmem -benchtime=2000x ./internal/core)
 echo "$REG"
