@@ -259,6 +259,9 @@ func TestFederationCrossServerDelivery(t *testing.T) {
 	// A trunk batch counts as received once it is scheduled, which may
 	// be after its first delivery.
 	fedWaitFor(t, func() bool { return r.servers[1].Cluster().RecvEntries == sends }, "peer1 RecvEntries")
+	// A writer counts its batch forwarded after the whole batch is sent,
+	// so the sink can hold every packet a moment before it is counted.
+	fedWaitFor(t, func() bool { return r.servers[1].Stats().Forwarded >= sends }, "peer1 Forwarded")
 	cs0 := r.servers[0].Cluster()
 	if cs0.RemoteEntries != sends {
 		t.Errorf("peer0 RemoteEntries = %d, want %d", cs0.RemoteEntries, sends)

@@ -222,31 +222,12 @@ func (s *Server) sessionWriter(sess *session) {
 	}
 }
 
-// sendAll ships msgs on conn — one vectored write when the connection
-// batches — and returns how many reached the wire. Pooled messages are
-// consumed on every path (the Conn contract); the unsent tail after a
-// per-message error is released here so both transports present the
-// same all-consumed guarantee to the accounting below.
-func sendAll(conn transport.Conn, msgs []wire.Msg) (int, error) {
-	if bs, ok := conn.(transport.BatchSender); ok && len(msgs) > 1 {
-		return bs.SendBatch(msgs)
-	}
-	for i, m := range msgs {
-		if err := conn.Send(m); err != nil {
-			for _, rest := range msgs[i+1:] {
-				wire.ReleaseMsg(rest)
-			}
-			return i, err
-		}
-	}
-	return len(msgs), nil
-}
-
 // writeBatch ships a popped batch to the session's client and settles
-// each entry's accounting: forwarded for entries that reached the wire,
-// abandoned for data entries behind a send error (the session is dying —
-// the caller exits the writer). rows is the writer's scratch for the
-// packet fields recorded after the send, returned for reuse.
+// its accounting in one commit per counter: forwarded for entries that
+// reached the wire, abandoned for data entries behind a send error (the
+// session is dying — the caller exits the writer). rows is the writer's
+// scratch for the packet fields recorded after the send, returned for
+// reuse.
 func (s *Server) writeBatch(sess *session, batch []outMsg, rows []record.Packet) ([]record.Packet, error) {
 	store := s.cfg.Store
 	var t0 time.Time
@@ -275,7 +256,7 @@ func (s *Server) writeBatch(sess *session, batch []outMsg, rows []record.Packet)
 			msgs = append(msgs, m.data)
 		}
 	}
-	sent, err := sendAll(sess.conn, msgs)
+	sent, err := transport.SendAll(sess.conn, msgs)
 	for i := range msgs {
 		msgs[i] = nil // the transport owns (or has retired) every message
 	}
@@ -290,6 +271,7 @@ func (s *Server) writeBatch(sess *session, batch []outMsg, rows []record.Packet)
 		s.hSend.Observe(time.Since(t0))
 		sentAt, shard = int64(s.cfg.Clock.Now()), s.shardOf(sess.id).idx
 	}
+	var forwarded, abandoned uint64
 	r := 0
 	for i := range batch {
 		m := &batch[i]
@@ -304,7 +286,7 @@ func (s *Server) writeBatch(sess *session, batch []outMsg, rows []record.Packet)
 		if i >= sent {
 			// Died between pop and wire: the transport already released
 			// the holder, the ledger still needs the loss recorded.
-			s.mAbandoned.Inc()
+			abandoned++
 			continue
 		}
 		if m.sampled {
@@ -312,12 +294,21 @@ func (s *Server) writeBatch(sess *session, batch []outMsg, rows []record.Packet)
 			s.fid.Recorder().Record(fidelity.EvPktSend, shard, sentAt,
 				fidelity.PacketID(uint32(row.Src), row.Seq), int64(sess.id))
 		}
-		s.mForwarded.Inc()
-		sess.forwarded.Add(1)
+		forwarded++
 		if store != nil {
 			row.At = s.cfg.Clock.Now()
 			store.AddPacket(*row)
 		}
+	}
+	// The batch's counters commit once, before the caller marks it done
+	// (sendQueue.done), so a drain check still never sees a popped entry
+	// unaccounted.
+	if forwarded > 0 {
+		s.mForwarded.Add(forwarded)
+		sess.forwarded.Add(forwarded)
+	}
+	if abandoned > 0 {
+		s.mAbandoned.Add(abandoned)
 	}
 	return rows, err
 }

@@ -8,6 +8,7 @@ package core
 // charged to it.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -89,6 +90,83 @@ func TestSendQueueSettlesBuffers(t *testing.T) {
 	q.push(mk()) // rejected by the closed queue; must free immediately
 	if live := pool.Live(); live != 0 {
 		t.Fatalf("closed-queue push leaked: %d live buffers, want 0", live)
+	}
+}
+
+// cutConn is a client that dies mid-flush: it sends the first keep
+// messages it is given and fails every one after, consuming each either
+// way, as a transport does.
+type cutConn struct {
+	keep, sent int
+}
+
+func (c *cutConn) SendBatch(ms []wire.Msg) (int, error) {
+	n := 0
+	for _, m := range ms {
+		if c.sent < c.keep {
+			c.sent++
+			n++
+		}
+		wire.ReleaseMsg(m)
+	}
+	if n < len(ms) {
+		return n, transport.ErrClosed
+	}
+	return n, nil
+}
+
+func (c *cutConn) Send(m wire.Msg) error {
+	_, err := c.SendBatch([]wire.Msg{m})
+	return err
+}
+
+func (c *cutConn) Recv() (wire.Msg, error) { return nil, transport.ErrClosed }
+func (c *cutConn) Close() error            { return nil }
+func (c *cutConn) Label() string           { return "cut" }
+
+// A flush whose send fails part-way settles the batch in one commit per
+// counter: the data entries that reached the wire are forwarded (the
+// radios notification among them is not a packet), every one behind
+// the failure is abandoned, so forwarded + abandoned is every entry
+// queued, the queue reads drained once the batch is done, and each
+// entry's buffer is released.
+func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
+	srv := newDispatchBench(t, 2, 1)
+	pool := mbuf.NewPool()
+	pool.SetLeakCheck(true)
+	sess := benchSession(1, srv)
+	const packets, keep, noteAt = 40, 17, 5
+	sess.conn = &cutConn{keep: keep}
+	for i := 0; i < packets; i++ {
+		if i == noteAt {
+			sess.q.push(outMsg{kind: outRadios, radios: oneRadio(1, 100)})
+		}
+		b := mbuf.AllocCopy(pool, []byte("cut"))
+		sess.q.push(outMsg{kind: outData, data: wire.AcquireData(wire.Packet{Seq: uint32(i), Payload: b.Bytes(), Buf: b})})
+	}
+	batch, ok := sess.q.popBatch(sess.stop, nil, maxFlushBatch)
+	if !ok || len(batch) != packets+1 {
+		t.Fatalf("popped %d entries (ok=%v), want %d", len(batch), ok, packets+1)
+	}
+	if _, err := srv.writeBatch(sess, batch, nil); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("writeBatch: %v, want ErrClosed", err)
+	}
+	sess.q.done(len(batch))
+	const forwarded = keep - 1 // the notification took one of the sent slots
+	if got := srv.mForwarded.Load(); got != forwarded {
+		t.Errorf("poem_forwarded_total = %d, want %d", got, forwarded)
+	}
+	if got := sess.forwarded.Load(); got != forwarded {
+		t.Errorf("session forwarded = %d, want %d", got, forwarded)
+	}
+	if got := srv.mAbandoned.Load(); got != packets-forwarded {
+		t.Errorf("poem_abandoned_total = %d, want %d", got, packets-forwarded)
+	}
+	if d := sess.q.depth(); d != 0 {
+		t.Errorf("queue depth %d after the batch was done", d)
+	}
+	if live := pool.Live(); live != 0 {
+		t.Errorf("%d pooled buffers live", live)
 	}
 }
 

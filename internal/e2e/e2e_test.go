@@ -300,11 +300,12 @@ func TestManyClientsOverTCP(t *testing.T) {
 			t.Fatalf("heard %d/%d broadcast deliveries", gotCount, want)
 		}
 	}
-	// A writer counts its batch forwarded after the write returns, so the
-	// last client can hear its delivery a moment before the server has
-	// counted it.
+	// A writer counts its batch forwarded after the write returns, and
+	// ingest counts a packet received once it is scheduled, so the last
+	// client can hear its delivery a moment before the server has
+	// counted either.
 	st := d.srv.Stats()
-	for end := time.Now().Add(5 * time.Second); st.Forwarded < uint64(want) && time.Now().Before(end); st = d.srv.Stats() {
+	for end := time.Now().Add(5 * time.Second); (st.Forwarded < uint64(want) || st.Received < uint64(n)) && time.Now().Before(end); st = d.srv.Stats() {
 		time.Sleep(time.Millisecond)
 	}
 	if st.Received != uint64(n) || st.Forwarded != uint64(want) {

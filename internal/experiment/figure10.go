@@ -224,7 +224,7 @@ func Figure10(w io.Writer, cfg Figure10Config) (Figure10Result, error) {
 	res.ExpectedReal = expectedRelayCurve(cfg, loss, rep.RealTime)
 	res.NonRealTime = serialStampCurve(store, flow, cfg)
 	res.MaxDevFromExpected = stats.MaxAbsDiff(res.Experiment, res.ExpectedReal)
-	res.Overhead = overheadFrom(reg)
+	res.Overhead = overheadFrom(reg, srv)
 
 	if w != nil {
 		fmt.Fprintf(w, "Figure 10. Packet loss rate over time (window %v, %d sent, %d delivered)\n",

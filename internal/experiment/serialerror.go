@@ -173,7 +173,7 @@ func serialErrorOnce(n int, cfg SerialErrorConfig) (SerialErrorPoint, error) {
 		count++
 	})
 	pt := SerialErrorPoint{Clients: n, Packets: count, MaxError: max,
-		Overhead: overheadFrom(reg)}
+		Overhead: overheadFrom(reg, srv)}
 	if count > 0 {
 		pt.MeanError = sum / time.Duration(count)
 	}

@@ -28,6 +28,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mbuf"
 	"repro/internal/ring"
@@ -72,6 +73,26 @@ type Conn interface {
 // not sent.
 type BatchSender interface {
 	SendBatch(ms []wire.Msg) (int, error)
+}
+
+// SendAll ships ms on c — in one SendBatch call when c is a BatchSender —
+// and returns how many were sent. Like SendBatch it consumes every
+// pooled message in ms: after a per-message send fails, the unsent tail
+// is released here, so both kinds of connection give the caller the
+// same all-consumed guarantee.
+func SendAll(c Conn, ms []wire.Msg) (int, error) {
+	if bs, ok := c.(BatchSender); ok && len(ms) > 1 {
+		return bs.SendBatch(ms)
+	}
+	for i, m := range ms {
+		if err := c.Send(m); err != nil {
+			for _, rest := range ms[i+1:] {
+				wire.ReleaseMsg(rest)
+			}
+			return i, err
+		}
+	}
+	return len(ms), nil
 }
 
 // DeferredSender is implemented by connections on which a send costs a
@@ -442,15 +463,22 @@ func TCPDialer(addr string) Dialer {
 // pipeDepth bounds each direction of an in-process pipe.
 const pipeDepth = 512
 
-// pipeQueue is one direction of an in-process pipe: a bounded FIFO ring
-// under a mutex. A mutex (rather than a buffered channel) makes the
+// pipeQueue is one direction of an in-process pipe: a bounded FIFO under
+// a mutex. A mutex (rather than a buffered channel) makes the
 // closed-check and the enqueue one atomic step — with two channels in a
 // select, Go may pick the enqueue even when done is also ready, letting
 // a message slip in after the receiver already drained and reported
 // EOF. That stranded message would read as a leak to the mbuf
 // accounting the chaos harness asserts on.
 //
-// The ring grows on use: most connections of a large scene only ever
+// Messages sit in two rings. Senders append to ring, under mu. The
+// receiver — Conn.Recv allows one goroutine — owns out: when out is
+// empty it swaps the two under mu, taking everything queued in one lock,
+// and then returns messages from out with no lock at all. held counts
+// what out still holds, so ring.Len()+held is every message sent and not
+// yet received, and that is what the pipeDepth bound applies to.
+//
+// The rings grow on use: most connections of a large scene only ever
 // carry their handshake and clock sync, and two preallocated 512-slot
 // rings were 16 KiB of pointer-typed memory per connection.
 type pipeQueue struct {
@@ -458,6 +486,15 @@ type pipeQueue struct {
 	cond   sync.Cond
 	ring   ring.Ring[wire.Msg]
 	closed bool
+	// waiters counts senders blocked on a full pipe. A sender counts
+	// itself before it re-checks fullness under mu and waits; the
+	// receiver decrements held before it reads waiters, and takes mu to
+	// wake them only when there are any. One of the two sees the other's
+	// write, so no wake-up is lost and the common receive takes no lock.
+	waiters atomic.Int32
+	held    atomic.Int32 // entries swapped into out that recv has not returned
+
+	out ring.Ring[wire.Msg] // the receiver's alone, but for take's swap under mu
 }
 
 func newPipeQueue() *pipeQueue {
@@ -466,15 +503,31 @@ func newPipeQueue() *pipeQueue {
 	return q
 }
 
-// send enqueues m, blocking while the ring holds pipeDepth messages. It
+// room returns how many messages may enter before the pipe is full.
+// q.mu held.
+func (q *pipeQueue) room() int {
+	return pipeDepth - q.ring.Len() - int(q.held.Load())
+}
+
+// waitRoom blocks until the pipe has room or is closed, and reports
+// whether it has room. q.mu held.
+func (q *pipeQueue) waitRoom() bool {
+	for !q.closed && q.room() <= 0 {
+		q.waiters.Add(1)
+		if q.room() <= 0 { // a recv that missed the count has freed its slot
+			q.cond.Wait()
+		}
+		q.waiters.Add(-1)
+	}
+	return !q.closed
+}
+
+// send enqueues m, blocking while the pipe holds pipeDepth messages. It
 // reports false if the pipe closed (before or while blocked); m was not
 // enqueued.
 func (q *pipeQueue) send(m wire.Msg) bool {
 	q.mu.Lock()
-	for q.ring.Len() == pipeDepth && !q.closed {
-		q.cond.Wait()
-	}
-	if q.closed {
+	if !q.waitRoom() {
 		q.mu.Unlock()
 		return false
 	}
@@ -484,24 +537,64 @@ func (q *pipeQueue) send(m wire.Msg) bool {
 	return true
 }
 
-// recv dequeues the next message, blocking while the ring is empty.
+// sendBatch enqueues ms in order under one lock and returns how many
+// entered: all of them, or fewer if the pipe closed. When the pipe fills
+// it wakes the receiver and waits for room, so it never goes past
+// pipeDepth either.
+func (q *pipeQueue) sendBatch(ms []wire.Msg) int {
+	n := 0
+	q.mu.Lock()
+	for n < len(ms) {
+		if q.room() <= 0 {
+			q.cond.Broadcast() // the receiver may be parked on what is already queued
+		}
+		if !q.waitRoom() {
+			break
+		}
+		for k := min(q.room(), len(ms)-n); k > 0; k-- {
+			*q.ring.Push() = ms[n]
+			n++
+		}
+	}
+	q.mu.Unlock()
+	q.cond.Broadcast()
+	return n
+}
+
+// recv dequeues the next message, blocking while the pipe is empty.
 // After close, queued messages remain readable (matching TCP, where
 // in-flight bytes survive the peer's close); ok=false means closed and
 // drained.
 func (q *pipeQueue) recv() (wire.Msg, bool) {
+	if q.out.Len() == 0 && !q.take() {
+		return nil, false
+	}
+	m := *q.out.At(0)
+	q.out.Drop()
+	q.held.Add(-1)
+	if q.waiters.Load() > 0 {
+		q.mu.Lock()
+		q.cond.Broadcast()
+		q.mu.Unlock()
+	}
+	return m, true
+}
+
+// take moves everything queued into the empty out, blocking while
+// nothing is queued; false means closed and drained. The move frees no
+// room — held takes over what ring counted — so it wakes no sender.
+func (q *pipeQueue) take() bool {
 	q.mu.Lock()
 	for q.ring.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if q.ring.Len() == 0 {
-		q.mu.Unlock()
-		return nil, false
+	n := q.ring.Len()
+	if n > 0 {
+		q.ring, q.out = q.out, q.ring
+		q.held.Store(int32(n))
 	}
-	m := *q.ring.At(0)
-	q.ring.Drop()
 	q.mu.Unlock()
-	q.cond.Broadcast()
-	return m, true
+	return n > 0
 }
 
 func (q *pipeQueue) close() {
@@ -553,6 +646,20 @@ func (p *pipeConn) Send(m wire.Msg) error {
 	return nil
 }
 
+// SendBatch implements BatchSender: the batch enters the pipe in one
+// lock (more only when the pipe fills mid-batch). If the pipe closes, the
+// messages that did not enter are released.
+func (p *pipeConn) SendBatch(ms []wire.Msg) (int, error) {
+	n := p.out.sendBatch(ms)
+	if n == len(ms) {
+		return n, nil
+	}
+	for _, m := range ms[n:] {
+		wire.ReleaseMsg(m)
+	}
+	return n, ErrClosed
+}
+
 func (p *pipeConn) Recv() (wire.Msg, error) {
 	m, ok := p.in.recv()
 	if !ok {
@@ -600,6 +707,13 @@ func (l *poolIngressListener) Addr() string { return l.l.Addr() }
 type poolIngressConn struct {
 	Conn
 	pool *mbuf.Pool
+}
+
+// SendBatch implements BatchSender whatever the wrapped connection is:
+// the embedded Conn alone would hide the wrapped one's batch send from
+// the server's session writers.
+func (c *poolIngressConn) SendBatch(ms []wire.Msg) (int, error) {
+	return SendAll(c.Conn, ms)
 }
 
 func (c *poolIngressConn) Recv() (wire.Msg, error) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mbuf"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -284,6 +285,305 @@ func TestInprocPipeBlocksAtDepthAndKeepsOrder(t *testing.T) {
 	<-done
 }
 
+// queued is every message sent into q and not yet received: what the
+// pipeDepth bound applies to.
+func (q *pipeQueue) queued() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.ring.Len() + int(q.held.Load())
+}
+
+// waitQueued fails the test unless q holds n messages within a few
+// seconds.
+func waitQueued(t *testing.T, q *pipeQueue, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); q.queued() != n; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d messages queued, want %d", q.queued(), n)
+		}
+	}
+}
+
+type batchResult struct {
+	n   int
+	err error
+}
+
+// sendBatchAsync starts c.SendBatch(ms) and returns where its result
+// lands.
+func sendBatchAsync(c Conn, ms []wire.Msg) <-chan batchResult {
+	res := make(chan batchResult, 1)
+	go func() {
+		n, err := c.(BatchSender).SendBatch(ms)
+		res <- batchResult{n, err}
+	}()
+	return res
+}
+
+func syncReqs(from, n int) []wire.Msg {
+	ms := make([]wire.Msg, n)
+	for i := range ms {
+		ms[i] = &wire.SyncReq{TC1: vclock.Time(from + i)}
+	}
+	return ms
+}
+
+// A batch larger than the room left in the pipe enters up to the bound
+// and no further, waits, and completes in order as the reader drains.
+func TestPipeSendBatchWaitsForRoomAndKeepsOrder(t *testing.T) {
+	client, server := Pipe()
+	defer client.Close()
+	const free, batch = 10, 64
+	for _, m := range syncReqs(0, pipeDepth-free) {
+		client.Send(m)
+	}
+	res := sendBatchAsync(client, syncReqs(pipeDepth-free, batch))
+	q := client.(*pipeConn).out
+	waitQueued(t, q, pipeDepth)
+	time.Sleep(5 * time.Millisecond)
+	select {
+	case r := <-res:
+		t.Fatalf("SendBatch returned (%d, %v) with %d of its messages past a full pipe", r.n, r.err, batch-free)
+	default:
+	}
+	if got := q.queued(); got != pipeDepth {
+		t.Fatalf("%d messages queued, want the bound %d", got, pipeDepth)
+	}
+	for i := 0; i < pipeDepth-free+batch; i++ {
+		m, err := server.Recv()
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if got := int(m.(*wire.SyncReq).TC1); got != i {
+			t.Fatalf("recv: got TC1=%d, want %d", got, i)
+		}
+	}
+	select {
+	case r := <-res:
+		if r.n != batch || r.err != nil {
+			t.Fatalf("SendBatch = (%d, %v), want (%d, nil)", r.n, r.err, batch)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SendBatch never returned after the reader drained the pipe")
+	}
+}
+
+// Closing the pipe under a blocked SendBatch returns how many entered
+// with ErrClosed, and releases the pooled messages that did not: once
+// the reader has drained and released what did enter, no buffer is live.
+func TestPipeCloseDuringSendBatchReleasesTail(t *testing.T) {
+	pool := mbuf.NewPool()
+	pool.SetLeakCheck(true)
+	client, server := Pipe()
+	const free, batch = 10, 64
+	for _, m := range syncReqs(0, pipeDepth-free) {
+		client.Send(m)
+	}
+	ms := make([]wire.Msg, batch)
+	for i := range ms {
+		buf := mbuf.AllocCopy(pool, []byte("tail"))
+		ms[i] = wire.AcquireData(wire.Packet{Seq: uint32(i), Payload: buf.Bytes(), Buf: buf})
+	}
+	res := sendBatchAsync(client, ms)
+	waitQueued(t, client.(*pipeConn).out, pipeDepth)
+	client.Close()
+	select {
+	case r := <-res:
+		if r.n != free || !errors.Is(r.err, ErrClosed) {
+			t.Fatalf("SendBatch = (%d, %v), want (%d, ErrClosed)", r.n, r.err, free)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unblock SendBatch")
+	}
+	if live := pool.Live(); live != free {
+		t.Fatalf("%d pooled buffers live, want the %d that entered the pipe", live, free)
+	}
+	received := 0
+	for {
+		m, err := server.Recv()
+		if err != nil {
+			break
+		}
+		received++
+		wire.ReleaseMsg(m)
+	}
+	if received != pipeDepth {
+		t.Fatalf("drained %d messages after close, want %d", received, pipeDepth)
+	}
+	if live := pool.Live(); live != 0 {
+		t.Fatalf("%d pooled buffers live after the drain", live)
+	}
+}
+
+// A reader that has taken everything queued into its own ring and
+// returned none of it still holds pipeDepth messages: a sender blocks
+// until Recv returns one, and that Recv wakes it.
+func TestPipeHeldEntriesCountTowardDepth(t *testing.T) {
+	client, server := Pipe()
+	defer client.Close()
+	for _, m := range syncReqs(0, pipeDepth) {
+		client.Send(m)
+	}
+	q := client.(*pipeConn).out
+	if !q.take() {
+		t.Fatal("take found nothing queued")
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- client.Send(&wire.SyncReq{TC1: pipeDepth}) }()
+	select {
+	case err := <-sent:
+		t.Fatalf("a send returned (%v) while the reader held %d messages", err, pipeDepth)
+	case <-time.After(20 * time.Millisecond):
+	}
+	for i := 0; i <= pipeDepth; i++ {
+		m, err := server.Recv()
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if got := int(m.(*wire.SyncReq).TC1); got != i {
+			t.Fatalf("recv: got TC1=%d, want %d", got, i)
+		}
+		if i == 0 {
+			select {
+			case err := <-sent:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the blocked sender was never woken by the Recv that freed a slot")
+			}
+		}
+	}
+}
+
+// Four senders, two sending one message at a time and two in batches of
+// every size up to a flush, against one reader that pauses often enough
+// for the pipe to fill: each sender's messages arrive in its order, and
+// every blocked sender is woken (the test fails on a deadline, not a
+// hang).
+func TestPipeConcurrentBatchSendersKeepOrder(t *testing.T) {
+	client, server := Pipe()
+	defer client.Close()
+	const senders, per = 4, 3000
+	for s := 0; s < senders; s++ {
+		go func(s int) {
+			msg := func(i int) wire.Msg { return &wire.Data{Pkt: wire.Packet{Flow: uint16(s), Seq: uint32(i)}} }
+			for i := 0; i < per; {
+				if s%2 == 0 {
+					if client.Send(msg(i)) != nil {
+						return
+					}
+					i++
+					continue
+				}
+				k := min(1+(i*7+s)%64, per-i)
+				ms := make([]wire.Msg, k)
+				for j := range ms {
+					ms[j] = msg(i + j)
+				}
+				if _, err := client.(BatchSender).SendBatch(ms); err != nil {
+					return
+				}
+				i += k
+			}
+		}(s)
+	}
+	done := make(chan error, 1)
+	var received atomic.Int64
+	go func() {
+		next := make([]uint32, senders)
+		for received.Load() < senders*per {
+			m, err := server.Recv()
+			if err != nil {
+				done <- err
+				return
+			}
+			d := m.(*wire.Data)
+			if d.Pkt.Seq != next[d.Pkt.Flow] {
+				done <- fmt.Errorf("sender %d: got seq %d, want %d", d.Pkt.Flow, d.Pkt.Seq, next[d.Pkt.Flow])
+				return
+			}
+			next[d.Pkt.Flow]++
+			if received.Add(1)%500 == 0 {
+				time.Sleep(200 * time.Microsecond) // let the senders fill the pipe
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("received %d of %d messages in 30 s: a wake-up was lost", received.Load(), senders*per)
+	}
+}
+
+// The server's session writers find a connection's batch send through
+// the BatchSender interface; PoolIngress must not hide the pipe's. A
+// batch sent through the wrapper arrives in order.
+func TestPoolIngressKeepsBatchSend(t *testing.T) {
+	pool := mbuf.NewPool()
+	inproc := NewInprocListener()
+	defer inproc.Close()
+	l := PoolIngress(inproc, pool)
+	client, err := inproc.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, ok := server.(BatchSender)
+	if !ok {
+		t.Fatalf("%T is not a BatchSender: PoolIngress hides the pipe's batch send", server)
+	}
+	const batch = 64
+	if n, err := bs.SendBatch(syncReqs(0, batch)); n != batch || err != nil {
+		t.Fatalf("SendBatch = (%d, %v), want (%d, nil)", n, err, batch)
+	}
+	for i := 0; i < batch; i++ {
+		m, err := client.Recv()
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if got := int(m.(*wire.SyncReq).TC1); got != i {
+			t.Fatalf("recv: got TC1=%d, want %d", got, i)
+		}
+	}
+}
+
+// Over a connection with no batch send, SendAll sends one message at a
+// time and, after a failure, releases the tail it did not send.
+func TestSendAllReleasesTailAfterFailure(t *testing.T) {
+	pool := mbuf.NewPool()
+	pool.SetLeakCheck(true)
+	client, server := Pipe()
+	f := NewFaulty(client, 1)
+	f.FailAfter = 3
+	ms := make([]wire.Msg, 8)
+	for i := range ms {
+		buf := mbuf.AllocCopy(pool, []byte("each"))
+		ms[i] = wire.AcquireData(wire.Packet{Seq: uint32(i), Payload: buf.Bytes(), Buf: buf})
+	}
+	if n, err := SendAll(f, ms); n != 3 || !errors.Is(err, ErrClosed) {
+		t.Fatalf("SendAll = (%d, %v), want (3, ErrClosed)", n, err)
+	}
+	for {
+		m, err := server.Recv()
+		if err != nil {
+			break
+		}
+		wire.ReleaseMsg(m)
+	}
+	if live := pool.Live(); live != 0 {
+		t.Fatalf("%d pooled buffers live", live)
+	}
+}
+
 func TestListenerCloseUnblocksAccept(t *testing.T) {
 	l := NewInprocListener()
 	errc := make(chan error, 1)
@@ -488,4 +788,30 @@ func BenchmarkTransports(b *testing.B) {
 		<-accepted
 		bench(b, client, server)
 	})
+}
+
+// BenchmarkPipeBatchRoundTrip is one session-writer flush across the
+// in-process pipe: one 64-message SendBatch, then the 64 Recvs that
+// take it. Once the pipe's two rings have grown to a batch it allocates
+// nothing.
+func BenchmarkPipeBatchRoundTrip(b *testing.B) {
+	client, server := Pipe()
+	defer client.Close()
+	bs := server.(BatchSender)
+	ms := make([]wire.Msg, 64)
+	for i := range ms {
+		ms[i] = &wire.Data{Pkt: wire.Packet{Src: 1, Dst: 2, Seq: uint32(i), Payload: make([]byte, 64)}}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bs.SendBatch(ms); err != nil {
+			b.Fatal(err)
+		}
+		for range ms {
+			if _, err := client.Recv(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

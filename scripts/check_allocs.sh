@@ -161,6 +161,28 @@ echo "$TRUNK" | awk -v budget="$BUDGET" '
 
 echo "trunk alloc gate: OK (batch send within ${BUDGET} allocs/op, encode and deferred sends allocation-free)"
 
+# A session writer's flush crosses the in-process pipe as one unit: one
+# 64-message SendBatch, then the 64 Recvs that take it. The pipe's two
+# rings grow to a batch in the first iterations and then stay, so a
+# round trip allocates nothing.
+PIPE=$(go test -run='^$' -bench='PipeBatchRoundTrip' -benchmem -benchtime=2000x ./internal/transport)
+echo "$PIPE"
+
+echo "$PIPE" | awk '
+	/allocs\/op/ {
+		seen = 1
+		for (i = 2; i < NF; i++) {
+			if ($(i+1) == "allocs/op" && $i + 0 > 0) {
+				printf "FAIL: %s measured %s allocs/op, budget 0\n", $1, $i
+				bad = 1
+			}
+		}
+	}
+	END { exit bad || !seen }
+' || { echo "pipe batch alloc gate: FAILED (a 64-message flush across the pipe must be allocation-free)"; exit 1; }
+
+echo "pipe batch alloc gate: OK (a 64-message flush across the pipe allocation-free)"
+
 # The emulation client's TCP send path defers its writes: a burst of
 # SendDeferred calls appends to the connection's pending buffer and one
 # transient flusher goroutine writes it. Starting that goroutine (one

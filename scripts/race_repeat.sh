@@ -24,11 +24,14 @@ go test ./internal/transport -count=10 -race -run 'TestTrunk'
 go test ./internal/core -count=10 -race -run 'TestClusterStatsReadTheTrunkLedger|TestRouteRemote|TestSendQueueMatchesOracle'
 
 # Bounded FIFO rings: the in-process pipe blocks its sender at its
-# depth and keeps order, the gateway's egress queue evicts its oldest
+# depth and keeps order — one message or a batch at a time, with the
+# messages its reader has taken but not returned counted in the depth,
+# no blocked sender's wake-up lost and the unsent tail of a batch
+# released at close —, the gateway's egress queue evicts its oldest
 # entry at its bound (a power of two and not), and a datagram loops
 # through a gateway. The send queue's ring tests run with the trunk and
 # fired-batch groups.
-go test ./internal/transport -count=10 -race -run 'TestInprocPipeBlocksAtDepthAndKeepsOrder'
+go test ./internal/transport -count=10 -race -run 'TestInprocPipeBlocksAtDepthAndKeepsOrder|TestPipeSendBatchWaitsForRoomAndKeepsOrder|TestPipeCloseDuringSendBatchReleasesTail|TestPipeHeldEntriesCountTowardDepth|TestPipeConcurrentBatchSendersKeepOrder|TestPoolIngressKeepsBatchSend'
 go test ./internal/gateway -count=10 -race -run 'TestEgressQueueDropOldest|TestGatewayLoopback'
 
 # Scene replication: the journal ring and its snapshots, the one
