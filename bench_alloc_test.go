@@ -6,7 +6,7 @@ package repro
 // the bench reports what the allocation numbers actually buy — GC
 // cycles and total stop-the-world pause accumulated per operation.
 // BENCH_alloc.json records the gate: allocs/op on the fan-out path
-// must stay ≤ 2 (scripts/check_allocs.sh enforces it in CI).
+// must stay ≤ 2 (TestAllocGateFanout).
 
 import (
 	"fmt"
@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gatetest"
 	"repro/internal/geom"
 	"repro/internal/mbuf"
 	"repro/internal/radio"
@@ -22,6 +23,16 @@ import (
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
+
+// The bound of 2 leaves room for pool misses; 100 iterations warm the
+// pools, where the first packet of a class pays its heap allocation.
+func TestAllocGateFanout(t *testing.T) {
+	for _, bench := range []string{"AllocFanout", "SessionQueueFanout"} {
+		for _, shards := range []string{"/shards=1", "/shards=4"} {
+			gatetest.Allocs(t, bench+shards, 100, 2)
+		}
+	}
+}
 
 func BenchmarkAllocFanout(b *testing.B) {
 	for _, shards := range []int{1, 4} {

@@ -42,8 +42,7 @@ func main() {
 	var (
 		listenAddr  = flag.String("listen", "127.0.0.1:7000", "client listen address")
 		controlAddr = flag.String("control", "127.0.0.1:7001", "control listen address (empty to disable)")
-		recordPath  = flag.String("record", "", "write the recording here on shutdown (the -wal format)")
-		walPath     = flag.String("wal", "", "stream the recording here as it happens (crash-safe)")
+		recordPath  = flag.String("record", "", "stream the recording here as it happens (crash-safe)")
 		scenePath   = flag.String("scene", "", "scenario script to load and run")
 		scale       = flag.Float64("scale", 1, "emulation time scale (2 = twice real time)")
 		tick        = flag.Duration("tick", 100*time.Millisecond, "mobility tick (emulated time)")
@@ -108,20 +107,20 @@ func main() {
 			st, len(d.Events))
 	})
 
-	var wal *record.LogWriter
-	if *walPath != "" {
-		f, err := os.Create(*walPath)
+	var rec *record.LogWriter
+	if *recordPath != "" {
+		f, err := os.Create(*recordPath)
 		if err != nil {
 			log.Fatalf("poemd: %v", err)
 		}
-		wal, err = record.NewLogWriter(f)
+		rec, err = record.NewLogWriter(f)
 		if err != nil {
 			log.Fatalf("poemd: %v", err)
 		}
-		if err := store.Attach(wal); err != nil {
+		if err := store.Attach(rec); err != nil {
 			log.Fatalf("poemd: %v", err)
 		}
-		log.Printf("poemd: streaming recording to %s", *walPath)
+		log.Printf("poemd: streaming recording to %s", *recordPath)
 	}
 
 	region := geom.R(0, 0, 1000, 1000)
@@ -192,7 +191,7 @@ func main() {
 
 	// The debug endpoint's scrape handlers read the registry and the
 	// flight recorder; serveDone gates them so a late scrape answers 503 instead of racing
-	// the store/WAL teardown below.
+	// the store/recording teardown below.
 	var dbg *obs.DebugServer
 	if *debugAddr != "" {
 		dbg, err = obs.ListenDebug(*debugAddr, obs.Handler(reg, serveDone,
@@ -242,7 +241,7 @@ func main() {
 	// server's sessions/scanner), wait for Serve to return — which also
 	// closes the serveDone gate, flipping the debug scrape endpoints to
 	// 503 — then stop every operator listener (control, debug) so no
-	// handler can touch the store once the WAL sync/close below begins.
+	// handler can touch the store once the recording's sync/close below begins.
 	close(stopScript)
 	if gw != nil {
 		// The gateway holds client sessions on the listener below; close
@@ -266,23 +265,13 @@ func main() {
 		}
 	}
 
-	if wal != nil {
+	if rec != nil {
 		if err := store.Sync(); err != nil {
-			log.Printf("poemd: wal sync: %v", err)
+			log.Printf("poemd: recording sync: %v", err)
 		}
-		if err := wal.Close(); err != nil {
-			log.Printf("poemd: wal close: %v", err)
+		if err := rec.Close(); err != nil {
+			log.Printf("poemd: recording close: %v", err)
 		}
-	}
-	if *recordPath != "" {
-		f, err := os.Create(*recordPath)
-		if err != nil {
-			log.Fatalf("poemd: %v", err)
-		}
-		if err := store.Save(f); err != nil {
-			log.Fatalf("poemd: save: %v", err)
-		}
-		f.Close()
 		fmt.Printf("recording: %d packet records, %d scene records → %s\n",
 			store.PacketCount(), store.SceneCount(), *recordPath)
 	}

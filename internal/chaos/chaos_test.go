@@ -75,7 +75,7 @@ func runSeed(t *testing.T, seed int64, shards int) {
 	}
 	requireHeld(t, rep.Outcome, rep.Failure())
 	if rep.Deliveries == 0 {
-		t.Fatalf("seed %d: scenario delivered no packets — invariants held vacuously", seed)
+		t.Fatalf("seed %d: scenario delivered no packets — invariants held vacuously\n%s", seed, rep.Failure())
 	}
 }
 

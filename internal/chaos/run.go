@@ -28,10 +28,14 @@ type Report struct {
 	// CrossPeer counts deliveries received over trunks, TrunkDropped those
 	// dropped on trunks a partition took down (zero below two peers).
 	CrossPeer, TrunkDropped uint64
+	// Sums are the world's packet sums at the end of the run, summed over
+	// the peers: with them a host that sent nothing can be told from a
+	// pipeline that lost everything.
+	Sums string
 }
 
 // Failure renders a failing run for the test log: the violations, the
-// reproduction command, and the tail of the event log.
+// reproduction command, the packet sums and the tail of the event log.
 func (r Report) Failure() string {
 	what, test := "chaos", "TestChaos"
 	if n := r.Schedule.Cfg.Peers; n >= 2 {
@@ -40,6 +44,9 @@ func (r Report) Failure() string {
 	}
 	var b strings.Builder
 	b.WriteString(r.failure(what+" (schedule digest "+r.Digest[:16]+")", test))
+	if r.Sums != "" {
+		fmt.Fprintf(&b, "packet sums: %s\n", r.Sums)
+	}
 	lines := r.Schedule.Lines()
 	tail := 30
 	if len(lines) < tail {
@@ -111,6 +118,9 @@ func Run(cfg Config) (rep Report) {
 	// invariants before teardown.
 	r.finalChecks()
 	rep.Deliveries = int(r.sunk())
+	st := r.stats()
+	rep.Sums = fmt.Sprintf("wired %d, received %d, entered %d, forwarded %d, dropped %d, no-route %d, sunk %d",
+		r.wired(), st.Received, st.Entered, st.Forwarded, st.Dropped, st.NoRoute, rep.Deliveries)
 	if len(r.peers) > 1 {
 		t := r.trunks()
 		rep.CrossPeer, rep.TrunkDropped = t.RecvEntries, t.TrunkDropped

@@ -477,13 +477,14 @@ func (w *world) stallStorm(clk *vclock.StallClock, sender *core.Client, flow uin
 	return true
 }
 
-// stats sums the ingress and egress counters settle balances, and the
-// link-model drops a recording replays, across the peers; every other
-// field of the result is zero.
+// stats sums, across the peers, the ingress and egress counters settle
+// balances, the schedule's entries and the link-model drops a recording
+// replays; every other field of the result is zero.
 func (w *world) stats() (sum core.ServerStats) {
 	for _, p := range w.peers {
 		st := p.srv.Stats()
 		sum.Received += st.Received
+		sum.Entered += st.Entered
 		sum.Forwarded += st.Forwarded
 		sum.Dropped += st.Dropped
 		sum.NoRoute += st.NoRoute

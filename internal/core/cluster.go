@@ -376,18 +376,6 @@ func (cl *cluster) routeRemote(sess *session, pkt wire.Packet, targets []sched.T
 // ---------------------------------------------------------------------------
 // Inbound: trunk ingress
 
-// asTrunkHello matches the trunk handshake in both its decoded-pointer
-// (TCP) and by-value (in-process pipe) forms.
-func asTrunkHello(m wire.Msg) (*wire.TrunkHello, bool) {
-	switch v := m.(type) {
-	case *wire.TrunkHello:
-		return v, true
-	case wire.TrunkHello:
-		return &v, true
-	}
-	return nil, false
-}
-
 func (cl *cluster) addConn(c transport.Conn) {
 	cl.connMu.Lock()
 	cl.conns[c] = struct{}{}

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gatetest"
 	"repro/internal/geom"
 	"repro/internal/radio"
 	"repro/internal/scene"
@@ -157,15 +158,19 @@ func TestIngestSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+func TestAllocGateDeliverFiredBatch(t *testing.T) {
+	gatetest.Allocs(t, "DeliverFiredBatch", 2000, 0)
+}
+
 // BenchmarkDeliverFiredBatch measures the scanner's hand-off of one
 // fired broadcast: a 36-receiver batch — storm_inproc's fan — through
 // the shard's fire callback into 36 sessions whose writers drain as
 // fast as they can, releasing each popped holder of the fan's one
 // shared wrapper as a send would. One shard read lock resolves the
 // batch, and each delivery takes its session's queue lock once. ns/op
-// and allocs/op are per batch; scripts/check_allocs.sh gates allocs/op
-// at 0, so the session scratch, the queue rings and the wrapper pool
-// must stop growing once warm:
+// and allocs/op are per batch; TestAllocGateDeliverFiredBatch gates
+// allocs/op at 0, so the session scratch, the queue rings and the
+// wrapper pool must stop growing once warm:
 //
 //	go test ./internal/core -run='^$' -bench=DeliverFiredBatch -benchmem
 func BenchmarkDeliverFiredBatch(b *testing.B) {

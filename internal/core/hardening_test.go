@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/mbuf"
 	"repro/internal/radio"
 	"repro/internal/scene"
 	"repro/internal/transport"
@@ -67,6 +68,42 @@ func TestServerRejectsDataBeforeHello(t *testing.T) {
 	}
 	if !strings.Contains(bye.Reason, "Hello") {
 		t.Errorf("Bye reason: %q", bye.Reason)
+	}
+}
+
+// Only a decoded *wire.TrunkHello opens a trunk: a by-value one, which
+// no sender makes, is an ordinary non-Hello first message. It gets the
+// Hello-first Bye and leaves no pooled buffer behind.
+func TestServerRejectsTrunkHelloByValue(t *testing.T) {
+	clk := vclock.NewManual(0)
+	srv, err := NewServer(ServerConfig{Clock: clk, Scene: scene.New(radio.NewIndexed(250), clk, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := mbuf.NewPool()
+	lis := transport.NewInprocListener()
+	done := make(chan struct{})
+	go func() { defer close(done); srv.Serve(transport.PoolIngress(lis, pool)) }()
+	conn, err := lis.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(wire.TrunkHello{Ver: wire.Version}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bye, ok := m.(*wire.Bye); !ok || !strings.Contains(bye.Reason, "expected Hello") {
+		t.Fatalf("got %#v, want the expected-Hello Bye", m)
+	}
+	conn.Close()
+	lis.Close()
+	srv.Close()
+	<-done
+	if live := pool.Live(); live != 0 {
+		t.Fatalf("%d pooled buffers still live", live)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
 	"repro/internal/sched"
 	"repro/internal/transport"
@@ -228,19 +227,6 @@ func (s *Server) ShardStats() []ShardStat {
 
 // Shards returns how many independent pipeline shards the server runs.
 func (s *Server) Shards() int { return len(s.shards) }
-
-// HealthOf returns the real-time health state governing traffic for
-// node: the worse of its owning shard's state and the server-wide
-// state. The real-traffic gateway's backpressure policy keys off this
-// view — a node's ingress is shed when either its own pipeline shard or
-// the server as a whole has fallen behind real time.
-func (s *Server) HealthOf(node radio.NodeID) fidelity.State {
-	st := s.fid.State()
-	if sh := s.fid.Shard(ShardIndex(node, len(s.shards))).State(); sh > st {
-		st = sh
-	}
-	return st
-}
 
 // SetDeliverHook installs (or, with nil, removes) a callback observing
 // every schedule departure in fire order, on the firing shard's scanner

@@ -6,8 +6,8 @@ package core
 // (the scene gives every node a radio, as a storm's sessions have),
 // shipped by the session's writer. The pipes, scene nodes and Hello
 // messages are made before the timer starts, so B/op and allocs/op are
-// the server's side alone. scripts/check_allocs.sh gates B/op so
-// per-session state cannot creep back:
+// the server's side alone. TestAllocGateRegisterInprocSession gates
+// B/op so per-session state cannot creep back:
 //
 //	go test ./internal/core -run='^$' -bench=RegisterInprocSession -benchmem -benchtime=2000x
 
@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/gatetest"
 	"repro/internal/geom"
 	"repro/internal/radio"
 	"repro/internal/scene"
@@ -22,6 +23,14 @@ import (
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
+
+// The bound is the 1 906 B/op read once the link-model dice became
+// counter-based (8 978 before), rounded up to a KiB; since the queues
+// moved to ring.Ring it reads 1 681–1 682. A fresh process at one count:
+// later counts reuse exited goroutines and read ≈ 480 B lower.
+func TestAllocGateRegisterInprocSession(t *testing.T) {
+	gatetest.Bytes(t, "RegisterInprocSession", 2000, 2048)
+}
 
 func BenchmarkRegisterInprocSession(b *testing.B) {
 	clk := vclock.NewManual(0)

@@ -92,7 +92,7 @@ func (s *Server) handle(conn transport.Conn) {
 		conn.Close()
 		return
 	}
-	if th, ok := asTrunkHello(first); ok {
+	if th, ok := first.(*wire.TrunkHello); ok {
 		if cl := s.cluster; cl != nil {
 			cl.serveTrunk(conn, th)
 		} else {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gatetest"
 	"repro/internal/geom"
 	"repro/internal/radio"
 	"repro/internal/scene"
@@ -86,7 +87,7 @@ const stackFootprintChild = "POEM_TEST_STACK_FOOTPRINT"
 // the stacks its last collection scanned, so in a process that has run
 // other tests (or this one at -count 2) the sessions can start at 4 KiB.
 func TestSessionStackFootprint(t *testing.T) {
-	if raceEnabled {
+	if gatetest.Race {
 		t.Skip("the race detector's instrumentation grows every stack")
 	}
 	if testing.Short() {

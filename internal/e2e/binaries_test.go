@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -74,6 +75,53 @@ func freePort(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// start runs one of the built binaries until the test ends, logging its
+// output if the test failed.
+func start(t *testing.T, name string, args ...string) (*exec.Cmd, *syncBuffer) {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(binaries(t), name), args...)
+	out := new(syncBuffer)
+	cmd.Stdout, cmd.Stderr = out, out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		stop(cmd)
+		if t.Failed() {
+			t.Logf("%s log:\n%s", name, out.String())
+		}
+	})
+	return cmd, out
+}
+
+// stop interrupts cmd and waits for it, killing it if it has not exited
+// 5 s later. A second stop returns at once.
+func stop(cmd *exec.Cmd) {
+	cmd.Process.Signal(os.Interrupt)
+	done := make(chan struct{})
+	go func() { cmd.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		cmd.Process.Kill()
+		<-done
+	}
+}
+
+// waitListening waits up to 10 s for addr to accept a connection.
+func waitListening(t *testing.T, addr string, log *syncBuffer) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if conn, err := net.Dial("tcp", addr); err == nil {
+			conn.Close()
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never came up:\n%s", addr, log.String())
+		}
+	}
+}
+
 // TestBinariesEndToEnd runs the shipped executables the way the README
 // shows: poemd up, scene built via poemctl, two poem-client instances
 // exchanging a routed message, recording replayed with poem-replay.
@@ -84,32 +132,10 @@ func TestBinariesEndToEnd(t *testing.T) {
 	bins := binaries(t)
 	clientAddr := freePort(t)
 	controlAddr := freePort(t)
-	walPath := filepath.Join(t.TempDir(), "run.poem")
+	recPath := filepath.Join(t.TempDir(), "run.poem")
 
-	daemon := exec.Command(filepath.Join(bins, "poemd"),
-		"-listen", clientAddr, "-control", controlAddr,
-		"-wal", walPath, "-scale", "4")
-	var dlog bytes.Buffer
-	daemon.Stdout = &dlog
-	daemon.Stderr = &dlog
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		daemon.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { daemon.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			daemon.Process.Kill()
-			<-done
-		}
-		if t.Failed() {
-			t.Logf("poemd log:\n%s", dlog.String())
-		}
-	}()
-
+	daemon, dlog := start(t, "poemd", "-listen", clientAddr, "-control", controlAddr,
+		"-record", recPath, "-scale", "4")
 	ctl := func(args ...string) string {
 		out, err := exec.Command(filepath.Join(bins, "poemctl"),
 			append([]string{"-server", controlAddr}, args...)...).CombinedOutput()
@@ -118,18 +144,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 		}
 		return string(out)
 	}
-	// Wait for the control port to come up.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if conn, err := net.Dial("tcp", controlAddr); err == nil {
-			conn.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("poemd control never came up:\n%s", dlog.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitListening(t, controlAddr, dlog)
 
 	if out := ctl("add", "1", "pos", "100,100", "radio", "ch=1", "range=200"); !strings.Contains(out, "ok") {
 		t.Fatalf("add 1: %q", out)
@@ -217,16 +232,18 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 	in1, in2 := c1.stdin, c2.stdin
 
-	// Quit the clients, stop the daemon, replay the WAL.
+	// Quit the clients, stop the daemon, replay the recording.
 	fmt.Fprintln(in1, "quit")
 	fmt.Fprintln(in2, "quit")
 	c1.cmd.Wait()
 	c2.cmd.Wait()
-	daemon.Process.Signal(os.Interrupt)
-	daemon.Wait()
+	stop(daemon)
+	if !strings.Contains(dlog.String(), "recording: ") {
+		t.Errorf("poemd printed no recording line:\n%s", dlog.String())
+	}
 
 	out, err := exec.Command(filepath.Join(bins, "poem-replay"),
-		"-in", walPath, "-step", "2s", "-w", "40", "-h", "8").CombinedOutput()
+		"-in", recPath, "-step", "2s", "-w", "40", "-h", "8").CombinedOutput()
 	if err != nil {
 		t.Fatalf("poem-replay: %v\n%s", err, out)
 	}
@@ -235,7 +252,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 	// The energy report runs off the same recording.
 	out, err = exec.Command(filepath.Join(bins, "poem-replay"),
-		"-in", walPath, "-energy").CombinedOutput()
+		"-in", recPath, "-energy").CombinedOutput()
 	if err != nil {
 		t.Fatalf("poem-replay -energy: %v\n%s", err, out)
 	}
@@ -274,40 +291,9 @@ func TestPoemGatewayBinary(t *testing.T) {
 	controlAddr := freePort(t)
 	debugAddr := freePort(t)
 
-	daemon := exec.Command(filepath.Join(bins, "poemd"),
-		"-listen", clientAddr, "-control", controlAddr,
+	_, dlog := start(t, "poemd", "-listen", clientAddr, "-control", controlAddr,
 		"-debug", debugAddr, "-scale", "4")
-	var dlog bytes.Buffer
-	daemon.Stdout = &dlog
-	daemon.Stderr = &dlog
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		daemon.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { daemon.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			daemon.Process.Kill()
-			<-done
-		}
-		if t.Failed() {
-			t.Logf("poemd log:\n%s", dlog.String())
-		}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if conn, err := net.Dial("tcp", controlAddr); err == nil {
-			conn.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("poemd control never came up:\n%s", dlog.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitListening(t, controlAddr, dlog)
 	for _, args := range [][]string{
 		{"add", "1", "pos", "100,100", "radio", "ch=1", "range=200"},
 		{"add", "2", "pos", "220,100", "radio", "ch=1", "range=200"},
@@ -333,35 +319,14 @@ func TestPoemGatewayBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gwCmd := exec.Command(filepath.Join(bins, "poem-gateway"),
-		"-map", mapPath, "-server", clientAddr, "-scale", "4",
+	_, glog := start(t, "poem-gateway", "-map", mapPath, "-server", clientAddr, "-scale", "4",
 		"-healthz", "http://"+debugAddr+"/healthz", "-poll", "100ms")
-	var glog syncBuffer
-	gwCmd.Stdout = &glog
-	gwCmd.Stderr = &glog
-	if err := gwCmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		gwCmd.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { gwCmd.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			gwCmd.Process.Kill()
-			<-done
-		}
-		if t.Failed() {
-			t.Logf("poem-gateway log:\n%s", glog.String())
-		}
-	}()
 
 	// The binary logs each binding's bound socket; node 1's is where the
 	// "application" sends its datagrams.
 	addrRe := regexp.MustCompile(`poem-gateway: ([0-9.]+:[0-9]+) ↔ node 1 `)
 	var gwAddr string
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for gwAddr == "" {
 		if m := addrRe.FindStringSubmatch(glog.String()); m != nil {
 			gwAddr = m[1]
@@ -401,6 +366,80 @@ func TestPoemGatewayBinary(t *testing.T) {
 			t.Fatalf("datagram never crossed the emulation:\ngateway log:\n%s\npoemd log:\n%s",
 				glog.String(), dlog.String())
 		}
+	}
+}
+
+// metricFamilies is every metric family poemd registers.
+var metricFamilies = strings.Fields(`
+	poem_received_total poem_forwarded_total poem_dropped_total poem_noroute_total
+	poem_queue_drops_total poem_stamp_clamped_total poem_clients poem_scheduled
+	poem_clock_seconds poem_ingest_ns poem_dispatch_ns poem_enqueue_ns poem_send_ns
+	poem_deliver_lag_ns poem_scene_nodes poem_scene_view_rebuilds_total poem_scene_tick_ns
+	poem_scene_rows_republished_total poem_record_packets_total poem_record_scenes_total
+	poem_record_batch_commits_total poem_record_log_dropped_total poem_health
+	poem_health_breaches_total poem_flight_recorder_events_total poem_shard_health
+	poem_shard_deadline_miss_total poem_shard_deadline_lag_ns poem_shard_deadline_watermark_ns
+	poem_shard_deadline_drift_ns poem_cluster_remote_entries_total
+	poem_cluster_trunk_dropped_total poem_cluster_trunk_pending_entries
+	poem_cluster_recv_entries_total poem_cluster_staleness_last_ns poem_cluster_peer_health
+	poem_cluster_applied_seq poem_cluster_scene_snapshots_total poem_cluster_scene_divergence
+	poem_cluster_info poem_cluster_self poem_cluster_coordinator poem_cluster_peer_trunk_up
+	poem_cluster_peer_trunk_entries_total poem_cluster_peer_trunk_frames_total
+	poem_cluster_peer_trunk_dropped_total poem_cluster_peer_trunk_pending_entries
+	poem_cluster_peer_trunk_reconnects_total poem_cluster_peer_trunk_dial_failures_total
+	poem_cluster_peer_digest_diverged poem_shard_queue_depth poem_shard_fire_batches_total`)
+
+// TestMetricsSmoke runs a two-peer federation of poemd, the first with
+// -debug, and checks its operator surface: a sample of every registered
+// family on /metrics and from `poemctl stats` (the same registry), no
+// NaN in either, and the shape of /trace (the sampled packet
+// lifecycles), /healthz and /fidelity/trace.
+func TestMetricsSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	peers := []string{freePort(t), freePort(t)}
+	control, debug := freePort(t), freePort(t)
+	_, dlog := start(t, "poemd", "-listen", peers[0], "-control", control, "-debug", debug,
+		"-peer", strings.Join(peers, ","), "-peer-self", "0")
+	start(t, "poemd", "-listen", peers[1], "-control", freePort(t),
+		"-peer", strings.Join(peers, ","), "-peer-self", "1")
+	waitListening(t, debug, dlog)
+	waitListening(t, control, dlog)
+	get := func(path string) string {
+		resp, err := http.Get("http://" + debug + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s %v\n%s", path, resp.Status, err, body)
+		}
+		return string(body)
+	}
+	stats, err := exec.Command(filepath.Join(binaries(t), "poemctl"), "-server", control, "stats").CombinedOutput()
+	if err != nil {
+		t.Fatalf("poemctl stats: %v\n%s", err, stats)
+	}
+	for src, text := range map[string]string{"/metrics": get("/metrics"), "poemctl stats": string(stats)} {
+		for _, name := range metricFamilies {
+			if !strings.HasPrefix(text, name) && !strings.Contains(text, "\n"+name) {
+				t.Errorf("%s: missing metric %s", src, name)
+			}
+		}
+		if strings.Contains(text, "NaN") {
+			t.Errorf("%s renders a NaN value:\n%s", src, text)
+		}
+	}
+	if trace := get("/trace"); !strings.HasPrefix(trace, "[") {
+		t.Errorf("/trace did not answer a JSON array: %s", trace)
+	}
+	if health := get("/healthz"); !regexp.MustCompile(`(?s)"state".*"shards"`).MatchString(health) {
+		t.Errorf("/healthz did not answer a health report: %s", health)
+	}
+	if fid := get("/fidelity/trace"); !strings.Contains(fid, `"traceEvents"`) {
+		t.Errorf("/fidelity/trace did not answer tracing JSON: %s", fid)
 	}
 }
 

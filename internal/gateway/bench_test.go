@@ -3,15 +3,22 @@ package gateway
 import (
 	"testing"
 
+	"repro/internal/gatetest"
 	"repro/internal/wire"
 )
+
+// Ingress carries real socket traffic into the emulation: peer
+// learning, the backpressure gate, frame parsing and the pooled copy
+// stay allocation-free, or a gateway at iperf rates melts.
+func TestAllocGateGatewayIngress(t *testing.T) {
+	gatetest.Allocs(t, "GatewayIngress/plain", 100, 0)
+	gatetest.Allocs(t, "GatewayIngress/framed", 100, 0)
+}
 
 // BenchmarkGatewayIngress measures the per-datagram ingress path with
 // the socket read and the emulation client factored out: peer learning,
 // the backpressure gate, frame parsing, the pooled copy and the
-// Send-consumes handoff. The CI alloc gate (scripts/check_allocs.sh)
-// pins it at 0 allocs/op — a real-traffic gateway that allocates per
-// datagram would melt under iperf.
+// Send-consumes handoff.
 func BenchmarkGatewayIngress(b *testing.B) {
 	for _, mode := range []struct {
 		name   string

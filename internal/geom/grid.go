@@ -38,9 +38,6 @@ func NewGrid[K comparable](cellSize float64) *Grid[K] {
 	}
 }
 
-// CellSize returns the grid's cell edge length.
-func (g *Grid[K]) CellSize() float64 { return g.cell }
-
 // Len returns the number of keys stored.
 func (g *Grid[K]) Len() int { return len(g.pos) }
 

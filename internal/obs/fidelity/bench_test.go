@@ -3,14 +3,22 @@ package fidelity
 import (
 	"testing"
 	"time"
+
+	"repro/internal/gatetest"
 )
+
+func TestAllocGateFidelity(t *testing.T) {
+	for _, bench := range []string{"ShardRecord/healthy", "ShardRecord/missing", "RecorderRecord"} {
+		gatetest.Allocs(t, bench, 10000, 0)
+	}
+}
 
 // BenchmarkShardRecord measures the full per-batch accounting the
 // scanner pays for monitoring: histogram observe, counters,
 // watermark, EWMA drift, flight-recorder event, window bookkeeping.
 // This is the monitor's entire hot-path cost (one call per batch, not
-// per packet) and it must stay allocation-free — check_allocs.sh gates
-// it at 0 allocs/op; EXPERIMENTS.md A8 records the baseline.
+// per packet) and it must stay allocation-free (TestAllocGateFidelity);
+// EXPERIMENTS.md A8 records the baseline.
 func BenchmarkShardRecord(b *testing.B) {
 	m := New(1, Config{}, nil)
 	sh := m.Shard(0)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/gatetest"
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/radio"
@@ -67,6 +68,15 @@ func BenchmarkSceneTick(b *testing.B) {
 			}
 		})
 	}
+}
+
+// A scene edit publishes a dispatch view that shares every unchanged
+// row with the previous one: a MoveNode on the 16 384-node scene copies
+// the ≈ 37 rows it changed, their buckets and the bucket directory,
+// ≈ 50 KiB. A full rebuild was ≈ 12 MB per edit; a publish that stops
+// sharing rows shows up here long before it shows up as lateness.
+func TestAllocGateSceneMoveNode(t *testing.T) {
+	gatetest.Bytes(t, "SceneMoveNode/nodes=16384", 100, 65536)
 }
 
 // BenchmarkSceneMoveNode: one operator drag of an interior node by 1 m

@@ -343,7 +343,7 @@ func TestListCompaction(t *testing.T) {
 // came due and pushing one item per pop. "in-order" is two constant-delay
 // flows interleaved in bursts of 27, flow 1 lagging flow 0 by 20 µs (the
 // shape ingest pushes); an op is one burst pushed and the due items
-// popped in batches. scripts/check_allocs.sh gates the heap's in-order
+// popped in batches. TestAllocGateSchedule gates the heap's in-order
 // leg at 0 allocs/op.
 func BenchmarkScheduleQueueImpls(b *testing.B) {
 	for name, mk := range queues() {
@@ -868,7 +868,7 @@ func TestDrainVisitsUnfiredReceiversOfAFan(t *testing.T) {
 
 // Once the heap, the run's ring and the spare list have grown, a
 // broadcast allocates nothing: an exhausted entry's receiver slice is the
-// next fan's. The benchmark gate (scripts/check_allocs.sh) counts
+// next fan's. The benchmark gate (TestAllocGateSchedule) counts
 // allocations per fired item and cannot see one per 36; this counts per
 // fan. "mixed" repeats eight dues, so fans land in both structures;
 // "in-order" pushes non-decreasing dues, so every fan joins the run.

@@ -240,7 +240,7 @@ func TestScannerSleepNoGoroutines(t *testing.T) {
 // A full push→sleep→wake→fire cycle on the steady state allocates
 // nothing: the schedule buffer is warm, the waiter reuses its timer, and
 // the batch buffer was allocated at Start.
-func TestScannerSleepFireAllocFree(t *testing.T) {
+func TestAllocGateScannerSleepFire(t *testing.T) {
 	clk := vclock.NewSystem(10000) // 0.1 ms wall = 1 s emulated
 	fired := make(chan struct{}, 64)
 	s := NewScanner(clk, func(vclock.Time, []Item) { fired <- struct{}{} })

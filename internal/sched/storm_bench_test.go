@@ -20,10 +20,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gatetest"
 	"repro/internal/radio"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
+
+// The storm runs many iterations so the heap and its spare list reach
+// steady state. Its allocs/op is per fired item; TestPushFanSteadyStateAllocFree
+// counts per fan, and TestAllocGateScannerSleepFire gates the sleep/fire cycle.
+func TestAllocGateSchedule(t *testing.T) {
+	gatetest.Allocs(t, "ScannerStorm/fan=36", 200000, 0)
+	gatetest.Allocs(t, "ScheduleQueueImpls/in-order/heap", 2000, 0)
+}
 
 // BenchmarkScannerStorm drives a 4-producer schedule storm through one
 // scanner and reports the accounting the batching is meant to improve:
@@ -33,7 +42,7 @@ import (
 // both legs: fan=1 pushes items one Push at a time, fan=36 pushes
 // broadcasts — one PushFan of 36 equal-due targets, one heap entry — and
 // must allocate nothing once the heap and its spare list have grown
-// (scripts/check_allocs.sh).
+// (TestAllocGateSchedule).
 func BenchmarkScannerStorm(b *testing.B) {
 	for _, fan := range []int{1, 36} {
 		b.Run(fmt.Sprintf("fan=%d", fan), func(b *testing.B) { benchScannerStorm(b, fan) })
@@ -100,7 +109,7 @@ func benchScannerStorm(b *testing.B, fan int) {
 
 // BenchmarkScannerSleepFire measures one complete push → sleep → wake →
 // fire → re-park cycle. The allocation figure is the acceptance gate
-// (scripts/check_allocs.sh): a scanner sleep must allocate nothing and
+// (TestAllocGateScannerSleepFire): a scanner sleep must allocate nothing and
 // spawn no goroutine, where the old shape paid one goroutine and two
 // channels per sleep.
 func BenchmarkScannerSleepFire(b *testing.B) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gatetest"
 	"repro/internal/mbuf"
 	"repro/internal/wire"
 )
@@ -549,10 +550,14 @@ func (c *heldDiscard) Write(b []byte) (int, error) {
 
 func (c *heldDiscard) Close() error { return nil }
 
+func TestAllocGateDeferredBurst(t *testing.T) {
+	gatetest.Allocs(t, "DeferredBurstAllocs", 2000, 1)
+}
+
 // BenchmarkDeferredBurstAllocs is one 64-message burst per iteration
 // behind a write in progress, then waited out: what a burst allocates
-// is its one flusher's start, nothing per message
-// (scripts/check_allocs.sh holds it there).
+// is its one flusher's start (one 16-byte closure), nothing per
+// message, so anything per message reads 64 or more.
 func BenchmarkDeferredBurstAllocs(b *testing.B) {
 	hd := &heldDiscard{}
 	c := newTCPConn(hd, nil, true)

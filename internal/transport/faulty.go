@@ -77,13 +77,6 @@ func NewFaulty(inner Conn, seed int64) *Faulty {
 	return &Faulty{inner: inner, rng: rand.New(rand.NewSource(seed))}
 }
 
-// SetDelays changes the per-direction stalls at runtime.
-func (f *Faulty) SetDelays(send, recv time.Duration) {
-	f.mu.Lock()
-	f.SendDelay, f.RecvDelay = send, recv
-	f.mu.Unlock()
-}
-
 // SetImpairments changes the drop/duplicate/reorder probabilities at
 // runtime.
 func (f *Faulty) SetImpairments(drop, dup, reorder float64) {

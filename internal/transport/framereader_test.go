@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gatetest"
 	"repro/internal/mbuf"
 	"repro/internal/radio"
 	"repro/internal/wire"
@@ -413,10 +414,17 @@ func TestPayloadAfterReleaseReadsPoison(t *testing.T) {
 	}
 }
 
+// Where a frame buffer, a Data and a payload copy were one allocation
+// each (EXPERIMENTS.md A19), none is left. 20 000 iterations, so the
+// first borrowed buffer and the pool's first wrappers amortize out.
+func TestAllocGateTCPClientRecv(t *testing.T) {
+	gatetest.Allocs(t, "TCPClientRecv", 20000, 0)
+}
+
 // BenchmarkTCPClientRecv is the emulation client's receive path over
 // loopback: the peer writes bursts of 64-byte Data frames, the dialed
 // connection decodes each in place and the message is released, as
-// Client.recvLoop does. scripts/check_allocs.sh holds it at 0 allocs/op.
+// Client.recvLoop does.
 func BenchmarkTCPClientRecv(b *testing.B) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

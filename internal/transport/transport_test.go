@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gatetest"
 	"repro/internal/mbuf"
 	"repro/internal/vclock"
 	"repro/internal/wire"
@@ -790,10 +791,14 @@ func BenchmarkTransports(b *testing.B) {
 	})
 }
 
+func TestAllocGatePipeBatchRoundTrip(t *testing.T) {
+	gatetest.Allocs(t, "PipeBatchRoundTrip", 2000, 0)
+}
+
 // BenchmarkPipeBatchRoundTrip is one session-writer flush across the
 // in-process pipe: one 64-message SendBatch, then the 64 Recvs that
 // take it. Once the pipe's two rings have grown to a batch it allocates
-// nothing.
+// nothing (TestAllocGatePipeBatchRoundTrip).
 func BenchmarkPipeBatchRoundTrip(b *testing.B) {
 	client, server := Pipe()
 	defer client.Close()

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gatetest"
 	"repro/internal/mbuf"
 	"repro/internal/wire"
 )
@@ -665,10 +666,19 @@ func TestTrunkSplitsOversizedBatch(t *testing.T) {
 	}
 }
 
+// The batch send gets the fan-out path's bound of 2 for pool misses.
+// 2 000 iterations: the batch pool and the pipe queue grow over the
+// first few hundred batches, which must amortize out of the figure.
+func TestAllocGateTrunk(t *testing.T) {
+	gatetest.Allocs(t, "TrunkBatchSend", 2000, 2)
+	gatetest.Allocs(t, "TrunkBatchEncode", 2000, 0)
+	gatetest.Allocs(t, "TrunkDeferred", 2000, 0)
+}
+
 // BenchmarkTrunkBatchSend measures the trunk batch-send path over the
 // in-process transport with a draining receiver: steady state must not
 // allocate (the wrapper and its entry array are pooled; the pipe
-// transfers by reference). Gated by scripts/check_allocs.sh.
+// transfers by reference).
 func BenchmarkTrunkBatchSend(b *testing.B) {
 	lis := NewInprocListener()
 	defer lis.Close()
@@ -737,8 +747,7 @@ func BenchmarkTrunkBatchEncode(b *testing.B) {
 // SendDeferred calls over the in-process transport with a draining
 // receiver. Steady state must not allocate — the pending batch and its
 // entry array come back through the TrunkBatch pool, and a flusher
-// starts from a function value bound once. Gated by
-// scripts/check_allocs.sh.
+// starts from a function value bound once.
 func BenchmarkTrunkDeferred(b *testing.B) {
 	lis := NewInprocListener()
 	defer lis.Close()
