@@ -180,7 +180,6 @@ func main() {
 			Pool:       pool,
 			Obs:        reg,
 			Monitor:    srv.Fidelity(),
-			Shards:     srv.Shards(),
 			Logf:       log.Printf,
 		})
 		if err != nil {

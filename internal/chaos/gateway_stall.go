@@ -134,7 +134,7 @@ func RunGatewayStall(cfg GatewayStallConfig) (rep GatewayStallReport) {
 			Dst: radio.Broadcast, Peer: sink.LocalAddr().String(),
 		}},
 		Dial: w.peers[0].lis.Dialer(), LocalClock: clk, SyncRounds: 1,
-		Pool: w.pool, Monitor: fid, Shards: 1,
+		Pool: w.pool, Monitor: fid,
 		DisableBackpressure: cfg.DisableBackpressure,
 	})
 	if err != nil {

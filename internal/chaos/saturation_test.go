@@ -1,14 +1,15 @@
 package chaos
 
-// Satellite scenario: a session's send queue saturated entirely by
-// radio-set notifications while its client is wedged (connected, never
-// reading). The drop-oldest policy then churns notification-on-
-// notification — which must NOT move the QueueDrops counter, because a
-// displaced notification never entered the packet-conservation ledger.
-// Data arriving at the saturated queue IS counted, and the ledger must
-// close exactly: Entered == Forwarded + QueueDrops + Abandoned. The
-// whole run goes through the pooled ingress so the mbuf leak check
-// covers the reject path too.
+// Satellite scenario: a session whose client is wedged (connected,
+// never reading) while its radio set keeps changing. Data wedges it:
+// the writer fills the transport pipe and blocks mid-send, and the
+// send queue behind it stays full. A flood of radio changes then only
+// raises the session's radios flag: it takes no queue slot, so neither
+// QueueDrops nor the queue depth may move. Data arriving at the
+// saturated queue evicts the oldest packet and IS counted, and the
+// ledger must close exactly: Entered == Forwarded + QueueDrops +
+// Abandoned. The whole run goes through the pooled ingress so the mbuf
+// leak check covers the eviction path too.
 
 import (
 	"fmt"
@@ -42,12 +43,11 @@ func TestNotificationSaturationConservation(t *testing.T) {
 			}
 			sc.AddNode(1, geom.V(0, 0), []radio.Radio{{Channel: 1, Range: 200}})
 			sc.AddNode(2, geom.V(50, 0), []radio.Radio{{Channel: 1, Range: 200}})
+			const queueLimit = 4
 			srv, err := core.NewServer(core.ServerConfig{
 				Clock: clk, Scene: sc, Seed: 1, Shards: shards,
-				// Tiny queue so saturation needs few events; the writer
-				// wedges long before the in-process pipe could absorb the
-				// flood below.
-				SendQueueDepth: 4,
+				// Tiny queue: once the pipe is full, four packets fill it.
+				SendQueueDepth: queueLimit,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -77,16 +77,6 @@ func TestNotificationSaturationConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Flood scene notifications at node 2 — alternate the range so
-			// every call is a real radio-set change — until the writer is
-			// provably wedged: once the transport pipe is full the writer
-			// blocks mid-send, and the queue stays at its limit across a
-			// pause instead of draining in microseconds. Everything past
-			// that point is pure notification-displaces-notification churn.
-			radios := [2][]radio.Radio{
-				{{Channel: 1, Range: 200}},
-				{{Channel: 1, Range: 201}},
-			}
 			depth2 := func() int {
 				for _, ss := range srv.SessionStats() {
 					if ss.ID == 2 {
@@ -95,69 +85,96 @@ func TestNotificationSaturationConservation(t *testing.T) {
 				}
 				return -1
 			}
+			sent := uint64(0)
+			send := func(n int) {
+				for i := 0; i < n; i++ {
+					if err := c1.SendTo(2, 1, 0, []byte("saturated")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sent += uint64(n)
+				if !pollUntil(5*time.Second, func() bool {
+					st := srv.Stats()
+					return st.Entered == sent && st.Scheduled == 0
+				}) {
+					t.Fatalf("entered %d of %d packets", srv.Stats().Entered, sent)
+				}
+			}
+			// Wedge the writer with data: once the transport pipe is full
+			// the writer blocks mid-send, and the queue stays at its limit
+			// across a pause instead of draining in microseconds.
 			wedged := false
 			for tries := 0; tries < 200 && !wedged; tries++ {
-				for i := 0; i < 600; i++ {
-					sc.SetRadios(2, radios[i%2])
-				}
+				send(600)
 				time.Sleep(10 * time.Millisecond)
-				wedged = depth2() >= 4
+				wedged = depth2() >= queueLimit
 			}
 			if !wedged {
 				t.Fatal("could not wedge the writer: send queue keeps draining")
 			}
-			if drops := srv.Stats().QueueDrops; drops != 0 {
-				t.Fatalf("notification churn charged %d queue drops, want 0", drops)
+			wedge, wedgeDepth := srv.Stats(), depth2()
+
+			// Flood radio changes at node 2, alternating the range so every
+			// call is a real change. Each raises the flag the wedged writer
+			// cannot take: no slot, no drop, no depth.
+			radios := [2][]radio.Radio{
+				{{Channel: 1, Range: 200}},
+				{{Channel: 1, Range: 201}},
+			}
+			for i := 0; i < 2000; i++ {
+				sc.SetRadios(2, radios[i%2])
+			}
+			time.Sleep(10 * time.Millisecond)
+			if st, d := srv.Stats(), depth2(); st.QueueDrops != wedge.QueueDrops || d != wedgeDepth {
+				t.Fatalf("radio changes moved the queue: drops %d → %d, depth %d → %d",
+					wedge.QueueDrops, st.QueueDrops, wedgeDepth, d)
 			}
 
 			// Data into the saturated session: the wedged writer never
-			// drains, so at most queue-limit deliveries can ever be
-			// accepted (into slots the writer's final in-flight batch
-			// vacated); everything else is rejected and counted. None is
-			// ever forwarded.
+			// drains, so at most queue-limit of these deliveries can stay
+			// queued; every other one is evicted and counted. None is
+			// forwarded.
 			const sends = 50
-			const queueLimit = 4
-			for i := 0; i < sends; i++ {
-				if err := c1.SendTo(2, 1, 0, []byte("saturated")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !pollUntil(5*time.Second, func() bool {
-				st := srv.Stats()
-				return st.Entered == sends && st.QueueDrops >= sends-queueLimit
-			}) {
-				st := srv.Stats()
-				t.Fatalf("queue drops = %d, want ≥ %d (entered %d, forwarded %d)",
-					st.QueueDrops, sends-queueLimit, st.Entered, st.Forwarded)
-			}
+			send(sends)
 			st := srv.Stats()
-			if st.Forwarded != 0 {
-				t.Fatalf("forwarded = %d through a wedged client, want 0", st.Forwarded)
+			if drops := st.QueueDrops - wedge.QueueDrops; drops < sends-queueLimit || drops > sends {
+				t.Fatalf("queue drops rose by %d, want %d..%d", drops, sends-queueLimit, sends)
 			}
-			if st.QueueDrops > sends {
-				t.Fatalf("queue drops = %d exceed the %d packets sent", st.QueueDrops, sends)
+			if st.Forwarded != wedge.Forwarded {
+				t.Fatalf("forwarded %d → %d through a wedged client", wedge.Forwarded, st.Forwarded)
 			}
 
 			c1.Close()
 			conn2.Close() // unblocks the wedged writer with ErrClosed
+			// What the pipe still holds is the client's to read after the
+			// close, as TCP's in-flight bytes are; reading releases it.
+			for {
+				m, err := conn2.Recv()
+				if err != nil {
+					break
+				}
+				wire.ReleaseMsg(m)
+			}
 			lis.Close()
 			srv.Close()
 			<-serveDone
 
-			// Teardown abandons whatever was still queued; the ledger must
-			// now close exactly — every delivery that entered the schedule
-			// ended as forwarded, queue-dropped, or abandoned, and the
-			// displaced notifications appear nowhere in it.
+			// Teardown abandons what was still queued and what the
+			// writer's blocked batch (itself at most queue-limit entries)
+			// could not send; the ledger must now close exactly — every
+			// delivery that entered the schedule ended as forwarded,
+			// queue-dropped, or abandoned, and the radio changes appear
+			// nowhere in it.
 			end := srv.Stats()
-			if end.Entered != sends {
-				t.Fatalf("entered = %d, want %d", end.Entered, sends)
+			if end.Entered != sent {
+				t.Fatalf("entered = %d, want %d", end.Entered, sent)
 			}
 			if end.Entered != end.Forwarded+end.QueueDrops+end.Abandoned {
 				t.Fatalf("ledger broken after close: entered %d != forwarded %d + drops %d + abandoned %d",
 					end.Entered, end.Forwarded, end.QueueDrops, end.Abandoned)
 			}
-			if end.Abandoned > queueLimit {
-				t.Fatalf("abandoned = %d, want ≤ the queue limit %d", end.Abandoned, queueLimit)
+			if end.Abandoned > 2*queueLimit {
+				t.Fatalf("abandoned = %d, want ≤ twice the queue limit %d", end.Abandoned, queueLimit)
 			}
 			if live := pool.Live(); live != 0 {
 				t.Fatalf("mbuf leak: %d pooled buffers still live after teardown", live)

@@ -63,7 +63,9 @@ type ClientConfig struct {
 	// which over TCP copies it before returning.
 	OnPacket func(wire.Packet)
 	// OnRadios is told the VMN's current radio set (at connect and on
-	// live scene changes).
+	// live scene changes). Changes that land before the server sends
+	// one collapse into one call with the newest set, which arrives
+	// before any packet the server fired after the changes.
 	OnRadios func([]radio.Radio)
 	// OnClose runs when the connection dies.
 	OnClose func(error)

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -833,24 +834,11 @@ func DialCluster(cfg ClientConfig, peers []transport.Dialer) (*Client, error) {
 // parseRedirect extracts the owning peer index from a registration
 // redirect ("... belongs to peer N ...").
 func parseRedirect(s string) (int, bool) {
-	const marker = "belongs to peer "
-	i := 0
-	for ; i+len(marker) <= len(s); i++ {
-		if s[i:i+len(marker)] == marker {
-			break
-		}
-	}
-	if i+len(marker) > len(s) {
+	_, rest, found := strings.Cut(s, "belongs to peer ")
+	digits := len(rest) - len(strings.TrimLeft(rest, "0123456789"))
+	if !found || digits == 0 {
 		return 0, false
 	}
-	rest := s[i+len(marker):]
-	n, digits := 0, 0
-	for digits < len(rest) && rest[digits] >= '0' && rest[digits] <= '9' {
-		n = n*10 + int(rest[digits]-'0')
-		digits++
-	}
-	if digits == 0 {
-		return 0, false
-	}
-	return n, true
+	n, err := strconv.Atoi(rest[:digits])
+	return n, err == nil
 }

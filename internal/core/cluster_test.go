@@ -554,6 +554,26 @@ func TestFederationRedirect(t *testing.T) {
 	c.Close()
 }
 
+// parseRedirect reads the owner's index from a registration redirect:
+// the digits right after the marker, whatever follows them.
+func TestParseRedirect(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int
+		ok   bool
+	}{
+		{"core: unknown VMN 7", 0, false},
+		{"core: VMN 7 belongs to peer ", 0, false},
+		{"core: VMN 7 belongs to peer x (a:1)", 0, false},
+		{"core: VMN 7 belongs to peer 2 (127.0.0.1:7100)", 2, true},
+		{"core: VMN 7 belongs to peer 123", 123, true},
+	} {
+		if got, ok := parseRedirect(tc.in); got != tc.want || ok != tc.ok {
+			t.Errorf("parseRedirect(%q) = %d, %v; want %d, %v", tc.in, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
 // TestSinglePeerClusterIsLegacy: a 1-peer cluster runs the cluster code
 // path (Cluster() non-nil) with no trunks, no redirects and no remote
 // routing — the behavioral twin of Peers: nil.

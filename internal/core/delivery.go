@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs/fidelity"
+	"repro/internal/radio"
 	"repro/internal/record"
 	"repro/internal/sched"
 	"repro/internal/transport"
@@ -138,7 +139,7 @@ func (sh *shard) deliverFan(run []sched.Item, sessions []*session, hook *func(sc
 			continue
 		}
 		if !sampled {
-			sess.q.push(outMsg{kind: outData, data: d})
+			sess.q.push(outMsg{data: d})
 			continue
 		}
 		// A sampled packet (the hash ingest used): leave the receiver's
@@ -153,7 +154,7 @@ func (sh *shard) deliverFan(run []sched.Item, sessions []*session, hook *func(sc
 		// cannot read before Due here; the clamp keeps a clock that steps
 		// back from feeding a negative duration into the histogram.
 		s.hDeliverLag.Observe(max(time.Duration(nowEmu-it.Due), 0))
-		sess.q.push(outMsg{kind: outData, data: d, sampled: true})
+		sess.q.push(outMsg{data: d, sampled: true})
 		s.hEnqueue.Observe(time.Since(t0))
 	}
 }
@@ -205,16 +206,20 @@ func (s *Server) sessionWriter(sess *session) {
 	var batch []outMsg
 	var rows []record.Packet
 	for {
-		var ok bool
 		// Popped entries are "in flight" until their counters are settled
 		// — forwarded on success, abandoned on a failed send — so a drain
 		// check never observes the gap between pop and accounting.
-		batch, ok = sess.q.popBatch(sess.stop, batch, maxFlushBatch)
+		var radios, ok bool
+		batch, radios, ok = sess.q.popBatch(sess.stop, batch, maxFlushBatch)
 		if !ok {
 			return // session over; the queue accounted anything left
 		}
+		var lead wire.Msg
+		if radios {
+			lead = s.radiosEvent(sess.id)
+		}
 		var err error
-		rows, err = s.writeBatch(sess, batch, rows)
+		rows, err = s.writeBatch(sess, lead, batch, rows)
 		sess.q.done(len(batch))
 		if err != nil {
 			return
@@ -222,13 +227,24 @@ func (s *Server) sessionWriter(sess *session) {
 	}
 }
 
-// writeBatch ships a popped batch to the session's client and settles
-// its accounting in one commit per counter: forwarded for entries that
-// reached the wire, abandoned for data entries behind a send error (the
-// session is dying — the caller exits the writer). rows is the writer's
-// scratch for the packet fields recorded after the send, returned for
-// reuse.
-func (s *Server) writeBatch(sess *session, batch []outMsg, rows []record.Packet) ([]record.Packet, error) {
+// radiosEvent reads the VMN's current radio set from the scene, as the
+// notification the writer sends ahead of a popped batch (a node removed
+// since reads as no radios). Reading at send time, not at the change,
+// is what lets changes collapse and lets a client end only on a newer
+// set. It is kept out of writeBatch, whose frame sizes every session
+// writer's stack.
+func (s *Server) radiosEvent(id radio.NodeID) wire.Msg {
+	n, _ := s.cfg.Scene.Node(id)
+	return &wire.Event{Kind: wire.EventRadios, Radios: n.Radios}
+}
+
+// writeBatch ships lead, when not nil, and then a popped batch to the
+// session's client, and settles the batch's accounting in one commit
+// per counter: forwarded for entries that reached the wire, abandoned
+// for entries behind a send error (the session is dying — the caller
+// exits the writer). rows is the writer's scratch for the packet fields
+// recorded after the send, returned for reuse.
+func (s *Server) writeBatch(sess *session, lead wire.Msg, batch []outMsg, rows []record.Packet) ([]record.Packet, error) {
 	store := s.cfg.Store
 	var t0 time.Time
 	traced := false
@@ -240,28 +256,27 @@ func (s *Server) writeBatch(sess *session, batch []outMsg, rows []record.Packet)
 		}
 	}
 	msgs := sess.wmsgs[:0]
+	if lead != nil {
+		msgs = append(msgs, lead)
+	}
 	rows = rows[:0]
 	for i := range batch {
 		m := &batch[i]
-		switch m.kind {
-		case outRadios:
-			msgs = append(msgs, &wire.Event{Kind: wire.EventRadios, Radios: m.radios})
-		case outData:
-			// The send consumes this entry's holder, after which the
-			// wrapper may be retired by the fan's other receivers: what
-			// the accounting below records about the packet is read now.
-			if m.sampled || store != nil {
-				rows = append(rows, packetRecord(record.PacketOut, 0, &m.data.Pkt, sess.id))
-			}
-			msgs = append(msgs, m.data)
+		// The send consumes this entry's holder, after which the wrapper
+		// may be retired by the fan's other receivers: what the accounting
+		// below records about the packet is read now.
+		if m.sampled || store != nil {
+			rows = append(rows, packetRecord(record.PacketOut, 0, &m.data.Pkt, sess.id))
 		}
+		msgs = append(msgs, m.data)
 	}
 	sent, err := transport.SendAll(sess.conn, msgs)
 	for i := range msgs {
 		msgs[i] = nil // the transport owns (or has retired) every message
 	}
 	sess.wmsgs = msgs[:0]
-	s.hFlushBatch.Observe(time.Duration(len(batch)))
+	s.hFlushBatch.Observe(time.Duration(len(msgs)))
+	sent -= len(msgs) - len(batch) // packets sent: the lead is none
 
 	// One write sent the whole batch: its sampled entries share the
 	// send instant.
@@ -275,9 +290,6 @@ func (s *Server) writeBatch(sess *session, batch []outMsg, rows []record.Packet)
 	r := 0
 	for i := range batch {
 		m := &batch[i]
-		if m.kind != outData {
-			continue
-		}
 		var row *record.Packet
 		if m.sampled || store != nil {
 			row = &rows[r]

@@ -189,7 +189,7 @@ func BenchmarkDeliverFiredBatch(b *testing.B) {
 		// Grow the ring to its bound before the writer starts draining
 		// it, so no later burst can allocate a larger one.
 		for j := 0; j < DefaultSendQueueDepth; j++ {
-			sess.q.push(outMsg{kind: outData})
+			sess.q.push(outMsg{})
 		}
 		wg.Add(1)
 		go func() {
@@ -197,7 +197,7 @@ func BenchmarkDeliverFiredBatch(b *testing.B) {
 			var popped []outMsg
 			for {
 				var ok bool
-				if popped, ok = sess.q.popBatch(stop, popped, maxFlushBatch); !ok {
+				if popped, _, ok = sess.q.popBatch(stop, popped, maxFlushBatch); !ok {
 					return
 				}
 				for _, m := range popped {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/radio"
 	"repro/internal/ring"
 	"repro/internal/wire"
 )
@@ -17,47 +16,44 @@ import (
 // drop-oldest policy engages.
 const DefaultSendQueueDepth = 256
 
-// outKind discriminates the two message classes a session writer ships.
-type outKind uint8
-
-const (
-	outData   outKind = iota // a forwarded packet (wire.Data)
-	outRadios                // a scene notification (wire.Event)
-)
-
-// outMsg is one entry in a session's outbound queue.
+// outMsg is one entry in a session's outbound queue: a forwarded packet.
 type outMsg struct {
-	kind outKind
-	// sampled marks an outData packet the lifecycle tracing follows, as
-	// deliver decided it: the writer times and records its send stage
-	// without hashing the packet again.
+	// data is the packet due now: one holder of a pooled wrapper that
+	// every receiver of the fan it fired in shares. Each way out of the
+	// queue — sent, evicted, rejected, abandoned at close — releases that
+	// holder once.
+	data *wire.Data
+	// sampled marks a packet the lifecycle tracing follows, as deliver
+	// decided it: the writer times and records its send stage without
+	// hashing the packet again.
 	sampled bool
-	// data is the outData packet due now: one holder of a pooled
-	// wrapper that every receiver of the fan it fired in shares. Each
-	// way out of the queue — sent, evicted, rejected, abandoned at close
-	// — releases that holder once.
-	data   *wire.Data
-	radios []radio.Radio // outRadios: the VMN's new radio set
 }
 
 // sendQueue is the bounded per-session outbound queue of the §3.2
-// sending stage. Producers (the scanner's deliver and the scene event
-// subscription) never block: when the queue is full the oldest *data*
-// entry is discarded — late packets are the least valuable, while radio
-// notifications must survive so the client's channel view stays
-// current. One writer goroutine drains the queue in FIFO order, which
-// is what guarantees per-client deliveries leave in schedule order.
+// sending stage. Producers (the scanner's deliver) never block: when the
+// queue is full the oldest packet is discarded — late packets are the
+// least valuable. One writer goroutine drains the queue in FIFO order,
+// which is what guarantees per-client deliveries leave in schedule
+// order.
+//
+// A change of the VMN's radio set is not an entry: notify raises the
+// radios flag, and the writer that pops it reads the current set from
+// the scene and sends it ahead of the packets popped with it. Changes
+// the writer has not yet seen collapse into one notification carrying
+// the newest set, and a notification never takes a slot, never counts
+// in depth and is never dropped.
 type sendQueue struct {
 	mu sync.Mutex
-	// ring grows on use: most sessions of a large scene only ever queue
-	// their initial radios notification.
+	// ring grows on use: most sessions of a large scene never queue a
+	// packet.
 	ring   ring.Ring[outMsg]
-	limit  int // hard bound on ring.Len()
+	limit  int  // hard bound on ring.Len()
+	radios bool // the radio set changed since the writer last popped
 	closed bool
 	// parked records that the writer found the queue empty and is about
-	// to block on wake. Only then does a push signal wake, and it clears
-	// the flag as it does, so a burst into an awake writer's queue costs
-	// no channel operation. close signals regardless.
+	// to block on wake. Only then does a push or notify signal wake, and
+	// it clears the flag as it does, so a burst into an awake writer's
+	// queue costs no channel operation. close signals regardless.
 	parked bool
 	wake   chan struct{} // 1-buffered writer wakeup
 
@@ -70,7 +66,7 @@ type sendQueue struct {
 
 	drops          atomic.Uint64 // entries discarded by the slow-client policy
 	totalDrops     *obs.Counter  // server-wide aggregate, shared by all sessions
-	totalAbandoned *obs.Counter  // data entries that died with the session
+	totalAbandoned *obs.Counter  // entries that died with the session
 
 	// onDrop, when set (before the session starts), observes each policy
 	// discard — the fidelity flight recorder timestamps drops into its
@@ -97,7 +93,7 @@ func (q *sendQueue) countDrop() {
 	}
 }
 
-// countAbandoned charges one data delivery that died with its session
+// countAbandoned charges one delivery that died with its session
 // (closed-queue push, entries pending at close, or a failed final
 // send). Packet conservation needs every accepted delivery to end in
 // exactly one of forwarded / queue-dropped / abandoned.
@@ -107,10 +103,9 @@ func (q *sendQueue) countAbandoned() {
 	}
 }
 
-// push enqueues m, evicting the oldest data entry when full. It never
-// blocks; the return value reports whether m itself was accepted (false
-// only when the queue is closed or m is data and the queue holds
-// nothing but radio notifications).
+// push enqueues m, evicting the oldest entry when full. It never
+// blocks; the return value reports whether m was accepted (false only
+// when the queue is closed).
 func (q *sendQueue) push(m outMsg) bool {
 	q.mu.Lock()
 	if q.ring.Len() == q.limit && !q.closed {
@@ -126,34 +121,34 @@ func (q *sendQueue) push(m outMsg) bool {
 	}
 	if q.closed {
 		// The session is over; the delivery dies here. Its holder must
-		// still be released (nil-safe — radio notifications carry none)
-		// and — for data — the loss accounted, or the conservation
+		// still be released and the loss accounted, or the conservation
 		// ledger would leak one packet per kill race.
 		wire.ReleaseData(m.data)
-		if m.kind == outData {
-			q.countAbandoned()
-		}
+		q.countAbandoned()
 		q.mu.Unlock()
 		return false
 	}
 	if q.ring.Len() == q.limit {
-		if !q.dropOldestDataLocked() {
-			// Full of radio notifications (pathological: limit sessions
-			// would need limit scene changes queued). Data yields to
-			// them; a notification displaces the oldest one. Only data
-			// evictions are policy drops: QueueDrops feeds the
-			// conservation ledger (Entered == Forwarded + QueueDrops +
-			// Abandoned), and a displaced notification never entered it.
-			if m.kind == outData {
-				q.countDrop()
-				wire.ReleaseData(m.data)
-				q.mu.Unlock()
-				return false
-			}
-			q.ring.Drop() // a notification holds no buffer
-		}
+		q.countDrop()
+		wire.ReleaseData(q.ring.At(0).data)
+		q.ring.Drop()
 	}
 	*q.ring.Push() = m
+	q.unlockAndWake()
+	return true
+}
+
+// notify records that the VMN's radio set changed; the writer's next
+// pop reports it. It never blocks and takes no slot.
+func (q *sendQueue) notify() {
+	q.mu.Lock()
+	q.radios = true
+	q.unlockAndWake()
+}
+
+// unlockAndWake releases q.mu and signals wake if the writer recorded
+// that it parked.
+func (q *sendQueue) unlockAndWake() {
 	signal := q.parked
 	q.parked = false
 	q.mu.Unlock()
@@ -163,62 +158,44 @@ func (q *sendQueue) push(m outMsg) bool {
 		default:
 		}
 	}
-	return true
 }
 
-// dropOldestDataLocked discards the oldest data entry, reporting false
-// when the queue holds none.
-func (q *sendQueue) dropOldestDataLocked() bool {
-	for i := 0; i < q.ring.Len(); i++ {
-		if q.ring.At(i).kind != outData {
-			continue
-		}
-		// Settle the victim before the shift below overwrites its slot
-		// with the notification ahead of it.
-		q.countDrop()
-		wire.ReleaseData(q.ring.At(i).data)
-		// Shift the entries before i up by one slot, then drop the
-		// front: O(depth) but only on the overflow path.
-		for j := i; j > 0; j-- {
-			*q.ring.At(j) = *q.ring.At(j - 1)
-		}
-		q.ring.Drop()
-		return true
-	}
-	return false
-}
-
-// popBatch blocks for at least one entry, then drains up to max entries
-// into batch (reusing its storage, growing it as needed) without
-// releasing the lock between them. The entries count as in flight until
-// done(n) settles them. ok is false once the queue is closed or stop
-// closes. Batching is what turns the writer's per-packet syscall into
-// one writev per burst: under fan-out the queue holds several deliveries
-// by the time the writer wakes, and popping them together costs one lock
-// acquisition instead of n.
-func (q *sendQueue) popBatch(stop <-chan struct{}, batch []outMsg, max int) (_ []outMsg, ok bool) {
+// popBatch blocks for at least one entry or a raised radios flag, then
+// drains up to max entries into batch (reusing its storage, growing it
+// as needed) without releasing the lock between them, and takes the
+// flag: radios reports that the radio set changed since the previous
+// pop, and the writer sends the current set ahead of the batch, so no
+// entry pushed after a change leaves before it. The entries count as
+// in flight until done(n) settles them. ok
+// is false once the queue is closed or stop closes. Batching is what
+// turns the writer's per-packet syscall into one writev per burst:
+// under fan-out the queue holds several deliveries by the time the
+// writer wakes, and popping them together costs one lock acquisition
+// instead of n.
+func (q *sendQueue) popBatch(stop <-chan struct{}, batch []outMsg, max int) (_ []outMsg, radios, ok bool) {
 	for {
 		q.mu.Lock()
 		if q.closed {
 			q.mu.Unlock()
-			return batch[:0], false
+			return batch[:0], false, false
 		}
-		if q.ring.Len() > 0 {
+		if q.ring.Len() > 0 || q.radios {
 			batch = batch[:0]
 			for q.ring.Len() > 0 && len(batch) < max {
 				batch = append(batch, *q.ring.At(0))
 				q.ring.Drop()
 			}
+			radios, q.radios = q.radios, false
 			q.inflight += len(batch) // cleared by done() once accounted
 			q.mu.Unlock()
-			return batch, true
+			return batch, radios, true
 		}
-		q.parked = true // the next push signals wake
+		q.parked = true // the next push or notify signals wake
 		q.mu.Unlock()
 		select {
 		case <-q.wake:
 		case <-stop:
-			return batch[:0], false
+			return batch[:0], false, false
 		}
 	}
 }
@@ -242,11 +219,8 @@ func (q *sendQueue) close() {
 	}
 	q.closed = true
 	for q.ring.Len() > 0 {
-		m := q.ring.At(0)
-		wire.ReleaseData(m.data)
-		if m.kind == outData {
-			q.countAbandoned()
-		}
+		wire.ReleaseData(q.ring.At(0).data)
+		q.countAbandoned()
 		q.ring.Drop()
 	}
 	q.mu.Unlock()
@@ -257,7 +231,8 @@ func (q *sendQueue) close() {
 }
 
 // depth is the number of queued entries plus any popped entry the
-// writer has not finished accounting yet.
+// writer has not finished accounting yet. A raised radios flag is not
+// counted: it is no packet.
 func (q *sendQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -1,17 +1,18 @@
 package core
 
-// Tests for the sendQueue's accounting and buffer-ownership rules, the
-// SerializeChannels airtime-map bound, and the pooled TCP path's
-// leak-freedom. The accounting tests pin the drop-oldest ledger rule:
-// QueueDrops counts *packets* the policy discarded — a displaced radio
-// notification never entered the conservation ledger and must not be
-// charged to it.
+// Tests for the sendQueue's accounting and buffer-ownership rules, its
+// radios flag, the SerializeChannels airtime-map bound, and the pooled
+// TCP path's leak-freedom. The accounting tests pin the drop-oldest
+// ledger rule: QueueDrops counts packets the policy discarded, and a
+// radio notification, which takes no slot, is never one of them.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,40 +27,11 @@ import (
 	"repro/internal/wire"
 )
 
-// A notification displacing a notification is queue churn, not packet
-// loss: it must not move the QueueDrops counter. (Regression: the old
-// dropHeadLocked charged every head eviction, so a session whose queue
-// filled with scene notifications inflated QueueDrops and broke
-// Entered == Forwarded + QueueDrops + Abandoned.)
-func TestSendQueueNotificationEvictionNotCountedAsDrop(t *testing.T) {
-	q := newSendQueue(2, nil, nil)
-	note := outMsg{kind: outRadios, radios: []radio.Radio{{Channel: 1}}}
-	for i := 0; i < 2; i++ {
-		if !q.push(note) {
-			t.Fatalf("push %d rejected on an empty queue", i)
-		}
-	}
-	// Full of notifications: a third displaces the oldest and is accepted.
-	if !q.push(note) {
-		t.Fatal("notification rejected by a full-of-notifications queue")
-	}
-	if got := q.drops.Load(); got != 0 {
-		t.Fatalf("displaced notification charged as queue drop: drops = %d, want 0", got)
-	}
-	// Data yielding to queued notifications IS a packet loss.
-	if q.push(outMsg{kind: outData}) {
-		t.Fatal("data accepted into a queue full of notifications")
-	}
-	if got := q.drops.Load(); got != 1 {
-		t.Fatalf("rejected data: drops = %d, want 1", got)
-	}
-}
-
-// Data evicting data is the normal slow-client policy and still counts.
+// A full queue evicts its oldest packet, and that counts as a drop.
 func TestSendQueueDataEvictionCountsDrop(t *testing.T) {
 	q := newSendQueue(1, nil, nil)
-	q.push(outMsg{kind: outData})
-	if !q.push(outMsg{kind: outData}) {
+	q.push(outMsg{})
+	if !q.push(outMsg{}) {
 		t.Fatal("second data push should evict and be accepted")
 	}
 	if got := q.drops.Load(); got != 1 {
@@ -74,7 +46,7 @@ func TestSendQueueSettlesBuffers(t *testing.T) {
 	pool.SetLeakCheck(true)
 	mk := func() outMsg {
 		b := pool.Alloc(16)
-		return outMsg{kind: outData, data: wire.AcquireData(wire.Packet{Payload: b.Bytes(), Buf: b})}
+		return outMsg{data: wire.AcquireData(wire.Packet{Payload: b.Bytes(), Buf: b})}
 	}
 	q := newSendQueue(1, nil, nil)
 	q.push(mk())
@@ -126,10 +98,10 @@ func (c *cutConn) Label() string           { return "cut" }
 
 // A flush whose send fails part-way settles the batch in one commit per
 // counter: the data entries that reached the wire are forwarded (the
-// radios notification among them is not a packet), every one behind
-// the failure is abandoned, so forwarded + abandoned is every entry
-// queued, the queue reads drained once the batch is done, and each
-// entry's buffer is released.
+// radios notification sent ahead of them is not a packet), every one
+// behind the failure is abandoned, so forwarded + abandoned is every
+// entry queued, the queue reads drained once the batch is done, and
+// each entry's buffer is released.
 func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 	srv := newDispatchBench(t, 2, 1)
 	pool := mbuf.NewPool()
@@ -139,16 +111,16 @@ func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 	sess.conn = &cutConn{keep: keep}
 	for i := 0; i < packets; i++ {
 		if i == noteAt {
-			sess.q.push(outMsg{kind: outRadios, radios: oneRadio(1, 100)})
+			sess.q.notify()
 		}
 		b := mbuf.AllocCopy(pool, []byte("cut"))
-		sess.q.push(outMsg{kind: outData, data: wire.AcquireData(wire.Packet{Seq: uint32(i), Payload: b.Bytes(), Buf: b})})
+		sess.q.push(outMsg{data: wire.AcquireData(wire.Packet{Seq: uint32(i), Payload: b.Bytes(), Buf: b})})
 	}
-	batch, ok := sess.q.popBatch(sess.stop, nil, maxFlushBatch)
-	if !ok || len(batch) != packets+1 {
-		t.Fatalf("popped %d entries (ok=%v), want %d", len(batch), ok, packets+1)
+	batch, radios, ok := sess.q.popBatch(sess.stop, nil, maxFlushBatch)
+	if !ok || !radios || len(batch) != packets {
+		t.Fatalf("popped %d entries (radios=%v ok=%v), want %d and the radios flag", len(batch), radios, ok, packets)
 	}
-	if _, err := srv.writeBatch(sess, batch, nil); !errors.Is(err, transport.ErrClosed) {
+	if _, err := srv.writeBatch(sess, srv.radiosEvent(sess.id), batch, nil); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("writeBatch: %v, want ErrClosed", err)
 	}
 	sess.q.done(len(batch))
@@ -170,26 +142,12 @@ func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 	}
 }
 
-// oracleEntry is a sendQueue entry as the slice oracle sees it.
-type oracleEntry struct {
-	data bool
-	id   uint32 // data: the packet's Seq; notification: its radio's channel
-}
-
-func entryOf(m outMsg) oracleEntry {
-	if m.kind == outData {
-		return oracleEntry{true, m.data.Pkt.Seq}
-	}
-	return oracleEntry{false, uint32(m.radios[0].Channel)}
-}
-
 // The sendQueue against a slice oracle, the way ListQueue is the heap's
-// oracle: seeded sequences of data and notification pushes (overflowing
-// the bound), non-blocking popBatch, done and close. After every step
-// the drop and abandon counts, the depth, the pop order and the pooled
-// buffers still live must match. (Regression: dropOldestDataLocked let
-// the shift overwrite a victim that had a notification ahead of it, so
-// the packet was neither counted nor freed.)
+// oracle: seeded sequences of data pushes (overflowing the bound),
+// notifies, non-blocking popBatch, done and close. A notify is a flag in
+// the oracle: the next pop that returns reports it, however many
+// notifies it collapses. After every step the drop and abandon counts,
+// the depth, the pop order and the pooled buffers still live must match.
 func TestSendQueueMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -203,39 +161,12 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 		close(stop) // popBatch on an empty queue returns instead of waiting
 
 		var (
-			queued, inflight []oracleEntry
+			queued, inflight []uint32 // packet seqs
 			popped           []outMsg // the writer's batch, settled by done
 			drops, abandoned uint64
-			closed           bool
+			radios, closed   bool
 			next             uint32
 		)
-		live := func() (n int64) {
-			for _, es := range [][]oracleEntry{queued, inflight} {
-				for _, e := range es {
-					if e.data {
-						n++
-					}
-				}
-			}
-			return n
-		}
-		// evict applies the overflow policy to the oracle: the oldest data
-		// entry goes and counts, else the oldest notification goes free.
-		evict := func(incoming bool) (accept bool) {
-			for i, e := range queued {
-				if e.data {
-					queued = append(queued[:i], queued[i+1:]...)
-					drops++
-					return true
-				}
-			}
-			if incoming {
-				drops++ // data yields to a queue full of notifications
-				return false
-			}
-			queued = queued[1:]
-			return true
-		}
 		for step := 0; step < 200; step++ {
 			what := ""
 			switch op := rng.Intn(20); {
@@ -243,46 +174,43 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 				next++
 				what = fmt.Sprintf("push data %d", next)
 				b := pool.Alloc(16)
-				got := q.push(outMsg{kind: outData, data: wire.AcquireData(wire.Packet{Seq: next, Payload: b.Bytes(), Buf: b})})
-				want := !closed && (len(queued) < limit || evict(true))
+				got := q.push(outMsg{data: wire.AcquireData(wire.Packet{Seq: next, Payload: b.Bytes(), Buf: b})})
 				if closed {
 					abandoned++
+				} else {
+					if len(queued) == limit {
+						queued = queued[1:] // drop-oldest
+						drops++
+					}
+					queued = append(queued, next)
 				}
-				if want {
-					queued = append(queued, oracleEntry{true, next})
-				}
-				if got != want {
-					t.Fatalf("seed %d step %d %s: accepted %v, oracle %v", seed, step, what, got, want)
+				if got != !closed {
+					t.Fatalf("seed %d step %d %s: accepted %v, oracle %v", seed, step, what, got, !closed)
 				}
 			case op < 13:
-				next++
-				what = fmt.Sprintf("push notification %d", next)
-				got := q.push(outMsg{kind: outRadios, radios: []radio.Radio{{Channel: radio.ChannelID(next)}}})
-				want := !closed && (len(queued) < limit || evict(false))
-				if want {
-					queued = append(queued, oracleEntry{false, next})
-				}
-				if got != want {
-					t.Fatalf("seed %d step %d %s: accepted %v, oracle %v", seed, step, what, got, want)
-				}
+				what = "notify"
+				q.notify()
+				radios = true
 			case op < 17:
 				max := 1 + rng.Intn(4)
 				what = fmt.Sprintf("popBatch(%d)", max)
-				batch, ok := q.popBatch(stop, nil, max)
-				k := len(queued)
-				if k > max {
-					k = max
-				}
-				if closed {
+				batch, gotRadios, ok := q.popBatch(stop, nil, max)
+				k := min(len(queued), max)
+				wantOK := !closed && (k > 0 || radios)
+				if !wantOK {
 					k = 0
 				}
-				if ok != (k > 0) || len(batch) != k {
-					t.Fatalf("seed %d step %d %s: got %d entries ok=%v, oracle %d", seed, step, what, len(batch), ok, k)
+				if ok != wantOK || len(batch) != k || gotRadios != (wantOK && radios) {
+					t.Fatalf("seed %d step %d %s: got %d entries radios=%v ok=%v, oracle %d radios=%v ok=%v",
+						seed, step, what, len(batch), gotRadios, ok, k, wantOK && radios, wantOK)
 				}
 				for i, m := range batch {
-					if got := entryOf(m); got != queued[i] {
-						t.Fatalf("seed %d step %d %s: entry %d is %+v, oracle %+v", seed, step, what, i, got, queued[i])
+					if got := m.data.Pkt.Seq; got != queued[i] {
+						t.Fatalf("seed %d step %d %s: entry %d is %d, oracle %d", seed, step, what, i, got, queued[i])
 					}
+				}
+				if wantOK {
+					radios = false
 				}
 				inflight = append(inflight, queued[:k]...)
 				queued = queued[k:]
@@ -298,11 +226,7 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 				what = "close"
 				q.close()
 				if !closed {
-					for _, e := range queued {
-						if e.data {
-							abandoned++
-						}
-					}
+					abandoned += uint64(len(queued))
 					queued, closed = nil, true
 				}
 			}
@@ -315,7 +239,7 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 			if got, want := q.depth(), len(queued)+len(inflight); got != want {
 				t.Fatalf("seed %d step %d %s: depth %d, oracle %d", seed, step, what, got, want)
 			}
-			if got, want := pool.Live(), live(); got != want {
+			if got, want := pool.Live(), int64(len(queued)+len(inflight)); got != want {
 				t.Fatalf("seed %d step %d %s: %d pooled buffers live, oracle %d", seed, step, what, got, want)
 			}
 		}
@@ -327,6 +251,188 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 			t.Fatalf("seed %d: %d pooled buffers live after close", seed, n)
 		}
 	}
+}
+
+// gateConn is a client connection that records what the server sends
+// it. Every send after the first (the HelloAck) reports on entered and
+// waits for release, so a test can pile entries into the queue behind a
+// writer that is mid-send. Close releases it too.
+type gateConn struct {
+	entered chan struct{}
+	open    chan struct{}
+	once    sync.Once
+
+	mu   sync.Mutex
+	sent []wire.Msg // data released, its Seq kept in the record
+}
+
+func newGateConn() *gateConn {
+	return &gateConn{entered: make(chan struct{}, 1), open: make(chan struct{})}
+}
+
+func (c *gateConn) SendBatch(ms []wire.Msg) (int, error) {
+	c.mu.Lock()
+	first := len(c.sent) == 0
+	c.mu.Unlock()
+	if !first {
+		select {
+		case c.entered <- struct{}{}:
+		default:
+		}
+		<-c.open
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, m := range ms {
+		if d, ok := m.(*wire.Data); ok {
+			c.sent = append(c.sent, &wire.Data{Pkt: wire.Packet{Seq: d.Pkt.Seq}})
+			wire.ReleaseData(d)
+			continue
+		}
+		c.sent = append(c.sent, m)
+	}
+	return len(ms), nil
+}
+
+func (c *gateConn) Send(m wire.Msg) error {
+	_, err := c.SendBatch([]wire.Msg{m})
+	return err
+}
+
+func (c *gateConn) record() []wire.Msg {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.sent)
+}
+
+func (c *gateConn) Recv() (wire.Msg, error) { return nil, transport.ErrClosed }
+func (c *gateConn) release()                { c.once.Do(func() { close(c.open) }) }
+func (c *gateConn) Close() error            { c.release(); return nil }
+func (c *gateConn) Label() string           { return "gate" }
+
+// Radio changes the writer has not yet sent collapse into one
+// notification carrying the scene's newest set, sent ahead of every
+// packet pushed after the first change; a packet popped before the
+// changes leaves before it. The changes take no queue slot, count in no
+// depth and charge no drop. The node registers with no radios, so no
+// initial notification leads the record.
+func TestRadioChangesCollapseAheadOfLaterData(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		srv := newDispatchBench(t, 2, shards)
+		defer srv.Close()
+		const id, changes = 5, 7
+		if err := srv.cfg.Scene.AddNode(id, geom.V(0, 0), nil); err != nil {
+			t.Fatal(err)
+		}
+		conn := newGateConn()
+		sess, err := srv.register(conn, &wire.Hello{Ver: wire.Version, ProposedID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		push := func(seq uint32) {
+			if !sess.q.push(outMsg{data: wire.AcquireData(wire.Packet{Seq: seq})}) {
+				t.Fatalf("push %d rejected", seq)
+			}
+		}
+		push(1)
+		await(t, conn.entered, "the writer to hold packet 1 at the gate")
+		push(2)
+		push(3)
+		for i := 1; i <= changes; i++ {
+			srv.cfg.Scene.SetRadios(id, oneRadio(radio.ChannelID(i), 100))
+		}
+		push(4)
+		push(5)
+		if d := sess.q.depth(); d != 5 {
+			t.Errorf("depth %d with 5 packets queued or in flight and %d radio changes pending, want 5", d, changes)
+		}
+		conn.release()
+
+		var got []wire.Msg
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if got = conn.record(); len(got) == 7 && sess.q.depth() == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("client got %d messages, want 7 (HelloAck, one notification, 5 packets)", len(got))
+			}
+		}
+		var seqs []uint32
+		note := -1
+		for i, m := range got[1:] {
+			switch m := m.(type) {
+			case *wire.Data:
+				seqs = append(seqs, m.Pkt.Seq)
+			case *wire.Event:
+				if note >= 0 {
+					t.Fatalf("second notification at %d: changes did not collapse", i)
+				}
+				note = len(seqs)
+				if want := oneRadio(changes, 100); !slices.Equal(m.Radios, want) {
+					t.Errorf("notification carries %v, want the newest set %v", m.Radios, want)
+				}
+			default:
+				t.Fatalf("unexpected %T", m)
+			}
+		}
+		if !slices.Equal(seqs, []uint32{1, 2, 3, 4, 5}) {
+			t.Errorf("packets left as %v, want 1..5 in order", seqs)
+		}
+		if note < 1 || note > 3 {
+			t.Errorf("notification after %d packets, want after packet 1 and before packet 4", note)
+		}
+		if drops := srv.mQueueDrops.Load(); drops != 0 {
+			t.Errorf("QueueDrops = %d, want 0", drops)
+		}
+	})
+}
+
+// A radio change racing a registration can delay the client's view but
+// never leave it stale: with SetRadios flipping every node's set while
+// clients dial in, each client reaches its node's final set once the
+// flipping stops.
+func TestRegistrationRacingRadioChangesEndsCurrent(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		r := newRig(t, func(c *ServerConfig) { c.Shards = shards })
+		const nodes = 64
+		sets := [2][]radio.Radio{oneRadio(1, 100), oneRadio(2, 150)}
+		for id := radio.NodeID(1); id <= nodes; id++ {
+			r.scene.AddNode(id, geom.V(float64(id)*10, 0), sets[0])
+		}
+		stop, flipped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(flipped)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.scene.SetRadios(radio.NodeID(1+i%nodes), sets[i/nodes%2])
+			}
+		}()
+		clients := make([]*Client, 0, nodes)
+		for id := radio.NodeID(1); id <= nodes; id++ {
+			c, err := Dial(ClientConfig{ID: id, Dial: r.lis.Dialer(), LocalClock: r.clk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			clients = append(clients, c)
+		}
+		close(stop)
+		<-flipped
+		deadline := time.Now().Add(5 * time.Second)
+		for i, c := range clients {
+			n, _ := r.scene.Node(radio.NodeID(i + 1))
+			for !slices.Equal(c.Radios(), n.Radios) {
+				if time.Now().After(deadline) {
+					t.Fatalf("client %d ended on %v, the scene holds %v", i+1, c.Radios(), n.Radios)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	})
 }
 
 // A push signals the writer only when the writer recorded that it is
@@ -348,7 +454,7 @@ func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
 		var batch []outMsg
 		for {
 			var ok bool
-			if batch, ok = q.popBatch(stop, batch, maxFlushBatch); !ok {
+			if batch, _, ok = q.popBatch(stop, batch, maxFlushBatch); !ok {
 				return
 			}
 			for _, m := range batch {
@@ -364,7 +470,7 @@ func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
 	for b := 0; b < bursts; b++ {
 		for n := 1 + rng.Intn(maxBurst); n > 0; n-- {
 			pushed++
-			if !q.push(outMsg{kind: outData, data: wire.AcquireData(wire.Packet{Seq: pushed})}) {
+			if !q.push(outMsg{data: wire.AcquireData(wire.Packet{Seq: pushed})}) {
 				t.Fatalf("push %d rejected", pushed)
 			}
 		}

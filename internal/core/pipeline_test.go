@@ -229,7 +229,7 @@ func testSlowClientDoesNotStallOthers(t *testing.T, shards int) {
 	}
 	sk.wait(t, 5*time.Second)
 	// Scene events for healthy clients flow even while VMN2's writer is
-	// wedged mid-Send and its own notification sits in its queue.
+	// wedged mid-Send and its own radios flag waits for it.
 	r.scene.SetRadios(2, []radio.Radio{{Channel: 5, Range: 200}})
 	r.scene.SetRadios(3, []radio.Radio{{Channel: 7, Range: 200}})
 	evDeadline := time.Now().Add(5 * time.Second)

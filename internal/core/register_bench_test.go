@@ -65,8 +65,16 @@ func BenchmarkRegisterInprocSession(b *testing.B) {
 	// The writers ship the radios notifications concurrently; wait for
 	// all of them inside the timed region so their cost always counts.
 	for _, sess := range sessions {
-		for sess.q.depth() != 0 {
+		for !sess.q.drained() {
 			runtime.Gosched()
 		}
 	}
+}
+
+// drained reports whether the writer has taken everything the queue
+// held, the radios flag included, and parked again.
+func (q *sendQueue) drained() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.parked && !q.radios && q.ring.Len()+q.inflight == 0
 }

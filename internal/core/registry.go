@@ -29,8 +29,9 @@ import (
 
 // session is one connected emulation client. All traffic toward the
 // client funnels through q, drained by a single writer goroutine
-// (sessionWriter), so deliveries and scene notifications leave in
-// order and a stalled client blocks only its own writer.
+// (sessionWriter), so deliveries leave in schedule order, a radio
+// change reaches the client before any delivery fired after it, and a
+// stalled client blocks only its own writer.
 type session struct {
 	id   radio.NodeID
 	conn transport.Conn
@@ -239,13 +240,13 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 	sh.mu.Unlock()
 	go s.sessionWriter(sess)
 	s.mu.Unlock()
-	// Tell the client its current radio set, through the queue so a
-	// concurrent live change cannot overtake it. The scene is read
-	// *after* the session is visible to the event subscription: any
-	// change this read misses is already queued behind, or emitted
-	// after, what we enqueue here, so the client always ends current.
+	// Tell the client its radio set, if it has one. The session is
+	// already visible to the scene subscription, so a change this read
+	// misses raises the flag itself; and the writer reads the set from
+	// the scene when it sends, so the client can only end on a newer
+	// set than the one read here, never an older one.
 	if n, ok := s.cfg.Scene.Node(id); ok && len(n.Radios) > 0 {
-		sess.q.push(outMsg{kind: outRadios, radios: append([]radio.Radio(nil), n.Radios...)})
+		sess.q.notify()
 	}
 	return sess, nil
 }

@@ -324,24 +324,18 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		})
 	}
 	// Push radio changes to the affected client so its protocol learns
-	// about channel switches made on the server GUI. The notification
-	// rides the session's own outbound queue: the scene emits events in
-	// order and the per-session writer drains FIFO, so a client
-	// observes its scene changes in the order they happened — and a
-	// wedged client delays only its own notifications, never another
-	// session's (the old shared dispatch goroutine stalled everyone).
+	// about channel switches made on the server GUI. A change raises the
+	// session's radios flag; its own writer reads the current set from
+	// the scene and sends it ahead of any delivery pushed after the
+	// change, so a wedged client delays only its own notifications,
+	// never another session's.
 	cfg.Scene.Subscribe(func(e scene.Event) {
 		if e.Kind != scene.RadiosChanged {
 			return
 		}
-		sess := s.shardOf(e.Node).lookup(e.Node)
-		if sess == nil {
-			return
+		if sess := s.shardOf(e.Node).lookup(e.Node); sess != nil {
+			sess.q.notify()
 		}
-		sess.q.push(outMsg{
-			kind:   outRadios,
-			radios: append([]radio.Radio(nil), e.Radios...),
-		})
 	})
 	return s, nil
 }

@@ -73,12 +73,11 @@ type Config struct {
 	// Obs, when set, registers the gateway's per-link instruments.
 	Obs *obs.Registry
 	// Monitor subscribes the backpressure gate directly to a colocated
-	// fidelity monitor (the embedded poemd -gateway path). Remote
-	// gateways leave it nil and feed SetHealth instead.
+	// fidelity monitor (the embedded poemd -gateway path): each
+	// binding's gate follows its node's pipeline shard, found from
+	// Monitor.Shards(), and the server as a whole. Remote gateways leave
+	// it nil and feed the server-wide state through SetHealth instead.
 	Monitor *fidelity.Monitor
-	// Shards is the server's pipeline shard count, used to map each
-	// binding's node onto its shard state. Zero takes Monitor.Shards().
-	Shards int
 	// DisableBackpressure turns the shedding policy off — the A9
 	// ablation: the gateway keeps feeding a scene that has lost real
 	// time.
@@ -135,7 +134,7 @@ type Gateway struct {
 type link struct {
 	gw    *Gateway
 	b     Binding
-	shard int // the node's pipeline shard under Config.Shards
+	shard int // the node's pipeline shard under Monitor.Shards()
 
 	conn   *net.UDPConn
 	client *core.Client
@@ -216,13 +215,9 @@ func newGateway(cfg Config) *Gateway {
 }
 
 func (g *Gateway) start() error {
-	shards := g.cfg.Shards
-	if shards <= 0 && g.cfg.Monitor != nil {
-		shards = g.cfg.Monitor.Shards()
-	}
 	for _, l := range g.links {
-		if shards > 0 {
-			l.shard = core.ShardIndex(l.b.Node, shards)
+		if m := g.cfg.Monitor; m != nil {
+			l.shard = core.ShardIndex(l.b.Node, m.Shards())
 		}
 		if l.b.Peer != "" {
 			ua, err := net.ResolveUDPAddr("udp", l.b.Peer)
