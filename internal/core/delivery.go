@@ -69,8 +69,11 @@ func (sh *shard) fire(now vclock.Time, batch []sched.Item) {
 //
 // The batch costs one shard read lock, which resolves every receiver
 // into the shard's session scratch, and one send-queue lock per
-// delivery. A receiver reaped after the lookup is still pushed: its
-// closed queue abandons the delivery, as it does for one reaped before.
+// receiver: each delivery is staged on its session (deliverFan), and
+// once the batch is staged every receiver's entries go into its queue
+// as one run, in batch order. A receiver reaped after the lookup is
+// still pushed: its closed queue abandons the run, as it does for one
+// reaped before.
 //
 // Each run of items that carry one scheduled packet — a broadcast's
 // receivers fire together — is delivered as one message (deliverFan).
@@ -98,17 +101,26 @@ func (sh *shard) deliver(batch []sched.Item) {
 		sh.deliverFan(batch[i:j], sessions[i:j], hook)
 		i = j
 	}
-	clear(sessions) // hold no reaped session past the batch
+	// From the first push on, a fan's wrapper may be retired by its
+	// receivers: only the staged entries' own fields are read below.
+	for _, sess := range sh.dirty {
+		sh.srv.pushTimed(sess.q, sess.staged)
+		clear(sess.staged) // hold no wrapper past the push
+		sess.staged = sess.staged[:0]
+	}
+	clear(sh.dirty) // hold no reaped session past the batch
+	sh.dirty = sh.dirty[:0]
+	clear(sessions)
 	sh.fired = sessions
 }
 
-// deliverFan delivers one run of a fired batch: items that carry the
-// same scheduled packet, each holding one reference on its buffer, with
-// the receivers' sessions (nil for one that left between scheduling and
+// deliverFan stages one run of a fired batch: items that carry the same
+// scheduled packet, each holding one reference on its buffer, with the
+// receivers' sessions (nil for one that left between scheduling and
 // departure). The live receivers share one pooled wire.Data, a holder
 // each; the wrapper keeps one buffer reference and the run's others
 // drop in one step. Sampling is decided once for the run and rides the
-// queue entry to the writer.
+// queue entry to the writer and to the push (pushTimed).
 func (sh *shard) deliverFan(run []sched.Item, sessions []*session, hook *func(sched.Item)) {
 	s := sh.srv
 	live := 0
@@ -125,8 +137,6 @@ func (sh *shard) deliverFan(run []sched.Item, sessions []*session, hook *func(sc
 	} else {
 		pkt.Buf.Free()
 	}
-	// From the last push on, d may be retired by its receivers: only the
-	// run's items are read below.
 	sampled := s.sampled(pkt)
 	for i := range run {
 		it := &run[i]
@@ -138,24 +148,45 @@ func (sh *shard) deliverFan(run []sched.Item, sessions []*session, hook *func(sc
 			s.mAbandoned.Inc() // the client left between scheduling and departure
 			continue
 		}
+		if len(sess.staged) == 0 {
+			sh.dirty = append(sh.dirty, sess)
+		}
+		sess.staged = append(sess.staged, outMsg{data: d, sampled: sampled})
 		if !sampled {
-			sess.q.push(outMsg{data: d})
 			continue
 		}
 		// A sampled packet (the hash ingest used): leave the receiver's
-		// enqueue event on the flight recorder, time the enqueue stage and
-		// record how far past its due time the departure fired.
+		// enqueue event on the flight recorder and record how far past
+		// its due time the departure fired.
 		nowEmu := s.cfg.Clock.Now()
 		s.fid.Recorder().Record(fidelity.EvPktEnqueue, sh.idx, int64(nowEmu),
 			fidelity.PacketID(uint32(it.Pkt.Src), it.Pkt.Seq), int64(it.To))
-		t0 := time.Now()
 		// Lag is how *late* a departure fired. The scanner popped the
 		// item against an earlier read of this clock, so a monotone clock
 		// cannot read before Due here; the clamp keeps a clock that steps
 		// back from feeding a negative duration into the histogram.
 		s.hDeliverLag.Observe(max(time.Duration(nowEmu-it.Due), 0))
-		sess.q.push(outMsg{data: d, sampled: true})
-		s.hEnqueue.Observe(time.Since(t0))
+	}
+}
+
+// pushTimed pushes run into q and times the push as the enqueue stage
+// of each sampled entry in it, one observation each.
+func (s *Server) pushTimed(q *sendQueue, run []outMsg) {
+	n := 0
+	for i := range run {
+		if run[i].sampled {
+			n++
+		}
+	}
+	if n == 0 {
+		q.push(run)
+		return
+	}
+	t0 := time.Now()
+	q.push(run)
+	d := time.Since(t0)
+	for ; n > 0; n-- {
+		s.hEnqueue.Observe(d)
 	}
 }
 

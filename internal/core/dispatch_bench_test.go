@@ -167,10 +167,10 @@ func TestAllocGateDeliverFiredBatch(t *testing.T) {
 // the shard's fire callback into 36 sessions whose writers drain as
 // fast as they can, releasing each popped holder of the fan's one
 // shared wrapper as a send would. One shard read lock resolves the
-// batch, and each delivery takes its session's queue lock once. ns/op
-// and allocs/op are per batch; TestAllocGateDeliverFiredBatch gates
-// allocs/op at 0, so the session scratch, the queue rings and the
-// wrapper pool must stop growing once warm:
+// batch, and each receiver's staged run takes its session's queue lock
+// once. ns/op and allocs/op are per batch; TestAllocGateDeliverFiredBatch
+// gates allocs/op at 0, so the shard's and sessions' scratch, the queue
+// rings and the wrapper pool must stop growing once warm:
 //
 //	go test ./internal/core -run='^$' -bench=DeliverFiredBatch -benchmem
 func BenchmarkDeliverFiredBatch(b *testing.B) {
@@ -188,9 +188,7 @@ func BenchmarkDeliverFiredBatch(b *testing.B) {
 		batch[i] = sched.Item{Due: now, To: id, Pkt: wire.Packet{Src: 1, Channel: 1}}
 		// Grow the ring to its bound before the writer starts draining
 		// it, so no later burst can allocate a larger one.
-		for j := 0; j < DefaultSendQueueDepth; j++ {
-			sess.q.push(outMsg{})
-		}
+		sess.q.push(make([]outMsg, DefaultSendQueueDepth))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -51,6 +51,11 @@ func TestObservabilityPipeline(t *testing.T) {
 			t.Errorf("%s recorded no observations", name)
 		}
 	}
+	// The enqueue stage is observed once per sampled delivery, however
+	// the deliveries were grouped into queue pushes.
+	if got := reg.FindHistogram("poem_enqueue_ns").Count(); got != n {
+		t.Errorf("poem_enqueue_ns observed %d times, want one per sampled delivery (%d)", got, n)
+	}
 
 	// The writer records the send stage after the socket send, which
 	// races the sink callback — poll briefly.

@@ -103,12 +103,16 @@ func (q *sendQueue) countAbandoned() {
 	}
 }
 
-// push enqueues m, evicting the oldest entry when full. It never
-// blocks; the return value reports whether m was accepted (false only
-// when the queue is closed).
-func (q *sendQueue) push(m outMsg) bool {
+// push enqueues run in order, each entry evicting the oldest when the
+// queue is full, under one lock and with at most one writer wakeup. It
+// never blocks. Survivors, drops and abandonments are exactly those of
+// pushing the entries one at a time: on a closed queue every entry is
+// abandoned, and a run longer than the bound leaves only its newest
+// entries queued. The return value reports whether the run was accepted
+// (false only when the queue is closed).
+func (q *sendQueue) push(run []outMsg) bool {
 	q.mu.Lock()
-	if q.ring.Len() == q.limit && !q.closed {
+	if q.ring.Len()+len(run) > q.limit && !q.closed {
 		// Distinguish "the writer has not been scheduled yet" (a burst
 		// outran it — common on few cores) from "the client is wedged"
 		// (its writer is parked in conn.Send and not runnable). Yielding
@@ -120,20 +124,24 @@ func (q *sendQueue) push(m outMsg) bool {
 		q.mu.Lock()
 	}
 	if q.closed {
-		// The session is over; the delivery dies here. Its holder must
-		// still be released and the loss accounted, or the conservation
-		// ledger would leak one packet per kill race.
-		wire.ReleaseData(m.data)
-		q.countAbandoned()
+		// The session is over; the deliveries die here. Their holders
+		// must still be released and the losses accounted, or the
+		// conservation ledger would leak one packet per kill race.
+		for i := range run {
+			wire.ReleaseData(run[i].data)
+			q.countAbandoned()
+		}
 		q.mu.Unlock()
 		return false
 	}
-	if q.ring.Len() == q.limit {
-		q.countDrop()
-		wire.ReleaseData(q.ring.At(0).data)
-		q.ring.Drop()
+	for i := range run {
+		if q.ring.Len() == q.limit {
+			q.countDrop()
+			wire.ReleaseData(q.ring.At(0).data)
+			q.ring.Drop()
+		}
+		*q.ring.Push() = run[i]
 	}
-	*q.ring.Push() = m
 	q.unlockAndWake()
 	return true
 }

@@ -30,8 +30,8 @@ import (
 // A full queue evicts its oldest packet, and that counts as a drop.
 func TestSendQueueDataEvictionCountsDrop(t *testing.T) {
 	q := newSendQueue(1, nil, nil)
-	q.push(outMsg{})
-	if !q.push(outMsg{}) {
+	q.push([]outMsg{{}})
+	if !q.push([]outMsg{{}}) {
 		t.Fatal("second data push should evict and be accepted")
 	}
 	if got := q.drops.Load(); got != 1 {
@@ -49,9 +49,9 @@ func TestSendQueueSettlesBuffers(t *testing.T) {
 		return outMsg{data: wire.AcquireData(wire.Packet{Payload: b.Bytes(), Buf: b})}
 	}
 	q := newSendQueue(1, nil, nil)
-	q.push(mk())
-	q.push(mk()) // evicts the first
-	q.push(mk()) // evicts the second
+	q.push([]outMsg{mk()})
+	q.push([]outMsg{mk()}) // evicts the first
+	q.push([]outMsg{mk()}) // evicts the second
 	if live := pool.Live(); live != 1 {
 		t.Fatalf("after two evictions: %d live buffers, want 1 (the queued one)", live)
 	}
@@ -59,7 +59,7 @@ func TestSendQueueSettlesBuffers(t *testing.T) {
 	if live := pool.Live(); live != 0 {
 		t.Fatalf("after close: %d live buffers, want 0", live)
 	}
-	q.push(mk()) // rejected by the closed queue; must free immediately
+	q.push([]outMsg{mk(), mk()}) // rejected by the closed queue; must free immediately
 	if live := pool.Live(); live != 0 {
 		t.Fatalf("closed-queue push leaked: %d live buffers, want 0", live)
 	}
@@ -114,7 +114,7 @@ func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 			sess.q.notify()
 		}
 		b := mbuf.AllocCopy(pool, []byte("cut"))
-		sess.q.push(outMsg{data: wire.AcquireData(wire.Packet{Seq: uint32(i), Payload: b.Bytes(), Buf: b})})
+		sess.q.push([]outMsg{{data: wire.AcquireData(wire.Packet{Seq: uint32(i), Payload: b.Bytes(), Buf: b})}})
 	}
 	batch, radios, ok := sess.q.popBatch(sess.stop, nil, maxFlushBatch)
 	if !ok || !radios || len(batch) != packets {
@@ -143,11 +143,13 @@ func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 }
 
 // The sendQueue against a slice oracle, the way ListQueue is the heap's
-// oracle: seeded sequences of data pushes (overflowing the bound),
-// notifies, non-blocking popBatch, done and close. A notify is a flag in
-// the oracle: the next pop that returns reports it, however many
-// notifies it collapses. After every step the drop and abandon counts,
-// the depth, the pop order and the pooled buffers still live must match.
+// oracle: seeded sequences of pushes (single entries and runs of up to
+// twice the bound, overflowing it, also onto a closed queue), notifies,
+// non-blocking popBatch, done and close. In the oracle a run is its
+// entries pushed one at a time. A notify is a flag in the oracle: the
+// next pop that returns reports it, however many notifies it collapses.
+// After every step the drop and abandon counts, the depth, the pop order
+// and the pooled buffers still live must match.
 func TestSendQueueMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -171,20 +173,27 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 			what := ""
 			switch op := rng.Intn(20); {
 			case op < 9:
-				next++
-				what = fmt.Sprintf("push data %d", next)
-				b := pool.Alloc(16)
-				got := q.push(outMsg{data: wire.AcquireData(wire.Packet{Seq: next, Payload: b.Bytes(), Buf: b})})
-				if closed {
-					abandoned++
-				} else {
+				n := 1
+				if rng.Intn(2) == 0 {
+					n = 1 + rng.Intn(2*limit)
+				}
+				what = fmt.Sprintf("push run %d..%d", next+1, next+uint32(n))
+				run := make([]outMsg, n)
+				for i := range run {
+					next++
+					b := pool.Alloc(16)
+					run[i] = outMsg{data: wire.AcquireData(wire.Packet{Seq: next, Payload: b.Bytes(), Buf: b})}
+					if closed {
+						abandoned++
+						continue
+					}
 					if len(queued) == limit {
 						queued = queued[1:] // drop-oldest
 						drops++
 					}
 					queued = append(queued, next)
 				}
-				if got != !closed {
+				if got := q.push(run); got != !closed {
 					t.Fatalf("seed %d step %d %s: accepted %v, oracle %v", seed, step, what, got, !closed)
 				}
 			case op < 13:
@@ -330,7 +339,7 @@ func TestRadioChangesCollapseAheadOfLaterData(t *testing.T) {
 			t.Fatal(err)
 		}
 		push := func(seq uint32) {
-			if !sess.q.push(outMsg{data: wire.AcquireData(wire.Packet{Seq: seq})}) {
+			if !sess.q.push([]outMsg{{data: wire.AcquireData(wire.Packet{Seq: seq})}}) {
 				t.Fatalf("push %d rejected", seq)
 			}
 		}
@@ -467,11 +476,17 @@ func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
 	defer func() { close(stop); <-writerDone }()
 
 	pushed := uint32(0)
+	var run []outMsg
 	for b := 0; b < bursts; b++ {
+		// A burst is single pushes or, every other burst, one run.
 		for n := 1 + rng.Intn(maxBurst); n > 0; n-- {
 			pushed++
-			if !q.push(outMsg{data: wire.AcquireData(wire.Packet{Seq: pushed})}) {
-				t.Fatalf("push %d rejected", pushed)
+			run = append(run, outMsg{data: wire.AcquireData(wire.Packet{Seq: pushed})})
+			if b%2 == 0 || n == 1 {
+				if !q.push(run) {
+					t.Fatalf("push ending at %d rejected", pushed)
+				}
+				run = run[:0]
 			}
 		}
 		switch rng.Intn(3) {

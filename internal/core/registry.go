@@ -45,6 +45,11 @@ type session struct {
 	stop     chan struct{} // closed when the session ends
 	stopOnce sync.Once
 
+	// staged holds this session's deliveries of the batch its shard's
+	// scanner is firing, pushed into q as one run when the batch ends
+	// (deliver). Only that scanner goroutine touches it.
+	staged []outMsg
+
 	// writerLive is set before the writer goroutine starts and cleared
 	// when it exits; reaped records that the session left the shard map
 	// while it was set. Both are guarded by the owning shard's mu (see
@@ -245,7 +250,7 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 	// misses raises the flag itself; and the writer reads the set from
 	// the scene when it sends, so the client can only end on a newer
 	// set than the one read here, never an older one.
-	if n, ok := s.cfg.Scene.Node(id); ok && len(n.Radios) > 0 {
+	if s.cfg.Scene.HasRadios(id) {
 		sess.q.notify()
 	}
 	return sess, nil

@@ -73,11 +73,16 @@ type shard struct {
 	// being fired, resolved under one read of mu. Sized for a full batch
 	// once, so it never grows; only the scanner goroutine touches it.
 	fired []*session
+	// dirty lists the sessions with deliveries staged in the batch being
+	// fired, each once, in the order of their first delivery. Sized like
+	// fired; only the scanner goroutine touches it.
+	dirty []*session
 }
 
 func newShard(idx int, srv *Server) *shard {
 	sh := &shard{idx: idx, srv: srv, sessions: make(map[radio.NodeID]*session),
-		fired: make([]*session, 0, sched.DefaultFireBatch)}
+		fired: make([]*session, 0, sched.DefaultFireBatch),
+		dirty: make([]*session, 0, sched.DefaultFireBatch)}
 	sh.scanner = sched.NewScanner(srv.cfg.Clock, sh.fire)
 	return sh
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mbuf"
 	"repro/internal/radio"
 	"repro/internal/scene"
+	"repro/internal/sched"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 	"repro/internal/wire"
@@ -28,6 +29,7 @@ type wrapperRig struct {
 	srv   *Server
 	pool  *mbuf.Pool // nil when ingress is unpooled
 	src   *Client
+	lis   *transport.InprocListener
 	conns map[radio.NodeID]transport.Conn
 	stop  func()
 }
@@ -45,7 +47,7 @@ func newWrapperRig(t *testing.T, shards int, ids []radio.NodeID, pooled bool, mu
 		t.Fatal(err)
 	}
 	lis := transport.NewInprocListener()
-	r := &wrapperRig{clk: clk, srv: srv, conns: map[radio.NodeID]transport.Conn{}}
+	r := &wrapperRig{clk: clk, srv: srv, lis: lis, conns: map[radio.NodeID]transport.Conn{}}
 	var front transport.Listener = lis
 	if pooled {
 		r.pool = mbuf.NewPool()
@@ -78,9 +80,15 @@ func newWrapperRig(t *testing.T, shards int, ids []radio.NodeID, pooled bool, mu
 // them; the parked clock fires none.
 func (r *wrapperRig) send(t *testing.T, pkts ...wire.Packet) {
 	t.Helper()
+	r.sendFrom(t, r.src, pkts...)
+}
+
+// sendFrom is send from another client of the rig's server.
+func (r *wrapperRig) sendFrom(t *testing.T, c *Client, pkts ...wire.Packet) {
+	t.Helper()
 	want := r.srv.Stats().Received + uint64(len(pkts))
 	for _, p := range pkts {
-		if err := r.src.Send(p); err != nil {
+		if err := c.Send(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,5 +363,130 @@ func TestDropOldestEvictsSharedWrapper(t *testing.T) {
 		if st.QueueDrops+st.Abandoned != packets {
 			t.Fatalf("wedged receiver: %d dropped + %d abandoned, want %d", st.QueueDrops, st.Abandoned, packets)
 		}
+	})
+}
+
+// Two broadcasters' fans interleave in one fired batch over overlapping
+// receivers, so a receiver appears several times in its shard's batch.
+// deliver stages each receiver's deliveries and pushes them as one run:
+// every client receives its packets in the batch's order, a receiver
+// reaped on the scanner after the batch's lookup has its whole run
+// abandoned by its closed queue, and once the batch is delivered no
+// session keeps a staged entry (nor a wrapper in a slot) and no shard a
+// dirty session.
+func TestFiredBatchPushesOneRunPerReceiver(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		const packets = 3 // per broadcaster
+		ids := receiverIDs(fanReceivers)
+		r := newWrapperRig(t, shards, ids, true, nil)
+		// VMN 90 reaches only the far end of the row of receivers, all of
+		// which VMN 1 reaches.
+		const other = radio.NodeID(90)
+		r.srv.cfg.Scene.AddNode(other, geom.V(220, 5), oneRadio(1, 200))
+		src2, err := Dial(ClientConfig{ID: other, Dial: r.lis.Dialer(), LocalClock: r.clk, SyncRounds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(src2.Close)
+		victim := ids[len(ids)-2] // in reach of both broadcasters
+		sessions := map[radio.NodeID]*session{}
+		for _, id := range ids {
+			sessions[id] = r.srv.shardOf(id).lookup(id)
+		}
+		type delivery struct {
+			src radio.NodeID
+			seq uint32
+		}
+		var mu sync.Mutex
+		fired := map[radio.NodeID][]delivery{} // each receiver's items in batch order
+		r.srv.SetDeliverHook(func(it sched.Item) {
+			mu.Lock()
+			fired[it.To] = append(fired[it.To], delivery{it.Pkt.Src, it.Pkt.Seq})
+			first := it.To == victim && len(fired[it.To]) == 1
+			mu.Unlock()
+			if first { // on the scanner, after the batch's lookup: what the handler does when the client leaves
+				sess := sessions[victim]
+				sess.conn.Close()
+				sess.shutdown()
+				r.srv.shardOf(victim).reap(sess)
+			}
+		})
+		// Ingested one at a time, so the schedule lists the fans as
+		// 1:1, 90:1, 1:2, 90:2, ...: all due at 2 ms, in one batch a shard.
+		for seq := uint32(1); seq <= packets; seq++ {
+			for _, c := range []*Client{r.src, src2} {
+				r.sendFrom(t, c, wire.Packet{Dst: radio.Broadcast, Channel: 1, Seq: seq, Payload: []byte("run")})
+			}
+		}
+		r.clk.Set(vclock.FromSeconds(1))
+		if !r.srv.Quiesce(5 * time.Second) {
+			t.Fatalf("pipeline did not drain: %+v", r.srv.Stats())
+		}
+		for i, st := range r.srv.ShardStats() {
+			if st.FireBatches > 1 {
+				t.Fatalf("shard %d fired %d batches, want at most 1", i, st.FireBatches)
+			}
+		}
+
+		mu.Lock()
+		defer mu.Unlock()
+		both, oneOnly, total := 0, 0, 0
+		for _, id := range ids {
+			got := fired[id]
+			total += len(got)
+			switch len(got) {
+			case 2 * packets:
+				both++
+			case packets:
+				oneOnly++
+			default:
+				t.Fatalf("VMN %v fired %v, want %d or %d packets", id, got, packets, 2*packets)
+			}
+		}
+		if both == 0 || oneOnly == 0 || len(fired[victim]) != 2*packets {
+			t.Fatalf("%d receivers of both broadcasters, %d of one, victim %v fired %d: want overlapping fans over the victim",
+				both, oneOnly, victim, len(fired[victim]))
+		}
+		for _, id := range ids {
+			if id == victim {
+				continue
+			}
+			for i, want := range fired[id] {
+				d := r.recvData(t, id)
+				if got := (delivery{d.Pkt.Src, d.Pkt.Seq}); got != want {
+					t.Fatalf("VMN %v packet %d is %v, batch order has %v (all: %v)", id, i, got, want, fired[id])
+				}
+				wire.ReleaseData(d)
+			}
+		}
+		st := r.srv.Stats()
+		lost := uint64(len(fired[victim]))
+		if st.Entered != uint64(total) || st.Abandoned != lost || st.Forwarded != st.Entered-lost || st.QueueDrops != 0 {
+			t.Fatalf("entered %d, forwarded %d, abandoned %d, dropped %d: want %d entered and the victim's %d abandoned",
+				st.Entered, st.Forwarded, st.Abandoned, st.QueueDrops, total, lost)
+		}
+		// Quiesce waited for every fire call to return, which orders the
+		// scanners' writes before these reads.
+		for id, sess := range sessions {
+			if len(sess.staged) != 0 || cap(sess.staged) == 0 {
+				t.Fatalf("VMN %v: staged len %d cap %d after the batch, want empty and used", id, len(sess.staged), cap(sess.staged))
+			}
+			for i, m := range sess.staged[:cap(sess.staged)] {
+				if m != (outMsg{}) {
+					t.Fatalf("VMN %v: staged slot %d still holds %+v", id, i, m)
+				}
+			}
+		}
+		for i, sh := range r.srv.shards {
+			if len(sh.dirty) != 0 {
+				t.Fatalf("shard %d: %d dirty sessions after the batch", i, len(sh.dirty))
+			}
+			for j, sess := range sh.dirty[:cap(sh.dirty)] {
+				if sess != nil {
+					t.Fatalf("shard %d: dirty slot %d still holds VMN %v", i, j, sess.id)
+				}
+			}
+		}
+		r.closeLedger(t)
 	})
 }
