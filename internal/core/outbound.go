@@ -103,38 +103,45 @@ func (q *sendQueue) countAbandoned() {
 	}
 }
 
-// push enqueues run in order, each entry evicting the oldest when the
-// queue is full, under one lock and with at most one writer wakeup. It
-// never blocks. Survivors, drops and abandonments are exactly those of
-// pushing the entries one at a time: on a closed queue every entry is
-// abandoned, and a run longer than the bound leaves only its newest
-// entries queued. The return value reports whether the run was accepted
-// (false only when the queue is closed).
+// push enqueues run in order under one lock, each entry evicting the
+// oldest when the queue is full, and never blocks. An entry that finds
+// the queue full first wakes the writer if it parked and yields, as a
+// single push did, so a healthy writer gets to drain before drop-oldest
+// engages. Survivors, drops and abandonments are those of pushing the
+// entries one at a time: on a closed queue every entry is abandoned,
+// and with no writer draining, a run longer than the bound leaves only
+// its newest entries queued. The return value reports whether the whole
+// run was accepted (false only when the queue is closed).
 func (q *sendQueue) push(run []outMsg) bool {
 	q.mu.Lock()
-	if q.ring.Len()+len(run) > q.limit && !q.closed {
-		// Distinguish "the writer has not been scheduled yet" (a burst
-		// outran it — common on few cores) from "the client is wedged"
-		// (its writer is parked in conn.Send and not runnable). Yielding
-		// lets a healthy writer drain before we resort to dropping;
-		// against a wedged one the queue is still full afterwards and
-		// drop-oldest engages as intended.
-		q.mu.Unlock()
-		runtime.Gosched()
-		q.mu.Lock()
-	}
-	if q.closed {
-		// The session is over; the deliveries die here. Their holders
-		// must still be released and the losses accounted, or the
-		// conservation ledger would leak one packet per kill race.
-		for i := range run {
-			wire.ReleaseData(run[i].data)
-			q.countAbandoned()
-		}
-		q.mu.Unlock()
-		return false
-	}
 	for i := range run {
+		if q.ring.Len() == q.limit && !q.closed {
+			// Distinguish "the writer has not been scheduled yet" (a burst
+			// outran it — common on few cores) from "the client is wedged"
+			// (its writer is parked in conn.Send and not runnable). Yielding
+			// lets a healthy writer drain before we resort to dropping;
+			// against a wedged one the queue is still full afterwards and
+			// drop-oldest engages as intended. A writer that parked before
+			// the run is healthy and is woken first; it gets a second
+			// yield, because one yield may return straight to us (the
+			// scheduler's periodic turn for the global run queue).
+			if q.unlockAndWake() {
+				runtime.Gosched()
+			}
+			runtime.Gosched()
+			q.mu.Lock()
+		}
+		if q.closed {
+			// The session is over; the deliveries die here. Their holders
+			// must still be released and the losses accounted, or the
+			// conservation ledger would leak one packet per kill race.
+			for j := i; j < len(run); j++ {
+				wire.ReleaseData(run[j].data)
+				q.countAbandoned()
+			}
+			q.mu.Unlock()
+			return false
+		}
 		if q.ring.Len() == q.limit {
 			q.countDrop()
 			wire.ReleaseData(q.ring.At(0).data)
@@ -155,8 +162,8 @@ func (q *sendQueue) notify() {
 }
 
 // unlockAndWake releases q.mu and signals wake if the writer recorded
-// that it parked.
-func (q *sendQueue) unlockAndWake() {
+// that it parked, reporting whether it did.
+func (q *sendQueue) unlockAndWake() bool {
 	signal := q.parked
 	q.parked = false
 	q.mu.Unlock()
@@ -166,6 +173,7 @@ func (q *sendQueue) unlockAndWake() {
 		default:
 		}
 	}
+	return signal
 }
 
 // popBatch blocks for at least one entry or a raised radios flag, then

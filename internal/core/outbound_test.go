@@ -519,6 +519,71 @@ func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
 	}
 }
 
+// A run longer than the free room must not be dropped against a healthy
+// writer that parked before it arrived: push wakes the writer and yields
+// before it resorts to drop-oldest, as single pushes did. On one P the
+// yield runs the woken writer, which drains the queue, so a run of twice
+// the bound reaches it whole with no drop.
+func TestSendQueueRunWakesParkedWriterBeforeDropping(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const limit = 4
+	q := newSendQueue(limit, nil, nil)
+	stop := make(chan struct{})
+	popped := make(chan uint32, 4*limit)
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		var batch []outMsg
+		for {
+			var ok bool
+			if batch, _, ok = q.popBatch(stop, batch, maxFlushBatch); !ok {
+				return
+			}
+			for _, m := range batch {
+				popped <- m.data.Pkt.Seq
+				wire.ReleaseData(m.data)
+			}
+			q.done(len(batch))
+		}
+	}()
+	defer func() { close(stop); <-writerDone }()
+
+	for round := 0; round < 3; round++ {
+		for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+			q.mu.Lock()
+			parked := q.parked
+			q.mu.Unlock()
+			if parked {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the writer never parked", round)
+			}
+		}
+		run := make([]outMsg, 2*limit)
+		for i := range run {
+			run[i] = outMsg{data: wire.AcquireData(wire.Packet{Seq: uint32(round*len(run) + i + 1)})}
+		}
+		if !q.push(run) {
+			t.Fatalf("round %d: run rejected by an open queue", round)
+		}
+		for i := range run {
+			want := uint32(round*len(run) + i + 1)
+			select {
+			case got := <-popped:
+				if got != want {
+					t.Fatalf("round %d: popped seq %d, want %d (drops %d)", round, got, want, q.drops.Load())
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: popped %d of %d entries (drops %d)", round, i, len(run), q.drops.Load())
+			}
+		}
+		if d := q.drops.Load(); d != 0 {
+			t.Fatalf("round %d: %d drops against a parked healthy writer, want 0", round, d)
+		}
+	}
+}
+
 // The SerializeChannels airtime map must not grow without bound under
 // channel churn: expired busy-until entries constrain nothing and are
 // swept once the map outgrows its watermark.

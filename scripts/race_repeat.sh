@@ -79,9 +79,10 @@ go test ./internal/chaos -race -count=10 -run 'TestStallClock|TestClockStall'
 # each: one wrapper per fire batch, never one for two packets, released
 # once on every exit (forwarded, drop-oldest, abandoned, queue close),
 # the last holder racing none of the others' reads. Each receiver's
-# deliveries of a batch are staged on its session and pushed as one run.
+# deliveries of a batch are staged on its session and pushed as one run;
+# a run that overflows wakes a parked writer and yields before it drops.
 go test ./internal/sched -race -count=10 -run 'TestScannerFireObserver|TestScannerBatchObserver|TestDrainVisitsUnfiredReceiversOfAFan'
-go test ./internal/core -race -count=10 -run 'TestSendQueueParkedWriterSeesEveryPush|TestDeliverBatchAcrossReapedSession|TestSendQueueMatchesOracle|TestBroadcastOrderSameAtEveryShardCount|TestFiredBatchPushesOneRunPerReceiver'
+go test ./internal/core -race -count=10 -run 'TestSendQueueParkedWriterSeesEveryPush|TestDeliverBatchAcrossReapedSession|TestSendQueueMatchesOracle|TestBroadcastOrderSameAtEveryShardCount|TestFiredBatchPushesOneRunPerReceiver|TestSendQueueRunWakesParkedWriterBeforeDropping'
 go test ./internal/core -race -count=10 -run 'TestFiredFanSharesOneWrapper|TestFanCutByBatchBoundaryGetsOneWrapperPerBatch|TestDistinctPacketsNeverShareAWrapper|TestDropOldestEvictsSharedWrapper|TestCloseWithFansScheduledClosesLedger'
 go test ./internal/wire -race -count=10 -run 'TestSharedDataConcurrentRelease|TestSharedDataRetiresAtLastHolder'
 go test ./internal/core -race -count=10 -shards=4 -run 'TestSendQueueParkedWriterSeesEveryPush|TestDeliverBatchAcrossReapedSession|TestDeliveryOrderMatchesSchedule|TestSlowClientDoesNotStallOthers|TestBroadcastFanout|TestClientDisconnectMidFlight'
