@@ -16,7 +16,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/record"
 	"repro/internal/replay"
 	"repro/internal/stats"
@@ -24,13 +23,12 @@ import (
 
 func main() {
 	var (
-		in      = flag.String("in", "", "recording file (required)")
-		step    = flag.Duration("step", time.Second, "frame step")
-		width   = flag.Int("w", 60, "frame width")
-		height  = flag.Int("h", 20, "frame height")
-		flow    = flag.Int("flow", -1, "analyze this flow instead of replaying (-2 = all flows)")
-		window  = flag.Duration("window", time.Second, "statistics window")
-		showEng = flag.Bool("energy", false, "print the per-node energy report (§7 power model)")
+		in     = flag.String("in", "", "recording file (required)")
+		step   = flag.Duration("step", time.Second, "frame step")
+		width  = flag.Int("w", 60, "frame width")
+		height = flag.Int("h", 20, "frame height")
+		flow   = flag.Int("flow", -1, "analyze this flow instead of replaying (-2 = all flows)")
+		window = flag.Duration("window", time.Second, "statistics window")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -45,11 +43,6 @@ func main() {
 	f.Close()
 	if err != nil {
 		log.Fatalf("poem-replay: %v", err)
-	}
-	if *showEng {
-		rep := energy.Analyze(store, energy.Default80211b())
-		rep.Render(os.Stdout)
-		return
 	}
 	if *flow == -2 { // -flow -2: summarize every flow
 		for _, rep := range stats.AnalyzeAll(store, *window) {

@@ -107,6 +107,27 @@ func TestObservabilityPipeline(t *testing.T) {
 	}
 }
 
+// The enqueue stage times one delivery: a run's push is shared out over
+// its entries, so 64 sampled entries pushed at once add 64 observations
+// whose sum is at most the wall time of the whole call.
+func TestEnqueueStageTimesOneDelivery(t *testing.T) {
+	s := &Server{hEnqueue: obs.NewHistogram()}
+	q := newSendQueue(128, nil, nil)
+	run := make([]outMsg, 64)
+	for i := range run {
+		run[i].sampled = true
+	}
+	t0 := time.Now()
+	s.pushTimed(q, run)
+	wall := time.Since(t0)
+	if got := s.hEnqueue.Count(); got != uint64(len(run)) {
+		t.Fatalf("poem_enqueue_ns observed %d times, want %d", got, len(run))
+	}
+	if sum := time.Duration(s.hEnqueue.Sum()); sum > wall {
+		t.Errorf("poem_enqueue_ns summed %v over one push of %d entries that took %v", sum, len(run), wall)
+	}
+}
+
 // TestObsSamplingDisabled pins the negative setting: ObsSampleEvery < 0
 // turns stage timing and lifecycle tracing off entirely while counters
 // keep running.

@@ -250,14 +250,22 @@ func TestBinariesEndToEnd(t *testing.T) {
 	if !strings.Contains(string(out), "activity:") || !strings.Contains(string(out), "nodes=") {
 		t.Errorf("replay output:\n%s", out)
 	}
-	// The energy report runs off the same recording.
+	// The all-flows summary runs off the same recording and counts the
+	// delivered message.
 	out, err = exec.Command(filepath.Join(bins, "poem-replay"),
-		"-in", recPath, "-energy").CombinedOutput()
+		"-in", recPath, "-flow", "-2").CombinedOutput()
 	if err != nil {
-		t.Fatalf("poem-replay -energy: %v\n%s", err, out)
+		t.Fatalf("poem-replay -flow -2: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "total:") {
-		t.Errorf("energy output:\n%s", out)
+	delivered := 0
+	for _, line := range strings.Split(string(out), "\n") {
+		var flow, sent, got int
+		if n, _ := fmt.Sscanf(line, "flow %d: sent=%d delivered=%d", &flow, &sent, &got); n == 3 && got > delivered {
+			delivered = got
+		}
+	}
+	if delivered < 1 {
+		t.Errorf("no flow line with a delivery in the flow summary:\n%s", out)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +123,30 @@ func TestFigure10Reproduction(t *testing.T) {
 	if !strings.Contains(buf.String(), "non-real-time") {
 		t.Error("rendering incomplete")
 	}
+
+	// A second run holds the exact model to a tighter bound inside the
+	// in-range regime (the relay leaves range at t ≈ 16 s).
+	t.Run("ExactModel", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("wall-clock-starved under -race")
+		}
+		exact, err := Figure10(nil, Figure10Config{
+			Duration: 14 * time.Second,
+			Scale:    40,
+			RateBps:  800e3,
+			Seed:     5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The run is real time at scale 40: a failure prints the
+		// scheduler's evidence, so a starved host (high fire lag and
+		// misses) reads apart from a model that changed (both low).
+		if exact.MaxDevFromExpected > 0.15 {
+			t.Errorf("exact-model deviation %.3f implausibly large (fire-lag p99 %v, deadline-miss ratio %.4f)",
+				exact.MaxDevFromExpected, exact.Overhead.FireLagP99, exact.Overhead.MissRatio)
+		}
+	})
 }
 
 func TestSerialErrorGrowsWithClients(t *testing.T) {
@@ -381,44 +404,5 @@ func TestLoadSmall(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "locks/delivery") {
 		t.Error("rendering incomplete")
-	}
-}
-
-// Shadowing ablation: log-normal fading makes the measured curve wander
-// further from the smooth expectation than the exact model does.
-func TestFigure10ShadowingAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	if raceEnabled {
-		t.Skip("wall-clock-starved under -race")
-	}
-	run := func(sigma float64) Figure10Result {
-		res, err := Figure10(nil, Figure10Config{
-			Duration:         14 * time.Second, // inside the in-range regime
-			Scale:            40,
-			RateBps:          800e3,
-			Seed:             5,
-			ShadowingSigmaDB: sigma,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	// The run is real time at scale 40: a failure prints the scheduler's
-	// evidence, so a starved host (high fire lag and misses) reads apart
-	// from a model that changed (both low).
-	evidence := func(r Figure10Result) string {
-		return fmt.Sprintf("fire-lag p99 %v, deadline-miss ratio %.4f", r.Overhead.FireLagP99, r.Overhead.MissRatio)
-	}
-	exact := run(0)
-	faded := run(8)
-	if faded.MaxDevFromExpected <= exact.MaxDevFromExpected {
-		t.Errorf("shadowing did not widen the deviation: σ=0 → %.3f (%s), σ=8dB → %.3f (%s)",
-			exact.MaxDevFromExpected, evidence(exact), faded.MaxDevFromExpected, evidence(faded))
-	}
-	if exact.MaxDevFromExpected > 0.15 {
-		t.Errorf("exact-model deviation %.3f implausibly large (%s)", exact.MaxDevFromExpected, evidence(exact))
 	}
 }

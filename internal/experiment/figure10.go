@@ -39,11 +39,6 @@ type Figure10Config struct {
 	// curve. Above the CBR inter-packet gap the backlog grows and the
 	// curve drifts — the paper's inaccuracy.
 	SerialService time.Duration
-	// ShadowingSigmaDB, when positive, wraps the loss model in
-	// log-normal slow fading (the §7 "sophisticated models" extension):
-	// the measured curve then wanders around the smooth expectation
-	// with the fade coherence time. 0 keeps the paper's exact model.
-	ShadowingSigmaDB float64
 }
 
 func (c Figure10Config) withDefaults() Figure10Config {
@@ -118,12 +113,8 @@ func Figure10(w io.Writer, cfg Figure10Config) (Figure10Result, error) {
 		return Figure10Result{}, err
 	}
 	for _, ch := range []radio.ChannelID{1, 2} {
-		var lm linkmodel.LossModel = loss
-		if cfg.ShadowingSigmaDB > 0 {
-			lm = linkmodel.NewShadowing(loss, cfg.ShadowingSigmaDB, clk, cfg.Seed+int64(ch))
-		}
 		model := linkmodel.Model{
-			Loss:      lm,
+			Loss:      loss,
 			Bandwidth: linkmodel.ConstantBandwidth{Bps: 100e6}, // loss comes from the loss model only (§6.2)
 			Delay:     linkmodel.ConstantDelay{D: time.Millisecond},
 		}

@@ -1,8 +1,10 @@
 package linkmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -135,6 +137,97 @@ func TestDiceDelayMoments(t *testing.T) {
 	}
 	if math.Abs(std-float64(nd.Std)) > 0.02*float64(nd.Std) {
 		t.Errorf("NormalDelay std %v, want %v", time.Duration(std), nd.Std)
+	}
+}
+
+// shippedModels is every loss × bandwidth × delay combination the
+// package ships, with parameters under which each component's draw or
+// distance dependence shows in the Decision.
+func shippedModels(t *testing.T) map[string]Model {
+	dl, err := NewDistanceLoss(0.1, 0.9, 50, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := NewGaussianBandwidth(11e6, 1e6, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses := map[string]LossModel{"DistanceLoss": dl, "ConstantLoss": ConstantLoss{P: 0.3}, "NoLoss": NoLoss{}}
+	bandwidths := map[string]BandwidthModel{"GaussianBandwidth": gb, "ConstantBandwidth": ConstantBandwidth{Bps: 2e6}}
+	delays := map[string]DelayModel{
+		"ConstantDelay": ConstantDelay{D: time.Millisecond},
+		"UniformDelay":  UniformDelay{Min: time.Millisecond, Max: 5 * time.Millisecond},
+		"NormalDelay":   NormalDelay{Mean: 2 * time.Millisecond, Std: time.Millisecond},
+	}
+	models := make(map[string]Model)
+	for ln, l := range losses {
+		for bn, b := range bandwidths {
+			for dn, d := range delays {
+				models[ln+"×"+bn+"×"+dn] = Model{Loss: l, Bandwidth: b, Delay: d}
+			}
+		}
+	}
+	return models
+}
+
+// Every shipped model is a pure verdict: a key's Decision depends on
+// the key alone, not on which keys were evaluated before it, in what
+// order, or on how many goroutines evaluate the model at once.
+func TestEveryModelIsPure(t *testing.T) {
+	type key struct {
+		src, seq, receiver uint32
+		stamp              int64
+		r                  float64
+		size               int
+	}
+	keys := make([]key, 256)
+	for i := range keys {
+		keys[i] = key{src: uint32(i%7 + 1), seq: uint32(i), receiver: uint32(i%5 + 2),
+			stamp: int64(i) * int64(time.Millisecond), r: float64(i % 250), size: 64 + 5*i}
+	}
+	eval := func(m Model, k key) Decision {
+		var d Dice
+		d.Key(PacketKey(11, k.src, k.seq, k.stamp), k.receiver)
+		return m.Evaluate(k.r, k.size, rand.New(&d))
+	}
+	for name, m := range shippedModels(t) {
+		forward := make([]Decision, len(keys))
+		for i, k := range keys {
+			forward[i] = eval(m, k)
+		}
+		same := func(order string, got []Decision) {
+			for i := range keys {
+				if got[i] != forward[i] {
+					t.Errorf("%s, %s: key %d decided %+v, forward %+v", name, order, i, got[i], forward[i])
+					return
+				}
+			}
+		}
+		reverse := make([]Decision, len(keys))
+		for i := len(keys) - 1; i >= 0; i-- {
+			reverse[i] = eval(m, keys[i])
+		}
+		same("reverse", reverse)
+		// Each goroutine walks every key from its own starting point, so
+		// the evaluations interleave.
+		const workers = 4
+		var concurrent [workers][]Decision
+		var wg sync.WaitGroup
+		for g := range concurrent {
+			concurrent[g] = make([]Decision, len(keys))
+			wg.Add(1)
+			go func(out []Decision, from int) {
+				defer wg.Done()
+				for j := range keys {
+					i := (from + j) % len(keys)
+					out[i] = eval(m, keys[i])
+				}
+			}(concurrent[g], g*len(keys)/workers)
+		}
+		wg.Wait()
+		for g := range concurrent {
+			same(fmt.Sprintf("goroutine %d of %d", g+1, workers), concurrent[g])
+		}
 	}
 }
 

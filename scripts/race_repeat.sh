@@ -47,8 +47,8 @@ go test ./internal/record -race -count=10
 
 # Link-model dice: verdicts keyed by seed, packet and receiver —
 # unchanged by unrelated scene edits and shard count, re-derived from
-# the recording; dice statistics.
-go test ./internal/linkmodel -count=10 -race -run 'Dice'
+# the recording; dice statistics; every shipped model a pure verdict.
+go test ./internal/linkmodel -count=10 -race -run 'Dice|Pure'
 go test ./internal/core -count=10 -race -run 'TestDropSetIgnoresUnrelatedSceneChanges|TestRecordedDropsRederive'
 
 # Packet lifecycles: stage events keyed by the packet on the flight
