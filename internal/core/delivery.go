@@ -2,8 +2,9 @@ package core
 
 // Delivery: §3.2 steps 5–6. Each shard's scanner fires batches of due
 // items into the addressees' bounded send queues (fire, deliver); one
-// dedicated writer goroutine per session drains that queue and performs
-// the socket writes (sessionWriter/writeBatch).
+// dedicated writer goroutine per session, started by its queue's first
+// push or radio change, drains that queue and performs the socket
+// writes (sessionWriter/writeBatch).
 
 import (
 	"time"
@@ -62,10 +63,13 @@ func (sh *shard) fire(now vclock.Time, batch []sched.Item) {
 // shard's scanner goroutine and never blocks — the session's dedicated
 // writer performs the socket write, so the scanner cannot be stalled by
 // a slow client and the goroutine count stays O(connected clients +
-// shards) rather than O(in-flight packets). Because the scanner fires
-// items in due order and the queue is FIFO, deliveries to a client
-// leave in schedule order; ingest routes every item for this
-// destination to this one shard, so no other scanner can interleave.
+// sessions that ever received + shards) rather than O(in-flight
+// packets). A receiver's first push starts its writer (startWriter),
+// which takes Server.mu once per session lifetime on this path.
+// Because the scanner fires items in due order and the queue is FIFO,
+// deliveries to a client leave in schedule order; ingest routes every
+// item for this destination to this one shard, so no other scanner can
+// interleave.
 //
 // The batch costs one shard read lock, which resolves every receiver
 // into the shard's session scratch, and one send-queue lock per
@@ -221,7 +225,9 @@ func (s *Server) sampled(p *wire.Packet) bool {
 const maxFlushBatch = 64
 
 // sessionWriter is the per-session sending goroutine: it drains the
-// session's queue in FIFO order and performs the actual writes. One
+// session's queue in FIFO order and performs the actual writes. It
+// starts with the queue's first push or radio change after registration
+// (startWriter) and runs until the session ends. One
 // writer per session means a wedged client backpressures only itself;
 // everyone else's writers keep draining. The writer pops entries in
 // batches and ships each batch as one vectored write when the transport
@@ -243,7 +249,7 @@ func (s *Server) sessionWriter(sess *session) {
 		// — forwarded on success, abandoned on a failed send — so a drain
 		// check never observes the gap between pop and accounting.
 		var radios, ok bool
-		batch, radios, ok = sess.q.popBatch(sess.stop, batch, maxFlushBatch)
+		batch, radios, ok = sess.q.popBatch(batch, maxFlushBatch)
 		if !ok {
 			return // session over; the queue accounted anything left
 		}

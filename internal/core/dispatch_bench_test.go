@@ -63,9 +63,8 @@ func drainSchedules(srv *Server) {
 
 func benchSession(id radio.NodeID, srv *Server) *session {
 	sess := &session{
-		id:   id,
-		q:    newSendQueue(0, srv.mQueueDrops, srv.mAbandoned),
-		stop: make(chan struct{}),
+		id: id,
+		q:  newSendQueue(0, srv.mQueueDrops, srv.mAbandoned),
 	}
 	sess.rng = rand.New(&sess.dice)
 	return sess
@@ -180,7 +179,6 @@ func BenchmarkDeliverFiredBatch(b *testing.B) {
 	now := srv.cfg.Clock.Now() // the batch fires on time: a healthy shard
 	batch := make([]sched.Item, fan)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for i := range batch {
 		id := radio.NodeID(100 + i)
 		sess := benchSession(id, srv)
@@ -195,7 +193,7 @@ func BenchmarkDeliverFiredBatch(b *testing.B) {
 			var popped []outMsg
 			for {
 				var ok bool
-				if popped, _, ok = sess.q.popBatch(stop, popped, maxFlushBatch); !ok {
+				if popped, _, ok = sess.q.popBatch(popped, maxFlushBatch); !ok {
 					return
 				}
 				for _, m := range popped {
@@ -205,7 +203,12 @@ func BenchmarkDeliverFiredBatch(b *testing.B) {
 			}
 		}()
 	}
-	defer func() { close(stop); wg.Wait() }()
+	defer func() {
+		for _, sess := range sh.sessions {
+			sess.q.close()
+		}
+		wg.Wait()
+	}()
 	seq := uint32(0)
 	fire := func() {
 		seq++ // one broadcast per batch: a new packet, so sampling varies

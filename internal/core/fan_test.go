@@ -376,7 +376,7 @@ func TestDeliverBatchAcrossReapedSession(t *testing.T) {
 				reap := func() { // what the session's handler does when its client leaves
 					sess := sh.lookup(victim)
 					sess.conn.Close()
-					sess.shutdown()
+					sess.q.close()
 					sh.reap(sess)
 				}
 				var mu sync.Mutex

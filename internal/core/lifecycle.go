@@ -86,7 +86,7 @@ func (s *Server) Close() {
 	// pushes once closed), but stopping the scanners before the writers
 	// exit would abandon in-flight sends.
 	for _, sess := range sessions {
-		sess.shutdown()
+		sess.q.close()
 		sess.conn.Close()
 	}
 	// Federation: stop the outbound machinery (replication, heartbeats,

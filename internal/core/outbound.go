@@ -34,7 +34,9 @@ type outMsg struct {
 // queue is full the oldest packet is discarded — late packets are the
 // least valuable. One writer goroutine drains the queue in FIFO order,
 // which is what guarantees per-client deliveries leave in schedule
-// order.
+// order. The writer starts with the queue's first push or notify after
+// registration opened it (open), so a session that never receives
+// anything never holds one.
 //
 // A change of the VMN's radio set is not an entry: notify raises the
 // radios flag, and the writer that pops it reads the current set from
@@ -56,6 +58,11 @@ type sendQueue struct {
 	// queue costs no channel operation. close signals regardless.
 	parked bool
 	wake   chan struct{} // 1-buffered writer wakeup
+	// start launches the writer while the queue has none yet: open
+	// installs it, and the first push or notify after that takes it and
+	// calls it outside mu. nil before open, once taken and after close;
+	// a queue no server opened never starts a writer of its own.
+	start func()
 
 	// inflight counts entries the writer has popped but not finished
 	// processing (forwarded-or-abandoned, counters included). depth
@@ -161,12 +168,33 @@ func (q *sendQueue) notify() {
 	q.unlockAndWake()
 }
 
-// unlockAndWake releases q.mu and signals wake if the writer recorded
-// that it parked, reporting whether it did.
+// open installs start as the queue's way to launch its writer, and
+// calls it at once if a push or notify came while the queue had none.
+func (q *sendQueue) open(start func()) {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return
+	}
+	q.start = start
+	if q.ring.Len() == 0 && !q.radios {
+		q.mu.Unlock()
+		return
+	}
+	q.unlockAndWake()
+}
+
+// unlockAndWake releases q.mu, then starts the writer if the queue has
+// none yet or signals wake if the writer recorded that it parked,
+// reporting whether it did either.
 func (q *sendQueue) unlockAndWake() bool {
-	signal := q.parked
-	q.parked = false
+	signal, start := q.parked, q.start
+	q.parked, q.start = false, nil
 	q.mu.Unlock()
+	if start != nil {
+		start()
+		return true
+	}
 	if signal {
 		select {
 		case q.wake <- struct{}{}:
@@ -183,12 +211,12 @@ func (q *sendQueue) unlockAndWake() bool {
 // pop, and the writer sends the current set ahead of the batch, so no
 // entry pushed after a change leaves before it. The entries count as
 // in flight until done(n) settles them. ok
-// is false once the queue is closed or stop closes. Batching is what
+// is false once the queue is closed. Batching is what
 // turns the writer's per-packet syscall into one writev per burst:
 // under fan-out the queue holds several deliveries by the time the
 // writer wakes, and popping them together costs one lock acquisition
 // instead of n.
-func (q *sendQueue) popBatch(stop <-chan struct{}, batch []outMsg, max int) (_ []outMsg, radios, ok bool) {
+func (q *sendQueue) popBatch(batch []outMsg, max int) (_ []outMsg, radios, ok bool) {
 	for {
 		q.mu.Lock()
 		if q.closed {
@@ -208,11 +236,7 @@ func (q *sendQueue) popBatch(stop <-chan struct{}, batch []outMsg, max int) (_ [
 		}
 		q.parked = true // the next push or notify signals wake
 		q.mu.Unlock()
-		select {
-		case <-q.wake:
-		case <-stop:
-			return batch[:0], false, false
-		}
+		<-q.wake
 	}
 }
 
@@ -224,9 +248,10 @@ func (q *sendQueue) done(n int) {
 }
 
 // close marks the queue dead, abandons whatever is still buffered and
-// wakes the writer so it exits. Idempotent: shutdown may run from both
-// the session handler and server Close, and the abandonment accounting
-// must happen exactly once.
+// wakes the writer so it exits; a queue that has no writer yet never
+// starts one. Idempotent: the session's reader and server Close may
+// both end the session, and the abandonment accounting must happen
+// exactly once.
 func (q *sendQueue) close() {
 	q.mu.Lock()
 	if q.closed {
@@ -234,6 +259,7 @@ func (q *sendQueue) close() {
 		return
 	}
 	q.closed = true
+	q.start = nil
 	for q.ring.Len() > 0 {
 		wire.ReleaseData(q.ring.At(0).data)
 		q.countAbandoned()

@@ -116,7 +116,7 @@ func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 		b := mbuf.AllocCopy(pool, []byte("cut"))
 		sess.q.push([]outMsg{{data: wire.AcquireData(wire.Packet{Seq: uint32(i), Payload: b.Bytes(), Buf: b})}})
 	}
-	batch, radios, ok := sess.q.popBatch(sess.stop, nil, maxFlushBatch)
+	batch, radios, ok := sess.q.popBatch(nil, maxFlushBatch)
 	if !ok || !radios || len(batch) != packets {
 		t.Fatalf("popped %d entries (radios=%v ok=%v), want %d and the radios flag", len(batch), radios, ok, packets)
 	}
@@ -145,7 +145,8 @@ func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 // The sendQueue against a slice oracle, the way ListQueue is the heap's
 // oracle: seeded sequences of pushes (single entries and runs of up to
 // twice the bound, overflowing it, also onto a closed queue), notifies,
-// non-blocking popBatch, done and close. In the oracle a run is its
+// popBatch (one the oracle says would park checks that the queue holds
+// nothing instead of blocking), done and close. In the oracle a run is its
 // entries pushed one at a time. A notify is a flag in the oracle: the
 // next pop that returns reports it, however many notifies it collapses.
 // After every step the drop and abandon counts, the depth, the pop order
@@ -159,8 +160,6 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 		totalDrops, totalAbandoned := reg.Counter("drops", ""), reg.Counter("abandoned", "")
 		limit := 1 + rng.Intn(6)
 		q := newSendQueue(limit, totalDrops, totalAbandoned)
-		stop := make(chan struct{})
-		close(stop) // popBatch on an empty queue returns instead of waiting
 
 		var (
 			queued, inflight []uint32 // packet seqs
@@ -203,12 +202,24 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 			case op < 17:
 				max := 1 + rng.Intn(4)
 				what = fmt.Sprintf("popBatch(%d)", max)
-				batch, gotRadios, ok := q.popBatch(stop, nil, max)
 				k := min(len(queued), max)
 				wantOK := !closed && (k > 0 || radios)
 				if !wantOK {
 					k = 0
 				}
+				if !closed && !wantOK {
+					// The writer would park: the queue must hold nothing
+					// for it, as the oracle says, and the pop is not made.
+					q.mu.Lock()
+					held, flag := q.ring.Len(), q.radios
+					q.mu.Unlock()
+					if held != 0 || flag {
+						t.Fatalf("seed %d step %d %s: queue holds %d entries radios=%v, oracle nothing",
+							seed, step, what, held, flag)
+					}
+					break
+				}
+				batch, gotRadios, ok := q.popBatch(nil, max)
 				if ok != wantOK || len(batch) != k || gotRadios != (wantOK && radios) {
 					t.Fatalf("seed %d step %d %s: got %d entries radios=%v ok=%v, oracle %d radios=%v ok=%v",
 						seed, step, what, len(batch), gotRadios, ok, k, wantOK && radios, wantOK)
@@ -455,7 +466,6 @@ func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
 	const bursts, maxBurst = 400, 40
 	rng := rand.New(rand.NewSource(1))
 	q := newSendQueue(bursts*maxBurst, nil, nil) // no drop-oldest: every push is popped
-	stop := make(chan struct{})
 	popped := make(chan uint32, bursts*maxBurst)
 	writerDone := make(chan struct{})
 	go func() {
@@ -463,7 +473,7 @@ func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
 		var batch []outMsg
 		for {
 			var ok bool
-			if batch, _, ok = q.popBatch(stop, batch, maxFlushBatch); !ok {
+			if batch, _, ok = q.popBatch(batch, maxFlushBatch); !ok {
 				return
 			}
 			for _, m := range batch {
@@ -473,7 +483,7 @@ func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
 			q.done(len(batch))
 		}
 	}()
-	defer func() { close(stop); <-writerDone }()
+	defer func() { q.close(); <-writerDone }()
 
 	pushed := uint32(0)
 	var run []outMsg
@@ -528,7 +538,6 @@ func TestSendQueueRunWakesParkedWriterBeforeDropping(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const limit = 4
 	q := newSendQueue(limit, nil, nil)
-	stop := make(chan struct{})
 	popped := make(chan uint32, 4*limit)
 	writerDone := make(chan struct{})
 	go func() {
@@ -536,7 +545,7 @@ func TestSendQueueRunWakesParkedWriterBeforeDropping(t *testing.T) {
 		var batch []outMsg
 		for {
 			var ok bool
-			if batch, _, ok = q.popBatch(stop, batch, maxFlushBatch); !ok {
+			if batch, _, ok = q.popBatch(batch, maxFlushBatch); !ok {
 				return
 			}
 			for _, m := range batch {
@@ -546,7 +555,7 @@ func TestSendQueueRunWakesParkedWriterBeforeDropping(t *testing.T) {
 			q.done(len(batch))
 		}
 	}()
-	defer func() { close(stop); <-writerDone }()
+	defer func() { q.close(); <-writerDone }()
 
 	for round := 0; round < 3; round++ {
 		for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {

@@ -56,15 +56,20 @@ func rawSession(t *testing.T, lis *transport.InprocListener, id radio.NodeID) tr
 }
 
 // wedgedConn is the worst-case slow consumer made observable: it
-// completes the Hello handshake and then never takes another message.
-// The first Send after HelloAck closes stuck and blocks until Close, so
-// a test can wait for the session writer to be provably wedged instead
-// of inferring it from a transport buffer that ought to be full by now.
+// completes the Hello handshake, takes the radio set registration sends
+// right after the HelloAck, and then never takes another message. The
+// first Send after those closes stuck and blocks until Close, so a test
+// can wait for the session writer to be provably wedged instead of
+// inferring it from a transport buffer that ought to be full by now.
 type wedgedConn struct {
 	hello  chan wire.Msg
 	acked  chan struct{} // closed when HelloAck is sent: the session is registered
 	stuck  chan struct{} // closed when the session writer first blocks in Send
 	closed chan struct{}
+	// pastAck records that a message after the HelloAck was sent. Only
+	// the first may be the handshake's radio set: the session's writer
+	// starts after it.
+	pastAck bool
 
 	stuckOnce, closeOnce sync.Once
 }
@@ -92,6 +97,11 @@ func (c *wedgedConn) Send(m wire.Msg) error {
 		return nil
 	case *wire.Bye: // registration refused: nothing will ever block
 		return nil
+	}
+	first := !c.pastAck
+	c.pastAck = true
+	if _, radios := m.(*wire.Event); radios && first {
+		return nil // the radio set registration sends
 	}
 	c.stuckOnce.Do(func() { close(c.stuck) })
 	<-c.closed

@@ -4,7 +4,8 @@ package core
 // registration costs the server: the session, its send queue, the
 // link-model dice, the HelloAck and the initial radios notification
 // (the scene gives every node a radio, as a storm's sessions have),
-// shipped by the session's writer. The pipes, scene nodes and Hello
+// which register sends itself. No writer starts: nothing is pushed and
+// no radio changes after registration. The pipes, scene nodes and Hello
 // messages are made before the timer starts, so B/op and allocs/op are
 // the server's side alone. TestAllocGateRegisterInprocSession gates
 // B/op so per-session state cannot creep back:
@@ -12,7 +13,6 @@ package core
 //	go test ./internal/core -run='^$' -bench=RegisterInprocSession -benchmem -benchtime=2000x
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/gatetest"
@@ -26,8 +26,8 @@ import (
 
 // The bound is the 1 906 B/op read once the link-model dice became
 // counter-based (8 978 before), rounded up to a KiB; since the queues
-// moved to ring.Ring it reads 1 681–1 682. A fresh process at one count:
-// later counts reuse exited goroutines and read ≈ 480 B lower.
+// moved to ring.Ring it read 1 681–1 682, and since registration starts
+// no writer, 810. A fresh process at one count.
 func TestAllocGateRegisterInprocSession(t *testing.T) {
 	gatetest.Bytes(t, "RegisterInprocSession", 2000, 2048)
 }
@@ -62,19 +62,4 @@ func BenchmarkRegisterInprocSession(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// The writers ship the radios notifications concurrently; wait for
-	// all of them inside the timed region so their cost always counts.
-	for _, sess := range sessions {
-		for !sess.q.drained() {
-			runtime.Gosched()
-		}
-	}
-}
-
-// drained reports whether the writer has taken everything the queue
-// held, the radios flag included, and parked again.
-func (q *sendQueue) drained() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.parked && !q.radios && q.ring.Len()+q.inflight == 0
 }

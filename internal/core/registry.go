@@ -4,20 +4,25 @@ package core
 // reader loop, and registration into the owning shard's slice of the
 // session registry.
 //
-// Lock ordering (the only place two locks nest): Server.mu is acquired
-// BEFORE shard.mu, never the other way around. Server.mu orders
-// registration against Close (the closed flag and the writer
-// WaitGroup); the shard lock guards only that shard's session map.
+// Lock ordering: scene listener (the scene's mutex) → Server.mu →
+// shard.mu → sendQueue.mu, each taken only after the ones before it,
+// never the other way round. Server.mu orders registration and writer
+// starts against Close (the closed flag and the writer WaitGroup); the
+// shard lock guards only that shard's session map and its sessions'
+// writerLive flags. A writer starts from a push or a radio change
+// (startWriter), and a radio change arrives from the scene's listener
+// with the scene mutex held, hence the first link; the queue calls
+// startWriter after releasing its own mutex, and nothing that holds
+// Server.mu, a shard lock or a queue lock calls into the scene.
 // Everything that aggregates across shards — Stats, SessionStats, the
 // poem_clients gauge, Quiesce — takes one shard lock at a time and
 // never holds two together, so a scrape can never convoy every shard
-// at once and the ordering above is trivially deadlock-free.
+// at once.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/linkmodel"
@@ -28,10 +33,11 @@ import (
 )
 
 // session is one connected emulation client. All traffic toward the
-// client funnels through q, drained by a single writer goroutine
-// (sessionWriter), so deliveries leave in schedule order, a radio
-// change reaches the client before any delivery fired after it, and a
-// stalled client blocks only its own writer.
+// client after registration funnels through q, drained by a single
+// writer goroutine (sessionWriter) that starts with the first packet or
+// radio change, so deliveries leave in schedule order, a radio change
+// reaches the client before any delivery fired after it, and a stalled
+// client blocks only its own writer.
 type session struct {
 	id   radio.NodeID
 	conn transport.Conn
@@ -41,9 +47,7 @@ type session struct {
 	dice linkmodel.Dice
 	rng  *rand.Rand
 
-	q        *sendQueue    // bounded outbound queue, FIFO
-	stop     chan struct{} // closed when the session ends
-	stopOnce sync.Once
+	q *sendQueue // bounded outbound queue, FIFO; closed when the session ends
 
 	// staged holds this session's deliveries of the batch its shard's
 	// scanner is firing, pushed into q as one run when the batch ends
@@ -75,12 +79,6 @@ type session struct {
 	// reader-goroutine confinement as push; unused on unclustered
 	// servers.
 	peerIdx []int32
-}
-
-// shutdown ends the session's writer. Safe to call more than once.
-func (sess *session) shutdown() {
-	sess.stopOnce.Do(func() { close(sess.stop) })
-	sess.q.close()
 }
 
 // handle runs one inbound connection: a client session from Hello to
@@ -124,7 +122,7 @@ func (s *Server) handle(conn transport.Conn) {
 func (s *Server) serve(sess *session) {
 	conn := sess.conn
 	defer func() {
-		sess.shutdown()
+		sess.q.close()
 		s.shardOf(sess.id).reap(sess)
 		conn.Close()
 		s.wg.Done()
@@ -155,9 +153,11 @@ func (s *Server) serve(sess *session) {
 	}
 }
 
-// register performs the Hello/HelloAck handshake and binds the session
-// to a VMN on its owning shard. m is the connection's first message,
-// already received by handle.
+// register performs the Hello/HelloAck handshake, binds the session to
+// a VMN on its owning shard and sends the client its radio set. m is the
+// connection's first message, already received by handle. It starts no
+// writer: the session's queue starts one at its first packet or radio
+// change (startWriter).
 func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 	hello, ok := m.(*wire.Hello)
 	if !ok {
@@ -191,7 +191,6 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 		id:   id,
 		conn: conn,
 		q:    newSendQueue(s.cfg.SendQueueDepth, s.mQueueDrops, s.mAbandoned),
-		stop: make(chan struct{}),
 	}
 	sess.rng = rand.New(&sess.dice)
 	// Timestamp policy drops into the flight recorder: around an
@@ -222,36 +221,52 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 	sh.mu.Unlock()
 	s.mu.Unlock()
 	if err := conn.Send(&wire.HelloAck{Assigned: id, ServerNow: s.cfg.Clock.Now()}); err != nil {
-		// The slot is released only if it is still ours: the client may
-		// already have given up and reconnected, and that fresh session
-		// must not be evicted by our stale cleanup.
-		sh.reap(sess)
+		s.dropRegistration(sh, sess)
 		return nil, err
 	}
-	// The writer starts only after the HelloAck is on the wire — the
-	// client's Dial expects it as the first reply, before any queued
-	// event. wg.Add must not race Close's wg.Wait; both are ordered by
-	// s.mu and the closed flag (Close, once it holds the lock with
-	// closed set, has already collected this session for conn.Close).
+	// Tell the client its radio set, if it has one, before the queue may
+	// start a writer: the client's Dial expects the HelloAck as the first
+	// reply, and this send on the handshake's goroutine is the only one
+	// until then. The session is already visible to the scene
+	// subscription, so a change this read misses raises the radios flag,
+	// and the writer that flag starts reads the set again when it sends:
+	// the client can only end on a newer set than the one read here.
+	if n, _ := s.cfg.Scene.Node(id); len(n.Radios) > 0 {
+		if err := conn.Send(&wire.Event{Kind: wire.EventRadios, Radios: n.Radios}); err != nil {
+			s.dropRegistration(sh, sess)
+			return nil, err
+		}
+	}
+	sess.q.open(func() { s.startWriter(sess) })
+	return sess, nil
+}
+
+// dropRegistration undoes a registration whose handshake failed. The
+// slot is released only if it is still ours: the client may already
+// have given up and reconnected, and that fresh session must not be
+// evicted by our stale cleanup. Closing the queue settles whatever a
+// delivery pushed since the session became visible.
+func (s *Server) dropRegistration(sh *shard, sess *session) {
+	sh.reap(sess)
+	sess.q.close()
+}
+
+// startWriter launches sess's writer; the session's queue calls it at
+// its first push or radio change after register opened it. wg.Add must
+// not race Close's wg.Wait; both are ordered by s.mu and the closed
+// flag. A start that finds closed set launches nothing: Close has
+// collected every registered session and closes its queue, which
+// settles whatever it holds.
+func (s *Server) startWriter(sess *session) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		sess.shutdown()
-		return nil, errors.New("core: server closed")
+		return
 	}
 	s.wg.Add(1)
+	sh := s.shardOf(sess.id)
 	sh.mu.Lock()
 	sess.writerLive = true
 	sh.mu.Unlock()
 	go s.sessionWriter(sess)
-	s.mu.Unlock()
-	// Tell the client its radio set, if it has one. The session is
-	// already visible to the scene subscription, so a change this read
-	// misses raises the flag itself; and the writer reads the set from
-	// the scene when it sends, so the client can only end on a newer
-	// set than the one read here, never an older one.
-	if s.cfg.Scene.HasRadios(id) {
-		sess.q.notify()
-	}
-	return sess, nil
 }

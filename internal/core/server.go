@@ -325,10 +325,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	// Push radio changes to the affected client so its protocol learns
 	// about channel switches made on the server GUI. A change raises the
-	// session's radios flag; its own writer reads the current set from
-	// the scene and sends it ahead of any delivery pushed after the
-	// change, so a wedged client delays only its own notifications,
-	// never another session's.
+	// session's radios flag, which starts the session's writer if it has
+	// none yet; the writer reads the current set from the scene and
+	// sends it ahead of any delivery pushed after the change, so a
+	// wedged client delays only its own notifications, never another
+	// session's.
 	cfg.Scene.Subscribe(func(e scene.Event) {
 		if e.Kind != scene.RadiosChanged {
 			return

@@ -20,7 +20,8 @@ import (
 // stackPerSession dials n clients into a fresh server over the given
 // listener and returns how much StackInuse grew per session once every
 // client has registered and synchronized its clock: the server's reader
-// and writer, and the client's receive loop. No GC is forced between
+// and the client's receive loop (a session that has received nothing
+// has no writer). No GC is forced between
 // the two readings. A steady-state server allocates nothing, so the
 // collector that would shrink a grown stack never runs, and a stack a
 // goroutine grew once is the stack it keeps.
@@ -79,10 +80,12 @@ const stackFootprintChild = "POEM_TEST_STACK_FOOTPRINT"
 
 // A session's serving loop runs on a goroutine of its own, started once
 // the handshake succeeded, so it never inherits the stack registration
-// grew: in-process, a session and its client must cost under 7.5 KiB of
-// stack (8.1 KiB when the loop ran on the handshake's goroutine, 6.5 KiB
-// since, on linux/amd64 with go1.24). The figure over loopback TCP is
-// logged beside it (10.1 and 8.3 KiB). Each figure is taken in a fresh
+// grew, and its writer starts only with its first packet or radio
+// change: in-process, a session and its client must cost under 5.5 KiB
+// of stack (8.1 KiB when the loop ran on the handshake's goroutine, 6.5
+// KiB with a writer started at registration, 4.4 KiB since, on
+// linux/amd64 with go1.24). The figure over loopback TCP is logged
+// beside it (10.1, 8.3 and 4.3 KiB). Each figure is taken in a fresh
 // run of the test binary: the runtime sizes new goroutines' stacks from
 // the stacks its last collection scanned, so in a process that has run
 // other tests (or this one at -count 2) the sessions can start at 4 KiB.
@@ -126,7 +129,7 @@ func TestSessionStackFootprint(t *testing.T) {
 	perInproc, perTCP := measure("inproc"), measure("tcp")
 	t.Logf("StackInuse per session over %d sessions: in-proc %.1f KiB, loopback TCP %.1f KiB",
 		n, perInproc/1024, perTCP/1024)
-	if perInproc > 7.5*1024 {
-		t.Fatalf("in-proc sessions grew StackInuse by %.1f KiB each, want at most 7.5 KiB", perInproc/1024)
+	if perInproc > 5.5*1024 {
+		t.Fatalf("in-proc sessions grew StackInuse by %.1f KiB each, want at most 5.5 KiB", perInproc/1024)
 	}
 }

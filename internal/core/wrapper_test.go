@@ -407,7 +407,7 @@ func TestFiredBatchPushesOneRunPerReceiver(t *testing.T) {
 			if first { // on the scanner, after the batch's lookup: what the handler does when the client leaves
 				sess := sessions[victim]
 				sess.conn.Close()
-				sess.shutdown()
+				sess.q.close()
 				r.srv.shardOf(victim).reap(sess)
 			}
 		})

@@ -476,15 +476,6 @@ func (s *Scene) HasNode(id radio.NodeID) bool {
 	return s.ids[id]
 }
 
-// HasRadios reports whether id exists and has at least one radio,
-// without copying its radio set as Node does.
-func (s *Scene) HasRadios(id radio.NodeID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.tab.Peek(id)
-	return n != nil && len(n.Radios) > 0
-}
-
 // ModelFor returns the link model governing channel ch.
 func (s *Scene) ModelFor(ch radio.ChannelID) linkmodel.Model {
 	s.mu.Lock()

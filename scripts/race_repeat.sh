@@ -87,11 +87,15 @@ go test ./internal/core -race -count=10 -run 'TestFiredFanSharesOneWrapper|TestF
 go test ./internal/wire -race -count=10 -run 'TestSharedDataConcurrentRelease|TestSharedDataRetiresAtLastHolder'
 go test ./internal/core -race -count=10 -shards=4 -run 'TestSendQueueParkedWriterSeesEveryPush|TestDeliverBatchAcrossReapedSession|TestDeliveryOrderMatchesSchedule|TestSlowClientDoesNotStallOthers|TestBroadcastFanout|TestClientDisconnectMidFlight'
 
-# Radio notifications: a change raises the session's radios flag and
-# the writer sends the scene's current set ahead of data pushed after
-# it; changes collapse into one, a registration racing changes ends on
-# the scene's set, and a flood at a wedged client moves no queue count.
-go test ./internal/core -race -count=10 -run 'TestRadioChangesCollapseAheadOfLaterData|TestRegistrationRacingRadioChangesEndsCurrent|TestClientLearnsRadios'
+# Radio notifications and writer starts: registration sends the radio
+# set itself and starts no writer; a session's writer starts with its
+# first packet or radio change, and a start racing Close or the client's
+# disconnect settles every delivery. A change raises the session's
+# radios flag and the writer sends the scene's current set ahead of data
+# pushed after it; changes collapse into one, a registration racing
+# changes ends on the scene's set, and a flood at a wedged client moves
+# no queue count.
+go test ./internal/core -race -count=10 -run 'TestRadioChangesCollapseAheadOfLaterData|TestRegistrationRacingRadioChangesEndsCurrent|TestClientLearnsRadios|TestIdleSessionHasNoWriter|TestWriterStartRacingClose'
 go test ./internal/chaos -race -count=10 -run 'TestNotificationSaturationConservation'
 
 # One way into the schedule: the due rule (stamp + delay + tx, the
