@@ -618,10 +618,13 @@ func (w *world) settle(where string) {
 			}
 		}
 	}
-	// Drain: every schedule and every send queue.
+	// Drain: the peer's ledger balances, so nothing is left in a
+	// schedule, a send queue or a writer's popped batch.
 	for i, p := range w.peers {
 		if !p.srv.Quiesce(settleTimeout) {
-			w.violationf("%s: peer %d pipeline did not drain (scheduled=%d)", where, i, p.srv.Stats().Scheduled)
+			st := p.srv.Stats()
+			w.violationf("%s: peer %d pipeline did not drain: entered %d, forwarded %d, queueDrops %d, abandoned %d, scheduled %d",
+				where, i, st.Entered, st.Forwarded, st.QueueDrops, st.Abandoned, st.Scheduled)
 		}
 	}
 	// Out: every forwarded packet must arrive at an endpoint's sink.

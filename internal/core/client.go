@@ -46,11 +46,6 @@ type ClientConfig struct {
 	// user "in consideration of the emulation duration, client
 	// homogeneity and real-time requirements".
 	ResyncEvery time.Duration
-	// DriftCompensation switches the emulation clock from the paper's
-	// offset-only scheme to a rate-estimating fit (vclock.RateSynced):
-	// a client whose oscillator drifts stays accurate between resyncs.
-	// Most useful together with ResyncEvery.
-	DriftCompensation bool
 	// OnPacket receives every packet forwarded to this VMN. Called on
 	// the receive goroutine; hand off heavy work. On every transport the
 	// payload is valid only until the callback returns: the client then
@@ -71,13 +66,6 @@ type ClientConfig struct {
 	OnClose func(error)
 }
 
-// syncedClock is the piece of vclock.Synced / vclock.RateSynced the
-// client needs: the corrected time plus resynchronization.
-type syncedClock interface {
-	vclock.Clock
-	Resync(ex vclock.Exchanger, rounds int) (vclock.Sample, error)
-}
-
 // Client is a connected emulation client.
 type Client struct {
 	cfg  ClientConfig
@@ -86,7 +74,7 @@ type Client struct {
 	// (in-process pipes, transport.Faulty wrappers). Packets go out
 	// through it; Hello, SyncReq and Bye always use conn.Send.
 	deferred transport.DeferredSender
-	clk      syncedClock
+	clk      *vclock.Synced
 	// stamp is the packet-stamp clock: the synced clock behind a
 	// monotonic floor. A resync that refines the offset downward makes
 	// the raw synced clock step backwards; stamping through the floor
@@ -159,12 +147,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("core: unexpected handshake reply %v", m.Type())
 	}
-	var clk syncedClock
-	if cfg.DriftCompensation {
-		clk = vclock.NewRateSynced(cfg.LocalClock, 8)
-	} else {
-		clk = vclock.NewSynced(cfg.LocalClock)
-	}
+	clk := vclock.NewSynced(cfg.LocalClock)
 	c := &Client{
 		cfg:        cfg,
 		conn:       conn,

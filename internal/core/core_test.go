@@ -554,37 +554,6 @@ func TestMobilityBreaksLinkLive(t *testing.T) {
 	}
 }
 
-// A drifting client with DriftCompensation and periodic resync holds a
-// tighter clock than the same client on offset-only sync.
-func TestDriftCompensatedClient(t *testing.T) {
-	r := newRig(t, nil)
-	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 100))
-	// Local clock drifts fast: gains 5 emulated ms per emulated second
-	// (exaggerated so the effect dwarfs transport jitter).
-	drifting := vclock.NewDrifting(r.clk, 1.005)
-	c, err := Dial(ClientConfig{
-		ID: 1, Dial: r.lis.Dialer(), LocalClock: drifting,
-		DriftCompensation: true,
-		ResyncEvery:       20 * time.Millisecond, // wall time
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// Let several resyncs happen, then measure error against the
-	// server clock.
-	time.Sleep(200 * time.Millisecond)
-	errNow := c.Now().Sub(r.clk.Now())
-	if errNow < 0 {
-		errNow = -errNow
-	}
-	// At 50× compression, 200ms wall = 10s emulated; uncorrected drift
-	// would be ≈50ms emulated. The fit should stay well under that.
-	if errNow > 25*time.Millisecond {
-		t.Errorf("drift-compensated clock error %v", errNow)
-	}
-}
-
 func TestSessionStats(t *testing.T) {
 	r := newRig(t, nil)
 	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 200))

@@ -236,7 +236,6 @@ const maxFlushBatch = 64
 // returns, and coalescing it collapses n syscalls into one.
 func (s *Server) sessionWriter(sess *session) {
 	defer s.wg.Done()
-	defer s.shardOf(sess.id).writerExited(sess)
 	// The batch starts nil and popBatch grows it on the heap: sized here it
 	// does not escape, and 64 entries made every session's writer copy its
 	// stack up at the first pop and keep it for life, though most sessions
@@ -245,9 +244,6 @@ func (s *Server) sessionWriter(sess *session) {
 	var batch []outMsg
 	var rows []record.Packet
 	for {
-		// Popped entries are "in flight" until their counters are settled
-		// — forwarded on success, abandoned on a failed send — so a drain
-		// check never observes the gap between pop and accounting.
 		var radios, ok bool
 		batch, radios, ok = sess.q.popBatch(batch, maxFlushBatch)
 		if !ok {
@@ -259,7 +255,6 @@ func (s *Server) sessionWriter(sess *session) {
 		}
 		var err error
 		rows, err = s.writeBatch(sess, lead, batch, rows)
-		sess.q.done(len(batch))
 		if err != nil {
 			return
 		}
@@ -351,9 +346,8 @@ func (s *Server) writeBatch(sess *session, lead wire.Msg, batch []outMsg, rows [
 			store.AddPacket(*row)
 		}
 	}
-	// The batch's counters commit once, before the caller marks it done
-	// (sendQueue.done), so a drain check still never sees a popped entry
-	// unaccounted.
+	// The batch's counters commit once, after every holder in it went to
+	// the transport: a balanced ledger (Quiesce) finds none in the writer.
 	if forwarded > 0 {
 		s.mForwarded.Add(forwarded)
 		sess.forwarded.Add(forwarded)

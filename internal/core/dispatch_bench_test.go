@@ -199,7 +199,6 @@ func BenchmarkDeliverFiredBatch(b *testing.B) {
 				for _, m := range popped {
 					wire.ReleaseData(m.data) // as the writer's send does
 				}
-				sess.q.done(len(popped))
 			}
 		}()
 	}

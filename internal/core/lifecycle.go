@@ -4,7 +4,7 @@ package core
 // Quiesce, the stats aggregators, and the deliver hook. Every operation
 // here that reads across shards visits them one lock at a time (see the
 // ordering note in registry.go) — nothing in this file ever holds two
-// shard locks together.
+// shard locks together, and Quiesce reads only counters.
 
 import (
 	"errors"
@@ -245,37 +245,25 @@ func (s *Server) SetDeliverHook(fn func(sched.Item)) {
 	s.deliverHook.Store(&fn)
 }
 
-// Quiesce blocks until the forwarding pipeline has drained — no items
-// in any shard's schedule (including one mid-dispatch) and no entries
-// in any session's send queue (including one mid-send, and including
-// the last batch of a session that has already disconnected) — and
-// reports whether that state was reached within timeout. It does not pause
-// ingest: callers quiesce after their traffic sources have stopped. The
-// fan-in is a fixpoint poll, one shard at a time: a single pass that
-// sees every shard empty can still race a cross-shard push, but only
-// from an ingest still in flight — which the caller has excluded — so
-// the all-empty observation is stable. The chaos harness checks
-// invariants only at quiesced points, where the conservation ledger
-// must balance exactly.
+// Quiesce blocks until this server's conservation ledger balances —
+// every delivery entered into a schedule has ended forwarded,
+// queue-dropped or abandoned — and reports whether it did within
+// timeout. It does not pause ingest: callers stop their traffic sources
+// first, and the chaos harness checks its invariants only at such
+// points.
+//
+// Forwarded, QueueDrops and Abandoned are read first and Entered (the
+// shard sum) last. Every counter only grows, and a delivery is entered
+// before it can be accounted, so the accounted sum read first is at
+// most the Entered read after it, and equal readings mean that when the
+// last accounted term was read, nothing was in a schedule, in a send
+// queue or in a writer's popped batch. The terms are counters of the
+// server's obs.Registry: servers sharing one registry share one ledger.
 func (s *Server) Quiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
-		drained := true
-		for _, sh := range s.shards {
-			if sh.scanner.Pending() != 0 {
-				drained = false
-				break
-			}
-		}
-		if drained {
-			for _, sh := range s.shards {
-				if !sh.queuesDrained() {
-					drained = false
-					break
-				}
-			}
-		}
-		if drained {
+		accounted := s.mForwarded.Load() + s.mQueueDrops.Load() + s.mAbandoned.Load()
+		if accounted == s.entered() {
 			return true
 		}
 		if time.Now().After(deadline) {

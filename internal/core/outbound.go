@@ -64,13 +64,6 @@ type sendQueue struct {
 	// a queue no server opened never starts a writer of its own.
 	start func()
 
-	// inflight counts entries the writer has popped but not finished
-	// processing (forwarded-or-abandoned, counters included). depth
-	// includes it, so "every session's depth()==0" means every accepted
-	// delivery has been fully accounted — the drain condition the chaos
-	// harness's conservation check quiesces on.
-	inflight int
-
 	drops          atomic.Uint64 // entries discarded by the slow-client policy
 	totalDrops     *obs.Counter  // server-wide aggregate, shared by all sessions
 	totalAbandoned *obs.Counter  // entries that died with the session
@@ -150,9 +143,11 @@ func (q *sendQueue) push(run []outMsg) bool {
 			return false
 		}
 		if q.ring.Len() == q.limit {
-			q.countDrop()
+			// Counted after the release: a ledger that balances finds
+			// no evicted buffer still live.
 			wire.ReleaseData(q.ring.At(0).data)
 			q.ring.Drop()
+			q.countDrop()
 		}
 		*q.ring.Push() = run[i]
 	}
@@ -209,13 +204,13 @@ func (q *sendQueue) unlockAndWake() bool {
 // as needed) without releasing the lock between them, and takes the
 // flag: radios reports that the radio set changed since the previous
 // pop, and the writer sends the current set ahead of the batch, so no
-// entry pushed after a change leaves before it. The entries count as
-// in flight until done(n) settles them. ok
-// is false once the queue is closed. Batching is what
-// turns the writer's per-packet syscall into one writev per burst:
-// under fan-out the queue holds several deliveries by the time the
-// writer wakes, and popping them together costs one lock acquisition
-// instead of n.
+// entry pushed after a change leaves before it. Popped entries are the
+// writer's to account: the ledger, not depth, counts them until they
+// end forwarded or abandoned. ok is false once the queue is closed.
+// Batching is what turns the writer's per-packet syscall into one
+// writev per burst: under fan-out the queue holds several deliveries by
+// the time the writer wakes, and popping them together costs one lock
+// acquisition instead of n.
 func (q *sendQueue) popBatch(batch []outMsg, max int) (_ []outMsg, radios, ok bool) {
 	for {
 		q.mu.Lock()
@@ -230,7 +225,6 @@ func (q *sendQueue) popBatch(batch []outMsg, max int) (_ []outMsg, radios, ok bo
 				q.ring.Drop()
 			}
 			radios, q.radios = q.radios, false
-			q.inflight += len(batch) // cleared by done() once accounted
 			q.mu.Unlock()
 			return batch, radios, true
 		}
@@ -238,13 +232,6 @@ func (q *sendQueue) popBatch(batch []outMsg, max int) (_ []outMsg, radios, ok bo
 		q.mu.Unlock()
 		<-q.wake
 	}
-}
-
-// done marks n popped entries fully processed (their counters updated).
-func (q *sendQueue) done(n int) {
-	q.mu.Lock()
-	q.inflight -= n
-	q.mu.Unlock()
 }
 
 // close marks the queue dead, abandons whatever is still buffered and
@@ -272,11 +259,11 @@ func (q *sendQueue) close() {
 	}
 }
 
-// depth is the number of queued entries plus any popped entry the
-// writer has not finished accounting yet. A raised radios flag is not
-// counted: it is no packet.
+// depth is the number of entries waiting in the queue; a batch the
+// writer has popped is no longer among them. A raised radios flag is
+// not counted: it is no packet.
 func (q *sendQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.ring.Len() + q.inflight
+	return q.ring.Len()
 }

@@ -100,8 +100,8 @@ func (c *cutConn) Label() string           { return "cut" }
 // counter: the data entries that reached the wire are forwarded (the
 // radios notification sent ahead of them is not a packet), every one
 // behind the failure is abandoned, so forwarded + abandoned is every
-// entry queued, the queue reads drained once the batch is done, and
-// each entry's buffer is released.
+// entry queued, the queue reads drained, and each entry's buffer is
+// released.
 func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 	srv := newDispatchBench(t, 2, 1)
 	pool := mbuf.NewPool()
@@ -123,7 +123,6 @@ func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 	if _, err := srv.writeBatch(sess, srv.radiosEvent(sess.id), batch, nil); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("writeBatch: %v, want ErrClosed", err)
 	}
-	sess.q.done(len(batch))
 	const forwarded = keep - 1 // the notification took one of the sent slots
 	if got := srv.mForwarded.Load(); got != forwarded {
 		t.Errorf("poem_forwarded_total = %d, want %d", got, forwarded)
@@ -135,7 +134,7 @@ func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 		t.Errorf("poem_abandoned_total = %d, want %d", got, packets-forwarded)
 	}
 	if d := sess.q.depth(); d != 0 {
-		t.Errorf("queue depth %d after the batch was done", d)
+		t.Errorf("queue depth %d after the batch was written", d)
 	}
 	if live := pool.Live(); live != 0 {
 		t.Errorf("%d pooled buffers live", live)
@@ -146,9 +145,11 @@ func TestWriteBatchFailingMidBatchSettlesLedger(t *testing.T) {
 // oracle: seeded sequences of pushes (single entries and runs of up to
 // twice the bound, overflowing it, also onto a closed queue), notifies,
 // popBatch (one the oracle says would park checks that the queue holds
-// nothing instead of blocking), done and close. In the oracle a run is its
-// entries pushed one at a time. A notify is a flag in the oracle: the
-// next pop that returns reports it, however many notifies it collapses.
+// nothing instead of blocking), the writer settling its popped batch and
+// close. Depth counts the entries queued, not a popped batch. In the
+// oracle a run is its entries pushed one at a time. A notify is a flag
+// in the oracle: the next pop that returns reports it, however many
+// notifies it collapses.
 // After every step the drop and abandon counts, the depth, the pop order
 // and the pooled buffers still live must match.
 func TestSendQueueMatchesOracle(t *testing.T) {
@@ -162,8 +163,8 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 		q := newSendQueue(limit, totalDrops, totalAbandoned)
 
 		var (
-			queued, inflight []uint32 // packet seqs
-			popped           []outMsg // the writer's batch, settled by done
+			queued           []uint32 // packet seqs
+			popped           []outMsg // the writer's batch, until it settles it
 			drops, abandoned uint64
 			radios, closed   bool
 			next             uint32
@@ -232,16 +233,14 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 				if wantOK {
 					radios = false
 				}
-				inflight = append(inflight, queued[:k]...)
 				queued = queued[k:]
 				popped = append(popped, batch...)
 			case op < 19:
-				what = fmt.Sprintf("done(%d)", len(popped))
+				what = fmt.Sprintf("settle %d popped", len(popped))
 				for i := range popped {
 					wire.ReleaseData(popped[i].data) // the writer's verdict: forwarded
 				}
-				q.done(len(popped))
-				popped, inflight = popped[:0], inflight[:0]
+				popped = popped[:0]
 			default:
 				what = "close"
 				q.close()
@@ -256,10 +255,10 @@ func TestSendQueueMatchesOracle(t *testing.T) {
 			if got := totalAbandoned.Load(); got != abandoned {
 				t.Fatalf("seed %d step %d %s: abandoned %d, oracle %d", seed, step, what, got, abandoned)
 			}
-			if got, want := q.depth(), len(queued)+len(inflight); got != want {
+			if got, want := q.depth(), len(queued); got != want {
 				t.Fatalf("seed %d step %d %s: depth %d, oracle %d", seed, step, what, got, want)
 			}
-			if got, want := pool.Live(), int64(len(queued)+len(inflight)); got != want {
+			if got, want := pool.Live(), int64(len(queued)+len(popped)); got != want {
 				t.Fatalf("seed %d step %d %s: %d pooled buffers live, oracle %d", seed, step, what, got, want)
 			}
 		}
@@ -363,8 +362,8 @@ func TestRadioChangesCollapseAheadOfLaterData(t *testing.T) {
 		}
 		push(4)
 		push(5)
-		if d := sess.q.depth(); d != 5 {
-			t.Errorf("depth %d with 5 packets queued or in flight and %d radio changes pending, want 5", d, changes)
+		if d := sess.q.depth(); d != 4 {
+			t.Errorf("depth %d with 4 packets queued behind the one at the gate and %d radio changes pending, want 4", d, changes)
 		}
 		conn.release()
 
@@ -480,7 +479,6 @@ func TestSendQueueParkedWriterSeesEveryPush(t *testing.T) {
 				popped <- m.data.Pkt.Seq
 				wire.ReleaseData(m.data)
 			}
-			q.done(len(batch))
 		}
 	}()
 	defer func() { q.close(); <-writerDone }()
@@ -552,7 +550,6 @@ func TestSendQueueRunWakesParkedWriterBeforeDropping(t *testing.T) {
 				popped <- m.data.Pkt.Seq
 				wire.ReleaseData(m.data)
 			}
-			q.done(len(batch))
 		}
 	}()
 	defer func() { q.close(); <-writerDone }()

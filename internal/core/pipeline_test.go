@@ -58,14 +58,16 @@ func rawSession(t *testing.T, lis *transport.InprocListener, id radio.NodeID) tr
 // wedgedConn is the worst-case slow consumer made observable: it
 // completes the Hello handshake, takes the radio set registration sends
 // right after the HelloAck, and then never takes another message. The
-// first Send after those closes stuck and blocks until Close, so a test
+// first Send after those closes stuck and blocks until release closes
+// (at Close, unless a test gave release a channel of its own), so a test
 // can wait for the session writer to be provably wedged instead of
 // inferring it from a transport buffer that ought to be full by now.
 type wedgedConn struct {
-	hello  chan wire.Msg
-	acked  chan struct{} // closed when HelloAck is sent: the session is registered
-	stuck  chan struct{} // closed when the session writer first blocks in Send
-	closed chan struct{}
+	hello   chan wire.Msg
+	acked   chan struct{} // closed when HelloAck is sent: the session is registered
+	stuck   chan struct{} // closed when the session writer first blocks in Send
+	closed  chan struct{}
+	release chan struct{} // ends a blocked Send; closed by default
 	// pastAck records that a message after the HelloAck was sent. Only
 	// the first may be the handshake's radio set: the session's writer
 	// starts after it.
@@ -77,6 +79,7 @@ type wedgedConn struct {
 func newWedgedConn(id radio.NodeID) *wedgedConn {
 	c := &wedgedConn{hello: make(chan wire.Msg, 1), acked: make(chan struct{}),
 		stuck: make(chan struct{}), closed: make(chan struct{})}
+	c.release = c.closed
 	c.hello <- &wire.Hello{Ver: wire.Version, ProposedID: id}
 	return c
 }
@@ -104,7 +107,7 @@ func (c *wedgedConn) Send(m wire.Msg) error {
 		return nil // the radio set registration sends
 	}
 	c.stuckOnce.Do(func() { close(c.stuck) })
-	<-c.closed
+	<-c.release
 	wire.ReleaseMsg(m)
 	return transport.ErrClosed
 }

@@ -8,16 +8,16 @@ package core
 // shard.mu → sendQueue.mu, each taken only after the ones before it,
 // never the other way round. Server.mu orders registration and writer
 // starts against Close (the closed flag and the writer WaitGroup); the
-// shard lock guards only that shard's session map and its sessions'
-// writerLive flags. A writer starts from a push or a radio change
-// (startWriter), and a radio change arrives from the scene's listener
-// with the scene mutex held, hence the first link; the queue calls
-// startWriter after releasing its own mutex, and nothing that holds
-// Server.mu, a shard lock or a queue lock calls into the scene.
-// Everything that aggregates across shards — Stats, SessionStats, the
-// poem_clients gauge, Quiesce — takes one shard lock at a time and
-// never holds two together, so a scrape can never convoy every shard
-// at once.
+// shard lock guards only that shard's session map, and registration's
+// insert is the one place it nests inside Server.mu. A writer starts
+// from a push or a radio change (startWriter, which takes Server.mu
+// alone), and a radio change arrives from the scene's listener with the
+// scene mutex held, hence the first link; the queue calls startWriter
+// after releasing its own mutex, and nothing that holds Server.mu, a
+// shard lock or a queue lock calls into the scene. Everything that
+// aggregates across shards — Stats, SessionStats, the poem_clients
+// gauge — takes one shard lock at a time and never holds two together,
+// so a scrape can never convoy every shard at once; Quiesce takes none.
 
 import (
 	"errors"
@@ -53,13 +53,6 @@ type session struct {
 	// scanner is firing, pushed into q as one run when the batch ends
 	// (deliver). Only that scanner goroutine touches it.
 	staged []outMsg
-
-	// writerLive is set before the writer goroutine starts and cleared
-	// when it exits; reaped records that the session left the shard map
-	// while it was set. Both are guarded by the owning shard's mu (see
-	// shard.settling).
-	writerLive bool
-	reaped     bool
 
 	// push is ingest's scratch for listing each packet's deliveries into
 	// the shard schedules (pushLocal), reused across packets so the
@@ -264,9 +257,5 @@ func (s *Server) startWriter(sess *session) {
 		return
 	}
 	s.wg.Add(1)
-	sh := s.shardOf(sess.id)
-	sh.mu.Lock()
-	sess.writerLive = true
-	sh.mu.Unlock()
 	go s.sessionWriter(sess)
 }

@@ -54,11 +54,6 @@ type shard struct {
 	// aggregators visit shards one lock at a time (see lifecycle.go).
 	mu       sync.RWMutex
 	sessions map[radio.NodeID]*session
-	// settling counts sessions reaped from the map whose writer has not
-	// exited yet: it may still be accounting a batch it popped before the
-	// session ended, and Quiesce must wait for that as it waits for a
-	// registered session's queue. Guarded by mu.
-	settling int
 
 	// entered is this shard's slice of poem_schedule_entries_total,
 	// registered as poem_shard_entries_total{shard="i"}.
@@ -118,46 +113,13 @@ func (sh *shard) pushFan(pkt wire.Packet, targets []sched.Target) {
 	sh.scanner.PushFan(pkt, targets)
 }
 
-// queuesDrained reports whether every session on this shard has an
-// empty send queue (including in-flight pops — see sendQueue.depth) and
-// no reaped session's writer is still settling one.
-func (sh *shard) queuesDrained() bool {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.settling != 0 {
-		return false
-	}
-	for _, sess := range sh.sessions {
-		if sess.q.depth() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // reap removes the session from the registry if the slot is still
 // bound to it — a reconnected successor must never be evicted by its
-// predecessor's cleanup. A writer still running stays visible to
-// queuesDrained through settling until writerExited clears it.
+// predecessor's cleanup.
 func (sh *shard) reap(sess *session) {
 	sh.mu.Lock()
 	if sh.sessions[sess.id] == sess {
 		delete(sh.sessions, sess.id)
-		if sess.writerLive {
-			sess.reaped = true
-			sh.settling++
-		}
-	}
-	sh.mu.Unlock()
-}
-
-// writerExited records that sess's writer has accounted everything it
-// ever popped.
-func (sh *shard) writerExited(sess *session) {
-	sh.mu.Lock()
-	sess.writerLive = false
-	if sess.reaped {
-		sh.settling--
 	}
 	sh.mu.Unlock()
 }

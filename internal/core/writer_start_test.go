@@ -57,13 +57,19 @@ func newLazyRig(t *testing.T, shards, n int) *lazyRig {
 	return r
 }
 
-// writers returns the VMNs whose registered session has a writer.
+// writers returns the VMNs whose registered session has a writer: its
+// queue no longer holds the function that would start one. Callers ask
+// after their clients' Dials returned, and a Dial's clock sync is
+// answered only after register opened the queue.
 func (r *lazyRig) writers() []radio.NodeID {
 	var ids []radio.NodeID
 	for _, sh := range r.srv.shards {
 		sh.mu.RLock()
 		for id, sess := range sh.sessions {
-			if sess.writerLive {
+			sess.q.mu.Lock()
+			started := sess.q.start == nil
+			sess.q.mu.Unlock()
+			if started {
 				ids = append(ids, id)
 			}
 		}
@@ -235,6 +241,67 @@ func TestWriterStartRacingClose(t *testing.T) {
 				buf := make([]byte, 1<<16)
 				t.Fatalf("%d goroutines outlived their servers (baseline %d):\n%s",
 					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+		}
+	})
+}
+
+// A session reaped while its writer is blocked in Send still owes the
+// ledger the batch that writer popped, and Quiesce must wait for it:
+// the receiver's client is cut while its writer holds the batch, its
+// Send outlives the reap, and only its release ends the batch
+// abandoned. Until then nothing is in a schedule or in a registered
+// session's queue, yet the pipeline has not drained.
+func TestQuiesceWaitsForReapedWritersBatch(t *testing.T) {
+	forEachShardCount(t, func(t *testing.T, shards int) {
+		const packets = 8
+		r := newFanRig(t, shards, uniformModel(2*time.Millisecond), nil)
+		const slow = radio.NodeID(100)
+		r.srv.cfg.Scene.AddNode(slow, geom.V(0, 1), oneRadio(1, 200))
+		wedged := newWedgedConn(slow)
+		wedged.release = make(chan struct{})
+		var releaseOnce sync.Once
+		release := func() { releaseOnce.Do(func() { close(wedged.release) }) }
+		t.Cleanup(release) // ahead of the rig's stop, whose Close waits for the writer
+		go r.srv.Serve(&oneConnListener{conn: wedged})
+		await(t, wedged.acked, "the wedged receiver to register")
+		base := r.pool.Live()
+		r.broadcast(t, packets)
+		r.clk.Set(vclock.FromSeconds(1))
+		await(t, wedged.stuck, "the wedged receiver's writer to block in Send")
+		for deadline := time.Now().Add(5 * time.Second); r.srv.Stats().Forwarded < packets*fanReceivers; time.Sleep(200 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("forwarded %d of %d", r.srv.Stats().Forwarded, packets*fanReceivers)
+			}
+		}
+		wedged.Close() // the client is cut: its reader ends and reaps the session
+		for deadline := time.Now().Add(5 * time.Second); r.srv.shardOf(slow).lookup(slow) != nil; time.Sleep(200 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the cut session was never reaped")
+			}
+		}
+		if r.srv.Quiesce(50 * time.Millisecond) {
+			st := r.srv.Stats()
+			t.Fatalf("Quiesce reported drained with the reaped writer's batch unaccounted: entered %d, forwarded %d + queueDrops %d + abandoned %d",
+				st.Entered, st.Forwarded, st.QueueDrops, st.Abandoned)
+		}
+		release()
+		if !r.srv.Quiesce(5 * time.Second) {
+			t.Fatal("the pipeline did not drain after the wedged Send was released")
+		}
+		st := r.srv.Stats()
+		if st.Entered != packets*(fanReceivers+1) || st.Entered != st.Forwarded+st.QueueDrops+st.Abandoned {
+			t.Fatalf("ledger: entered %d != forwarded %d + queueDrops %d + abandoned %d",
+				st.Entered, st.Forwarded, st.QueueDrops, st.Abandoned)
+		}
+		if st.Abandoned != packets || st.QueueDrops != 0 {
+			t.Fatalf("abandoned %d, queue drops %d: want the reaped receiver's %d abandoned", st.Abandoned, st.QueueDrops, packets)
+		}
+		// A healthy client may still be reading its last packets out of
+		// its pipe: each holds a holder until it has.
+		for deadline := time.Now().Add(5 * time.Second); r.pool.Live() != base; time.Sleep(200 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d pooled buffers live after the drain, %d before the broadcasts", r.pool.Live(), base)
 			}
 		}
 	})

@@ -30,7 +30,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/transport"
 	"repro/internal/vclock"
-	"repro/internal/wire"
 )
 
 // PoEmFeatures is the Table 1 row for this implementation.
@@ -141,10 +140,4 @@ func waitUntil(deadline time.Duration, poll time.Duration, cond func() bool) boo
 		time.Sleep(poll)
 	}
 	return cond()
-}
-
-// packetLabels attaches human labels when printing wire packets in
-// verbose modes (used by poem-exp -v).
-func packetLabels(p wire.Packet) string {
-	return fmt.Sprintf("%v→%v %v flow=%d seq=%d %dB", p.Src, p.Dst, p.Channel, p.Flow, p.Seq, p.Size())
 }

@@ -183,18 +183,6 @@ func (b *base) expireLocked() {
 	}
 }
 
-// invalidateViaLocked drops every route whose next hop is n.
-func (b *base) invalidateViaLocked(n radio.NodeID) []radio.NodeID {
-	var lost []radio.NodeID
-	for dst, r := range b.routes {
-		if r.Next == n {
-			delete(b.routes, dst)
-			lost = append(lost, dst)
-		}
-	}
-	return lost
-}
-
 // markSeenLocked reports whether the key was already seen, recording it
 // otherwise.
 func (b *base) markSeenLocked(k dupKey) bool {

@@ -94,9 +94,6 @@ type Delivery struct {
 
 // Config carries the tunables shared by the table-driven protocols.
 type Config struct {
-	// BeaconEvery is the periodic-broadcast interval in Ticks: the
-	// runner calls Tick at this cadence, so it is 1 by construction;
-	// kept for documentation.
 	// EntryTTLTicks is how many ticks a learned entry survives without
 	// refresh before it is purged (route staleness from range shrink or
 	// channel switch shows up after this many beacons).

@@ -61,12 +61,6 @@ type Scanner struct {
 	// what the scanner saw — the invariant kick elision rests on.
 	sleepDue atomic.Int64
 
-	// inFlight counts items popped from the schedule whose fire call has
-	// not returned yet. Pending adds it to the queue depth, so
-	// "Pending()==0" still means every fired item has fully left the
-	// scanner — without it a drain check could observe an empty queue
-	// while a batch is still on its way to the session queues.
-	inFlight   atomic.Int64
 	dispatched atomic.Uint64
 
 	// stats (see ScannerStats)
@@ -189,11 +183,11 @@ func (s *Scanner) maybeKick(due vclock.Time) {
 	s.waiter.Wake()
 }
 
-// Pending returns the current schedule depth, counting the items of a
-// popped batch until its fire call returns.
+// Pending returns the current schedule depth: the items not yet popped
+// for a fire call.
 func (s *Scanner) Pending() int {
 	s.mu.Lock()
-	n := s.q.Len() + int(s.inFlight.Load())
+	n := s.q.Len()
 	s.mu.Unlock()
 	return n
 }
@@ -217,9 +211,9 @@ func (s *Scanner) run() {
 	batch := make([]Item, DefaultFireBatch)
 	woke := false
 	for {
-		// Fire everything due, one batch per lock cycle. inFlight and
-		// dispatched commit inside the critical section that popped the
-		// items, so Pending and Stats readers never observe the gap.
+		// Fire everything due, one batch per lock cycle. dispatched
+		// commits inside the critical section that popped the items, so
+		// Pending + Dispatched never misses a popped item.
 		first := true
 		for {
 			now := s.clk.Now()
@@ -227,7 +221,6 @@ func (s *Scanner) run() {
 			s.fireLocks.Add(1)
 			n := s.q.PopDueBatch(now, batch)
 			if n > 0 {
-				s.inFlight.Add(int64(n))
 				s.dispatched.Add(uint64(n))
 			}
 			s.mu.Unlock()
@@ -241,7 +234,6 @@ func (s *Scanner) run() {
 			s.batches.Add(1)
 			s.fire(now, batch[:n])
 			clear(batch[:n]) // release payload memory
-			s.inFlight.Add(-int64(n))
 		}
 		select {
 		case <-s.stop:

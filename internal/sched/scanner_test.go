@@ -262,7 +262,7 @@ func TestAllocGateScannerSleepFire(t *testing.T) {
 // With many items due at once, the scanner must drain them in batches
 // of DefaultFireBatch (one lock cycle each), handing each whole batch to
 // one fire call in push order with the clock reading that popped it.
-// Pending counts a fired batch until that call returns.
+// Pending counts only what is still queued: a popped batch has left it.
 func TestScannerBatchObserver(t *testing.T) {
 	clk := vclock.NewManual(0)
 	col := newCollect(clk)
@@ -299,10 +299,11 @@ func TestScannerBatchObserver(t *testing.T) {
 			t.Errorf("batch %d fired with now %v, want the popping read 1s", i, f.now)
 		}
 	}
-	// The first call still has the second batch queued behind it.
-	if fires[0].pending != n || fires[1].pending != 10 {
-		t.Errorf("Pending inside the fire calls read %d and %d, want %d and 10",
-			fires[0].pending, fires[1].pending, n)
+	// The first call still has the second batch queued behind it; the
+	// second has nothing left.
+	if fires[0].pending != 10 || fires[1].pending != 0 {
+		t.Errorf("Pending inside the fire calls read %d and %d, want 10 and 0",
+			fires[0].pending, fires[1].pending)
 	}
 	if st := s.Stats(); st.Batches != 2 || st.Dispatched != n {
 		t.Errorf("stats %+v disagree with the fire calls %+v", st, fires)

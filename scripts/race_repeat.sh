@@ -72,7 +72,7 @@ go test ./internal/e2e -race -count=10 -run 'TestFullStackOverTCP|TestScriptedRu
 go test ./internal/chaos -race -count=10 -run 'TestStallClock|TestClockStall'
 
 # Fired-batch delivery: one fire callback per scanner batch with its
-# popping clock reading, Pending covering the batch until it returns, a
+# popping clock reading, Pending counting only what is still queued, a
 # writer that parks between bursts woken by the push that finds it
 # parked, a receiver reaped on either side of the batch's one session
 # lookup. A fired fan's receivers share one pooled wire.Data, a holder
@@ -90,12 +90,13 @@ go test ./internal/core -race -count=10 -shards=4 -run 'TestSendQueueParkedWrite
 # Radio notifications and writer starts: registration sends the radio
 # set itself and starts no writer; a session's writer starts with its
 # first packet or radio change, and a start racing Close or the client's
-# disconnect settles every delivery. A change raises the session's
+# disconnect settles every delivery; Quiesce waits for the batch of a
+# reaped session's writer still sending it. A change raises the session's
 # radios flag and the writer sends the scene's current set ahead of data
 # pushed after it; changes collapse into one, a registration racing
 # changes ends on the scene's set, and a flood at a wedged client moves
 # no queue count.
-go test ./internal/core -race -count=10 -run 'TestRadioChangesCollapseAheadOfLaterData|TestRegistrationRacingRadioChangesEndsCurrent|TestClientLearnsRadios|TestIdleSessionHasNoWriter|TestWriterStartRacingClose'
+go test ./internal/core -race -count=10 -run 'TestRadioChangesCollapseAheadOfLaterData|TestRegistrationRacingRadioChangesEndsCurrent|TestClientLearnsRadios|TestIdleSessionHasNoWriter|TestWriterStartRacingClose|TestQuiesceWaitsForReapedWritersBatch'
 go test ./internal/chaos -race -count=10 -run 'TestNotificationSaturationConservation'
 
 # One way into the schedule: the due rule (stamp + delay + tx, the
