@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/radio"
 	"repro/internal/record"
 	"repro/internal/replay"
@@ -18,8 +18,8 @@ import (
 // has drained the pipeline: the record DBs must together contain exactly
 // the deliveries the clients observed, each survive a Save/Load round
 // trip and replay to its peer's counters, and the coordinator's must
-// reconstruct the scene's final node positions — which every follower's
-// scene must hold too.
+// reconstruct the scene's final nodes, positions and radios — which
+// every follower's scene must hold too.
 func (r *Runner) finalChecks() {
 	// Freeze mobility so the recorded position timeline and the live
 	// scenes can be compared without a tick racing the comparison. The
@@ -62,8 +62,13 @@ func (r *Runner) finalChecks() {
 			r.violationf("final: peer %d save: %v", i, err)
 		} else if reloaded, err := record.Load(&buf); err != nil {
 			r.violationf("final: peer %d load: %v", i, err)
-		} else if got := reloaded.DeliveredMultiset(); !got.Equal(own) {
-			r.violationf("final: peer %d save/load changed the delivered multiset: %v", i, got.Diff(own, 5))
+		} else {
+			if got := reloaded.DeliveredMultiset(); !got.Equal(own) {
+				r.violationf("final: peer %d save/load changed the delivered multiset: %v", i, got.Diff(own, 5))
+			}
+			if all := vclock.Time(math.MaxInt64); !reflect.DeepEqual(reloaded.Scenes(0, all), p.store.Scenes(0, all)) {
+				r.violationf("final: peer %d save/load changed the recorded scene changes", i)
+			}
 		}
 	}
 	if !ledger.Equal(db) {
@@ -86,28 +91,28 @@ func (r *Runner) finalChecks() {
 	r.checkReplicas()
 }
 
-// checkPositions folds the coordinator's recorded scene events and
-// compares every node's final position against its live scene.
+// checkPositions replays the coordinator's recording to its end and
+// holds it to the live scene: the same nodes, each at the same position
+// with the same radios.
 func (r *Runner) checkPositions() {
-	pos := make(map[radio.NodeID]geom.Vec2)
-	for _, e := range r.peers[0].store.Scenes(0, vclock.Time(math.MaxInt64)) {
-		switch e.Op {
-		case "add", "move":
-			pos[e.Node] = geom.V(e.X, e.Y)
-		case "remove":
-			delete(pos, e.Node)
-		}
+	rp := replay.New(r.peers[0].store)
+	_, end := rp.Span()
+	rec := make(map[radio.NodeID]replay.NodeState)
+	for _, n := range rp.StateAt(end) {
+		rec[n.ID] = n
 	}
 	for _, n := range r.sc.Snapshot() {
-		p, ok := pos[n.ID]
+		got, ok := rec[n.ID]
+		delete(rec, n.ID)
 		if !ok {
 			r.violationf("final: replay: node n%d missing from recorded scene", n.ID)
-			continue
+		} else if got.Pos != n.Pos || !slices.Equal(got.Radios, n.Radios) {
+			r.violationf("final: replay: n%d recorded at %v with radios %v, scene has %v with %v",
+				n.ID, got.Pos, got.Radios, n.Pos, n.Radios)
 		}
-		if math.Abs(p.X-n.Pos.X) > 1e-6 || math.Abs(p.Y-n.Pos.Y) > 1e-6 {
-			r.violationf("final: replay: n%d recorded at (%.3f,%.3f), scene has (%.3f,%.3f)",
-				n.ID, p.X, p.Y, n.Pos.X, n.Pos.Y)
-		}
+	}
+	if len(rec) > 0 {
+		r.violationf("final: replay: %d recorded nodes are not in the scene", len(rec))
 	}
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -390,6 +393,48 @@ func TestRecordingCapturesEverything(t *testing.T) {
 	// Scene events were recorded too (two AddNode calls).
 	if r.store.SceneCount() < 2 {
 		t.Errorf("scene records: %d", r.store.SceneCount())
+	}
+}
+
+// TestRecordingKeepsSceneChanges: a recording holds every journaled
+// scene change whole — the radio set of an add, a range change and a
+// channel switch, and the pause flag — and a saved recording loads to
+// the very events a scene listener saw.
+func TestRecordingKeepsSceneChanges(t *testing.T) {
+	r := newRig(t, nil)
+	var mu sync.Mutex
+	var seen []scene.Event
+	r.scene.Subscribe(func(e scene.Event) {
+		if scene.Journaled(e.Kind) {
+			mu.Lock()
+			seen = append(seen, e)
+			mu.Unlock()
+		}
+	})
+	r.scene.AddNode(1, geom.V(10, 20), []radio.Radio{{Channel: 1, Range: 200}, {Channel: 3, Range: 90}})
+	r.scene.SetRange(1, 1, 80)
+	r.scene.SetRadios(1, []radio.Radio{{Channel: 2, Range: 80}, {Channel: 3, Range: 90}}) // ch 1 → 2
+	r.scene.SetLinkModel(2, linkmodel.Default())                                          // not journaled
+	r.scene.MoveNode(1, geom.V(-5.25, 7))
+	r.scene.SetPaused(true)
+	r.scene.RemoveNode(1)
+
+	var buf bytes.Buffer
+	if err := r.store.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := record.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := loaded.Scenes(0, vclock.Time(math.MaxInt64))
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 6 {
+		t.Fatalf("listener saw %d journaled changes, want 6: %+v", len(seen), seen)
+	}
+	if !reflect.DeepEqual(got, seen) {
+		t.Errorf("loaded recording holds\n%+v\nlistener saw\n%+v", got, seen)
 	}
 }
 

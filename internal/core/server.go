@@ -316,12 +316,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.cluster = newCluster(s, cfg)
 	}
 	if cfg.Store != nil {
-		cfg.Scene.Subscribe(func(e scene.Event) {
-			cfg.Store.AddScene(record.Scene{
-				At: e.At, Node: e.Node, Op: e.Kind.String(),
-				Detail: e.Detail, X: e.Pos.X, Y: e.Pos.Y,
-			})
-		})
+		cfg.Scene.Subscribe(cfg.Store.AddScene)
 	}
 	// Push radio changes to the affected client so its protocol learns
 	// about channel switches made on the server GUI. A change raises the

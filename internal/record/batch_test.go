@@ -129,7 +129,7 @@ func TestCommittedRecordsNeverMove(t *testing.T) {
 			for i := 0; i < each; i++ {
 				s.AddPacket(Packet{Kind: PacketOut, Src: radio.NodeID(w), Relay: radio.NodeID(i % 7), Seq: uint32(i)})
 				if i%1000 == 0 {
-					s.AddScene(Scene{At: vclock.Time(i), Node: radio.NodeID(w), Op: "move", X: float64(i)})
+					s.AddScene(move(vclock.Time(i), radio.NodeID(w), float64(i), 0))
 				}
 			}
 		}(w)

@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/radio"
+	"repro/internal/scene"
 )
 
 // FuzzLoad feeds arbitrary bytes to the one recording reader: it must
-// never panic nor over-allocate, and anything it accepts must re-save
-// to a log that loads to the very same records.
+// never panic nor over-allocate, it must refuse any header but the
+// current version's, and anything it accepts must give back its scene
+// changes and re-save to a log that loads to the very same records.
 func FuzzLoad(f *testing.F) {
 	s := NewStore()
 	for i := 0; i < 5; i++ {
 		s.AddPacket(samplePacket(i))
 	}
-	s.AddScene(Scene{At: 1, Node: 2, Op: "move", Detail: "d", X: 3.25, Y: -4})
+	s.AddScene(move(1, 2, 3.25, -4))
 	var saved bytes.Buffer
 	if err := s.Save(&saved); err != nil {
 		f.Fatal(err)
@@ -27,7 +31,7 @@ func FuzzLoad(f *testing.F) {
 	if err := s.Attach(lw); err != nil {
 		f.Fatal(err)
 	}
-	s.AddScene(Scene{At: 2, Node: 3, Op: "radios", Detail: "ch1 r200"})
+	s.AddScene(scene.Event{At: 2, Kind: scene.RadiosChanged, Node: 3, Radios: []radio.Radio{{Channel: 1, Range: 200}}})
 	s.AddPacket(samplePacket(5))
 	if err := s.Sync(); err != nil {
 		f.Fatal(err)
@@ -36,10 +40,22 @@ func FuzzLoad(f *testing.F) {
 	f.Add(stream.Bytes())
 	f.Add(stream.Bytes()[:stream.Len()-7]) // torn tail
 	f.Add(append([]byte("PoEL\x00\x01"), saved.Bytes()[len(header):]...))
+	f.Add(append([]byte("PoEL\x00\x02"), saved.Bytes()[len(header):]...))
+	for _, e := range everyKind() {
+		f.Add(sceneLog(f, e))
+	}
+	torn := sceneLog(f, everyKind()[0])
+	f.Add(torn[:len(torn)-5]) // a torn scene row
+	for _, b := range refusedRows(f) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !bytes.HasPrefix(data, header) {
+			t.Fatalf("accepted a log without the version-3 header: %q", data[:min(len(data), len(header))])
 		}
 		var out bytes.Buffer
 		if err := got.Save(&out); err != nil {

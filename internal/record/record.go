@@ -13,6 +13,7 @@
 package record
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -20,6 +21,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/radio"
+	"repro/internal/scene"
 	"repro/internal/vclock"
 )
 
@@ -64,16 +66,6 @@ type Packet struct {
 	Size    uint32
 }
 
-// Scene is one scene-change event (node moved, range set, channel
-// switched…), recorded for post-emulation replay.
-type Scene struct {
-	At     vclock.Time
-	Node   radio.NodeID
-	Op     string // e.g. "add", "move", "radios", "remove", "pause"
-	Detail string // human-readable parameters
-	X, Y   float64
-}
-
 // Store is the append-only recording database. All methods are safe for
 // concurrent use; the server's recording goroutines append while
 // statistics readers iterate.
@@ -109,8 +101,9 @@ type Store struct {
 	nLogDropped atomic.Uint64 // records an attached log failed to take
 }
 
-// segmentSize is the capacity of one segment; maxRecordLen fits an
-// empty one, so every record fits some segment whole.
+// segmentSize is the capacity of one segment. A scene row longer than
+// that (an add carrying thousands of radios) gets a segment of its own
+// length, so every record fits some segment whole.
 const segmentSize = 256 << 10
 
 // packetShards spreads concurrent recorders; a power of two so the
@@ -199,7 +192,7 @@ func (s *Store) commit(b []byte, n int) {
 	for len(b) > 0 {
 		i := len(s.segs) - 1
 		if i < 0 || cap(s.segs[i])-len(s.segs[i]) < n {
-			s.segs = append(s.segs, make([]byte, 0, segmentSize))
+			s.segs = append(s.segs, make([]byte, 0, max(segmentSize, n)))
 			i++
 		}
 		k := min((cap(s.segs[i])-len(s.segs[i]))/n*n, len(b))
@@ -244,12 +237,18 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// AddScene appends a scene record. It commits at once, under the store
-// lock, so attached logs see scene and packet records in the order they
-// enter the store.
-func (s *Store) AddScene(e Scene) {
+// AddScene appends e as a scene row if its kind is journaled
+// (scene.Journaled), and ignores it otherwise; it is a scene.Listener.
+// It commits at once, under the store lock, so attached logs see scene
+// and packet records in the order they enter the store.
+func (s *Store) AddScene(e scene.Event) {
+	if !scene.Journaled(e.Kind) {
+		return
+	}
 	s.nScenes.Add(1)
-	r := appendScene(nil, &e)
+	r := scene.AppendRecord(make([]byte, sceneHead, sceneHead+64), &e)
+	r[0] = 'S'
+	binary.BigEndian.PutUint32(r[1:], uint32(len(r)-sceneHead))
 	s.mu.Lock()
 	s.commit(r, len(r))
 	s.mu.Unlock()
@@ -298,14 +297,15 @@ func (s *Store) ForEachPacket(fn func(Packet)) {
 	})
 }
 
-// Scenes returns a copy of all scene records in [from, to].
-func (s *Store) Scenes(from, to vclock.Time) []Scene {
+// Scenes returns the scene changes recorded in [from, to].
+func (s *Store) Scenes(from, to vclock.Time) []scene.Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Scene
+	var out []scene.Event
 	s.each(func(r []byte) {
 		if at := recordAt(r); r[0] == 'S' && at >= from && at <= to {
-			out = append(out, decodeScene(r))
+			e, _ := scene.DecodeRecord(r[sceneHead:]) // AddScene encoded it, or Load decoded it
+			out = append(out, e)
 		}
 	})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })

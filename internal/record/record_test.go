@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -12,7 +13,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/radio"
+	"repro/internal/scene"
 	"repro/internal/vclock"
 )
 
@@ -31,21 +34,24 @@ func samplePacket(i int) Packet {
 	}
 }
 
-// recording is every record of a store, scene coordinates also as bit
-// patterns: DeepEqual takes a NaN for unequal to itself.
+// move is a scene change to record: node id moved to (x, y) at at.
+func move(at vclock.Time, id radio.NodeID, x, y float64) scene.Event {
+	return scene.Event{At: at, Kind: scene.NodeMoved, Node: id, Pos: geom.V(x, y)}
+}
+
+// recording is every record of a store, each scene change as its
+// record's bytes: DeepEqual takes a NaN coordinate or range for unequal
+// to itself.
 type recording struct {
 	Packets []Packet
-	Scenes  []Scene
-	XY      []uint64
+	Scenes  []string
 }
 
 func contents(s *Store) recording {
 	var r recording
 	s.ForEachPacket(func(p Packet) { r.Packets = append(r.Packets, p) })
 	for _, e := range s.Scenes(math.MinInt64, math.MaxInt64) {
-		r.XY = append(r.XY, math.Float64bits(e.X), math.Float64bits(e.Y))
-		e.X, e.Y = 0, 0
-		r.Scenes = append(r.Scenes, e)
+		r.Scenes = append(r.Scenes, string(scene.AppendRecord(nil, &e)))
 	}
 	return r
 }
@@ -55,7 +61,7 @@ func TestStoreAppendAndCount(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.AddPacket(samplePacket(i))
 	}
-	s.AddScene(Scene{At: 5, Node: 1, Op: "move", X: 1, Y: 2})
+	s.AddScene(move(5, 1, 1, 2))
 	if s.PacketCount() != 10 || s.SceneCount() != 1 {
 		t.Errorf("counts: %d %d", s.PacketCount(), s.SceneCount())
 	}
@@ -75,7 +81,7 @@ func TestForEachAndSpan(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		s.AddPacket(samplePacket(i))
 	}
-	s.AddScene(Scene{At: vclock.FromSeconds(99), Op: "late"})
+	s.AddScene(move(vclock.FromSeconds(99), 1, 0, 0))
 	n := 0
 	s.ForEachPacket(func(Packet) { n++ })
 	if n != 5 {
@@ -89,12 +95,12 @@ func TestForEachAndSpan(t *testing.T) {
 
 func TestScenesSortedInWindow(t *testing.T) {
 	s := NewStore()
-	s.AddScene(Scene{At: 30, Op: "c"})
-	s.AddScene(Scene{At: 10, Op: "a"})
-	s.AddScene(Scene{At: 20, Op: "b"})
-	s.AddScene(Scene{At: 99, Op: "out"})
+	s.AddScene(move(30, 3, 0, 0))
+	s.AddScene(move(10, 1, 0, 0))
+	s.AddScene(move(20, 2, 0, 0))
+	s.AddScene(move(99, 4, 0, 0))
 	got := s.Scenes(0, 50)
-	if len(got) != 3 || got[0].Op != "a" || got[1].Op != "b" || got[2].Op != "c" {
+	if len(got) != 3 || got[0].Node != 1 || got[1].Node != 2 || got[2].Node != 3 {
 		t.Errorf("Scenes = %+v", got)
 	}
 }
@@ -110,7 +116,7 @@ func TestConcurrentAppend(t *testing.T) {
 			for i := 0; i < per; i++ {
 				s.AddPacket(samplePacket(i))
 				if i%50 == 0 {
-					s.AddScene(Scene{At: vclock.Time(i), Op: "tick"})
+					s.AddScene(move(vclock.Time(i), 1, 0, 0))
 				}
 			}
 		}(w)
@@ -137,8 +143,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.AddPacket(samplePacket(i))
 	}
-	s.AddScene(Scene{At: 7, Node: 3, Op: "move", Detail: "to (5,6)", X: 5, Y: 6})
-	s.AddScene(Scene{At: 9, Node: 1, Op: "radios", Detail: "ch1 r200"})
+	for _, e := range everyKind() {
+		s.AddScene(e)
+	}
+	s.AddScene(scene.Event{At: 11, Kind: scene.LinkModelChanged, Channel: 1}) // not journaled: not recorded
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -147,19 +155,82 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.PacketCount() != 100 || got.SceneCount() != 2 {
+	if got.PacketCount() != 100 || got.SceneCount() != len(everyKind()) {
 		t.Fatalf("loaded counts: %d %d", got.PacketCount(), got.SceneCount())
 	}
 	if a, b := contents(s), contents(got); !reflect.DeepEqual(a, b) {
 		t.Errorf("records differ after round trip: %+v vs %+v", a, b)
 	}
+	if got := got.Scenes(0, math.MaxInt64); !reflect.DeepEqual(got, everyKind()) {
+		t.Errorf("loaded scene changes %+v, want %+v", got, everyKind())
+	}
 }
 
-// TestLoadRejectsGarbage: foreign bytes, version-1 logs and the retired
-// "PoEm" snapshot format are all refused with ErrBadLog — never a panic
-// or a partial store.
+// everyKind is one scene change of each journaled kind, in time order.
+func everyKind() []scene.Event {
+	rs := []radio.Radio{{Channel: 1, Range: 200}, {Channel: 2, Range: 50}}
+	return []scene.Event{
+		{At: 3, Kind: scene.NodeAdded, Node: 1, Pos: geom.V(1.5, -2), Radios: rs},
+		move(5, 1, 5, 6),
+		{At: 7, Kind: scene.RadiosChanged, Node: 1, Radios: rs[1:]},
+		{At: 8, Kind: scene.PausedChanged, Paused: true},
+		{At: 9, Kind: scene.NodeRemoved, Node: 1},
+	}
+}
+
+// sceneLog is a recording of the one scene change e.
+func sceneLog(t testing.TB, e scene.Event) []byte {
+	s := NewStore()
+	s.AddScene(e)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// refusedRows are recordings whose one scene row the scene codec
+// refuses: an unknown kind byte, and an add whose radio count runs past
+// the row's end.
+func refusedRows(t testing.TB) [][]byte {
+	const kind = 6 + sceneHead + 8 // header, row head, stamp
+	unknown := sceneLog(t, everyKind()[1])
+	unknown[kind] = 99
+	overrun := sceneLog(t, everyKind()[0])
+	overrun[kind+1+4+16+1] = 3 // the add carries 2 radios
+	return [][]byte{unknown, overrun}
+}
+
+// TestLargestSceneRowLoads: an add with as many radios as a node can
+// carry is a row of maxRecordLen bytes, longer than a segment, and it
+// loads back whole.
+func TestLargestSceneRowLoads(t *testing.T) {
+	rs := make([]radio.Radio, math.MaxUint16)
+	for i := range rs {
+		rs[i] = radio.Radio{Channel: radio.ChannelID(i), Range: float64(i)}
+	}
+	b := sceneLog(t, scene.Event{At: 1, Kind: scene.NodeAdded, Node: 1, Radios: rs})
+	if len(b) != len(header)+maxRecordLen {
+		t.Fatalf("largest add is a %d-byte log, want header and a %d-byte row", len(b), maxRecordLen)
+	}
+	got, err := Load(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es := got.Scenes(0, 1); len(es) != 1 || !reflect.DeepEqual(es[0].Radios, rs) {
+		t.Errorf("loaded %d scene changes, not the one largest add", len(es))
+	}
+}
+
+// TestLoadRejectsGarbage: foreign bytes, version-1 and version-2 logs,
+// the retired "PoEm" snapshot format, a scene row longer than any record
+// and rows the scene codec refuses are all refused with ErrBadLog —
+// never a panic or a partial store.
 func TestLoadRejectsGarbage(t *testing.T) {
 	v1 := append([]byte("PoEL\x00\x01P"), make([]byte, 40)...)
+	v2 := append([]byte("PoEL\x00\x02"), sceneLog(t, move(1, 2, 3, 4))[len(header):]...)
+	long := sceneLog(t, move(1, 2, 3, 4))
+	binary.BigEndian.PutUint32(long[len(header)+1:], scene.MaxRecordLen+1)
 	snapshot := append([]byte("PoEm\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01"), make([]byte, 40)...)
 	cases := [][]byte{
 		nil,
@@ -167,8 +238,11 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		[]byte("PoEL"),                // truncated after magic
 		append([]byte("PoEL"), 0, 99), // unknown version
 		v1,                            // version 1: millimetre scene coordinates
+		v2,                            // version 2: Op/Detail scene rows
 		snapshot,                      // the old snapshot format
+		long,                          // a scene row past MaxRecordLen
 	}
+	cases = append(cases, refusedRows(t)...)
 	for i, b := range cases {
 		if s, err := Load(bytes.NewReader(b)); !errors.Is(err, ErrBadLog) || s != nil {
 			t.Errorf("case %d (%q): store %v, error %v", i, b, s, err)
@@ -206,7 +280,7 @@ func TestPersistencePropertyRandom(t *testing.T) {
 func TestSceneCoordinatePrecision(t *testing.T) {
 	f := func(x, y uint64) bool {
 		s := NewStore()
-		s.AddScene(Scene{At: 1, X: math.Float64frombits(x), Y: math.Float64frombits(y)})
+		s.AddScene(move(1, 0, math.Float64frombits(x), math.Float64frombits(y)))
 		var buf bytes.Buffer
 		if err := s.Save(&buf); err != nil {
 			return false
@@ -216,7 +290,7 @@ func TestSceneCoordinatePrecision(t *testing.T) {
 			return false
 		}
 		e := got.Scenes(0, 10)[0]
-		return math.Float64bits(e.X) == x && math.Float64bits(e.Y) == y
+		return math.Float64bits(e.Pos.X) == x && math.Float64bits(e.Pos.Y) == y
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -7,33 +7,35 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"repro/internal/radio"
+	"repro/internal/scene"
 	"repro/internal/vclock"
 )
 
 // The recording format. The store's segments, Save's output and an
 // attached LogWriter's stream are the same bytes:
 //
-//	"PoEL" magic, uint16 version 2, then tagged records:
+//	"PoEL" magic, uint16 version 3, then tagged rows:
 //	  'P' + packet record (fixed 40 bytes)
-//	  'S' + scene record  (At, Node, X and Y as float64 bits: 28 bytes,
-//	        then Op and Detail, each a uint16 length and its bytes)
+//	  'S' + uint32 length + one scene journal record (scene.AppendRecord)
 //
-// There are no counts: a recording ends where its records end, and Load
-// tolerates a truncated final record — exactly what a crashed emulation
-// run leaves behind.
+// A scene row is a scene change in its one encoding, the journal's, so
+// the recording holds what the journal holds: node adds, removals,
+// moves, radio sets and the pause flag. There are no counts: a recording
+// ends where its rows end, and Load tolerates a truncated final row —
+// exactly what a crashed emulation run leaves behind.
 
 // header opens every recording. Version 1 stored scene coordinates as
-// integer millimetres; Load rejects it.
-var header = []byte{'P', 'o', 'E', 'L', 0, 2}
+// integer millimetres and version 2 scene changes as Op/Detail text;
+// Load rejects both.
+var header = []byte{'P', 'o', 'E', 'L', 0, 3}
 
 const (
 	packetLen    = 1 + 40 // tag + packet record
-	sceneFixed   = 1 + 28 // tag + scene record up to its strings
-	maxRecordLen = sceneFixed + 2*(2+math.MaxUint16)
+	sceneHead    = 1 + 4  // tag + length of the scene record
+	maxRecordLen = sceneHead + scene.MaxRecordLen
 )
 
 // ErrBadLog reports a corrupt, foreign or older-version recording.
@@ -71,65 +73,32 @@ func decodePacket(r []byte) Packet {
 	}
 }
 
-// appendScene appends e's record to b; Op and Detail are cut to 64 KiB.
-func appendScene(b []byte, e *Scene) []byte {
-	b = append(b, 'S')
-	b = binary.BigEndian.AppendUint64(b, uint64(e.At))
-	b = binary.BigEndian.AppendUint32(b, uint32(e.Node))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(e.X))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(e.Y))
-	for _, str := range [2]string{e.Op, e.Detail} {
-		str = str[:min(len(str), math.MaxUint16)]
-		b = binary.BigEndian.AppendUint16(b, uint16(len(str)))
-		b = append(b, str...)
-	}
-	return b
-}
-
-func decodeScene(r []byte) Scene {
-	e := Scene{
-		At:   vclock.Time(binary.BigEndian.Uint64(r[1:])),
-		Node: radio.NodeID(binary.BigEndian.Uint32(r[9:])),
-		X:    math.Float64frombits(binary.BigEndian.Uint64(r[13:])),
-		Y:    math.Float64frombits(binary.BigEndian.Uint64(r[21:])),
-	}
-	r = r[sceneFixed:]
-	for _, str := range [2]*string{&e.Op, &e.Detail} {
-		n := 2 + int(binary.BigEndian.Uint16(r))
-		*str, r = string(r[2:n]), r[n:]
-	}
-	return e
-}
-
 // recordAt returns the emulation time of record r.
 func recordAt(r []byte) vclock.Time {
 	if r[0] == 'P' {
 		return vclock.Time(binary.BigEndian.Uint64(r[2:]))
 	}
-	return vclock.Time(binary.BigEndian.Uint64(r[1:]))
+	return vclock.Time(binary.BigEndian.Uint64(r[sceneHead:]))
 }
 
-// recordLen returns the length of the record at the head of b. When b
-// is too short to tell, it returns the length of a prefix that can —
-// more than len(b). An unknown tag returns -1.
+// recordLen returns the length of the row at the head of b. When b is
+// too short to tell, it returns the length of a prefix that can — more
+// than len(b). An unknown tag, or a scene row longer than any record
+// the scene codec accepts, returns -1.
 func recordLen(b []byte) int {
-	if len(b) == 0 {
+	switch {
+	case len(b) == 0:
 		return 1
-	}
-	switch b[0] {
-	case 'P':
+	case b[0] == 'P':
 		return packetLen
-	case 'S':
-		n := sceneFixed
-		for range 2 {
-			if len(b) < n+2 {
-				return n + 2
-			}
-			n += 2 + int(binary.BigEndian.Uint16(b[n:]))
-		}
-		return n
+	case b[0] != 'S':
+		return -1
+	case len(b) < sceneHead:
+		return sceneHead
+	case binary.BigEndian.Uint32(b[1:]) > scene.MaxRecordLen:
+		return -1
 	}
-	return -1
+	return sceneHead + int(binary.BigEndian.Uint32(b[1:]))
 }
 
 // countRecords returns how many whole records b starts with.
@@ -229,9 +198,9 @@ func (s *Store) writeAll(lw *LogWriter) error {
 }
 
 // Load reads a recording — Save's output or a LogWriter's stream — into
-// a fresh store. A truncated final record (crash artifact) is
-// tolerated; a foreign or older-version header, an unknown tag, and
-// read errors other than end of input are not.
+// a fresh store. A truncated final row (crash artifact) is tolerated; a
+// foreign or older-version header, an unknown tag, a scene row the
+// scene codec refuses, and read errors other than end of input are not.
 func Load(r io.Reader) (*Store, error) {
 	br := bufio.NewReaderSize(r, maxRecordLen)
 	h := make([]byte, len(header))
@@ -239,7 +208,7 @@ func Load(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("%w: %w", ErrBadLog, err)
 	}
 	if !bytes.Equal(h, header) {
-		return nil, fmt.Errorf("%w: header %q is not a version-2 recording", ErrBadLog, h)
+		return nil, fmt.Errorf("%w: header %q is not a version-3 recording", ErrBadLog, h)
 	}
 	s := NewStore()
 	for want := 1; ; {
@@ -250,10 +219,15 @@ func Load(r io.Reader) (*Store, error) {
 		n := recordLen(b)
 		switch {
 		case n < 0:
-			return nil, fmt.Errorf("%w: unknown tag %q", ErrBadLog, b[0])
+			return nil, fmt.Errorf("%w: bad row with tag %q", ErrBadLog, b[0])
 		case n > len(b):
 			want = n
 		default:
+			if b[0] == 'S' {
+				if _, err := scene.DecodeRecord(b[sceneHead:n]); err != nil {
+					return nil, fmt.Errorf("%w: scene row: %w", ErrBadLog, err)
+				}
+			}
 			s.commit(b, n)
 			br.Discard(n) // peeked, so buffered: cannot fail
 			want = 1

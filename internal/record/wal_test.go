@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/radio"
+	"repro/internal/scene"
 	"repro/internal/vclock"
 )
 
@@ -37,8 +38,7 @@ func TestWALRoundTrip(t *testing.T) {
 			for i := 0; i < 3*packetFlushBatch; i++ {
 				s.AddPacket(Packet{Kind: PacketOut, At: vclock.Time(i), Src: radio.NodeID(g), Relay: 9, Seq: uint32(i)})
 				if i%100 == 0 {
-					s.AddScene(Scene{At: vclock.Time(i), Node: radio.NodeID(g), Op: "move",
-						Detail: fmt.Sprint(i), X: float64(i) / 3, Y: -float64(g) / 7})
+					s.AddScene(move(vclock.Time(i), radio.NodeID(g), float64(i)/3, -float64(g)/7))
 				}
 			}
 		}(g)
@@ -74,14 +74,15 @@ func TestWALToleratesTruncation(t *testing.T) {
 		s.AddPacket(samplePacket(i))
 	}
 	s.Sync()
-	scene := Scene{At: 1, Op: "move", Detail: "to the end"}
-	s.AddScene(scene)
+	ev := everyKind()[0]
+	s.AddScene(ev)
 	var saved bytes.Buffer
 	s.Save(&saved)
-	sceneLen := len(appendScene(nil, &scene))
+	sceneLen := sceneHead + len(scene.AppendRecord(nil, &ev))
 	for name, full := range map[string][]byte{"save": saved.Bytes(), "stream": stream.Bytes()} {
 		for _, tc := range []struct{ cut, packets, scenes int }{
-			{3, 10, 0},            // inside the scene's Detail
+			{3, 10, 0},            // inside the scene row's radios
+			{sceneLen - 2, 10, 0}, // inside the scene row's length
 			{sceneLen + 17, 9, 0}, // inside the last packet
 			{sceneLen + 41, 9, 0}, // at a record boundary
 			{0, 10, 1},            // whole
@@ -170,7 +171,7 @@ func TestStoreAttachStreamsLive(t *testing.T) {
 	}
 	// Live appends stream through once the shard buffers commit.
 	s.AddPacket(samplePacket(2))
-	s.AddScene(Scene{At: 9, Op: "add"})
+	s.AddScene(scene.Event{At: 9, Kind: scene.NodeAdded})
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestLogWriteFailureCounted(t *testing.T) {
 	for i := 0; i < packets; i++ {
 		s.AddPacket(Packet{Kind: PacketIn, Src: 1, Seq: uint32(i)}) // one stream: 256-record batches
 		if i%(packets/scenes) == 0 {
-			s.AddScene(Scene{At: vclock.Time(i), Op: "tick"})
+			s.AddScene(move(vclock.Time(i), 1, 0, 0))
 		}
 	}
 	if err := s.Sync(); !errors.Is(err, errDisk) {

@@ -16,20 +16,21 @@ import (
 	"repro/internal/radio"
 	"repro/internal/record"
 	"repro/internal/render"
+	"repro/internal/scene"
 	"repro/internal/vclock"
 )
 
 // NodeState is one node's reconstructed state at a point in time.
 type NodeState struct {
-	ID      radio.NodeID
-	Pos     geom.Vec2
-	LastOp  string
-	Present bool
+	ID     radio.NodeID
+	Pos    geom.Vec2
+	Radios []radio.Radio
+	LastOp scene.EventKind // the node's last recorded change
 }
 
 // Replayer replays a recording.
 type Replayer struct {
-	scenes []record.Scene
+	scenes []scene.Event
 	store  *record.Store
 	from   vclock.Time
 	to     vclock.Time
@@ -57,20 +58,16 @@ func (r *Replayer) StateAt(t vclock.Time) []NodeState {
 		if e.At > t {
 			break
 		}
-		switch e.Op {
-		case "add":
-			states[e.Node] = &NodeState{ID: e.Node, Pos: geom.V(e.X, e.Y), LastOp: "add", Present: true}
-		case "remove":
+		switch s := states[e.Node]; {
+		case e.Kind == scene.NodeAdded:
+			states[e.Node] = &NodeState{ID: e.Node, Pos: e.Pos, Radios: e.Radios, LastOp: e.Kind}
+		case e.Kind == scene.NodeRemoved:
 			delete(states, e.Node)
-		case "move":
-			if s := states[e.Node]; s != nil {
-				s.Pos = geom.V(e.X, e.Y)
-				s.LastOp = "move"
-			}
-		default:
-			if s := states[e.Node]; s != nil {
-				s.LastOp = e.Op
-			}
+		case s == nil: // a change to a node the recording never added
+		case e.Kind == scene.NodeMoved:
+			s.Pos, s.LastOp = e.Pos, e.Kind
+		case e.Kind == scene.RadiosChanged:
+			s.Radios, s.LastOp = e.Radios, e.Kind
 		}
 	}
 	out := make([]NodeState, 0, len(states))
@@ -87,10 +84,10 @@ func (r *Replayer) Region() geom.Rect {
 	first := true
 	var min, max geom.Vec2
 	for _, e := range r.scenes {
-		if e.Op != "add" && e.Op != "move" {
+		if e.Kind != scene.NodeAdded && e.Kind != scene.NodeMoved {
 			continue
 		}
-		p := geom.V(e.X, e.Y)
+		p := e.Pos
 		if first {
 			min, max, first = p, p, false
 			continue
@@ -120,7 +117,7 @@ func (r *Replayer) FrameAt(t vclock.Time, w, h int) string {
 	states := r.StateAt(t)
 	marks := make([]render.Mark, len(states))
 	for i, s := range states {
-		marks[i] = render.Mark{ID: uint32(s.ID), Pos: s.Pos, Note: s.LastOp}
+		marks[i] = render.Mark{ID: uint32(s.ID), Pos: s.Pos, Note: s.LastOp.String()}
 	}
 	header := fmt.Sprintf("t=%v  nodes=%d\n", t, len(states))
 	return header + render.Frame(marks, r.Region(), w, h)

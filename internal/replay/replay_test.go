@@ -1,24 +1,34 @@
 package replay
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/geom"
+	"repro/internal/radio"
 	"repro/internal/record"
+	"repro/internal/scene"
 	"repro/internal/vclock"
 )
 
+var (
+	ch1 = []radio.Radio{{Channel: 1, Range: 100}}
+	ch2 = []radio.Radio{{Channel: 2, Range: 60}}
+)
+
 // demoStore records a small scripted run: two nodes added, one moves
-// twice, one removed, with a few packets.
+// twice and switches channel, one removed, with a few packets.
 func demoStore() *record.Store {
 	st := record.NewStore()
 	at := func(s float64) vclock.Time { return vclock.FromSeconds(s) }
-	st.AddScene(record.Scene{At: at(0), Node: 1, Op: "add", X: 10, Y: 10})
-	st.AddScene(record.Scene{At: at(0), Node: 2, Op: "add", X: 90, Y: 10})
-	st.AddScene(record.Scene{At: at(2), Node: 2, Op: "move", X: 90, Y: 50})
-	st.AddScene(record.Scene{At: at(4), Node: 2, Op: "move", X: 90, Y: 90})
-	st.AddScene(record.Scene{At: at(5), Node: 1, Op: "remove"})
+	st.AddScene(scene.Event{At: at(0), Kind: scene.NodeAdded, Node: 1, Pos: geom.V(10, 10), Radios: ch1})
+	st.AddScene(scene.Event{At: at(0), Kind: scene.NodeAdded, Node: 2, Pos: geom.V(90, 10), Radios: ch1})
+	st.AddScene(scene.Event{At: at(2), Kind: scene.NodeMoved, Node: 2, Pos: geom.V(90, 50)})
+	st.AddScene(scene.Event{At: at(3.5), Kind: scene.RadiosChanged, Node: 2, Radios: ch2})
+	st.AddScene(scene.Event{At: at(4), Kind: scene.NodeMoved, Node: 2, Pos: geom.V(90, 90)})
+	st.AddScene(scene.Event{At: at(5), Kind: scene.NodeRemoved, Node: 1})
 	st.AddPacket(record.Packet{Kind: record.PacketIn, At: at(1), Src: 1, Dst: 2, Seq: 1})
 	st.AddPacket(record.Packet{Kind: record.PacketOut, At: at(1.2), Src: 1, Dst: 2, Relay: 2, Seq: 1})
 	st.AddPacket(record.Packet{Kind: record.PacketDrop, At: at(3), Src: 1, Dst: 2, Relay: 2, Seq: 2})
@@ -31,15 +41,18 @@ func TestStateAtFoldsEvents(t *testing.T) {
 	if len(s0) != 2 {
 		t.Fatalf("t=0: %+v", s0)
 	}
-	if s0[1].Pos.Y != 10 {
+	if s0[1].Pos.Y != 10 || !reflect.DeepEqual(s0[1].Radios, ch1) {
 		t.Errorf("node 2 initial: %+v", s0[1])
 	}
 	s3 := r.StateAt(vclock.FromSeconds(3))
-	if s3[1].Pos.Y != 50 || s3[1].LastOp != "move" {
+	if s3[1].Pos.Y != 50 || s3[1].LastOp != scene.NodeMoved || !reflect.DeepEqual(s3[1].Radios, ch1) {
 		t.Errorf("t=3: %+v", s3[1])
 	}
+	if s := r.StateAt(vclock.FromSeconds(3.5)); s[1].LastOp != scene.RadiosChanged || !reflect.DeepEqual(s[1].Radios, ch2) {
+		t.Errorf("t=3.5: %+v", s[1])
+	}
 	s6 := r.StateAt(vclock.FromSeconds(6))
-	if len(s6) != 1 || s6[0].ID != 2 || s6[0].Pos.Y != 90 {
+	if len(s6) != 1 || s6[0].ID != 2 || s6[0].Pos.Y != 90 || !reflect.DeepEqual(s6[0].Radios, ch2) {
 		t.Errorf("t=6: %+v", s6)
 	}
 }
@@ -51,7 +64,7 @@ func TestSpanAndRegion(t *testing.T) {
 		t.Errorf("span %v..%v", from, to)
 	}
 	reg := r.Region()
-	if !reg.Contains(vec(10, 10)) || !reg.Contains(vec(90, 90)) {
+	if !reg.Contains(geom.V(10, 10)) || !reg.Contains(geom.V(90, 90)) {
 		t.Errorf("region %v..%v misses positions", reg.Min, reg.Max)
 	}
 }
@@ -117,10 +130,4 @@ func TestScriptRendersRun(t *testing.T) {
 	if !strings.Contains(script, "drop=1") {
 		t.Errorf("drop count missing:\n%s", script)
 	}
-}
-
-// vec avoids importing geom twice in tests.
-func vec(x, y float64) (v struct{ X, Y float64 }) {
-	v.X, v.Y = x, y
-	return v
 }

@@ -61,9 +61,10 @@ func diffRun(t *testing.T, seed int64, steps int) {
 	defModel := linkmodel.Default()
 
 	// Walkers move nodes inside Tick; the oracle learns where from the
-	// event stream. Every other operation is fed to it directly.
+	// event stream. Every other operation is fed to it directly; an
+	// operator move reaches it both ways, which is idempotent.
 	s.Subscribe(func(e Event) {
-		if e.Kind == NodeMoved && e.Detail == "mobility" {
+		if e.Kind == NodeMoved {
 			oracle.Move(e.Node, e.Pos)
 		}
 	})

@@ -4,13 +4,16 @@ package scene
 // every replicable event gets the next dense seq and, once KeepJournal
 // has allocated the ring (a federation's coordinator does), is appended,
 // encoded once, to it; a reader holds nothing but the seq it wants next
-// (ReadJournal). The replicable events are add, remove, move, radios and
-// pause. Link models and mobility stay peer-local: a link model is live
-// code each peer configures, and a walker's effect journals as the
-// NodeMoved events it emits. A reader whose seq is not in the ring takes
-// the state instead (EncodeState): a pause record and one add record per
-// node, split into parts at record boundaries; the state's hash is the
-// canonical scene digest (Digest).
+// (ReadJournal). The replicable events (Journaled) are add, remove, move,
+// radios and pause. Link models and mobility stay peer-local: a link
+// model is live code each peer configures, and a walker's effect
+// journals as the NodeMoved events it emits. A reader whose seq is not
+// in the ring takes the state instead (EncodeState): a pause record and
+// one add record per node, split into parts at record boundaries; the
+// state's hash is the canonical scene digest (Digest). A record
+// (AppendRecord) is a scene change's one encoding: the recording
+// (record.Store) stores the same records, so it holds what the journal
+// holds.
 // A follower applies both through its Replica, which drives the scene's
 // ordinary mutators, so whatever listens to a scene sees a replicated
 // change as it sees a local one.
@@ -21,7 +24,6 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 
 	"repro/internal/geom"
@@ -68,16 +70,26 @@ func (j *journal) at(seq uint64) uint64 {
 	return j.pos[seq%JournalRecords]
 }
 
+// Journaled reports whether events of kind k are journaled and
+// recorded; the others are peer-local (see the top of this file).
+func Journaled(k EventKind) bool {
+	switch k {
+	case NodeAdded, NodeRemoved, NodeMoved, RadiosChanged, PausedChanged:
+		return true
+	}
+	return false
+}
+
 func (s *Scene) journalLocked(e *Event) {
-	if e.Kind == LinkModelChanged || e.Kind == MobilityChanged {
-		return // peer-local (see the top of this file)
+	if !Journaled(e.Kind) {
+		return
 	}
 	j := &s.j
 	if j.seq++; j.data == nil {
 		j.first = j.seq + 1 // counted, not kept
 		return
 	}
-	rec := appendRecord(j.scratch[:0], e)
+	rec := AppendRecord(j.scratch[:0], e)
 	j.scratch = rec
 	// The oldest records leave until the new one fits both bounds.
 	for ; j.first < j.seq && (j.seq-j.first >= JournalRecords ||
@@ -174,21 +186,25 @@ func (s *Scene) appendStateLocked(b []byte) []byte {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	b = appendRecord(b, &Event{Kind: PausedChanged, Detail: strconv.FormatBool(s.paused)})
+	b = AppendRecord(b, &Event{Kind: PausedChanged, Paused: s.paused})
 	for _, id := range ids {
 		n := s.tab.Peek(id)
-		b = appendRecord(b, &Event{Kind: NodeAdded, Node: id, Pos: n.Pos, Radios: n.Radios})
+		b = AppendRecord(b, &Event{Kind: NodeAdded, Node: id, Pos: n.Pos, Radios: n.Radios})
 	}
 	return b
 }
 
-// appendRecord encodes one event: its stamp, its kind, and what that
-// kind changes — the pause flag (as SetPaused's Detail), or the node and
+// MaxRecordLen bounds every record AppendRecord emits for a scene and
+// DecodeRecord accepts: an add with maxRadios radios.
+const MaxRecordLen = 8 + 1 + 4 + 16 + 2 + 10*maxRadios
+
+// AppendRecord appends the one encoding of a journaled event: its stamp,
+// its kind, and what that kind changes — the pause flag, or the node and
 // its new position and/or radios.
-func appendRecord(b []byte, e *Event) []byte {
+func AppendRecord(b []byte, e *Event) []byte {
 	b = append(be.AppendUint64(b, uint64(e.At)), byte(e.Kind))
 	if e.Kind == PausedChanged {
-		return append(b, boolByte(e.Detail == "true"))
+		return append(b, boolByte(e.Paused))
 	}
 	b = be.AppendUint32(b, uint32(e.Node))
 	if e.Kind == NodeAdded || e.Kind == NodeMoved {
@@ -220,8 +236,8 @@ func boolByte(v bool) byte {
 }
 
 // reader decodes what the functions above encode. Reading past its end,
-// or a malformed record, panics; decodeJournal turns that into
-// errBadRecord.
+// or a malformed record, panics; DecodeRecord and decodeJournal turn
+// that into errBadRecord.
 type reader []byte
 
 func (r *reader) take(n int) []byte {
@@ -254,7 +270,7 @@ func (r *reader) record() Event {
 	switch e.Kind {
 	case PausedChanged:
 		if v := r.take(1)[0]; v <= 1 {
-			e.Detail = strconv.FormatBool(v == 1)
+			e.Paused = v == 1
 			return e
 		}
 		panic(errBadRecord)
@@ -270,6 +286,21 @@ func (r *reader) record() Event {
 		panic(errBadRecord)
 	}
 	return e
+}
+
+// DecodeRecord decodes b as exactly one record, AppendRecord's inverse;
+// any other b is an error.
+func DecodeRecord(b []byte) (e Event, err error) {
+	defer func() {
+		if recover() != nil {
+			e, err = Event{}, errBadRecord
+		}
+	}()
+	r := reader(b)
+	if e = r.record(); len(r) > 0 {
+		panic(errBadRecord)
+	}
+	return e, nil
 }
 
 // decodeJournal decodes b as whole records; b that ends inside a record
@@ -298,7 +329,7 @@ func (s *Scene) apply(e *Event) error {
 	case RadiosChanged:
 		s.SetRadios(e.Node, e.Radios)
 	case PausedChanged:
-		s.SetPaused(e.Detail == "true")
+		s.SetPaused(e.Paused)
 	}
 	return nil
 }
@@ -338,7 +369,7 @@ func (s *Scene) restore(state []byte) error {
 			s.SetRadios(e.Node, e.Radios)
 		}
 	}
-	s.SetPaused(recs[0].Detail == "true")
+	s.SetPaused(recs[0].Paused)
 	return err
 }
 

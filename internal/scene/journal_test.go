@@ -117,6 +117,36 @@ func TestRestoreGivesIdenticalState(t *testing.T) {
 	}
 }
 
+// TestRadioSetFitsARecord: a node carries at most the radios a record
+// can count. The largest add journals as a record of MaxRecordLen bytes
+// that decodes whole; one radio more is refused by AddNode and ignored by
+// SetRadios, rather than journaled with a count that wrapped.
+func TestRadioSetFitsARecord(t *testing.T) {
+	s := coordScene()
+	most := make([]radio.Radio, maxRadios)
+	for i := range most {
+		most[i] = radio.Radio{Channel: 1, Range: float64(i)}
+	}
+	tooMany := append(most[:maxRadios:maxRadios], radio.Radio{Channel: 1, Range: 1})
+	if err := s.AddNode(1, geom.V(1, 2), most); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddNode(2, geom.V(1, 2), tooMany); err == nil {
+		t.Error("added a node with more radios than a record counts")
+	}
+	s.SetRadios(1, tooMany)
+	if _, last := s.JournalSpan(); last != 1 {
+		t.Fatalf("journaled %d changes, want the one add", last)
+	}
+	b, _, _ := s.ReadJournal(1, MaxRecordLen)
+	if len(b) != MaxRecordLen {
+		t.Fatalf("largest add is a %d-byte record, MaxRecordLen is %d", len(b), MaxRecordLen)
+	}
+	if e, err := DecodeRecord(b); err != nil || !reflect.DeepEqual(e.Radios, most) {
+		t.Errorf("largest add decodes to %d radios, error %v", len(e.Radios), err)
+	}
+}
+
 // TestJournalRingWraps: the ring keeps the last JournalRecords records,
 // and fewer once their bytes pass the byte bound; a seq that fell off is
 // reported as such and a restore takes its place; records read across
@@ -311,7 +341,7 @@ func FuzzSceneJournal(f *testing.F) {
 			}
 			var again []byte
 			for i := range decoded {
-				again = appendRecord(again, &decoded[i])
+				again = AppendRecord(again, &decoded[i])
 			}
 			if !bytes.Equal(again, data) {
 				t.Fatalf("accepted frame re-encodes to %x, was %x", again, data)

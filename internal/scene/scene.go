@@ -6,14 +6,16 @@
 // script, test) drives the same API and real-time scene construction is
 // preserved without the graphical front end.
 //
-// The scene emits an Event for every change; the recorder persists them
-// for post-emulation replay and the server notifies affected clients.
-// The replicable ones also go to the scene's journal (journal.go), which
-// federated followers read.
+// The scene emits an Event for every change, and the server notifies
+// affected clients. The journaled ones (Journaled) also go to the
+// scene's journal (journal.go), which federated followers read, and,
+// encoded by the same AppendRecord, to the recording for post-emulation
+// replay.
 package scene
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -73,7 +75,7 @@ type Event struct {
 	Pos     geom.Vec2
 	Radios  []radio.Radio
 	Channel radio.ChannelID
-	Detail  string
+	Paused  bool // a PausedChanged event's new flag
 }
 
 // Listener receives scene events. Listeners run synchronously under the
@@ -209,12 +211,17 @@ func (s *Scene) emitLocked(e Event) {
 	}
 }
 
-// AddNode places a new VMN. It fails if the ID exists.
+// maxRadios is the most radios a node can carry: a journal record
+// counts them in 16 bits.
+const maxRadios = math.MaxUint16
+
+// AddNode places a new VMN. It fails if the ID exists or radios holds
+// more than maxRadios.
 func (s *Scene) AddNode(id radio.NodeID, pos geom.Vec2, radios []radio.Radio) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.tab.Peek(id) != nil {
-		return fmt.Errorf("scene: node %v already exists", id)
+	if err := s.checkNewLocked(id, radios); err != nil {
+		return err
 	}
 	s.tab.AddNode(&radio.Node{ID: id, Pos: pos, Radios: radios})
 	s.ids[id] = true
@@ -243,9 +250,9 @@ func (s *Scene) AddNodes(nodes []NodeSpec) error {
 	defer s.mu.Unlock()
 	for i := range nodes {
 		n := &nodes[i]
-		if s.tab.Peek(n.ID) != nil {
+		if err := s.checkNewLocked(n.ID, n.Radios); err != nil {
 			s.publishLocked()
-			return fmt.Errorf("scene: node %v already exists", n.ID)
+			return err
 		}
 		s.tab.AddNode(&radio.Node{ID: n.ID, Pos: n.Pos, Radios: n.Radios})
 		s.ids[n.ID] = true
@@ -253,6 +260,17 @@ func (s *Scene) AddNodes(nodes []NodeSpec) error {
 		s.emitLocked(Event{Kind: NodeAdded, Node: n.ID, Pos: n.Pos, Radios: append([]radio.Radio(nil), n.Radios...)})
 	}
 	s.publishLocked()
+	return nil
+}
+
+// checkNewLocked refuses a node AddNode cannot add.
+func (s *Scene) checkNewLocked(id radio.NodeID, radios []radio.Radio) error {
+	if s.tab.Peek(id) != nil {
+		return fmt.Errorf("scene: node %v already exists", id)
+	}
+	if len(radios) > maxRadios {
+		return fmt.Errorf("scene: node %v has %d radios, more than %d", id, len(radios), maxRadios)
+	}
 	return nil
 }
 
@@ -291,17 +309,18 @@ func (s *Scene) MoveNode(id radio.NodeID, pos geom.Vec2) {
 	}
 	s.tab.Move(id, pos)
 	s.markNodeDirtyLocked(n.Radios)
-	s.emitLocked(Event{Kind: NodeMoved, Node: id, Pos: pos, Detail: "operator"})
+	s.emitLocked(Event{Kind: NodeMoved, Node: id, Pos: pos})
 	s.publishLocked()
 }
 
 // SetRadios replaces a VMN's radio set: channel switches, range
-// changes, adding or removing radios.
+// changes, adding or removing radios. It ignores an unknown ID and a
+// set of more than maxRadios.
 func (s *Scene) SetRadios(id radio.NodeID, radios []radio.Radio) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.tab.Peek(id)
-	if n == nil {
+	if n == nil || len(radios) > maxRadios {
 		return
 	}
 	s.markRadiosDirtyLocked(n.Radios, radios)
@@ -333,8 +352,7 @@ func (s *Scene) SetRange(id radio.NodeID, ch radio.ChannelID, r float64) {
 	}
 	s.tab.SetRadios(id, radios)
 	s.markChannelDirtyLocked(ch)
-	s.emitLocked(Event{Kind: RadiosChanged, Node: id, Radios: radios,
-		Detail: fmt.Sprintf("range(%v)=%g", ch, r)})
+	s.emitLocked(Event{Kind: RadiosChanged, Node: id, Radios: radios})
 	s.publishLocked()
 	s.mu.Unlock()
 }
@@ -363,7 +381,7 @@ func (s *Scene) ClearMobility(id radio.NodeID) {
 	}
 	delete(s.walkers, id)
 	s.walkerIDs = nil
-	s.emitLocked(Event{Kind: MobilityChanged, Node: id, Detail: "cleared"})
+	s.emitLocked(Event{Kind: MobilityChanged, Node: id})
 }
 
 // SetLinkModel configures the wireless model for one channel.
@@ -390,7 +408,7 @@ func (s *Scene) SetDefaultLinkModel(m linkmodel.Model) error {
 	defer s.mu.Unlock()
 	s.defModel = m
 	s.allDirty = true
-	s.emitLocked(Event{Kind: LinkModelChanged, Detail: "default"})
+	s.emitLocked(Event{Kind: LinkModelChanged})
 	s.publishLocked()
 	return nil
 }
@@ -403,7 +421,7 @@ func (s *Scene) SetPaused(p bool) {
 		return
 	}
 	s.paused = p
-	s.emitLocked(Event{Kind: PausedChanged, Detail: fmt.Sprintf("%v", p)})
+	s.emitLocked(Event{Kind: PausedChanged, Paused: p})
 }
 
 // Paused reports whether mobility is paused.
@@ -445,7 +463,7 @@ func (s *Scene) Tick(now vclock.Time) {
 		}
 		s.tab.Move(id, pos)
 		s.markNodeDirtyLocked(n.Radios)
-		s.emitLocked(Event{Kind: NodeMoved, Node: id, Pos: pos, Detail: "mobility"})
+		s.emitLocked(Event{Kind: NodeMoved, Node: id, Pos: pos})
 	}
 	s.publishLocked()
 }

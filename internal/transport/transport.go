@@ -734,8 +734,9 @@ func (c *poolIngressConn) Recv() (wire.Msg, error) {
 	return repacked, nil
 }
 
-// inprocListener hands the server halves of Pipe pairs to Accept.
-type inprocListener struct {
+// InprocListener is the in-process Listener: it hands the server halves
+// of Pipe pairs to Accept, and additionally offers Dial.
+type InprocListener struct {
 	mu     sync.Mutex
 	accept chan Conn
 	done   chan struct{}
@@ -745,24 +746,15 @@ type inprocListener struct {
 // NewInprocListener returns an in-process Listener. Use its Dial method
 // (or Dialer) from clients.
 func NewInprocListener() *InprocListener {
-	return &InprocListener{inner: &inprocListener{
-		accept: make(chan Conn, 64),
-		done:   make(chan struct{}),
-	}}
-}
-
-// InprocListener is the concrete in-process listener; it satisfies
-// Listener and additionally offers Dial.
-type InprocListener struct {
-	inner *inprocListener
+	return &InprocListener{accept: make(chan Conn, 64), done: make(chan struct{})}
 }
 
 // Accept implements Listener.
 func (l *InprocListener) Accept() (Conn, error) {
 	select {
-	case c := <-l.inner.accept:
+	case c := <-l.accept:
 		return c, nil
-	case <-l.inner.done:
+	case <-l.done:
 		return nil, ErrClosed
 	}
 }
@@ -771,12 +763,12 @@ func (l *InprocListener) Accept() (Conn, error) {
 // closed, as a TCP connection in a closed listener's backlog is reset:
 // their dialers' writes fail instead of queueing for no reader.
 func (l *InprocListener) Close() error {
-	l.inner.once.Do(func() { close(l.inner.done) })
-	l.inner.mu.Lock()
-	defer l.inner.mu.Unlock()
+	l.once.Do(func() { close(l.done) })
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for {
 		select {
-		case c := <-l.inner.accept:
+		case c := <-l.accept:
 			c.Close()
 		default:
 			return nil
@@ -789,18 +781,18 @@ func (l *InprocListener) Addr() string { return "inproc" }
 
 // Dial opens a new client connection to this listener.
 func (l *InprocListener) Dial() (Conn, error) {
-	l.inner.mu.Lock() // Close drains the queue after any Dial in progress
-	defer l.inner.mu.Unlock()
+	l.mu.Lock() // Close drains the queue after any Dial in progress
+	defer l.mu.Unlock()
 	select {
-	case <-l.inner.done:
+	case <-l.done:
 		return nil, ErrClosed
 	default:
 	}
 	client, server := Pipe()
 	select {
-	case l.inner.accept <- server:
+	case l.accept <- server:
 		return client, nil
-	case <-l.inner.done:
+	case <-l.done:
 		return nil, ErrClosed
 	}
 }

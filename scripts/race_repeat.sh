@@ -42,8 +42,9 @@ go test ./internal/scene -count=10 -race -run 'Journal|Restore|Replica|Replicate
 go test ./internal/core -count=10 -race -run 'TestReplicationOutlivesJournal|TestFollowerRestartResynchronizes|TestCoordinatorRestartResynchronizes|TestUnreadSceneFrameIsResent|TestTrunkRefusesMisconfiguredPeers|TestFollowerDivergenceIsReported|TestFederationSceneReplication'
 
 # Recording store: sharded commits, segments that never move, one log
-# format.
+# format; a scene change recorded whole, as the journal encodes it.
 go test ./internal/record -race -count=10
+go test ./internal/core -count=10 -race -run 'TestRecordingKeepsSceneChanges'
 
 # Link-model dice: verdicts keyed by seed, packet and receiver —
 # unchanged by unrelated scene edits and shard count, re-derived from
