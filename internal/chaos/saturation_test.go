@@ -137,10 +137,13 @@ func TestNotificationSaturationConservation(t *testing.T) {
 			const sends = 50
 			send(sends)
 			// An empty schedule does not mean the scanner has finished
-			// pushing the last batch it fired into the full queue: the
-			// drops are polled up to their floor, then bounded.
+			// pushing the last batch it fired into the full queue, and an
+			// entry it has yet to push when the session closes is
+			// abandoned, past the bound below. Into the queue the wedge
+			// filled, every entry evicts one: the drops are polled up to
+			// that count, then bounded.
 			pollUntil(5*time.Second, func() bool {
-				return srv.Stats().QueueDrops-wedge.QueueDrops >= sends-queueLimit
+				return srv.Stats().QueueDrops-wedge.QueueDrops >= sends
 			})
 			st := srv.Stats()
 			if drops := st.QueueDrops - wedge.QueueDrops; drops < sends-queueLimit || drops > sends {

@@ -85,18 +85,18 @@ type Client struct {
 	seq    atomic.Uint32
 	closed atomic.Bool
 
-	mu      sync.Mutex
-	radios  []radio.Radio
-	syncers map[vclock.Time]chan *wire.SyncReply
+	mu     sync.Mutex
+	radios []radio.Radio
+	// syncCh and syncTC1 are the one sync round awaiting its reply (syncMu
+	// lets one Resync run at a time), syncCh nil between rounds: the
+	// receive loop hands it the SyncReply for syncTC1 and drops any other
+	// as late, and markClosed closes it to abort the wait.
+	syncCh  chan *wire.SyncReply
+	syncTC1 vclock.Time
+	syncMu  sync.Mutex
 
 	wg         sync.WaitGroup
-	stopResync chan struct{}
-
-	// syncMu serializes sync round trips so the one reusable timeout
-	// timer below is never armed twice (time.After in a loop would leak
-	// a timer per round until it fired on its own).
-	syncMu    sync.Mutex
-	syncTimer *time.Timer
+	stopResync chan struct{} // ends the resync loop; nil when none runs
 }
 
 // ErrClientClosed is returned by Send after Close.
@@ -148,15 +148,11 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("core: unexpected handshake reply %v", m.Type())
 	}
 	clk := vclock.NewSynced(cfg.LocalClock)
-	c := &Client{
-		cfg:        cfg,
-		conn:       conn,
-		clk:        clk,
-		stamp:      vclock.NewMonotonic(clk),
-		syncers:    make(map[vclock.Time]chan *wire.SyncReply),
-		stopResync: make(chan struct{}),
-	}
+	c := &Client{cfg: cfg, conn: conn, clk: clk, stamp: vclock.NewMonotonic(clk)}
 	c.deferred, _ = conn.(transport.DeferredSender)
+	if cfg.ResyncEvery > 0 {
+		c.stopResync = make(chan struct{})
+	}
 	c.wg.Add(1)
 	go c.recvLoop()
 	// Initial clock synchronization; without it parallel stamping is
@@ -239,53 +235,56 @@ func (c *Client) Broadcast(ch radio.ChannelID, flow uint16, payload []byte) erro
 }
 
 // Resync performs one Figure 5 synchronization and installs the offset.
+// Its rounds share a reply channel and a timeout timer that live only as
+// long as the call.
 func (c *Client) Resync() (vclock.Sample, error) {
-	return c.clk.Resync(vclock.ExchangerFunc(c.exchange), c.cfg.SyncRounds)
-}
-
-// exchange is one sync round trip over the live connection. Replies are
-// routed back by TC1 through the receive loop. Rounds are serialized by
-// syncMu; the timeout timer is reused across rounds and stopped on
-// every exit path, and a connection closing mid-exchange aborts the
-// wait promptly via stopResync.
-func (c *Client) exchange(tc1 vclock.Time) (vclock.Time, vclock.Time, error) {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
-	ch := make(chan *wire.SyncReply, 1)
+	ch, timer := make(chan *wire.SyncReply, 1), time.NewTimer(c.cfg.SyncTimeout)
+	defer timer.Stop()
+	return c.clk.Resync(vclock.ExchangerFunc(func(tc1 vclock.Time) (vclock.Time, vclock.Time, error) {
+		return c.exchange(ch, timer, tc1)
+	}), c.cfg.SyncRounds)
+}
+
+// exchange is one sync round trip over the live connection: the round
+// holds the sync slot until its reply, its timeout or the client's
+// close, whichever comes first.
+func (c *Client) exchange(ch chan *wire.SyncReply, timer *time.Timer, tc1 vclock.Time) (vclock.Time, vclock.Time, error) {
+	c.mu.Lock()
 	if c.closed.Load() {
+		c.mu.Unlock()
 		return 0, 0, ErrClientClosed
 	}
-	c.mu.Lock()
-	c.syncers[tc1] = ch
+	c.syncCh, c.syncTC1 = ch, tc1
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
-		delete(c.syncers, tc1)
+		c.syncCh = nil
 		c.mu.Unlock()
+		select { // a reply that raced the timeout must not answer the next round
+		case <-ch:
+		default:
+		}
 	}()
+	if !timer.Stop() {
+		select { // a fire the previous round did not take
+		case <-timer.C:
+		default:
+		}
+	}
+	timer.Reset(c.cfg.SyncTimeout)
 	if err := c.conn.Send(&wire.SyncReq{TC1: tc1}); err != nil {
 		return 0, 0, err
 	}
-	if c.syncTimer == nil {
-		c.syncTimer = time.NewTimer(c.cfg.SyncTimeout)
-	} else {
-		c.syncTimer.Reset(c.cfg.SyncTimeout)
-	}
-	defer func() {
-		if !c.syncTimer.Stop() {
-			select { // drain a concurrent fire so Reset starts clean
-			case <-c.syncTimer.C:
-			default:
-			}
-		}
-	}()
 	select {
-	case rep := <-ch:
+	case rep, ok := <-ch:
+		if !ok {
+			return 0, 0, ErrClientClosed
+		}
 		return rep.TS2, rep.TS3, nil
-	case <-c.syncTimer.C:
+	case <-timer.C:
 		return 0, 0, errors.New("core: sync reply timeout")
-	case <-c.stopResync:
-		return 0, 0, ErrClientClosed
 	}
 }
 
@@ -306,7 +305,7 @@ func (c *Client) resyncLoop() {
 func (c *Client) recvLoop() {
 	defer c.wg.Done()
 	var closeErr error
-	for {
+	for closeErr == nil {
 		m, err := c.conn.Recv()
 		if err != nil {
 			closeErr = err
@@ -325,14 +324,13 @@ func (c *Client) recvLoop() {
 			wire.ReleaseData(msg)
 		case *wire.SyncReply:
 			c.mu.Lock()
-			ch := c.syncers[msg.TC1]
-			c.mu.Unlock()
-			if ch != nil {
+			if c.syncCh != nil && c.syncTC1 == msg.TC1 {
 				select {
-				case ch <- msg:
+				case c.syncCh <- msg:
 				default:
 				}
 			}
+			c.mu.Unlock()
 		case *wire.Event:
 			if msg.Kind == wire.EventRadios {
 				c.mu.Lock()
@@ -345,11 +343,6 @@ func (c *Client) recvLoop() {
 		case *wire.Bye:
 			closeErr = fmt.Errorf("core: server said bye: %s", msg.Reason)
 			c.conn.Close()
-			c.markClosed()
-			if c.cfg.OnClose != nil {
-				c.cfg.OnClose(closeErr)
-			}
-			return
 		}
 	}
 	c.markClosed()
@@ -359,7 +352,16 @@ func (c *Client) recvLoop() {
 }
 
 func (c *Client) markClosed() {
-	if !c.closed.Swap(true) {
+	if c.closed.Swap(true) {
+		return
+	}
+	c.mu.Lock()
+	if c.syncCh != nil { // abort the pending sync round
+		close(c.syncCh)
+		c.syncCh = nil
+	}
+	c.mu.Unlock()
+	if c.stopResync != nil {
 		close(c.stopResync)
 	}
 }

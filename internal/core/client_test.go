@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,5 +164,143 @@ func TestClientCloseFlushesDeferredSendsOverTCP(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("server received %d of %d packets sent before Close", srv.Stats().Received, sends)
 		}
+	}
+}
+
+// syncHold is a client connection that interferes with clock-sync
+// replies once armed. With hold set it keeps the next SyncReply back
+// (holding is closed then) until the client sends its next SyncReq.
+// With mute set it swallows every SyncReply and signals sent at each
+// SyncReq.
+type syncHold struct {
+	transport.Conn
+	hold, mute atomic.Bool
+	holding    chan struct{}
+	next       chan struct{}
+	release    sync.Once
+	sent       chan struct{}
+
+	mu   sync.Mutex
+	held *wire.SyncReply
+}
+
+func newSyncHold() *syncHold {
+	return &syncHold{holding: make(chan struct{}), next: make(chan struct{}), sent: make(chan struct{}, 1)}
+}
+
+func (h *syncHold) heldReply() *wire.SyncReply {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.held
+}
+
+func (h *syncHold) Send(m wire.Msg) error {
+	_, req := m.(*wire.SyncReq)
+	if req && h.heldReply() != nil { // held by an earlier round: release it
+		h.release.Do(func() { close(h.next) })
+	}
+	err := h.Conn.Send(m)
+	if req && h.mute.Load() {
+		select {
+		case h.sent <- struct{}{}:
+		default:
+		}
+	}
+	return err
+}
+
+func (h *syncHold) Recv() (wire.Msg, error) {
+	for {
+		m, err := h.Conn.Recv()
+		rep, ok := m.(*wire.SyncReply)
+		switch {
+		case !ok || err != nil:
+			return m, err
+		case h.mute.Load():
+			continue
+		case h.hold.Swap(false):
+			h.mu.Lock()
+			h.held = rep
+			h.mu.Unlock()
+			close(h.holding)
+			<-h.next
+		}
+		return m, nil
+	}
+}
+
+func (r *rig) heldClient(id radio.NodeID, timeout time.Duration) (*Client, *syncHold) {
+	r.t.Helper()
+	h := newSyncHold()
+	skewed := vclock.Offset{Base: r.clk, Shift: -3 * time.Second}
+	c, err := Dial(ClientConfig{ID: id, LocalClock: skewed, SyncRounds: 1, SyncTimeout: timeout,
+		Dial: func() (transport.Conn, error) {
+			conn, err := r.lis.Dial()
+			h.Conn = conn
+			return h, err
+		}})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.t.Cleanup(c.Close)
+	return c, h
+}
+
+// A sync reply that arrives after its round timed out answers nothing:
+// the client keeps one pending round, keyed by its TC1, and the late
+// reply reaches the receive loop while the next round is pending. That
+// round installs its own sample; taken for it, the late reply would put
+// the offset ≈ 7 s off the local clock's 3 s skew.
+func TestLateSyncReplyIsDropped(t *testing.T) {
+	r := newRig(t, nil)
+	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 100))
+	c, h := r.heldClient(1, 200*time.Millisecond)
+	h.hold.Store(true)
+	if _, err := c.Resync(); err == nil {
+		t.Fatal("a round whose reply was held back succeeded")
+	}
+	select {
+	case <-h.holding:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the round's reply never arrived")
+	}
+	late := h.heldReply()
+	s, err := c.Resync()
+	if err != nil {
+		t.Fatalf("resync after a late reply: %v", err)
+	}
+	if s.TC1 == late.TC1 || s.TS2 <= late.TS3 {
+		t.Fatalf("the round took the late reply: sample %+v, late %+v", s, *late)
+	}
+	if off := c.Offset(); off < 2*time.Second || off > 4*time.Second {
+		t.Errorf("offset estimate %v after a late reply, want ≈3s", off)
+	}
+}
+
+// Closing the client aborts a sync round waiting for its reply at once,
+// not at the round's timeout.
+func TestCloseDuringSyncReturnsPromptly(t *testing.T) {
+	r := newRig(t, nil)
+	r.scene.AddNode(1, geom.V(0, 0), oneRadio(1, 100))
+	c, h := r.heldClient(1, time.Minute)
+	h.mute.Store(true)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Resync()
+		errc <- err
+	}()
+	<-h.sent
+	start := time.Now()
+	c.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrClientClosed) {
+			t.Fatalf("Resync after Close: %v, want ErrClientClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the pending sync round waiting for its timeout")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("Resync took %v to see Close", d)
 	}
 }

@@ -120,10 +120,11 @@ type cluster struct {
 
 	health *fidelity.ClusterHealth
 
-	mRecvEntries *obs.Counter
-	mRepErrors   *obs.Counter
-	mSnapshots   *obs.Counter
-	hStale       *obs.Histogram
+	mRecvEntries  *obs.Counter
+	mRepErrors    *obs.Counter
+	mSnapshots    *obs.Counter
+	mHelloRefused *obs.Counter
+	hStale        *obs.Histogram
 }
 
 // cursor is one follower's place in the coordinator's journal: the next
@@ -190,6 +191,8 @@ func newCluster(s *Server, cfg ServerConfig) *cluster {
 		"scene frames refused (malformed, or not from the coordinator) and replicated records that failed to apply")
 	cl.mSnapshots = reg.Counter("poem_cluster_scene_snapshots_total",
 		"scene snapshots sent whole (coordinator) or restored (follower)")
+	cl.mHelloRefused = reg.Counter("poem_trunk_hello_refused_total",
+		"inbound trunk hellos this peer refused with a Bye (another version, cluster, seed or coordinator, or a bad peer index)")
 	reg.Gauge("poem_cluster_scene_divergence",
 		"peers whose scene digest differed from the coordinator's at the same seq (coordinator only)",
 		func() float64 { return float64(cl.divergence()) })
@@ -402,6 +405,7 @@ func (cl *cluster) serveTrunk(conn transport.Conn, hello *wire.TrunkHello) {
 	seed := cl.srv.cfg.Seed
 	if hello.Ver != wire.Version || hello.Cluster != cl.id || from >= cl.n || from == cl.self ||
 		int(hello.Coordinator) != cl.coordinator || hello.Seed != seed {
+		cl.mHelloRefused.Inc()
 		conn.Send(&wire.Bye{Reason: fmt.Sprintf("core: trunk rejected: hello from cluster %q version %d peer %d "+
 			"coordinator %d; this is cluster %q version %d peer %d coordinator %d; the hello's seed is %d, this peer's %d",
 			hello.Cluster, hello.Ver, hello.From, hello.Coordinator, cl.id, wire.Version, cl.self, cl.coordinator,
@@ -739,12 +743,13 @@ type ClusterStat struct {
 	// Σ RemoteEntries == Σ RecvEntries over the cluster is exact at a
 	// settled point. RecvEntries counts deliveries received from peers.
 	// RepErrors counts scene frames refused and replicated records that
-	// failed to apply.
+	// failed to apply; HelloRefused the trunk hellos this peer refused.
 	RemoteEntries  uint64
 	PendingEntries uint64
 	TrunkDropped   uint64
 	RecvEntries    uint64
 	RepErrors      uint64
+	HelloRefused   uint64
 	// StalenessNs is the last measured scene replication staleness.
 	StalenessNs int64
 	PeerStats   []PeerStat
@@ -773,13 +778,14 @@ func (s *Server) Cluster() *ClusterStat {
 	}
 	applied := cl.appliedSeq()
 	st := &ClusterStat{
-		Peers:       cl.n,
-		AppliedSeq:  applied,
-		Snapshots:   cl.mSnapshots.Load(),
-		Divergence:  cl.divergence(),
-		RecvEntries: cl.mRecvEntries.Load(),
-		RepErrors:   cl.mRepErrors.Load(),
-		StalenessNs: cl.lastStale.Load(),
+		Peers:        cl.n,
+		AppliedSeq:   applied,
+		Snapshots:    cl.mSnapshots.Load(),
+		Divergence:   cl.divergence(),
+		RecvEntries:  cl.mRecvEntries.Load(),
+		RepErrors:    cl.mRepErrors.Load(),
+		HelloRefused: cl.mHelloRefused.Load(),
+		StalenessNs:  cl.lastStale.Load(),
 	}
 	if cl.self == cl.coordinator {
 		st.RepSeq = applied

@@ -693,6 +693,42 @@ func TestTrunkRefusesMisconfiguredPeers(t *testing.T) {
 	}
 }
 
+// A refused trunk hello is counted on the refusing peer, where the Bye
+// alone left no trace: ClusterStat.HelloRefused and the
+// poem_trunk_hello_refused_total series that the control stats verb
+// prints. The Bye still names both configurations.
+func TestTrunkHelloRefusalIsCounted(t *testing.T) {
+	srv, err := NewServer(ServerConfig{
+		Clock: vclock.NewManual(0), Scene: scene.New(radio.NewIndexed(16), vclock.NewManual(0), 1),
+		Shards: 1, Seed: 7, ClusterID: "misconf", Self: 1,
+		Peers:           []PeerSpec{{Dial: unreachable}, {Dial: unreachable}},
+		TrunkMinBackoff: time.Hour, TrunkMaxBackoff: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := &scriptConn{recvs: []wire.Msg{&wire.TrunkHello{Ver: wire.Version, From: 0, Seed: 8, Cluster: "misconf"}}}
+	srv.handle(conn)
+	want := fmt.Sprintf("core: trunk rejected: hello from cluster \"misconf\" version %d peer 0 coordinator 0; "+
+		"this is cluster \"misconf\" version %d peer 1 coordinator 0; the hello's seed is 8, this peer's 7",
+		wire.Version, wire.Version)
+	if len(conn.sent) != 1 {
+		t.Fatalf("sent %d messages, want one Bye", len(conn.sent))
+	}
+	if bye, ok := conn.sent[0].(*wire.Bye); !ok || bye.Reason != want {
+		t.Fatalf("refusal %+v, want a Bye saying %q", conn.sent[0], want)
+	}
+	if got := srv.Cluster().HelloRefused; got != 1 {
+		t.Errorf("HelloRefused %d, want 1", got)
+	}
+	var out strings.Builder
+	srv.Obs().WritePrometheus(&out)
+	if !strings.Contains(out.String(), "\npoem_trunk_hello_refused_total 1\n") {
+		t.Errorf("stats do not count the refusal:\n%s", out.String())
+	}
+}
+
 // gatedDial is a trunk dialer that can be cut: while cut, dials fail and
 // the connections it handed out are closed.
 type gatedDial struct {

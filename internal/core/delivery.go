@@ -108,7 +108,13 @@ func (sh *shard) deliver(batch []sched.Item) {
 	// From the first push on, a fan's wrapper may be retired by its
 	// receivers: only the staged entries' own fields are read below.
 	for _, sess := range sh.dirty {
+		drops := sess.q.drops.Load()
 		sh.srv.pushTimed(sess.q, sess.staged)
+		// Policy drops go on the flight recorder, for the breach dump. This
+		// scanner alone pushes into the queue: the drops since are its own.
+		for n := sess.q.drops.Load() - drops; n > 0; n-- {
+			sh.srv.fid.Recorder().Record(fidelity.EvQueueDrop, sh.idx, int64(sh.srv.cfg.Clock.Now()), int64(sess.id), 0)
+		}
 		clear(sess.staged) // hold no wrapper past the push
 		sess.staged = sess.staged[:0]
 	}

@@ -6,6 +6,7 @@ package core
 // the SerializeChannels extension — the shared channel airtime map.
 
 import (
+	"math/rand"
 	"time"
 
 	"repro/internal/linkmodel"
@@ -84,6 +85,9 @@ func (s *Server) ingest(sess *session, pkt wire.Packet) {
 	// survivors land in the session's reusable scratch buffer.
 	if pkt.Dst != radio.Broadcast {
 		rows = neighborOf(rows, pkt.Dst) // a unicast is heard by its addressee only
+	}
+	if sess.rng == nil { // most sessions of a large scene never send
+		sess.rng = rand.New(&sess.dice)
 	}
 	targets := sess.push.targets[:0]
 	matched := 0

@@ -57,29 +57,23 @@ type sendQueue struct {
 	// it clears the flag as it does, so a burst into an awake writer's
 	// queue costs no channel operation. close signals regardless.
 	parked bool
-	wake   chan struct{} // 1-buffered writer wakeup
-	// start launches the writer while the queue has none yet: open
-	// installs it, and the first push or notify after that takes it and
-	// calls it outside mu. nil before open, once taken and after close;
-	// a queue no server opened never starts a writer of its own.
-	start func()
+	wake   chan struct{} // the writer's 1-buffered wakeup, made when it first parks
+	// start is the session whose writer the queue launches while it has
+	// none yet: open installs it, and the first push or notify after that
+	// takes it and starts the writer outside mu. nil before open, once
+	// taken and after close; a queue no server opened never starts one.
+	start *session
 
 	drops          atomic.Uint64 // entries discarded by the slow-client policy
 	totalDrops     *obs.Counter  // server-wide aggregate, shared by all sessions
 	totalAbandoned *obs.Counter  // entries that died with the session
-
-	// onDrop, when set (before the session starts), observes each policy
-	// discard — the fidelity flight recorder timestamps drops into its
-	// event ring. Called under q.mu: it must be lock-free and fast.
-	onDrop func()
 }
 
 func newSendQueue(limit int, totalDrops, totalAbandoned *obs.Counter) *sendQueue {
 	if limit <= 0 {
 		limit = DefaultSendQueueDepth
 	}
-	return &sendQueue{limit: limit, wake: make(chan struct{}, 1),
-		totalDrops: totalDrops, totalAbandoned: totalAbandoned}
+	return &sendQueue{limit: limit, totalDrops: totalDrops, totalAbandoned: totalAbandoned}
 }
 
 // countDrop charges one policy discard to the session and the server.
@@ -87,9 +81,6 @@ func (q *sendQueue) countDrop() {
 	q.drops.Add(1)
 	if q.totalDrops != nil {
 		q.totalDrops.Inc()
-	}
-	if q.onDrop != nil {
-		q.onDrop()
 	}
 }
 
@@ -163,15 +154,13 @@ func (q *sendQueue) notify() {
 	q.unlockAndWake()
 }
 
-// open installs start as the queue's way to launch its writer, and
-// calls it at once if a push or notify came while the queue had none.
-func (q *sendQueue) open(start func()) {
+// open makes sess the session whose writer the queue launches, and
+// launches it at once if a push or notify came while the queue had none.
+func (q *sendQueue) open(sess *session) {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
+	if !q.closed {
+		q.start = sess
 	}
-	q.start = start
 	if q.ring.Len() == 0 && !q.radios {
 		q.mu.Unlock()
 		return
@@ -183,16 +172,16 @@ func (q *sendQueue) open(start func()) {
 // none yet or signals wake if the writer recorded that it parked,
 // reporting whether it did either.
 func (q *sendQueue) unlockAndWake() bool {
-	signal, start := q.parked, q.start
+	signal, start, wake := q.parked, q.start, q.wake
 	q.parked, q.start = false, nil
 	q.mu.Unlock()
 	if start != nil {
-		start()
+		start.srv.startWriter(start)
 		return true
 	}
 	if signal {
 		select {
-		case q.wake <- struct{}{}:
+		case wake <- struct{}{}:
 		default:
 		}
 	}
@@ -229,8 +218,12 @@ func (q *sendQueue) popBatch(batch []outMsg, max int) (_ []outMsg, radios, ok bo
 			return batch, radios, true
 		}
 		q.parked = true // the next push or notify signals wake
+		if q.wake == nil {
+			q.wake = make(chan struct{}, 1)
+		}
+		wake := q.wake
 		q.mu.Unlock()
-		<-q.wake
+		<-wake
 	}
 }
 
@@ -252,9 +245,10 @@ func (q *sendQueue) close() {
 		q.countAbandoned()
 		q.ring.Drop()
 	}
+	wake := q.wake // nil: no writer ever parked, none will
 	q.mu.Unlock()
 	select {
-	case q.wake <- struct{}{}:
+	case wake <- struct{}{}:
 	default:
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/linkmodel"
-	"repro/internal/obs/fidelity"
 	"repro/internal/radio"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -41,9 +40,11 @@ import (
 type session struct {
 	id   radio.NodeID
 	conn transport.Conn
+	srv  *Server
 	// dice is the link-model die: ingest keys it per (packet, receiver)
-	// before each verdict and rng draws from it (linkmodel.Dice). Only
-	// the session's own reader goroutine touches either.
+	// before each verdict and rng draws from it (linkmodel.Dice); rng is
+	// made at the session's first packet. Only the session's own reader
+	// goroutine touches either.
 	dice linkmodel.Dice
 	rng  *rand.Rand
 
@@ -183,15 +184,8 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 	sess := &session{
 		id:   id,
 		conn: conn,
+		srv:  s,
 		q:    newSendQueue(s.cfg.SendQueueDepth, s.mQueueDrops, s.mAbandoned),
-	}
-	sess.rng = rand.New(&sess.dice)
-	// Timestamp policy drops into the flight recorder: around an
-	// incident, which sessions were shedding (and when) is exactly what
-	// the breach dump is for.
-	rec, shardIdx := s.fid.Recorder(), int32(ShardIndex(id, len(s.shards)))
-	sess.q.onDrop = func() {
-		rec.Record(fidelity.EvQueueDrop, int(shardIdx), int64(s.cfg.Clock.Now()), int64(id), 0)
 	}
 	// Insertion nests the shard lock inside Server.mu (the one permitted
 	// nesting, see the ordering note above): the closed check and the
@@ -230,7 +224,7 @@ func (s *Server) register(conn transport.Conn, m wire.Msg) (*session, error) {
 			return nil, err
 		}
 	}
-	sess.q.open(func() { s.startWriter(sess) })
+	sess.q.open(sess)
 	return sess, nil
 }
 

@@ -17,15 +17,21 @@ import (
 	"repro/internal/vclock"
 )
 
-// stackPerSession dials n clients into a fresh server over the given
-// listener and returns how much StackInuse grew per session once every
-// client has registered and synchronized its clock: the server's reader
-// and the client's receive loop (a session that has received nothing
-// has no writer). No GC is forced between
-// the two readings. A steady-state server allocates nothing, so the
-// collector that would shrink a grown stack never runs, and a stack a
-// goroutine grew once is the stack it keeps.
-func stackPerSession(t *testing.T, n int, lis transport.Listener, dial transport.Dialer) float64 {
+// footprint is what one idle pair — a registered session and its
+// client — holds: bytes of stack, and bytes and objects of live heap.
+type footprint struct{ stack, heap, objects float64 }
+
+// pairFootprint dials n clients into a fresh server over the given
+// listener and returns what each pair added once every client has
+// registered and synchronized its clock: the server's reader and the
+// client's receive loop (a session that has received nothing has no
+// writer), their goroutine descriptors, the session and the client.
+// The scene is built before the first reading. No GC is forced between
+// the two stack readings: a steady-state server allocates nothing, so
+// the collector that would shrink a grown stack never runs, and a stack
+// a goroutine grew once is the stack it keeps. The heap is read after
+// one more collection, so it counts only what the pairs keep.
+func pairFootprint(t *testing.T, n int, lis transport.Listener, dial transport.Dialer) footprint {
 	t.Helper()
 	clk := vclock.NewSystem(1)
 	sc := scene.New(radio.NewIndexed(120), clk, 1)
@@ -71,7 +77,14 @@ func stackPerSession(t *testing.T, n int, lis transport.Listener, dial transport
 		}
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.StackInuse-before.StackInuse) / float64(n)
+	stack := float64(after.StackInuse - before.StackInuse)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return footprint{
+		stack:   stack / float64(n),
+		heap:    (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n),
+		objects: (float64(after.HeapObjects) - float64(before.HeapObjects)) / float64(n),
+	}
 }
 
 // stackFootprintChild names the transport a child process of
@@ -100,17 +113,17 @@ func TestSessionStackFootprint(t *testing.T) {
 	switch os.Getenv(stackFootprintChild) {
 	case "inproc":
 		in := transport.NewInprocListener()
-		fmt.Printf("stack-per-session %.0f\n", stackPerSession(t, n, in, in.Dialer()))
+		printFootprint(pairFootprint(t, n, in, in.Dialer()))
 		return
 	case "tcp":
 		tcp, err := transport.ListenTCP("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Printf("stack-per-session %.0f\n", stackPerSession(t, n, tcp, transport.TCPDialer(tcp.Addr())))
+		printFootprint(pairFootprint(t, n, tcp, transport.TCPDialer(tcp.Addr())))
 		return
 	}
-	measure := func(tr string) float64 {
+	measure := func(tr string) footprint {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestSessionStackFootprint$", "-test.count=1", "-test.cpu=2")
 		cmd.Env = append(os.Environ(), stackFootprintChild+"="+tr)
 		out, err := cmd.CombinedOutput()
@@ -118,18 +131,31 @@ func TestSessionStackFootprint(t *testing.T) {
 			t.Fatalf("%s child: %v\n%s", tr, err, out)
 		}
 		for _, line := range strings.Split(string(out), "\n") {
-			var b float64
-			if _, err := fmt.Sscanf(line, "stack-per-session %g", &b); err == nil {
-				return b
+			var f footprint
+			if _, err := fmt.Sscanf(line, footprintLine, &f.stack, &f.heap, &f.objects); err == nil {
+				return f
 			}
 		}
 		t.Fatalf("%s child printed no figure:\n%s", tr, out)
-		return 0
+		return footprint{}
 	}
-	perInproc, perTCP := measure("inproc"), measure("tcp")
-	t.Logf("StackInuse per session over %d sessions: in-proc %.1f KiB, loopback TCP %.1f KiB",
-		n, perInproc/1024, perTCP/1024)
-	if perInproc > 5.5*1024 {
-		t.Fatalf("in-proc sessions grew StackInuse by %.1f KiB each, want at most 5.5 KiB", perInproc/1024)
+	in, tcp := measure("inproc"), measure("tcp")
+	t.Logf("per pair over %d pairs: in-proc %.1f KiB of stack, %.0f B of heap in %.1f objects; "+
+		"loopback TCP %.1f KiB of stack, %.0f B of heap in %.1f objects",
+		n, in.stack/1024, in.heap, in.objects, tcp.stack/1024, tcp.heap, tcp.objects)
+	if in.stack > 5.5*1024 {
+		t.Errorf("in-proc pairs grew StackInuse by %.1f KiB each, want at most 5.5 KiB", in.stack/1024)
 	}
+	if in.heap > 2.4*1024 || in.objects > 20 {
+		t.Errorf("in-proc pairs hold %.0f B of heap in %.1f objects each, want at most 2.4 KiB in 20",
+			in.heap, in.objects)
+	}
+}
+
+// footprintLine is how a child of TestSessionStackFootprint reports its
+// figures: stack, heap bytes and heap objects per pair.
+const footprintLine = "pair-footprint %g %g %g"
+
+func printFootprint(f footprint) {
+	fmt.Printf("pair-footprint %.0f %.0f %.2f\n", f.stack, f.heap, f.objects)
 }

@@ -25,9 +25,10 @@ import (
 //   - owned — allocated by the table since the last Flush and not yet
 //     handed out by it. Only the table holds it, so mutations patch it
 //     in place (binary-search insert, delete, or Dist update).
-//   - sealed — reported by a Flush. From that moment it is immutable for
-//     ever: the next mutation that must change it copies it first, and
-//     the copy is owned until the following Flush.
+//   - sealed — reported by a Flush, at exactly its length. From that
+//     moment it is immutable for ever: the next mutation that must
+//     change it copies it first, at its new length, and the copy is
+//     owned until the following Flush.
 //
 // Every row that changes between two Flushes is reported by the second
 // exactly once, so a consumer that mirrors the rows pays for the rows a
@@ -107,8 +108,7 @@ func (t *IndexedTables) AddNode(n *Node) {
 	if _, dup := t.nodes[n.ID]; dup {
 		panic(fmt.Sprintf("radio: duplicate node %v", n.ID))
 	}
-	cp := *n
-	cp.Radios = append([]Radio(nil), n.Radios...)
+	cp, _ := copyNode(n)
 	t.nodes[cp.ID] = &cp
 	for i, r := range cp.Radios {
 		if rng, on := cp.rangeAt(i); on {
@@ -138,7 +138,7 @@ func (t *IndexedTables) leaveChannel(ct *channelTable, id NodeID) {
 	})
 	delete(ct.members, id)
 	ct.grid.Remove(m)
-	m.gone = true
+	m.row, m.gone = nil, true
 	if !m.owned { // else it is on the list already
 		m.owned = true
 		t.touched = append(t.touched, m)
@@ -174,15 +174,23 @@ func (ct *channelTable) rangeSet(old, now float64) {
 	}
 }
 
-// own makes m's row writable, copying it if it is sealed; extra is the
-// spare capacity to leave for an insert.
-func (t *IndexedTables) own(m *member, extra int) {
-	if m.owned {
-		return
+// edit makes m's row writable and grow (-1, 0 or +1) entries longer at
+// i: without entry i, as it is, or with a zero entry i for the caller to
+// fill. A sealed row is copied at its new size; an owned one is edited
+// in place, and Flush clips the spare capacity that leaves.
+func (t *IndexedTables) edit(m *member, i, grow int) {
+	switch {
+	case !m.owned:
+		row := make([]Neighbor, len(m.row)+grow)
+		copy(row, m.row[:i])
+		copy(row[i+max(grow, 0):], m.row[i-min(grow, 0):])
+		m.row, m.owned = row, true
+		t.touched = append(t.touched, m)
+	case grow < 0:
+		m.row = slices.Delete(m.row, i, i+1)
+	case grow > 0:
+		m.row = slices.Insert(m.row, i, Neighbor{})
 	}
-	m.row = append(make([]Neighbor, 0, len(m.row)+extra), m.row...)
-	m.owned = true
-	t.touched = append(t.touched, m)
 }
 
 // setEdge makes a's row say that a reaches id at distance d (in), or
@@ -204,14 +212,13 @@ func (t *IndexedTables) setEdge(a *member, id NodeID, d float64, in bool) {
 		if a.row[i].Dist == d {
 			return
 		}
-		t.own(a, 0)
+		t.edit(a, i, 0)
 		a.row[i].Dist = d
 	case found:
-		t.own(a, 0)
-		a.row = slices.Delete(a.row, i, i+1)
+		t.edit(a, i, -1)
 	case in:
-		t.own(a, 1)
-		a.row = slices.Insert(a.row, i, Neighbor{ID: id, Dist: d})
+		t.edit(a, i, 1)
+		a.row[i] = Neighbor{ID: id, Dist: d}
 	default:
 		return
 	}
@@ -315,18 +322,18 @@ func (t *IndexedTables) SetRadios(id NodeID, radios []Radio) {
 
 // Flush calls fn for every row that changed since the previous Flush,
 // once each and in the order they first changed, and seals the rows it
-// reports: the slice passed to fn is never written again. member is
-// false (and row nil) when the node has left the channel. See the type
-// comment for the ownership rules. A table that is never flushed works,
-// but remembers every row changed.
+// reports: the slice passed to fn is never written again, and holds no
+// spare capacity (a row that kept some is copied at its length first).
+// member is false (and row nil) when the node has left the channel. See
+// the type comment for the ownership rules. A table that is never
+// flushed works, but remembers every row changed.
 func (t *IndexedTables) Flush(fn func(ch ChannelID, id NodeID, row []Neighbor, member bool)) {
 	for i, m := range t.touched {
 		m.owned = false
-		if m.gone {
-			fn(m.ch, m.node.ID, nil, false)
-		} else {
-			fn(m.ch, m.node.ID, m.row, true)
+		if cap(m.row) > len(m.row) { // edited in place
+			m.row = append(make([]Neighbor, 0, len(m.row)), m.row...)
 		}
+		fn(m.ch, m.node.ID, m.row, !m.gone)
 		t.touched[i] = nil
 	}
 	t.touched = t.touched[:0]
@@ -354,15 +361,7 @@ func (t *IndexedTables) Neighbors(id NodeID, ch ChannelID) []Neighbor {
 func (t *IndexedTables) Peek(id NodeID) *Node { return t.nodes[id] }
 
 // Node implements NeighborTable.
-func (t *IndexedTables) Node(id NodeID) (Node, bool) {
-	n := t.nodes[id]
-	if n == nil {
-		return Node{}, false
-	}
-	cp := *n
-	cp.Radios = append([]Radio(nil), n.Radios...)
-	return cp, true
-}
+func (t *IndexedTables) Node(id NodeID) (Node, bool) { return copyNode(t.nodes[id]) }
 
 // NodeSet implements NeighborTable.
 func (t *IndexedTables) NodeSet(ch ChannelID) []NodeID {

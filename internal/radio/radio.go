@@ -148,6 +148,17 @@ type NeighborTable interface {
 	UpdateCost() uint64
 }
 
+// copyNode returns a copy of n that shares no storage with it, or false
+// for a nil n.
+func copyNode(n *Node) (Node, bool) {
+	if n == nil {
+		return Node{}, false
+	}
+	cp := *n
+	cp.Radios = append([]Radio(nil), n.Radios...)
+	return cp, true
+}
+
 // reaches reports whether a can transmit to b on ch, and the distance.
 func reaches(a, b *Node, ch ChannelID) (float64, bool) {
 	ra, ok := a.RangeOn(ch)

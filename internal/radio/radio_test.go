@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mobility"
+	"repro/internal/vclock"
 )
 
 func TestNodeChannels(t *testing.T) {
@@ -458,4 +460,61 @@ func TestNodeCopyIsolation(t *testing.T) {
 	if got2.Radios[0].Channel != 1 {
 		t.Error("Node() returned aliased radios")
 	}
+}
+
+// Every row Flush seals is exactly its length: a row built or edited in
+// place and left with spare capacity is clipped, and a sealed row that
+// changes is copied at its new size. Each step below must report rows,
+// or it checked nothing.
+func TestSealedRowsHaveNoSpareCapacity(t *testing.T) {
+	idx := NewIndexed(150)
+	check := func(step string) {
+		t.Helper()
+		rows := 0
+		idx.Flush(func(ch ChannelID, id NodeID, row []Neighbor, member bool) {
+			if !member {
+				return
+			}
+			rows++
+			if cap(row) != len(row) {
+				t.Errorf("%s: the row of %v on %v is sealed with %d entries and capacity %d", step, id, ch, len(row), cap(row))
+			}
+		})
+		if rows == 0 {
+			t.Fatalf("%s: Flush reported no row", step)
+		}
+	}
+	one := func(ch ChannelID, rng float64) []Radio { return []Radio{{Channel: ch, Range: rng}} }
+	const n = 400 // a 20×20 grid 40 apart: a row holds up to ≈ 45 entries
+	for i := 0; i < n; i++ {
+		idx.AddNode(&Node{ID: NodeID(i + 1), Pos: geom.V(float64(i%20)*40, float64(i/20)*40), Radios: one(1, 150)})
+	}
+	check("AddNodes")
+	idx.AddNode(&Node{ID: n + 1, Pos: geom.V(390, 390), Radios: one(1, 150)})
+	check("AddNode")
+	idx.Move(n+1, geom.V(395, 391))
+	check("Move (a nudge)")
+	idx.Move(n+1, geom.V(100, 700))
+	check("Move (a jump)")
+	idx.SetRadios(n+1, one(1, 300))
+	check("SetRadios (a range change)")
+	idx.SetRadios(n+1, one(2, 300))
+	idx.SetRadios(210, one(2, 150))
+	check("SetRadios (a channel switch)")
+	idx.RemoveNode(190)
+	check("RemoveNode")
+	// A mobility tick: every walker advanced, then one Flush.
+	rng := rand.New(rand.NewSource(1))
+	model := mobility.Waypoint{MinSpeed: 5, MaxSpeed: 20, Pause: mobility.Constant(0), Region: geom.R(0, 0, 760, 760)}
+	walkers := map[NodeID]mobility.Walker{}
+	for id := NodeID(1); id <= n; id++ {
+		if nd := idx.Peek(id); nd != nil {
+			walkers[id] = model.NewWalker(nd.Pos, rng)
+			walkers[id].Pos(0)
+		}
+	}
+	for id, w := range walkers {
+		idx.Move(id, w.Pos(vclock.FromSeconds(2)))
+	}
+	check("a mobility tick")
 }

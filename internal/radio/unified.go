@@ -39,8 +39,7 @@ func (t *UnifiedTable) AddNode(n *Node) {
 	if _, dup := t.nodes[n.ID]; dup {
 		panic(fmt.Sprintf("radio: duplicate node %v", n.ID))
 	}
-	cp := *n
-	cp.Radios = append([]Radio(nil), n.Radios...)
+	cp, _ := copyNode(n)
 	t.nodes[cp.ID] = &cp
 	t.rebuildFor(cp.ID)
 }
@@ -83,16 +82,9 @@ func (t *UnifiedTable) rebuildFor(id NodeID) {
 
 // RemoveNode implements NeighborTable.
 func (t *UnifiedTable) RemoveNode(id NodeID) {
-	if _, ok := t.nodes[id]; !ok {
-		return
-	}
-	delete(t.nodes, id)
-	for k := range t.entries {
-		t.cost++
-		if k.src == id || k.dst == id {
-			delete(t.entries, k)
-			t.cost++
-		}
+	if _, ok := t.nodes[id]; ok {
+		delete(t.nodes, id)
+		t.rebuildFor(id) // drops the node's entries and adds none
 	}
 }
 
@@ -129,15 +121,7 @@ func (t *UnifiedTable) Neighbors(id NodeID, ch ChannelID) []Neighbor {
 }
 
 // Node implements NeighborTable.
-func (t *UnifiedTable) Node(id NodeID) (Node, bool) {
-	n := t.nodes[id]
-	if n == nil {
-		return Node{}, false
-	}
-	cp := *n
-	cp.Radios = append([]Radio(nil), n.Radios...)
-	return cp, true
-}
+func (t *UnifiedTable) Node(id NodeID) (Node, bool) { return copyNode(t.nodes[id]) }
 
 // NodeSet implements NeighborTable.
 func (t *UnifiedTable) NodeSet(ch ChannelID) []NodeID {

@@ -13,6 +13,10 @@ set -eu
 go test ./internal/transport -count=10 -race -run 'Deferred|SynchronousSends|OrderAcrossCallKinds|WriteErrorSticks|CloseWaitsForFlusher'
 go test ./internal/core -count=10 -race -run 'TestClientDefersPacketsOnly|TestClientSeqDistinctAcrossGoroutines|TestClientCloseFlushesDeferredSendsOverTCP'
 
+# Client clock sync: one pending round at a time, a late reply dropped,
+# a pending round aborted by Close.
+go test ./internal/core -count=10 -race -run 'TestLateSyncReplyIsDropped|TestCloseDuringSyncReturnsPromptly|TestSyncTimeoutConfigurable|TestClockSyncAccuracy'
+
 # Client receive path: read buffers borrowed only while bytes are unread
 # and returned on every terminal path, payloads aliasing them never
 # overwritten while held, poisoned after release.
